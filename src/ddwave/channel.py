@@ -15,8 +15,6 @@ import numpy as np
 
 from .core import cp_phase_entries, doppler_phases
 
-_LIGHT_SPEED = 2.99792458e8  # m/s, exact
-
 
 @dataclass(frozen=True)
 class PathParams:
@@ -139,6 +137,28 @@ def time_domain_apply(s_cp: np.ndarray, chan: ChannelRealization) -> np.ndarray:
     return r
 
 
+def apply_paths(S: np.ndarray, paths, phase) -> np.ndarray:
+    """Apply H = sum_p h_p . Phi_p . D(f_p) . Pi^{ell_p} to N-sample blocks.
+
+    S holds blocks along its last axis (one block, or one block per row) and
+    `paths` is an iterable of PathParams. Entry n of each output block is
+    sum_p h_p * phi_p[n] * e^{j2pi f_p n/N} * s[(n - ell_p) mod N], so a path
+    costs O(N) per block: two sliced multiplies and one add, no matrix.
+    `phase` is the CP phase rule that fills phi (see core.cp_phase_entries).
+    """
+    S = np.asarray(S)
+    N = S.shape[-1]
+    out = np.zeros(S.shape, dtype=complex)
+    term = np.empty(S.shape, dtype=complex)
+    for p in paths:
+        ell = p.delay_norm
+        d = p.gain * (cp_phase_entries(N, ell, phase) * doppler_phases(N, p.doppler_norm))
+        np.multiply(S[..., N - ell:], d[:ell], out=term[..., :ell])
+        np.multiply(S[..., : N - ell], d[ell:], out=term[..., ell:])
+        out += term
+    return out
+
+
 def single_path_matrix(N: int, ell: int, f: float, phase) -> np.ndarray:
     """N x N operator of one unit-gain path: Phi(ell) . D(f) . Pi^ell.
 
@@ -146,11 +166,8 @@ def single_path_matrix(N: int, ell: int, f: float, phase) -> np.ndarray:
     populated cyclic diagonal: entry (n, (n - ell) mod N) holds
     phi[n] * e^{j2pi f n/N}.
     """
-    vals = cp_phase_entries(N, ell, phase) * doppler_phases(N, f)
-    H = np.zeros((N, N), dtype=complex)
-    rows = np.arange(N)
-    H[rows, (rows - ell) % N] = vals
-    return H
+    # row j of the applied identity is the operator's column j
+    return apply_paths(np.eye(N), (PathParams(1.0, ell, f),), phase).T
 
 
 def channel_matrix(chan: ChannelRealization, phase) -> np.ndarray:
@@ -160,11 +177,7 @@ def channel_matrix(chan: ChannelRealization, phase) -> np.ndarray:
     the chirp-periodic prefix); it must match what prepend_cp used for the
     time-domain oracle to agree.
     """
-    N = chan.config.N
-    H = np.zeros((N, N), dtype=complex)
-    for p in chan.paths:
-        H += p.gain * single_path_matrix(N, p.delay_norm, p.doppler_norm, phase)
-    return H
+    return apply_paths(np.eye(chan.config.N), chan.paths, phase).T
 
 
 def tvtf(chan: ChannelRealization, t, f):

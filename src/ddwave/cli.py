@@ -189,7 +189,7 @@ def _sense_trial(cfg, spec, chan_cfg, constellation, snr, key):
     return truth, {"matched_filter": mf_est, "direct_csi": dc_est, "indirect_ml": ml_est}
 
 
-def cmd_sense(cfg: ScenarioConfig, out: str, threads: int = 1) -> list[str]:
+def cmd_sense(cfg: ScenarioConfig, out: str) -> list[str]:
     """Monte Carlo sensing sweep; RMSE per (SNR, method) plus example estimates."""
     _, spec = cfg.sensing_spec()
     chan_cfg = cfg.channel_config()
@@ -267,7 +267,8 @@ def cmd_ambiguity(cfg: ScenarioConfig, out: str) -> list[str]:
         peak = float(mags[zero_i, zero_j])
         side = mags.copy()
         side[zero_i, zero_j] = 0.0
-        psr_db = float(20.0 * np.log10(peak / side.max()))
+        # a one-cell map (n = 1) has no sidelobes: the ratio is unbounded
+        psr_db = float(20.0 * np.log10(peak / side.max())) if side.max() > 0 else float("inf")
         summary.append((name, repr(peak), repr(psr_db)))
     path = os.path.join(out, "ambiguity_summary.csv")
     _write_csv(path, ["waveform", "peak_mag", "psr_db"], summary)
@@ -314,10 +315,9 @@ def cmd_demo_v2x(out: str, geometry: str = "monostatic", seed: int = 1) -> list[
 
 
 def _load(args) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else ScenarioConfig.from_dict({})
-    if args.seed is not None:
-        cfg = ScenarioConfig.from_dict({**cfg.to_json_dict(), "seed": args.seed})
-    return cfg
+    if args.config:
+        return load_config(args.config, seed=args.seed)
+    return ScenarioConfig.from_dict({} if args.seed is None else {"seed": args.seed})
 
 
 def main(argv=None) -> int:
@@ -329,7 +329,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON scenario file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads (results are thread-count independent)")
+                       help="worker threads for the ber frames (accepted and unused by the "
+                            "other subcommands; results are thread-count independent)")
         p.add_argument("--out", default=None, help="output directory (default: config outputs)")
 
     p_eff = sub.add_parser("effchan", help="effective-channel heatmaps")
@@ -352,6 +353,8 @@ def main(argv=None) -> int:
     p_demo.add_argument("--geometry", choices=["monostatic", "bistatic"], default="monostatic")
 
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
         if args.command == "demo-v2x":
             out = args.out or "out"
@@ -366,7 +369,7 @@ def main(argv=None) -> int:
             elif args.command == "ber":
                 written = cmd_ber(cfg, out, threads=args.threads)
             elif args.command == "sense":
-                written = cmd_sense(cfg, out, threads=args.threads)
+                written = cmd_sense(cfg, out)
             elif args.command == "ambiguity":
                 written = cmd_ambiguity(cfg, out)
             else:  # pragma: no cover

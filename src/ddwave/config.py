@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .channel import ChannelConfig
 from .link import Constellation
@@ -116,6 +116,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be an integer, got {data[name]!r}")
         if data["n"] < 1:
             raise ConfigError(f"n must be >= 1, got {data['n']}")
+        if data["seed"] < 0:
+            raise ConfigError(f"seed must be >= 0, got {data['seed']}")
         for name in ("f_s", "f_c"):
             if not isinstance(data[name], (int, float)) or data[name] <= 0:
                 raise ConfigError(f"{name} must be a positive number, got {data[name]!r}")
@@ -203,43 +205,14 @@ class ScenarioConfig:
         return "afdm", self.afdm_spec()
 
     def to_json_dict(self) -> dict:
-        d = {
-            "schema": self.schema,
-            "waveform": self.waveform,
-            "n": self.n,
-            "xi": self.xi,
-            "cp_len": self.cp_len,
-            "f_s": self.f_s,
-            "f_c": self.f_c,
-            "ell_max": self.ell_max,
-            "f_max": self.f_max,
-            "paths": self.paths,
-            "constellation": self.constellation,
-            "snr_sweep": list(self.snr_sweep),
-            "frames": self.frames,
-            "seed": self.seed,
-            "doppler_mode": self.doppler_mode,
-            "outputs": self.outputs,
-            "geometry": self.geometry,
-            "detector": self.detector,
-            "trials": self.trials,
-            "refine_levels": self.refine_levels,
-            "refine_factor": self.refine_factor,
-        }
-        if self.k is not None:
-            d["k"] = self.k
-            d["l"] = self.l
-        if self.c1 is not None:
-            d["c1"] = self.c1
-        if self.c2 is not None:
-            d["c2"] = self.c2
-        if self.notes is not None:
-            d["notes"] = self.notes
-        return d
+        """Every field whose value is set, in JSON types; from_dict inverts it."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["snr_sweep"] = list(self.snr_sweep)
+        return {name: value for name, value in d.items() if value is not None}
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate a JSON scenario file."""
+def load_config(path: str, seed: int | None = None) -> ScenarioConfig:
+    """Parse and validate a JSON scenario file; `seed`, when given, replaces its seed."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -249,4 +222,6 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    if seed is not None:
+        raw = {**raw, "seed": seed}
     return ScenarioConfig.from_dict(raw)

@@ -1,8 +1,9 @@
-"""Dense transform-matrix builders shared by the rest of the toolkit.
+"""Diagonal factors shared by the modems and the channel operator.
 
-Everything here returns plain complex128 ndarrays. Block sizes stay at desk
-scale (N up to a few thousand), so O(N^2) storage is acceptable and the
-contracts are entrywise values rather than FFT call speed.
+The waveform transforms and the single-path channel operator are products of
+FFTs, cyclic shifts and diagonals. This module holds the diagonals: chirp
+phases, Doppler phases and cyclic-prefix phase entries, each a length-N
+complex128 vector, plus the prefix phase rules. No N x N matrix is built here.
 """
 
 from __future__ import annotations
@@ -32,45 +33,12 @@ class AfdmChirpPhase:
         return self.c1 * (self.N**2 + 2.0 * self.N * n_prime)
 
 
-def dft_matrix(N: int) -> np.ndarray:
-    """Unitary N-point DFT matrix, entry (m, n) = exp(-j2pi*m*n/N)/sqrt(N)."""
-    if N < 1:
-        raise ValueError(f"DFT size must be >= 1, got {N}")
-    n = np.arange(N)
-    return np.exp(-2j * np.pi * np.outer(n, n) / N) / np.sqrt(N)
-
-
 def chirp_phases(N: int, c: float) -> np.ndarray:
     """Diagonal of the chirp matrix: exp(-j2pi*c*n^2) for n = 0..N-1."""
     if N < 1:
         raise ValueError(f"chirp size must be >= 1, got {N}")
     n = np.arange(N)
     return np.exp(-2j * np.pi * c * n.astype(float) ** 2)
-
-
-def chirp_matrix(N: int, c: float) -> np.ndarray:
-    """Diagonal chirp matrix diag(exp(-j2pi*c*n^2)); unitary by construction."""
-    return np.diag(chirp_phases(N, c))
-
-
-def daft_matrix(N: int, c1: float, c2: float) -> np.ndarray:
-    """Forward N-point DAFT matrix A = Lambda_c2 . F_N . Lambda_c1 (unitary).
-
-    A is a DFT twisted by two diagonal chirps; its inverse is the conjugate
-    transpose. c1 = c2 = 0 reduces A to the plain DFT matrix.
-    """
-    F = dft_matrix(N)
-    return chirp_phases(N, c2)[:, None] * F * chirp_phases(N, c1)[None, :]
-
-
-def cyclic_shift_matrix(N: int, k: int) -> np.ndarray:
-    """Forward cyclic shift permutation Pi^k: (Pi^k s)[n] = s[(n-k) mod N].
-
-    k is interpreted modulo N; negative values shift the other way.
-    """
-    if N < 1:
-        raise ValueError(f"shift size must be >= 1, got {N}")
-    return np.roll(np.eye(N), -int(k), axis=1)
 
 
 def doppler_phases(N: int, f: float) -> np.ndarray:
@@ -83,11 +51,6 @@ def doppler_phases(N: int, f: float) -> np.ndarray:
         raise ValueError(f"size must be >= 1, got {N}")
     n = np.arange(N)
     return np.exp(2j * np.pi * f * n / N)
-
-
-def doppler_diagonal(N: int, f: float) -> np.ndarray:
-    """Doppler modulation as a diagonal matrix (fractional f allowed)."""
-    return np.diag(doppler_phases(N, f))
 
 
 def cp_phase_entries(N: int, ell: int, phase) -> np.ndarray:
@@ -104,8 +67,3 @@ def cp_phase_entries(N: int, ell: int, phase) -> np.ndarray:
         offsets = ell - np.arange(ell)  # ell, ell-1, ..., 1
         d[:ell] = np.exp(-2j * np.pi * np.asarray(phase(offsets), dtype=float))
     return d
-
-
-def cp_phase_matrix(N: int, ell: int, phase) -> np.ndarray:
-    """Delayed-CP phase correction Phi as a diagonal matrix."""
-    return np.diag(cp_phase_entries(N, ell, phase))

@@ -1,8 +1,11 @@
 """The three waveform chains: OFDM, OTFS and AFDM.
 
-Each spec owns its (unitary) modulation and demodulation operators plus the
-cyclic-prefix phase rule. On top of those sit the effective-channel builder,
-chirp tuning for AFDM, per-waveform orthogonality predicates, and exact
+This is the one module that knows how a waveform transforms. Each spec owns
+its unitary transmit and receive transforms, written as FFTs with norm="ortho"
+and diagonal factors (no N x N matrix), plus the cyclic-prefix phase rule. The
+transforms act on blocks along the last axis, so one call maps a single block
+or a stack of blocks. On top of them sit the effective-channel builder, chirp
+tuning for AFDM, per-waveform orthogonality predicates, and exact
 support-pattern prediction for integer-Doppler paths.
 """
 
@@ -13,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, channel_matrix
-from .core import AfdmChirpPhase, ZeroPhase, chirp_phases, dft_matrix
+from .channel import ChannelRealization, apply_paths
+from .core import AfdmChirpPhase, ZeroPhase, chirp_phases
 
 
 @dataclass(frozen=True)
@@ -24,13 +27,11 @@ class OfdmSpec:
     n: int
     cp_len: int = 0
 
-    @cached_property
-    def tx_matrix(self) -> np.ndarray:
-        return dft_matrix(self.n).conj().T
+    def _tx(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(x, norm="ortho")
 
-    @cached_property
-    def rx_matrix(self) -> np.ndarray:
-        return dft_matrix(self.n)
+    def _rx(self, r: np.ndarray) -> np.ndarray:
+        return np.fft.fft(r, norm="ortho")
 
     def cp_phase(self):
         return ZeroPhase()
@@ -63,15 +64,19 @@ class OtfsSpec:
     def n(self) -> int:
         return self.k * self.l
 
-    @cached_property
-    def tx_matrix(self) -> np.ndarray:
-        P = np.eye(self.k, dtype=complex) if self.pulse_tx is None else np.diag(self.pulse_tx)
-        return np.kron(dft_matrix(self.l).conj().T, P)
+    def _grid(self, fft, x: np.ndarray, pulse) -> np.ndarray:
+        # block index a*K + b -> grid cell (a, b): transform along the L axis,
+        # then weight the K axis by the pulse
+        y = fft(x.reshape(x.shape[:-1] + (self.l, self.k)), axis=-2, norm="ortho")
+        if pulse is not None:
+            y *= np.asarray(pulse, dtype=complex)
+        return y.reshape(x.shape)
 
-    @cached_property
-    def rx_matrix(self) -> np.ndarray:
-        P = np.eye(self.k, dtype=complex) if self.pulse_rx is None else np.diag(self.pulse_rx)
-        return np.kron(dft_matrix(self.l), P)
+    def _tx(self, x: np.ndarray) -> np.ndarray:
+        return self._grid(np.fft.ifft, x, self.pulse_tx)
+
+    def _rx(self, r: np.ndarray) -> np.ndarray:
+        return self._grid(np.fft.fft, r, self.pulse_rx)
 
     def cp_phase(self):
         return ZeroPhase()
@@ -94,17 +99,22 @@ class AfdmSpec:
             raise ValueError("chirp rates must be finite")
 
     @cached_property
-    def forward(self) -> np.ndarray:
-        F = dft_matrix(self.n)
-        return chirp_phases(self.n, self.c2)[:, None] * F * chirp_phases(self.n, self.c1)[None, :]
+    def _chirps(self) -> tuple[np.ndarray, ...]:
+        """Lambda_c1 and Lambda_c2 diagonals and their conjugates, computed once per spec."""
+        ch1, ch2 = chirp_phases(self.n, self.c1), chirp_phases(self.n, self.c2)
+        return ch1, ch2, ch1.conj(), ch2.conj()
 
-    @cached_property
-    def tx_matrix(self) -> np.ndarray:
-        return self.forward.conj().T
+    def _tx(self, x: np.ndarray) -> np.ndarray:
+        _, _, ch1_conj, ch2_conj = self._chirps
+        y = np.fft.ifft(ch2_conj * x, norm="ortho")
+        y *= ch1_conj
+        return y
 
-    @cached_property
-    def rx_matrix(self) -> np.ndarray:
-        return self.forward
+    def _rx(self, r: np.ndarray) -> np.ndarray:
+        ch1, ch2, _, _ = self._chirps
+        y = np.fft.fft(ch1 * r, norm="ortho")
+        y *= ch2
+        return y
 
     def cp_phase(self):
         return AfdmChirpPhase(c1=self.c1, N=self.n)
@@ -128,7 +138,7 @@ def modulate(spec: WaveformSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (spec.n,):
         raise ValueError(f"symbol block must have length {spec.n}, got {x.shape}")
-    return spec.tx_matrix @ x
+    return spec._tx(x)
 
 
 def demodulate(spec: WaveformSpec, r: np.ndarray) -> np.ndarray:
@@ -136,7 +146,7 @@ def demodulate(spec: WaveformSpec, r: np.ndarray) -> np.ndarray:
     r = np.asarray(r)
     if r.shape != (spec.n,):
         raise ValueError(f"received block must have length {spec.n}, got {r.shape}")
-    return spec.rx_matrix @ r
+    return spec._rx(r)
 
 
 def prepend_cp(spec: WaveformSpec, s: np.ndarray) -> np.ndarray:
@@ -161,12 +171,17 @@ def effective_channel(spec: WaveformSpec, chan: ChannelRealization) -> np.ndarra
     """Symbol-domain channel G = T_rx . H . T_tx.
 
     Noiselessly, demodulate(strip_cp(apply(chan, prepend_cp(modulate(x))))) equals
-    G @ x; H is reduced with this waveform's own prefix phase rule.
+    G @ x; H is reduced with this waveform's own prefix phase rule. G is built
+    by sending every unit symbol block through the transmit transform, the
+    path operators and the receive transform: O(N^2 log N), no matrix product.
     """
     if chan.config.N != spec.n:
         raise ValueError(f"channel block size {chan.config.N} != waveform size {spec.n}")
-    H = channel_matrix(chan, spec.cp_phase())
-    return spec.rx_matrix @ H @ spec.tx_matrix
+    # row j is the response to unit block e_j, i.e. column j of G
+    rows = spec._rx(
+        apply_paths(spec._tx(np.eye(spec.n, dtype=complex)), chan.paths, spec.cp_phase())
+    )
+    return rows.T
 
 
 def afdm_orthogonality_ok(ell_max: int, f_max: int, xi: int, N: int) -> bool:
@@ -231,7 +246,7 @@ def predict_support(spec: WaveformSpec, ell: int, f_int: int) -> frozenset[tuple
         raise ValueError(f"integer Doppler {f_int} outside +-N/2")
     if isinstance(spec, AfdmSpec):
         N = spec.n
-        shift = (ell * spec.delay_stride - f_int) % N
+        shift = afdm_shift(spec, ell, f_int)
         rows = np.arange(N)
         return frozenset(zip(rows.tolist(), ((rows + shift) % N).tolist()))
     K, L = spec.k, spec.l

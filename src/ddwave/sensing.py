@@ -13,8 +13,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import single_path_matrix
-from .modem import AfdmSpec, OfdmSpec, OtfsSpec, WaveformSpec, predict_support
+from .channel import ChannelConfig, ChannelRealization, PathParams, apply_paths
+from .modem import (
+    AfdmSpec,
+    OfdmSpec,
+    WaveformSpec,
+    demodulate,
+    effective_channel,
+    modulate,
+    predict_support,
+)
 
 LIGHT_SPEED = 2.99792458e8  # m/s, exact
 
@@ -113,10 +121,12 @@ def matched_filter_map(r: np.ndarray, s_known: np.ndarray, delay_bins, doppler_b
     return DelayDopplerMap(ells.astype(float), dops, lagged @ E.T)
 
 
-def _probe_channel(spec: WaveformSpec, ell: int, f: float) -> np.ndarray:
-    """Effective channel of a single unit-gain path at (ell, f)."""
-    H = single_path_matrix(spec.n, ell, f, spec.cp_phase())
-    return spec.rx_matrix @ H @ spec.tx_matrix
+def _unit_path(spec: WaveformSpec, ell: int, f_int: int) -> ChannelRealization:
+    """One unit-gain path at integer (ell, f_int); f_s and f_c play no part in G."""
+    config = ChannelConfig(
+        N=spec.n, f_s=1.0, f_c=1.0, ell_max=ell, f_max=abs(f_int), P=1, cp_len=ell
+    )
+    return ChannelRealization(config, (PathParams(1.0 + 0.0j, ell, float(f_int)),))
 
 
 def _integer_candidates(spec: WaveformSpec) -> list[tuple[int, int]]:
@@ -171,7 +181,7 @@ def direct_csi_extract(
     for score, ell, f, rows, cols in scored[:P]:
         if score < threshold:
             continue
-        probe = _probe_channel(spec, ell, float(f))
+        probe = effective_channel(spec, _unit_path(spec, ell, f))
         gain = complex(np.mean(G[rows, cols] / probe[rows, cols]))
         out.append(RadarTargetEstimate(float(ell), float(f), gain))
     return out
@@ -190,7 +200,9 @@ def indirect_csi_ml(
 
     Greedy successive cancellation: for each target, scan the integer
     (ell, f) grid; at a candidate the best gain is the closed-form scalar
-    least-squares fit of the residual onto G1(ell, f) x, and the candidate
+    least-squares fit of the residual onto G1(ell, f) x, computed as
+    demodulate(H1(ell, f) s) from the pilot's samples s = modulate(x) in
+    O(N log N) per candidate, and the candidate
     minimizing the residual L2 norm wins. The winner's Doppler is then
     refined on a grid whose step shrinks by refine_factor per level (delays
     stay integer), the fitted component is subtracted, and the search
@@ -215,8 +227,11 @@ def indirect_csi_ml(
     if not ell_range or not f_range:
         raise ValueError("coarse grid must be nonempty in both dimensions")
 
+    s = modulate(spec, x_known)
+    phase = spec.cp_phase()
+
     def score(ell: int, f: float, resid: np.ndarray):
-        z = _probe_channel(spec, ell, f) @ x_known
+        z = demodulate(spec, apply_paths(s, (PathParams(1.0, ell, f),), phase))
         energy = float(np.real(np.vdot(z, z)))
         if energy == 0.0:
             return -np.inf, 0.0 + 0.0j, z
@@ -322,8 +337,3 @@ def sensing_rmse(estimates, truth) -> SensingErrors:
         rmse_doppler=math.sqrt(sum(f_err) / len(pairs)),
         misdetections=len(free_e) + len(free_t),
     )
-
-
-def f_int_round(f: float) -> int:
-    """Integer Doppler bin for a possibly fractional f: round half up toward +inf."""
-    return int(math.floor(f + 0.5))

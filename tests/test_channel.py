@@ -17,7 +17,7 @@ from ddwave.channel import (
     time_domain_apply,
     tvtf,
 )
-from ddwave.core import AfdmChirpPhase, ZeroPhase, cyclic_shift_matrix
+from ddwave.core import AfdmChirpPhase, ZeroPhase
 
 
 def make_config(N=16, ell_max=3, f_max=2, P=3, cp_len=None):
@@ -168,7 +168,8 @@ def test_channel_matrix_identity_path():
 def test_channel_matrix_pure_delay_is_shift_matrix():
     cfg = make_config(P=1)
     H = channel_matrix(single(cfg, 1.0, 1, 0.0), ZeroPhase())
-    assert np.allclose(H, cyclic_shift_matrix(16, 1), atol=1e-12)
+    shift = oracle.channel_matrix(16, [(1.0, 1, 0.0)], oracle.zero_cycles)
+    assert np.allclose(H, shift, atol=1e-12)
 
 
 def test_channel_matrix_populates_only_path_diagonals():
@@ -199,15 +200,10 @@ def test_channel_matrix_frobenius_energy():
 
 
 def test_single_path_matrix_matches_factor_product():
-    from ddwave.core import cp_phase_matrix, doppler_diagonal
-
-    phase = AfdmChirpPhase(c1=5.0 / 32.0, N=16)
-    direct = single_path_matrix(16, 3, -1.4, phase)
-    product = (
-        cp_phase_matrix(16, 3, phase)
-        @ doppler_diagonal(16, -1.4)
-        @ cyclic_shift_matrix(16, 3)
-    )
+    # the oracle forms Phi(ell) . D(f) . Pi^ell entry by entry
+    c1 = 5.0 / 32.0
+    direct = single_path_matrix(16, 3, -1.4, AfdmChirpPhase(c1=c1, N=16))
+    product = oracle.channel_matrix(16, [(1.0, 3, -1.4)], oracle.chirp_cp_cycles(c1, 16))
     assert np.allclose(direct, product, atol=1e-12)
 
 
@@ -233,7 +229,7 @@ def test_time_domain_equals_matrix_form_zero_phase(trial):
 @pytest.mark.parametrize("trial", range(40))
 def test_time_domain_equals_matrix_form_chirp_phase(trial):
     # tuned chirp rate: 2*c1*N^2 is an integer, the regime the phase layout
-    # of cp_phase_matrix is exact in
+    # of cp_phase_entries is exact in
     rng = np.random.default_rng(200 + trial)
     N, f_max, xi = 16, 1, 1
     c1 = (2 * (f_max + xi) + 1) / (2 * N)

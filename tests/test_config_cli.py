@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,7 @@ def test_unknown_field_rejected():
         {"f_c": -1.0},
         {"frames": "many"},
         {"n": True},
+        {"seed": -1},
     ],
 )
 def test_invalid_values_rejected(patch):
@@ -261,6 +263,31 @@ def test_seed_flag_overrides_config(tmp_path):
     assert read_bytes(a / "ber.csv") == read_bytes(c / "ber.csv")
 
 
+def test_seed_flag_validates_the_config_once(tmp_path, caplog):
+    # OTFS orthogonality fails for f_max=2 on a 4x4 grid; the warning must
+    # appear once even though --seed replaces the file's seed
+    cfg = write_config(tmp_path, {"waveform": "otfs", "n": 16, "f_max": 2})
+    with caplog.at_level(logging.WARNING, logger="ddwave"):
+        assert main(["ambiguity", "--config", cfg, "--out", str(tmp_path),
+                     "--seed", "3"]) == 0
+    warned = [r for r in caplog.records if "orthogonality" in r.getMessage()]
+    assert len(warned) == 1
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    assert main(["ber", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_nonpositive_threads_exit_2(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["ber", "--threads", threads, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "ber.csv").exists()
+
+
 # -------------------------------------------------------------- CLI: sense
 
 
@@ -347,6 +374,17 @@ def test_ambiguity_origin_peak_and_summary(tmp_path):
                for r in read_csv(tmp_path / "ambiguity_summary.csv")}
     assert set(summary) == {"ofdm", "otfs", "afdm"}
     assert all(v > 0 for v in summary.values())
+
+
+def test_ambiguity_single_sample_has_unbounded_psr(tmp_path):
+    # n = 1 leaves only the origin cell, so there are no sidelobes to divide by
+    cfg = write_config(tmp_path, {"waveform": "ofdm", "n": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ambiguity", "--config", cfg, "--out", str(tmp_path)]) == 0
+    (row,) = read_csv(tmp_path / "ambiguity_summary.csv")
+    assert float(row["peak_mag"]) == pytest.approx(1.0, abs=1e-12)
+    assert row["psr_db"] == "inf"
 
 
 # ----------------------------------------------------------- CLI: demo-v2x

@@ -1,20 +1,37 @@
-"""Entrywise contracts of the dense transform builders."""
+"""Entrywise contracts of the transform factors: the DFT and DAFT (through the
+OFDM and AFDM modems), chirp and Doppler phases, the cyclic shift (through the
+path operator) and the prefix phase rules."""
 
 import numpy as np
 import pytest
 
+from ddwave.channel import PathParams, apply_paths
 from ddwave.core import (
     AfdmChirpPhase,
     ZeroPhase,
-    chirp_matrix,
+    chirp_phases,
     cp_phase_entries,
-    cp_phase_matrix,
-    cyclic_shift_matrix,
-    daft_matrix,
-    dft_matrix,
-    doppler_diagonal,
     doppler_phases,
 )
+from ddwave.modem import AfdmSpec, OfdmSpec, demodulate, modulate
+
+
+def dense(transform, spec):
+    """Matrix of a block transform, one unit block per column."""
+    return np.column_stack([transform(spec, e) for e in np.eye(spec.n)])
+
+
+def dft_matrix(n):
+    return dense(demodulate, OfdmSpec(n))
+
+
+def daft_matrix(n, c1, c2):
+    return dense(demodulate, AfdmSpec(n, c1, c2))
+
+
+def shift(s, k):
+    """Pure cyclic delay by k samples through the path operator."""
+    return apply_paths(s, (PathParams(1.0, k % len(s), 0.0),), ZeroPhase())
 
 
 def test_dft_identity_case():
@@ -40,22 +57,24 @@ def test_dft_matches_fft_oracle():
 
 def test_dft_rejects_zero_size():
     with pytest.raises(ValueError):
-        dft_matrix(0)
+        modulate(OfdmSpec(0), np.zeros(0))
+    with pytest.raises(ValueError):
+        modulate(AfdmSpec(0, 0.1, 0.0), np.zeros(0))
 
 
 def test_chirp_zero_rate_is_identity():
     for n in (1, 5, 9):
-        assert np.allclose(chirp_matrix(n, 0.0), np.eye(n))
+        assert np.allclose(chirp_phases(n, 0.0), np.ones(n))
 
 
 def test_chirp_two_point_quarter_rate():
     # exp(-j*pi/2) = -j on the n=1 entry
-    assert np.allclose(chirp_matrix(2, 0.25), np.diag([1.0, -1.0j]), atol=1e-15)
+    assert np.allclose(chirp_phases(2, 0.25), [1.0, -1.0j], atol=1e-15)
 
 
 def test_chirp_unit_modulus():
-    M = chirp_matrix(16, 1.0 / 32.0)
-    assert np.max(np.abs(np.abs(np.diag(M)) - 1.0)) <= 1e-12
+    d = chirp_phases(16, 1.0 / 32.0)
+    assert np.max(np.abs(np.abs(d) - 1.0)) <= 1e-12
 
 
 def test_daft_zero_rates_reduce_to_dft():
@@ -70,50 +89,52 @@ def test_daft_unitary():
 
 def test_daft_round_trip():
     rng = np.random.default_rng(0)
-    A = daft_matrix(32, 0.113, 0.007)
+    spec = AfdmSpec(32, 0.113, 0.007)
     x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    assert np.linalg.norm(A.conj().T @ (A @ x) - x) <= 1e-10
+    assert np.linalg.norm(modulate(spec, demodulate(spec, x)) - x) <= 1e-10
 
 
 def test_cyclic_shift_zero_is_identity():
-    assert np.array_equal(cyclic_shift_matrix(3, 0), np.eye(3))
+    assert np.array_equal(shift(np.eye(3), 0), np.eye(3))
 
 
 def test_cyclic_shift_three_point():
+    # rows of the shifted identity are the operator's columns
     expected = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
-    assert np.array_equal(cyclic_shift_matrix(3, 1), expected)
+    assert np.array_equal(shift(np.eye(3), 1).T, expected)
 
 
 def test_cyclic_shift_acts_as_delay():
     s = np.arange(5, dtype=complex)
-    shifted = cyclic_shift_matrix(5, 2) @ s
-    assert np.array_equal(shifted, s[(np.arange(5) - 2) % 5])
+    assert np.array_equal(shift(s, 2), s[(np.arange(5) - 2) % 5])
 
 
 def test_cyclic_shift_full_rotation():
     for n in (1, 4, 6):
-        assert np.array_equal(cyclic_shift_matrix(n, n), np.eye(n))
+        s = np.arange(n, dtype=complex) + 1j
+        out = s
+        for _ in range(n):
+            out = shift(out, 1)
+        assert np.array_equal(out, s)
 
 
 def test_cyclic_shift_composition():
+    s = np.arange(6, dtype=complex) - 2j
     for k, m in ((1, 2), (3, 4), (-2, 5)):
-        lhs = cyclic_shift_matrix(6, k) @ cyclic_shift_matrix(6, m)
-        assert np.array_equal(lhs, cyclic_shift_matrix(6, k + m))
+        assert np.array_equal(shift(shift(s, m), k), shift(s, k + m))
 
 
 def test_doppler_zero_is_identity():
-    assert np.allclose(doppler_diagonal(7, 0.0), np.eye(7))
+    assert np.allclose(doppler_phases(7, 0.0), np.ones(7))
 
 
 def test_doppler_integer_one():
-    assert np.allclose(
-        doppler_diagonal(4, 1.0), np.diag([1.0, 1.0j, -1.0, -1.0j]), atol=1e-15
-    )
+    assert np.allclose(doppler_phases(4, 1.0), [1.0, 1.0j, -1.0, -1.0j], atol=1e-15)
 
 
 def test_doppler_fractional_half():
     expected = np.exp(1j * np.pi * np.array([0.0, 0.25, 0.5, 0.75]))
-    assert np.allclose(np.diag(doppler_diagonal(4, 0.5)), expected, atol=1e-15)
+    assert np.allclose(doppler_phases(4, 0.5), expected, atol=1e-15)
 
 
 def test_doppler_unit_modulus():
@@ -123,14 +144,14 @@ def test_doppler_unit_modulus():
 
 def test_cp_phase_zero_rule_is_identity():
     for ell in (0, 2, 7):
-        assert np.allclose(cp_phase_matrix(8, ell, ZeroPhase()), np.eye(8))
+        assert np.allclose(cp_phase_entries(8, ell, ZeroPhase()), np.ones(8))
 
 
 def test_cp_phase_chirp_integer_stride_collapses():
     # even N with 2*N*c1 integer: every entry reduces to 1
     phase = AfdmChirpPhase(c1=1.0 / 16.0, N=8)
     for ell in (1, 3):
-        assert np.allclose(cp_phase_matrix(8, ell, phase), np.eye(8), atol=1e-12)
+        assert np.allclose(cp_phase_entries(8, ell, phase), np.ones(8), atol=1e-12)
 
 
 def test_cp_phase_chirp_literal_entries():
@@ -147,9 +168,9 @@ def test_cp_phase_unit_modulus():
 
 def test_cp_phase_rejects_delay_at_or_past_n():
     with pytest.raises(ValueError):
-        cp_phase_matrix(8, 8, ZeroPhase())
+        cp_phase_entries(8, 8, ZeroPhase())
     with pytest.raises(ValueError):
-        cp_phase_matrix(8, -1, ZeroPhase())
+        cp_phase_entries(8, -1, ZeroPhase())
 
 
 def test_phase_rules_return_cycles():
@@ -165,11 +186,10 @@ def test_unitarity_dense(n):
 
 
 def test_unitarity_large_block_via_round_trip():
-    # full product at 4096 would be memory-heavy; matvec round trips bound the
-    # same max-norm deviation direction by direction
+    # full product at 4096 would be memory-heavy; round trips bound the same
+    # max-norm deviation direction by direction
     rng = np.random.default_rng(1)
-    for build in (lambda n: dft_matrix(n), lambda n: daft_matrix(n, 0.21, 3e-5)):
-        M = build(4096)
+    for spec in (OfdmSpec(4096), AfdmSpec(4096, 0.21, 3e-5)):
         x = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-        err = np.linalg.norm(M.conj().T @ (M @ x) - x) / np.linalg.norm(x)
+        err = np.linalg.norm(modulate(spec, demodulate(spec, x)) - x) / np.linalg.norm(x)
         assert err <= 1e-10

@@ -5,7 +5,6 @@ import pytest
 
 import oracle
 from ddwave.channel import ChannelConfig, ChannelRealization, PathParams, channel_matrix, sample_paths, time_domain_apply
-from ddwave.core import dft_matrix
 from ddwave.modem import (
     AfdmSpec,
     OfdmSpec,
@@ -62,7 +61,7 @@ def test_afdm_with_zero_rates_is_ofdm():
 def test_otfs_single_row_grid_is_pure_idft():
     x = random_block(8, 2)
     assert np.allclose(
-        modulate(OtfsSpec(k=1, l=8), x), dft_matrix(8).conj().T @ x, atol=1e-12
+        modulate(OtfsSpec(k=1, l=8), x), oracle.dft(8).conj().T @ x, atol=1e-12
     )
 
 
@@ -78,14 +77,28 @@ def test_round_trips():
         assert np.max(np.abs(demodulate(spec, modulate(spec, x)) - x)) <= 1e-10
 
 
+def shaped_otfs(k, l, cp_len=0):
+    """OTFS with non-rectangular pulses, plus its dense operators built here."""
+    p_tx = tuple(np.exp(0.7j * np.arange(k)) * (1.0 + 0.1 * np.arange(k)))
+    p_rx = tuple(np.conj(p_tx))
+    spec = OtfsSpec(k=k, l=l, cp_len=cp_len, pulse_tx=p_tx, pulse_rx=p_rx)
+    Fl = oracle.dft(l)
+    return spec, (np.kron(Fl.conj().T, np.diag(p_tx)), np.kron(Fl, np.diag(p_rx)))
+
+
 def test_transforms_match_fft_reference():
-    x = random_block(24, 5)
-    tx, _ = oracle.ofdm_ops(24)
-    assert np.allclose(modulate(OfdmSpec(24), x), tx @ x, atol=1e-12)
-    tx, _ = oracle.otfs_ops(4, 6)
-    assert np.allclose(modulate(OtfsSpec(k=4, l=6), x), tx @ x, atol=1e-12)
-    tx, _ = oracle.afdm_ops(24, 0.11, 0.003)
-    assert np.allclose(modulate(AfdmSpec(24, 0.11, 0.003), x), tx @ x, atol=1e-12)
+    for spec, (tx, rx) in (
+        (OfdmSpec(24), oracle.ofdm_ops(24)),
+        (OtfsSpec(k=4, l=6), oracle.otfs_ops(4, 6)),
+        (OtfsSpec(k=3, l=5), oracle.otfs_ops(3, 5)),
+        (OtfsSpec(k=4, l=9), oracle.otfs_ops(4, 9)),
+        shaped_otfs(4, 9),
+        (AfdmSpec(24, 0.11, 0.003), oracle.afdm_ops(24, 0.11, 0.003)),
+        (tuned_afdm(37, 3, 1, 1), oracle.afdm_ops(37, *afdm_tune(3, 1, 1, 37))),
+    ):
+        x = random_block(spec.n, 5)
+        assert np.max(np.abs(modulate(spec, x) - tx @ x)) <= 1e-10
+        assert np.max(np.abs(demodulate(spec, x) - rx @ x)) <= 1e-10
 
 
 def test_length_mismatch_rejected():
@@ -173,20 +186,40 @@ def test_end_to_end_consistency(seed):
 
 
 def test_effective_channel_matches_independent_reference():
-    for (spec, ops, cycles) in (
-        (OfdmSpec(16, 3), oracle.ofdm_ops(16), oracle.zero_cycles),
-        (OtfsSpec(k=4, l=4, cp_len=3), oracle.otfs_ops(4, 4), oracle.zero_cycles),
+    paths = [(0.8 - 0.1j, 0, 0.37), (-0.4j, 2, -1.2), (0.25, 3, 1.0)]
+    # P = 6 > ell_max + 1: paths share delays and so share diagonals
+    crowded = paths + [(0.3, 0, -0.8), (0.2j, 2, 1.45), (-0.15 + 0.1j, 3, -1.0)]
+    c1_37 = afdm_tune(3, 1, 1, 37)[0]
+    for (spec, ops, cycles, case_paths) in (
+        (OfdmSpec(16, 3), oracle.ofdm_ops(16), oracle.zero_cycles, paths),
+        (OtfsSpec(k=4, l=4, cp_len=3), oracle.otfs_ops(4, 4), oracle.zero_cycles, paths),
+        (OtfsSpec(k=3, l=5, cp_len=3), oracle.otfs_ops(3, 5), oracle.zero_cycles, paths),
+        (OtfsSpec(k=4, l=9, cp_len=3), oracle.otfs_ops(4, 9), oracle.zero_cycles, paths),
+        (*shaped_otfs(4, 9, cp_len=3), oracle.zero_cycles, paths),
         (
             tuned_afdm(16, 3, 1),
             oracle.afdm_ops(16, *afdm_tune(3, 1, 0, 16)),
             oracle.chirp_cp_cycles(afdm_tune(3, 1, 0, 16)[0], 16),
+            paths,
+        ),
+        (
+            tuned_afdm(37, 3, 1, 1),
+            oracle.afdm_ops(37, *afdm_tune(3, 1, 1, 37)),
+            oracle.chirp_cp_cycles(c1_37, 37),
+            paths,
+        ),
+        (OfdmSpec(16, 3), oracle.ofdm_ops(16), oracle.zero_cycles, crowded),
+        (
+            tuned_afdm(37, 3, 1, 1),
+            oracle.afdm_ops(37, *afdm_tune(3, 1, 1, 37)),
+            oracle.chirp_cp_cycles(c1_37, 37),
+            crowded,
         ),
     ):
-        paths = [(0.8 - 0.1j, 0, 0.37), (-0.4j, 2, -1.2), (0.25, 3, 1.0)]
-        chan = chan_for(spec, paths, ell_max=3, f_max=1)
+        chan = chan_for(spec, case_paths, ell_max=3, f_max=1)
         G = effective_channel(spec, chan)
-        G_ref = oracle.effective_matrix(*ops, paths, cycles)
-        assert np.max(np.abs(G - G_ref)) <= 1e-9
+        G_ref = oracle.effective_matrix(*ops, case_paths, cycles)
+        assert np.max(np.abs(G - G_ref)) <= 1e-10
 
 
 def test_unitary_similarity_preserves_frobenius():

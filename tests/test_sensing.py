@@ -22,7 +22,6 @@ from ddwave.sensing import (
     SensingErrors,
     ambiguity_map,
     direct_csi_extract,
-    f_int_round,
     indirect_csi_ml,
     matched_filter_map,
     radar_convert,
@@ -290,15 +289,14 @@ def test_indirect_ml_multiple_integer_targets_exact():
 
 
 def test_indirect_ml_residual_shrinks_per_iteration():
-    from ddwave.sensing import _probe_channel
-
     spec = tuned_afdm()
     x, y = pilot_observation(spec, three_target_channel(), 11)
     ests = indirect_csi_ml(y, x, spec, 3, GRID)
     resid = y.copy()
     norms = [np.linalg.norm(resid)]
     for est in ests:
-        z = _probe_channel(spec, int(est.delay_norm_hat), est.doppler_norm_hat) @ x
+        probe = chan_of(spec.n, [PathParams(1.0, int(est.delay_norm_hat), est.doppler_norm_hat)])
+        z = effective_channel(spec, probe) @ x
         resid = resid - est.gain_hat * z
         norms.append(np.linalg.norm(resid))
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -439,11 +437,3 @@ def test_rmse_accepts_estimate_objects():
     err = sensing_rmse(ests, [(1, -2.0)])
     assert err == SensingErrors(0.0, 0.0, 0)
 
-
-def test_integer_doppler_rounding():
-    assert f_int_round(0.5) == 1
-    assert f_int_round(-0.5) == 0
-    assert f_int_round(-1.6) == -2
-    assert f_int_round(0.49) == 0
-    for k in range(-5, 6):
-        assert f_int_round(float(k)) == k
