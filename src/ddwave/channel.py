@@ -137,6 +137,27 @@ def time_domain_apply(s_cp: np.ndarray, chan: ChannelRealization) -> np.ndarray:
     return r
 
 
+def _path_taps(N: int, p: PathParams, phase) -> np.ndarray:
+    """Entries of one path's populated cyclic diagonal: h_p * phi_p[n] * e^{j2pi f_p n/N}.
+
+    Entry n sits at (n, (n - ell_p) mod N) of the path's N x N operator.
+    """
+    return p.gain * (cp_phase_entries(N, p.delay_norm, phase) * doppler_phases(N, p.doppler_norm))
+
+
+def delay_diagonals(chan: ChannelRealization, phase) -> np.ndarray:
+    """The ell_max + 1 populated cyclic diagonals of H, shape (ell_max + 1, N).
+
+    Row ell holds d[ell][n] = H[n, (n - ell) mod N], the sum of the taps of
+    every path with delay ell; H has no other nonzero entry.
+    """
+    N = chan.config.N
+    d = np.zeros((chan.config.ell_max + 1, N), dtype=complex)
+    for p in chan.paths:
+        d[p.delay_norm] += _path_taps(N, p, phase)
+    return d
+
+
 def apply_paths(S: np.ndarray, paths, phase) -> np.ndarray:
     """Apply H = sum_p h_p . Phi_p . D(f_p) . Pi^{ell_p} to N-sample blocks.
 
@@ -152,7 +173,7 @@ def apply_paths(S: np.ndarray, paths, phase) -> np.ndarray:
     term = np.empty(S.shape, dtype=complex)
     for p in paths:
         ell = p.delay_norm
-        d = p.gain * (cp_phase_entries(N, ell, phase) * doppler_phases(N, p.doppler_norm))
+        d = _path_taps(N, p, phase)
         np.multiply(S[..., N - ell:], d[:ell], out=term[..., :ell])
         np.multiply(S[..., : N - ell], d[ell:], out=term[..., ell:])
         out += term

@@ -64,6 +64,22 @@ class OtfsSpec:
     def n(self) -> int:
         return self.k * self.l
 
+    @property
+    def adjoint_pulses(self) -> bool:
+        """True iff pulse_tx = conj(pulse_rx) with |pulse_rx| = 1.
+
+        Exactly then the receive transform is unitary and the transmit
+        transform is its adjoint, as it is for every OFDM and AFDM spec.
+        """
+        p_tx, p_rx = (
+            np.ones(self.k) if p is None else np.asarray(p, dtype=complex)
+            for p in (self.pulse_tx, self.pulse_rx)
+        )
+        return bool(
+            np.allclose(p_tx, p_rx.conj(), rtol=0.0, atol=1e-12)
+            and np.allclose(np.abs(p_rx), 1.0, rtol=0.0, atol=1e-12)
+        )
+
     def _grid(self, fft, x: np.ndarray, pulse) -> np.ndarray:
         # block index a*K + b -> grid cell (a, b): transform along the L axis,
         # then weight the K axis by the pulse
@@ -238,6 +254,12 @@ def predict_support(spec: WaveformSpec, ell: int, f_int: int) -> frozenset[tuple
     beyond it the patterns still wrap (and collide), which is what the
     boundary tests look for. Structural bounds are still enforced.
     """
+    rows, cols = _support_indices(spec, ell, f_int)
+    return frozenset(zip(rows.tolist(), cols.tolist()))
+
+
+def _support_indices(spec: WaveformSpec, ell: int, f_int: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) index arrays of predict_support, one entry per block row."""
     if isinstance(spec, OfdmSpec):
         raise ValueError("no support predictor for OFDM (Doppler spreads into a band)")
     if not 0 <= ell < spec.n:
@@ -245,17 +267,13 @@ def predict_support(spec: WaveformSpec, ell: int, f_int: int) -> frozenset[tuple
     if abs(f_int) > spec.n // 2:
         raise ValueError(f"integer Doppler {f_int} outside +-N/2")
     if isinstance(spec, AfdmSpec):
-        N = spec.n
-        shift = afdm_shift(spec, ell, f_int)
-        rows = np.arange(N)
-        return frozenset(zip(rows.tolist(), ((rows + shift) % N).tolist()))
+        rows = np.arange(spec.n)
+        return rows, (rows + afdm_shift(spec, ell, f_int)) % spec.n
     K, L = spec.k, spec.l
-    pairs = []
-    for a in range(L):
-        a_col = (a - f_int) % L
-        for b in range(K):
-            pairs.append((a * K + b, a_col * K + (b - ell) % K))
-    return frozenset(pairs)
+    a, b = np.arange(L)[:, None], np.arange(K)[None, :]
+    rows = a * K + b
+    cols = ((a - f_int) % L) * K + (b - ell) % K
+    return rows.ravel(), cols.ravel()
 
 
 def afdm_shift(spec: AfdmSpec, ell: int, f_int: int) -> int:

@@ -18,10 +18,10 @@ from .modem import (
     AfdmSpec,
     OfdmSpec,
     WaveformSpec,
+    _support_indices,
     demodulate,
     effective_channel,
     modulate,
-    predict_support,
 )
 
 LIGHT_SPEED = 2.99792458e8  # m/s, exact
@@ -172,9 +172,7 @@ def direct_csi_extract(
         threshold = 1.0 / (2 * spec.n)
     scored = []
     for ell, f in _integer_candidates(spec):
-        sup = predict_support(spec, ell, f)
-        rows = np.fromiter((r for r, _ in sup), dtype=int, count=len(sup))
-        cols = np.fromiter((c for _, c in sup), dtype=int, count=len(sup))
+        rows, cols = _support_indices(spec, ell, f)
         scored.append((float(np.mean(np.abs(G[rows, cols]))), ell, f, rows, cols))
     scored.sort(key=lambda t: (-t[0], t[1], t[2]))
     out = []

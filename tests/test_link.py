@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from ddwave.channel import ChannelConfig
+import oracle
+from ddwave import link
+from ddwave.channel import ChannelConfig, ChannelRealization, PathParams, time_domain_apply
 from ddwave.link import (
     Constellation,
     SingularChannelError,
@@ -14,7 +16,16 @@ from ddwave.link import (
     map_bits,
     run_ber_point,
 )
-from ddwave.modem import OfdmSpec, OtfsSpec
+from ddwave.modem import (
+    AfdmSpec,
+    OfdmSpec,
+    OtfsSpec,
+    afdm_tune,
+    demodulate,
+    effective_channel,
+    modulate,
+    prepend_cp,
+)
 
 
 QPSK = Constellation.qpsk()
@@ -92,30 +103,168 @@ def test_awgn_deterministic_under_seed():
     assert np.array_equal(a, b)
 
 
+def _realization(n, paths, ell_max=3, f_max=2, cp_len=None):
+    """Realization of (gain, ell, f) paths on an n-sample block."""
+    cfg = ChannelConfig(
+        N=n, f_s=1e7, f_c=5.9e9, ell_max=ell_max, f_max=f_max, P=len(paths),
+        cp_len=ell_max if cp_len is None else cp_len,
+    )
+    return ChannelRealization(cfg, tuple(PathParams(h, ell, f) for h, ell, f in paths))
+
+
+def _dominant_paths(seed, P, ell_max, f_max=2):
+    """A unit direct path plus P - 1 weaker ones: cond(H) <= 3, so G^{-1} is a sharp reference.
+
+    The second path sits at ell_max, so H H^H fills its whole band.
+    """
+    rng = np.random.default_rng(seed)
+    delays = [0, ell_max] + [int(d) for d in rng.integers(0, ell_max + 1, size=P - 2)]
+    gains = [1.0 + 0.0j] + [
+        0.5 / (P - 1) * np.exp(2j * np.pi * rng.uniform()) for _ in range(P - 1)
+    ]
+    dopplers = rng.uniform(-f_max - 0.5, f_max + 0.5, size=P)
+    return list(zip(gains, delays, dopplers.tolist()))
+
+
+def _block(n, seed):
+    return np.random.default_rng(seed).standard_normal((n, 2)) @ np.array([1.0, 1.0j])
+
+
+def _pipeline(spec, chan, x):
+    """Noiseless CP-stripped received block of symbol block x."""
+    return time_domain_apply(prepend_cp(spec, modulate(spec, x)), chan)
+
+
+def _three_waveforms(n=12, k=4, l=3, ell_max=3, f_max=1, cp_len=3):
+    c1, c2 = afdm_tune(ell_max, f_max, 0, n)
+    return (OfdmSpec(n, cp_len), OtfsSpec(k=k, l=l, cp_len=cp_len), AfdmSpec(n, c1, c2, 0, cp_len))
+
+
 def test_zf_recovers_noiseless():
-    rng = np.random.default_rng(2)
-    G = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    assert np.max(np.abs(equalize_zf(G, G @ x) - x)) <= 1e-8
+    for seed, spec in enumerate(_three_waveforms()):
+        chan = _realization(spec.n, _dominant_paths(seed, 3, 3, 1), f_max=1)
+        x = _block(spec.n, 10 + seed)
+        assert np.max(np.abs(equalize_zf(spec, chan, _pipeline(spec, chan, x)) - x)) <= 1e-8
 
 
 def test_zf_rejects_singular_channel():
-    G = np.ones((4, 4), dtype=complex)  # rank one
+    # two paths on the same (ell, f) with opposite gains cancel: H = 0
+    chan = _realization(4, [(0.5 + 0.5j, 1, 1.0), (-0.5 - 0.5j, 1, 1.0)], ell_max=1, f_max=1)
     with pytest.raises(SingularChannelError):
-        equalize_zf(G, np.ones(4, dtype=complex))
+        equalize_zf(OfdmSpec(4, 1), chan, np.ones(4, dtype=complex))
 
 
 def test_lmmse_limits_to_zf():
-    rng = np.random.default_rng(3)
-    G = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert np.max(np.abs(equalize_lmmse(G, y, 1e-14) - equalize_zf(G, y))) <= 1e-6
+    for seed, spec in enumerate(_three_waveforms(n=8, k=2, l=4, ell_max=2, f_max=0, cp_len=2)):
+        chan = _realization(spec.n, _dominant_paths(20 + seed, 3, 2, 0), ell_max=2, f_max=0)
+        r = _block(spec.n, 30 + seed)
+        assert np.max(np.abs(equalize_lmmse(spec, chan, r, 1e-14) - equalize_zf(spec, chan, r))) <= 1e-6
 
 
 def test_identity_channel_equalizers_pass_through():
-    y = np.arange(6, dtype=complex) + 1j
-    assert np.allclose(equalize_zf(np.eye(6), y), y, atol=1e-12)
-    assert np.allclose(equalize_lmmse(np.eye(6), y, 0.0), y, atol=1e-12)
+    chan = _realization(6, [(1.0 + 0.0j, 0, 0.0)], ell_max=0, f_max=0)
+    r = np.arange(6, dtype=complex) + 1j
+    for spec in _three_waveforms(n=6, k=3, l=2, ell_max=0, f_max=0, cp_len=0):
+        y = demodulate(spec, r)
+        assert np.allclose(equalize_zf(spec, chan, r), y, atol=1e-12)
+        assert np.allclose(equalize_lmmse(spec, chan, r, 0.0), y, atol=1e-12)
+
+
+def _reference_cases():
+    """(spec, dense tx, dense rx, oracle phase rule, realization) for the dense comparison."""
+    cases = []
+
+    def add(spec, ops, phase, P=3, ell_max=3, f_max=2, seed=0, cp_len=None):
+        paths = _dominant_paths(seed, P, ell_max, f_max)
+        chan = _realization(spec.n, paths, ell_max, f_max, spec.cp_len if cp_len is None else cp_len)
+        cases.append((spec, *ops, phase, chan))
+
+    def afdm(n, ell_max, f_max, xi=0, cp_len=None):
+        c1, c2 = afdm_tune(ell_max, f_max, xi, n)
+        cp = ell_max if cp_len is None else cp_len
+        return AfdmSpec(n, c1, c2, xi, cp), oracle.afdm_ops(n, c1, c2), oracle.chirp_cp_cycles(c1, n)
+
+    zero = oracle.zero_cycles
+    add(OfdmSpec(16, 3), oracle.ofdm_ops(16), zero, seed=1)
+    add(OtfsSpec(k=4, l=4, cp_len=3), oracle.otfs_ops(4, 4), zero, seed=2)
+    spec, ops, phase = afdm(16, 3, 1)
+    add(spec, ops, phase, f_max=1, seed=3)
+    spec, ops, phase = afdm(37, 3, 1, xi=1)  # prime N, guard xi = 1
+    add(spec, ops, phase, f_max=1, seed=4)
+    add(OtfsSpec(k=3, l=5, cp_len=3), oracle.otfs_ops(3, 5), zero, seed=5)
+    add(OfdmSpec(16, 3), oracle.ofdm_ops(16), zero, P=6, seed=6)  # repeated delays
+    # 2 ell_max >= N: the offsets of H H^H collide mod N and must add up
+    add(OfdmSpec(5, 3), oracle.ofdm_ops(5), zero, f_max=0, seed=7)
+    spec, ops, phase = afdm(5, 3, 0)
+    add(spec, ops, phase, f_max=0, seed=8)
+    add(OfdmSpec(16, 5), oracle.ofdm_ops(16), zero, seed=9)  # cp_len > ell_max
+    spec, ops, phase = afdm(16, 3, 1, cp_len=5)
+    add(spec, ops, phase, f_max=1, seed=10)
+    # N above one block: block elimination, padding of the last block
+    add(OfdmSpec(97, 3), oracle.ofdm_ops(97), zero, P=5, seed=11)
+    add(OfdmSpec(128, 12), oracle.ofdm_ops(128), zero, ell_max=12, P=5, seed=14)  # wide band
+    add(OtfsSpec(k=8, l=16, cp_len=3), oracle.otfs_ops(8, 16), zero, seed=12)
+    spec, ops, phase = afdm(128, 7, 2)
+    add(spec, ops, phase, ell_max=7, P=8, seed=13)
+    return cases
+
+
+def test_equalizers_match_dense_reference():
+    for idx, (spec, tx, rx, phase, chan) in enumerate(_reference_cases()):
+        paths = [(p.gain, p.delay_norm, p.doppler_norm) for p in chan.paths]
+        G = oracle.effective_matrix(tx, rx, paths, phase)
+        r = _block(spec.n, 100 + idx)
+        y = rx @ r
+        zf = np.linalg.solve(G, y)
+        assert np.max(np.abs(equalize_zf(spec, chan, r) - zf)) <= 1e-10, spec
+        for noise_var in (0.0, 0.3):
+            A = G @ G.conj().T + noise_var * np.eye(spec.n)
+            lmmse = G.conj().T @ np.linalg.solve(A, y)
+            assert np.max(np.abs(equalize_lmmse(spec, chan, r, noise_var) - lmmse)) <= 1e-10, (spec, noise_var)
+
+
+def test_zf_solves_channel_that_dense_elimination_got_wrong():
+    # N = 256 OFDM, integer Doppler: cond(G) = 5.3, yet LU with partial pivoting
+    # on the dense G grows by ~1e16 and leaves a residual of order 1
+    chan = _realization(
+        256,
+        [(0.0347 - 0.5092j, 0, -2.0), (-0.0018 + 0.3247j, 3, 1.0), (0.4786 - 0.0264j, 1, -1.0)],
+    )
+    spec = OfdmSpec(256, 3)
+    G = effective_channel(spec, chan)
+    r = _block(256, 0)
+    y = demodulate(spec, r)
+    assert np.max(np.abs(G @ equalize_zf(spec, chan, r) - y)) <= 1e-10
+
+
+def test_equalizers_reject_size_mismatch():
+    chan = _realization(8, [(1.0 + 0.0j, 0, 0.0)], ell_max=0, f_max=0)
+    with pytest.raises(ValueError):
+        equalize_zf(OfdmSpec(16), chan, np.ones(16, dtype=complex))
+    with pytest.raises(ValueError):
+        equalize_lmmse(OfdmSpec(8), chan, np.ones(7, dtype=complex), 0.1)
+
+
+def test_ber_rejects_otfs_pulses_without_time_domain_identity(monkeypatch):
+    def no_frame(*args):
+        raise AssertionError("a frame ran before the pulses were checked")
+
+    monkeypatch.setattr(link, "_run_frame", no_frame)
+    ramp = tuple(np.exp(0.7j * np.arange(4)) * (1.0 + 0.1 * np.arange(4)))
+    unit = tuple(np.exp(0.7j * np.arange(4)))
+    for p_tx, p_rx in (
+        (unit, unit),               # pulse_tx != conj(pulse_rx)
+        (ramp, tuple(np.conj(ramp))),  # |pulse_rx| != 1
+        (None, (1.0, -1.0, 1.0, 1.0)),
+        ((2.0,) * 4, None),
+    ):
+        spec = OtfsSpec(k=4, l=4, cp_len=3, pulse_tx=p_tx, pulse_rx=p_rx)
+        with pytest.raises(ValueError):
+            run_ber_point(spec, _dispersive_config(), QPSK, 10.0, frames=2)
+    monkeypatch.undo()
+    spec = OtfsSpec(k=4, l=4, cp_len=3, pulse_tx=tuple(np.conj(unit)), pulse_rx=unit)
+    res = run_ber_point(spec, _dispersive_config(), QPSK, np.inf, frames=2)
+    assert res.frames == 2
 
 
 def _flat_config(n=16):
