@@ -8,7 +8,6 @@ the thread count never changes results (per-index RNG substreams).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -51,17 +50,54 @@ def _setup_logging():
     logging.basicConfig(level=getattr(logging, level))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, columns: dict) -> None:
+    """Write a table given as {header: column}, one row per column index.
+
+    The bytes are those of `csv.writer` with its default dialect on rows of
+    these values: CRLF line ends and floats as their shortest round-trip
+    repr. Each column is a sequence of numbers or of names that need no
+    quoting; a table with no rows is the header line alone.
+    """
+    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells)), ""]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(lines))
 
 
-def _write_json(path: str, obj) -> None:
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_array(a: np.ndarray, level: int) -> str:
+    """A float array as `json.dumps(a.tolist(), indent=2)` nested `level` deep."""
+    if len(a) == 0:
+        return "[]"
+    if a.ndim == 1:
+        items = list(map(repr, a.tolist()))
+        if not np.isfinite(a).all():
+            items = [_JSON_SPECIAL.get(v, v) for v in items]
+    else:
+        items = [_json_array(row, level + 1) for row in a]
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+def _write_json(path: str, obj: dict) -> None:
+    """Write `json.dump(obj, sort_keys=True, indent=2)` and a newline.
+
+    A top-level value that is a float numpy array is written as the nested
+    lists of its values, formatted a whole row at a time.
+    """
+    items = [
+        f"  {json.dumps(key)}: "
+        + (
+            _json_array(value, 1)
+            if isinstance(value, np.ndarray)
+            else json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        )
+        for key, value in sorted(obj.items())
+    ]
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -114,23 +150,22 @@ def cmd_effchan(cfg: ScenarioConfig, out: str, fig3: bool = False, variant: str 
         G = effective_channel(spec, chan)
         threshold = 1.0 / (2 * spec.n)
         mag = np.abs(G)
-        rows = [
-            (r, c, repr(float(G[r, c].real)), repr(float(G[r, c].imag)), repr(float(mag[r, c])))
-            for r in range(spec.n)
-            for c in range(spec.n)
-            if mag[r, c] > threshold
-        ]
+        rows, cols = np.nonzero(mag > threshold)
         csv_path = os.path.join(out, f"effchan_{name}.csv")
-        _write_csv(csv_path, ["row", "col", "re", "im", "mag"], rows)
+        _write_csv(
+            csv_path,
+            {
+                "row": rows,
+                "col": cols,
+                "re": G.real[rows, cols],
+                "im": G.imag[rows, cols],
+                "mag": mag[rows, cols],
+            },
+        )
         json_path = os.path.join(out, f"effchan_{name}.json")
         _write_json(
             json_path,
-            {
-                "waveform": name,
-                "n": spec.n,
-                "threshold": threshold,
-                "magnitude": [[float(v) for v in row] for row in mag],
-            },
+            {"waveform": name, "n": spec.n, "threshold": threshold, "magnitude": mag},
         )
         written.extend([csv_path, json_path])
     return written
@@ -140,7 +175,7 @@ def cmd_ber(cfg: ScenarioConfig, out: str, threads: int = 1) -> list[str]:
     """SNR sweep x waveform BER table."""
     chan_cfg = cfg.channel_config()
     constellation = Constellation.by_name(cfg.constellation)
-    rows = []
+    table = {key: [] for key in ("snr_db", "waveform", "ber", "frames", "papr_db_p99")}
     for name, spec in cfg.waveform_specs():
         for snr in sorted(cfg.snr_sweep):
             res = run_ber_point(
@@ -154,9 +189,11 @@ def cmd_ber(cfg: ScenarioConfig, out: str, threads: int = 1) -> list[str]:
                 doppler_mode=cfg.doppler_mode,
                 threads=threads,
             )
-            rows.append((repr(res.snr_db), name, repr(res.ber), res.frames, repr(res.papr_db_p99)))
+            row = (res.snr_db, name, res.ber, res.frames, res.papr_db_p99)
+            for column, value in zip(table.values(), row):
+                column.append(value)
     path = os.path.join(out, "ber.csv")
-    _write_csv(path, ["snr_db", "waveform", "ber", "frames", "papr_db_p99"], rows)
+    _write_csv(path, table)
     return [path]
 
 
@@ -196,7 +233,10 @@ def cmd_sense(cfg: ScenarioConfig, out: str) -> list[str]:
     constellation = Constellation.by_name(cfg.constellation)
     methods = ["matched_filter", "direct_csi", "indirect_ml"]
     sweep = sorted(cfg.snr_sweep)
-    rows = []
+    table = {
+        key: []
+        for key in ("snr_db", "method", "trials", "rmse_delay", "rmse_doppler", "misdetections")
+    }
     example = {}
     for snr_idx, snr in enumerate(sweep):
         acc = {m: {"d2": [], "f2": [], "miss": 0} for m in methods}
@@ -220,13 +260,11 @@ def cmd_sense(cfg: ScenarioConfig, out: str) -> list[str]:
             d2, f2 = acc[m]["d2"], acc[m]["f2"]
             rmse_d = float(np.sqrt(np.mean(d2))) if d2 else float("nan")
             rmse_f = float(np.sqrt(np.mean(f2))) if f2 else float("nan")
-            rows.append((repr(float(snr)), m, cfg.trials, repr(rmse_d), repr(rmse_f), acc[m]["miss"]))
+            row = (float(snr), m, cfg.trials, rmse_d, rmse_f, acc[m]["miss"])
+            for column, value in zip(table.values(), row):
+                column.append(value)
     csv_path = os.path.join(out, "sense.csv")
-    _write_csv(
-        csv_path,
-        ["snr_db", "method", "trials", "rmse_delay", "rmse_doppler", "misdetections"],
-        rows,
-    )
+    _write_csv(csv_path, table)
     json_path = os.path.join(out, "estimates.json")
     _write_json(
         json_path,
@@ -239,7 +277,7 @@ def cmd_ambiguity(cfg: ScenarioConfig, out: str) -> list[str]:
     """Ambiguity maps of one random frame per waveform, plus a peak summary."""
     constellation = Constellation.by_name(cfg.constellation)
     written = []
-    summary = []
+    summary = {"waveform": [], "peak_mag": [], "psr_db": []}
     for idx, (name, spec) in enumerate(cfg.waveform_specs()):
         rng = _rng(cfg.seed, idx)
         bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
@@ -247,21 +285,19 @@ def cmd_ambiguity(cfg: ScenarioConfig, out: str) -> list[str]:
         delays = list(range(spec.n))
         dopplers = list(range(-(spec.n // 2), spec.n // 2 + 1))
         amb = ambiguity_map(s, delays, dopplers)
-        rows = [
-            (
-                int(amb.delay_bins[i]),
-                int(amb.doppler_bins[j]),
-                repr(float(amb.values[i, j].real)),
-                repr(float(amb.values[i, j].imag)),
-                repr(float(np.abs(amb.values[i, j]))),
-            )
-            for i in range(len(amb.delay_bins))
-            for j in range(len(amb.doppler_bins))
-        ]
-        path = os.path.join(out, f"ambiguity_{name}.csv")
-        _write_csv(path, ["delay_bin", "doppler_bin", "re", "im", "mag"], rows)
-        written.append(path)
         mags = np.abs(amb.values)
+        path = os.path.join(out, f"ambiguity_{name}.csv")
+        _write_csv(
+            path,
+            {
+                "delay_bin": np.repeat(amb.delay_bins.astype(int), len(dopplers)),
+                "doppler_bin": np.tile(amb.doppler_bins.astype(int), len(delays)),
+                "re": amb.values.real.ravel(),
+                "im": amb.values.imag.ravel(),
+                "mag": mags.ravel(),
+            },
+        )
+        written.append(path)
         zero_i = delays.index(0)
         zero_j = dopplers.index(0)
         peak = float(mags[zero_i, zero_j])
@@ -269,9 +305,10 @@ def cmd_ambiguity(cfg: ScenarioConfig, out: str) -> list[str]:
         side[zero_i, zero_j] = 0.0
         # a one-cell map (n = 1) has no sidelobes: the ratio is unbounded
         psr_db = float(20.0 * np.log10(peak / side.max())) if side.max() > 0 else float("inf")
-        summary.append((name, repr(peak), repr(psr_db)))
+        for column, value in zip(summary.values(), (name, peak, psr_db)):
+            column.append(value)
     path = os.path.join(out, "ambiguity_summary.csv")
-    _write_csv(path, ["waveform", "peak_mag", "psr_db"], summary)
+    _write_csv(path, summary)
     written.append(path)
     return written
 

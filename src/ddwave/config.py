@@ -114,10 +114,10 @@ class ScenarioConfig:
                      "refine_levels", "refine_factor", "xi", "seed"):
             if not isinstance(data[name], int) or isinstance(data[name], bool):
                 raise ConfigError(f"{name} must be an integer, got {data[name]!r}")
-        if data["n"] < 1:
-            raise ConfigError(f"n must be >= 1, got {data['n']}")
-        if data["seed"] < 0:
-            raise ConfigError(f"seed must be >= 0, got {data['seed']}")
+        for name, low in (("n", 1), ("seed", 0), ("paths", 1), ("frames", 1), ("trials", 1),
+                          ("refine_levels", 0), ("refine_factor", 2)):
+            if data[name] < low:
+                raise ConfigError(f"{name} must be >= {low}, got {data[name]}")
         for name in ("f_s", "f_c"):
             if not isinstance(data[name], (int, float)) or data[name] <= 0:
                 raise ConfigError(f"{name} must be a positive number, got {data[name]!r}")
@@ -125,10 +125,6 @@ class ScenarioConfig:
             data["cp_len"] = data["ell_max"]
         if not isinstance(data["cp_len"], int) or isinstance(data["cp_len"], bool):
             raise ConfigError(f"cp_len must be an integer, got {data['cp_len']!r}")
-        if data["cp_len"] < data["ell_max"]:
-            raise ConfigError(
-                f"cp_len must be >= ell_max, got cp_len={data['cp_len']} < ell_max={data['ell_max']}"
-            )
         needs_otfs = data["waveform"] in ("otfs", "all")
         if needs_otfs:
             if data["k"] is None or data["l"] is None:
@@ -146,6 +142,10 @@ class ScenarioConfig:
         if not data["snr_sweep"]:
             raise ConfigError("snr_sweep must be nonempty")
         cfg = ScenarioConfig(**data)
+        try:
+            cfg.channel_config()  # its own checks: cp_len, ell_max and f_max ranges
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         cfg._report_orthogonality()
         return cfg
 

@@ -1,0 +1,240 @@
+"""Byte format of the result files.
+
+The package formats its tables and grids a whole column at a time. The
+references here are the straightforward formatters: `csv.writer` over rows
+of repr'd floats and `json.dump(obj, sort_keys=True, indent=2)` over nested
+lists of Python floats. Every file the command line writes must match them
+byte for byte.
+"""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from ddwave.channel import ChannelRealization, PathParams, sample_paths
+from ddwave.cli import _write_csv, _write_json, main
+from ddwave.config import ScenarioConfig
+from ddwave.link import Constellation, map_bits, run_ber_point
+from ddwave.modem import effective_channel, modulate
+from ddwave.sensing import ambiguity_map
+
+EDGE_FLOATS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-05, 1e16, 0.1]
+
+FIG3_SCENARIO = {
+    "waveform": "all", "n": 36, "k": 6, "l": 6, "ell_max": 3, "f_max": 2,
+    "xi": 0, "cp_len": 3, "paths": 3,
+}
+FIG3_TARGETS = {
+    "integer": [(0, 0.0), (1, -2.0), (3, 1.0)],
+    "fractional": [(0, 0.266), (1, -2.365), (3, 1.231)],
+}
+
+
+# ------------------------------------------------------------ references
+
+
+def reference_csv(path, header, rows):
+    """Rows go to `csv.writer` as they are; floats are repr'd first."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def reference_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def rng(seed, *key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def reference_effchan(out, cfg, chan):
+    for name, spec in cfg.waveform_specs():
+        G = effective_channel(spec, chan)
+        threshold = 1.0 / (2 * spec.n)
+        mag = np.abs(G)
+        rows = [
+            (r, c, float(G[r, c].real), float(G[r, c].imag), float(mag[r, c]))
+            for r in range(spec.n)
+            for c in range(spec.n)
+            if mag[r, c] > threshold
+        ]
+        reference_csv(out / f"effchan_{name}.csv", ["row", "col", "re", "im", "mag"], rows)
+        reference_json(
+            out / f"effchan_{name}.json",
+            {
+                "waveform": name,
+                "n": spec.n,
+                "threshold": threshold,
+                "magnitude": [[float(v) for v in row] for row in mag],
+            },
+        )
+
+
+def reference_ambiguity(out, cfg):
+    constellation = Constellation.by_name(cfg.constellation)
+    summary = []
+    for idx, (name, spec) in enumerate(cfg.waveform_specs()):
+        bits = rng(cfg.seed, idx).integers(0, 2, size=spec.n * constellation.bits_per_symbol)
+        s = modulate(spec, map_bits(bits, constellation))
+        delays = list(range(spec.n))
+        dopplers = list(range(-(spec.n // 2), spec.n // 2 + 1))
+        amb = ambiguity_map(s, delays, dopplers)
+        rows = [
+            (
+                int(amb.delay_bins[i]),
+                int(amb.doppler_bins[j]),
+                float(amb.values[i, j].real),
+                float(amb.values[i, j].imag),
+                float(np.abs(amb.values[i, j])),
+            )
+            for i in range(len(delays))
+            for j in range(len(dopplers))
+        ]
+        reference_csv(out / f"ambiguity_{name}.csv",
+                      ["delay_bin", "doppler_bin", "re", "im", "mag"], rows)
+        mags = np.abs(amb.values)
+        peak = float(mags[delays.index(0), dopplers.index(0)])
+        side = mags.copy()
+        side[delays.index(0), dopplers.index(0)] = 0.0
+        summary.append((name, peak, float(20.0 * np.log10(peak / side.max()))))
+    reference_csv(out / "ambiguity_summary.csv", ["waveform", "peak_mag", "psr_db"], summary)
+
+
+def assert_same_files(got, want):
+    names = sorted(p.name for p in want.iterdir())
+    assert sorted(p.name for p in got.iterdir()) == names
+    for name in names:
+        assert read_bytes(got / name) == read_bytes(want / name), name
+
+
+# ---------------------------------------------------------------- writers
+
+
+def test_csv_writer_matches_csv_module(tmp_path):
+    n = len(EDGE_FLOATS)
+    columns = {
+        "name": ["ofdm", "otfs", "afdm", "matched_filter", "direct_csi", "a", "b", "c"],
+        "count": np.arange(-n, 0),
+        "value": np.array(EDGE_FLOATS),
+        "listed": EDGE_FLOATS[::-1],
+    }
+    _write_csv(tmp_path / "got.csv", columns)
+    reference_csv(tmp_path / "want.csv", list(columns), zip(
+        columns["name"], range(-n, 0), EDGE_FLOATS, EDGE_FLOATS[::-1]
+    ))
+    assert read_bytes(tmp_path / "got.csv") == read_bytes(tmp_path / "want.csv")
+
+
+def test_csv_writer_empty_table_is_header_only(tmp_path):
+    columns = {"row": np.zeros(0, dtype=int), "mag": np.zeros(0)}
+    _write_csv(tmp_path / "got.csv", columns)
+    reference_csv(tmp_path / "want.csv", ["row", "mag"], [])
+    assert read_bytes(tmp_path / "got.csv") == b"row,mag\r\n"
+    assert read_bytes(tmp_path / "want.csv") == b"row,mag\r\n"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.array([[0.5]]),
+        np.array([EDGE_FLOATS, [-v for v in EDGE_FLOATS]]),
+        np.array(EDGE_FLOATS).reshape(4, 2),
+        np.zeros((1, 0)),
+        np.zeros((0, 0)),
+    ],
+    ids=["1x1", "2x8", "4x2", "1x0", "0x0"],
+)
+def test_json_writer_matches_json_module(tmp_path, grid):
+    obj = {"waveform": "afdm", "n": len(grid), "threshold": 1e-05, "magnitude": grid}
+    _write_json(tmp_path / "got.json", obj)
+    reference_json(tmp_path / "want.json", {**obj, "magnitude": grid.tolist()})
+    assert read_bytes(tmp_path / "got.json") == read_bytes(tmp_path / "want.json")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {
+            "snr_db": 20.0,
+            "geometry": "monostatic",
+            "methods": {"indirect_ml": [{"f": -0.0, "ell": 3}], "direct_csi": []},
+            "notes": None,
+            "sweep": [1e16, 5e-324],
+            "empty": {},
+        },
+        {},
+    ],
+    ids=["nested", "empty"],
+)
+def test_json_writer_matches_json_module_without_arrays(tmp_path, obj):
+    _write_json(tmp_path / "got.json", obj)
+    reference_json(tmp_path / "want.json", obj)
+    assert read_bytes(tmp_path / "got.json") == read_bytes(tmp_path / "want.json")
+
+
+# --------------------------------------------------------- command files
+
+
+SMALL = {"waveform": "all", "n": 16, "ell_max": 1, "f_max": 1, "seed": 5}
+
+
+def run(tmp_path, argv, scenario=SMALL):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(scenario))
+    got, want = tmp_path / "got", tmp_path / "want"
+    want.mkdir()
+    assert main([*argv, "--config", str(cfg), "--out", str(got)]) == 0
+    return ScenarioConfig.from_dict(scenario), got, want
+
+
+def test_effchan_sampled_channel_bytes(tmp_path):
+    cfg, got, want = run(tmp_path, ["effchan"])
+    chan = sample_paths(cfg.channel_config(), cfg.doppler_mode, rng(cfg.seed, 0))
+    reference_effchan(want, cfg, chan)
+    assert_same_files(got, want)
+
+
+@pytest.mark.parametrize("variant", ["integer", "fractional"])
+def test_effchan_fig3_bytes(tmp_path, variant):
+    _, got, want = run(tmp_path, ["effchan", "--fig3", "--variant", variant])
+    cfg = ScenarioConfig.from_dict(FIG3_SCENARIO)
+    chan = ChannelRealization(
+        cfg.channel_config(),
+        tuple(PathParams(1.0 + 0.0j, ell, f) for ell, f in FIG3_TARGETS[variant]),
+    )
+    reference_effchan(want, cfg, chan)
+    assert_same_files(got, want)
+
+
+def test_ambiguity_bytes(tmp_path):
+    cfg, got, want = run(tmp_path, ["ambiguity"])
+    reference_ambiguity(want, cfg)
+    assert_same_files(got, want)
+
+
+def test_ber_bytes(tmp_path):
+    scenario = {**SMALL, "snr_sweep": [10.0, 0.0], "frames": 3}
+    cfg, got, want = run(tmp_path, ["ber", "--threads", "1"], scenario)
+    constellation = Constellation.by_name(cfg.constellation)
+    rows = []
+    for name, spec in cfg.waveform_specs():
+        for snr in sorted(cfg.snr_sweep):
+            res = run_ber_point(spec, cfg.channel_config(), constellation, snr, cfg.frames,
+                                detector=cfg.detector, seed=cfg.seed,
+                                doppler_mode=cfg.doppler_mode)
+            rows.append((res.snr_db, name, res.ber, res.frames, res.papr_db_p99))
+    reference_csv(want / "ber.csv", ["snr_db", "waveform", "ber", "frames", "papr_db_p99"], rows)
+    assert_same_files(got, want)

@@ -377,8 +377,9 @@ def test_ambiguity_origin_peak_and_summary(tmp_path):
 
 
 def test_ambiguity_single_sample_has_unbounded_psr(tmp_path):
-    # n = 1 leaves only the origin cell, so there are no sidelobes to divide by
-    cfg = write_config(tmp_path, {"waveform": "ofdm", "n": 1})
+    # n = 1 leaves only the origin cell, so there are no sidelobes to divide by;
+    # a one-sample block holds no delay or Doppler spread (ell_max < n, f_max <= n/2)
+    cfg = write_config(tmp_path, {"waveform": "ofdm", "n": 1, "ell_max": 0, "f_max": 0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["ambiguity", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -423,6 +424,26 @@ def test_exit_2_on_invalid_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"waveform": "dft-s-ofdm"})
     assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"paths": 0},
+        {"f_max": -1},
+        {"ell_max": -1},
+        {"waveform": "afdm", "n": 2},  # default ell_max 3 >= n
+        {"frames": 0},
+        {"refine_factor": 1},
+        {"trials": 0},
+        {"refine_levels": -1},
+    ],
+)
+def test_exit_2_on_out_of_range_config(tmp_path, capsys, patch):
+    cfg = write_config(tmp_path, patch)
+    for command in ("ber", "effchan", "sense"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_exit_2_when_afdm_tuning_infeasible(tmp_path, capsys, caplog):
