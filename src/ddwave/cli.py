@@ -1,8 +1,8 @@
 """Command-line front end: scenario presets, Monte Carlo orchestration, file emission.
 
 Subcommands: effchan, ber, sense, ambiguity, demo-v2x. Every command is a
-pure function of (config, seed): re-running writes byte-identical files, and
-the thread count never changes results (per-index RNG substreams).
+pure function of (config, seed): re-running writes byte-identical files
+(per-index RNG substreams), and --threads changes nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ import numpy as np
 
 from .channel import ChannelRealization, PathParams, sample_paths, time_domain_apply
 from .config import ConfigError, ScenarioConfig, load_config
-from .link import Constellation, SingularChannelError, add_awgn, run_ber_point, map_bits
+from .link import (
+    Constellation,
+    SingularChannelError,
+    add_awgn,
+    map_bits,
+    run_ber_point,
+    substream,
+)
 from .modem import demodulate, effective_channel, modulate, prepend_cp
 from .sensing import (
     RadarTargetEstimate,
@@ -31,15 +38,13 @@ from .sensing import (
 log = logging.getLogger("ddwave")
 
 # three-target structural demo: block size 36, 6x6 grid, tuned chirp
-_FIG3 = {
-    "n": 36,
-    "k": 6,
-    "l": 6,
-    "ell_max": 3,
-    "f_max": 2,
-    "xi": 0,
-    "targets_integer": [(0, 0.0), (1, -2.0), (3, 1.0)],
-    "targets_fractional": [(0, 0.266), (1, -2.365), (3, 1.231)],
+_FIG3_SCENARIO = {
+    "waveform": "all", "n": 36, "k": 6, "l": 6, "ell_max": 3, "f_max": 2, "xi": 0,
+    "cp_len": 3, "paths": 3,
+}
+_FIG3_TARGETS = {
+    "integer": [(0, 0.0), (1, -2.0), (3, 1.0)],
+    "fractional": [(0, 0.266), (1, -2.365), (3, 1.231)],
 }
 
 
@@ -100,10 +105,6 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n")
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
 def _estimate_record(est: RadarTargetEstimate) -> dict:
     return {
         "ell": est.delay_norm_hat,
@@ -118,33 +119,13 @@ def _estimate_record(est: RadarTargetEstimate) -> dict:
 def cmd_effchan(cfg: ScenarioConfig, out: str, fig3: bool = False, variant: str = "integer") -> list[str]:
     """Emit effective-channel heatmap CSVs (sparse, thresholded) plus JSON grids."""
     if fig3:
-        preset = dict(cfg.to_json_dict())
-        preset.update(
-            waveform="all",
-            n=_FIG3["n"],
-            k=_FIG3["k"],
-            l=_FIG3["l"],
-            ell_max=_FIG3["ell_max"],
-            f_max=_FIG3["f_max"],
-            xi=_FIG3["xi"],
-            cp_len=_FIG3["ell_max"],
-            paths=3,
-        )
-        preset.pop("c1", None)
-        preset.pop("c2", None)
-        cfg = ScenarioConfig.from_dict(preset)
-        key = "targets_integer" if variant == "integer" else "targets_fractional"
-        chan_cfg = cfg.channel_config()
-        chan = ChannelRealization(
-            config=chan_cfg,
-            paths=tuple(
-                PathParams(gain=1.0 + 0.0j, delay_norm=ell, doppler_norm=f)
-                for ell, f in _FIG3[key]
-            ),
-        )
+        # the preset's chirp is tuned afresh, so the scenario's c1/c2 do not carry over
+        base = {k: v for k, v in cfg.to_json_dict().items() if k not in ("c1", "c2")}
+        cfg = ScenarioConfig.from_dict({**base, **_FIG3_SCENARIO})
+        paths = (PathParams(1.0 + 0.0j, ell, f) for ell, f in _FIG3_TARGETS[variant])
+        chan = ChannelRealization(cfg.channel_config(), tuple(paths))
     else:
-        chan_cfg = cfg.channel_config()
-        chan = sample_paths(chan_cfg, cfg.doppler_mode, _rng(cfg.seed, 0))
+        chan = sample_paths(cfg.channel_config(), cfg.doppler_mode, substream(cfg.seed, 0))
     written = []
     for name, spec in cfg.waveform_specs():
         G = effective_channel(spec, chan)
@@ -171,7 +152,7 @@ def cmd_effchan(cfg: ScenarioConfig, out: str, fig3: bool = False, variant: str 
     return written
 
 
-def cmd_ber(cfg: ScenarioConfig, out: str, threads: int = 1) -> list[str]:
+def cmd_ber(cfg: ScenarioConfig, out: str) -> list[str]:
     """SNR sweep x waveform BER table."""
     chan_cfg = cfg.channel_config()
     constellation = Constellation.by_name(cfg.constellation)
@@ -187,7 +168,6 @@ def cmd_ber(cfg: ScenarioConfig, out: str, threads: int = 1) -> list[str]:
                 detector=cfg.detector,
                 seed=cfg.seed,
                 doppler_mode=cfg.doppler_mode,
-                threads=threads,
             )
             row = (res.snr_db, name, res.ber, res.frames, res.papr_db_p99)
             for column, value in zip(table.values(), row):
@@ -199,7 +179,7 @@ def cmd_ber(cfg: ScenarioConfig, out: str, threads: int = 1) -> list[str]:
 
 def _sense_trial(cfg, spec, chan_cfg, constellation, snr, key):
     """One sensing trial: returns (truth pairs, per-method estimate lists)."""
-    rng = _rng(cfg.seed, *key)
+    rng = substream(cfg.seed, *key)
     chan = sample_paths(chan_cfg, cfg.doppler_mode, rng)
     truth = [(p.delay_norm, p.doppler_norm) for p in chan.paths]
     bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
@@ -279,7 +259,7 @@ def cmd_ambiguity(cfg: ScenarioConfig, out: str) -> list[str]:
     written = []
     summary = {"waveform": [], "peak_mag": [], "psr_db": []}
     for idx, (name, spec) in enumerate(cfg.waveform_specs()):
-        rng = _rng(cfg.seed, idx)
+        rng = substream(cfg.seed, idx)
         bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
         s = modulate(spec, map_bits(bits, constellation))
         delays = list(range(spec.n))
@@ -362,12 +342,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ddwave", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON scenario file")
+    def common(p, config=True):
+        if config:
+            p.add_argument("--config", help="JSON scenario file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for the ber frames (accepted and unused by the "
-                            "other subcommands; results are thread-count independent)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility, must be >= 1, and has no effect: "
+                            "every command runs serially")
         p.add_argument("--out", default=None, help="output directory (default: config outputs)")
 
     p_eff = sub.add_parser("effchan", help="effective-channel heatmaps")
@@ -386,7 +367,7 @@ def main(argv=None) -> int:
     common(p_amb)
 
     p_demo = sub.add_parser("demo-v2x", help="write the 5.9 GHz vehicular preset config")
-    common(p_demo)
+    common(p_demo, config=False)
     p_demo.add_argument("--geometry", choices=["monostatic", "bistatic"], default="monostatic")
 
     args = parser.parse_args(argv)
@@ -404,7 +385,7 @@ def main(argv=None) -> int:
             if args.command == "effchan":
                 written = cmd_effchan(cfg, out, fig3=args.fig3, variant=args.variant)
             elif args.command == "ber":
-                written = cmd_ber(cfg, out, threads=args.threads)
+                written = cmd_ber(cfg, out)
             elif args.command == "sense":
                 written = cmd_sense(cfg, out)
             elif args.command == "ambiguity":

@@ -13,7 +13,6 @@ solve it replaces: it refuses when cond(H) = cond(G) exceeds 1e12.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -283,6 +282,11 @@ def equalize_lmmse(
     return demodulate(spec, out)
 
 
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """The RNG substream of (seed, key): its draws depend on nothing else."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 @dataclass(frozen=True)
 class LinkResult:
     snr_db: float
@@ -303,7 +307,7 @@ def _run_frame(
     frame_idx: int,
 ) -> tuple[int, float]:
     """One Monte Carlo frame; returns (bit errors, papr_db)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(frame_idx,)))
+    rng = substream(seed, frame_idx)
     chan = sample_paths(chan_config, doppler_mode, rng)
     bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
     x = map_bits(bits, constellation)
@@ -336,24 +340,22 @@ def run_ber_point(
     """Monte Carlo BER at one SNR point.
 
     Each frame draws a fresh channel and bit block from an RNG substream
-    derived from (seed, frame index), so the result is independent of the
-    thread count and reproducible to the byte.
+    derived from (seed, frame index), so the result is reproducible to the
+    byte. Frames run serially: a thread pool measured no faster at any tested
+    size. `threads` must be >= 1 and has no other effect.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if isinstance(spec, OtfsSpec) and not spec.adjoint_pulses:
         raise ValueError(
             "time-domain equalization needs pulse_tx = conj(pulse_rx) with |pulse_rx| = 1"
         )
-    args = [
-        (spec, chan_config, constellation, snr_db, detector, doppler_mode, seed, i)
+    results = [
+        _run_frame(spec, chan_config, constellation, snr_db, detector, doppler_mode, seed, i)
         for i in range(frames)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _run_frame(*a), args))
-    else:
-        results = [_run_frame(*a) for a in args]
     errors = sum(e for e, _ in results)
     paprs = [p for _, p in results]
     total_bits = frames * spec.n * constellation.bits_per_symbol

@@ -258,22 +258,30 @@ def predict_support(spec: WaveformSpec, ell: int, f_int: int) -> frozenset[tuple
     return frozenset(zip(rows.tolist(), cols.tolist()))
 
 
-def _support_indices(spec: WaveformSpec, ell: int, f_int: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, cols) index arrays of predict_support, one entry per block row."""
+def _support_indices(spec: WaveformSpec, ell, f_int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) index arrays of predict_support, one entry per block row.
+
+    ell and f_int broadcast against each other: scalars give two length-N
+    arrays, and candidate arrays of shape (C,) give two (C, N) arrays.
+    """
     if isinstance(spec, OfdmSpec):
         raise ValueError("no support predictor for OFDM (Doppler spreads into a band)")
-    if not 0 <= ell < spec.n:
+    ell, f_int = np.broadcast_arrays(ell, f_int)
+    if np.any((ell < 0) | (ell >= spec.n)):
         raise ValueError(f"delay must satisfy 0 <= ell < N, got {ell}")
-    if abs(f_int) > spec.n // 2:
+    if np.any(np.abs(f_int) > spec.n // 2):
         raise ValueError(f"integer Doppler {f_int} outside +-N/2")
+    shape = ell.shape + (spec.n,)
+    ell, f_int = ell[..., None], f_int[..., None]
+    rows = np.arange(spec.n)
     if isinstance(spec, AfdmSpec):
-        rows = np.arange(spec.n)
-        return rows, (rows + afdm_shift(spec, ell, f_int)) % spec.n
-    K, L = spec.k, spec.l
-    a, b = np.arange(L)[:, None], np.arange(K)[None, :]
-    rows = a * K + b
-    cols = ((a - f_int) % L) * K + (b - ell) % K
-    return rows.ravel(), cols.ravel()
+        cols = (rows + afdm_shift(spec, ell, f_int)) % spec.n
+    else:
+        # row a*K + b is cell b of block a
+        K, L = spec.k, spec.l
+        a, b = np.divmod(rows, K)
+        cols = ((a - f_int) % L) * K + (b - ell) % K
+    return np.broadcast_to(rows, shape), np.broadcast_to(cols, shape)
 
 
 def afdm_shift(spec: AfdmSpec, ell: int, f_int: int) -> int:

@@ -1,9 +1,14 @@
 """Delay-Doppler sensing: correlation maps, CSI-based extraction, grid-search ML.
 
-Three method families over the same target model. The ambiguity / matched
-filter maps work on raw sequences; direct extraction reads a known effective
-channel matrix; the indirect route fits path parameters to a demodulated
-pilot frame by greedy successive cancellation over a coarse-to-fine grid.
+Three method families over the same target model. The matched-filter map
+correlates raw sequences, and the self-ambiguity is that map of a frame
+against itself. Direct extraction reads integer targets off a known
+effective channel matrix G: it scores every candidate on its predicted
+support in one gather. The indirect route fits path parameters to a
+demodulated pilot frame by greedy successive cancellation over a
+coarse-to-fine grid. Both CSI routes get a unit path's response from the
+waveform's own transforms and the channel's path operator: O(N log N) per
+path, and no N x N array besides the caller's G.
 """
 
 from __future__ import annotations
@@ -13,16 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelRealization, PathParams, apply_paths
-from .modem import (
-    AfdmSpec,
-    OfdmSpec,
-    WaveformSpec,
-    _support_indices,
-    demodulate,
-    effective_channel,
-    modulate,
-)
+from .channel import PathParams, apply_paths
+from .modem import AfdmSpec, OfdmSpec, WaveformSpec, _support_indices, demodulate, modulate
 
 LIGHT_SPEED = 2.99792458e8  # m/s, exact
 
@@ -48,14 +45,9 @@ class DelayDopplerMap:
 
     def top_peaks(self, count: int) -> list[tuple[float, float]]:
         """The `count` largest cells, magnitude-descending, ties by (delay, Doppler)."""
-        mags = np.abs(self.values)
-        cells = [
-            (-mags[i, j], float(self.delay_bins[i]), float(self.doppler_bins[j]))
-            for i in range(mags.shape[0])
-            for j in range(mags.shape[1])
-        ]
-        cells.sort()
-        return [(d, f) for _, d, f in cells[:count]]
+        d, f = (g.ravel() for g in np.meshgrid(self.delay_bins, self.doppler_bins, indexing="ij"))
+        order = np.lexsort((f, d, -np.abs(self.values).ravel()))[:count]
+        return [(float(d[k]), float(f[k])) for k in order]
 
 
 @dataclass(frozen=True)
@@ -90,17 +82,6 @@ def _check_bins(delay_bins, doppler_bins, N: int) -> tuple[np.ndarray, np.ndarra
     return delay_bins.astype(int), doppler_bins
 
 
-def ambiguity_map(s: np.ndarray, delay_bins, doppler_bins) -> DelayDopplerMap:
-    """Cyclic self-ambiguity A[l, f] = sum_n s[n] conj(s[(n-l) mod N]) e^{j2pi f n/N}."""
-    s = np.asarray(s)
-    N = s.shape[0]
-    ells, dops = _check_bins(delay_bins, doppler_bins, N)
-    n = np.arange(N)
-    E = np.exp(2j * np.pi * np.outer(dops, n) / N)  # (F, N)
-    lagged = np.stack([s * np.conj(np.roll(s, ell)) for ell in ells])  # (D, N)
-    return DelayDopplerMap(ells.astype(float), dops, lagged @ E.T)
-
-
 def matched_filter_map(r: np.ndarray, s_known: np.ndarray, delay_bins, doppler_bins) -> DelayDopplerMap:
     """Cross-correlation against delayed, Doppler-shifted copies of a known frame.
 
@@ -121,32 +102,37 @@ def matched_filter_map(r: np.ndarray, s_known: np.ndarray, delay_bins, doppler_b
     return DelayDopplerMap(ells.astype(float), dops, lagged @ E.T)
 
 
-def _unit_path(spec: WaveformSpec, ell: int, f_int: int) -> ChannelRealization:
-    """One unit-gain path at integer (ell, f_int); f_s and f_c play no part in G."""
-    config = ChannelConfig(
-        N=spec.n, f_s=1.0, f_c=1.0, ell_max=ell, f_max=abs(f_int), P=1, cp_len=ell
-    )
-    return ChannelRealization(config, (PathParams(1.0 + 0.0j, ell, float(f_int)),))
+def ambiguity_map(s: np.ndarray, delay_bins, doppler_bins) -> DelayDopplerMap:
+    """Cyclic self-ambiguity A[l, f] = sum_n s[n] conj(s[(n-l) mod N]) e^{j2pi f n/N}.
+
+    This is the matched-filter map of s against itself at the negated
+    Doppler bins, labelled with the requested ones.
+    """
+    dops = np.asarray(doppler_bins, dtype=float)
+    m = matched_filter_map(s, s, delay_bins, -dops)
+    return DelayDopplerMap(m.delay_bins, dops, m.values)
 
 
-def _integer_candidates(spec: WaveformSpec) -> list[tuple[int, int]]:
-    """All (ell, f_int) pairs inside the waveform's injective support region."""
+def _unit_response(spec: WaveformSpec, s: np.ndarray, ell: int, f: float) -> np.ndarray:
+    """demodulate(H1 s) for the unit-gain path H1 at (ell, f): G1 x when s = modulate(x)."""
+    return demodulate(spec, apply_paths(s, (PathParams(1.0, ell, f),), spec.cp_phase()))
+
+
+def _integer_candidates(spec: WaveformSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(ell, f_int) arrays of every pair inside the waveform's injective support region.
+
+    The pairs run ell-major, each ell with f_int ascending.
+    """
     if isinstance(spec, AfdmSpec):
         stride = spec.delay_stride
         f_lim = (stride - 1) // 2
         ell_lim = max((spec.n - 2 * f_lim - 1) // stride, 0) if stride > 0 else 0
-        ell_lim = min(ell_lim, spec.n - 1)
-        return [
-            (ell, f)
-            for ell in range(ell_lim + 1)
-            for f in range(-f_lim, f_lim + 1)
-        ]
-    f_lim = (spec.l - 1) // 2
-    return [
-        (ell, f)
-        for ell in range(spec.k)
-        for f in range(-f_lim, f_lim + 1)
-    ]
+        ell_count = min(ell_lim, spec.n - 1) + 1
+    else:
+        f_lim = (spec.l - 1) // 2
+        ell_count = spec.k
+    ells, fs = np.meshgrid(np.arange(ell_count), np.arange(-f_lim, f_lim + 1), indexing="ij")
+    return ells.ravel(), fs.ravel()
 
 
 def direct_csi_extract(
@@ -159,9 +145,11 @@ def direct_csi_extract(
 
     Scores every candidate (ell, f_int) by the mean magnitude of G over its
     predicted support, keeps the top P, and recovers each gain as the mean of
-    G divided entrywise by a unit-gain probe channel on the same support (the
-    probe supplies the deterministic per-entry phase, so no closed form is
-    needed). Ties at the cut rank break toward smaller ell, then smaller f.
+    G divided entrywise by the unit-gain probe G1 on the same support. Inside
+    the injective region G1 has one entry per row, so its support entries are
+    the row sums G1 @ 1: one transform pair per winner, no matrix. The probe
+    supplies the deterministic per-entry phase, so no closed form is needed.
+    Ties at the cut rank break toward smaller ell, then smaller f.
     """
     if isinstance(spec, OfdmSpec):
         raise ValueError("direct extraction is unsupported for OFDM")
@@ -170,17 +158,17 @@ def direct_csi_extract(
         raise ValueError(f"G must be {spec.n} x {spec.n}, got {G.shape}")
     if threshold is None:
         threshold = 1.0 / (2 * spec.n)
-    scored = []
-    for ell, f in _integer_candidates(spec):
-        rows, cols = _support_indices(spec, ell, f)
-        scored.append((float(np.mean(np.abs(G[rows, cols]))), ell, f, rows, cols))
-    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
+    ells, fs = _integer_candidates(spec)
+    rows, cols = _support_indices(spec, ells, fs)
+    scores = np.abs(G)[rows, cols].mean(axis=1)
+    ones = modulate(spec, np.ones(spec.n, dtype=complex))
     out = []
-    for score, ell, f, rows, cols in scored[:P]:
-        if score < threshold:
+    for c in np.lexsort((fs, ells, -scores))[:P]:
+        if scores[c] < threshold:
             continue
-        probe = effective_channel(spec, _unit_path(spec, ell, f))
-        gain = complex(np.mean(G[rows, cols] / probe[rows, cols]))
+        ell, f = int(ells[c]), int(fs[c])
+        probe = _unit_response(spec, ones, ell, f)[rows[c]]
+        gain = complex(np.mean(G[rows[c], cols[c]] / probe))
         out.append(RadarTargetEstimate(float(ell), float(f), gain))
     return out
 
@@ -226,10 +214,9 @@ def indirect_csi_ml(
         raise ValueError("coarse grid must be nonempty in both dimensions")
 
     s = modulate(spec, x_known)
-    phase = spec.cp_phase()
 
     def score(ell: int, f: float, resid: np.ndarray):
-        z = demodulate(spec, apply_paths(s, (PathParams(1.0, ell, f),), phase))
+        z = _unit_response(spec, s, ell, f)
         energy = float(np.real(np.vdot(z, z)))
         if energy == 0.0:
             return -np.inf, 0.0 + 0.0j, z

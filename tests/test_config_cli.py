@@ -411,6 +411,14 @@ def test_demo_v2x_rerun_byte_identical(tmp_path):
     assert read_bytes(a / "demo_v2x.json") == read_bytes(b / "demo_v2x.json")
 
 
+def test_demo_v2x_rejects_config_flag(tmp_path):
+    # the preset is fixed; a scenario file would be ignored, so the flag is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["demo-v2x", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "demo_v2x.json").exists()
+
+
 # ------------------------------------------------------- exit codes, logging
 
 

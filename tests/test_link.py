@@ -323,3 +323,8 @@ def test_ber_rejects_bad_arguments():
         run_ber_point(OfdmSpec(16), _flat_config(), QPSK, 10.0, frames=0)
     with pytest.raises(ValueError):
         run_ber_point(OfdmSpec(16), _flat_config(), QPSK, 10.0, frames=1, detector="mrc")
+
+
+def test_ber_rejects_nonpositive_threads():
+    with pytest.raises(ValueError, match="threads"):
+        run_ber_point(OfdmSpec(16), _flat_config(), QPSK, 10.0, frames=1, threads=0)

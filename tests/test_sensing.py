@@ -9,6 +9,7 @@ from ddwave.modem import (
     AfdmSpec,
     OfdmSpec,
     OtfsSpec,
+    _support_indices,
     afdm_tune,
     demodulate,
     effective_channel,
@@ -28,6 +29,7 @@ from ddwave.sensing import (
     radar_invert,
     sensing_rmse,
 )
+from ddwave.sensing import _integer_candidates
 
 
 def chan_of(n, paths, ell_max=3, f_max=2, cp_len=3):
@@ -151,6 +153,13 @@ def test_top_peaks_orders_by_magnitude_then_bins():
     assert m.top_peaks(4) == [(0.0, -1.0), (1.0, 0.0), (0.0, 0.0), (1.0, -1.0)]
 
 
+def test_top_peaks_ties_break_on_bin_values_not_positions():
+    # bins listed in descending order: value order and index order disagree
+    vals = np.ones((2, 2), dtype=complex)
+    m = DelayDopplerMap(np.array([1.0, 0.0]), np.array([2.0, -1.0]), vals)
+    assert m.top_peaks(4) == [(0.0, -1.0), (0.0, 2.0), (1.0, -1.0), (1.0, 2.0)]
+
+
 # ------------------------------------------------------------ matched filter
 
 
@@ -223,6 +232,69 @@ def test_direct_extraction_tie_breaks_toward_smaller_delay():
     chan = chan_of(36, [PathParams(1.0, 2, 0.0), PathParams(1.0, 0, 2.0)])
     ests = direct_csi_extract(effective_channel(spec, chan), spec, 2)
     assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in ests] == [(0.0, 2.0), (2.0, 0.0)]
+
+
+def test_direct_extraction_exact_ties_rank_by_delay_then_doppler():
+    # G holds the same value on three candidate supports, so the scores tie exactly
+    spec = tuned_afdm()
+    G = np.zeros((36, 36), dtype=complex)
+    for ell, f in [(2, 0), (0, 2), (2, -1)]:
+        G[_support_indices(spec, ell, f)] = 1.0
+    ests = direct_csi_extract(G, spec, 3)
+    assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in ests] == [
+        (0.0, 2.0), (2.0, -1.0), (2.0, 0.0)
+    ]
+
+
+# (name, spec, tx/rx operators, prefix phase in cycles) of every support case
+def _support_cases():
+    afdm36, afdm64 = tuned_afdm(), tuned_afdm(64, xi=1)
+    cases = [
+        ("afdm-36", afdm36, oracle.afdm_ops(36, afdm36.c1, afdm36.c2),
+         oracle.chirp_cp_cycles(afdm36.c1, 36)),
+        ("afdm-64-xi1", afdm64, oracle.afdm_ops(64, afdm64.c1, afdm64.c2),
+         oracle.chirp_cp_cycles(afdm64.c1, 64)),
+    ]
+    for k, l in [(6, 6), (4, 9), (3, 5)]:
+        cases.append((f"otfs-{k}x{l}", OtfsSpec(k, l, cp_len=3), oracle.otfs_ops(k, l),
+                      oracle.zero_cycles))
+    return cases
+
+
+SUPPORT_CASES = _support_cases()
+
+
+@pytest.mark.parametrize("case", SUPPORT_CASES, ids=[c[0] for c in SUPPORT_CASES])
+def test_batched_support_indices_match_scalar_calls_and_oracle(case):
+    _, spec, (tx, rx), phase = case
+    ells, fs = _integer_candidates(spec)
+    rows, cols = _support_indices(spec, ells, fs)
+    assert rows.shape == cols.shape == (len(ells), spec.n)
+    scalar = [_support_indices(spec, int(e), int(f)) for e, f in zip(ells, fs)]
+    assert np.array_equal(rows, np.stack([r for r, _ in scalar]))
+    assert np.array_equal(cols, np.stack([c for _, c in scalar]))
+    for c, (ell, f) in enumerate(zip(ells, fs)):
+        G1 = oracle.effective_matrix(tx, rx, [(1.0, int(ell), float(f))], phase)
+        assert frozenset(zip(rows[c].tolist(), cols[c].tolist())) == oracle.support_set(G1, 1e-6)
+
+
+@pytest.mark.parametrize("case", SUPPORT_CASES, ids=[c[0] for c in SUPPORT_CASES])
+def test_direct_extraction_gains_match_dense_probe(case):
+    _, spec, (tx, rx), phase = case
+    targets = [(0, 0), (1, -2), (2, 1)]
+    paths = [(g, ell, float(f)) for g, (ell, f) in zip(THREE_GAINS, targets)]
+    # noise makes the per-entry ratios differ, so each probe entry counts
+    noise = 0.01 * random_frame(spec.n**2, 4).reshape(spec.n, spec.n)
+    G = oracle.effective_matrix(tx, rx, paths, phase) + noise
+    ests = direct_csi_extract(G, spec, 3)
+    assert sorted((int(e.delay_norm_hat), int(e.doppler_norm_hat)) for e in ests) == sorted(targets)
+    for e in ests:
+        probe = oracle.effective_matrix(
+            tx, rx, [(1.0, int(e.delay_norm_hat), e.doppler_norm_hat)], phase
+        )
+        rows, cols = np.array(sorted(oracle.support_set(probe, 1e-6))).T
+        want = np.mean(G[rows, cols] / probe[rows, cols])
+        assert abs(e.gain_hat - want) < 1e-12
 
 
 def test_direct_extraction_threshold_drops_empty_candidates():
