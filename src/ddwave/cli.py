@@ -8,6 +8,7 @@ pure function of (config, seed): re-running writes byte-identical files
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -28,8 +29,8 @@ from .link import (
 from .modem import demodulate, effective_channel, modulate, prepend_cp
 from .sensing import (
     RadarTargetEstimate,
+    _direct_csi_from_channel,
     ambiguity_map,
-    direct_csi_extract,
     indirect_csi_ml,
     matched_filter_map,
     sensing_rmse,
@@ -196,8 +197,7 @@ def _sense_trial(cfg, spec, chan_cfg, constellation, snr, key):
         i = list(mf.delay_bins).index(d)
         j = list(mf.doppler_bins).index(f)
         mf_est.append(RadarTargetEstimate(d, f, complex(mf.values[i, j] / s_energy)))
-    G = effective_channel(spec, chan)
-    dc_est = direct_csi_extract(G, spec, cfg.paths)
+    dc_est = _direct_csi_from_channel(chan, spec, cfg.paths)
     y = demodulate(spec, r)
     ml_est = indirect_csi_ml(
         y, x, spec, cfg.paths, grid,
@@ -337,8 +337,9 @@ def _load(args) -> ScenarioConfig:
     return ScenarioConfig.from_dict({} if args.seed is None else {"seed": args.seed})
 
 
-def main(argv=None) -> int:
-    _setup_logging()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="ddwave", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -369,7 +370,12 @@ def main(argv=None) -> int:
     p_demo = sub.add_parser("demo-v2x", help="write the 5.9 GHz vehicular preset config")
     common(p_demo, config=False)
     p_demo.add_argument("--geometry", choices=["monostatic", "bistatic"], default="monostatic")
+    return parser
 
+
+def main(argv=None) -> int:
+    _setup_logging()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")

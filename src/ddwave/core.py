@@ -41,16 +41,17 @@ def chirp_phases(N: int, c: float) -> np.ndarray:
     return np.exp(-2j * np.pi * c * n.astype(float) ** 2)
 
 
-def doppler_phases(N: int, f: float) -> np.ndarray:
+def doppler_phases(N: int, f) -> np.ndarray:
     """Diagonal of the Doppler matrix: exp(+j2pi*f*n/N) for n = 0..N-1.
 
     The + sign follows the time-domain sample relation r[n] ~ e^{+j2pi f n/N};
-    all support-shift rules downstream inherit this convention.
+    all support-shift rules downstream inherit this convention. An array of
+    Dopplers gives one diagonal per entry, shape f.shape + (N,).
     """
     if N < 1:
         raise ValueError(f"size must be >= 1, got {N}")
     n = np.arange(N)
-    return np.exp(2j * np.pi * f * n / N)
+    return np.exp(2j * np.pi * np.asarray(f, dtype=float)[..., None] * n / N)
 
 
 def cp_phase_entries(N: int, ell: int, phase) -> np.ndarray:

@@ -4,12 +4,16 @@ import csv
 import json
 import logging
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddwave.cli import _setup_logging, main
+import ddwave
+from ddwave.cli import _parser, _setup_logging, main
 from ddwave.config import ConfigError, ScenarioConfig, load_config
 from ddwave.modem import AfdmSpec, OtfsSpec, afdm_tune, predict_support
 
@@ -209,6 +213,28 @@ def test_effchan_runs_with_sampled_channel(tmp_path):
                  "--seed", "4"]) == 0
     meta = json.loads((tmp_path / "effchan_afdm.json").read_text())
     assert len(meta["magnitude"]) == 16
+
+
+def run_fresh_process(argv):
+    """One `main(argv)` call as the first call of a new interpreter; returns its exit code."""
+    src = str(Path(ddwave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys; from ddwave.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env).returncode
+
+
+def test_parser_is_built_once_and_reused_calls_write_the_same_bytes(tmp_path):
+    runs = [["effchan", "--fig3", "--variant", "fractional"], ["effchan"]]
+    for i, argv in enumerate(runs):
+        assert run_fresh_process([*argv, "--out", str(tmp_path / f"fresh{i}")]) == 0
+    for i, argv in enumerate(runs):  # both in this process, on one parser
+        assert main([*argv, "--out", str(tmp_path / f"reused{i}")]) == 0
+    assert _parser() is _parser()
+    for i in range(len(runs)):
+        fresh = sorted((tmp_path / f"fresh{i}").iterdir())
+        assert [p.name for p in fresh] == sorted(p.name for p in (tmp_path / f"reused{i}").iterdir())
+        for path in fresh:
+            assert read_bytes(path) == read_bytes(tmp_path / f"reused{i}" / path.name), path.name
 
 
 # ---------------------------------------------------------------- CLI: ber

@@ -1,4 +1,4 @@
-"""Property tests: direct CSI extraction reads any single integer path exactly."""
+"""Property tests: direct CSI extraction, from G and from the channel's closed form."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from ddwave.modem import AfdmSpec, OtfsSpec, afdm_tune
-from ddwave.sensing import _integer_candidates, direct_csi_extract
+from ddwave.channel import ChannelConfig, ChannelRealization, PathParams, delay_diagonals
+from ddwave.modem import AfdmSpec, OtfsSpec, _support_indices, afdm_tune
+from ddwave.sensing import (
+    _channel_support,
+    _direct_csi_from_channel,
+    _integer_candidates,
+    direct_csi_extract,
+)
 
 
 @st.composite
@@ -43,3 +49,79 @@ def test_direct_extraction_recovers_any_single_integer_path(case, pick, mag, ang
     (est,) = direct_csi_extract(G, spec, 1)
     assert (est.delay_norm_hat, est.doppler_norm_hat) == (ell, f)
     assert abs(est.gain_hat - gain) < 1e-10
+
+
+PRIMES = [p for p in range(2, 62) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def channels(draw):
+    """A spec with its dense oracle transforms and prefix phase rule, and a channel for it.
+
+    Tuned AFDM with prime N and xi > 0, or OTFS with K != L, ell_max = K - 1
+    and optional non-rectangular pulses; integer or fractional Doppler; up to
+    ell_max + 3 paths, so delays repeat.
+    """
+    if draw(st.booleans()):
+        ell_max, f_max, xi = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        stride = 2 * (f_max + xi) + 1
+        span = max(stride * ell_max + 2 * f_max + 1, stride)
+        n = draw(st.sampled_from([p for p in PRIMES if p >= span]))
+        c1, c2 = afdm_tune(ell_max, f_max, xi, n)
+        spec = AfdmSpec(n, c1, c2, xi=xi, cp_len=ell_max)
+        ops, phase = oracle.afdm_ops(n, c1, c2), oracle.chirp_cp_cycles(c1, n)
+    else:
+        k = draw(st.integers(2, 7))
+        l = draw(st.integers(2, 7).filter(lambda l: l != k))
+        ell_max, f_max = k - 1, draw(st.integers(0, (l - 1) // 2))
+        spec = OtfsSpec(k, l, cp_len=ell_max)
+        p_tx = p_rx = np.ones(k)
+        if draw(st.booleans()):  # non-rectangular pulses
+            rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+            p_tx, p_rx = rng.uniform(0.5, 1.5, (2, k)) * np.exp(2j * np.pi * rng.random((2, k)))
+            spec = OtfsSpec(k, l, cp_len=ell_max, pulse_tx=tuple(p_tx), pulse_rx=tuple(p_rx))
+        fl = oracle.dft(l)
+        ops = np.kron(fl.conj().T, np.diag(p_tx)), np.kron(fl, np.diag(p_rx))
+        phase = oracle.zero_cycles
+    fractional = draw(st.booleans())
+    paths = []
+    for _ in range(draw(st.integers(1, ell_max + 3))):
+        if fractional:
+            f = draw(st.floats(-f_max - 0.5, f_max + 0.5))
+        else:
+            f = float(draw(st.integers(-f_max, f_max)))
+        gain = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                                       allow_nan=False, allow_infinity=False))
+        paths.append(PathParams(gain, draw(st.integers(0, ell_max)), f))
+    cfg = ChannelConfig(N=spec.n, f_s=1e6, f_c=1e9, ell_max=ell_max, f_max=f_max, P=len(paths),
+                        cp_len=ell_max)
+    return spec, ops, phase, ChannelRealization(cfg, tuple(paths))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(case=channels())
+def test_closed_form_support_entries_and_scores_match_the_oracle(case):
+    spec, (tx, rx), phase, chan = case
+    G = oracle.effective_matrix(tx, rx, [(p.gain, p.delay_norm, p.doppler_norm) for p in chan.paths],
+                                phase)
+    ells, fs = _integer_candidates(spec)
+    rows, cols = _support_indices(spec, ells, fs)
+    want = G[rows, cols]
+    scores, entries = _channel_support(spec, delay_diagonals(chan, spec.cp_phase()), ells, fs)
+    assert np.max(np.abs(entries(np.arange(len(ells))) - want)) < 1e-10
+    want_scores = np.abs(want).mean(axis=1)
+    assert np.max(np.abs(scores - want_scores)) < 1e-10
+
+    # the channel route ranks like the oracle's scores (up to rounding at ties) and
+    # fits each winner's gain against the oracle's unit-path probe
+    P = chan.config.P
+    ests = _direct_csi_from_channel(chan, spec, P)
+    index = {pair: c for c, pair in enumerate(zip(ells.tolist(), fs.tolist()))}
+    picked = [index[(int(e.delay_norm_hat), int(e.doppler_norm_hat))] for e in ests]
+    threshold = 1.0 / (2 * spec.n)
+    floor = want_scores[picked].min() if len(picked) == P else threshold
+    assert np.all(want_scores[picked] >= threshold - 1e-10)
+    assert np.all(np.delete(want_scores, picked) <= floor + 1e-10)
+    for c, est in zip(picked, ests):
+        G1 = oracle.effective_matrix(tx, rx, [(1.0, int(ells[c]), float(fs[c]))], phase)
+        assert abs(est.gain_hat - np.mean(want[c] / G1[rows[c], cols[c]])) < 1e-10

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import oracle
-from ddwave.channel import ChannelConfig, ChannelRealization, PathParams, time_domain_apply
+from ddwave.channel import (
+    ChannelConfig,
+    ChannelRealization,
+    PathParams,
+    apply_paths,
+    sample_paths,
+    time_domain_apply,
+)
 from ddwave.modem import (
     AfdmSpec,
     OfdmSpec,
@@ -29,7 +36,7 @@ from ddwave.sensing import (
     radar_invert,
     sensing_rmse,
 )
-from ddwave.sensing import _integer_candidates
+from ddwave.sensing import _direct_csi_from_channel, _integer_candidates
 
 
 def chan_of(n, paths, ell_max=3, f_max=2, cp_len=3):
@@ -116,6 +123,13 @@ def test_ambiguity_rejects_out_of_range_bins():
         ambiguity_map(s, [16], [0])
     with pytest.raises(ValueError):
         ambiguity_map(s, [0], [9])
+
+
+def test_near_integer_delay_bins_round_to_the_nearest_bin():
+    s = random_frame(16, 5)
+    mf = matched_filter_map(s, s, [3 - 1e-12, 1 + 1e-12], [0])
+    assert mf.delay_bins.tolist() == [3.0, 1.0]
+    assert np.array_equal(mf.values, matched_filter_map(s, s, [3, 1], [0]).values)
 
 
 def test_random_qpsk_frame_peak_unique_at_origin():
@@ -297,6 +311,45 @@ def test_direct_extraction_gains_match_dense_probe(case):
         assert abs(e.gain_hat - want) < 1e-12
 
 
+@pytest.mark.parametrize("case", SUPPORT_CASES, ids=[c[0] for c in SUPPORT_CASES])
+@pytest.mark.parametrize("mode", ["integer", "fractional"])
+def test_direct_extraction_from_channel_matches_extraction_from_G(case, mode):
+    _, spec, (tx, rx), phase = case
+    cfg = ChannelConfig(N=spec.n, f_s=1e6, f_c=1e9, ell_max=3, f_max=2, P=3, cp_len=3)
+    chan = sample_paths(cfg, mode, np.random.default_rng(spec.n))
+    G = oracle.effective_matrix(tx, rx, [(p.gain, p.delay_norm, p.doppler_norm) for p in chan.paths],
+                                phase)
+    for P in (1, 3, 5):
+        got = _direct_csi_from_channel(chan, spec, P)
+        want = direct_csi_extract(G, spec, P)
+        assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in got] == \
+            [(e.delay_norm_hat, e.doppler_norm_hat) for e in want]
+        for a, b in zip(got, want):
+            assert abs(a.gain_hat - b.gain_hat) < 1e-12
+
+
+def test_direct_extraction_from_channel_rejects_size_mismatch():
+    with pytest.raises(ValueError, match="block size"):
+        _direct_csi_from_channel(three_target_channel(36), tuned_afdm(64), 1)
+
+
+def test_candidates_stay_distinct_when_the_guard_is_wider_than_the_block():
+    # tuned N = 3 with xi = 2: the chirp's Doppler window (+-2) is wider than the
+    # block, so only the +-1 bins have distinct supports
+    c1, c2 = afdm_tune(0, 0, 2, 3)
+    spec = AfdmSpec(3, c1, c2, xi=2)
+    ells, fs = _integer_candidates(spec)
+    assert sorted(zip(ells.tolist(), fs.tolist())) == [(0, -1), (0, 0), (0, 1)]
+    rows, cols = _support_indices(spec, ells, fs)
+    assert len({frozenset(zip(r.tolist(), c.tolist())) for r, c in zip(rows, cols)}) == 3
+    chan = ChannelRealization(ChannelConfig(N=3, f_s=1e6, f_c=1e9, ell_max=0, f_max=1, P=1, cp_len=0),
+                              (PathParams(0.7j, 0, 1.0),))
+    for est in (direct_csi_extract(effective_channel(spec, chan), spec, 1),
+                _direct_csi_from_channel(chan, spec, 1)):
+        assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in est] == [(0.0, 1.0)]
+        assert abs(est[0].gain_hat - 0.7j) < 1e-12
+
+
 def test_direct_extraction_threshold_drops_empty_candidates():
     spec = tuned_afdm()
     G = effective_channel(spec, chan_of(36, [PathParams(0.9, 1, -2.0)]))
@@ -397,6 +450,132 @@ def test_indirect_ml_argument_validation():
         indirect_csi_ml(y, x, spec, 0, GRID)
     with pytest.raises(ValueError, match="length"):
         indirect_csi_ml(y[:-1], x, spec, 1, GRID)
+
+
+def test_indirect_ml_rejects_fractional_coarse_doppler():
+    spec = tuned_afdm()
+    x, y = pilot_observation(spec, three_target_channel(), 12)
+    with pytest.raises(ValueError, match="integer"):
+        indirect_csi_ml(y, x, spec, 1, (range(4), [-1.0, 1.5]))
+
+
+def test_indirect_ml_rejects_coarse_doppler_beyond_half_the_block():
+    spec = tuned_afdm()
+    x, y = pilot_observation(spec, three_target_channel(), 12)
+    with pytest.raises(ValueError, match="N/2"):
+        indirect_csi_ml(y, x, spec, 1, (range(4), [0, 19]))
+
+
+def test_indirect_ml_rejects_out_of_range_coarse_delay():
+    spec = tuned_afdm()
+    x, y = pilot_observation(spec, three_target_channel(), 12)
+    with pytest.raises(ValueError, match="delay bins"):
+        indirect_csi_ml(y, x, spec, 1, ([0, 36], range(-2, 3)))
+    with pytest.raises(ValueError, match="delay bins"):
+        indirect_csi_ml(y, x, spec, 1, ([-1, 0], range(-2, 3)))
+
+
+def reference_ml(y, x, spec, P, grid, refine_levels, refine_factor):
+    """The per-candidate greedy search: one unit response and one fit per (ell, f) visited."""
+    s = modulate(spec, x)
+
+    def score(ell, f, resid):
+        z = demodulate(spec, apply_paths(s, (PathParams(1.0, ell, f),), spec.cp_phase()))
+        energy = float(np.real(np.vdot(z, z)))
+        if energy == 0.0:
+            return -np.inf, 0.0j, z
+        corr = np.vdot(z, resid)
+        return float(np.abs(corr) ** 2 / energy), complex(corr / energy), z
+
+    resid = y.astype(complex)
+    out = []
+    for _ in range(P):
+        best = None
+        for ell in grid[0]:
+            for f in grid[1]:
+                cand = score(ell, float(f), resid)
+                if best is None or cand[0] > best[0]:
+                    best = (cand[0], ell, float(f), cand[1], cand[2])
+        for level in range(1, refine_levels + 1):
+            step = float(refine_factor) ** (-level)
+            f_hat = best[2]
+            for k in range(-refine_factor, refine_factor + 1):
+                cand = score(best[1], f_hat + k * step, resid)
+                if cand[0] > best[0]:
+                    best = (cand[0], best[1], f_hat + k * step, cand[1], cand[2])
+        _, ell, f, gain, z = best
+        resid = resid - gain * z
+        out.append((float(ell), f, gain))
+    return out
+
+
+def unit_pulse(k, seed):
+    return tuple(np.exp(2j * np.pi * np.random.default_rng(seed).random(k)))
+
+
+def _ml_cases():
+    """(name, spec, ell_max, f_max, paths) of the stacked-versus-scalar ML comparisons."""
+    pulse49, pulse35 = unit_pulse(4, 1), unit_pulse(3, 2)
+    return [
+        ("afdm-256", tuned_afdm(256), 3, 2, 3),
+        ("afdm-prime-37-xi1", tuned_afdm(37, f_max=1, xi=1), 3, 1, 3),
+        ("otfs-4x9-pulses", OtfsSpec(4, 9, cp_len=3, pulse_tx=tuple(np.conj(pulse49)),
+                                     pulse_rx=pulse49), 3, 2, 3),
+        ("otfs-3x5-pulses", OtfsSpec(3, 5, cp_len=2, pulse_tx=tuple(np.conj(pulse35)),
+                                     pulse_rx=pulse35), 2, 1, 3),
+        ("afdm-64-more-paths-than-delays", tuned_afdm(64, ell_max=1, cp_len=1), 1, 2, 4),
+    ]
+
+
+ML_CASES = _ml_cases()
+
+
+@pytest.mark.parametrize("levels", [0, 3])
+@pytest.mark.parametrize("case", ML_CASES, ids=[c[0] for c in ML_CASES])
+def test_stacked_ml_matches_per_candidate_reference(case, levels):
+    _, spec, ell_max, f_max, P = case
+    cfg = ChannelConfig(N=spec.n, f_s=1e6, f_c=1e9, ell_max=ell_max, f_max=f_max, P=P,
+                        cp_len=spec.cp_len)
+    chan = sample_paths(cfg, "fractional", np.random.default_rng(spec.n + levels))
+    x, y = pilot_observation(spec, chan, 21)
+    y = y + 0.05 * random_frame(spec.n, 22)
+    grid = (range(ell_max + 1), range(-f_max, f_max + 1))
+    got = indirect_csi_ml(y, x, spec, P, grid, refine_levels=levels, refine_factor=10)
+    want = reference_ml(y, x, spec, P, grid, levels, 10)
+    assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in got] == [w[:2] for w in want]
+    for e, (_, _, gain) in zip(got, want):
+        assert abs(e.gain_hat - gain) < 1e-12
+
+
+@pytest.mark.parametrize("P, levels", [(3, 3), (2, 0), (1, 2)])
+@pytest.mark.parametrize("case", ML_CASES[:3], ids=[c[0] for c in ML_CASES[:3]])
+def test_ml_makes_one_transform_per_stack(case, P, levels, monkeypatch):
+    # one coarse stack per call, one stack per target and refinement level
+    _, spec, ell_max, f_max, _ = case
+    x, y = pilot_observation(spec, chan_of(spec.n, [PathParams(0.8, 1, 0.4)]), 23)
+    calls = []
+    rx = type(spec)._rx
+
+    def counting_rx(self, r):
+        calls.append(np.shape(r))
+        return rx(self, r)
+
+    monkeypatch.setattr(type(spec), "_rx", counting_rx)
+    grid = (range(ell_max + 1), range(-f_max, f_max + 1))
+    indirect_csi_ml(y, x, spec, P, grid, refine_levels=levels, refine_factor=10)
+    assert len(calls) == 1 + P * levels
+    assert calls[0] == ((ell_max + 1) * (2 * f_max + 1), spec.n)
+    assert all(shape == (20, spec.n) for shape in calls[1:])
+
+
+def test_ml_zero_pilot_fits_zero_gains():
+    # every unit response is zero: each target takes the first grid cell with gain 0
+    spec = tuned_afdm()
+    y = random_frame(36, 24)
+    ests = indirect_csi_ml(y, np.zeros(36, dtype=complex), spec, 2, GRID, refine_levels=1)
+    assert [(e.delay_norm_hat, e.doppler_norm_hat, e.gain_hat) for e in ests] == [
+        (0.0, -2.0, 0.0j), (0.0, -2.0, 0.0j)
+    ]
 
 
 def test_all_methods_agree_on_integer_scene():
