@@ -126,23 +126,48 @@ def time_domain_apply(s_cp: np.ndarray, chan: ChannelRealization) -> np.ndarray:
     cp_len = s_cp.shape[0] - N
     if cp_len < 0:
         raise ValueError(f"input length {s_cp.shape[0]} shorter than block size {N}")
+    return _apply_samples(s_cp, N, *_path_arrays(chan.paths))
+
+
+def _path_arrays(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gains, integer delays and Dopplers of an iterable of PathParams, each of shape (P,)."""
+    paths = tuple(paths)
+    return (
+        np.array([p.gain for p in paths], dtype=complex),
+        np.array([p.delay_norm for p in paths], dtype=np.intp),
+        np.array([p.doppler_norm for p in paths], dtype=float),
+    )
+
+
+def _apply_samples(s_cp, N: int, gains, delays, dopplers) -> np.ndarray:
+    """time_domain_apply for blocks along the last axis of s_cp.
+
+    The path arrays have shape (..., P) and broadcast against the leading
+    axes of s_cp, so a (B, N + cp_len) stack of blocks takes (B, P) arrays:
+    one realization per block.
+    """
+    cp_len = s_cp.shape[-1] - N
+    too_late = delays[delays > cp_len]
+    if too_late.size:
+        raise ValueError(f"path delay {too_late[0]} exceeds prefix length {cp_len}")
     n = np.arange(N)
-    r = np.zeros(N, dtype=complex)
-    for p in chan.paths:
-        if p.delay_norm > cp_len:
-            raise ValueError(
-                f"path delay {p.delay_norm} exceeds prefix length {cp_len}"
-            )
-        r += p.gain * np.exp(2j * np.pi * p.doppler_norm * n / N) * s_cp[cp_len + n - p.delay_norm]
+    taps = gains[..., None] * doppler_phases(N, dopplers)
+    r = np.zeros(s_cp.shape[:-1] + (N,), dtype=complex)
+    for p in range(gains.shape[-1]):
+        r += taps[..., p, :] * np.take_along_axis(s_cp, cp_len + n - delays[..., p, None], axis=-1)
     return r
 
 
-def _path_taps(N: int, p: PathParams, phase) -> np.ndarray:
-    """Entries of one path's populated cyclic diagonal: h_p * phi_p[n] * e^{j2pi f_p n/N}.
+def _path_taps(N: int, gains, delays, dopplers, phase) -> np.ndarray:
+    """Entries of each path's populated cyclic diagonal: h_p * phi_p[n] * e^{j2pi f_p n/N}.
 
-    Entry n sits at (n, (n - ell_p) mod N) of the path's N x N operator.
+    The path arrays have shape (..., P) and the taps (..., P, N). Entry n
+    of path p sits at (n, (n - ell_p) mod N) of the path's N x N operator.
     """
-    return p.gain * (cp_phase_entries(N, p.delay_norm, phase) * doppler_phases(N, p.doppler_norm))
+    ells = sorted(set(delays.ravel().tolist()))
+    table = np.array([cp_phase_entries(N, ell, phase) for ell in ells]).reshape(-1, N)
+    cp = table[np.searchsorted(ells, delays)]
+    return gains[..., None] * (cp * doppler_phases(N, dopplers))
 
 
 def delay_diagonals(chan: ChannelRealization, phase) -> np.ndarray:
@@ -151,10 +176,18 @@ def delay_diagonals(chan: ChannelRealization, phase) -> np.ndarray:
     Row ell holds d[ell][n] = H[n, (n - ell) mod N], the sum of the taps of
     every path with delay ell; H has no other nonzero entry.
     """
-    N = chan.config.N
-    d = np.zeros((chan.config.ell_max + 1, N), dtype=complex)
-    for p in chan.paths:
-        d[p.delay_norm] += _path_taps(N, p, phase)
+    gains, delays, dopplers = _path_arrays(chan.paths)
+    cfg = chan.config
+    return _stack_diagonals(cfg.N, cfg.ell_max, gains[None], delays[None], dopplers[None], phase)[0]
+
+
+def _stack_diagonals(N: int, ell_max: int, gains, delays, dopplers, phase) -> np.ndarray:
+    """delay_diagonals of B realizations given as (B, P) path arrays: shape (B, ell_max + 1, N)."""
+    taps = _path_taps(N, gains, delays, dopplers, phase)
+    d = np.zeros((delays.shape[0], ell_max + 1, N), dtype=complex)
+    rows = np.arange(delays.shape[0])
+    for p in range(delays.shape[1]):
+        d[rows, delays[:, p]] += taps[:, p]
     return d
 
 
@@ -169,11 +202,10 @@ def apply_paths(S: np.ndarray, paths, phase) -> np.ndarray:
     """
     S = np.asarray(S)
     N = S.shape[-1]
+    gains, delays, dopplers = _path_arrays(paths)
     out = np.zeros(S.shape, dtype=complex)
     term = np.empty(S.shape, dtype=complex)
-    for p in paths:
-        ell = p.delay_norm
-        d = _path_taps(N, p, phase)
+    for ell, d in zip(delays.tolist(), _path_taps(N, gains, delays, dopplers, phase)):
         np.multiply(S[..., N - ell:], d[:ell], out=term[..., :ell])
         np.multiply(S[..., : N - ell], d[ell:], out=term[..., ell:])
         out += term

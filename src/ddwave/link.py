@@ -8,7 +8,18 @@ diagonals. LMMSE forms the 2 ell_max + 1 cyclic diagonals of H H^H + s2 I and
 solves them by block elimination after a fold permutation: O(N m^2) for
 blocks of m >= 2 ell_max + 1 rows (at least 20), so linear in N. ZF solves
 the folded dense H in O(N^3), behind the same guard as the symbol-domain
-solve it replaces: it refuses when cond(H) = cond(G) exceeds 1e12.
+solve it replaces: it refuses when cond(H) = cond(G) exceeds 1e12. A
+Cholesky of H H^H - t I, with t a rounding-error margin, certifies
+cond(H) <= about 1e6 without an SVD; only a frame it does not clear runs the
+exact np.linalg.cond test, so every frame is accepted or refused as the
+SVD alone would decide.
+
+The BER Monte Carlo draws each frame from its own RNG substream and runs
+the frames of an SNR point in fixed chunks of about 2^16 / N^2 frames, each
+chunk as (B, N) stacks through one copy of the pipeline. The public
+single-block functions call the same stacked code with B = 1. ZF is the
+exception: its guard decides frame by frame, so each frame of a chunk
+goes through the public equalize_zf, and a refusal raises from there.
 """
 
 from __future__ import annotations
@@ -21,11 +32,13 @@ import numpy as np
 from .channel import (
     ChannelConfig,
     ChannelRealization,
+    _apply_samples,
+    _path_arrays,
+    _stack_diagonals,
     delay_diagonals,
     sample_paths,
-    time_domain_apply,
 )
-from .modem import OtfsSpec, WaveformSpec, demodulate, measure_papr, modulate, prepend_cp
+from .modem import OtfsSpec, WaveformSpec, _papr_db, _prepend_cp
 
 
 class SingularChannelError(ValueError):
@@ -99,9 +112,17 @@ def add_awgn(r: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarr
     r = np.asarray(r)
     if np.isinf(snr_db):
         return r.copy()
-    sigma2 = 10.0 ** (-snr_db / 10.0)
-    w = rng.standard_normal((r.size, 2)) @ np.array([1.0, 1.0j]) * np.sqrt(sigma2 / 2.0)
-    return r + w.reshape(r.shape)
+    return r + _noise(rng.standard_normal((r.size, 2)), snr_db).reshape(r.shape)
+
+
+def _noise_var(snr_db: float) -> float:
+    """Noise variance per sample at snr_db; 0 at snr_db = inf."""
+    return 0.0 if np.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
+
+
+def _noise(normals: np.ndarray, snr_db: float) -> np.ndarray:
+    """Circular complex Gaussian samples from (..., 2) standard normal pairs."""
+    return normals @ np.array([1.0, 1.0j]) * np.sqrt(_noise_var(snr_db) / 2.0)
 
 
 def _fold(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,22 +141,23 @@ def _fold(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=16)
 def _zf_layout(N: int, ell_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, flat): entry n of H's diagonal ell lands at flat[ell, n] of the folded H."""
+    """(perm, flat): entry n of H's diagonal ell lands at flat[ell * N + n] of the folded H."""
     perm, inv = _fold(N)
     n = np.arange(N)
     cols = (n[None, :] - np.arange(ell_max + 1)[:, None]) % N
-    return perm, inv * N + inv[cols]
+    return perm, (inv * N + inv[cols]).ravel()
 
 
 @dataclass(frozen=True)
 class _BandLayout:
-    """Where the diagonals of A = H H^H + s2 I go in the blocks of the folded A.
+    """Where the diagonals of A = H H^H + s2 I go in the folded A.
 
     Folded A is block tridiagonal with nb blocks of m rows (m at least its
     half-bandwidth), padded by an identity to nb * m rows. The diagonal
     blocks gather a.ravel()[diag_src] into diag_dst of an (nb, m, m) array,
     the blocks below them gather low_src into low_dst of an (nb - 1, m, m)
-    array; the blocks above are their conjugate transposes.
+    array; the blocks above are their conjugate transposes. Band entry k is
+    entry dense_dst[k] of the whole folded A, flattened.
     """
 
     perm: np.ndarray
@@ -146,6 +168,7 @@ class _BandLayout:
     pair_src: np.ndarray
     pair_slot: np.ndarray  # (offsets mod N, pairs) 0/1 matrix
     slot0: int  # row of the main diagonal
+    dense_dst: np.ndarray
     nb: int
     m: int
     diag_src: np.ndarray
@@ -164,7 +187,7 @@ _ONE_BLOCK_ROWS = 96
 
 
 @lru_cache(maxsize=16)
-def _lmmse_layout(N: int, ell_max: int) -> _BandLayout:
+def _band_layout(N: int, ell_max: int) -> _BandLayout:
     perm, inv = _fold(N)
     offsets = sorted({o % N for o in range(-ell_max, ell_max + 1)})
     n = np.arange(N)
@@ -187,6 +210,7 @@ def _lmmse_layout(N: int, ell_max: int) -> _BandLayout:
         pair_src=e2[:, None] * N + (n[None, :] - (e - e2)[:, None]) % N,
         pair_slot=pair_slot,
         slot0=offsets.index(0),
+        dense_dst=i * N + j,
         nb=nb,
         m=m,
         diag_src=src[diag],
@@ -195,6 +219,120 @@ def _lmmse_layout(N: int, ell_max: int) -> _BandLayout:
         low_dst=(bj[low] * m + i[low] % m) * m + j[low] % m,
         pad_dst=pad * m + pad % m,
     )
+
+
+def _gram(d: np.ndarray, lay: _BandLayout) -> np.ndarray:
+    """The cyclic diagonals of H H^H, (B, offsets, N), from a (B, ell_max + 1, N) stack of H's."""
+    return lay.pair_slot @ (d[:, lay.pair_e] * d.conj().reshape(d.shape[0], -1)[:, lay.pair_src])
+
+
+# The ZF guard refuses H when cond(H) > 1e12. An SVD decides that exactly but
+# costs more than the solve, so a Cholesky certificate runs first (Rump,
+# "Verification of positive definiteness," BIT 46, 2006). Let A = H H^H,
+# u = 2^-53 and gamma_k = k u / (1 - k u); complex arithmetic adds two units
+# per inner product (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., §3.6). The certificate factors M = fl(A) - t I with t = tau_N tr(A):
+#   - each entry of fl(A) sums at most N products, so fl(A) - A is at most
+#     gamma_{N+2} |H| |H|^H entrywise and gamma_{N+2} ||H||_F^2 = gamma_{N+2} tr(A)
+#     in 2-norm;
+#   - subtracting t rounds each diagonal entry once: u (A_ii + t);
+#   - if the Cholesky of M runs to completion, R^H R = M + dM with
+#     |dM| <= gamma_{N+3} |R^H| |R| (§10.1, Theorem 10.3), and
+#     || |R^H| |R| ||_2 <= ||R||_F^2 <= tr(M) / (1 - gamma_{N+3}).
+# So R^H R = A - t I + E with ||E||_2 <= (2N + 6) u tr(A) to first order.
+# tau_N = (4N + 64) u is more than twice that, with room for the second-order
+# terms and the rounding of tr(A), so R^H R >= 0 gives lambda_min(A) >= t / 2
+# and cond(H)^2 = cond(A) <= tr(A) / lambda_min(A) <= 2 / tau_N: cond(H) <= 7.5e6
+# at N = 64 and less at larger N. An SVD of such an H cannot report a
+# condition number near 1e12, so the exact test accepts every certified
+# frame. The bounds assume no underflow or overflow: frames whose trace lies
+# outside (1e-200, 1e200) get no certificate.
+def _certified(d: np.ndarray) -> bool:
+    """True if the certificate above proves cond(H) <= sqrt(2 / tau_N) for
+    H's (ell_max + 1, N) diagonals d."""
+    N = d.shape[1]
+    lay = _band_layout(N, d.shape[0] - 1)
+    a = _gram(d[None], lay)[0]
+    trace = a[lay.slot0].real.sum()
+    if not 1e-200 < trace < 1e200:
+        return False
+    a[lay.slot0] -= (4 * N + 64) * 2.0**-53 * trace
+    M = np.zeros(N * N, dtype=complex)
+    M[lay.dense_dst] = a.ravel()
+    try:
+        np.linalg.cholesky(M.reshape(N, N))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """H^{-1} r for H's (ell_max + 1, N) diagonals d and a block r.
+
+    H's diagonals are scattered straight into the folded layout, whose band
+    keeps the growth of partial pivoting bounded, and solved densely. H
+    with cond(H) > 1e12 is refused: an H the certificate clears needs no
+    SVD, any other H gets the exact np.linalg.cond test.
+    """
+    N = r.size
+    perm, flat = _zf_layout(N, d.shape[0] - 1)
+    H = np.zeros(N * N, dtype=complex)
+    H[flat] = d.ravel()
+    H = H.reshape(N, N)
+    if not _certified(d):
+        cond = np.linalg.cond(H)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
+    z = np.empty(N, dtype=complex)
+    z[perm] = np.linalg.solve(H, r[perm])
+    return z
+
+
+def _lmmse_solve(d: np.ndarray, r: np.ndarray, noise_var: float) -> np.ndarray:
+    """H^H (H H^H + s2 I)^{-1} r for a (B, ell_max + 1, N) stack of H's diagonals.
+
+    The layout depends only on (N, ell_max), so each block elimination step
+    solves one (B, m, m) stack.
+    """
+    B, N = r.shape
+    ell_max = d.shape[1] - 1
+    lay = _band_layout(N, ell_max)
+    a = _gram(d, lay)
+    a[:, lay.slot0] += noise_var
+    a = a.reshape(B, -1)
+
+    nb, m = lay.nb, lay.m
+    diag = np.zeros((B, nb * m * m), dtype=complex)
+    diag[:, lay.diag_dst] = a[:, lay.diag_src]
+    diag[:, lay.pad_dst] = 1.0
+    diag = diag.reshape(B, nb, m, m)
+    low = np.zeros((B, (nb - 1) * m * m), dtype=complex)
+    low[:, lay.low_dst] = a[:, lay.low_src]
+    low = low.reshape(B, nb - 1, m, m)
+    # w[:, i] = [A_{i,i+1} | rhs_i], overwritten in place by D_i^{-1} w[:, i]
+    w = np.empty((B, nb, m, m + 1), dtype=complex)
+    w[:, :-1, :, :m] = low.conj().swapaxes(-1, -2)
+    rhs = np.zeros((B, nb * m), dtype=complex)
+    rhs[:, :N] = r[:, lay.perm]
+    w[..., m] = rhs.reshape(B, nb, m)
+    D = diag[:, 0]
+    for i in range(nb - 1):
+        w[:, i] = np.linalg.solve(D, w[:, i])
+        t = low[:, i] @ w[:, i]
+        D = diag[:, i + 1] - t[..., :m]
+        w[:, i + 1, :, m] -= t[..., m]
+    x = np.empty((B, nb, m), dtype=complex)
+    x[:, -1] = np.linalg.solve(D, w[:, -1, :, m:])[..., 0]
+    for i in range(nb - 2, -1, -1):
+        x[:, i] = w[:, i, :, m] - (w[:, i, :, :m] @ x[:, i + 1, :, None])[..., 0]
+    z = np.empty((B, N), dtype=complex)
+    z[:, lay.perm] = x.reshape(B, -1)[:, :N]
+    # H^H z: entry k gathers conj(d[e][k + e]) * z[k + e] over every diagonal e
+    u = d.conj() * z[:, None]
+    out = u[:, 0].copy()
+    for e in range(1, ell_max + 1):
+        out += np.roll(u[:, e], -e, axis=-1)
+    return out
 
 
 def _check_sizes(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> None:
@@ -207,23 +345,15 @@ def _check_sizes(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) ->
 def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> np.ndarray:
     """Zero-forcing on the time-domain channel: x_hat = demodulate(H^{-1} r) = G^{-1} y.
 
-    r is the CP-stripped received block. H's diagonals are scattered straight
-    into the folded layout, whose band keeps the growth of partial pivoting
-    bounded, and solved densely. Refuses channels with cond(H) = cond(G) > 1e12.
+    r is the CP-stripped received block. H is solved densely in the fold
+    permutation's banded order. Refuses channels with cond(H) = cond(G) >
+    1e12; a Cholesky certificate clears well-conditioned channels without
+    an SVD (see _certified).
     """
     r = np.asarray(r)
     _check_sizes(spec, chan, r)
-    N = spec.n
-    perm, flat = _zf_layout(N, chan.config.ell_max)
-    H = np.zeros(N * N, dtype=complex)
-    H[flat] = delay_diagonals(chan, spec.cp_phase())
-    H = H.reshape(N, N)
-    cond = np.linalg.cond(H)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
-    z = np.empty(N, dtype=complex)
-    z[perm] = np.linalg.solve(H, r[perm])
-    return demodulate(spec, z)
+    d = delay_diagonals(chan, spec.cp_phase())
+    return spec._rx(_zf_solve(d, r))
 
 
 def equalize_lmmse(
@@ -239,47 +369,8 @@ def equalize_lmmse(
     """
     r = np.asarray(r)
     _check_sizes(spec, chan, r)
-    N = spec.n
-    ell_max = chan.config.ell_max
-    lay = _lmmse_layout(N, ell_max)
     d = delay_diagonals(chan, spec.cp_phase())
-    dc = d.conj()
-    a = lay.pair_slot @ (d[lay.pair_e] * dc.ravel()[lay.pair_src])
-    a[lay.slot0] += noise_var
-    a = a.ravel()
-
-    nb, m = lay.nb, lay.m
-    diag = np.zeros(nb * m * m, dtype=complex)
-    diag[lay.diag_dst] = a[lay.diag_src]
-    diag[lay.pad_dst] = 1.0
-    diag = diag.reshape(nb, m, m)
-    low = np.zeros((nb - 1) * m * m, dtype=complex)
-    low[lay.low_dst] = a[lay.low_src]
-    low = low.reshape(nb - 1, m, m)
-    # w[i] = [A_{i,i+1} | rhs_i], overwritten in place by D_i^{-1} w[i]
-    w = np.empty((nb, m, m + 1), dtype=complex)
-    w[:-1, :, :m] = low.conj().transpose(0, 2, 1)
-    rhs = np.zeros(nb * m, dtype=complex)
-    rhs[:N] = r[lay.perm]
-    w[:, :, m] = rhs.reshape(nb, m)
-    D = diag[0]
-    for i in range(nb - 1):
-        w[i] = np.linalg.solve(D, w[i])
-        t = low[i] @ w[i]
-        D = diag[i + 1] - t[:, :m]
-        w[i + 1, :, m] -= t[:, m]
-    x = np.empty((nb, m), dtype=complex)
-    x[-1] = np.linalg.solve(D, w[-1, :, m])
-    for i in range(nb - 2, -1, -1):
-        x[i] = w[i, :, m] - w[i, :, :m] @ x[i + 1]
-    z = np.empty(N, dtype=complex)
-    z[lay.perm] = x.reshape(-1)[:N]
-    # H^H z: entry k gathers conj(d[e][k + e]) * z[k + e] over every diagonal e
-    u = dc * z
-    out = u[0].copy()
-    for e in range(1, ell_max + 1):
-        out += np.roll(u[e], -e)
-    return demodulate(spec, out)
+    return spec._rx(_lmmse_solve(d[None], r[None], noise_var)[0])
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -296,7 +387,13 @@ class LinkResult:
     papr_db_p99: float
 
 
-def _run_frame(
+# Frames per chunk: about 2^16 N x N entries (1 MiB of complex128) per chunk,
+# the size of LMMSE's (B, m, m) stack while N is one block of m = N rows, so
+# 16 frames at N = 64 and one from N = 256 on.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _run_frames(
     spec: WaveformSpec,
     chan_config: ChannelConfig,
     constellation: Constellation,
@@ -304,26 +401,39 @@ def _run_frame(
     detector: str,
     doppler_mode: str,
     seed: int,
-    frame_idx: int,
-) -> tuple[int, float]:
-    """One Monte Carlo frame; returns (bit errors, papr_db)."""
-    rng = substream(seed, frame_idx)
-    chan = sample_paths(chan_config, doppler_mode, rng)
-    bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
-    x = map_bits(bits, constellation)
-    s = modulate(spec, x)
-    s_cp = prepend_cp(spec, s)
-    r = time_domain_apply(s_cp, chan)
-    r = add_awgn(r, snr_db, rng)
+    frames: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo frames `frames` as (B, N) stacks; returns (bit errors, papr_db) per frame."""
+    N, B = spec.n, len(frames)
+    gains = np.empty((B, chan_config.P), dtype=complex)
+    delays = np.empty((B, chan_config.P), dtype=np.intp)
+    dopplers = np.empty((B, chan_config.P))
+    bits = np.empty((B, N * constellation.bits_per_symbol), dtype=int)
+    normals = np.empty((B, N, 2))
+    noisy = not np.isinf(snr_db)
+    chans = []
+    for b, i in enumerate(frames):
+        # frame i draws channel, bits and noise, in this order, from its own substream
+        rng = substream(seed, i)
+        chans.append(sample_paths(chan_config, doppler_mode, rng))
+        gains[b], delays[b], dopplers[b] = _path_arrays(chans[-1].paths)
+        bits[b] = rng.integers(0, 2, size=bits.shape[1])
+        if noisy:
+            normals[b] = rng.standard_normal((N, 2))
+    s_cp = _prepend_cp(spec, spec._tx(map_bits(bits.ravel(), constellation).reshape(B, N)))
+    r = _apply_samples(s_cp, N, gains, delays, dopplers)
+    if noisy:
+        r = r + _noise(normals, snr_db)
     if detector == "zf":
-        x_hat = equalize_zf(spec, chan, r)
-    elif detector == "lmmse":
-        noise_var = 0.0 if np.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
-        x_hat = equalize_lmmse(spec, chan, r, noise_var)
+        # one public call per frame, in frame order: the first frame with
+        # cond(H) > 1e12 raises from equalize_zf, as a lone block would
+        x_hat = np.stack([equalize_zf(spec, chan, r_b) for chan, r_b in zip(chans, r)])
     else:
-        raise ValueError(f"unknown detector {detector!r}")
-    bits_hat = demap_symbols(x_hat, constellation)
-    return int(np.sum(bits_hat != bits)), measure_papr(s_cp)
+        d = _stack_diagonals(N, chan_config.ell_max, gains, delays, dopplers, spec.cp_phase())
+        x_hat = spec._rx(_lmmse_solve(d, r, _noise_var(snr_db)))
+    bits_hat = demap_symbols(x_hat.ravel(), constellation)
+    errors = np.count_nonzero((bits_hat != bits.ravel()).reshape(B, -1), axis=1)
+    return errors, _papr_db(s_cp)
 
 
 def run_ber_point(
@@ -339,25 +449,40 @@ def run_ber_point(
 ) -> LinkResult:
     """Monte Carlo BER at one SNR point.
 
-    Each frame draws a fresh channel and bit block from an RNG substream
-    derived from (seed, frame index), so the result is reproducible to the
-    byte. Frames run serially: a thread pool measured no faster at any tested
-    size. `threads` must be >= 1 and has no other effect.
+    Each frame draws a fresh channel, bit block and noise from an RNG
+    substream derived from (seed, frame index), so the result is
+    reproducible to the byte. Frames run in fixed chunks of about 2^16 / N^2
+    frames (16 at N = 64, one from N = 256 on): each chunk goes through
+    mapping, modulation, prefix, channel, noise, equalizer, demodulation and
+    demapping as (B, N) stacks, so the chunk size changes no result. ZF
+    equalizes the chunk's frames one by one through equalize_zf, in frame
+    order: a Cholesky certificate clears a well-conditioned H without an
+    SVD, any other H gets the exact cond(H) > 1e12 test, and the first
+    refused frame raises SingularChannelError. `threads` must be >= 1 and
+    has no other effect.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if detector not in ("zf", "lmmse"):
+        raise ValueError(f"unknown detector {detector!r}")
+    if chan_config.N != spec.n:
+        raise ValueError(f"channel block size {chan_config.N} != waveform size {spec.n}")
     if isinstance(spec, OtfsSpec) and not spec.adjoint_pulses:
         raise ValueError(
             "time-domain equalization needs pulse_tx = conj(pulse_rx) with |pulse_rx| = 1"
         )
+    chunk = max(1, _CHUNK_ENTRIES // spec.n**2)
     results = [
-        _run_frame(spec, chan_config, constellation, snr_db, detector, doppler_mode, seed, i)
-        for i in range(frames)
+        _run_frames(
+            spec, chan_config, constellation, snr_db, detector, doppler_mode, seed,
+            range(start, min(start + chunk, frames)),
+        )
+        for start in range(0, frames, chunk)
     ]
-    errors = sum(e for e, _ in results)
-    paprs = [p for _, p in results]
+    errors = int(sum(e.sum() for e, _ in results))
+    paprs = np.concatenate([p for _, p in results])
     total_bits = frames * spec.n * constellation.bits_per_symbol
     return LinkResult(
         snr_db=snr_db,

@@ -175,12 +175,17 @@ def prepend_cp(spec: WaveformSpec, s: np.ndarray) -> np.ndarray:
     s = np.asarray(s)
     if s.shape != (spec.n,):
         raise ValueError(f"block must have length {spec.n}, got {s.shape}")
+    return _prepend_cp(spec, s)
+
+
+def _prepend_cp(spec: WaveformSpec, s: np.ndarray) -> np.ndarray:
+    """prepend_cp for blocks along the last axis of s: (..., N) -> (..., N + cp_len)."""
     if spec.cp_len == 0:
         return s.astype(complex)
     phase = spec.cp_phase()
     n_prime = np.arange(-spec.cp_len, 0)
-    prefix = s[spec.n + n_prime] * np.exp(2j * np.pi * np.asarray(phase(n_prime), dtype=float))
-    return np.concatenate([prefix, s])
+    prefix = s[..., spec.n + n_prime] * np.exp(2j * np.pi * np.asarray(phase(n_prime), dtype=float))
+    return np.concatenate([prefix, s], axis=-1)
 
 
 def effective_channel(spec: WaveformSpec, chan: ChannelRealization) -> np.ndarray:
@@ -294,8 +299,13 @@ def measure_papr(s: np.ndarray) -> float:
     s = np.asarray(s)
     if s.size == 0:
         raise ValueError("PAPR of an empty sequence is undefined")
+    return float(_papr_db(s.reshape(-1)))
+
+
+def _papr_db(s: np.ndarray) -> np.ndarray:
+    """measure_papr of each block along the last axis of s."""
     power = np.abs(s) ** 2
-    mean = power.mean()
-    if mean == 0:
+    mean = power.mean(axis=-1)
+    if np.any(mean == 0):
         raise ValueError("PAPR of an all-zero sequence is undefined")
-    return float(10.0 * np.log10(power.max() / mean))
+    return 10.0 * np.log10(power.max(axis=-1) / mean)

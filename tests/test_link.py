@@ -1,11 +1,22 @@
 """Constellations, noise, equalizers, Monte Carlo BER."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 import oracle
 from ddwave import link
-from ddwave.channel import ChannelConfig, ChannelRealization, PathParams, time_domain_apply
+from ddwave.channel import (
+    ChannelConfig,
+    ChannelRealization,
+    PathParams,
+    delay_diagonals,
+    sample_paths,
+    time_domain_apply,
+)
+from ddwave.cli import main
 from ddwave.link import (
     Constellation,
     SingularChannelError,
@@ -23,6 +34,7 @@ from ddwave.modem import (
     afdm_tune,
     demodulate,
     effective_channel,
+    measure_papr,
     modulate,
     prepend_cp,
 )
@@ -249,7 +261,7 @@ def test_ber_rejects_otfs_pulses_without_time_domain_identity(monkeypatch):
     def no_frame(*args):
         raise AssertionError("a frame ran before the pulses were checked")
 
-    monkeypatch.setattr(link, "_run_frame", no_frame)
+    monkeypatch.setattr(link, "_run_frames", no_frame)
     ramp = tuple(np.exp(0.7j * np.arange(4)) * (1.0 + 0.1 * np.arange(4)))
     unit = tuple(np.exp(0.7j * np.arange(4)))
     for p_tx, p_rx in (
@@ -323,8 +335,146 @@ def test_ber_rejects_bad_arguments():
         run_ber_point(OfdmSpec(16), _flat_config(), QPSK, 10.0, frames=0)
     with pytest.raises(ValueError):
         run_ber_point(OfdmSpec(16), _flat_config(), QPSK, 10.0, frames=1, detector="mrc")
+    with pytest.raises(ValueError, match="block size"):
+        run_ber_point(OfdmSpec(32), _flat_config(), QPSK, 10.0, frames=1)
+    with pytest.raises(ValueError, match="exceeds prefix length"):  # a prefix shorter than ell_max
+        run_ber_point(OfdmSpec(16, 1), _dispersive_config(), QPSK, 10.0, frames=20)
 
 
 def test_ber_rejects_nonpositive_threads():
     with pytest.raises(ValueError, match="threads"):
         run_ber_point(OfdmSpec(16), _flat_config(), QPSK, 10.0, frames=1, threads=0)
+
+
+def _reference_frame(spec, chan_config, constellation, snr_db, detector, doppler_mode, seed, i):
+    """Frame i of a BER point through the public single-block functions: (bit errors, papr_db)."""
+    rng = link.substream(seed, i)
+    chan = sample_paths(chan_config, doppler_mode, rng)
+    bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
+    s_cp = prepend_cp(spec, modulate(spec, map_bits(bits, constellation)))
+    r = add_awgn(time_domain_apply(s_cp, chan), snr_db, rng)
+    if detector == "zf":
+        x_hat = equalize_zf(spec, chan, r)
+    else:
+        noise_var = 0.0 if np.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
+        x_hat = equalize_lmmse(spec, chan, r, noise_var)
+    return int(np.sum(demap_symbols(x_hat, constellation) != bits)), measure_papr(s_cp)
+
+
+@pytest.mark.parametrize("detector", ["zf", "lmmse"])
+def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
+    run_frames, chunks = link._run_frames, []
+
+    def recording(*args):
+        chunks.append(run_frames(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(link, "_run_frames", recording)
+    c1, c2 = afdm_tune(3, 1, 1, 37)
+    cases = [  # (spec, channel config, frames, chunk sizes): each ends on a partial chunk
+        (OfdmSpec(64, 3), _dispersive_config(64), 37, [16, 16, 5]),
+        (OtfsSpec(k=4, l=9, cp_len=3), _dispersive_config(36), 53, [50, 3]),  # K != L
+        (AfdmSpec(37, c1, c2, 1, 3), _dispersive_config(37), 50, [47, 3]),  # odd N, xi = 1
+    ]
+    for spec, cfg, frames, sizes in cases:
+        for snr_db in (6.0, np.inf):  # inf draws no noise
+            chunks.clear()
+            args = (spec, cfg, QAM16, snr_db, detector, "fractional", 11)
+            errors, paprs = zip(*(_reference_frame(*args, i) for i in range(frames)))
+            res = run_ber_point(spec, cfg, QAM16, snr_db, frames, detector=detector, seed=11)
+            assert [len(e) for e, _ in chunks] == sizes
+            assert np.concatenate([e for e, _ in chunks]).tolist() == list(errors), (spec, snr_db)
+            assert np.concatenate([p for _, p in chunks]).tolist() == list(paprs), (spec, snr_db)
+            assert res.bit_errors == sum(errors)
+            assert res.papr_db_p99 == float(np.percentile(paprs, 99))
+            if snr_db == 6.0:
+                assert res.bit_errors > 0
+
+
+def test_ber_zf_equalizes_each_frame_through_equalize_zf(monkeypatch):
+    """ZF frames call the public equalize_zf once each, in frame order, so its refusals surface there."""
+    cfg, seen = _dispersive_config(64), []
+    equalize = link.equalize_zf
+
+    def recording(spec, chan, r):
+        seen.append(chan.paths)
+        return equalize(spec, chan, r)
+
+    monkeypatch.setattr(link, "equalize_zf", recording)
+    run_ber_point(OfdmSpec(64, 3), cfg, QPSK, 10.0, frames=37, detector="zf", seed=4)
+    assert seen == [sample_paths(cfg, "fractional", link.substream(4, i)).paths for i in range(37)]
+
+
+def _near_singular(eps, n=64):
+    """One ell = 0 diagonal 1 - (1 - eps) e^{j2pi n/N}: cond(H) = (2 - eps) / eps."""
+    return _realization(n, [(1.0 + 0.0j, 0, 0.0), (-(1.0 - eps) + 0.0j, 0, 1.0)], ell_max=0, f_max=1)
+
+
+def _ber_with_channel(tmp_path, monkeypatch, chan):
+    """Exit code of `ddwave ber` (ZF, N = 64) when every frame draws the channel chan."""
+    monkeypatch.setattr(link, "sample_paths", lambda config, mode, rng: ChannelRealization(config, chan.paths))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "waveform": "ofdm", "n": 64, "ell_max": 0, "f_max": 1, "paths": 2, "cp_len": 0,
+        "detector": "zf", "snr_sweep": [10.0], "frames": 20,
+    }))
+    return main(["ber", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_zf_accepts_cond_2e11_through_the_svd_fallback(tmp_path, monkeypatch):
+    chan, spec = _near_singular(1e-11), OfdmSpec(64)
+    d = delay_diagonals(chan, spec.cp_phase())
+    assert 1.9e11 < np.linalg.cond(np.diag(d[0])) < 2.1e11
+    assert not link._certified(d)
+    x = _block(64, 3)
+    assert np.max(np.abs(equalize_zf(spec, chan, _pipeline(spec, chan, x)) - x)) <= 1e-3
+    assert _ber_with_channel(tmp_path, monkeypatch, chan) == 0
+
+
+def test_zf_refuses_cond_2e13_and_ber_exits_3(tmp_path, monkeypatch, capsys):
+    chan = _near_singular(1e-13)
+    message = r"channel condition number (1\.99\d|2\.00\d)e\+13 exceeds 1e12"
+    with pytest.raises(SingularChannelError, match=message):
+        equalize_zf(OfdmSpec(64), chan, np.ones(64, dtype=complex))
+    assert _ber_with_channel(tmp_path, monkeypatch, chan) == 3
+    assert re.search("numerical failure: " + message, capsys.readouterr().err)
+
+
+def test_zf_guard_decides_as_the_svd_test():
+    """Certificate plus fallback against np.linalg.cond(H) > 1e12, frame by frame.
+
+    2,000 sampled N = 64 fractional-Doppler channels (OFDM's and AFDM's
+    prefix rules) and near-singular ones across the 1e12 boundary. Every
+    certified H must have cond(H) <= sqrt(2 / tau_N).
+    """
+    cfg = _dispersive_config(64)
+    c1, c2 = afdm_tune(3, 2, 0, 64)
+    rng = np.random.default_rng(2024)
+    cases = [
+        (spec, sample_paths(cfg, "fractional", rng))
+        for spec in (OfdmSpec(64, 3), AfdmSpec(64, c1, c2, 0, 3))
+        for _ in range(1000)
+    ]
+    cases += [(OfdmSpec(64), _near_singular(eps)) for eps in np.logspace(-14, -9, 26)]
+    bound = np.sqrt(2.0 / ((4 * 64 + 64) * 2.0**-53))
+    n = np.arange(64)
+    r = np.ones(64, dtype=complex)
+    fallbacks = refusals = 0
+    for spec, chan in cases:
+        d = delay_diagonals(chan, spec.cp_phase())
+        H = np.zeros((64, 64), dtype=complex)
+        for ell, diag in enumerate(d):
+            H[n, (n - ell) % 64] = diag
+        cond = np.linalg.cond(H)
+        try:
+            equalize_zf(spec, chan, r)
+            refused = False
+        except SingularChannelError:
+            refused = True
+        assert refused == (cond > 1e12), cond
+        if link._certified(d):
+            assert cond <= bound
+        else:
+            fallbacks += 1
+        refusals += refused
+    assert fallbacks > 26 and refusals > 0

@@ -1,4 +1,5 @@
-"""Property tests: direct CSI extraction, from G and from the channel's closed form."""
+"""Property tests: direct CSI extraction, from G and from the channel's closed form, and the
+equalizers (ZF per block, LMMSE stacked) against dense G-domain solves."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from ddwave.channel import ChannelConfig, ChannelRealization, PathParams, delay_diagonals
-from ddwave.modem import AfdmSpec, OtfsSpec, _support_indices, afdm_tune
+from ddwave.channel import (
+    ChannelConfig,
+    ChannelRealization,
+    PathParams,
+    _stack_diagonals,
+    delay_diagonals,
+)
+from ddwave.link import _lmmse_solve, _zf_solve
+from ddwave.modem import AfdmSpec, OfdmSpec, OtfsSpec, _support_indices, afdm_tune
 from ddwave.sensing import (
     _channel_support,
     _direct_csi_from_channel,
@@ -125,3 +133,57 @@ def test_closed_form_support_entries_and_scores_match_the_oracle(case):
     for c, est in zip(picked, ests):
         G1 = oracle.effective_matrix(tx, rx, [(1.0, int(ells[c]), float(fs[c]))], phase)
         assert abs(est.gain_hat - np.mean(want[c] / G1[rows[c], cols[c]])) < 1e-10
+
+
+@st.composite
+def channel_stacks(draw):
+    """A spec with its dense oracle transforms and prefix phase rule, and (B, P) path arrays.
+
+    OFDM and tuned AFDM (xi > 0) at prime N, some above one elimination
+    block of 96 rows, or OTFS with K != L; P > ell_max + 1 paths, so delays
+    repeat. Path 0 is a unit direct path and the others sum to at most 1/2 in
+    magnitude, so cond(H) <= 3 and a dense solve is a sharp reference.
+    """
+    ell_max = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["ofdm", "otfs", "afdm"]))
+    primes = [97, 101, 127] if draw(st.booleans()) else PRIMES
+    if kind == "afdm":
+        f_max, xi = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        span = (2 * (f_max + xi) + 1) * ell_max + 2 * f_max + 1
+        n = draw(st.sampled_from([p for p in primes if p >= max(span, ell_max + 1)]))
+        c1, c2 = afdm_tune(ell_max, f_max, xi, n)
+        spec = AfdmSpec(n, c1, c2, xi=xi, cp_len=ell_max)
+        ops, phase = oracle.afdm_ops(n, c1, c2), oracle.chirp_cp_cycles(c1, n)
+    elif kind == "ofdm":
+        f_max = draw(st.integers(0, 2))
+        spec = OfdmSpec(draw(st.sampled_from([p for p in primes if p > ell_max])), ell_max)
+        ops, phase = oracle.ofdm_ops(spec.n), oracle.zero_cycles
+    else:
+        k = draw(st.integers(max(ell_max + 1, 2), 8))
+        l = draw(st.integers(2, 8).filter(lambda l: l != k))
+        f_max = draw(st.integers(0, (l - 1) // 2))
+        spec = OtfsSpec(k, l, cp_len=ell_max)
+        ops, phase = oracle.otfs_ops(k, l), oracle.zero_cycles
+    B, P = draw(st.integers(1, 3)), draw(st.integers(ell_max + 2, ell_max + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    weak = rng.uniform(0.0, 0.5 / (P - 1), (B, P - 1)) * np.exp(2j * np.pi * rng.random((B, P - 1)))
+    gains = np.concatenate([np.ones((B, 1)), weak], axis=1)
+    delays = np.concatenate([np.zeros((B, 1), dtype=int), rng.integers(0, ell_max + 1, (B, P - 1))], axis=1)
+    dopplers = rng.uniform(-f_max - 0.5, f_max + 0.5, (B, P))
+    return spec, ops, phase, (ell_max, gains, delays, dopplers)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(case=channel_stacks(), noise_var=st.sampled_from([0.0, 0.05, 0.3]))
+def test_equalizers_match_dense_g_domain_solves(case, noise_var):
+    spec, (tx, rx), phase, (ell_max, gains, delays, dopplers) = case
+    d = _stack_diagonals(spec.n, ell_max, gains, delays, dopplers, spec.cp_phase())
+    r = np.random.default_rng(len(gains)).standard_normal((len(gains), spec.n, 2)) @ np.array([1.0, 1.0j])
+    lmmse = spec._rx(_lmmse_solve(d, r, noise_var))
+    for b in range(len(gains)):
+        G = oracle.effective_matrix(tx, rx, list(zip(gains[b], delays[b], dopplers[b])), phase)
+        y = rx @ r[b]
+        zf = spec._rx(_zf_solve(d[b], r[b]))
+        assert np.max(np.abs(zf - np.linalg.solve(G, y))) <= 1e-10
+        A = G @ G.conj().T + noise_var * np.eye(spec.n)
+        assert np.max(np.abs(lmmse[b] - G.conj().T @ np.linalg.solve(A, y))) <= 1e-10
