@@ -3,13 +3,16 @@
 A channel realization is a finite set of propagation paths, each with a
 complex gain, an integer normalized delay (samples) and a real normalized
 digital Doppler f = N*nu/f_s. The sample-level time-domain application is
-the ground-truth oracle; the matrix form must reproduce it exactly.
+the ground truth. After the cyclic prefix is stripped, H is P shifted
+diagonals, and no N x N matrix is built here: apply_paths applies H in
+O(N P) per block and delay_diagonals gives its ell_max + 1 populated cyclic
+diagonals, both with the prefix phase rule the waveform supplies.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -212,27 +215,6 @@ def apply_paths(S: np.ndarray, paths, phase) -> np.ndarray:
     return out
 
 
-def single_path_matrix(N: int, ell: int, f: float, phase) -> np.ndarray:
-    """N x N operator of one unit-gain path: Phi(ell) . D(f) . Pi^ell.
-
-    All three factors are diagonal or a permutation, so the result has one
-    populated cyclic diagonal: entry (n, (n - ell) mod N) holds
-    phi[n] * e^{j2pi f n/N}.
-    """
-    # row j of the applied identity is the operator's column j
-    return apply_paths(np.eye(N), (PathParams(1.0, ell, f),), phase).T
-
-
-def channel_matrix(chan: ChannelRealization, phase) -> np.ndarray:
-    """Matrix form H = sum_p h_p . Phi_p . D(f_p) . Pi^{ell_p}.
-
-    `phase` is the CP phase rule in force (ZeroPhase, or AfdmChirpPhase for
-    the chirp-periodic prefix); it must match what prepend_cp used for the
-    time-domain oracle to agree.
-    """
-    return apply_paths(np.eye(chan.config.N), chan.paths, phase).T
-
-
 def tvtf(chan: ChannelRealization, t, f):
     """Time-variant transfer function sum_p h_p e^{j2pi nu_p t} e^{-j2pi tau_p f}.
 
@@ -281,9 +263,8 @@ def mimo_channel(
     gains: np.ndarray,
     tx_gain=None,
     rx_gain=None,
-    phase=None,
-) -> np.ndarray:
-    """Per-antenna-pair channel matrices with shared path geometry.
+) -> tuple[tuple[ChannelRealization, ...], ...]:
+    """One realization per antenna pair, all sharing the base path geometry.
 
     Parameters
     ----------
@@ -296,22 +277,20 @@ def mimo_channel(
     tx_gain, rx_gain : callable or None
         Beam gain as a function of angle [rad]. None means constant 1; a
         callable requires the matching angle on every path.
-    phase : CP phase rule, ZeroPhase if None.
 
     Returns
     -------
-    array, shape (Nt, Nr, N, N)
+    Nt x Nr nested tuple of ChannelRealization
+        Entry [n_t][n_r] keeps the base paths' delays, Dopplers and angles,
+        with gain beam_p * gains[p, n_t, n_r] on path p. Each applies like
+        any realization (time_domain_apply, effective_channel, equalizers),
+        with the waveform's own prefix phase rule; memory is O(P Nt Nr).
     """
-    from .core import ZeroPhase
-
-    if phase is None:
-        phase = ZeroPhase()
     gains = np.asarray(gains)
     P, Nt, Nr = gains.shape
     if P != len(base.paths):
         raise ValueError(f"gain tensor has {P} paths, realization has {len(base.paths)}")
-    N = base.config.N
-    out = np.zeros((Nt, Nr, N, N), dtype=complex)
+    beams = []
     for p_idx, p in enumerate(base.paths):
         if tx_gain is not None and p.aod is None:
             raise ValueError(f"path {p_idx} lacks a departure angle for the tx beam gain")
@@ -322,6 +301,15 @@ def mimo_channel(
             beam *= float(tx_gain(p.aod))
         if rx_gain is not None:
             beam *= float(rx_gain(p.aoa))
-        op = single_path_matrix(N, p.delay_norm, p.doppler_norm, phase)
-        out += beam * gains[p_idx, :, :, None, None] * op[None, None, :, :]
-    return out
+        beams.append(beam)
+    pair_gains = np.array(beams)[:, None, None] * gains
+    return tuple(
+        tuple(
+            ChannelRealization(
+                base.config,
+                tuple(replace(p, gain=complex(g)) for p, g in zip(base.paths, pair_gains[:, nt, nr])),
+            )
+            for nr in range(Nr)
+        )
+        for nt in range(Nt)
+    )

@@ -26,74 +26,58 @@ class ConfigError(ValueError):
 
 
 _ALIASES = {"N": "n", "K": "k", "L": "l", "P": "paths", "p": "paths"}
+_DERIVED = ("k", "l", "cp_len")  # None in a scenario: from_dict derives them
 
-_DEFAULTS = {
-    "schema": 1,
-    "waveform": "all",       # ofdm | otfs | afdm | all
-    "n": 64,
-    "k": None,               # otfs grid; defaults to sqrt(n) when square
-    "l": None,
-    "xi": 0,
-    "c1": None,              # None means afdm_tune decides
-    "c2": None,
-    "cp_len": None,          # None means ell_max
-    "f_s": 1.0e7,            # Hz
-    "f_c": 5.9e9,            # Hz
-    "ell_max": 3,
-    "f_max": 2,
-    "paths": 3,
-    "constellation": "qpsk",
-    "snr_sweep": [0.0, 5.0, 10.0, 15.0, 20.0],
-    "frames": 200,
-    "seed": 1,
-    "doppler_mode": "integer",
-    "outputs": "out",
-    "geometry": "monostatic",
-    "detector": "lmmse",
-    "trials": 50,            # sensing Monte Carlo trials per SNR point
-    "refine_levels": 3,
-    "refine_factor": 10,
-    "notes": None,
-}
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description; every field has a documented default."""
+    """Validated scenario description; from_dict fills and checks every field.
 
-    waveform: str
-    n: int
-    k: int | None
-    l: int | None
-    xi: int
-    c1: float | None
-    c2: float | None
-    cp_len: int
-    f_s: float
-    f_c: float
-    ell_max: int
-    f_max: int
-    paths: int
-    constellation: str
-    snr_sweep: tuple[float, ...]
-    frames: int
-    seed: int
-    doppler_mode: str
-    outputs: str
-    geometry: str
-    detector: str
-    trials: int
-    refine_levels: int
-    refine_factor: int
+    The defaults below are the ones a JSON scenario gets for fields it leaves
+    out; None marks a value from_dict derives (k, l, cp_len) or leaves unset.
+    """
+
+    waveform: str = "all"       # ofdm | otfs | afdm | all
+    n: int = 64
+    k: int | None = None        # otfs grid; defaults to sqrt(n) when square
+    l: int | None = None
+    xi: int = 0
+    c1: float | None = None     # None means afdm_tune decides
+    c2: float | None = None
+    cp_len: int | None = None   # None means ell_max
+    f_s: float = 1.0e7          # Hz
+    f_c: float = 5.9e9          # Hz
+    ell_max: int = 3
+    f_max: int = 2
+    paths: int = 3
+    constellation: str = "qpsk"
+    snr_sweep: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
+    frames: int = 200
+    seed: int = 1
+    doppler_mode: str = "integer"
+    outputs: str = "out"
+    geometry: str = "monostatic"
+    detector: str = "lmmse"
+    trials: int = 50            # sensing Monte Carlo trials per SNR point
+    refine_levels: int = 3
+    refine_factor: int = 10
     notes: str | None = None
     schema: int = 1
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
-        data = dict(_DEFAULTS)
+        data = {f.name: f.default for f in fields(ScenarioConfig)}
         for key, value in raw.items():
             key = _ALIASES.get(key, key)
-            if key not in _DEFAULTS:
+            if key not in data:
                 raise ConfigError(f"unknown config field {key!r}")
             data[key] = value
         if data["schema"] != 1:
@@ -106,25 +90,28 @@ class ScenarioConfig:
             raise ConfigError(f"geometry must be monostatic|bistatic, got {data['geometry']!r}")
         if data["detector"] not in ("zf", "lmmse"):
             raise ConfigError(f"detector must be zf|lmmse, got {data['detector']!r}")
+        if not isinstance(data["constellation"], str):
+            raise ConfigError(f"constellation must be a string, got {data['constellation']!r}")
         try:
             Constellation.by_name(data["constellation"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         for name in ("n", "ell_max", "f_max", "paths", "frames", "trials",
-                     "refine_levels", "refine_factor", "xi", "seed"):
-            if not isinstance(data[name], int) or isinstance(data[name], bool):
+                     "refine_levels", "refine_factor", "xi", "seed", *_DERIVED):
+            if not (_is_int(data[name]) or (data[name] is None and name in _DERIVED)):
                 raise ConfigError(f"{name} must be an integer, got {data[name]!r}")
         for name, low in (("n", 1), ("seed", 0), ("paths", 1), ("frames", 1), ("trials", 1),
-                          ("refine_levels", 0), ("refine_factor", 2)):
-            if data[name] < low:
+                          ("refine_levels", 0), ("refine_factor", 2), ("k", 1), ("l", 1)):
+            if data[name] is not None and data[name] < low:
                 raise ConfigError(f"{name} must be >= {low}, got {data[name]}")
         for name in ("f_s", "f_c"):
-            if not isinstance(data[name], (int, float)) or data[name] <= 0:
+            if not _is_number(data[name]) or not 0 < data[name] < math.inf:
                 raise ConfigError(f"{name} must be a positive number, got {data[name]!r}")
+        for name in ("c1", "c2"):
+            if data[name] is not None and not (_is_number(data[name]) and math.isfinite(data[name])):
+                raise ConfigError(f"{name} must be a finite number, got {data[name]!r}")
         if data["cp_len"] is None:
             data["cp_len"] = data["ell_max"]
-        if not isinstance(data["cp_len"], int) or isinstance(data["cp_len"], bool):
-            raise ConfigError(f"cp_len must be an integer, got {data['cp_len']!r}")
         needs_otfs = data["waveform"] in ("otfs", "all")
         if needs_otfs:
             if data["k"] is None or data["l"] is None:
@@ -138,9 +125,15 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"k*l must equal n, got {data['k']}*{data['l']} != {data['n']}"
                 )
-        data["snr_sweep"] = tuple(float(s) for s in data["snr_sweep"])
-        if not data["snr_sweep"]:
+        sweep = data["snr_sweep"]
+        # inf is the noiseless point; NaN and -inf would silently run noiseless too
+        if not isinstance(sweep, (list, tuple)) or not all(
+            _is_number(s) and -math.inf < s <= math.inf for s in sweep
+        ):
+            raise ConfigError(f"snr_sweep must be a list of SNRs in dB (no NaN or -inf), got {sweep!r}")
+        if not sweep:
             raise ConfigError("snr_sweep must be nonempty")
+        data["snr_sweep"] = tuple(float(s) for s in sweep)
         cfg = ScenarioConfig(**data)
         try:
             cfg.channel_config()  # its own checks: cp_len, ell_max and f_max ranges

@@ -139,15 +139,6 @@ def _fold(N: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, inv
 
 
-@lru_cache(maxsize=16)
-def _zf_layout(N: int, ell_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, flat): entry n of H's diagonal ell lands at flat[ell * N + n] of the folded H."""
-    perm, inv = _fold(N)
-    n = np.arange(N)
-    cols = (n[None, :] - np.arange(ell_max + 1)[:, None]) % N
-    return perm, (inv * N + inv[cols]).ravel()
-
-
 @dataclass(frozen=True)
 class _BandLayout:
     """Where the diagonals of A = H H^H + s2 I go in the folded A.
@@ -275,16 +266,17 @@ def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     SVD, any other H gets the exact np.linalg.cond test.
     """
     N = r.size
-    perm, flat = _zf_layout(N, d.shape[0] - 1)
+    lay = _band_layout(N, d.shape[0] - 1)
+    # offsets 0..ell_max come first, so H's diagonals are the band's first rows
     H = np.zeros(N * N, dtype=complex)
-    H[flat] = d.ravel()
+    H[lay.dense_dst[: d.size]] = d.ravel()
     H = H.reshape(N, N)
     if not _certified(d):
         cond = np.linalg.cond(H)
         if not np.isfinite(cond) or cond > 1e12:
             raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
     z = np.empty(N, dtype=complex)
-    z[perm] = np.linalg.solve(H, r[perm])
+    z[lay.perm] = np.linalg.solve(H, r[lay.perm])
     return z
 
 

@@ -1,4 +1,6 @@
-"""Channel model: sample-level oracle, matrix assembly, continuous views, MIMO."""
+"""Channel model: sample-level oracle, path operators, continuous views, MIMO."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +10,17 @@ from ddwave.channel import (
     ChannelConfig,
     ChannelRealization,
     PathParams,
-    channel_matrix,
+    apply_paths,
+    delay_diagonals,
     dvirf_points,
     mimo_channel,
     realization_from_points,
     sample_paths,
-    single_path_matrix,
     time_domain_apply,
     tvtf,
 )
 from ddwave.core import AfdmChirpPhase, ZeroPhase
+from ddwave.modem import AfdmSpec, OfdmSpec, afdm_tune, demodulate, effective_channel, modulate, prepend_cp
 
 
 def make_config(N=16, ell_max=3, f_max=2, P=3, cp_len=None):
@@ -35,6 +38,17 @@ def single(config, gain, ell, f):
 
 def paths_tuple(chan):
     return [(p.gain, p.delay_norm, p.doppler_norm) for p in chan.paths]
+
+
+def operator_matrix(N, paths, phase):
+    """H assembled column by column from apply_paths: row j of the applied identity is column j."""
+    return apply_paths(np.eye(N), paths, phase).T
+
+
+def oracle_diagonals(H, ell_max):
+    """Row ell holds H[n, (n - ell) mod N] of a dense H."""
+    n = np.arange(H.shape[0])
+    return np.array([H[n, (n - ell) % H.shape[0]] for ell in range(ell_max + 1)])
 
 
 # ---------------------------------------------------------------- validation
@@ -157,19 +171,25 @@ def test_short_input_rejected():
         time_domain_apply(np.ones(10), single(cfg, 1.0, 0, 0.0))
 
 
-# ------------------------------------------------------------ matrix assembly
+# ----------------------------------------------------- path operator, diagonals
 
 def test_channel_matrix_identity_path():
     cfg = make_config(P=1)
-    H = channel_matrix(single(cfg, 1.0, 0, 0.0), ZeroPhase())
-    assert np.allclose(H, np.eye(16), atol=1e-12)
+    chan = single(cfg, 1.0, 0, 0.0)
+    S = np.random.default_rng(1).standard_normal((3, 16)) + 0j
+    assert np.array_equal(apply_paths(S, chan.paths, ZeroPhase()), S)
+    expected = np.zeros((cfg.ell_max + 1, 16), dtype=complex)
+    expected[0] = 1.0
+    assert np.array_equal(delay_diagonals(chan, ZeroPhase()), expected)
 
 
 def test_channel_matrix_pure_delay_is_shift_matrix():
     cfg = make_config(P=1)
-    H = channel_matrix(single(cfg, 1.0, 1, 0.0), ZeroPhase())
     shift = oracle.channel_matrix(16, [(1.0, 1, 0.0)], oracle.zero_cycles)
-    assert np.allclose(H, shift, atol=1e-12)
+    s = np.exp(2j * np.pi * np.arange(16) / 7)
+    out = apply_paths(s, single(cfg, 1.0, 1, 0.0).paths, ZeroPhase())
+    assert np.allclose(out, np.roll(s, 1), atol=1e-12)
+    assert np.max(np.abs(out - shift @ s)) <= 1e-10
 
 
 def test_channel_matrix_populates_only_path_diagonals():
@@ -182,10 +202,14 @@ def test_channel_matrix_populates_only_path_diagonals():
             PathParams(0.8, 3, 0.5),
         ),
     )
-    H = channel_matrix(chan, ZeroPhase())
-    rows, cols = np.nonzero(np.abs(H) > 1e-12)
-    offsets = set(((rows - cols) % 16).tolist())
-    assert offsets == {0, 2, 3}
+    d = delay_diagonals(chan, ZeroPhase())
+    assert d.shape == (cfg.ell_max + 1, 16)
+    assert np.all(np.abs(d[[0, 2, 3]]) > 1e-12) and not np.any(d[1])
+    # the oracle's dense H has no nonzero off these diagonals, and the same entries on them
+    H_ref = oracle.channel_matrix(16, paths_tuple(chan), oracle.zero_cycles)
+    rows, cols = np.nonzero(np.abs(H_ref) > 1e-12)
+    assert set(((rows - cols) % 16).tolist()) == {0, 2, 3}
+    assert np.max(np.abs(d - oracle_diagonals(H_ref, cfg.ell_max))) <= 1e-10
 
 
 def test_channel_matrix_frobenius_energy():
@@ -194,17 +218,18 @@ def test_channel_matrix_frobenius_energy():
         config=cfg,
         paths=(PathParams(0.3 + 0.1j, 0, 1.3), PathParams(0.9j, 1, -0.4), PathParams(-0.7, 3, 2.0)),
     )
-    H = channel_matrix(chan, ZeroPhase())
+    d = delay_diagonals(chan, ZeroPhase())
     expected = 16 * sum(abs(p.gain) ** 2 for p in chan.paths)
-    assert abs(np.linalg.norm(H) ** 2 - expected) <= 1e-9 * expected
+    assert abs(np.linalg.norm(d) ** 2 - expected) <= 1e-9 * expected
 
 
-def test_single_path_matrix_matches_factor_product():
+def test_single_path_operator_matches_factor_product():
     # the oracle forms Phi(ell) . D(f) . Pi^ell entry by entry
     c1 = 5.0 / 32.0
-    direct = single_path_matrix(16, 3, -1.4, AfdmChirpPhase(c1=c1, N=16))
+    phase = AfdmChirpPhase(c1=c1, N=16)
+    direct = operator_matrix(16, (PathParams(1.0, 3, -1.4),), phase)
     product = oracle.channel_matrix(16, [(1.0, 3, -1.4)], oracle.chirp_cp_cycles(c1, 16))
-    assert np.allclose(direct, product, atol=1e-12)
+    assert np.max(np.abs(direct - product)) <= 1e-10
 
 
 # --------------------------------------------------------- oracle equivalence
@@ -222,8 +247,10 @@ def test_time_domain_equals_matrix_form_zero_phase(trial):
     chan = sample_paths(cfg, "fractional", rng)
     s = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     lhs = time_domain_apply(_prepend(s, cfg.cp_len, ZeroPhase()), chan)
-    rhs = channel_matrix(chan, ZeroPhase()) @ s
+    rhs = apply_paths(s, chan.paths, ZeroPhase())
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
+    ref = oracle.channel_matrix(16, paths_tuple(chan), oracle.zero_cycles) @ s
+    assert np.max(np.abs(rhs - ref)) <= 1e-10
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -238,8 +265,10 @@ def test_time_domain_equals_matrix_form_chirp_phase(trial):
     chan = sample_paths(cfg, "fractional", rng)
     s = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     lhs = time_domain_apply(_prepend(s, cfg.cp_len, phase), chan)
-    rhs = channel_matrix(chan, phase) @ s
+    rhs = apply_paths(s, chan.paths, phase)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
+    ref = oracle.channel_matrix(N, paths_tuple(chan), oracle.chirp_cp_cycles(c1, N)) @ s
+    assert np.max(np.abs(rhs - ref)) <= 1e-10
 
 
 def test_matrix_form_matches_independent_reference():
@@ -252,9 +281,10 @@ def test_matrix_form_matches_independent_reference():
         (ZeroPhase(), oracle.zero_cycles),
         (AfdmChirpPhase(c1=c1, N=N), oracle.chirp_cp_cycles(c1, N)),
     ):
-        H = channel_matrix(chan, phase)
         H_ref = oracle.channel_matrix(N, paths_tuple(chan), cycles)
-        assert np.max(np.abs(H - H_ref)) <= 1e-9
+        assert np.max(np.abs(operator_matrix(N, chan.paths, phase) - H_ref)) <= 1e-10
+        d = delay_diagonals(chan, phase)
+        assert np.max(np.abs(d - oracle_diagonals(H_ref, cfg.ell_max))) <= 1e-10
 
 
 def test_time_domain_matches_independent_reference():
@@ -330,8 +360,10 @@ def test_mimo_siso_reduces_to_channel_matrix():
     )
     gains = np.array([p.gain for p in chan.paths]).reshape(2, 1, 1)
     out = mimo_channel(chan, gains)
-    assert out.shape == (1, 1, 16, 16)
-    assert np.allclose(out[0, 0], channel_matrix(chan, ZeroPhase()), atol=1e-12)
+    assert len(out) == 1 and len(out[0]) == 1
+    assert out[0][0] == chan
+    H_ref = oracle.channel_matrix(16, paths_tuple(chan), oracle.zero_cycles)
+    assert np.max(np.abs(operator_matrix(16, out[0][0].paths, ZeroPhase()) - H_ref)) <= 1e-10
 
 
 def test_mimo_zero_beam_gain_removes_path():
@@ -340,7 +372,10 @@ def test_mimo_zero_beam_gain_removes_path():
         config=cfg, paths=(PathParams(1.0, 1, 0.5, aod=0.3, aoa=-0.1),)
     )
     out = mimo_channel(chan, np.ones((1, 2, 2)), tx_gain=lambda theta: 0.0)
-    assert np.max(np.abs(out)) == 0.0
+    for row in out:
+        for pair in row:
+            assert pair.paths[0].gain == 0
+            assert not np.any(delay_diagonals(pair, ZeroPhase()))
 
 
 def test_mimo_requires_angles_for_beam_gains():
@@ -355,16 +390,20 @@ def test_mimo_requires_angles_for_beam_gains():
 def test_mimo_pairs_share_support():
     cfg = make_config(P=2)
     base = ChannelRealization(
-        config=cfg, paths=(PathParams(1.0, 1, 1.0), PathParams(1.0, 3, -2.0))
+        config=cfg, paths=(PathParams(1.0, 1, 1.0, aod=0.2, aoa=0.4), PathParams(1.0, 3, -2.0))
     )
     rng = np.random.default_rng(13)
     gains = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
     out = mimo_channel(base, gains)
-    ref = {tuple(rc) for rc in zip(*np.nonzero(np.abs(out[0, 0]) > 1e-12))}
+    assert (len(out), len(out[0])) == (2, 2)
+    geometry = [(p.delay_norm, p.doppler_norm, p.aod, p.aoa) for p in base.paths]
     for nt in range(2):
         for nr in range(2):
-            got = {tuple(rc) for rc in zip(*np.nonzero(np.abs(out[nt, nr]) > 1e-12))}
-            assert got == ref
+            pair = out[nt][nr]
+            assert pair.config == cfg
+            assert [(p.delay_norm, p.doppler_norm, p.aod, p.aoa) for p in pair.paths] == geometry
+            d = delay_diagonals(pair, ZeroPhase())
+            assert np.all(np.abs(d[[1, 3]]) > 1e-12) and not np.any(d[[0, 2]])
 
 
 def test_mimo_gain_shape_mismatch_rejected():
@@ -374,3 +413,51 @@ def test_mimo_gain_shape_mismatch_rejected():
     )
     with pytest.raises(ValueError, match="paths"):
         mimo_channel(chan, np.ones((3, 1, 1)))
+
+
+@pytest.mark.parametrize("waveform", ["ofdm", "afdm"])
+def test_mimo_pairs_match_oracle_effective_channel(waveform):
+    # each pair is an ordinary realization: the waveform supplies its prefix
+    # rule, and G matches the oracle built from the beam-scaled gains
+    N, ell_max, f_max = 16, 2, 1
+    if waveform == "ofdm":
+        spec, ops, cycles = OfdmSpec(N, ell_max), oracle.ofdm_ops(N), oracle.zero_cycles
+    else:
+        c1, c2 = afdm_tune(ell_max, f_max, 0, N)
+        spec = AfdmSpec(N, c1, c2, cp_len=ell_max)
+        ops, cycles = oracle.afdm_ops(N, c1, c2), oracle.chirp_cp_cycles(c1, N)
+    cfg = make_config(N=N, ell_max=ell_max, f_max=f_max, P=2)
+    base = ChannelRealization(
+        config=cfg,
+        paths=(PathParams(1.0, 0, 0.7, aod=0.3, aoa=-0.5), PathParams(1.0, 2, -1.0, aod=-0.8, aoa=0.1)),
+    )
+    rng = np.random.default_rng(21)
+    gains = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    tx_gain, rx_gain = np.cos, lambda theta: 1.0 + 0.5 * np.sin(theta)
+    beams = [tx_gain(p.aod) * rx_gain(p.aoa) for p in base.paths]
+    out = mimo_channel(base, gains, tx_gain=tx_gain, rx_gain=rx_gain)
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    for nt in range(2):
+        for nr in range(2):
+            scaled = [(beams[i] * gains[i, nt, nr], p.delay_norm, p.doppler_norm)
+                      for i, p in enumerate(base.paths)]
+            G = effective_channel(spec, out[nt][nr])
+            assert np.max(np.abs(G - oracle.effective_matrix(*ops, scaled, cycles))) <= 1e-10
+            r = time_domain_apply(prepend_cp(spec, modulate(spec, x)), out[nt][nr])
+            assert np.max(np.abs(demodulate(spec, r) - G @ x)) <= 1e-10
+
+
+def test_mimo_builds_no_dense_tensor():
+    # 4 x 4 pairs at N = 1024: one N x N complex array alone would be 16 MiB
+    N = 1024
+    cfg = make_config(N=N, ell_max=3, f_max=2, P=3)
+    base = sample_paths(cfg, "fractional", np.random.default_rng(5))
+    gains = np.ones((3, 4, 4), dtype=complex)
+    tracemalloc.start()
+    try:
+        out = mimo_channel(base, gains)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(out), len(out[0])) == (4, 4)
+    assert peak < N * N  # bytes: less than one byte per entry of an N x N array

@@ -107,11 +107,28 @@ def test_unknown_field_rejected():
         {"frames": "many"},
         {"n": True},
         {"seed": -1},
+        {"snr_sweep": ["x"]},
+        {"snr_sweep": 5},
+        {"snr_sweep": [float("nan")]},
+        {"snr_sweep": [10.0, float("-inf")]},
+        {"constellation": 5},
+        {"waveform": "afdm", "c1": "a"},
+        {"waveform": "afdm", "c2": float("inf")},
+        {"waveform": "afdm", "c1": True},
+        {"k": "8", "l": 8},
+        {"k": 8, "l": 8.0},
+        {"k": -8, "l": -8},
+        {"f_s": True},
+        {"f_c": float("nan")},
     ],
 )
 def test_invalid_values_rejected(patch):
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(patch)
+
+
+def test_infinite_snr_is_the_noiseless_point():
+    assert ScenarioConfig.from_dict({"snr_sweep": [float("inf"), 3]}).snr_sweep == (float("inf"), 3.0)
 
 
 def test_round_trip_through_json_dict():
@@ -471,6 +488,10 @@ def test_exit_2_on_invalid_config(tmp_path, capsys):
         {"refine_factor": 1},
         {"trials": 0},
         {"refine_levels": -1},
+        {"snr_sweep": ["x"]},
+        {"snr_sweep": [float("nan")]},
+        {"k": "8", "l": 8},
+        {"f_s": True},
     ],
 )
 def test_exit_2_on_out_of_range_config(tmp_path, capsys, patch):
