@@ -6,7 +6,8 @@ digital Doppler f = N*nu/f_s. The sample-level time-domain application is
 the ground truth. After the cyclic prefix is stripped, H is P shifted
 diagonals, and no N x N matrix is built here: apply_paths applies H in
 O(N P) per block and delay_diagonals gives its ell_max + 1 populated cyclic
-diagonals, both with the prefix phase rule the waveform supplies.
+diagonals. Both read the prefix factors of a delay-ell path, wrap[N - ell + n]
+on its rows n < ell, from the waveform's prefix vector (modem.AfdmSpec.wrap).
 """
 
 from __future__ import annotations
@@ -16,7 +17,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import cp_phase_entries, doppler_phases
+
+def doppler_phases(N: int, f) -> np.ndarray:
+    """Diagonal of the Doppler matrix: exp(+j2pi*f*n/N) for n = 0..N-1.
+
+    The + sign follows the time-domain sample relation r[n] ~ e^{+j2pi f n/N};
+    all support-shift rules downstream inherit this convention. An array of
+    Dopplers gives one diagonal per entry, shape f.shape + (N,).
+    """
+    if N < 1:
+        raise ValueError(f"size must be >= 1, got {N}")
+    n = np.arange(N)
+    return np.exp(2j * np.pi * np.asarray(f, dtype=float)[..., None] * n / N)
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,8 @@ class ChannelConfig:
     def __post_init__(self):
         if self.cp_len < self.ell_max:
             raise ValueError(f"cp_len must be >= ell_max, got {self.cp_len} < {self.ell_max}")
+        if self.cp_len > self.N:
+            raise ValueError(f"cp_len must be <= N, got {self.cp_len} > {self.N}")
         if not 0 <= self.ell_max < self.N:
             raise ValueError(f"ell_max must satisfy 0 <= ell_max < N, got {self.ell_max}")
         if not 0 <= self.f_max <= self.N // 2:
@@ -161,32 +175,42 @@ def _apply_samples(s_cp, N: int, gains, delays, dopplers) -> np.ndarray:
     return r
 
 
-def _path_taps(N: int, gains, delays, dopplers, phase) -> np.ndarray:
+def _wrap_window(wrap: np.ndarray, delays) -> np.ndarray:
+    """Prefix factors of paths with the given delays, shape delays.shape + (N,).
+
+    Row n of a delay-ell path reads its sample from the prefix if n < ell and
+    takes wrap[N - ell + n], else 1: one gather from [wrap, ones] for all paths.
+    """
+    N = wrap.shape[0]
+    delays = np.asarray(delays)
+    if np.any((delays < 0) | (delays >= N)):
+        raise ValueError(f"delays must satisfy 0 <= ell < N = {N}, got {delays}")
+    return np.concatenate([wrap, np.ones(N)])[N - delays[..., None] + np.arange(N)]
+
+
+def _path_taps(N: int, gains, delays, dopplers, wrap) -> np.ndarray:
     """Entries of each path's populated cyclic diagonal: h_p * phi_p[n] * e^{j2pi f_p n/N}.
 
-    The path arrays have shape (..., P) and the taps (..., P, N). Entry n
-    of path p sits at (n, (n - ell_p) mod N) of the path's N x N operator.
+    The path arrays have shape (..., P) and the taps (..., P, N), phi_p is
+    the path's _wrap_window, and entry n of path p sits at (n, (n - ell_p) mod N).
     """
-    ells = sorted(set(delays.ravel().tolist()))
-    table = np.array([cp_phase_entries(N, ell, phase) for ell in ells]).reshape(-1, N)
-    cp = table[np.searchsorted(ells, delays)]
-    return gains[..., None] * (cp * doppler_phases(N, dopplers))
+    return gains[..., None] * (_wrap_window(wrap, delays) * doppler_phases(N, dopplers))
 
 
-def delay_diagonals(chan: ChannelRealization, phase) -> np.ndarray:
+def delay_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
     """The ell_max + 1 populated cyclic diagonals of H, shape (ell_max + 1, N).
 
     Row ell holds d[ell][n] = H[n, (n - ell) mod N], the sum of the taps of
-    every path with delay ell; H has no other nonzero entry.
+    every path with delay ell; H has no other nonzero entry. wrap is spec.wrap.
     """
     gains, delays, dopplers = _path_arrays(chan.paths)
     cfg = chan.config
-    return _stack_diagonals(cfg.N, cfg.ell_max, gains[None], delays[None], dopplers[None], phase)[0]
+    return _stack_diagonals(cfg.N, cfg.ell_max, gains[None], delays[None], dopplers[None], wrap)[0]
 
 
-def _stack_diagonals(N: int, ell_max: int, gains, delays, dopplers, phase) -> np.ndarray:
+def _stack_diagonals(N: int, ell_max: int, gains, delays, dopplers, wrap) -> np.ndarray:
     """delay_diagonals of B realizations given as (B, P) path arrays: shape (B, ell_max + 1, N)."""
-    taps = _path_taps(N, gains, delays, dopplers, phase)
+    taps = _path_taps(N, gains, delays, dopplers, wrap)
     d = np.zeros((delays.shape[0], ell_max + 1, N), dtype=complex)
     rows = np.arange(delays.shape[0])
     for p in range(delays.shape[1]):
@@ -194,21 +218,21 @@ def _stack_diagonals(N: int, ell_max: int, gains, delays, dopplers, phase) -> np
     return d
 
 
-def apply_paths(S: np.ndarray, paths, phase) -> np.ndarray:
+def apply_paths(S: np.ndarray, paths, wrap: np.ndarray) -> np.ndarray:
     """Apply H = sum_p h_p . Phi_p . D(f_p) . Pi^{ell_p} to N-sample blocks.
 
     S holds blocks along its last axis (one block, or one block per row) and
     `paths` is an iterable of PathParams. Entry n of each output block is
     sum_p h_p * phi_p[n] * e^{j2pi f_p n/N} * s[(n - ell_p) mod N], so a path
     costs O(N) per block: two sliced multiplies and one add, no matrix.
-    `phase` is the CP phase rule that fills phi (see core.cp_phase_entries).
+    phi_p is the path's window of wrap, the waveform's prefix vector (spec.wrap).
     """
     S = np.asarray(S)
     N = S.shape[-1]
     gains, delays, dopplers = _path_arrays(paths)
     out = np.zeros(S.shape, dtype=complex)
     term = np.empty(S.shape, dtype=complex)
-    for ell, d in zip(delays.tolist(), _path_taps(N, gains, delays, dopplers, phase)):
+    for ell, d in zip(delays.tolist(), _path_taps(N, gains, delays, dopplers, wrap)):
         np.multiply(S[..., N - ell:], d[:ell], out=term[..., :ell])
         np.multiply(S[..., : N - ell], d[ell:], out=term[..., ell:])
         out += term
@@ -284,7 +308,7 @@ def mimo_channel(
         Entry [n_t][n_r] keeps the base paths' delays, Dopplers and angles,
         with gain beam_p * gains[p, n_t, n_r] on path p. Each applies like
         any realization (time_domain_apply, effective_channel, equalizers),
-        with the waveform's own prefix phase rule; memory is O(P Nt Nr).
+        with the waveform's own prefix vector; memory is O(P Nt Nr).
     """
     gains = np.asarray(gains)
     P, Nt, Nr = gains.shape

@@ -195,7 +195,12 @@ class ScenarioConfig:
             raise ConfigError("sensing commands need an OTFS or AFDM waveform")
         if self.waveform == "otfs":
             return "otfs", self.waveform_specs()[0][1]
-        return "afdm", self.afdm_spec()
+        spec = self.afdm_spec()
+        try:
+            spec.delay_stride
+        except ValueError as exc:
+            raise ConfigError(f"afdm sensing: {exc}") from None
+        return "afdm", spec
 
     def to_json_dict(self) -> dict:
         """Every field whose value is set, in JSON types; from_dict inverts it."""

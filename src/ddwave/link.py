@@ -104,20 +104,27 @@ def demap_symbols(x_hat: np.ndarray, constellation: Constellation) -> np.ndarray
     return ((labels[:, None] >> shifts[None, :]) & 1).reshape(-1)
 
 
+def _check_snr(snr_db: float) -> None:
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"snr_db must be a number of dB or +inf, got {snr_db}")
+
+
 def add_awgn(r: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """Add circular complex Gaussian noise at variance 10^(-snr/10) per sample.
 
-    snr_db = inf means no noise (signal power is unit by the unitary chain).
+    snr_db = +inf means no noise (signal power is unit by the unitary chain);
+    NaN and -inf raise ValueError.
     """
     r = np.asarray(r)
-    if np.isinf(snr_db):
+    _check_snr(snr_db)
+    if snr_db == np.inf:
         return r.copy()
     return r + _noise(rng.standard_normal((r.size, 2)), snr_db).reshape(r.shape)
 
 
 def _noise_var(snr_db: float) -> float:
-    """Noise variance per sample at snr_db; 0 at snr_db = inf."""
-    return 0.0 if np.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
+    """Noise variance per sample at snr_db; 0 at snr_db = +inf."""
+    return 0.0 if snr_db == np.inf else 10.0 ** (-snr_db / 10.0)
 
 
 def _noise(normals: np.ndarray, snr_db: float) -> np.ndarray:
@@ -344,7 +351,7 @@ def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> 
     """
     r = np.asarray(r)
     _check_sizes(spec, chan, r)
-    d = delay_diagonals(chan, spec.cp_phase())
+    d = delay_diagonals(chan, spec.wrap)
     return spec._rx(_zf_solve(d, r))
 
 
@@ -361,7 +368,7 @@ def equalize_lmmse(
     """
     r = np.asarray(r)
     _check_sizes(spec, chan, r)
-    d = delay_diagonals(chan, spec.cp_phase())
+    d = delay_diagonals(chan, spec.wrap)
     return spec._rx(_lmmse_solve(d[None], r[None], noise_var)[0])
 
 
@@ -402,7 +409,7 @@ def _run_frames(
     dopplers = np.empty((B, chan_config.P))
     bits = np.empty((B, N * constellation.bits_per_symbol), dtype=int)
     normals = np.empty((B, N, 2))
-    noisy = not np.isinf(snr_db)
+    noisy = snr_db != np.inf
     chans = []
     for b, i in enumerate(frames):
         # frame i draws channel, bits and noise, in this order, from its own substream
@@ -421,7 +428,7 @@ def _run_frames(
         # cond(H) > 1e12 raises from equalize_zf, as a lone block would
         x_hat = np.stack([equalize_zf(spec, chan, r_b) for chan, r_b in zip(chans, r)])
     else:
-        d = _stack_diagonals(N, chan_config.ell_max, gains, delays, dopplers, spec.cp_phase())
+        d = _stack_diagonals(N, chan_config.ell_max, gains, delays, dopplers, spec.wrap)
         x_hat = spec._rx(_lmmse_solve(d, r, _noise_var(snr_db)))
     bits_hat = demap_symbols(x_hat.ravel(), constellation)
     errors = np.count_nonzero((bits_hat != bits.ravel()).reshape(B, -1), axis=1)
@@ -450,9 +457,11 @@ def run_ber_point(
     equalizes the chunk's frames one by one through equalize_zf, in frame
     order: a Cholesky certificate clears a well-conditioned H without an
     SVD, any other H gets the exact cond(H) > 1e12 test, and the first
-    refused frame raises SingularChannelError. `threads` must be >= 1 and
-    has no other effect.
+    refused frame raises SingularChannelError. snr_db = +inf runs noiseless;
+    NaN and -inf raise ValueError before the first frame. `threads` must be
+    >= 1 and has no other effect.
     """
+    _check_snr(snr_db)
     if frames < 1:
         raise ValueError("frames must be >= 1")
     if threads < 1:

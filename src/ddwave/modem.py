@@ -2,10 +2,11 @@
 
 This is the one module that knows how a waveform transforms. Each spec owns
 its unitary transmit and receive transforms, written as FFTs with norm="ortho"
-and diagonal factors (no N x N matrix), plus the cyclic-prefix phase rule. The
-transforms act on blocks along the last axis, so one call maps a single block
-or a stack of blocks. On top of them sit the effective-channel builder, chirp
-tuning for AFDM, per-waveform orthogonality predicates, and exact
+and diagonal factors (no N x N matrix), plus its prefix vector `wrap`, which
+the prefix, the channel's path operators and the sensing unit responses all
+read. The transforms act on blocks along the last axis, so one call maps a
+single block or a stack of blocks. On top of them sit the effective-channel
+builder, chirp tuning for AFDM, per-waveform orthogonality predicates, and exact
 support-pattern prediction for integer-Doppler paths.
 """
 
@@ -17,7 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelRealization, apply_paths
-from .core import AfdmChirpPhase, ZeroPhase, chirp_phases
+
+
+def chirp_phases(N: int, c: float) -> np.ndarray:
+    """Diagonal of the chirp matrix: exp(-j2pi*c*n^2) for n = 0..N-1."""
+    if N < 1:
+        raise ValueError(f"chirp size must be >= 1, got {N}")
+    n = np.arange(N)
+    return np.exp(-2j * np.pi * c * n.astype(float) ** 2)
 
 
 @dataclass(frozen=True)
@@ -33,8 +41,10 @@ class OfdmSpec:
     def _rx(self, r: np.ndarray) -> np.ndarray:
         return np.fft.fft(r, norm="ortho")
 
-    def cp_phase(self):
-        return ZeroPhase()
+    @cached_property
+    def wrap(self) -> np.ndarray:
+        """Prefix vector of a plain cyclic copy: ones (see AfdmSpec.wrap)."""
+        return np.ones(self.n, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -94,8 +104,10 @@ class OtfsSpec:
     def _rx(self, r: np.ndarray) -> np.ndarray:
         return self._grid(np.fft.fft, r, self.pulse_rx)
 
-    def cp_phase(self):
-        return ZeroPhase()
+    @cached_property
+    def wrap(self) -> np.ndarray:
+        """Prefix vector of a plain cyclic copy: ones (see AfdmSpec.wrap)."""
+        return np.ones(self.n, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -132,8 +144,16 @@ class AfdmSpec:
         y *= ch2
         return y
 
-    def cp_phase(self):
-        return AfdmChirpPhase(c1=self.c1, N=self.n)
+    @cached_property
+    def wrap(self) -> np.ndarray:
+        """Prefix vector: entry N + n' is e^{j2pi c1 (N^2 + 2 N n')}, the factor a
+        sample picks up when it wraps from index N + n' to n' = -N..-1.
+
+        For 2 N c1 integral (tuned rates) the entries are +-1 and the prefix is
+        chirp-periodic; for any c1, the transmitter and channel share this rule.
+        """
+        n_prime = np.arange(-self.n, 0, dtype=float)
+        return np.exp(2j * np.pi * (self.c1 * (self.n**2 + 2.0 * self.n * n_prime)))
 
     @property
     def delay_stride(self) -> int:
@@ -166,11 +186,10 @@ def demodulate(spec: WaveformSpec, r: np.ndarray) -> np.ndarray:
 
 
 def prepend_cp(spec: WaveformSpec, s: np.ndarray) -> np.ndarray:
-    """Prepend the cyclic prefix, applying the waveform's phase rule.
+    """Prepend the cyclic prefix, applying the waveform's prefix vector.
 
-    Prefix sample at index n' in {-cp_len..-1} equals s[N+n'] * e^{j2pi phi(n')};
-    phi is zero for OFDM/OTFS and the chirp-periodic rule for AFDM, which
-    makes the prefix the exact chirp-periodic continuation of the block.
+    Prefix sample at index n' in {-cp_len..-1} equals s[N+n'] * spec.wrap[N+n']:
+    a plain copy for OFDM/OTFS, the chirp-periodic prefix for AFDM.
     """
     s = np.asarray(s)
     if s.shape != (spec.n,):
@@ -180,19 +199,17 @@ def prepend_cp(spec: WaveformSpec, s: np.ndarray) -> np.ndarray:
 
 def _prepend_cp(spec: WaveformSpec, s: np.ndarray) -> np.ndarray:
     """prepend_cp for blocks along the last axis of s: (..., N) -> (..., N + cp_len)."""
-    if spec.cp_len == 0:
-        return s.astype(complex)
-    phase = spec.cp_phase()
-    n_prime = np.arange(-spec.cp_len, 0)
-    prefix = s[..., spec.n + n_prime] * np.exp(2j * np.pi * np.asarray(phase(n_prime), dtype=float))
-    return np.concatenate([prefix, s], axis=-1)
+    start = spec.n - spec.cp_len
+    if start < 0:
+        raise ValueError(f"prefix longer than the block: cp_len {spec.cp_len} > N {spec.n}")
+    return np.concatenate([s[..., start:] * spec.wrap[start:], s], axis=-1)
 
 
 def effective_channel(spec: WaveformSpec, chan: ChannelRealization) -> np.ndarray:
     """Symbol-domain channel G = T_rx . H . T_tx.
 
     Noiselessly, demodulate(strip_cp(apply(chan, prepend_cp(modulate(x))))) equals
-    G @ x; H is reduced with this waveform's own prefix phase rule. G is built
+    G @ x; H is reduced with this waveform's own prefix vector. G is built
     by sending every unit symbol block through the transmit transform, the
     path operators and the receive transform: O(N^2 log N), no matrix product.
     """
@@ -200,7 +217,7 @@ def effective_channel(spec: WaveformSpec, chan: ChannelRealization) -> np.ndarra
         raise ValueError(f"channel block size {chan.config.N} != waveform size {spec.n}")
     # row j is the response to unit block e_j, i.e. column j of G
     rows = spec._rx(
-        apply_paths(spec._tx(np.eye(spec.n, dtype=complex)), chan.paths, spec.cp_phase())
+        apply_paths(spec._tx(np.eye(spec.n, dtype=complex)), chan.paths, spec.wrap)
     )
     return rows.T
 

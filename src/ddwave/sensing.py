@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import delay_diagonals
-from .core import cp_phase_entries, doppler_phases
+from .channel import _wrap_window, delay_diagonals, doppler_phases
 from .modem import AfdmSpec, OfdmSpec, WaveformSpec, _support_indices, afdm_shift, modulate
 
 LIGHT_SPEED = 2.99792458e8  # m/s, exact
@@ -119,15 +118,14 @@ def _unit_responses(spec: WaveformSpec, s: np.ndarray, ells, doppler: np.ndarray
     """demodulate(H1 s) for unit-gain single paths H1, one row per candidate.
 
     Row c transforms phi_ell[n] * s[(n - ell) mod N] * doppler[c, n] with
-    ell = ells[c]: the unit path at (ell, f) applied to the samples s when
-    doppler[c] = e^{j2pi f n/N}, so G1(ell, f) x when s = modulate(x). The
-    delayed rows broadcast against the Doppler rows, and the whole (C, N)
-    stack takes one receive transform.
+    ell = ells[c] and phi_ell its window of spec.wrap: the unit path at
+    (ell, f) applied to the samples s when doppler[c] = e^{j2pi f n/N}, so
+    G1(ell, f) x when s = modulate(x). The whole (C, N) stack takes one
+    receive transform.
     """
-    ells = [int(ell) for ell in ells]
-    phase = spec.cp_phase()
-    delayed = {ell: cp_phase_entries(spec.n, ell, phase) * np.roll(s, ell) for ell in set(ells)}
-    return spec._rx(np.stack([delayed[ell] for ell in ells]) * doppler)
+    ells = np.asarray(ells, dtype=np.intp)
+    delayed = _wrap_window(spec.wrap, ells) * s[(np.arange(spec.n) - ells[:, None]) % spec.n]
+    return spec._rx(delayed * doppler)
 
 
 def _integer_candidates(spec: WaveformSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -205,14 +203,14 @@ def _direct_csi_from_channel(chan, spec: WaveformSpec, P: int) -> list[RadarTarg
     if chan.config.N != spec.n:
         raise ValueError(f"channel block size {chan.config.N} != waveform size {spec.n}")
     ells, fs = _integer_candidates(spec)
-    scores, entries = _channel_support(spec, delay_diagonals(chan, spec.cp_phase()), ells, fs)
+    scores, entries = _channel_support(spec, delay_diagonals(chan, spec.wrap), ells, fs)
     return _top_targets(spec, ells, fs, scores, entries, P, None)
 
 
 def _channel_support(spec, diags: np.ndarray, ells, fs):
     """Mean support magnitudes of G = T_rx H T_tx per candidate, and a reader of its support entries.
 
-    diags is delay_diagonals(H, spec.cp_phase()): row ell holds
+    diags is delay_diagonals(H, spec.wrap): row ell holds
     d_ell[n] = H[n, (n - ell) mod N]. The reader maps candidate indices to
     G[rows, cols] on their supports, in the layout of _support_indices.
 

@@ -19,7 +19,6 @@ from ddwave.channel import (
     time_domain_apply,
     tvtf,
 )
-from ddwave.core import AfdmChirpPhase, ZeroPhase
 from ddwave.modem import AfdmSpec, OfdmSpec, afdm_tune, demodulate, effective_channel, modulate, prepend_cp
 
 
@@ -40,9 +39,9 @@ def paths_tuple(chan):
     return [(p.gain, p.delay_norm, p.doppler_norm) for p in chan.paths]
 
 
-def operator_matrix(N, paths, phase):
+def operator_matrix(N, paths, wrap):
     """H assembled column by column from apply_paths: row j of the applied identity is column j."""
-    return apply_paths(np.eye(N), paths, phase).T
+    return apply_paths(np.eye(N), paths, wrap).T
 
 
 def oracle_diagonals(H, ell_max):
@@ -56,6 +55,11 @@ def oracle_diagonals(H, ell_max):
 def test_config_rejects_short_cp():
     with pytest.raises(ValueError, match="cp_len"):
         make_config(cp_len=2)
+
+
+def test_config_rejects_prefix_longer_than_block():
+    with pytest.raises(ValueError, match="cp_len must be <= N"):
+        make_config(N=16, cp_len=17)
 
 
 def test_config_rejects_oversized_bounds():
@@ -177,17 +181,17 @@ def test_channel_matrix_identity_path():
     cfg = make_config(P=1)
     chan = single(cfg, 1.0, 0, 0.0)
     S = np.random.default_rng(1).standard_normal((3, 16)) + 0j
-    assert np.array_equal(apply_paths(S, chan.paths, ZeroPhase()), S)
+    assert np.array_equal(apply_paths(S, chan.paths, OfdmSpec(16).wrap), S)
     expected = np.zeros((cfg.ell_max + 1, 16), dtype=complex)
     expected[0] = 1.0
-    assert np.array_equal(delay_diagonals(chan, ZeroPhase()), expected)
+    assert np.array_equal(delay_diagonals(chan, OfdmSpec(16).wrap), expected)
 
 
 def test_channel_matrix_pure_delay_is_shift_matrix():
     cfg = make_config(P=1)
     shift = oracle.channel_matrix(16, [(1.0, 1, 0.0)], oracle.zero_cycles)
     s = np.exp(2j * np.pi * np.arange(16) / 7)
-    out = apply_paths(s, single(cfg, 1.0, 1, 0.0).paths, ZeroPhase())
+    out = apply_paths(s, single(cfg, 1.0, 1, 0.0).paths, OfdmSpec(16).wrap)
     assert np.allclose(out, np.roll(s, 1), atol=1e-12)
     assert np.max(np.abs(out - shift @ s)) <= 1e-10
 
@@ -202,7 +206,7 @@ def test_channel_matrix_populates_only_path_diagonals():
             PathParams(0.8, 3, 0.5),
         ),
     )
-    d = delay_diagonals(chan, ZeroPhase())
+    d = delay_diagonals(chan, OfdmSpec(16).wrap)
     assert d.shape == (cfg.ell_max + 1, 16)
     assert np.all(np.abs(d[[0, 2, 3]]) > 1e-12) and not np.any(d[1])
     # the oracle's dense H has no nonzero off these diagonals, and the same entries on them
@@ -218,7 +222,7 @@ def test_channel_matrix_frobenius_energy():
         config=cfg,
         paths=(PathParams(0.3 + 0.1j, 0, 1.3), PathParams(0.9j, 1, -0.4), PathParams(-0.7, 3, 2.0)),
     )
-    d = delay_diagonals(chan, ZeroPhase())
+    d = delay_diagonals(chan, OfdmSpec(16).wrap)
     expected = 16 * sum(abs(p.gain) ** 2 for p in chan.paths)
     assert abs(np.linalg.norm(d) ** 2 - expected) <= 1e-9 * expected
 
@@ -226,8 +230,7 @@ def test_channel_matrix_frobenius_energy():
 def test_single_path_operator_matches_factor_product():
     # the oracle forms Phi(ell) . D(f) . Pi^ell entry by entry
     c1 = 5.0 / 32.0
-    phase = AfdmChirpPhase(c1=c1, N=16)
-    direct = operator_matrix(16, (PathParams(1.0, 3, -1.4),), phase)
+    direct = operator_matrix(16, (PathParams(1.0, 3, -1.4),), AfdmSpec(16, c1, 0.0).wrap)
     product = oracle.channel_matrix(16, [(1.0, 3, -1.4)], oracle.chirp_cp_cycles(c1, 16))
     assert np.max(np.abs(direct - product)) <= 1e-10
 
@@ -246,8 +249,8 @@ def test_time_domain_equals_matrix_form_zero_phase(trial):
     cfg = make_config(N=16, ell_max=3, f_max=2, P=3)
     chan = sample_paths(cfg, "fractional", rng)
     s = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    lhs = time_domain_apply(_prepend(s, cfg.cp_len, ZeroPhase()), chan)
-    rhs = apply_paths(s, chan.paths, ZeroPhase())
+    lhs = time_domain_apply(_prepend(s, cfg.cp_len, oracle.zero_cycles), chan)
+    rhs = apply_paths(s, chan.paths, OfdmSpec(16).wrap)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
     ref = oracle.channel_matrix(16, paths_tuple(chan), oracle.zero_cycles) @ s
     assert np.max(np.abs(rhs - ref)) <= 1e-10
@@ -255,17 +258,16 @@ def test_time_domain_equals_matrix_form_zero_phase(trial):
 
 @pytest.mark.parametrize("trial", range(40))
 def test_time_domain_equals_matrix_form_chirp_phase(trial):
-    # tuned chirp rate: 2*c1*N^2 is an integer, the regime the phase layout
-    # of cp_phase_entries is exact in
+    # tuned chirp rate: 2*N*c1 is an integer, so the prefix is chirp-periodic
     rng = np.random.default_rng(200 + trial)
     N, f_max, xi = 16, 1, 1
     c1 = (2 * (f_max + xi) + 1) / (2 * N)
-    phase = AfdmChirpPhase(c1=c1, N=N)
+    wrap = AfdmSpec(N, c1, 0.0).wrap
     cfg = make_config(N=N, ell_max=3, f_max=f_max, P=2)
     chan = sample_paths(cfg, "fractional", rng)
     s = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    lhs = time_domain_apply(_prepend(s, cfg.cp_len, phase), chan)
-    rhs = apply_paths(s, chan.paths, phase)
+    lhs = time_domain_apply(_prepend(s, cfg.cp_len, oracle.chirp_cp_cycles(c1, N)), chan)
+    rhs = apply_paths(s, chan.paths, wrap)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
     ref = oracle.channel_matrix(N, paths_tuple(chan), oracle.chirp_cp_cycles(c1, N)) @ s
     assert np.max(np.abs(rhs - ref)) <= 1e-10
@@ -277,13 +279,13 @@ def test_matrix_form_matches_independent_reference():
     cfg = make_config(N=N, ell_max=3, f_max=1, P=3)
     chan = sample_paths(cfg, "fractional", rng)
     c1 = 5.0 / (2 * N)
-    for phase, cycles in (
-        (ZeroPhase(), oracle.zero_cycles),
-        (AfdmChirpPhase(c1=c1, N=N), oracle.chirp_cp_cycles(c1, N)),
+    for wrap, cycles in (
+        (OfdmSpec(N).wrap, oracle.zero_cycles),
+        (AfdmSpec(N, c1, 0.0).wrap, oracle.chirp_cp_cycles(c1, N)),
     ):
         H_ref = oracle.channel_matrix(N, paths_tuple(chan), cycles)
-        assert np.max(np.abs(operator_matrix(N, chan.paths, phase) - H_ref)) <= 1e-10
-        d = delay_diagonals(chan, phase)
+        assert np.max(np.abs(operator_matrix(N, chan.paths, wrap) - H_ref)) <= 1e-10
+        d = delay_diagonals(chan, wrap)
         assert np.max(np.abs(d - oracle_diagonals(H_ref, cfg.ell_max))) <= 1e-10
 
 
@@ -295,8 +297,32 @@ def test_time_domain_matches_independent_reference():
     s = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     c1 = 0.35
     cycles = oracle.chirp_cp_cycles(c1, N)
-    lhs = time_domain_apply(_prepend(s, cfg.cp_len, AfdmChirpPhase(c1=c1, N=N)), chan)
+    lhs = time_domain_apply(_prepend(s, cfg.cp_len, cycles), chan)
     assert np.max(np.abs(lhs - oracle.received(s, paths_tuple(chan), cfg.cp_len, cycles))) <= 1e-9
+
+
+GIVEN_C1 = [(c1, N) for c1 in (0.0123, 0.35) for N in (36, 37, 64)]
+
+
+@pytest.mark.parametrize("c1,N", GIVEN_C1)
+def test_given_c1_operators_match_the_oracle(c1, N):
+    # 2*N^2*c1 is not an integer: the prefix factors are no longer +-1, and
+    # the operators must still use the transmitter's prefix rule
+    rng = np.random.default_rng(N)
+    cfg = make_config(N=N, ell_max=3, f_max=2, P=4)
+    chan = sample_paths(cfg, "fractional", rng)
+    c2 = 0.011
+    spec = AfdmSpec(N, c1, c2, cp_len=cfg.cp_len)
+    cycles = oracle.chirp_cp_cycles(c1, N)
+    H_ref = oracle.channel_matrix(N, paths_tuple(chan), cycles)
+    assert np.max(np.abs(operator_matrix(N, chan.paths, spec.wrap) - H_ref)) <= 1e-10
+    assert np.max(np.abs(delay_diagonals(chan, spec.wrap) - oracle_diagonals(H_ref, cfg.ell_max))) <= 1e-10
+    G = effective_channel(spec, chan)
+    G_ref = oracle.effective_matrix(*oracle.afdm_ops(N, c1, c2), paths_tuple(chan), cycles)
+    assert np.max(np.abs(G - G_ref)) <= 1e-10
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    r = time_domain_apply(prepend_cp(spec, modulate(spec, x)), chan)
+    assert np.max(np.abs(demodulate(spec, r) - G @ x)) <= 1e-10
 
 
 # ------------------------------------------------------- continuous-domain views
@@ -363,7 +389,7 @@ def test_mimo_siso_reduces_to_channel_matrix():
     assert len(out) == 1 and len(out[0]) == 1
     assert out[0][0] == chan
     H_ref = oracle.channel_matrix(16, paths_tuple(chan), oracle.zero_cycles)
-    assert np.max(np.abs(operator_matrix(16, out[0][0].paths, ZeroPhase()) - H_ref)) <= 1e-10
+    assert np.max(np.abs(operator_matrix(16, out[0][0].paths, OfdmSpec(16).wrap) - H_ref)) <= 1e-10
 
 
 def test_mimo_zero_beam_gain_removes_path():
@@ -375,7 +401,7 @@ def test_mimo_zero_beam_gain_removes_path():
     for row in out:
         for pair in row:
             assert pair.paths[0].gain == 0
-            assert not np.any(delay_diagonals(pair, ZeroPhase()))
+            assert not np.any(delay_diagonals(pair, OfdmSpec(16).wrap))
 
 
 def test_mimo_requires_angles_for_beam_gains():
@@ -402,7 +428,7 @@ def test_mimo_pairs_share_support():
             pair = out[nt][nr]
             assert pair.config == cfg
             assert [(p.delay_norm, p.doppler_norm, p.aod, p.aoa) for p in pair.paths] == geometry
-            d = delay_diagonals(pair, ZeroPhase())
+            d = delay_diagonals(pair, OfdmSpec(16).wrap)
             assert np.all(np.abs(d[[1, 3]]) > 1e-12) and not np.any(d[[0, 2]])
 
 

@@ -477,6 +477,11 @@ def test_exit_2_on_invalid_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# 2*N*c1 = 1.57 at the default N = 64: BER and the maps run with it, but the
+# sensing supports need 2*N*c1 integral
+GIVEN_C1 = {"waveform": "afdm", "c1": 0.0123}
+
+
 @pytest.mark.parametrize(
     "patch",
     [
@@ -492,11 +497,13 @@ def test_exit_2_on_invalid_config(tmp_path, capsys):
         {"snr_sweep": [float("nan")]},
         {"k": "8", "l": 8},
         {"f_s": True},
+        GIVEN_C1,
+        {"n": 16, "cp_len": 17},  # a prefix longer than the block
     ],
 )
 def test_exit_2_on_out_of_range_config(tmp_path, capsys, patch):
     cfg = write_config(tmp_path, patch)
-    for command in ("ber", "effchan", "sense"):
+    for command in ("sense",) if patch is GIVEN_C1 else ("ber", "effchan", "sense"):
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 

@@ -1,19 +1,13 @@
 """Entrywise contracts of the transform factors: the DFT and DAFT (through the
 OFDM and AFDM modems), chirp and Doppler phases, the cyclic shift (through the
-path operator) and the prefix phase rules."""
+path operator) and each waveform's prefix vector, read through the path
+operator's prefix window."""
 
 import numpy as np
 import pytest
 
-from ddwave.channel import PathParams, apply_paths
-from ddwave.core import (
-    AfdmChirpPhase,
-    ZeroPhase,
-    chirp_phases,
-    cp_phase_entries,
-    doppler_phases,
-)
-from ddwave.modem import AfdmSpec, OfdmSpec, demodulate, modulate
+from ddwave.channel import PathParams, _wrap_window, apply_paths, doppler_phases
+from ddwave.modem import AfdmSpec, OfdmSpec, OtfsSpec, chirp_phases, demodulate, modulate
 
 
 def dense(transform, spec):
@@ -31,7 +25,7 @@ def daft_matrix(n, c1, c2):
 
 def shift(s, k):
     """Pure cyclic delay by k samples through the path operator."""
-    return apply_paths(s, (PathParams(1.0, k % len(s), 0.0),), ZeroPhase())
+    return apply_paths(s, (PathParams(1.0, k % len(s), 0.0),), OfdmSpec(len(s)).wrap)
 
 
 def test_dft_identity_case():
@@ -143,40 +137,45 @@ def test_doppler_unit_modulus():
 
 
 def test_cp_phase_zero_rule_is_identity():
-    for ell in (0, 2, 7):
-        assert np.allclose(cp_phase_entries(8, ell, ZeroPhase()), np.ones(8))
+    for wrap in (OfdmSpec(8).wrap, OtfsSpec(2, 4).wrap):
+        for ell in (0, 2, 7):
+            assert np.allclose(_wrap_window(wrap, ell), np.ones(8))
 
 
 def test_cp_phase_chirp_integer_stride_collapses():
     # even N with 2*N*c1 integer: every entry reduces to 1
-    phase = AfdmChirpPhase(c1=1.0 / 16.0, N=8)
+    wrap = AfdmSpec(8, 1.0 / 16.0, 0.0).wrap
     for ell in (1, 3):
-        assert np.allclose(cp_phase_entries(8, ell, phase), np.ones(8), atol=1e-12)
+        assert np.allclose(_wrap_window(wrap, ell), np.ones(8), atol=1e-12)
 
 
 def test_cp_phase_chirp_literal_entries():
-    # phi(2) = (64+32)/32 = 3 -> 1; phi(1) = (64+16)/32 = 2.5 -> -1
-    d = cp_phase_entries(8, 2, AfdmChirpPhase(c1=1.0 / 32.0, N=8))
+    # rows 0, 1 read wrap[6], wrap[7]: phi(-2) = (64-32)/32 = 1 -> 1; phi(-1) = (64-16)/32 = 1.5 -> -1
+    d = _wrap_window(AfdmSpec(8, 1.0 / 32.0, 0.0).wrap, 2)
     expected = np.array([1, -1, 1, 1, 1, 1, 1, 1], dtype=complex)
     assert np.allclose(d, expected, atol=1e-12)
 
 
 def test_cp_phase_unit_modulus():
-    d = cp_phase_entries(16, 5, AfdmChirpPhase(c1=0.031, N=16))
+    d = _wrap_window(AfdmSpec(16, 0.031, 0.0).wrap, 5)
     assert np.max(np.abs(np.abs(d) - 1.0)) <= 1e-12
 
 
 def test_cp_phase_rejects_delay_at_or_past_n():
-    with pytest.raises(ValueError):
-        cp_phase_entries(8, 8, ZeroPhase())
-    with pytest.raises(ValueError):
-        cp_phase_entries(8, -1, ZeroPhase())
+    s = np.ones(8, dtype=complex)
+    for ell in (8, -1):
+        with pytest.raises(ValueError, match="delays"):
+            _wrap_window(OfdmSpec(8).wrap, ell)
+        with pytest.raises(ValueError, match="delays"):
+            apply_paths(s, (PathParams(1.0, ell, 0.0),), OfdmSpec(8).wrap)
 
 
 def test_phase_rules_return_cycles():
-    assert ZeroPhase()(np.array([-3, -1])).tolist() == [0.0, 0.0]
-    p = AfdmChirpPhase(c1=0.5, N=4)
-    assert p(-1) == 0.5 * (16 - 8)
+    # entry N + n' is e^{j2pi phi(n')}: phi(-1) = 0.5 * (16 - 8) = 4 cycles
+    assert OfdmSpec(4).wrap.tolist() == [1.0] * 4
+    wrap = AfdmSpec(4, 0.5, 0.0).wrap
+    assert wrap.shape == (4,)
+    assert wrap[3] == np.exp(2j * np.pi * (0.5 * (16 - 8)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 81, 256, 512])

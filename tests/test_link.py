@@ -115,6 +115,13 @@ def test_awgn_deterministic_under_seed():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("snr_db", [float("nan"), -np.inf])
+def test_awgn_rejects_nan_and_negative_infinity(snr_db):
+    # only +inf is the noiseless point; -inf dB is infinite noise, not none
+    with pytest.raises(ValueError, match="snr_db"):
+        add_awgn(np.ones(4, dtype=complex), snr_db, np.random.default_rng(0))
+
+
 def _realization(n, paths, ell_max=3, f_max=2, cp_len=None):
     """Realization of (gain, ell, f) paths on an n-sample block."""
     cfg = ChannelConfig(
@@ -341,6 +348,27 @@ def test_ber_rejects_bad_arguments():
         run_ber_point(OfdmSpec(16, 1), _dispersive_config(), QPSK, 10.0, frames=20)
 
 
+@pytest.mark.parametrize("snr_db", [float("nan"), -np.inf])
+def test_ber_rejects_nan_and_negative_infinity_before_the_first_frame(monkeypatch, snr_db):
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was drawn")
+
+    monkeypatch.setattr(link, "sample_paths", no_frames)
+    with pytest.raises(ValueError, match="snr_db"):
+        run_ber_point(OfdmSpec(16), _flat_config(), QPSK, snr_db, frames=4)
+
+
+@pytest.mark.parametrize("detector", ["zf", "lmmse"])
+@pytest.mark.parametrize("c1,n", [(0.0123, 36), (0.0123, 37), (0.35, 36), (0.35, 37)])
+def test_given_c1_noiseless_is_error_free(c1, n, detector):
+    # 2*N^2*c1 not an integer: the equalizers must invert the channel the
+    # transmitter's prefix went through
+    cfg = ChannelConfig(N=n, f_s=1e7, f_c=5.9e9, ell_max=3, f_max=2, P=3, cp_len=3)
+    spec = AfdmSpec(n, c1, 0.011, cp_len=3)
+    res = run_ber_point(spec, cfg, QPSK, np.inf, frames=20, detector=detector, seed=5)
+    assert res.bit_errors == 0
+
+
 def test_ber_rejects_nonpositive_threads():
     with pytest.raises(ValueError, match="threads"):
         run_ber_point(OfdmSpec(16), _flat_config(), QPSK, 10.0, frames=1, threads=0)
@@ -423,7 +451,7 @@ def _ber_with_channel(tmp_path, monkeypatch, chan):
 
 def test_zf_accepts_cond_2e11_through_the_svd_fallback(tmp_path, monkeypatch):
     chan, spec = _near_singular(1e-11), OfdmSpec(64)
-    d = delay_diagonals(chan, spec.cp_phase())
+    d = delay_diagonals(chan, spec.wrap)
     assert 1.9e11 < np.linalg.cond(np.diag(d[0])) < 2.1e11
     assert not link._certified(d)
     x = _block(64, 3)
@@ -461,7 +489,7 @@ def test_zf_guard_decides_as_the_svd_test():
     r = np.ones(64, dtype=complex)
     fallbacks = refusals = 0
     for spec, chan in cases:
-        d = delay_diagonals(chan, spec.cp_phase())
+        d = delay_diagonals(chan, spec.wrap)
         H = np.zeros((64, 64), dtype=complex)
         for ell, diag in enumerate(d):
             H[n, (n - ell) % 64] = diag

@@ -158,6 +158,11 @@ def test_zero_cp_returns_block():
     assert np.array_equal(prepend_cp(OfdmSpec(8), s), s)
 
 
+def test_prefix_longer_than_block_rejected():
+    with pytest.raises(ValueError, match="prefix longer than the block"):
+        prepend_cp(OfdmSpec(8, cp_len=9), random_block(8, 13))
+
+
 # ------------------------------------------------------------ effective channel
 
 def test_effective_channel_identity_path_all_waveforms():
@@ -227,7 +232,7 @@ def test_unitary_similarity_preserves_frobenius():
         chan = chan_for(spec, [(0.5, 1, 0.8), (0.3j, 3, -1.6)])
         G = effective_channel(spec, chan)
         # H has no nonzero off its cyclic diagonals, so they carry all of ||H||_F
-        H_diagonals = delay_diagonals(chan, spec.cp_phase())
+        H_diagonals = delay_diagonals(chan, spec.wrap)
         assert abs(np.linalg.norm(G) - np.linalg.norm(H_diagonals)) <= 1e-9
 
 

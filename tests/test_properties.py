@@ -1,5 +1,6 @@
-"""Property tests: direct CSI extraction, from G and from the channel's closed form, and the
-equalizers (ZF per block, LMMSE stacked) against dense G-domain solves."""
+"""Property tests: direct CSI extraction, from G and from the channel's closed form, the
+equalizers (ZF per block, LMMSE stacked) against dense G-domain solves, and the time-domain
+pipeline against effective_channel and the oracle, for tuned and given AFDM rates."""
 
 import numpy as np
 import pytest
@@ -15,9 +16,20 @@ from ddwave.channel import (
     PathParams,
     _stack_diagonals,
     delay_diagonals,
+    time_domain_apply,
 )
 from ddwave.link import _lmmse_solve, _zf_solve
-from ddwave.modem import AfdmSpec, OfdmSpec, OtfsSpec, _support_indices, afdm_tune
+from ddwave.modem import (
+    AfdmSpec,
+    OfdmSpec,
+    OtfsSpec,
+    _support_indices,
+    afdm_tune,
+    demodulate,
+    effective_channel,
+    modulate,
+    prepend_cp,
+)
 from ddwave.sensing import (
     _channel_support,
     _direct_csi_from_channel,
@@ -115,7 +127,7 @@ def test_closed_form_support_entries_and_scores_match_the_oracle(case):
     ells, fs = _integer_candidates(spec)
     rows, cols = _support_indices(spec, ells, fs)
     want = G[rows, cols]
-    scores, entries = _channel_support(spec, delay_diagonals(chan, spec.cp_phase()), ells, fs)
+    scores, entries = _channel_support(spec, delay_diagonals(chan, spec.wrap), ells, fs)
     assert np.max(np.abs(entries(np.arange(len(ells))) - want)) < 1e-10
     want_scores = np.abs(want).mean(axis=1)
     assert np.max(np.abs(scores - want_scores)) < 1e-10
@@ -139,24 +151,30 @@ def test_closed_form_support_entries_and_scores_match_the_oracle(case):
 def channel_stacks(draw):
     """A spec with its dense oracle transforms and prefix phase rule, and (B, P) path arrays.
 
-    OFDM and tuned AFDM (xi > 0) at prime N, some above one elimination
-    block of 96 rows, or OTFS with K != L; P > ell_max + 1 paths, so delays
-    repeat. Path 0 is a unit direct path and the others sum to at most 1/2 in
-    magnitude, so cond(H) <= 3 and a dense solve is a sharp reference.
+    OFDM and AFDM (xi > 0) at prime N, some above one elimination block of
+    96 rows, or OTFS with K != L; P > ell_max + 1 paths, so delays repeat.
+    AFDM takes the tuned rates or a given pair (c1, c2), for which 2*N*c1
+    and 2*N^2*c1 are in general not integers. Path 0 is a unit direct path
+    and the others sum to at most 1/2 in magnitude, so cond(H) <= 3 and a
+    dense solve is a sharp reference.
     """
     ell_max = draw(st.integers(0, 4))
     kind = draw(st.sampled_from(["ofdm", "otfs", "afdm"]))
     primes = [97, 101, 127] if draw(st.booleans()) else PRIMES
     if kind == "afdm":
         f_max, xi = draw(st.integers(0, 2)), draw(st.integers(1, 2))
-        span = (2 * (f_max + xi) + 1) * ell_max + 2 * f_max + 1
-        n = draw(st.sampled_from([p for p in primes if p >= max(span, ell_max + 1)]))
-        c1, c2 = afdm_tune(ell_max, f_max, xi, n)
+        if draw(st.booleans()):  # a given pair
+            n = draw(st.sampled_from([p for p in primes if p >= max(2 * f_max + 1, ell_max + 1)]))
+            c1, c2 = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+        else:
+            span = (2 * (f_max + xi) + 1) * ell_max + 2 * f_max + 1
+            n = draw(st.sampled_from([p for p in primes if p >= max(span, ell_max + 1)]))
+            c1, c2 = afdm_tune(ell_max, f_max, xi, n)
         spec = AfdmSpec(n, c1, c2, xi=xi, cp_len=ell_max)
         ops, phase = oracle.afdm_ops(n, c1, c2), oracle.chirp_cp_cycles(c1, n)
     elif kind == "ofdm":
-        f_max = draw(st.integers(0, 2))
         spec = OfdmSpec(draw(st.sampled_from([p for p in primes if p > ell_max])), ell_max)
+        f_max = draw(st.integers(0, min(2, spec.n // 2)))
         ops, phase = oracle.ofdm_ops(spec.n), oracle.zero_cycles
     else:
         k = draw(st.integers(max(ell_max + 1, 2), 8))
@@ -170,14 +188,14 @@ def channel_stacks(draw):
     gains = np.concatenate([np.ones((B, 1)), weak], axis=1)
     delays = np.concatenate([np.zeros((B, 1), dtype=int), rng.integers(0, ell_max + 1, (B, P - 1))], axis=1)
     dopplers = rng.uniform(-f_max - 0.5, f_max + 0.5, (B, P))
-    return spec, ops, phase, (ell_max, gains, delays, dopplers)
+    return spec, ops, phase, (ell_max, f_max, gains, delays, dopplers)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)
 @given(case=channel_stacks(), noise_var=st.sampled_from([0.0, 0.05, 0.3]))
 def test_equalizers_match_dense_g_domain_solves(case, noise_var):
-    spec, (tx, rx), phase, (ell_max, gains, delays, dopplers) = case
-    d = _stack_diagonals(spec.n, ell_max, gains, delays, dopplers, spec.cp_phase())
+    spec, (tx, rx), phase, (ell_max, _, gains, delays, dopplers) = case
+    d = _stack_diagonals(spec.n, ell_max, gains, delays, dopplers, spec.wrap)
     r = np.random.default_rng(len(gains)).standard_normal((len(gains), spec.n, 2)) @ np.array([1.0, 1.0j])
     lmmse = spec._rx(_lmmse_solve(d, r, noise_var))
     for b in range(len(gains)):
@@ -187,3 +205,19 @@ def test_equalizers_match_dense_g_domain_solves(case, noise_var):
         assert np.max(np.abs(zf - np.linalg.solve(G, y))) <= 1e-10
         A = G @ G.conj().T + noise_var * np.eye(spec.n)
         assert np.max(np.abs(lmmse[b] - G.conj().T @ np.linalg.solve(A, y))) <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:channel is not underspread")
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(case=channel_stacks())
+def test_pipeline_equals_effective_channel_equals_the_oracle(case):
+    spec, (tx, rx), phase, (ell_max, f_max, gains, delays, dopplers) = case
+    paths = [(complex(g), int(ell), float(f)) for g, ell, f in zip(gains[0], delays[0], dopplers[0])]
+    cfg = ChannelConfig(N=spec.n, f_s=1e6, f_c=1e9, ell_max=ell_max, f_max=f_max, P=len(paths),
+                        cp_len=ell_max)
+    chan = ChannelRealization(cfg, tuple(PathParams(*p) for p in paths))
+    x = np.random.default_rng(spec.n).standard_normal((spec.n, 2)) @ np.array([1.0, 1.0j])
+    y = demodulate(spec, time_domain_apply(prepend_cp(spec, modulate(spec, x)), chan))
+    G = effective_channel(spec, chan)
+    assert np.max(np.abs(y - G @ x)) <= 1e-10
+    assert np.max(np.abs(G - oracle.effective_matrix(tx, rx, paths, phase))) <= 1e-10

@@ -480,7 +480,7 @@ def reference_ml(y, x, spec, P, grid, refine_levels, refine_factor):
     s = modulate(spec, x)
 
     def score(ell, f, resid):
-        z = demodulate(spec, apply_paths(s, (PathParams(1.0, ell, f),), spec.cp_phase()))
+        z = demodulate(spec, apply_paths(s, (PathParams(1.0, ell, f),), spec.wrap))
         energy = float(np.real(np.vdot(z, z)))
         if energy == 0.0:
             return -np.inf, 0.0j, z
