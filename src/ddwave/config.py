@@ -13,6 +13,7 @@ from .modem import (
     AfdmSpec,
     OfdmSpec,
     OtfsSpec,
+    _c1_merges_targets,
     afdm_orthogonality_ok,
     afdm_tune,
     otfs_orthogonality_ok,
@@ -144,10 +145,16 @@ class ScenarioConfig:
 
     def _report_orthogonality(self):
         if self.waveform in ("afdm", "all"):
-            if not afdm_orthogonality_ok(self.ell_max, self.f_max, self.xi, self.n):
+            if self.c1 is None:
+                if not afdm_orthogonality_ok(self.ell_max, self.f_max, self.xi, self.n):
+                    log.warning(
+                        "AFDM orthogonality fails for ell_max=%d f_max=%d xi=%d N=%d",
+                        self.ell_max, self.f_max, self.xi, self.n,
+                    )
+            elif _c1_merges_targets(self.c1, self.ell_max, self.f_max, self.n):
                 log.warning(
-                    "AFDM orthogonality fails for ell_max=%d f_max=%d xi=%d N=%d",
-                    self.ell_max, self.f_max, self.xi, self.n,
+                    "AFDM orthogonality fails for ell_max=%d f_max=%d N=%d at the given c1=%r",
+                    self.ell_max, self.f_max, self.n, self.c1,
                 )
         if self.waveform in ("otfs", "all") and self.k is not None:
             if not otfs_orthogonality_ok(self.ell_max, self.f_max, self.k, self.l):

@@ -4,15 +4,16 @@ Both equalizers run on the time-domain channel H, never on the symbol-domain
 G = T_rx . H . T_tx: every modem has T_tx = T_rx^H with T_rx unitary, so ZF is
 G^{-1} y = demodulate(H^{-1} r) and LMMSE is demodulate(H^H (H H^H + s2 I)^{-1} r)
 for the CP-stripped received block r. H has only ell_max + 1 populated cyclic
-diagonals. LMMSE forms the 2 ell_max + 1 cyclic diagonals of H H^H + s2 I and
-solves them by block elimination after a fold permutation: O(N m^2) for
-blocks of m >= 2 ell_max + 1 rows (at least 20), so linear in N. ZF solves
-the folded dense H in O(N^3), behind the same guard as the symbol-domain
-solve it replaces: it refuses when cond(H) = cond(G) exceeds 1e12. A
-Cholesky of H H^H - t I, with t a rounding-error margin, certifies
-cond(H) <= about 1e6 without an SVD; only a frame it does not clear runs the
-exact np.linalg.cond test, so every frame is accepted or refused as the
-SVD alone would decide.
+diagonals. LMMSE forms the 2 ell_max + 1 cyclic diagonals of H H^H + s2 I;
+after a fold permutation they are block tridiagonal, and block cyclic
+reduction solves them with about log2(nb) batched solves for nb blocks of
+m rows (m at least the folded half-bandwidth and at least 8): O(N m^2), so
+linear in N. ZF solves the folded dense H in O(N^3), behind the same guard
+as the symbol-domain solve it replaces: it refuses when cond(H) = cond(G)
+exceeds 1e12. A Cholesky of H H^H - t I, with t a rounding-error margin,
+certifies cond(H) <= about 1e6 without an SVD; only a frame it does not
+clear runs the exact np.linalg.cond test, so every frame is accepted or
+refused as the SVD alone would decide.
 
 The BER Monte Carlo draws each frame from its own RNG substream and runs
 the frames of an SNR point in fixed chunks of about 2^16 / N^2 frames, each
@@ -151,41 +152,53 @@ class _BandLayout:
     """Where the diagonals of A = H H^H + s2 I go in the folded A.
 
     Folded A is block tridiagonal with nb blocks of m rows (m at least its
-    half-bandwidth), padded by an identity to nb * m rows. The diagonal
-    blocks gather a.ravel()[diag_src] into diag_dst of an (nb, m, m) array,
-    the blocks below them gather low_src into low_dst of an (nb - 1, m, m)
-    array; the blocks above are their conjugate transposes. Band entry k is
-    entry dense_dst[k] of the whole folded A, flattened.
+    half-bandwidth), padded by an identity to nb * m rows. Block row i is
+    stored as one (m, width) frame [A_ii | rhs_i | A_{i,i-1} | A_{i,i+1}];
+    with nb = 1 it is [A | rhs]. Band entry k goes to entry band_dst[k] of
+    the flattened (nb, m, width) frames and to entry dense_dst[k] of the
+    whole folded A, flattened. Sample n of a block sits at vec[n] of the
+    flattened frames, in the rhs column of folded row inv[n].
     """
 
     perm: np.ndarray
     # A's diagonal at offset o holds A[n, (n - o) mod N] = sum over pairs e - e' = o
-    # of d[e][n] * conj(d[e'])[(n - o) mod N]: pair k reads d[pair_e[k]] and
-    # conj(d).ravel()[pair_src[k]], and sums into row pair_slot[k] (offsets mod N)
-    pair_e: np.ndarray
+    # of d[e][n] * conj(d[e'])[(n - o) mod N]: pair (e, e') reads d[e] and
+    # conj(d).ravel()[pair_src[e, e']], and sums into the rows of
+    # pair_slot[:, e * (ell_max + 1) + e'] (offsets mod N)
     pair_src: np.ndarray
     pair_slot: np.ndarray  # (offsets mod N, pairs) 0/1 matrix
     slot0: int  # row of the main diagonal
     dense_dst: np.ndarray
     nb: int
     m: int
-    diag_src: np.ndarray
-    diag_dst: np.ndarray
-    low_src: np.ndarray
-    low_dst: np.ndarray
+    width: int
+    band_dst: np.ndarray
     pad_dst: np.ndarray
+    vec: np.ndarray
+    # H^H z: entry k sums conj(d[e]) * z at (k + e) mod N over e, read from the
+    # flattened (ell_max + 1, N) product at adjoint_src[:, k]
+    adjoint_src: np.ndarray
 
 
-# Block elimination makes one LAPACK solve with m + 1 right-hand sides per
-# block of m rows. Its cost per row, (call overhead + O(m^3)) / m, is least
-# near m = _BLOCK_ROWS, so blocks are that size unless the band is wider; up
-# to _ONE_BLOCK_ROWS rows a single solve with one right-hand side is cheaper.
-_BLOCK_ROWS = 20
+# The block rule, from timings of _lmmse_solve on a 2-vCPU box with one BLAS
+# thread (CHANGES.md has the table). Cyclic reduction makes about a dozen
+# numpy calls per level, ceil(log2(nb)) levels, and one LAPACK solve with
+# 2m + 1 right-hand sides per block. At m = 8 that solve costs a few us, and
+# several times more per row from m = 10 on, so blocks have _BLOCK_ROWS rows
+# unless the band is wider. A stack of B frames is one dense block, solved
+# by one LU per frame, while N <= _ONE_BLOCK_ROWS or B * N^3 <=
+# _ONE_BLOCK_FLOPS: there the reduction's per-level calls cost more than
+# the N^3 LU (a lone frame up to N = 114).
+_BLOCK_ROWS = 8
 _ONE_BLOCK_ROWS = 96
+_ONE_BLOCK_FLOPS = 1.5e6
 
 
-@lru_cache(maxsize=16)
-def _band_layout(N: int, ell_max: int) -> _BandLayout:
+@lru_cache(maxsize=32)
+def _band_layout(N: int, ell_max: int, B: int = 1) -> _BandLayout:
+    """The layout of a (B, N) stack: one dense block while N <= 96 or
+    B * N^3 <= 1.5e6, else ceil(N / max(half-bandwidth, 8)) blocks of at
+    least the half-bandwidth."""
     perm, inv = _fold(N)
     offsets = sorted({o % N for o in range(-ell_max, ell_max + 1)})
     n = np.arange(N)
@@ -193,35 +206,40 @@ def _band_layout(N: int, ell_max: int) -> _BandLayout:
     pair_slot = np.zeros((len(offsets), e.size))
     pair_slot[np.searchsorted(offsets, (e - e2) % N), np.arange(e.size)] = 1.0
     # band entry k: row n = k % N of diagonal k // N, at folded (i[k], j[k])
-    src = np.arange(len(offsets) * N)
     i = np.tile(inv, len(offsets))
     j = inv[(n[None, :] - np.asarray(offsets)[:, None]) % N].ravel()
     half_width = int(np.max(np.abs(i - j)))
-    nb = 1 if N <= _ONE_BLOCK_ROWS else max(1, N // max(half_width, _BLOCK_ROWS))
-    m = -(-N // nb)
+    one_block = N <= _ONE_BLOCK_ROWS or B * N**3 <= _ONE_BLOCK_FLOPS
+    nb = 1 if one_block else -(-N // max(half_width, _BLOCK_ROWS))
+    m = max(-(-N // nb), half_width)
+    width = m + 1 if nb == 1 else 3 * m + 1
     bi, bj = i // m, j // m
-    diag, low = bi == bj, bi == bj + 1
+    col = j % m + np.select([bj == bi, bj < bi], [0, m + 1], 2 * m + 1)
     pad = np.arange(N, nb * m)
     return _BandLayout(
         perm=perm,
-        pair_e=e,
-        pair_src=e2[:, None] * N + (n[None, :] - (e - e2)[:, None]) % N,
+        pair_src=(e2[:, None] * N + (n - (e - e2)[:, None]) % N).reshape(ell_max + 1, -1, N),
         pair_slot=pair_slot,
         slot0=offsets.index(0),
         dense_dst=i * N + j,
         nb=nb,
         m=m,
-        diag_src=src[diag],
-        diag_dst=i[diag] * m + j[diag] % m,
-        low_src=src[low],
-        low_dst=(bj[low] * m + i[low] % m) * m + j[low] % m,
-        pad_dst=pad * m + pad % m,
+        width=width,
+        band_dst=i * width + col,
+        pad_dst=pad * width + pad % m,
+        vec=inv * width + m,
+        adjoint_src=np.arange(ell_max + 1)[:, None] * N + (n + np.arange(ell_max + 1)[:, None]) % N,
     )
 
 
 def _gram(d: np.ndarray, lay: _BandLayout) -> np.ndarray:
     """The cyclic diagonals of H H^H, (B, offsets, N), from a (B, ell_max + 1, N) stack of H's."""
-    return lay.pair_slot @ (d[:, lay.pair_e] * d.conj().reshape(d.shape[0], -1)[:, lay.pair_src])
+    B, E, N = d.shape
+    # the products overwrite the gathered conj(d), so a stack needs one
+    # (B, E, E, N) temporary, not three (256 KiB each per frame at N = 1024)
+    g = d.conj().reshape(B, -1)[:, lay.pair_src]
+    np.multiply(d[:, :, None], g, out=g)
+    return lay.pair_slot @ g.reshape(B, E * E, N)
 
 
 # The ZF guard refuses H when cond(H) > 1e12. An SVD decides that exactly but
@@ -287,51 +305,65 @@ def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     return z
 
 
+def _cyclic_reduction(F: np.ndarray, m: int) -> None:
+    """Solve block-tridiagonal Hermitian positive definite systems in place.
+
+    F holds B systems of n block rows, F[:, i] = [D_i | b_i | L_i | U_i] with
+    L_i = A_{i,i-1} and U_i = A_{i,i+1} (L_0 and U_{n-1} zero); on return
+    F[..., m] holds x. Each level of the reduction (Heller, SIAM J. Numer.
+    Anal. 13, 1976) overwrites [b | L | U] of the odd rows by
+    [y | P | Q] = D^{-1} [b | L | U] in one batched solve, and one batched
+    matmul gives the Schur complements that turn the even rows, in place,
+    into the half-size system of the even x. Its blocks stay Hermitian
+    positive definite, so no pivoting across blocks is needed. Back-
+    substitution sets x_odd = y - P x_left - Q x_right, level by level.
+    """
+    levels = []
+    while F.shape[1] > 1:
+        n = F.shape[1]
+        odd, even = F[:, 1::2], F[:, 0::2]
+        # odd row j couples to even j through A_{2j,2j+1} = L^H and to even
+        # j + 1 through A_{2j+2,2j+1} = U^H: one matmul gives both products
+        coupling = odd[..., m + 1 :].conj().swapaxes(-1, -2)
+        odd[..., m:] = np.linalg.solve(odd[..., :m], odd[..., m:])
+        t = coupling @ odd[..., m:]
+        # even j takes D -= L^H P, b -= L^H y and its new U = -L^H Q from odd
+        # j, and D -= U^H Q, b -= U^H y and its new L = -U^H P from odd j - 1
+        up, low = t[..., :m, :], t[:, : (n - 1) // 2, m:, :]
+        even[:, : n // 2, :, :m] -= up[..., 1 : m + 1]
+        even[:, : n // 2, :, m] -= up[..., 0]
+        np.negative(up[..., m + 1 :], out=even[:, : n // 2, :, 2 * m + 1 :])
+        even[:, 1:, :, :m] -= low[..., m + 1 :]
+        even[:, 1:, :, m] -= low[..., 0]
+        np.negative(low[..., 1 : m + 1], out=even[:, 1:, :, m + 1 : 2 * m + 1])
+        levels.append(F)
+        F = even
+    F[..., m : m + 1] = np.linalg.solve(F[..., :m], F[..., m : m + 1])
+    for F in reversed(levels):
+        n = F.shape[1]
+        x, odd = F[..., m, None], F[:, 1::2]
+        x[:, 1::2] -= odd[..., m + 1 : 2 * m + 1] @ x[:, 0 : n - 1 : 2]
+        x[:, 1 : n - 1 : 2] -= odd[:, : (n - 1) // 2, :, 2 * m + 1 :] @ x[:, 2::2]
+
+
 def _lmmse_solve(d: np.ndarray, r: np.ndarray, noise_var: float) -> np.ndarray:
     """H^H (H H^H + s2 I)^{-1} r for a (B, ell_max + 1, N) stack of H's diagonals.
 
-    The layout depends only on (N, ell_max), so each block elimination step
-    solves one (B, m, m) stack.
+    The folded A of every frame goes into one (B, nb, m, width) array of
+    block rows, and _cyclic_reduction solves the whole stack with one
+    batched solve per level; with nb = 1 that is one dense solve per frame.
     """
     B, N = r.shape
-    ell_max = d.shape[1] - 1
-    lay = _band_layout(N, ell_max)
+    lay = _band_layout(N, d.shape[1] - 1, B)
     a = _gram(d, lay)
     a[:, lay.slot0] += noise_var
-    a = a.reshape(B, -1)
-
-    nb, m = lay.nb, lay.m
-    diag = np.zeros((B, nb * m * m), dtype=complex)
-    diag[:, lay.diag_dst] = a[:, lay.diag_src]
-    diag[:, lay.pad_dst] = 1.0
-    diag = diag.reshape(B, nb, m, m)
-    low = np.zeros((B, (nb - 1) * m * m), dtype=complex)
-    low[:, lay.low_dst] = a[:, lay.low_src]
-    low = low.reshape(B, nb - 1, m, m)
-    # w[:, i] = [A_{i,i+1} | rhs_i], overwritten in place by D_i^{-1} w[:, i]
-    w = np.empty((B, nb, m, m + 1), dtype=complex)
-    w[:, :-1, :, :m] = low.conj().swapaxes(-1, -2)
-    rhs = np.zeros((B, nb * m), dtype=complex)
-    rhs[:, :N] = r[:, lay.perm]
-    w[..., m] = rhs.reshape(B, nb, m)
-    D = diag[:, 0]
-    for i in range(nb - 1):
-        w[:, i] = np.linalg.solve(D, w[:, i])
-        t = low[:, i] @ w[:, i]
-        D = diag[:, i + 1] - t[..., :m]
-        w[:, i + 1, :, m] -= t[..., m]
-    x = np.empty((B, nb, m), dtype=complex)
-    x[:, -1] = np.linalg.solve(D, w[:, -1, :, m:])[..., 0]
-    for i in range(nb - 2, -1, -1):
-        x[:, i] = w[:, i, :, m] - (w[:, i, :, :m] @ x[:, i + 1, :, None])[..., 0]
-    z = np.empty((B, N), dtype=complex)
-    z[:, lay.perm] = x.reshape(B, -1)[:, :N]
-    # H^H z: entry k gathers conj(d[e][k + e]) * z[k + e] over every diagonal e
-    u = d.conj() * z[:, None]
-    out = u[:, 0].copy()
-    for e in range(1, ell_max + 1):
-        out += np.roll(u[:, e], -e, axis=-1)
-    return out
+    F = np.zeros((B, lay.nb * lay.m * lay.width), dtype=complex)
+    F[:, lay.band_dst] = a.reshape(B, -1)
+    F[:, lay.pad_dst] = 1.0
+    F[:, lay.vec] = r
+    _cyclic_reduction(F.reshape(B, lay.nb, lay.m, lay.width), lay.m)
+    u = d.conj() * F[:, None, lay.vec]
+    return u.reshape(B, -1)[:, lay.adjoint_src].sum(axis=1)
 
 
 def _check_sizes(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> None:
@@ -363,8 +395,9 @@ def equalize_lmmse(
     This equals G^H (G G^H + s2 I)^{-1} y, because T_tx = T_rx^H with T_rx
     unitary. A = H H^H + s2 I has 2 ell_max + 1 cyclic diagonals, formed in
     O(N ell_max^2); folded, it is block tridiagonal and Hermitian positive
-    definite, so block elimination needs no pivoting across blocks and costs
-    O(N m^2) for blocks of m rows. No N x N array is formed unless N is one block.
+    definite, so block cyclic reduction needs no pivoting across blocks and
+    costs O(N m^2) for blocks of m rows in about log2(N / m) batched solves.
+    No N x N array is formed unless N is one block (N <= 114 here).
     """
     r = np.asarray(r)
     _check_sizes(spec, chan, r)

@@ -158,12 +158,14 @@ class AfdmSpec:
     @property
     def delay_stride(self) -> int:
         """Diagonal shift contributed per unit delay: 2*N*c1, an integer for tuned c1."""
-        stride = 2.0 * self.n * self.c1
-        if abs(stride - round(stride)) > 1e-9:
-            raise ValueError(
-                f"support prediction needs 2*N*c1 integral, got 2*N*c1 = {stride}"
-            )
-        return int(round(stride))
+        return _delay_stride(self.n, self.c1)
+
+
+def _delay_stride(n: int, c1: float) -> int:
+    stride = 2.0 * n * c1
+    if abs(stride - round(stride)) > 1e-9:
+        raise ValueError(f"support prediction needs 2*N*c1 integral, got 2*N*c1 = {stride}")
+    return int(round(stride))
 
 
 WaveformSpec = OfdmSpec | OtfsSpec | AfdmSpec
@@ -231,6 +233,22 @@ def afdm_orthogonality_ok(ell_max: int, f_max: int, xi: int, N: int) -> bool:
     """
     _check_nonneg(ell_max=ell_max, f_max=f_max, xi=xi, N=N)
     return (2 * (f_max + xi) + 1) * ell_max + 2 * f_max + 1 <= N
+
+
+def _c1_merges_targets(c1: float, ell_max: int, f_max: int, N: int) -> bool:
+    """True iff 2*N*c1 is an integral stride that puts two (delay, integer
+    Doppler) pairs of the window on one diagonal, (ell * 2*N*c1 - f_int) mod N.
+
+    afdm_orthogonality_ok decides separability for the tuned c1; a given c1
+    can have any stride. With a stride that is not integral no path sits on
+    one diagonal (sensing refuses such a c1), so none merge.
+    """
+    try:
+        stride = _delay_stride(N, c1)
+    except ValueError:
+        return False
+    window = [(ell, f) for ell in range(ell_max + 1) for f in range(-f_max, f_max + 1)]
+    return len({(ell * stride - f) % N for ell, f in window}) < len(window)
 
 
 def otfs_orthogonality_ok(ell_max: int, f_max: int, K: int, L: int) -> bool:

@@ -317,6 +317,27 @@ def test_seed_flag_validates_the_config_once(tmp_path, caplog):
     assert len(warned) == 1
 
 
+# 2*N*c1 = 1 at N = 64: every delay moves one diagonal, so with f_max = 2 the
+# pairs (ell, f_int) and (ell + 1, f_int + 1) share a diagonal
+COLLIDING_C1 = {"waveform": "afdm", "n": 64, "c1": 0.0078125, "trials": 1, "snr_sweep": [20.0]}
+
+
+def test_given_c1_whose_stride_merges_targets_warns(tmp_path, caplog):
+    cfg = write_config(tmp_path, COLLIDING_C1)
+    with caplog.at_level(logging.WARNING, logger="ddwave"):
+        assert main(["sense", "--config", cfg, "--out", str(tmp_path)]) == 0
+    warned = [r.getMessage() for r in caplog.records if "orthogonality" in r.getMessage()]
+    assert warned == ["AFDM orthogonality fails for ell_max=3 f_max=2 N=64 at the given c1=0.0078125"]
+
+
+@pytest.mark.parametrize("stride", [5, 7])  # 5 is the tuned stride, 7 is not
+def test_given_c1_whose_stride_separates_targets_is_quiet(tmp_path, caplog, stride):
+    cfg = write_config(tmp_path, {**COLLIDING_C1, "c1": stride / 128})
+    with caplog.at_level(logging.WARNING, logger="ddwave"):
+        assert main(["sense", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert not [r for r in caplog.records if "orthogonality" in r.getMessage()]
+
+
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert main(["ber", "--seed", "-1", "--out", str(tmp_path)]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err

@@ -219,7 +219,8 @@ def _reference_cases():
     add(OfdmSpec(16, 5), oracle.ofdm_ops(16), zero, seed=9)  # cp_len > ell_max
     spec, ops, phase = afdm(16, 3, 1, cp_len=5)
     add(spec, ops, phase, f_max=1, seed=10)
-    # N above one block: block elimination, padding of the last block
+    # N = 97 is one dense block for a lone frame; the N = 128 cases run the
+    # cyclic reduction, and the wide bands (m = 24 and 14) pad the last block
     add(OfdmSpec(97, 3), oracle.ofdm_ops(97), zero, P=5, seed=11)
     add(OfdmSpec(128, 12), oracle.ofdm_ops(128), zero, ell_max=12, P=5, seed=14)  # wide band
     add(OtfsSpec(k=8, l=16, cp_len=3), oracle.otfs_ops(8, 16), zero, seed=12)
@@ -240,6 +241,54 @@ def test_equalizers_match_dense_reference():
             A = G @ G.conj().T + noise_var * np.eye(spec.n)
             lmmse = G.conj().T @ np.linalg.solve(A, y)
             assert np.max(np.abs(equalize_lmmse(spec, chan, r, noise_var) - lmmse)) <= 1e-10, (spec, noise_var)
+
+
+def _block_tridiagonal_system(nb, m, B, pad, seed):
+    """B random HPD block-tridiagonal systems (A, b) of nb blocks of m rows.
+
+    A = M M^H + I for a block lower-bidiagonal M. The last `pad` rows are an
+    identity with a zero right-hand side, decoupled from the rest, as the
+    band layout pads the last block.
+    """
+    rng = np.random.default_rng(seed)
+    size = nb * m
+    A = np.empty((B, size, size), dtype=complex)
+    for b in range(B):
+        M = np.zeros((size, size), dtype=complex)
+        for i in range(nb):
+            for j in (i - 1, i):
+                if j >= 0:
+                    M[i * m : (i + 1) * m, j * m : (j + 1) * m] = rng.standard_normal((m, m, 2)) @ [1, 1j]
+        A[b] = M @ M.conj().T + np.eye(size)
+    rhs = rng.standard_normal((B, size, 2)) @ np.array([1, 1j])
+    if pad:
+        A[:, -pad:, :] = A[:, :, -pad:] = 0.0
+        A[:, -pad:, -pad:] = np.eye(pad)
+        rhs[:, -pad:] = 0.0
+    return A, rhs
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("nb", range(1, 18))
+def test_cyclic_reduction_matches_the_dense_solve(nb, B):
+    # nb = 1..17 covers odd and even block counts, 2^k and 2^k + 1
+    m = 5
+    A, rhs = _block_tridiagonal_system(nb, m, B, pad=2, seed=nb)
+    width = m + 1 if nb == 1 else 3 * m + 1  # [D | b | L | U], as _band_layout lays out
+    F = np.zeros((B, nb, m, width), dtype=complex)
+    for i in range(nb):
+        rows = slice(i * m, (i + 1) * m)
+        F[:, i, :, :m] = A[:, rows, rows]
+        F[:, i, :, m] = rhs[:, rows]
+        if i > 0:
+            F[:, i, :, m + 1 : 2 * m + 1] = A[:, rows, (i - 1) * m : i * m]
+        if i < nb - 1:
+            F[:, i, :, 2 * m + 1 :] = A[:, rows, (i + 1) * m : (i + 2) * m]
+    link._cyclic_reduction(F, m)
+    x = F[..., m].reshape(B, -1)
+    expected = np.linalg.solve(A, rhs[..., None])[..., 0]
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(x[:, -2:])) <= 1e-12 * np.max(np.abs(expected))  # the padding
 
 
 def test_zf_solves_channel_that_dense_elimination_got_wrong():
@@ -403,7 +452,10 @@ def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
         (OfdmSpec(64, 3), _dispersive_config(64), 37, [16, 16, 5]),
         (OtfsSpec(k=4, l=9, cp_len=3), _dispersive_config(36), 53, [50, 3]),  # K != L
         (AfdmSpec(37, c1, c2, 1, 3), _dispersive_config(37), 50, [47, 3]),  # odd N, xi = 1
+        # 16 blocks of 8 rows, batched 4 and 2 frames at a time, 1 in the reference
+        (OfdmSpec(128, 3), _dispersive_config(128), 10, [4, 4, 2]),
     ]
+    assert [link._band_layout(128, 3, b).nb for b in (1, 2, 4)] == [16, 16, 16]
     for spec, cfg, frames, sizes in cases:
         for snr_db in (6.0, np.inf):  # inf draws no noise
             chunks.clear()
