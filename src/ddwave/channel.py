@@ -102,25 +102,32 @@ def sample_paths(config: ChannelConfig, doppler_mode: str, rng: np.random.Genera
     (unit mean total power). Delays are uniform over {0..ell_max}, without
     replacement while P allows it. Dopplers are uniform over the integers
     {-f_max..f_max} in "integer" mode, or uniform reals over
-    [-f_max-0.5, f_max+0.5) in "fractional" mode.
+    [-f_max-0.5, f_max+0.5) in "fractional" mode. Frame stacks use the
+    array form, _draw_paths, which makes the same RNG calls.
     """
+    return _realization(config, *_draw_paths(config, doppler_mode, rng))
+
+
+def _draw_paths(config: ChannelConfig, doppler_mode: str, rng: np.random.Generator) -> tuple:
+    """The draw of sample_paths as (P,) gain, integer delay and Doppler arrays."""
     if config.P < 1:
         raise ValueError("cannot sample an empty channel (P must be >= 1)")
     if doppler_mode not in ("integer", "fractional"):
         raise ValueError(f"unknown doppler_mode {doppler_mode!r}")
     P = config.P
     g = rng.standard_normal((P, 2)) @ np.array([1.0, 1.0j]) * np.sqrt(1.0 / (2 * P))
-    replace = P > config.ell_max + 1
-    delays = rng.choice(config.ell_max + 1, size=P, replace=replace)
+    delays = rng.choice(config.ell_max + 1, size=P, replace=P > config.ell_max + 1)
     if doppler_mode == "integer":
         dopplers = rng.integers(-config.f_max, config.f_max + 1, size=P).astype(float)
     else:
         dopplers = rng.uniform(-config.f_max - 0.5, config.f_max + 0.5, size=P)
-    paths = tuple(
-        PathParams(gain=complex(g[p]), delay_norm=int(delays[p]), doppler_norm=float(dopplers[p]))
-        for p in range(P)
-    )
-    return ChannelRealization(config=config, paths=paths)
+    return g, delays, dopplers
+
+
+def _realization(config: ChannelConfig, gains, delays, dopplers) -> ChannelRealization:
+    """The validated realization of (P,) path arrays; _path_arrays inverts it."""
+    paths = zip(gains.tolist(), delays.tolist(), dopplers.tolist())
+    return ChannelRealization(config, tuple(PathParams(g, ell, f) for g, ell, f in paths))
 
 
 def time_domain_apply(s_cp: np.ndarray, chan: ChannelRealization) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Command-line front end: scenario presets, Monte Carlo orchestration, file emission.
+"""Command-line front end: scenario presets, sweep tables, file emission.
 
 Subcommands: effchan, ber, sense, ambiguity, demo-v2x. Every command is a
 pure function of (config, seed): re-running writes byte-identical files
-(per-index RNG substreams), and --threads changes nothing.
+(per-index RNG substreams), and --threads changes nothing. No frame is
+built here: link and sensing draw them, the CLI tabulates and writes.
 """
 
 from __future__ import annotations
@@ -11,30 +12,17 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 
 import numpy as np
 
-from .channel import ChannelRealization, PathParams, sample_paths, time_domain_apply
+from .channel import ChannelRealization, PathParams, sample_paths
 from .config import ConfigError, ScenarioConfig, load_config
-from .link import (
-    Constellation,
-    SingularChannelError,
-    add_awgn,
-    map_bits,
-    run_ber_point,
-    substream,
-)
-from .modem import demodulate, effective_channel, modulate, prepend_cp
-from .sensing import (
-    RadarTargetEstimate,
-    _direct_csi_from_channel,
-    ambiguity_map,
-    indirect_csi_ml,
-    matched_filter_map,
-    sensing_rmse,
-)
+from .link import Constellation, SingularChannelError, _chunks, run_ber_point, substream
+from .modem import effective_channel
+from .sensing import RadarTargetEstimate, _frame_ambiguity, _sense_trials, sensing_rmse
 
 log = logging.getLogger("ddwave")
 
@@ -178,78 +166,45 @@ def cmd_ber(cfg: ScenarioConfig, out: str) -> list[str]:
     return [path]
 
 
-def _sense_trial(cfg, spec, chan_cfg, constellation, snr, key):
-    """One sensing trial: returns (truth pairs, per-method estimate lists)."""
-    rng = substream(cfg.seed, *key)
-    chan = sample_paths(chan_cfg, cfg.doppler_mode, rng)
-    truth = [(p.delay_norm, p.doppler_norm) for p in chan.paths]
-    bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
-    x = map_bits(bits, constellation)
-    s = modulate(spec, x)
-    r = time_domain_apply(prepend_cp(spec, s), chan)
-    r = add_awgn(r, snr, rng)
-    grid = (range(chan_cfg.ell_max + 1), range(-chan_cfg.f_max, chan_cfg.f_max + 1))
-    mf = matched_filter_map(r, s, list(grid[0]), list(grid[1]))
-    mf_pairs = mf.top_peaks(cfg.paths)
-    mf_est = []
-    s_energy = float(np.real(np.vdot(s, s)))
-    for d, f in mf_pairs:
-        i = list(mf.delay_bins).index(d)
-        j = list(mf.doppler_bins).index(f)
-        mf_est.append(RadarTargetEstimate(d, f, complex(mf.values[i, j] / s_energy)))
-    dc_est = _direct_csi_from_channel(chan, spec, cfg.paths)
-    y = demodulate(spec, r)
-    ml_est = indirect_csi_ml(
-        y, x, spec, cfg.paths, grid,
-        refine_levels=cfg.refine_levels, refine_factor=cfg.refine_factor,
-    )
-    return truth, {"matched_filter": mf_est, "direct_csi": dc_est, "indirect_ml": ml_est}
-
-
 def cmd_sense(cfg: ScenarioConfig, out: str) -> list[str]:
-    """Monte Carlo sensing sweep; RMSE per (SNR, method) plus example estimates."""
+    """Monte Carlo sensing sweep; RMSE per (SNR, method) plus example estimates.
+
+    Trial t of SNR point i is sensing._sense_trials' trial of key (i, t), in
+    the chunks of the BER frames. The example is trial 0 of the last point.
+    """
     _, spec = cfg.sensing_spec()
     chan_cfg = cfg.channel_config()
     constellation = Constellation.by_name(cfg.constellation)
-    methods = ["matched_filter", "direct_csi", "indirect_ml"]
     sweep = sorted(cfg.snr_sweep)
     table = {
         key: []
         for key in ("snr_db", "method", "trials", "rmse_delay", "rmse_doppler", "misdetections")
     }
-    example = {}
     for snr_idx, snr in enumerate(sweep):
-        acc = {m: {"d2": [], "f2": [], "miss": 0} for m in methods}
-        for t in range(cfg.trials):
-            truth, ests = _sense_trial(cfg, spec, chan_cfg, constellation, snr, (snr_idx, t))
-            for m in methods:
-                errs = sensing_rmse(ests[m], truth)
-                if not np.isnan(errs.rmse_delay):
-                    acc[m]["d2"].append(errs.rmse_delay**2)
-                    acc[m]["f2"].append(errs.rmse_doppler**2)
-                acc[m]["miss"] += errs.misdetections
-            if snr == sweep[-1] and t == 0:
-                for m in methods:
-                    example[m] = [
-                        _estimate_record(
-                            e.with_physical_units(cfg.f_s, cfg.f_c, spec.n, cfg.geometry)
-                        )
-                        for e in ests[m]
-                    ]
-        for m in methods:
-            d2, f2 = acc[m]["d2"], acc[m]["f2"]
-            rmse_d = float(np.sqrt(np.mean(d2))) if d2 else float("nan")
-            rmse_f = float(np.sqrt(np.mean(f2))) if f2 else float("nan")
-            row = (float(snr), m, cfg.trials, rmse_d, rmse_f, acc[m]["miss"])
+        trials = [
+            trial
+            for chunk in _chunks(spec.n, cfg.trials)
+            for trial in _sense_trials(
+                spec, chan_cfg, constellation, snr, cfg.doppler_mode, cfg.seed,
+                [(snr_idx, t) for t in chunk], cfg.refine_levels, cfg.refine_factor,
+            )
+        ]
+        for m in trials[0][1]:
+            errs = [sensing_rmse(ests[m], truth) for truth, ests in trials]
+            paired = [e for e in errs if not np.isnan(e.rmse_delay)]
+            rmse_d = float(np.sqrt(np.mean([e.rmse_delay**2 for e in paired]))) if paired else math.nan
+            rmse_f = float(np.sqrt(np.mean([e.rmse_doppler**2 for e in paired]))) if paired else math.nan
+            row = (float(snr), m, cfg.trials, rmse_d, rmse_f, sum(e.misdetections for e in errs))
             for column, value in zip(table.values(), row):
                 column.append(value)
+    example = {
+        m: [_estimate_record(e.with_physical_units(cfg.f_s, cfg.f_c, spec.n, cfg.geometry)) for e in ests]
+        for m, ests in trials[0][1].items()
+    }
     csv_path = os.path.join(out, "sense.csv")
     _write_csv(csv_path, table)
     json_path = os.path.join(out, "estimates.json")
-    _write_json(
-        json_path,
-        {"snr_db": sweep[-1], "geometry": cfg.geometry, "methods": example},
-    )
+    _write_json(json_path, {"snr_db": sweep[-1], "geometry": cfg.geometry, "methods": example})
     return [csv_path, json_path]
 
 
@@ -259,30 +214,24 @@ def cmd_ambiguity(cfg: ScenarioConfig, out: str) -> list[str]:
     written = []
     summary = {"waveform": [], "peak_mag": [], "psr_db": []}
     for idx, (name, spec) in enumerate(cfg.waveform_specs()):
-        rng = substream(cfg.seed, idx)
-        bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
-        s = modulate(spec, map_bits(bits, constellation))
-        delays = list(range(spec.n))
-        dopplers = list(range(-(spec.n // 2), spec.n // 2 + 1))
-        amb = ambiguity_map(s, delays, dopplers)
+        amb = _frame_ambiguity(spec, constellation, substream(cfg.seed, idx))
         mags = np.abs(amb.values)
         path = os.path.join(out, f"ambiguity_{name}.csv")
         _write_csv(
             path,
             {
-                "delay_bin": np.repeat(amb.delay_bins.astype(int), len(dopplers)),
-                "doppler_bin": np.tile(amb.doppler_bins.astype(int), len(delays)),
+                "delay_bin": np.repeat(amb.delay_bins.astype(int), mags.shape[1]),
+                "doppler_bin": np.tile(amb.doppler_bins.astype(int), mags.shape[0]),
                 "re": amb.values.real.ravel(),
                 "im": amb.values.imag.ravel(),
                 "mag": mags.ravel(),
             },
         )
         written.append(path)
-        zero_i = delays.index(0)
-        zero_j = dopplers.index(0)
-        peak = float(mags[zero_i, zero_j])
+        zero = (0, spec.n // 2)  # (delay 0, Doppler 0)
+        peak = float(mags[zero])
         side = mags.copy()
-        side[zero_i, zero_j] = 0.0
+        side[zero] = 0.0
         # a one-cell map (n = 1) has no sidelobes: the ratio is unbounded
         psr_db = float(20.0 * np.log10(peak / side.max())) if side.max() > 0 else float("inf")
         for column, value in zip(summary.values(), (name, peak, psr_db)):

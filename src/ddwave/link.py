@@ -15,12 +15,14 @@ certifies cond(H) <= about 1e6 without an SVD; only a frame it does not
 clear runs the exact np.linalg.cond test, so every frame is accepted or
 refused as the SVD alone would decide.
 
-The BER Monte Carlo draws each frame from its own RNG substream and runs
-the frames of an SNR point in fixed chunks of about 2^16 / N^2 frames, each
-chunk as (B, N) stacks through one copy of the pipeline. The public
-single-block functions call the same stacked code with B = 1. ZF is the
-exception: its guard decides frame by frame, so each frame of a chunk
-goes through the public equalize_zf, and a refusal raises from there.
+_draw_frames writes the transmitted frame once: each frame draws channel,
+bits and noise from its own RNG substream, and a chunk of about 2^16 / N^2
+frames runs the transmit chain and the channel as (B, N) stacks. BER frames
+and the `sense` trials (sensing._sense_trials) both come from it, in the
+same chunks. The public single-block functions call the same stacked code
+with B = 1. ZF is the exception: its guard decides frame by frame, so each
+frame of a chunk goes through the public equalize_zf, and a refusal raises
+from there.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from .channel import (
     ChannelConfig,
     ChannelRealization,
     _apply_samples,
-    _path_arrays,
+    _draw_paths,
+    _realization,
     _stack_diagonals,
     delay_diagonals,
-    sample_paths,
 )
 from .modem import OtfsSpec, WaveformSpec, _papr_db, _prepend_cp
 
@@ -185,20 +187,18 @@ class _BandLayout:
 # numpy calls per level, ceil(log2(nb)) levels, and one LAPACK solve with
 # 2m + 1 right-hand sides per block. At m = 8 that solve costs a few us, and
 # several times more per row from m = 10 on, so blocks have _BLOCK_ROWS rows
-# unless the band is wider. A stack of B frames is one dense block, solved
-# by one LU per frame, while N <= _ONE_BLOCK_ROWS or B * N^3 <=
-# _ONE_BLOCK_FLOPS: there the reduction's per-level calls cost more than
-# the N^3 LU (a lone frame up to N = 114).
+# unless the band is wider. Up to N = _ONE_BLOCK_ROWS the reduction's
+# per-level calls cost more than the N^3 LU, so A is one dense block there.
+# The rule reads N alone: a frame's estimate must not depend on how many
+# frames share its stack.
 _BLOCK_ROWS = 8
 _ONE_BLOCK_ROWS = 96
-_ONE_BLOCK_FLOPS = 1.5e6
 
 
 @lru_cache(maxsize=32)
-def _band_layout(N: int, ell_max: int, B: int = 1) -> _BandLayout:
-    """The layout of a (B, N) stack: one dense block while N <= 96 or
-    B * N^3 <= 1.5e6, else ceil(N / max(half-bandwidth, 8)) blocks of at
-    least the half-bandwidth."""
+def _band_layout(N: int, ell_max: int) -> _BandLayout:
+    """The layout of A: one dense block while N <= 96, else
+    ceil(N / max(half-bandwidth, 8)) blocks of at least the half-bandwidth."""
     perm, inv = _fold(N)
     offsets = sorted({o % N for o in range(-ell_max, ell_max + 1)})
     n = np.arange(N)
@@ -209,8 +209,7 @@ def _band_layout(N: int, ell_max: int, B: int = 1) -> _BandLayout:
     i = np.tile(inv, len(offsets))
     j = inv[(n[None, :] - np.asarray(offsets)[:, None]) % N].ravel()
     half_width = int(np.max(np.abs(i - j)))
-    one_block = N <= _ONE_BLOCK_ROWS or B * N**3 <= _ONE_BLOCK_FLOPS
-    nb = 1 if one_block else -(-N // max(half_width, _BLOCK_ROWS))
+    nb = 1 if N <= _ONE_BLOCK_ROWS else -(-N // max(half_width, _BLOCK_ROWS))
     m = max(-(-N // nb), half_width)
     width = m + 1 if nb == 1 else 3 * m + 1
     bi, bj = i // m, j // m
@@ -354,7 +353,7 @@ def _lmmse_solve(d: np.ndarray, r: np.ndarray, noise_var: float) -> np.ndarray:
     batched solve per level; with nb = 1 that is one dense solve per frame.
     """
     B, N = r.shape
-    lay = _band_layout(N, d.shape[1] - 1, B)
+    lay = _band_layout(N, d.shape[1] - 1)
     a = _gram(d, lay)
     a[:, lay.slot0] += noise_var
     F = np.zeros((B, lay.nb * lay.m * lay.width), dtype=complex)
@@ -366,11 +365,23 @@ def _lmmse_solve(d: np.ndarray, r: np.ndarray, noise_var: float) -> np.ndarray:
     return u.reshape(B, -1)[:, lay.adjoint_src].sum(axis=1)
 
 
-def _check_sizes(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> None:
-    if chan.config.N != spec.n:
-        raise ValueError(f"channel block size {chan.config.N} != waveform size {spec.n}")
+def _check_spec(spec: WaveformSpec, N: int) -> None:
+    """Refuse another block size, and OTFS pulses that break G^{-1} y = demodulate(H^{-1} r)."""
+    if N != spec.n:
+        raise ValueError(f"channel block size {N} != waveform size {spec.n}")
+    if isinstance(spec, OtfsSpec) and not spec.adjoint_pulses:
+        raise ValueError(
+            "time-domain equalization needs pulse_tx = conj(pulse_rx) with |pulse_rx| = 1"
+        )
+
+
+def _equalizer_inputs(spec: WaveformSpec, chan: ChannelRealization, r) -> tuple[np.ndarray, np.ndarray]:
+    """The equalizers' shared input check; returns H's diagonals and r as an array."""
+    _check_spec(spec, chan.config.N)
+    r = np.asarray(r)
     if r.shape != (spec.n,):
         raise ValueError(f"received block must have length {spec.n}, got {r.shape}")
+    return delay_diagonals(chan, spec.wrap), r
 
 
 def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> np.ndarray:
@@ -381,9 +392,7 @@ def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> 
     1e12; a Cholesky certificate clears well-conditioned channels without
     an SVD (see _certified).
     """
-    r = np.asarray(r)
-    _check_sizes(spec, chan, r)
-    d = delay_diagonals(chan, spec.wrap)
+    d, r = _equalizer_inputs(spec, chan, r)
     return spec._rx(_zf_solve(d, r))
 
 
@@ -397,11 +406,9 @@ def equalize_lmmse(
     O(N ell_max^2); folded, it is block tridiagonal and Hermitian positive
     definite, so block cyclic reduction needs no pivoting across blocks and
     costs O(N m^2) for blocks of m rows in about log2(N / m) batched solves.
-    No N x N array is formed unless N is one block (N <= 114 here).
+    No N x N array is formed unless N is one block (N <= 96 here).
     """
-    r = np.asarray(r)
-    _check_sizes(spec, chan, r)
-    d = delay_diagonals(chan, spec.wrap)
+    d, r = _equalizer_inputs(spec, chan, r)
     return spec._rx(_lmmse_solve(d[None], r[None], noise_var)[0])
 
 
@@ -425,46 +432,58 @@ class LinkResult:
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _run_frames(
-    spec: WaveformSpec,
-    chan_config: ChannelConfig,
-    constellation: Constellation,
-    snr_db: float,
-    detector: str,
-    doppler_mode: str,
-    seed: int,
-    frames: range,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo frames `frames` as (B, N) stacks; returns (bit errors, papr_db) per frame."""
-    N, B = spec.n, len(frames)
-    gains = np.empty((B, chan_config.P), dtype=complex)
-    delays = np.empty((B, chan_config.P), dtype=np.intp)
-    dopplers = np.empty((B, chan_config.P))
+def _chunks(N: int, count: int) -> list[range]:
+    """Indices 0..count-1 in chunks of max(1, 2^16 // N^2): BER frames and sensing trials."""
+    size = max(1, _CHUNK_ENTRIES // N**2)
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _draw_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
+                 snr_db: float, doppler_mode: str, seed: int, keys) -> tuple:
+    """The frames of the substream keys `keys` as stacks, one row per frame:
+    ((gains, delays, dopplers), bits, symbols, prefixed samples, received blocks).
+
+    Frame key k draws channel, bits and noise, in this order, from
+    substream(seed, *k); the transmit chain, the channel and the noise then
+    run once on the stacks. snr_db = +inf draws no noise.
+    """
+    N, B = spec.n, len(keys)
+    paths = [np.empty((B, chan_config.P), dtype=t) for t in (complex, np.intp, float)]
     bits = np.empty((B, N * constellation.bits_per_symbol), dtype=int)
     normals = np.empty((B, N, 2))
     noisy = snr_db != np.inf
-    chans = []
-    for b, i in enumerate(frames):
-        # frame i draws channel, bits and noise, in this order, from its own substream
-        rng = substream(seed, i)
-        chans.append(sample_paths(chan_config, doppler_mode, rng))
-        gains[b], delays[b], dopplers[b] = _path_arrays(chans[-1].paths)
+    for b, key in enumerate(keys):
+        rng = substream(seed, *key)
+        for stack, drawn in zip(paths, _draw_paths(chan_config, doppler_mode, rng)):
+            stack[b] = drawn
         bits[b] = rng.integers(0, 2, size=bits.shape[1])
         if noisy:
             normals[b] = rng.standard_normal((N, 2))
-    s_cp = _prepend_cp(spec, spec._tx(map_bits(bits.ravel(), constellation).reshape(B, N)))
-    r = _apply_samples(s_cp, N, gains, delays, dopplers)
+    x = map_bits(bits.ravel(), constellation).reshape(B, N)
+    s_cp = _prepend_cp(spec, spec._tx(x))
+    r = _apply_samples(s_cp, N, *paths)
     if noisy:
         r = r + _noise(normals, snr_db)
+    return paths, bits, x, s_cp, r
+
+
+def _run_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
+                snr_db: float, detector: str, doppler_mode: str, seed: int, frames: range):
+    """Monte Carlo frames `frames` as (B, N) stacks; returns (bit errors, papr_db) per frame."""
+    paths, bits, _, s_cp, r = _draw_frames(
+        spec, chan_config, constellation, snr_db, doppler_mode, seed, [(i,) for i in frames]
+    )
     if detector == "zf":
         # one public call per frame, in frame order: the first frame with
         # cond(H) > 1e12 raises from equalize_zf, as a lone block would
-        x_hat = np.stack([equalize_zf(spec, chan, r_b) for chan, r_b in zip(chans, r)])
+        x_hat = np.stack([
+            equalize_zf(spec, _realization(chan_config, *path), r_b) for *path, r_b in zip(*paths, r)
+        ])
     else:
-        d = _stack_diagonals(N, chan_config.ell_max, gains, delays, dopplers, spec.wrap)
+        d = _stack_diagonals(spec.n, chan_config.ell_max, *paths, spec.wrap)
         x_hat = spec._rx(_lmmse_solve(d, r, _noise_var(snr_db)))
     bits_hat = demap_symbols(x_hat.ravel(), constellation)
-    errors = np.count_nonzero((bits_hat != bits.ravel()).reshape(B, -1), axis=1)
+    errors = np.count_nonzero((bits_hat != bits.ravel()).reshape(len(frames), -1), axis=1)
     return errors, _papr_db(s_cp)
 
 
@@ -486,7 +505,8 @@ def run_ber_point(
     reproducible to the byte. Frames run in fixed chunks of about 2^16 / N^2
     frames (16 at N = 64, one from N = 256 on): each chunk goes through
     mapping, modulation, prefix, channel, noise, equalizer, demodulation and
-    demapping as (B, N) stacks, so the chunk size changes no result. ZF
+    demapping as (B, N) stacks, and no step, the LMMSE block rule included,
+    depends on the stack size, so the chunk size changes no result. ZF
     equalizes the chunk's frames one by one through equalize_zf, in frame
     order: a Cholesky certificate clears a well-conditioned H without an
     SVD, any other H gets the exact cond(H) > 1e12 test, and the first
@@ -501,19 +521,10 @@ def run_ber_point(
         raise ValueError(f"threads must be >= 1, got {threads}")
     if detector not in ("zf", "lmmse"):
         raise ValueError(f"unknown detector {detector!r}")
-    if chan_config.N != spec.n:
-        raise ValueError(f"channel block size {chan_config.N} != waveform size {spec.n}")
-    if isinstance(spec, OtfsSpec) and not spec.adjoint_pulses:
-        raise ValueError(
-            "time-domain equalization needs pulse_tx = conj(pulse_rx) with |pulse_rx| = 1"
-        )
-    chunk = max(1, _CHUNK_ENTRIES // spec.n**2)
+    _check_spec(spec, chan_config.N)
     results = [
-        _run_frames(
-            spec, chan_config, constellation, snr_db, detector, doppler_mode, seed,
-            range(start, min(start + chunk, frames)),
-        )
-        for start in range(0, frames, chunk)
+        _run_frames(spec, chan_config, constellation, snr_db, detector, doppler_mode, seed, chunk)
+        for chunk in _chunks(spec.n, frames)
     ]
     errors = int(sum(e.sum() for e, _ in results))
     paprs = np.concatenate([p for _, p in results])

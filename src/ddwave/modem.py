@@ -74,7 +74,7 @@ class OtfsSpec:
     def n(self) -> int:
         return self.k * self.l
 
-    @property
+    @cached_property
     def adjoint_pulses(self) -> bool:
         """True iff pulse_tx = conj(pulse_rx) with |pulse_rx| = 1.
 

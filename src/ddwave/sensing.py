@@ -9,7 +9,8 @@ ell_max + 1 cyclic diagonals, which never builds G. The indirect route fits
 path parameters to a demodulated pilot frame by greedy successive
 cancellation over a coarse-to-fine grid. Unit-path responses come as
 (C, N) candidate stacks, each through one receive transform. No routine
-here builds an N x N array.
+here builds an N x N array. The `sense` trials (_sense_trials) are the BER
+frame stacks of link._draw_frames, demodulated once per chunk.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import _wrap_window, delay_diagonals, doppler_phases
+from .channel import ChannelConfig, _stack_diagonals, _wrap_window, doppler_phases
+from .link import Constellation, _draw_frames, map_bits
 from .modem import AfdmSpec, OfdmSpec, WaveformSpec, _support_indices, afdm_shift, modulate
 
 LIGHT_SPEED = 2.99792458e8  # m/s, exact
@@ -99,7 +101,7 @@ def matched_filter_map(r: np.ndarray, s_known: np.ndarray, delay_bins, doppler_b
     ells, dops = _check_bins(delay_bins, doppler_bins, N)
     n = np.arange(N)
     E = np.exp(-2j * np.pi * np.outer(dops, n) / N)
-    lagged = np.stack([r * np.conj(np.roll(s_known, ell)) for ell in ells])
+    lagged = r * np.conj(s_known[(n - ells[:, None]) % N])
     return DelayDopplerMap(ells.astype(float), dops, lagged @ E.T)
 
 
@@ -112,6 +114,14 @@ def ambiguity_map(s: np.ndarray, delay_bins, doppler_bins) -> DelayDopplerMap:
     dops = np.asarray(doppler_bins, dtype=float)
     m = matched_filter_map(s, s, delay_bins, -dops)
     return DelayDopplerMap(m.delay_bins, dops, m.values)
+
+
+def _frame_ambiguity(spec: WaveformSpec, constellation: Constellation, rng) -> DelayDopplerMap:
+    """ambiguity_map of one frame of random bits from rng, over delays 0..N-1
+    and Doppler bins -(N // 2)..N // 2."""
+    bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
+    s = modulate(spec, map_bits(bits, constellation))
+    return ambiguity_map(s, range(spec.n), range(-(spec.n // 2), spec.n // 2 + 1))
 
 
 def _unit_responses(spec: WaveformSpec, s: np.ndarray, ells, doppler: np.ndarray) -> np.ndarray:
@@ -182,9 +192,9 @@ def direct_csi_extract(
 
     Scores every candidate (ell, f_int) by the mean magnitude of G over its
     predicted support, read in one gather, keeps the top P, and fits each
-    winner's gain against a unit-gain probe (see _top_targets). Given the
-    channel instead of G, _direct_csi_from_channel returns the same
-    estimates without building G.
+    winner's gain against a unit-gain probe (see _top_targets). Given H's
+    cyclic diagonals instead of G, _direct_csi returns the same estimates
+    without building G.
     """
     G = np.asarray(G)
     if G.shape != (spec.n, spec.n):
@@ -194,17 +204,17 @@ def direct_csi_extract(
     return _top_targets(spec, ells, fs, np.abs(entries).mean(axis=1), entries.__getitem__, P, threshold)
 
 
-def _direct_csi_from_channel(chan, spec: WaveformSpec, P: int) -> list[RadarTargetEstimate]:
-    """direct_csi_extract(effective_channel(spec, chan), spec, P) without G.
+def _direct_csi(spec: WaveformSpec, diags: np.ndarray, P: int) -> list[RadarTargetEstimate]:
+    """direct_csi_extract(effective_channel(spec, chan), spec, P) without G,
+    from diags = delay_diagonals(chan, spec.wrap).
 
     The support entries come from the closed form of G in H's cyclic
     diagonals (_channel_support): O(C N) for C candidates, no N x N array.
     """
-    if chan.config.N != spec.n:
-        raise ValueError(f"channel block size {chan.config.N} != waveform size {spec.n}")
+    if diags.shape[-1] != spec.n:
+        raise ValueError(f"channel block size {diags.shape[-1]} != waveform size {spec.n}")
     ells, fs = _integer_candidates(spec)
-    scores, entries = _channel_support(spec, delay_diagonals(chan, spec.wrap), ells, fs)
-    return _top_targets(spec, ells, fs, scores, entries, P, None)
+    return _top_targets(spec, ells, fs, *_channel_support(spec, diags, ells, fs), P, None)
 
 
 def _channel_support(spec, diags: np.ndarray, ells, fs):
@@ -348,6 +358,41 @@ def indirect_csi_ml(
         resid = resid - gain * z
         estimates.append(RadarTargetEstimate(float(ell), f, gain))
     return estimates
+
+
+def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
+                  snr_db: float, doppler_mode: str, seed: int, keys, refine_levels: int,
+                  refine_factor: int) -> list[tuple[list, dict]]:
+    """Sensing trials of the substream keys `keys`: (truth pairs, estimates per method) each.
+
+    A trial is a BER frame (link._draw_frames). The received stack is
+    demodulated, and H's diagonals formed, once; then each trial runs the
+    matched filter, direct CSI and the ML search for chan_config.P targets
+    on the window 0..ell_max x -f_max..f_max.
+    """
+    (gains, delays, dopplers), _, x, s_cp, r = _draw_frames(
+        spec, chan_config, constellation, snr_db, doppler_mode, seed, keys
+    )
+    ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P
+    grid = (range(ell_max + 1), range(-f_max, f_max + 1))
+    y = spec._rx(r)
+    diags = _stack_diagonals(spec.n, ell_max, gains, delays, dopplers, spec.wrap)
+    trials = []
+    for b, s in enumerate(s_cp[:, spec.cp_len :]):
+        mf = matched_filter_map(r[b], s, *grid)
+        s_energy = float(np.real(np.vdot(s, s)))
+        ests = {
+            "matched_filter": [
+                RadarTargetEstimate(d, f, complex(mf.values[int(d), int(f) + f_max] / s_energy))
+                for d, f in mf.top_peaks(P)
+            ],
+            "direct_csi": _direct_csi(spec, diags[b], P),
+            "indirect_ml": indirect_csi_ml(
+                y[b], x[b], spec, P, grid, refine_levels=refine_levels, refine_factor=refine_factor
+            ),
+        }
+        trials.append((list(zip(delays[b].tolist(), dopplers[b].tolist())), ests))
+    return trials
 
 
 def radar_convert(tau_s: float, nu_hz: float, f_c: float, geometry: str = "monostatic") -> tuple[float, float]:

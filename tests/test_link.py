@@ -12,6 +12,7 @@ from ddwave.channel import (
     ChannelConfig,
     ChannelRealization,
     PathParams,
+    _path_arrays,
     delay_diagonals,
     sample_paths,
     time_domain_apply,
@@ -219,8 +220,9 @@ def _reference_cases():
     add(OfdmSpec(16, 5), oracle.ofdm_ops(16), zero, seed=9)  # cp_len > ell_max
     spec, ops, phase = afdm(16, 3, 1, cp_len=5)
     add(spec, ops, phase, f_max=1, seed=10)
-    # N = 97 is one dense block for a lone frame; the N = 128 cases run the
-    # cyclic reduction, and the wide bands (m = 24 and 14) pad the last block
+    # the N = 97 and N = 128 cases run the cyclic reduction (N = 97 as 13
+    # blocks, the last one padded), and the wide bands (m = 24 and 14) pad
+    # the last block
     add(OfdmSpec(97, 3), oracle.ofdm_ops(97), zero, P=5, seed=11)
     add(OfdmSpec(128, 12), oracle.ofdm_ops(128), zero, ell_max=12, P=5, seed=14)  # wide band
     add(OtfsSpec(k=8, l=16, cp_len=3), oracle.otfs_ops(8, 16), zero, seed=12)
@@ -241,6 +243,20 @@ def test_equalizers_match_dense_reference():
             A = G @ G.conj().T + noise_var * np.eye(spec.n)
             lmmse = G.conj().T @ np.linalg.solve(A, y)
             assert np.max(np.abs(equalize_lmmse(spec, chan, r, noise_var) - lmmse)) <= 1e-10, (spec, noise_var)
+
+
+def test_lmmse_of_a_frame_does_not_depend_on_its_stack():
+    # N = 100 runs the cyclic reduction whether the frame is alone or one of six
+    assert link._band_layout(100, 3).nb > 1
+    cfg = _dispersive_config(100)
+    rng = np.random.default_rng(100)
+    chans = [sample_paths(cfg, "fractional", rng) for _ in range(6)]
+    spec = OfdmSpec(100, 3)
+    d = np.stack([delay_diagonals(chan, spec.wrap) for chan in chans])
+    r = np.stack([_block(100, seed) for seed in range(6)])
+    alone = link._lmmse_solve(d[:1], r[:1], 0.1)
+    stacked = link._lmmse_solve(d, r, 0.1)
+    assert np.array_equal(alone[0], stacked[0])
 
 
 def _block_tridiagonal_system(nb, m, B, pad, seed):
@@ -313,26 +329,43 @@ def test_equalizers_reject_size_mismatch():
         equalize_lmmse(OfdmSpec(8), chan, np.ones(7, dtype=complex), 0.1)
 
 
+_UNIT_PULSE = tuple(np.exp(0.7j * np.arange(4)))
+_RAMP_PULSE = tuple(np.exp(0.7j * np.arange(4)) * (1.0 + 0.1 * np.arange(4)))
+_NON_ADJOINT_PULSES = [
+    (_UNIT_PULSE, _UNIT_PULSE),  # pulse_tx != conj(pulse_rx)
+    (_RAMP_PULSE, tuple(np.conj(_RAMP_PULSE))),  # |pulse_rx| != 1
+    (None, (1.0, -1.0, 1.0, 1.0)),
+    ((2.0,) * 4, None),
+]
+_ADJOINT_MESSAGE = r"needs pulse_tx = conj\(pulse_rx\) with \|pulse_rx\| = 1"
+
+
 def test_ber_rejects_otfs_pulses_without_time_domain_identity(monkeypatch):
     def no_frame(*args):
         raise AssertionError("a frame ran before the pulses were checked")
 
     monkeypatch.setattr(link, "_run_frames", no_frame)
-    ramp = tuple(np.exp(0.7j * np.arange(4)) * (1.0 + 0.1 * np.arange(4)))
-    unit = tuple(np.exp(0.7j * np.arange(4)))
-    for p_tx, p_rx in (
-        (unit, unit),               # pulse_tx != conj(pulse_rx)
-        (ramp, tuple(np.conj(ramp))),  # |pulse_rx| != 1
-        (None, (1.0, -1.0, 1.0, 1.0)),
-        ((2.0,) * 4, None),
-    ):
+    for p_tx, p_rx in _NON_ADJOINT_PULSES:
         spec = OtfsSpec(k=4, l=4, cp_len=3, pulse_tx=p_tx, pulse_rx=p_rx)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=_ADJOINT_MESSAGE):
             run_ber_point(spec, _dispersive_config(), QPSK, 10.0, frames=2)
     monkeypatch.undo()
-    spec = OtfsSpec(k=4, l=4, cp_len=3, pulse_tx=tuple(np.conj(unit)), pulse_rx=unit)
+    spec = OtfsSpec(k=4, l=4, cp_len=3, pulse_tx=tuple(np.conj(_UNIT_PULSE)), pulse_rx=_UNIT_PULSE)
     res = run_ber_point(spec, _dispersive_config(), QPSK, np.inf, frames=2)
     assert res.frames == 2
+
+
+@pytest.mark.parametrize("pulses", _NON_ADJOINT_PULSES)
+def test_equalizers_reject_otfs_pulses_without_time_domain_identity(pulses):
+    # with such pulses demodulate(H^{-1} r) is not G^{-1} y: at K = L = 4 and
+    # pulse_tx = pulse_rx = e^{0.7j k}, a noiseless block came back 1.97 off
+    spec = OtfsSpec(k=4, l=4, cp_len=3, pulse_tx=pulses[0], pulse_rx=pulses[1])
+    chan = _realization(16, _dominant_paths(0, 3, 3, 1), f_max=1)
+    r = _block(16, 0)
+    with pytest.raises(ValueError, match=_ADJOINT_MESSAGE):
+        equalize_zf(spec, chan, r)
+    with pytest.raises(ValueError, match=_ADJOINT_MESSAGE):
+        equalize_lmmse(spec, chan, r, 0.1)
 
 
 def _flat_config(n=16):
@@ -402,7 +435,7 @@ def test_ber_rejects_nan_and_negative_infinity_before_the_first_frame(monkeypatc
     def no_frames(*args, **kwargs):
         raise AssertionError("a frame was drawn")
 
-    monkeypatch.setattr(link, "sample_paths", no_frames)
+    monkeypatch.setattr(link, "_draw_paths", no_frames)
     with pytest.raises(ValueError, match="snr_db"):
         run_ber_point(OfdmSpec(16), _flat_config(), QPSK, snr_db, frames=4)
 
@@ -455,7 +488,7 @@ def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
         # 16 blocks of 8 rows, batched 4 and 2 frames at a time, 1 in the reference
         (OfdmSpec(128, 3), _dispersive_config(128), 10, [4, 4, 2]),
     ]
-    assert [link._band_layout(128, 3, b).nb for b in (1, 2, 4)] == [16, 16, 16]
+    assert link._band_layout(128, 3).nb == 16
     for spec, cfg, frames, sizes in cases:
         for snr_db in (6.0, np.inf):  # inf draws no noise
             chunks.clear()
@@ -492,7 +525,7 @@ def _near_singular(eps, n=64):
 
 def _ber_with_channel(tmp_path, monkeypatch, chan):
     """Exit code of `ddwave ber` (ZF, N = 64) when every frame draws the channel chan."""
-    monkeypatch.setattr(link, "sample_paths", lambda config, mode, rng: ChannelRealization(config, chan.paths))
+    monkeypatch.setattr(link, "_draw_paths", lambda config, mode, rng: _path_arrays(chan.paths))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "waveform": "ofdm", "n": 64, "ell_max": 0, "f_max": 1, "paths": 2, "cp_len": 0,

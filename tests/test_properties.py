@@ -32,7 +32,7 @@ from ddwave.modem import (
 )
 from ddwave.sensing import (
     _channel_support,
-    _direct_csi_from_channel,
+    _direct_csi,
     _integer_candidates,
     direct_csi_extract,
 )
@@ -135,7 +135,7 @@ def test_closed_form_support_entries_and_scores_match_the_oracle(case):
     # the channel route ranks like the oracle's scores (up to rounding at ties) and
     # fits each winner's gain against the oracle's unit-path probe
     P = chan.config.P
-    ests = _direct_csi_from_channel(chan, spec, P)
+    ests = _direct_csi(spec, delay_diagonals(chan, spec.wrap), P)
     index = {pair: c for c, pair in enumerate(zip(ells.tolist(), fs.tolist()))}
     picked = [index[(int(e.delay_norm_hat), int(e.doppler_norm_hat))] for e in ests]
     threshold = 1.0 / (2 * spec.n)

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 import oracle
+from ddwave import link
 from ddwave.channel import (
     ChannelConfig,
     ChannelRealization,
     PathParams,
     apply_paths,
+    delay_diagonals,
     sample_paths,
     time_domain_apply,
 )
+from ddwave.link import Constellation, add_awgn, map_bits
 from ddwave.modem import (
     AfdmSpec,
     OfdmSpec,
@@ -36,7 +39,7 @@ from ddwave.sensing import (
     radar_invert,
     sensing_rmse,
 )
-from ddwave.sensing import _direct_csi_from_channel, _integer_candidates
+from ddwave.sensing import _direct_csi, _integer_candidates, _sense_trials
 
 
 def chan_of(n, paths, ell_max=3, f_max=2, cp_len=3):
@@ -320,7 +323,7 @@ def test_direct_extraction_from_channel_matches_extraction_from_G(case, mode):
     G = oracle.effective_matrix(tx, rx, [(p.gain, p.delay_norm, p.doppler_norm) for p in chan.paths],
                                 phase)
     for P in (1, 3, 5):
-        got = _direct_csi_from_channel(chan, spec, P)
+        got = _direct_csi(spec, delay_diagonals(chan, spec.wrap), P)
         want = direct_csi_extract(G, spec, P)
         assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in got] == \
             [(e.delay_norm_hat, e.doppler_norm_hat) for e in want]
@@ -330,7 +333,7 @@ def test_direct_extraction_from_channel_matches_extraction_from_G(case, mode):
 
 def test_direct_extraction_from_channel_rejects_size_mismatch():
     with pytest.raises(ValueError, match="block size"):
-        _direct_csi_from_channel(three_target_channel(36), tuned_afdm(64), 1)
+        _direct_csi(tuned_afdm(64), delay_diagonals(three_target_channel(36), tuned_afdm(36).wrap), 1)
 
 
 def test_candidates_stay_distinct_when_the_guard_is_wider_than_the_block():
@@ -345,7 +348,7 @@ def test_candidates_stay_distinct_when_the_guard_is_wider_than_the_block():
     chan = ChannelRealization(ChannelConfig(N=3, f_s=1e6, f_c=1e9, ell_max=0, f_max=1, P=1, cp_len=0),
                               (PathParams(0.7j, 0, 1.0),))
     for est in (direct_csi_extract(effective_channel(spec, chan), spec, 1),
-                _direct_csi_from_channel(chan, spec, 1)):
+                _direct_csi(spec, delay_diagonals(chan, spec.wrap), 1)):
         assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in est] == [(0.0, 1.0)]
         assert abs(est[0].gain_hat - 0.7j) < 1e-12
 
@@ -590,6 +593,69 @@ def test_all_methods_agree_on_integer_scene():
     assert mf.argmax() == (2.0, 1.0)
     assert (dc.delay_norm_hat, dc.doppler_norm_hat) == (2.0, 1.0)
     assert (ml.delay_norm_hat, ml.doppler_norm_hat) == (2.0, 1.0)
+
+
+# ---------------------------------------------------------- sensing trials
+
+
+def _reference_trial(spec, cfg, constellation, snr_db, doppler_mode, seed, key, levels, factor):
+    """Trial `key` of a sense sweep through the public single-block functions.
+
+    Returns (truth pairs, estimates per method), as _sense_trials does per trial.
+    """
+    rng = link.substream(seed, *key)
+    chan = sample_paths(cfg, doppler_mode, rng)
+    bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
+    x = map_bits(bits, constellation)
+    s = modulate(spec, x)
+    r = add_awgn(time_domain_apply(prepend_cp(spec, s), chan), snr_db, rng)
+    grid = (range(cfg.ell_max + 1), range(-cfg.f_max, cfg.f_max + 1))
+    mf = matched_filter_map(r, s, list(grid[0]), list(grid[1]))
+    s_energy = float(np.real(np.vdot(s, s)))
+    mf_est = [
+        RadarTargetEstimate(d, f, complex(mf.values[list(mf.delay_bins).index(d),
+                                                    list(mf.doppler_bins).index(f)] / s_energy))
+        for d, f in mf.top_peaks(cfg.P)
+    ]
+    ml_est = indirect_csi_ml(demodulate(spec, r), x, spec, cfg.P, grid,
+                             refine_levels=levels, refine_factor=factor)
+    return [(p.delay_norm, p.doppler_norm) for p in chan.paths], {
+        "matched_filter": mf_est,
+        "direct_csi": _direct_csi(spec, delay_diagonals(chan, spec.wrap), cfg.P),
+        "indirect_ml": ml_est,
+    }
+
+
+SENSE_TRIAL_SPECS = [
+    ("afdm-prime-127-xi1", tuned_afdm(127, xi=1)),
+    ("otfs-8x16", OtfsSpec(k=8, l=16, cp_len=3)),  # K != L
+]
+
+
+@pytest.mark.parametrize("case", SENSE_TRIAL_SPECS, ids=[c[0] for c in SENSE_TRIAL_SPECS])
+@pytest.mark.parametrize("mode", ["integer", "fractional"])
+def test_sense_trials_match_the_per_trial_reference(case, mode):
+    _, spec = case
+    cfg = ChannelConfig(N=spec.n, f_s=1e6, f_c=1e9, ell_max=3, f_max=2, P=3, cp_len=3)
+    qpsk = Constellation.qpsk()
+    chunks = link._chunks(spec.n, 6)
+    assert [len(c) for c in chunks] == [4, 2]  # the sweep ends on a partial chunk
+    for snr_idx, snr_db in enumerate((10.0, np.inf)):
+        got = [
+            trial
+            for chunk in chunks
+            for trial in _sense_trials(spec, cfg, qpsk, snr_db, mode, 7,
+                                       [(snr_idx, t) for t in chunk], 2, 10)
+        ]
+        want = [_reference_trial(spec, cfg, qpsk, snr_db, mode, 7, (snr_idx, t), 2, 10)
+                for t in range(6)]
+        assert len(got) == len(want)
+        for (truth, ests), (truth_ref, ests_ref) in zip(got, want):
+            assert truth == truth_ref
+            assert ests.keys() == ests_ref.keys()
+            for method, est in ests.items():
+                assert [(e.delay_norm_hat, e.doppler_norm_hat, e.gain_hat) for e in est] == \
+                    [(e.delay_norm_hat, e.doppler_norm_hat, e.gain_hat) for e in ests_ref[method]], method
 
 
 # ------------------------------------------------------------- radar units
