@@ -329,24 +329,24 @@ def main(argv=None) -> int:
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
+        cfg = None if args.command == "demo-v2x" else _load(args)
+        out = args.out or (cfg.outputs if cfg else "out")
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
         if args.command == "demo-v2x":
-            out = args.out or "out"
-            os.makedirs(out, exist_ok=True)
             written = cmd_demo_v2x(out, geometry=args.geometry, seed=args.seed if args.seed is not None else 1)
-        else:
-            cfg = _load(args)
-            out = args.out or cfg.outputs
-            os.makedirs(out, exist_ok=True)
-            if args.command == "effchan":
-                written = cmd_effchan(cfg, out, fig3=args.fig3, variant=args.variant)
-            elif args.command == "ber":
-                written = cmd_ber(cfg, out)
-            elif args.command == "sense":
-                written = cmd_sense(cfg, out)
-            elif args.command == "ambiguity":
-                written = cmd_ambiguity(cfg, out)
-            else:  # pragma: no cover
-                raise AssertionError(args.command)
+        elif args.command == "effchan":
+            written = cmd_effchan(cfg, out, fig3=args.fig3, variant=args.variant)
+        elif args.command == "ber":
+            written = cmd_ber(cfg, out)
+        elif args.command == "sense":
+            written = cmd_sense(cfg, out)
+        elif args.command == "ambiguity":
+            written = cmd_ambiguity(cfg, out)
+        else:  # pragma: no cover
+            raise AssertionError(args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

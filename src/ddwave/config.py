@@ -219,10 +219,12 @@ class ScenarioConfig:
 def load_config(path: str, seed: int | None = None) -> ScenarioConfig:
     """Parse and validate a JSON scenario file; `seed`, when given, replaces its seed."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {getattr(exc, 'strerror', None) or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(raw, dict):

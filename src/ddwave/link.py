@@ -41,7 +41,7 @@ from .channel import (
     _stack_diagonals,
     delay_diagonals,
 )
-from .modem import OtfsSpec, WaveformSpec, _papr_db, _prepend_cp
+from .modem import OtfsSpec, WaveformSpec, _papr_db, demodulate, modulate, prepend_cp
 
 
 class SingularChannelError(ValueError):
@@ -366,12 +366,13 @@ def _lmmse_solve(d: np.ndarray, r: np.ndarray, noise_var: float) -> np.ndarray:
 
 
 def _check_spec(spec: WaveformSpec, N: int) -> None:
-    """Refuse another block size, and OTFS pulses that break G^{-1} y = demodulate(H^{-1} r)."""
+    """Refuse another block size, and OTFS pulses without T_tx = T_rx^H, the identity
+    that the equalizers and the ML sensing search rest on by working in time domain."""
     if N != spec.n:
         raise ValueError(f"channel block size {N} != waveform size {spec.n}")
     if isinstance(spec, OtfsSpec) and not spec.adjoint_pulses:
         raise ValueError(
-            "time-domain equalization needs pulse_tx = conj(pulse_rx) with |pulse_rx| = 1"
+            "time-domain processing needs pulse_tx = conj(pulse_rx) with |pulse_rx| = 1"
         )
 
 
@@ -393,7 +394,7 @@ def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> 
     an SVD (see _certified).
     """
     d, r = _equalizer_inputs(spec, chan, r)
-    return spec._rx(_zf_solve(d, r))
+    return demodulate(spec, _zf_solve(d, r))
 
 
 def equalize_lmmse(
@@ -409,7 +410,7 @@ def equalize_lmmse(
     No N x N array is formed unless N is one block (N <= 96 here).
     """
     d, r = _equalizer_inputs(spec, chan, r)
-    return spec._rx(_lmmse_solve(d[None], r[None], noise_var)[0])
+    return demodulate(spec, _lmmse_solve(d[None], r[None], noise_var)[0])
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -460,7 +461,7 @@ def _draw_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: 
         if noisy:
             normals[b] = rng.standard_normal((N, 2))
     x = map_bits(bits.ravel(), constellation).reshape(B, N)
-    s_cp = _prepend_cp(spec, spec._tx(x))
+    s_cp = prepend_cp(spec, modulate(spec, x))
     r = _apply_samples(s_cp, N, *paths)
     if noisy:
         r = r + _noise(normals, snr_db)
@@ -481,7 +482,7 @@ def _run_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: C
         ])
     else:
         d = _stack_diagonals(spec.n, chan_config.ell_max, *paths, spec.wrap)
-        x_hat = spec._rx(_lmmse_solve(d, r, _noise_var(snr_db)))
+        x_hat = demodulate(spec, _lmmse_solve(d, r, _noise_var(snr_db)))
     bits_hat = demap_symbols(x_hat.ravel(), constellation)
     errors = np.count_nonzero((bits_hat != bits.ravel()).reshape(len(frames), -1), axis=1)
     return errors, _papr_db(s_cp)

@@ -3,9 +3,10 @@
 This is the one module that knows how a waveform transforms. Each spec owns
 its unitary transmit and receive transforms, written as FFTs with norm="ortho"
 and diagonal factors (no N x N matrix), plus its prefix vector `wrap`, which
-the prefix, the channel's path operators and the sensing unit responses all
-read. The transforms act on blocks along the last axis, so one call maps a
-single block or a stack of blocks. On top of them sit the effective-channel
+the prefix, the channel's path operators and the sensing search all read.
+The transforms, and modulate, demodulate and prepend_cp over them, act on
+blocks along the last axis, so one call maps a single block or a stack of
+blocks. On top of them sit the effective-channel
 builder, chirp tuning for AFDM, per-waveform orthogonality predicates, and exact
 support-pattern prediction for integer-Doppler paths.
 """
@@ -171,36 +172,32 @@ def _delay_stride(n: int, c1: float) -> int:
 WaveformSpec = OfdmSpec | OtfsSpec | AfdmSpec
 
 
+def _blocks(spec: WaveformSpec, a, what: str) -> np.ndarray:
+    """a as an array of N-sample blocks along its last axis; only that axis is checked."""
+    a = np.asarray(a)
+    if a.shape[-1:] != (spec.n,):
+        raise ValueError(f"{what} must have length {spec.n}, got {a.shape}")
+    return a
+
+
 def modulate(spec: WaveformSpec, x: np.ndarray) -> np.ndarray:
-    """Map one block of N symbols to N time-domain samples (unitary)."""
-    x = np.asarray(x)
-    if x.shape != (spec.n,):
-        raise ValueError(f"symbol block must have length {spec.n}, got {x.shape}")
-    return spec._tx(x)
+    """Map blocks of N symbols to N time-domain samples (unitary), along the last axis."""
+    return spec._tx(_blocks(spec, x, "symbol block"))
 
 
 def demodulate(spec: WaveformSpec, r: np.ndarray) -> np.ndarray:
-    """Map N received samples (CP already stripped) back to the symbol domain."""
-    r = np.asarray(r)
-    if r.shape != (spec.n,):
-        raise ValueError(f"received block must have length {spec.n}, got {r.shape}")
-    return spec._rx(r)
+    """Map blocks of N received samples (CP already stripped) back to the
+    symbol domain, along the last axis."""
+    return spec._rx(_blocks(spec, r, "received block"))
 
 
 def prepend_cp(spec: WaveformSpec, s: np.ndarray) -> np.ndarray:
-    """Prepend the cyclic prefix, applying the waveform's prefix vector.
+    """Prepend the cyclic prefix to blocks along the last axis: (..., N) -> (..., N + cp_len).
 
     Prefix sample at index n' in {-cp_len..-1} equals s[N+n'] * spec.wrap[N+n']:
     a plain copy for OFDM/OTFS, the chirp-periodic prefix for AFDM.
     """
-    s = np.asarray(s)
-    if s.shape != (spec.n,):
-        raise ValueError(f"block must have length {spec.n}, got {s.shape}")
-    return _prepend_cp(spec, s)
-
-
-def _prepend_cp(spec: WaveformSpec, s: np.ndarray) -> np.ndarray:
-    """prepend_cp for blocks along the last axis of s: (..., N) -> (..., N + cp_len)."""
+    s = _blocks(spec, s, "block")
     start = spec.n - spec.cp_len
     if start < 0:
         raise ValueError(f"prefix longer than the block: cp_len {spec.cp_len} > N {spec.n}")

@@ -7,10 +7,12 @@ channel G on each candidate's predicted support: from a given G in one
 gather, or from the channel itself through the closed form of G in H's
 ell_max + 1 cyclic diagonals, which never builds G. The indirect route fits
 path parameters to a demodulated pilot frame by greedy successive
-cancellation over a coarse-to-fine grid. Unit-path responses come as
-(C, N) candidate stacks, each through one receive transform. No routine
-here builds an N x N array. The `sense` trials (_sense_trials) are the BER
-frame stacks of link._draw_frames, demodulated once per chunk.
+cancellation over a coarse-to-fine grid. Every modem has T_rx unitary and
+T_tx = T_rx^H, so the search scores its candidates in time domain with
+the matched filter's correlation kernel (_correlate), and no candidate
+goes through a receive transform. No routine here builds an N x N array.
+The `sense` trials (_sense_trials) are the BER frame stacks of
+link._draw_frames, demodulated once per chunk.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelConfig, _stack_diagonals, _wrap_window, doppler_phases
-from .link import Constellation, _draw_frames, map_bits
-from .modem import AfdmSpec, OfdmSpec, WaveformSpec, _support_indices, afdm_shift, modulate
+from .link import Constellation, _check_spec, _draw_frames, map_bits
+from .modem import AfdmSpec, OfdmSpec, WaveformSpec, _support_indices, afdm_shift, demodulate, modulate
 
 LIGHT_SPEED = 2.99792458e8  # m/s, exact
 
@@ -99,10 +101,19 @@ def matched_filter_map(r: np.ndarray, s_known: np.ndarray, delay_bins, doppler_b
         raise ValueError(f"length mismatch: {r.shape} vs {s_known.shape}")
     N = r.shape[0]
     ells, dops = _check_bins(delay_bins, doppler_bins, N)
-    n = np.arange(N)
-    E = np.exp(-2j * np.pi * np.outer(dops, n) / N)
-    lagged = r * np.conj(s_known[(n - ells[:, None]) % N])
-    return DelayDopplerMap(ells.astype(float), dops, lagged @ E.T)
+    rows = s_known[(np.arange(N) - ells[:, None]) % N]
+    return DelayDopplerMap(ells.astype(float), dops, _correlate(r, rows, _doppler_table(N, dops)))
+
+
+def _doppler_table(N: int, dops: np.ndarray) -> np.ndarray:
+    """E[j, n] = e^{-j2pi f_j n/N}, one row per Doppler bin: the conjugate of doppler_phases."""
+    return np.exp(-2j * np.pi * np.outer(dops, np.arange(N)) / N)
+
+
+def _correlate(r: np.ndarray, rows: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """C[i, j] = sum_n r[n] conj(rows[i, n]) E[j, n], E a _doppler_table: the one
+    correlation kernel, of the matched filter, the ambiguity map and the ML search."""
+    return (r * np.conj(rows)) @ E.T
 
 
 def ambiguity_map(s: np.ndarray, delay_bins, doppler_bins) -> DelayDopplerMap:
@@ -124,18 +135,11 @@ def _frame_ambiguity(spec: WaveformSpec, constellation: Constellation, rng) -> D
     return ambiguity_map(s, range(spec.n), range(-(spec.n // 2), spec.n // 2 + 1))
 
 
-def _unit_responses(spec: WaveformSpec, s: np.ndarray, ells, doppler: np.ndarray) -> np.ndarray:
-    """demodulate(H1 s) for unit-gain single paths H1, one row per candidate.
-
-    Row c transforms phi_ell[n] * s[(n - ell) mod N] * doppler[c, n] with
-    ell = ells[c] and phi_ell its window of spec.wrap: the unit path at
-    (ell, f) applied to the samples s when doppler[c] = e^{j2pi f n/N}, so
-    G1(ell, f) x when s = modulate(x). The whole (C, N) stack takes one
-    receive transform.
-    """
+def _delayed_rows(spec: WaveformSpec, s: np.ndarray, ells) -> np.ndarray:
+    """phi_ell[n] * s[(n - ell) mod N], one row per ell of ells, with phi_ell
+    the delay's window of spec.wrap: a unit path at (ell, 0) applied to s."""
     ells = np.asarray(ells, dtype=np.intp)
-    delayed = _wrap_window(spec.wrap, ells) * s[(np.arange(spec.n) - ells[:, None]) % spec.n]
-    return spec._rx(delayed * doppler)
+    return _wrap_window(spec.wrap, ells) * s[(np.arange(spec.n) - ells[:, None]) % spec.n]
 
 
 def _integer_candidates(spec: WaveformSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +181,7 @@ def _top_targets(spec, ells, fs, scores, entries, P, threshold) -> list[RadarTar
     if top.size == 0:
         return []
     ones = modulate(spec, np.ones(spec.n, dtype=complex))
-    probes = _unit_responses(spec, ones, ells[top], doppler_phases(spec.n, fs[top]))
+    probes = demodulate(spec, _delayed_rows(spec, ones, ells[top]) * doppler_phases(spec.n, fs[top]))
     gains = np.mean(entries(top) / probes, axis=1)
     return [RadarTargetEstimate(float(ells[c]), float(fs[c]), complex(g)) for c, g in zip(top, gains)]
 
@@ -265,25 +269,6 @@ def _channel_support(spec, diags: np.ndarray, ells, fs):
     return np.abs(G).mean(axis=1), G.__getitem__
 
 
-def _best_fit(Zh: np.ndarray, energy: np.ndarray, resid: np.ndarray) -> tuple[int, float, complex]:
-    """(row, score, gain) of the first row z maximizing |z^H r|^2 / |z|^2.
-
-    Zh holds the conjugated rows. A zero-energy row scores -inf and fits gain 0.
-    """
-    corr = Zh @ resid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(energy > 0.0, np.abs(corr) ** 2 / energy, -np.inf)
-    c = int(np.argmax(scores))
-    gain = complex(corr[c] / energy[c]) if energy[c] > 0.0 else 0.0j
-    return c, float(scores[c]), gain
-
-
-def _stack_energies(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugated rows of Z and their energies |z|^2."""
-    Zh = Z.conj()
-    return Zh, np.einsum("cn,cn->c", Zh, Z).real
-
-
 def indirect_csi_ml(
     y: np.ndarray,
     x_known: np.ndarray,
@@ -306,14 +291,16 @@ def indirect_csi_ml(
     strictly higher score. The fitted component is subtracted, and the
     search repeats on the residual.
 
-    The unit responses are demodulate(H1 s) of the pilot's samples
-    s = modulate(x), built as candidate stacks with one receive transform
-    each (_unit_responses). The coarse stack does not depend on the
-    residual, so it is built once per call and scored against every
-    residual with one product. Each refinement level is one stack of
-    2 * refine_factor rows (the incumbent is not scored again), its Doppler
-    rows the incumbent's Doppler times a per-level table built once per
-    call. A call makes 1 + P * refine_levels transforms.
+    No candidate goes through a receive transform. With s = modulate(x),
+    z = T_rx u for the time-domain row u[n] = phi_ell[n] s[(n - ell) mod N]
+    e^{j2pi f n/N}, phi_ell the delay's prefix window. T_rx is unitary and
+    T_tx = T_rx^H, so z^H r = u^H T_tx r, the matched filter's correlation
+    (_correlate) of T_tx r with the windowed pilot, and |z|^2 = |s|^2. Per
+    target the coarse grid is one (L, N) @ (N, F) product for L delays and
+    F Dopplers, each refinement level one row against 2 * refine_factor
+    Dopplers (the incumbent's Doppler row times a per-level table built once
+    per call), and cancellation subtracts the fitted time-domain row. OTFS
+    specs whose pulses break T_tx = T_rx^H are refused.
 
     Parameters
     ----------
@@ -327,6 +314,7 @@ def indirect_csi_ml(
     N = spec.n
     if y.shape != (N,) or x_known.shape != (N,):
         raise ValueError(f"y and x_known must have length {N}")
+    _check_spec(spec, N)
     if P < 1:
         raise ValueError("P must be >= 1")
     if refine_levels > 0 and refine_factor < 2:
@@ -336,27 +324,36 @@ def indirect_csi_ml(
         raise ValueError("coarse grid must be nonempty in both dimensions")
     if np.any(dops != np.round(dops)):
         raise ValueError("coarse Doppler bins must be integers")
-    cand_ell, cand_f = (g.ravel() for g in np.meshgrid(ells, dops, indexing="ij"))
 
-    s = modulate(spec, x_known)
-    Z = _unit_responses(spec, s, cand_ell, doppler_phases(N, cand_f))
-    Zh, energy = _stack_energies(Z)
+    s = spec._tx(x_known)
+    energy = float(np.real(np.vdot(s, s)))
+    if energy == 0.0:  # every score is -inf: each target is the first cell, with gain 0
+        return [RadarTargetEstimate(float(ells[0]), float(dops[0]), 0.0j)] * P
+    rows = _delayed_rows(spec, s, ells)
+    coarse = _doppler_table(N, dops)
     ks = [k for k in range(-refine_factor, refine_factor + 1) if k != 0]
     steps = [float(refine_factor) ** (-level) for level in range(1, refine_levels + 1)]
     tables = [doppler_phases(N, [k * step for k in ks]) for step in steps]
 
-    resid = y.astype(complex)
+    def best(C):
+        # (flat index, score, gain) of the first largest |C|^2 / |s|^2
+        scores = np.abs(C.ravel()) ** 2 / energy
+        c = int(np.argmax(scores))
+        return c, float(scores[c]), complex(C.flat[c] / energy)
+
+    resid = spec._tx(y.astype(complex))
     estimates = []
     for _ in range(P):
-        c, score, gain = _best_fit(Zh, energy, resid)
-        ell, f, z = int(cand_ell[c]), float(cand_f[c]), Z[c]
+        c, score, gain = best(_correlate(resid, rows, coarse))
+        i, j = divmod(c, dops.size)
+        f, doppler = float(dops[j]), np.conj(coarse[j])
         for step, table in zip(steps, tables):
-            Z_ref = _unit_responses(spec, s, [ell], doppler_phases(N, f) * table)
-            j, sc, g = _best_fit(*_stack_energies(Z_ref), resid)
+            refined = doppler_phases(N, f) * table
+            k, sc, g = best(_correlate(resid, rows[i : i + 1], np.conj(refined)))
             if sc > score:
-                score, gain, z, f = sc, g, Z_ref[j], f + ks[j] * step
-        resid = resid - gain * z
-        estimates.append(RadarTargetEstimate(float(ell), f, gain))
+                score, gain, f, doppler = sc, g, f + ks[k] * step, refined[k]
+        resid = resid - gain * (rows[i] * doppler)
+        estimates.append(RadarTargetEstimate(float(ells[i]), f, gain))
     return estimates
 
 
@@ -375,7 +372,7 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
     )
     ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P
     grid = (range(ell_max + 1), range(-f_max, f_max + 1))
-    y = spec._rx(r)
+    y = demodulate(spec, r)
     diags = _stack_diagonals(spec.n, ell_max, gains, delays, dopplers, spec.wrap)
     trials = []
     for b, s in enumerate(s_cp[:, spec.cp_len :]):

@@ -492,6 +492,24 @@ def test_exit_2_on_missing_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8", "out-is-a-file"])
+def test_exit_2_on_unreadable_config_or_unusable_out(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    if case == "config-is-a-directory":
+        argv = ["ber", "--config", str(tmp_path), "--out", str(out)]
+    elif case == "config-not-utf8":
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"notes": "café"}'.encode("latin-1"))
+        argv = ["ber", "--config", str(bad), "--out", str(out)]
+    else:
+        out.write_text("")
+        argv = ["demo-v2x", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_exit_2_on_invalid_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"waveform": "dft-s-ofdm"})
     assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 2

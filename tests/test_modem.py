@@ -108,6 +108,18 @@ def test_length_mismatch_rejected():
         demodulate(OtfsSpec(k=4, l=4), np.ones(8))
 
 
+@pytest.mark.parametrize("spec", [OfdmSpec(36, 3), shaped_otfs(4, 9, cp_len=3)[0], tuned_afdm()],
+                         ids=["ofdm", "otfs", "afdm"])
+def test_stage_functions_map_stacks_row_by_row(spec):
+    x = np.stack([random_block(36, 40 + b) for b in range(3)])
+    for stage in (modulate, demodulate, prepend_cp):
+        assert np.array_equal(stage(spec, x), np.stack([stage(spec, row) for row in x]))
+        with pytest.raises(ValueError, match="length 36"):
+            stage(spec, np.ones((36, 35)))
+        with pytest.raises(ValueError, match="length 36"):
+            stage(spec, np.ones(()))
+
+
 def test_otfs_pulse_validation():
     with pytest.raises(ValueError, match="pulse_tx"):
         OtfsSpec(k=4, l=4, pulse_tx=(1.0, 1.0))

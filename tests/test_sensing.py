@@ -40,6 +40,7 @@ from ddwave.sensing import (
     sensing_rmse,
 )
 from ddwave.sensing import _direct_csi, _integer_candidates, _sense_trials
+from test_link import _ADJOINT_MESSAGE, _NON_ADJOINT_PULSES
 
 
 def chan_of(n, paths, ell_max=3, f_max=2, cp_len=3):
@@ -517,16 +518,25 @@ def unit_pulse(k, seed):
 
 
 def _ml_cases():
-    """(name, spec, ell_max, f_max, paths) of the stacked-versus-scalar ML comparisons."""
+    """(name, spec, ell_max, f_max, paths, grid delays) of the ML-versus-reference comparisons.
+
+    The channel draws paths with delays up to ell_max; the search grid spans
+    delays 0..grid delays - 1 and Dopplers -f_max..f_max.
+    """
     pulse49, pulse35 = unit_pulse(4, 1), unit_pulse(3, 2)
     return [
-        ("afdm-256", tuned_afdm(256), 3, 2, 3),
-        ("afdm-prime-37-xi1", tuned_afdm(37, f_max=1, xi=1), 3, 1, 3),
+        ("afdm-256", tuned_afdm(256), 3, 2, 3, 4),
+        ("afdm-prime-37-xi1", tuned_afdm(37, f_max=1, xi=1), 3, 1, 3, 4),
         ("otfs-4x9-pulses", OtfsSpec(4, 9, cp_len=3, pulse_tx=tuple(np.conj(pulse49)),
-                                     pulse_rx=pulse49), 3, 2, 3),
+                                     pulse_rx=pulse49), 3, 2, 3, 4),
         ("otfs-3x5-pulses", OtfsSpec(3, 5, cp_len=2, pulse_tx=tuple(np.conj(pulse35)),
-                                     pulse_rx=pulse35), 2, 1, 3),
-        ("afdm-64-more-paths-than-delays", tuned_afdm(64, ell_max=1, cp_len=1), 1, 2, 4),
+                                     pulse_rx=pulse35), 2, 1, 3, 3),
+        ("afdm-64-more-paths-than-delays", tuned_afdm(64, ell_max=1, cp_len=1), 1, 2, 4, 2),
+        ("ofdm-64", OfdmSpec(64, cp_len=3), 3, 2, 3, 4),
+        # a given c1 (2 N c1 = 0.89): the prefix window is not +-1
+        ("afdm-36-given-c1", AfdmSpec(36, 0.0123, 1 / (2 * 36**2), cp_len=3), 3, 2, 3, 4),
+        # grid delays 2 and 3 read their samples past the one-sample prefix
+        ("afdm-40-grid-beyond-cp", tuned_afdm(40, cp_len=1), 1, 2, 3, 4),
     ]
 
 
@@ -536,13 +546,13 @@ ML_CASES = _ml_cases()
 @pytest.mark.parametrize("levels", [0, 3])
 @pytest.mark.parametrize("case", ML_CASES, ids=[c[0] for c in ML_CASES])
 def test_stacked_ml_matches_per_candidate_reference(case, levels):
-    _, spec, ell_max, f_max, P = case
+    _, spec, ell_max, f_max, P, grid_delays = case
     cfg = ChannelConfig(N=spec.n, f_s=1e6, f_c=1e9, ell_max=ell_max, f_max=f_max, P=P,
                         cp_len=spec.cp_len)
     chan = sample_paths(cfg, "fractional", np.random.default_rng(spec.n + levels))
     x, y = pilot_observation(spec, chan, 21)
     y = y + 0.05 * random_frame(spec.n, 22)
-    grid = (range(ell_max + 1), range(-f_max, f_max + 1))
+    grid = (range(grid_delays), range(-f_max, f_max + 1))
     got = indirect_csi_ml(y, x, spec, P, grid, refine_levels=levels, refine_factor=10)
     want = reference_ml(y, x, spec, P, grid, levels, 10)
     assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in got] == [w[:2] for w in want]
@@ -553,22 +563,31 @@ def test_stacked_ml_matches_per_candidate_reference(case, levels):
 @pytest.mark.parametrize("P, levels", [(3, 3), (2, 0), (1, 2)])
 @pytest.mark.parametrize("case", ML_CASES[:3], ids=[c[0] for c in ML_CASES[:3]])
 def test_ml_makes_one_transform_per_stack(case, P, levels, monkeypatch):
-    # one coarse stack per call, one stack per target and refinement level
-    _, spec, ell_max, f_max, _ = case
+    # one transmit transform each for the pilot and the received block, and
+    # no receive transform at all: every candidate is scored in time domain
+    _, spec, ell_max, f_max, _, _ = case
     x, y = pilot_observation(spec, chan_of(spec.n, [PathParams(0.8, 1, 0.4)]), 23)
-    calls = []
-    rx = type(spec)._rx
+    calls = {"_tx": [], "_rx": []}
+    for name, calls_of in calls.items():
+        transform = getattr(type(spec), name)
 
-    def counting_rx(self, r):
-        calls.append(np.shape(r))
-        return rx(self, r)
+        def counting(self, a, transform=transform, calls_of=calls_of):
+            calls_of.append(np.shape(a))
+            return transform(self, a)
 
-    monkeypatch.setattr(type(spec), "_rx", counting_rx)
+        monkeypatch.setattr(type(spec), name, counting)
     grid = (range(ell_max + 1), range(-f_max, f_max + 1))
     indirect_csi_ml(y, x, spec, P, grid, refine_levels=levels, refine_factor=10)
-    assert len(calls) == 1 + P * levels
-    assert calls[0] == ((ell_max + 1) * (2 * f_max + 1), spec.n)
-    assert all(shape == (20, spec.n) for shape in calls[1:])
+    assert calls == {"_tx": [(spec.n,), (spec.n,)], "_rx": []}
+
+
+@pytest.mark.parametrize("pulses", _NON_ADJOINT_PULSES)
+def test_ml_rejects_otfs_pulses_without_time_domain_identity(pulses):
+    # the time-domain scores equal z^H r / |z|^2 only when T_tx = T_rx^H
+    spec = OtfsSpec(k=4, l=4, cp_len=3, pulse_tx=pulses[0], pulse_rx=pulses[1])
+    x, y = random_frame(16, 25), random_frame(16, 26)
+    with pytest.raises(ValueError, match=_ADJOINT_MESSAGE):
+        indirect_csi_ml(y, x, spec, 1, (range(4), range(-1, 2)))
 
 
 def test_ml_zero_pilot_fits_zero_gains():
