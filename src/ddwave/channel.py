@@ -150,7 +150,8 @@ def time_domain_apply(s_cp: np.ndarray, chan: ChannelRealization) -> np.ndarray:
     cp_len = s_cp.shape[0] - N
     if cp_len < 0:
         raise ValueError(f"input length {s_cp.shape[0]} shorter than block size {N}")
-    return _apply_samples(s_cp, N, *_path_arrays(chan.paths))
+    gains, delays, dopplers = _path_arrays(chan.paths)
+    return _apply_samples(s_cp, N, gains, delays, doppler_phases(N, dopplers))
 
 
 def _path_arrays(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,19 +164,20 @@ def _path_arrays(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _apply_samples(s_cp, N: int, gains, delays, dopplers) -> np.ndarray:
+def _apply_samples(s_cp, N: int, gains, delays, phases) -> np.ndarray:
     """time_domain_apply for blocks along the last axis of s_cp.
 
-    The path arrays have shape (..., P) and broadcast against the leading
-    axes of s_cp, so a (B, N + cp_len) stack of blocks takes (B, P) arrays:
-    one realization per block.
+    The gains and delays have shape (..., P) and the Doppler phases,
+    doppler_phases(N, dopplers), shape (..., P, N). They broadcast against
+    the leading axes of s_cp, so a (B, N + cp_len) stack of blocks takes
+    (B, P) arrays: one realization per block.
     """
     cp_len = s_cp.shape[-1] - N
     too_late = delays[delays > cp_len]
     if too_late.size:
         raise ValueError(f"path delay {too_late[0]} exceeds prefix length {cp_len}")
     n = np.arange(N)
-    taps = gains[..., None] * doppler_phases(N, dopplers)
+    taps = gains[..., None] * phases
     r = np.zeros(s_cp.shape[:-1] + (N,), dtype=complex)
     for p in range(gains.shape[-1]):
         r += taps[..., p, :] * np.take_along_axis(s_cp, cp_len + n - delays[..., p, None], axis=-1)
@@ -195,13 +197,14 @@ def _wrap_window(wrap: np.ndarray, delays) -> np.ndarray:
     return np.concatenate([wrap, np.ones(N)])[N - delays[..., None] + np.arange(N)]
 
 
-def _path_taps(N: int, gains, delays, dopplers, wrap) -> np.ndarray:
+def _path_taps(gains, delays, phases, wrap) -> np.ndarray:
     """Entries of each path's populated cyclic diagonal: h_p * phi_p[n] * e^{j2pi f_p n/N}.
 
-    The path arrays have shape (..., P) and the taps (..., P, N), phi_p is
-    the path's _wrap_window, and entry n of path p sits at (n, (n - ell_p) mod N).
+    The gains and delays have shape (..., P), the Doppler phases
+    e^{j2pi f_p n/N} and the taps (..., P, N), phi_p is the path's
+    _wrap_window, and entry n of path p sits at (n, (n - ell_p) mod N).
     """
-    return gains[..., None] * (_wrap_window(wrap, delays) * doppler_phases(N, dopplers))
+    return gains[..., None] * (_wrap_window(wrap, delays) * phases)
 
 
 def delay_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
@@ -211,14 +214,15 @@ def delay_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
     every path with delay ell; H has no other nonzero entry. wrap is spec.wrap.
     """
     gains, delays, dopplers = _path_arrays(chan.paths)
-    cfg = chan.config
-    return _stack_diagonals(cfg.N, cfg.ell_max, gains[None], delays[None], dopplers[None], wrap)[0]
+    phases = doppler_phases(chan.config.N, dopplers)
+    return _stack_diagonals(chan.config.ell_max, gains[None], delays[None], phases[None], wrap)[0]
 
 
-def _stack_diagonals(N: int, ell_max: int, gains, delays, dopplers, wrap) -> np.ndarray:
-    """delay_diagonals of B realizations given as (B, P) path arrays: shape (B, ell_max + 1, N)."""
-    taps = _path_taps(N, gains, delays, dopplers, wrap)
-    d = np.zeros((delays.shape[0], ell_max + 1, N), dtype=complex)
+def _stack_diagonals(ell_max: int, gains, delays, phases, wrap) -> np.ndarray:
+    """delay_diagonals of B realizations given as (B, P) gains and delays and
+    (B, P, N) Doppler phases (doppler_phases of the Dopplers): shape (B, ell_max + 1, N)."""
+    taps = _path_taps(gains, delays, phases, wrap)
+    d = np.zeros((delays.shape[0], ell_max + 1, phases.shape[-1]), dtype=complex)
     rows = np.arange(delays.shape[0])
     for p in range(delays.shape[1]):
         d[rows, delays[:, p]] += taps[:, p]
@@ -239,7 +243,7 @@ def apply_paths(S: np.ndarray, paths, wrap: np.ndarray) -> np.ndarray:
     gains, delays, dopplers = _path_arrays(paths)
     out = np.zeros(S.shape, dtype=complex)
     term = np.empty(S.shape, dtype=complex)
-    for ell, d in zip(delays.tolist(), _path_taps(N, gains, delays, dopplers, wrap)):
+    for ell, d in zip(delays.tolist(), _path_taps(gains, delays, doppler_phases(N, dopplers), wrap)):
         np.multiply(S[..., N - ell:], d[:ell], out=term[..., :ell])
         np.multiply(S[..., : N - ell], d[ell:], out=term[..., ell:])
         out += term

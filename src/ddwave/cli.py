@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -59,6 +59,7 @@ def _write_csv(path: str, columns: dict) -> None:
 
 
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json_array(a: np.ndarray, level: int) -> str:
@@ -75,23 +76,43 @@ def _json_array(a: np.ndarray, level: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
-def _write_json(path: str, obj: dict) -> None:
-    """Write `json.dump(obj, sort_keys=True, indent=2)` and a newline.
+def _json_value(v, level: int) -> str:
+    """`json.dumps(v, sort_keys=True, indent=2)` nested `level` deep.
 
-    A top-level value that is a float numpy array is written as the nested
-    lists of its values, formatted a whole row at a time.
+    Takes dicts with str keys, lists, tuples, str, int, float, bool, None
+    and float numpy arrays, which are written as the nested lists of their
+    values, a whole row at a time (_json_array).
     """
-    items = [
-        f"  {json.dumps(key)}: "
-        + (
-            _json_array(value, 1)
-            if isinstance(value, np.ndarray)
-            else json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-        )
-        for key, value in sorted(obj.items())
-    ]
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or isinstance(v, bool):
+        return _JSON_CONSTANTS[v]
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return _JSON_SPECIAL.get(text, text)
+    if isinstance(v, np.ndarray):
+        return _json_array(v, level)
+    if isinstance(v, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_value(v[k], level + 1)}" for k in sorted(v)]
+        brackets = "{}"
+    elif isinstance(v, (list, tuple)):
+        items = [_json_value(item, level + 1) for item in v]
+        brackets = "[]"
+    else:
+        raise TypeError(f"cannot write {type(v).__name__} as JSON")
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _write_json(path: str, obj: dict) -> None:
+    """Write `json.dump(obj, sort_keys=True, indent=2)` and a newline (see _json_value)."""
     with open(path, "w") as fh:
-        fh.write("{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n")
+        fh.write(_json_value(obj, 0))
+        fh.write("\n")
 
 
 def _estimate_record(est: RadarTargetEstimate) -> dict:

@@ -40,6 +40,7 @@ from .channel import (
     _realization,
     _stack_diagonals,
     delay_diagonals,
+    doppler_phases,
 )
 from .modem import OtfsSpec, WaveformSpec, _papr_db, demodulate, modulate, prepend_cp
 
@@ -442,11 +443,14 @@ def _chunks(N: int, count: int) -> list[range]:
 def _draw_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
                  snr_db: float, doppler_mode: str, seed: int, keys) -> tuple:
     """The frames of the substream keys `keys` as stacks, one row per frame:
-    ((gains, delays, dopplers), bits, symbols, prefixed samples, received blocks).
+    ((gains, delays, dopplers), Doppler phases, bits, symbols, prefixed
+    samples, received blocks).
 
     Frame key k draws channel, bits and noise, in this order, from
     substream(seed, *k); the transmit chain, the channel and the noise then
-    run once on the stacks. snr_db = +inf draws no noise.
+    run once on the stacks. The (B, P, N) phases doppler_phases(N, dopplers)
+    are formed once, for the channel here and for the caller's H diagonals
+    (_stack_diagonals). snr_db = +inf draws no noise.
     """
     N, B = spec.n, len(keys)
     paths = [np.empty((B, chan_config.P), dtype=t) for t in (complex, np.intp, float)]
@@ -462,16 +466,17 @@ def _draw_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: 
             normals[b] = rng.standard_normal((N, 2))
     x = map_bits(bits.ravel(), constellation).reshape(B, N)
     s_cp = prepend_cp(spec, modulate(spec, x))
-    r = _apply_samples(s_cp, N, *paths)
+    phases = doppler_phases(N, paths[2])
+    r = _apply_samples(s_cp, N, paths[0], paths[1], phases)
     if noisy:
         r = r + _noise(normals, snr_db)
-    return paths, bits, x, s_cp, r
+    return paths, phases, bits, x, s_cp, r
 
 
 def _run_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
                 snr_db: float, detector: str, doppler_mode: str, seed: int, frames: range):
     """Monte Carlo frames `frames` as (B, N) stacks; returns (bit errors, papr_db) per frame."""
-    paths, bits, _, s_cp, r = _draw_frames(
+    paths, phases, bits, _, s_cp, r = _draw_frames(
         spec, chan_config, constellation, snr_db, doppler_mode, seed, [(i,) for i in frames]
     )
     if detector == "zf":
@@ -481,7 +486,7 @@ def _run_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: C
             equalize_zf(spec, _realization(chan_config, *path), r_b) for *path, r_b in zip(*paths, r)
         ])
     else:
-        d = _stack_diagonals(spec.n, chan_config.ell_max, *paths, spec.wrap)
+        d = _stack_diagonals(chan_config.ell_max, paths[0], paths[1], phases, spec.wrap)
         x_hat = demodulate(spec, _lmmse_solve(d, r, _noise_var(snr_db)))
     bits_hat = demap_symbols(x_hat.ravel(), constellation)
     errors = np.count_nonzero((bits_hat != bits.ravel()).reshape(len(frames), -1), axis=1)

@@ -5,20 +5,24 @@ correlates raw sequences, and the self-ambiguity is that map of a frame
 against itself. Direct extraction reads integer targets off the effective
 channel G on each candidate's predicted support: from a given G in one
 gather, or from the channel itself through the closed form of G in H's
-ell_max + 1 cyclic diagonals, which never builds G. The indirect route fits
+ell_max + 1 cyclic diagonals, which never builds G and, on AFDM, scores
+only the candidates that Parseval bounds cannot rule out (_ChannelCsi).
+The indirect route fits
 path parameters to a demodulated pilot frame by greedy successive
 cancellation over a coarse-to-fine grid. Every modem has T_rx unitary and
 T_tx = T_rx^H, so the search scores its candidates in time domain with
 the matched filter's correlation kernel (_correlate), and no candidate
 goes through a receive transform. No routine here builds an N x N array.
 The `sense` trials (_sense_trials) are the BER frame stacks of
-link._draw_frames, demodulated once per chunk.
+link._draw_frames, demodulated once per chunk, and the tables of both
+routes that depend only on the spec and the grid are built once per sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,25 +167,25 @@ def _integer_candidates(spec: WaveformSpec) -> tuple[np.ndarray, np.ndarray]:
     return ells.ravel(), fs.ravel()
 
 
-def _top_targets(spec, ells, fs, scores, entries, P, threshold) -> list[RadarTargetEstimate]:
+def _top_targets(spec, ells, fs, scores, entries, P, threshold, pilot) -> list[RadarTargetEstimate]:
     """Rank the candidates and fit the gains of the top P; both direct routes end here.
 
     Ties at the cut rank break toward smaller ell, then smaller f, and a
-    candidate scoring below threshold (default 1/(2N)) is dropped.
-    `entries(c)` gives G on the supports of the candidates c. A winner's
-    gain is the mean of those entries divided entrywise by the unit-gain
-    probe G1 on the same support. Inside the injective region G1 has one
-    entry per row, so its support entries are the row sums G1 @ 1: one
-    stacked transform for all winners, no matrix. The probe supplies the
-    deterministic per-entry phase.
+    candidate scoring below threshold (default 1/(2N)) is dropped; a
+    candidate pruned unscored has score -inf. `entries(c)` gives G on the
+    supports of the candidates c. A winner's gain is the mean of those
+    entries divided entrywise by the unit-gain probe G1 on the same support.
+    Inside the injective region G1 has one entry per row, so its support
+    entries are the row sums G1 @ 1: one stacked transform of the unit
+    responses to pilot = modulate(ones) for all winners, no matrix. The
+    probe supplies the deterministic per-entry phase.
     """
     if threshold is None:
         threshold = 1.0 / (2 * spec.n)
     top = np.array([c for c in np.lexsort((fs, ells, -scores))[:P] if not scores[c] < threshold], dtype=int)
     if top.size == 0:
         return []
-    ones = modulate(spec, np.ones(spec.n, dtype=complex))
-    probes = demodulate(spec, _delayed_rows(spec, ones, ells[top]) * doppler_phases(spec.n, fs[top]))
+    probes = demodulate(spec, _delayed_rows(spec, pilot, ells[top]) * doppler_phases(spec.n, fs[top]))
     gains = np.mean(entries(top) / probes, axis=1)
     return [RadarTargetEstimate(float(ells[c]), float(fs[c]), complex(g)) for c, g in zip(top, gains)]
 
@@ -205,68 +209,189 @@ def direct_csi_extract(
         raise ValueError(f"G must be {spec.n} x {spec.n}, got {G.shape}")
     ells, fs = _integer_candidates(spec)
     entries = G[_support_indices(spec, ells, fs)]
-    return _top_targets(spec, ells, fs, np.abs(entries).mean(axis=1), entries.__getitem__, P, threshold)
+    pilot = modulate(spec, np.ones(spec.n, dtype=complex))
+    return _top_targets(spec, ells, fs, np.abs(entries).mean(axis=1), entries.__getitem__, P, threshold, pilot)
 
 
 def _direct_csi(spec: WaveformSpec, diags: np.ndarray, P: int) -> list[RadarTargetEstimate]:
     """direct_csi_extract(effective_channel(spec, chan), spec, P) without G,
-    from diags = delay_diagonals(chan, spec.wrap).
-
-    The support entries come from the closed form of G in H's cyclic
-    diagonals (_channel_support): O(C N) for C candidates, no N x N array.
-    """
+    from diags = delay_diagonals(chan, spec.wrap); see _ChannelCsi."""
     if diags.shape[-1] != spec.n:
         raise ValueError(f"channel block size {diags.shape[-1]} != waveform size {spec.n}")
-    ells, fs = _integer_candidates(spec)
-    return _top_targets(spec, ells, fs, *_channel_support(spec, diags, ells, fs), P, None)
+    return _ChannelCsi(spec, diags.shape[0])(diags, P)
 
 
-def _channel_support(spec, diags: np.ndarray, ells, fs):
-    """Mean support magnitudes of G = T_rx H T_tx per candidate, and a reader of its support entries.
+def _parseval_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the row means of |Q| for Q[c, m] = sum_ell a[c, ell] e^{-j2pi ell m/N}.
 
-    diags is delay_diagonals(H, spec.wrap): row ell holds
-    d_ell[n] = H[n, (n - ell) mod N]. The reader maps candidate indices to
-    G[rows, cols] on their supports, in the layout of _support_indices.
-
-    AFDM: with D_ell = FFT(c1 * d_ell * conj(c1[(n - ell) mod N])) / N,
-    G[n, m] = c2[n] conj(c2[m]) sum_ell D_ell[(n - m) mod N] e^{-j2pi ell m/N}.
-    On the support of candidate c, m = (n + s_c) mod N, so its entries are
-    the chirps times Q[c, m] = sum_ell D_ell[-s_c mod N] e^{-j2pi ell m/N},
-    one (C, E) @ (E, N) product. The chirps have unit modulus and n -> m
-    permutes, so the score is the row mean of |Q|, with no gather.
-
-    OTFS, row (a, b) = a*K + b with a on the L axis: G[(a, b), (a', b')] is
-    p_rx[b] p_tx[b'] times the sum, over the ell with (b - ell) mod K = b',
-    of e^{j2pi a' q/L} Dh_ell[(a - a') mod L, b], where q = floor((b - ell)/K)
-    and Dh_ell[u, b] = DFT_L(d_ell[. K + b])[u] / L.
+    With at most N terms the frequencies are distinct, so by Parseval
+    mean_m |Q[c, m]|^2 = ||a_c||_2^2; and max_m |Q[c, m]| <= ||a_c||_1.
+    Hence ||a_c||_2^2 / ||a_c||_1 <= mean_m |Q[c, m]| <= ||a_c||_2.
     """
-    N, E = spec.n, diags.shape[0]
-    if isinstance(spec, AfdmSpec):
-        ch1, ch2, ch1_conj, ch2_conj = spec._chirps
-        lagged = ch1_conj[(np.arange(N) - np.arange(E)[:, None]) % N]
-        D = np.fft.fft(ch1 * diags * lagged, axis=-1) / N
-        Q = D[:, -afdm_shift(spec, ells, fs) % N].T @ doppler_phases(N, -np.arange(E))
+    mag = np.abs(a)
+    l1, l2sq = mag.sum(axis=1), (mag * mag).sum(axis=1)
+    return np.divide(l2sq, l1, out=np.zeros_like(l1), where=l1 > 0), np.sqrt(l2sq)
 
-        def entries(c):
-            rows, cols = _support_indices(spec, ells[c], fs[c])
-            return ch2[rows] * ch2_conj[cols] * np.take_along_axis(Q[c], cols, axis=-1)
 
-        return np.abs(Q).mean(axis=1), entries
-    K, L = spec.k, spec.l
-    Dh = np.fft.fft(diags.reshape(E, L, K), axis=1) / L
-    _, cols = _support_indices(spec, ells, fs)
-    a_src, b_src = np.divmod(cols.reshape(-1, L, K), K)
-    b = np.arange(K)
-    roots = np.exp(2j * np.pi * np.arange(L) / L)
-    G = np.zeros(a_src.shape, dtype=complex)
-    for ell in range(E):
-        hit = (ells - ell) % K == 0  # the candidates whose support this diagonal reaches
-        G[hit] += roots[a_src[hit] * ((b - ell) // K) % L] * Dh[ell, fs[hit] % L][:, None, :]
-    for pulse, cell in ((spec.pulse_rx, b), (spec.pulse_tx, b_src)):
-        if pulse is not None:
-            G *= np.asarray(pulse, dtype=complex)[cell]
-    G = G.reshape(len(ells), N)
-    return np.abs(G).mean(axis=1), G.__getitem__
+def _survivors(lower: np.ndarray, upper: np.ndarray, P: int, threshold: float) -> np.ndarray:
+    """Ascending indices of the candidates that may rank in the top P at or above threshold.
+
+    At least P candidates score at least the P-th largest lower bound, so a
+    candidate whose upper bound falls short of it ranks below all of them;
+    one whose upper bound falls short of the threshold is dropped anyway,
+    and so is any candidate that would take its place in the top P. The
+    relative margin 1e-9 absorbs the rounding of bounds and scores.
+    """
+    cut = threshold if P > lower.size else max(threshold, float(np.partition(lower, -P)[-P]))
+    return np.flatnonzero(upper * (1.0 + 1e-9) >= cut)
+
+
+def _afdm_rows(a: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Q = a @ phases. numpy sends a one-row product to gemv, which rounds
+    unlike the gemm of a stack, so a lone row goes through as two."""
+    if a.shape[0] == 1:
+        return (a[[0, 0]] @ phases)[:1]
+    return a @ phases
+
+
+class _ChannelCsi:
+    """Direct CSI from H's cyclic diagonals, for one spec and E = ell_max + 1 diagonals.
+
+    What does not depend on the channel (candidates, their support shifts,
+    the unit probe's pilot, the chirp and phase tables) is built once here,
+    so the `sense` trials pay for it once per sweep (_trial_tables). Called
+    with diags = delay_diagonals(chan, spec.wrap), it returns
+    direct_csi_extract(effective_channel(spec, chan), spec, P).
+
+    The support entries come from the closed form of G in H's diagonals
+    (support). On AFDM the score of candidate c is the row mean of
+    |Q[c]|, with Q[c] a sum of E complex exponentials whose coefficients
+    cost O(E) per candidate; Parseval bounds that mean (_parseval_bounds),
+    and only the candidates the bounds cannot rule out (_survivors) get
+    their (N,) row: O(C E + k N) for C candidates and k survivors, about 4
+    of 255 at N = 256. OTFS scores every candidate, in O(C N).
+    """
+
+    def __init__(self, spec: WaveformSpec, E: int):
+        N = spec.n
+        self.spec = spec
+        self.ells, self.fs = _integer_candidates(spec)
+        self.pilot = modulate(spec, np.ones(N, dtype=complex))
+        if isinstance(spec, AfdmSpec):
+            self.lagged = spec._chirps[2][(np.arange(N) - np.arange(E)[:, None]) % N]
+            self.taps = -afdm_shift(spec, self.ells, self.fs) % N
+            self.phases = doppler_phases(N, -np.arange(E))
+        else:
+            self.cols = _support_indices(spec, self.ells, self.fs)[1]
+
+    def __call__(self, diags: np.ndarray, P: int) -> list[RadarTargetEstimate]:
+        scores, entries = self.support(diags, P)
+        return _top_targets(self.spec, self.ells, self.fs, scores, entries, P, None, self.pilot)
+
+    def coefficients(self, diags: np.ndarray) -> np.ndarray:
+        """AFDM: the (C, E) coefficients a[c, ell] = D_ell[-s_c mod N] of the rows Q[c] (see support)."""
+        D = np.fft.fft(self.spec._chirps[0] * diags * self.lagged, axis=-1) / self.spec.n
+        return D[:, self.taps].T
+
+    def support(self, diags: np.ndarray, P: int):
+        """Mean support magnitudes of G = T_rx H T_tx per candidate (-inf where
+        pruned), and a reader of its support entries.
+
+        diags is delay_diagonals(H, spec.wrap): row ell holds
+        d_ell[n] = H[n, (n - ell) mod N]. The reader maps candidate indices
+        to G[rows, cols] on their supports, in the layout of _support_indices.
+
+        AFDM: with D_ell = FFT(c1 * d_ell * conj(c1[(n - ell) mod N])) / N,
+        G[n, m] = c2[n] conj(c2[m]) sum_ell D_ell[(n - m) mod N] e^{-j2pi ell m/N}.
+        On the support of candidate c, m = (n + s_c) mod N, so its entries
+        are the chirps times Q[c, m] = sum_ell D_ell[-s_c mod N] e^{-j2pi ell m/N}.
+        The chirps have unit modulus and n -> m permutes, so the score is
+        the row mean of |Q[c]|, formed for the survivors of the Parseval
+        bounds only: the top P, their order, ties and the threshold come
+        out as if every candidate were scored.
+
+        OTFS, row (a, b) = a*K + b with a on the L axis: G[(a, b), (a', b')] is
+        p_rx[b] p_tx[b'] times the sum, over the ell with (b - ell) mod K = b',
+        of e^{j2pi a' q/L} Dh_ell[(a - a') mod L, b], where q = floor((b - ell)/K)
+        and Dh_ell[u, b] = DFT_L(d_ell[. K + b])[u] / L.
+        """
+        spec, ells, fs, E = self.spec, self.ells, self.fs, diags.shape[0]
+        N = spec.n
+        if isinstance(spec, AfdmSpec):
+            a = self.coefficients(diags)
+            # Parseval needs distinct frequencies ell/N, so E <= N
+            keep = _survivors(*_parseval_bounds(a), P, 1.0 / (2 * N)) if E <= N else np.arange(len(ells))
+            Q = _afdm_rows(a[keep], self.phases)
+            scores = np.full(len(ells), -np.inf)
+            scores[keep] = np.abs(Q).mean(axis=1)
+            row_of = np.zeros(len(ells), dtype=np.intp)
+            row_of[keep] = np.arange(keep.size)
+            _, ch2, _, ch2_conj = spec._chirps
+
+            def entries(c):
+                rows, cols = _support_indices(spec, ells[c], fs[c])
+                return ch2[rows] * ch2_conj[cols] * np.take_along_axis(Q[row_of[c]], cols, axis=-1)
+
+            return scores, entries
+        K, L = spec.k, spec.l
+        Dh = np.fft.fft(diags.reshape(E, L, K), axis=1) / L
+        a_src, b_src = np.divmod(self.cols.reshape(-1, L, K), K)
+        b = np.arange(K)
+        roots = np.exp(2j * np.pi * np.arange(L) / L)
+        G = np.zeros(a_src.shape, dtype=complex)
+        for ell in range(E):
+            hit = (ells - ell) % K == 0  # the candidates whose support this diagonal reaches
+            G[hit] += roots[a_src[hit] * ((b - ell) // K) % L] * Dh[ell, fs[hit] % L][:, None, :]
+        for pulse, cell in ((spec.pulse_rx, b), (spec.pulse_tx, b_src)):
+            if pulse is not None:
+                G *= np.asarray(pulse, dtype=complex)[cell]
+        G = G.reshape(len(ells), N)
+        return np.abs(G).mean(axis=1), G.__getitem__
+
+
+@dataclass(frozen=True, eq=False)
+class _MlGrid:
+    """The search grid of indirect_csi_ml and its Doppler tables, which depend
+    on (N, grid, refine_factor, refine_levels) only: built once per call, or
+    once per sweep for the `sense` trials (_trial_tables).
+
+    coarse is the _doppler_table of the coarse Dopplers. Each refinement
+    level holds its step and the rows e^{-j2pi k step n/N} for
+    k in ks = -refine_factor..-1, 1..refine_factor, in the convention of
+    _doppler_table.
+    """
+
+    ells: np.ndarray
+    dops: np.ndarray
+    coarse: np.ndarray
+    ks: list
+    levels: list  # (step, offset table) per level
+
+
+def _ml_grid(spec: WaveformSpec, coarse_grid: tuple, refine_levels: int, refine_factor: int) -> _MlGrid:
+    """Validate the spec and the search grid of indirect_csi_ml and build its tables.
+
+    An offset table is conj(doppler_phases(N, ks * step)), and its k > 0
+    rows are the conjugates of its k < 0 rows, reversed: doppler_phases is
+    odd in f bit for bit (its exponent negates exactly, and cos and sin are
+    even and odd in libm), so half the complex exponentials suffice.
+    """
+    N = spec.n
+    _check_spec(spec, N)
+    if refine_levels > 0 and refine_factor < 2:
+        raise ValueError("refine_factor must be >= 2")
+    ells, dops = _check_bins(list(coarse_grid[0]), list(coarse_grid[1]), N)
+    if not ells.size or not dops.size:
+        raise ValueError("coarse grid must be nonempty in both dimensions")
+    if np.any(dops != np.round(dops)):
+        raise ValueError("coarse Doppler bins must be integers")
+    levels = []
+    for level in range(1, refine_levels + 1):
+        step = float(refine_factor) ** (-level)
+        half = doppler_phases(N, [k * step for k in range(1, refine_factor + 1)])
+        levels.append((step, np.concatenate([half[::-1], np.conj(half)])))
+    ks = [*range(-refine_factor, 0), *range(1, refine_factor + 1)]
+    return _MlGrid(ells, dops, _doppler_table(N, dops), ks, levels)
 
 
 def indirect_csi_ml(
@@ -297,10 +422,11 @@ def indirect_csi_ml(
     T_tx = T_rx^H, so z^H r = u^H T_tx r, the matched filter's correlation
     (_correlate) of T_tx r with the windowed pilot, and |z|^2 = |s|^2. Per
     target the coarse grid is one (L, N) @ (N, F) product for L delays and
-    F Dopplers, each refinement level one row against 2 * refine_factor
-    Dopplers (the incumbent's Doppler row times a per-level table built once
-    per call), and cancellation subtracts the fitted time-domain row. OTFS
-    specs whose pulses break T_tx = T_rx^H are refused.
+    F Dopplers. Each refinement level is one product of the incumbent's
+    row, its Doppler phases included, with the level's table of
+    2 * refine_factor offsets (_MlGrid); a refined winner's phase row is
+    the incumbent's times the conjugate of its table row. Cancellation subtracts the fitted
+    time-domain row. OTFS specs whose pulses break T_tx = T_rx^H are refused.
 
     Parameters
     ----------
@@ -314,26 +440,19 @@ def indirect_csi_ml(
     N = spec.n
     if y.shape != (N,) or x_known.shape != (N,):
         raise ValueError(f"y and x_known must have length {N}")
-    _check_spec(spec, N)
     if P < 1:
         raise ValueError("P must be >= 1")
-    if refine_levels > 0 and refine_factor < 2:
-        raise ValueError("refine_factor must be >= 2")
-    ells, dops = _check_bins(list(coarse_grid[0]), list(coarse_grid[1]), N)
-    if not ells.size or not dops.size:
-        raise ValueError("coarse grid must be nonempty in both dimensions")
-    if np.any(dops != np.round(dops)):
-        raise ValueError("coarse Doppler bins must be integers")
+    return _ml_fit(spec, _ml_grid(spec, coarse_grid, refine_levels, refine_factor), y, x_known, P)
 
+
+def _ml_fit(spec: WaveformSpec, grid: _MlGrid, y: np.ndarray, x_known: np.ndarray,
+            P: int) -> list[RadarTargetEstimate]:
+    """indirect_csi_ml on a validated grid (_ml_grid) and (N,) blocks y and x_known."""
     s = spec._tx(x_known)
     energy = float(np.real(np.vdot(s, s)))
     if energy == 0.0:  # every score is -inf: each target is the first cell, with gain 0
-        return [RadarTargetEstimate(float(ells[0]), float(dops[0]), 0.0j)] * P
-    rows = _delayed_rows(spec, s, ells)
-    coarse = _doppler_table(N, dops)
-    ks = [k for k in range(-refine_factor, refine_factor + 1) if k != 0]
-    steps = [float(refine_factor) ** (-level) for level in range(1, refine_levels + 1)]
-    tables = [doppler_phases(N, [k * step for k in ks]) for step in steps]
+        return [RadarTargetEstimate(float(grid.ells[0]), float(grid.dops[0]), 0.0j)] * P
+    rows = _delayed_rows(spec, s, grid.ells)
 
     def best(C):
         # (flat index, score, gain) of the first largest |C|^2 / |s|^2
@@ -344,17 +463,27 @@ def indirect_csi_ml(
     resid = spec._tx(y.astype(complex))
     estimates = []
     for _ in range(P):
-        c, score, gain = best(_correlate(resid, rows, coarse))
-        i, j = divmod(c, dops.size)
-        f, doppler = float(dops[j]), np.conj(coarse[j])
-        for step, table in zip(steps, tables):
-            refined = doppler_phases(N, f) * table
-            k, sc, g = best(_correlate(resid, rows[i : i + 1], np.conj(refined)))
+        c, score, gain = best(_correlate(resid, rows, grid.coarse))
+        i, j = divmod(c, grid.dops.size)
+        f, doppler = float(grid.dops[j]), np.conj(grid.coarse[j])
+        for step, table in grid.levels:
+            k, sc, g = best(_correlate(resid, rows[i] * doppler, table))
             if sc > score:
-                score, gain, f, doppler = sc, g, f + ks[k] * step, refined[k]
+                score, gain, f, doppler = sc, g, f + grid.ks[k] * step, doppler * np.conj(table[k])
         resid = resid - gain * (rows[i] * doppler)
-        estimates.append(RadarTargetEstimate(float(ells[i]), f, gain))
+        estimates.append(RadarTargetEstimate(float(grid.ells[i]), f, gain))
     return estimates
+
+
+@lru_cache(maxsize=8)
+def _trial_tables(spec: WaveformSpec, ell_max: int, f_max: int, refine_levels: int,
+                  refine_factor: int) -> tuple[_ChannelCsi, _MlGrid]:
+    """The direct-CSI tables and the ML grid of _sense_trials on the window
+    0..ell_max x -f_max..f_max. They depend on these arguments only, so a
+    sweep builds them once, not once per chunk of trials (one trial from
+    N = 256 on)."""
+    grid = (range(ell_max + 1), range(-f_max, f_max + 1))
+    return _ChannelCsi(spec, ell_max + 1), _ml_grid(spec, grid, refine_levels, refine_factor)
 
 
 def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
@@ -363,17 +492,19 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
     """Sensing trials of the substream keys `keys`: (truth pairs, estimates per method) each.
 
     A trial is a BER frame (link._draw_frames). The received stack is
-    demodulated, and H's diagonals formed, once; then each trial runs the
-    matched filter, direct CSI and the ML search for chan_config.P targets
-    on the window 0..ell_max x -f_max..f_max.
+    demodulated, and H's diagonals formed, once; the direct-CSI tables and
+    the ML grid come from _trial_tables. Then each trial runs the matched
+    filter, direct CSI and the ML search for chan_config.P targets on the
+    window 0..ell_max x -f_max..f_max.
     """
-    (gains, delays, dopplers), _, x, s_cp, r = _draw_frames(
+    (gains, delays, dopplers), phases, _, x, s_cp, r = _draw_frames(
         spec, chan_config, constellation, snr_db, doppler_mode, seed, keys
     )
     ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P
     grid = (range(ell_max + 1), range(-f_max, f_max + 1))
+    csi, ml_grid = _trial_tables(spec, ell_max, f_max, refine_levels, refine_factor)
     y = demodulate(spec, r)
-    diags = _stack_diagonals(spec.n, ell_max, gains, delays, dopplers, spec.wrap)
+    diags = _stack_diagonals(ell_max, gains, delays, phases, spec.wrap)
     trials = []
     for b, s in enumerate(s_cp[:, spec.cp_len :]):
         mf = matched_filter_map(r[b], s, *grid)
@@ -383,10 +514,8 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
                 RadarTargetEstimate(d, f, complex(mf.values[int(d), int(f) + f_max] / s_energy))
                 for d, f in mf.top_peaks(P)
             ],
-            "direct_csi": _direct_csi(spec, diags[b], P),
-            "indirect_ml": indirect_csi_ml(
-                y[b], x[b], spec, P, grid, refine_levels=refine_levels, refine_factor=refine_factor
-            ),
+            "direct_csi": csi(diags[b], P),
+            "indirect_ml": _ml_fit(spec, ml_grid, y[b], x[b], P),
         }
         trials.append((list(zip(delays[b].tolist(), dopplers[b].tolist())), ests))
     return trials

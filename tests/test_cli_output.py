@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddwave.channel import ChannelRealization, PathParams, sample_paths
 from ddwave.cli import _write_csv, _write_json, main
@@ -183,6 +185,27 @@ def test_json_writer_matches_json_module_without_arrays(tmp_path, obj):
     _write_json(tmp_path / "got.json", obj)
     reference_json(tmp_path / "want.json", obj)
     assert read_bytes(tmp_path / "got.json") == read_bytes(tmp_path / "want.json")
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, "\u00e9\u4e2d\U0001f600"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(obj=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5))
+def test_json_writer_matches_json_module_on_any_nesting(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("json") / "got.json"
+    _write_json(path, obj)
+    want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert read_bytes(path) == want.encode()
 
 
 # --------------------------------------------------------- command files

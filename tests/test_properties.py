@@ -16,6 +16,7 @@ from ddwave.channel import (
     PathParams,
     _stack_diagonals,
     delay_diagonals,
+    doppler_phases,
     time_domain_apply,
 )
 from ddwave.link import _lmmse_solve, _zf_solve
@@ -31,9 +32,10 @@ from ddwave.modem import (
     prepend_cp,
 )
 from ddwave.sensing import (
-    _channel_support,
+    _ChannelCsi,
     _direct_csi,
     _integer_candidates,
+    _parseval_bounds,
     direct_csi_extract,
 )
 
@@ -127,15 +129,26 @@ def test_closed_form_support_entries_and_scores_match_the_oracle(case):
     ells, fs = _integer_candidates(spec)
     rows, cols = _support_indices(spec, ells, fs)
     want = G[rows, cols]
-    scores, entries = _channel_support(spec, delay_diagonals(chan, spec.wrap), ells, fs)
-    assert np.max(np.abs(entries(np.arange(len(ells))) - want)) < 1e-10
     want_scores = np.abs(want).mean(axis=1)
-    assert np.max(np.abs(scores - want_scores)) < 1e-10
+    diags = delay_diagonals(chan, spec.wrap)
+    csi = _ChannelCsi(spec, diags.shape[0])
+    P = chan.config.P
+    scores, entries = csi.support(diags, P)
+    scored = np.flatnonzero(scores > -np.inf)
+    if isinstance(spec, AfdmSpec):
+        # the Parseval bounds bracket every candidate's score, scored or pruned
+        lower, upper = _parseval_bounds(csi.coefficients(diags))
+        assert np.all(lower <= want_scores + 1e-10)
+        assert np.all(want_scores <= upper + 1e-10)
+    else:
+        assert scored.size == len(ells)  # OTFS scores every candidate
+    if scored.size:
+        assert np.max(np.abs(entries(scored) - want[scored])) < 1e-10
+        assert np.max(np.abs(scores[scored] - want_scores[scored])) < 1e-10
 
     # the channel route ranks like the oracle's scores (up to rounding at ties) and
     # fits each winner's gain against the oracle's unit-path probe
-    P = chan.config.P
-    ests = _direct_csi(spec, delay_diagonals(chan, spec.wrap), P)
+    ests = _direct_csi(spec, diags, P)
     index = {pair: c for c, pair in enumerate(zip(ells.tolist(), fs.tolist()))}
     picked = [index[(int(e.delay_norm_hat), int(e.doppler_norm_hat))] for e in ests]
     threshold = 1.0 / (2 * spec.n)
@@ -145,6 +158,55 @@ def test_closed_form_support_entries_and_scores_match_the_oracle(case):
     for c, est in zip(picked, ests):
         G1 = oracle.effective_matrix(tx, rx, [(1.0, int(ells[c]), float(fs[c]))], phase)
         assert abs(est.gain_hat - np.mean(want[c] / G1[rows[c], cols[c]])) < 1e-10
+
+
+@st.composite
+def afdm_channels(draw):
+    """Prime-N AFDM with xi > 0 and its dense oracle transforms and prefix phase rule,
+    with tuned rates or a given c1, 2*N*c1 an integer, and c2; and a channel of up
+    to ell_max + 3 fractional-Doppler paths."""
+    ell_max, f_max, xi = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    given_rates = draw(st.booleans())
+    stride = 2 * (f_max + xi) + 1 + (draw(st.integers(0, 3)) if given_rates else 0)
+    n = draw(st.sampled_from([p for p in PRIMES if p >= max(stride * ell_max + 2 * f_max + 1, stride)]))
+    if given_rates:
+        c1, c2 = stride / (2 * n), draw(st.floats(-0.5, 0.5))
+    else:
+        c1, c2 = afdm_tune(ell_max, f_max, xi, n)
+    spec = AfdmSpec(n, c1, c2, xi=xi, cp_len=ell_max)
+    paths = tuple(
+        PathParams(
+            draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                                    allow_nan=False, allow_infinity=False)),
+            draw(st.integers(0, ell_max)),
+            draw(st.floats(-f_max - 0.5, f_max + 0.5)),
+        )
+        for _ in range(draw(st.integers(1, ell_max + 3)))
+    )
+    cfg = ChannelConfig(N=n, f_s=1e6, f_c=1e9, ell_max=ell_max, f_max=f_max, P=len(paths),
+                        cp_len=ell_max)
+    return spec, oracle.afdm_ops(n, c1, c2), oracle.chirp_cp_cycles(c1, n), ChannelRealization(cfg, paths)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(case=afdm_channels())
+def test_parseval_bounds_bracket_the_oracle_scores_and_pruning_keeps_the_oracle_ranking(case):
+    spec, (tx, rx), phase, chan = case
+    G = oracle.effective_matrix(tx, rx, [(p.gain, p.delay_norm, p.doppler_norm) for p in chan.paths],
+                                phase)
+    ells, fs = _integer_candidates(spec)
+    want_scores = np.abs(G[_support_indices(spec, ells, fs)]).mean(axis=1)
+    diags = delay_diagonals(chan, spec.wrap)
+    lower, upper = _parseval_bounds(_ChannelCsi(spec, diags.shape[0]).coefficients(diags))
+    assert np.all(lower <= want_scores + 1e-10)
+    assert np.all(want_scores <= upper + 1e-10)
+    for P in range(1, 7):  # up to more targets than candidates above the threshold
+        got = _direct_csi(spec, diags, P)
+        want = direct_csi_extract(G, spec, P)
+        assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in got] == \
+            [(e.delay_norm_hat, e.doppler_norm_hat) for e in want]
+        for a, b in zip(got, want):
+            assert abs(a.gain_hat - b.gain_hat) < 1e-12
 
 
 @st.composite
@@ -196,7 +258,7 @@ def channel_stacks(draw):
 @given(case=channel_stacks(), noise_var=st.sampled_from([0.0, 0.05, 0.3]))
 def test_equalizers_match_dense_g_domain_solves(case, noise_var):
     spec, (tx, rx), phase, (ell_max, _, gains, delays, dopplers) = case
-    d = _stack_diagonals(spec.n, ell_max, gains, delays, dopplers, spec.wrap)
+    d = _stack_diagonals(ell_max, gains, delays, doppler_phases(spec.n, dopplers), spec.wrap)
     r = np.random.default_rng(len(gains)).standard_normal((len(gains), spec.n, 2)) @ np.array([1.0, 1.0j])
     lmmse = spec._rx(_lmmse_solve(d, r, noise_var))
     for b in range(len(gains)):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import oracle
-from ddwave import link
+from ddwave import link, sensing
 from ddwave.channel import (
     ChannelConfig,
     ChannelRealization,
     PathParams,
     apply_paths,
     delay_diagonals,
+    doppler_phases,
     sample_paths,
     time_domain_apply,
 )
@@ -39,7 +40,7 @@ from ddwave.sensing import (
     radar_invert,
     sensing_rmse,
 )
-from ddwave.sensing import _direct_csi, _integer_candidates, _sense_trials
+from ddwave.sensing import _ChannelCsi, _direct_csi, _integer_candidates, _ml_grid, _sense_trials
 from test_link import _ADJOINT_MESSAGE, _NON_ADJOINT_PULSES
 
 
@@ -371,6 +372,85 @@ def test_direct_extraction_rejects_wrong_shape():
         direct_csi_extract(np.eye(16, dtype=complex), tuned_afdm(), 1)
 
 
+# ------------------------------------------------------- pruned direct CSI
+
+
+def exhaustive_direct_csi(spec, diags, P, monkeypatch):
+    """_direct_csi with the Parseval pruning off: every candidate gets its row and score."""
+    with monkeypatch.context() as m:
+        m.setattr(sensing, "_survivors", lambda lower, upper, P, threshold: np.arange(lower.size))
+        return _direct_csi(spec, diags, P)
+
+
+def estimate_tuples(ests):
+    return [(e.delay_norm_hat, e.doppler_norm_hat) for e in ests]
+
+
+PRUNE_SPECS = [
+    ("afdm-36", tuned_afdm(36)),
+    ("afdm-64", tuned_afdm(64)),
+    ("afdm-127-xi1", tuned_afdm(127, xi=1)),
+    ("afdm-256", tuned_afdm(256)),
+]
+
+
+@pytest.mark.parametrize("P", [1, 3, 5])
+@pytest.mark.parametrize("mode", ["integer", "fractional"])
+@pytest.mark.parametrize("case", PRUNE_SPECS, ids=[c[0] for c in PRUNE_SPECS])
+def test_pruned_direct_csi_matches_the_exhaustive_route(case, mode, P, monkeypatch):
+    # 4 specs x 2 Doppler modes x 3 P x 9 seeds: 216 channels
+    _, spec = case
+    cfg = ChannelConfig(N=spec.n, f_s=1e6, f_c=1e9, ell_max=3, f_max=2, P=P, cp_len=3)
+    for seed in range(9):
+        chan = sample_paths(cfg, mode, link.substream(spec.n, P, seed))
+        diags = delay_diagonals(chan, spec.wrap)
+        got = _direct_csi(spec, diags, P)
+        want = exhaustive_direct_csi(spec, diags, P, monkeypatch)
+        assert estimate_tuples(got) == estimate_tuples(want)
+        for a, b in zip(got, want):
+            assert abs(a.gain_hat - b.gain_hat) < 1e-12
+        truth = [(p.delay_norm, p.doppler_norm) for p in chan.paths]
+        assert sensing_rmse(got, truth).misdetections == sensing_rmse(want, truth).misdetections
+
+
+def test_pruned_direct_csi_forms_rows_for_the_survivors_only(monkeypatch):
+    spec = tuned_afdm(256)
+    cfg = ChannelConfig(N=256, f_s=1e6, f_c=1e9, ell_max=3, f_max=2, P=3, cp_len=3)
+    kept, formed = [], []
+    survivors, afdm_rows = sensing._survivors, sensing._afdm_rows
+    monkeypatch.setattr(sensing, "_survivors", lambda *args: kept.append(survivors(*args)) or kept[-1])
+    monkeypatch.setattr(sensing, "_afdm_rows", lambda a, phases: formed.append(len(a)) or afdm_rows(a, phases))
+    for seed in range(5):
+        chan = sample_paths(cfg, "fractional", link.substream(9, seed))
+        _direct_csi(spec, delay_diagonals(chan, spec.wrap), 3)
+    assert formed == [k.size for k in kept]
+    assert len(_integer_candidates(spec)[0]) == 255
+    assert all(3 <= k.size <= 20 for k in kept), formed
+
+
+def test_pruned_direct_csi_keeps_an_exact_tie_at_the_cut_rank(monkeypatch):
+    # constructed coefficients: a clear winner, then candidates x and y with
+    # identical rows (an exact tie at rank 2), and a floor of 0.05 everywhere
+    # else, above the 1/(2N) threshold but below the pair's lower bound
+    spec = tuned_afdm(36)
+    ells, fs = _integer_candidates(spec)
+    x, y, winner = 7, 3, 11  # y precedes x in (ell, f) order
+    a = np.zeros((len(ells), 4), dtype=complex)
+    a[:, 0] = 0.05
+    a[winner] = [0.9, 0.3j, 0.0, 0.1]
+    a[x] = a[y] = [0.4, 0.2j, 0.1, 0.0]
+    monkeypatch.setattr(_ChannelCsi, "coefficients", lambda self, diags: a)
+    diags = np.zeros((4, 36), dtype=complex)
+    scores, _ = _ChannelCsi(spec, 4).support(diags, 2)
+    assert scores[x] == scores[y]
+    assert np.flatnonzero(scores > -np.inf).tolist() == sorted([x, y, winner])
+    got = _direct_csi(spec, diags, 2)
+    assert estimate_tuples(got) == [(ells[winner], fs[winner]), (ells[y], fs[y])]
+    want = exhaustive_direct_csi(spec, diags, 2, monkeypatch)
+    assert [(e.delay_norm_hat, e.doppler_norm_hat, e.gain_hat) for e in got] == \
+        [(e.delay_norm_hat, e.doppler_norm_hat, e.gain_hat) for e in want]
+
+
 # --------------------------------------------------------------- indirect ML
 
 
@@ -579,6 +659,21 @@ def test_ml_makes_one_transform_per_stack(case, P, levels, monkeypatch):
     grid = (range(ell_max + 1), range(-f_max, f_max + 1))
     indirect_csi_ml(y, x, spec, P, grid, refine_levels=levels, refine_factor=10)
     assert calls == {"_tx": [(spec.n,), (spec.n,)], "_rx": []}
+
+
+@pytest.mark.parametrize("factor", [2, 3, 10])
+@pytest.mark.parametrize("N", [36, 64, 127, 256, 1024])
+def test_refinement_tables_built_by_conjugation_equal_doppler_phases_bitwise(N, factor):
+    # half of each table is built by conjugating the other half: this pins
+    # the odd symmetry of doppler_phases (and of libm's sin) it relies on
+    grid = _ml_grid(OfdmSpec(N), (range(1), range(1)), 3, factor)
+    ks = [k for k in range(-factor, factor + 1) if k != 0]
+    assert grid.ks == ks and len(grid.levels) == 3
+    for level, (step, table) in enumerate(grid.levels, start=1):
+        assert step == float(factor) ** (-level)
+        want = doppler_phases(N, [k * step for k in ks])
+        assert table.tobytes() == np.conj(want).tobytes()
+        assert np.conj(table).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("pulses", _NON_ADJOINT_PULSES)
