@@ -171,8 +171,8 @@ def _top_targets(spec, ells, fs, scores, entries, P, threshold, pilot) -> list[R
     """Rank the candidates and fit the gains of the top P; both direct routes end here.
 
     Ties at the cut rank break toward smaller ell, then smaller f, and a
-    candidate scoring below threshold (default 1/(2N)) is dropped; a
-    candidate pruned unscored has score -inf. `entries(c)` gives G on the
+    candidate scoring below threshold (_threshold) is dropped; a candidate
+    pruned unscored has score -inf. `entries(c)` gives G on the
     supports of the candidates c. A winner's gain is the mean of those
     entries divided entrywise by the unit-gain probe G1 on the same support.
     Inside the injective region G1 has one entry per row, so its support
@@ -180,14 +180,17 @@ def _top_targets(spec, ells, fs, scores, entries, P, threshold, pilot) -> list[R
     responses to pilot = modulate(ones) for all winners, no matrix. The
     probe supplies the deterministic per-entry phase.
     """
-    if threshold is None:
-        threshold = 1.0 / (2 * spec.n)
     top = np.array([c for c in np.lexsort((fs, ells, -scores))[:P] if not scores[c] < threshold], dtype=int)
     if top.size == 0:
         return []
     probes = demodulate(spec, _delayed_rows(spec, pilot, ells[top]) * doppler_phases(spec.n, fs[top]))
     gains = np.mean(entries(top) / probes, axis=1)
     return [RadarTargetEstimate(float(ells[c]), float(fs[c]), complex(g)) for c, g in zip(top, gains)]
+
+
+def _threshold(spec: WaveformSpec, threshold: float | None) -> float:
+    """The detection threshold of both direct routes: threshold, by default 1/(2N)."""
+    return 1.0 / (2 * spec.n) if threshold is None else threshold
 
 
 def direct_csi_extract(
@@ -201,7 +204,7 @@ def direct_csi_extract(
     Scores every candidate (ell, f_int) by the mean magnitude of G over its
     predicted support, read in one gather, keeps the top P, and fits each
     winner's gain against a unit-gain probe (see _top_targets). Given H's
-    cyclic diagonals instead of G, _direct_csi returns the same estimates
+    cyclic diagonals instead of G, _ChannelCsi returns the same estimates
     without building G.
     """
     G = np.asarray(G)
@@ -210,21 +213,15 @@ def direct_csi_extract(
     ells, fs = _integer_candidates(spec)
     entries = G[_support_indices(spec, ells, fs)]
     pilot = modulate(spec, np.ones(spec.n, dtype=complex))
-    return _top_targets(spec, ells, fs, np.abs(entries).mean(axis=1), entries.__getitem__, P, threshold, pilot)
-
-
-def _direct_csi(spec: WaveformSpec, diags: np.ndarray, P: int) -> list[RadarTargetEstimate]:
-    """direct_csi_extract(effective_channel(spec, chan), spec, P) without G,
-    from diags = delay_diagonals(chan, spec.wrap); see _ChannelCsi."""
-    if diags.shape[-1] != spec.n:
-        raise ValueError(f"channel block size {diags.shape[-1]} != waveform size {spec.n}")
-    return _ChannelCsi(spec, diags.shape[0])(diags, P)
+    return _top_targets(spec, ells, fs, np.abs(entries).mean(axis=1), entries.__getitem__, P,
+                        _threshold(spec, threshold), pilot)
 
 
 def _parseval_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds on the row means of |Q| for Q[c, m] = sum_ell a[c, ell] e^{-j2pi ell m/N}.
 
-    With at most N terms the frequencies are distinct, so by Parseval
+    ChannelConfig keeps ell_max < N, so the E <= N frequencies ell/N are
+    distinct, and by Parseval
     mean_m |Q[c, m]|^2 = ||a_c||_2^2; and max_m |Q[c, m]| <= ||a_c||_1.
     Hence ||a_c||_2^2 / ||a_c||_1 <= mean_m |Q[c, m]| <= ||a_c||_2.
     """
@@ -247,7 +244,8 @@ def _survivors(lower: np.ndarray, upper: np.ndarray, P: int, threshold: float) -
 
 
 def _afdm_rows(a: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Q = a @ phases. numpy sends a one-row product to gemv, which rounds
+    """Q = a @ phases, each row bitwise the row of the product over every
+    candidate. numpy sends a one-row product to gemv, which can round
     unlike the gemm of a stack, so a lone row goes through as two."""
     if a.shape[0] == 1:
         return (a[[0, 0]] @ phases)[:1]
@@ -261,7 +259,8 @@ class _ChannelCsi:
     the unit probe's pilot, the chirp and phase tables) is built once here,
     so the `sense` trials pay for it once per sweep (_trial_tables). Called
     with diags = delay_diagonals(chan, spec.wrap), it returns
-    direct_csi_extract(effective_channel(spec, chan), spec, P).
+    direct_csi_extract(effective_channel(spec, chan), spec, P, threshold)
+    without building G.
 
     The support entries come from the closed form of G in H's diagonals
     (support). On AFDM the score of candidate c is the row mean of
@@ -284,16 +283,19 @@ class _ChannelCsi:
         else:
             self.cols = _support_indices(spec, self.ells, self.fs)[1]
 
-    def __call__(self, diags: np.ndarray, P: int) -> list[RadarTargetEstimate]:
-        scores, entries = self.support(diags, P)
-        return _top_targets(self.spec, self.ells, self.fs, scores, entries, P, None, self.pilot)
+    def __call__(self, diags: np.ndarray, P: int, threshold: float | None = None) -> list[RadarTargetEstimate]:
+        if diags.shape[-1] != self.spec.n:
+            raise ValueError(f"channel block size {diags.shape[-1]} != waveform size {self.spec.n}")
+        threshold = _threshold(self.spec, threshold)
+        scores, entries = self.support(diags, P, threshold)
+        return _top_targets(self.spec, self.ells, self.fs, scores, entries, P, threshold, self.pilot)
 
     def coefficients(self, diags: np.ndarray) -> np.ndarray:
         """AFDM: the (C, E) coefficients a[c, ell] = D_ell[-s_c mod N] of the rows Q[c] (see support)."""
         D = np.fft.fft(self.spec._chirps[0] * diags * self.lagged, axis=-1) / self.spec.n
         return D[:, self.taps].T
 
-    def support(self, diags: np.ndarray, P: int):
+    def support(self, diags: np.ndarray, P: int, threshold: float):
         """Mean support magnitudes of G = T_rx H T_tx per candidate (-inf where
         pruned), and a reader of its support entries.
 
@@ -319,8 +321,7 @@ class _ChannelCsi:
         N = spec.n
         if isinstance(spec, AfdmSpec):
             a = self.coefficients(diags)
-            # Parseval needs distinct frequencies ell/N, so E <= N
-            keep = _survivors(*_parseval_bounds(a), P, 1.0 / (2 * N)) if E <= N else np.arange(len(ells))
+            keep = _survivors(*_parseval_bounds(a), P, threshold)
             Q = _afdm_rows(a[keep], self.phases)
             scores = np.full(len(ells), -np.inf)
             scores[keep] = np.abs(Q).mean(axis=1)

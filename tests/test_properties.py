@@ -33,7 +33,7 @@ from ddwave.modem import (
 )
 from ddwave.sensing import (
     _ChannelCsi,
-    _direct_csi,
+    _afdm_rows,
     _integer_candidates,
     _parseval_bounds,
     direct_csi_extract,
@@ -133,11 +133,16 @@ def test_closed_form_support_entries_and_scores_match_the_oracle(case):
     diags = delay_diagonals(chan, spec.wrap)
     csi = _ChannelCsi(spec, diags.shape[0])
     P = chan.config.P
-    scores, entries = csi.support(diags, P)
+    scores, entries = csi.support(diags, P, 1.0 / (2 * spec.n))
     scored = np.flatnonzero(scores > -np.inf)
     if isinstance(spec, AfdmSpec):
-        # the Parseval bounds bracket every candidate's score, scored or pruned
-        lower, upper = _parseval_bounds(csi.coefficients(diags))
+        # every candidate's row Q[c], scored or pruned, gives its support entries
+        # after the chirps, and the Parseval bounds bracket its score
+        a = csi.coefficients(diags)
+        _, ch2, _, ch2_conj = spec._chirps
+        Q = np.take_along_axis(_afdm_rows(a, csi.phases), cols, axis=-1)
+        assert np.max(np.abs(ch2[rows] * ch2_conj[cols] * Q - want)) < 1e-10
+        lower, upper = _parseval_bounds(a)
         assert np.all(lower <= want_scores + 1e-10)
         assert np.all(want_scores <= upper + 1e-10)
     else:
@@ -148,7 +153,7 @@ def test_closed_form_support_entries_and_scores_match_the_oracle(case):
 
     # the channel route ranks like the oracle's scores (up to rounding at ties) and
     # fits each winner's gain against the oracle's unit-path probe
-    ests = _direct_csi(spec, diags, P)
+    ests = csi(diags, P)
     index = {pair: c for c, pair in enumerate(zip(ells.tolist(), fs.tolist()))}
     picked = [index[(int(e.delay_norm_hat), int(e.doppler_norm_hat))] for e in ests]
     threshold = 1.0 / (2 * spec.n)
@@ -197,11 +202,12 @@ def test_parseval_bounds_bracket_the_oracle_scores_and_pruning_keeps_the_oracle_
     ells, fs = _integer_candidates(spec)
     want_scores = np.abs(G[_support_indices(spec, ells, fs)]).mean(axis=1)
     diags = delay_diagonals(chan, spec.wrap)
-    lower, upper = _parseval_bounds(_ChannelCsi(spec, diags.shape[0]).coefficients(diags))
+    csi = _ChannelCsi(spec, diags.shape[0])
+    lower, upper = _parseval_bounds(csi.coefficients(diags))
     assert np.all(lower <= want_scores + 1e-10)
     assert np.all(want_scores <= upper + 1e-10)
     for P in range(1, 7):  # up to more targets than candidates above the threshold
-        got = _direct_csi(spec, diags, P)
+        got = csi(diags, P)
         want = direct_csi_extract(G, spec, P)
         assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in got] == \
             [(e.delay_norm_hat, e.doppler_norm_hat) for e in want]

@@ -40,7 +40,7 @@ from ddwave.sensing import (
     radar_invert,
     sensing_rmse,
 )
-from ddwave.sensing import _ChannelCsi, _direct_csi, _integer_candidates, _ml_grid, _sense_trials
+from ddwave.sensing import _ChannelCsi, _integer_candidates, _ml_grid, _sense_trials
 from test_link import _ADJOINT_MESSAGE, _NON_ADJOINT_PULSES
 
 
@@ -324,8 +324,9 @@ def test_direct_extraction_from_channel_matches_extraction_from_G(case, mode):
     chan = sample_paths(cfg, mode, np.random.default_rng(spec.n))
     G = oracle.effective_matrix(tx, rx, [(p.gain, p.delay_norm, p.doppler_norm) for p in chan.paths],
                                 phase)
+    csi, diags = _ChannelCsi(spec, cfg.ell_max + 1), delay_diagonals(chan, spec.wrap)
     for P in (1, 3, 5):
-        got = _direct_csi(spec, delay_diagonals(chan, spec.wrap), P)
+        got = csi(diags, P)
         want = direct_csi_extract(G, spec, P)
         assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in got] == \
             [(e.delay_norm_hat, e.doppler_norm_hat) for e in want]
@@ -335,7 +336,7 @@ def test_direct_extraction_from_channel_matches_extraction_from_G(case, mode):
 
 def test_direct_extraction_from_channel_rejects_size_mismatch():
     with pytest.raises(ValueError, match="block size"):
-        _direct_csi(tuned_afdm(64), delay_diagonals(three_target_channel(36), tuned_afdm(36).wrap), 1)
+        _ChannelCsi(tuned_afdm(64), 4)(delay_diagonals(three_target_channel(36), tuned_afdm(36).wrap), 1)
 
 
 def test_candidates_stay_distinct_when_the_guard_is_wider_than_the_block():
@@ -350,7 +351,7 @@ def test_candidates_stay_distinct_when_the_guard_is_wider_than_the_block():
     chan = ChannelRealization(ChannelConfig(N=3, f_s=1e6, f_c=1e9, ell_max=0, f_max=1, P=1, cp_len=0),
                               (PathParams(0.7j, 0, 1.0),))
     for est in (direct_csi_extract(effective_channel(spec, chan), spec, 1),
-                _direct_csi(spec, delay_diagonals(chan, spec.wrap), 1)):
+                _ChannelCsi(spec, 1)(delay_diagonals(chan, spec.wrap), 1)):
         assert [(e.delay_norm_hat, e.doppler_norm_hat) for e in est] == [(0.0, 1.0)]
         assert abs(est[0].gain_hat - 0.7j) < 1e-12
 
@@ -376,10 +377,11 @@ def test_direct_extraction_rejects_wrong_shape():
 
 
 def exhaustive_direct_csi(spec, diags, P, monkeypatch):
-    """_direct_csi with the Parseval pruning off: every candidate gets its row and score."""
+    """Direct CSI from H's diagonals with the Parseval pruning off: every
+    candidate gets its row and score."""
     with monkeypatch.context() as m:
         m.setattr(sensing, "_survivors", lambda lower, upper, P, threshold: np.arange(lower.size))
-        return _direct_csi(spec, diags, P)
+        return _ChannelCsi(spec, diags.shape[0])(diags, P)
 
 
 def estimate_tuples(ests):
@@ -401,10 +403,11 @@ def test_pruned_direct_csi_matches_the_exhaustive_route(case, mode, P, monkeypat
     # 4 specs x 2 Doppler modes x 3 P x 9 seeds: 216 channels
     _, spec = case
     cfg = ChannelConfig(N=spec.n, f_s=1e6, f_c=1e9, ell_max=3, f_max=2, P=P, cp_len=3)
+    csi = _ChannelCsi(spec, cfg.ell_max + 1)
     for seed in range(9):
         chan = sample_paths(cfg, mode, link.substream(spec.n, P, seed))
         diags = delay_diagonals(chan, spec.wrap)
-        got = _direct_csi(spec, diags, P)
+        got = csi(diags, P)
         want = exhaustive_direct_csi(spec, diags, P, monkeypatch)
         assert estimate_tuples(got) == estimate_tuples(want)
         for a, b in zip(got, want):
@@ -420,9 +423,10 @@ def test_pruned_direct_csi_forms_rows_for_the_survivors_only(monkeypatch):
     survivors, afdm_rows = sensing._survivors, sensing._afdm_rows
     monkeypatch.setattr(sensing, "_survivors", lambda *args: kept.append(survivors(*args)) or kept[-1])
     monkeypatch.setattr(sensing, "_afdm_rows", lambda a, phases: formed.append(len(a)) or afdm_rows(a, phases))
+    csi = _ChannelCsi(spec, cfg.ell_max + 1)
     for seed in range(5):
         chan = sample_paths(cfg, "fractional", link.substream(9, seed))
-        _direct_csi(spec, delay_diagonals(chan, spec.wrap), 3)
+        csi(delay_diagonals(chan, spec.wrap), 3)
     assert formed == [k.size for k in kept]
     assert len(_integer_candidates(spec)[0]) == 255
     assert all(3 <= k.size <= 20 for k in kept), formed
@@ -441,12 +445,40 @@ def test_pruned_direct_csi_keeps_an_exact_tie_at_the_cut_rank(monkeypatch):
     a[x] = a[y] = [0.4, 0.2j, 0.1, 0.0]
     monkeypatch.setattr(_ChannelCsi, "coefficients", lambda self, diags: a)
     diags = np.zeros((4, 36), dtype=complex)
-    scores, _ = _ChannelCsi(spec, 4).support(diags, 2)
+    scores, _ = _ChannelCsi(spec, 4).support(diags, 2, 1.0 / (2 * 36))
     assert scores[x] == scores[y]
     assert np.flatnonzero(scores > -np.inf).tolist() == sorted([x, y, winner])
-    got = _direct_csi(spec, diags, 2)
+    got = _ChannelCsi(spec, 4)(diags, 2)
     assert estimate_tuples(got) == [(ells[winner], fs[winner]), (ells[y], fs[y])]
     want = exhaustive_direct_csi(spec, diags, 2, monkeypatch)
+    assert [(e.delay_norm_hat, e.doppler_norm_hat, e.gain_hat) for e in got] == \
+        [(e.delay_norm_hat, e.doppler_norm_hat, e.gain_hat) for e in want]
+
+
+@pytest.mark.parametrize("ell_max", [0, 2, 3, 4, 7])
+def test_survivor_rows_are_bitwise_the_rows_of_the_exhaustive_product(ell_max, monkeypatch):
+    # a survivor's row, and with it its gain, must not depend on how many
+    # candidates survive, one included (numpy sends a one-row product to gemv)
+    spec = tuned_afdm(64, ell_max=ell_max, f_max=1, cp_len=ell_max)
+    csi = _ChannelCsi(spec, ell_max + 1)
+    cfg = ChannelConfig(N=64, f_s=1e6, f_c=1e9, ell_max=ell_max, f_max=1, P=3, cp_len=ell_max)
+    diags = delay_diagonals(sample_paths(cfg, "fractional", link.substream(64, ell_max)), spec.wrap)
+    a = csi.coefficients(diags)
+    full = a @ csi.phases
+    rng = np.random.default_rng(ell_max)
+    for k in (1, 1, 2, 3, 5):
+        keep = np.sort(rng.choice(len(a), k, replace=False))
+        assert np.array_equal(sensing._afdm_rows(a[keep], csi.phases), full[keep])
+    # one integer path: a single survivor at P = 1, whose gain is bitwise the exhaustive one
+    chan = chan_of(64, [PathParams(0.8 - 0.3j, ell_max, -1.0)], ell_max=ell_max, f_max=1, cp_len=ell_max)
+    diags = delay_diagonals(chan, spec.wrap)
+    kept, survivors = [], sensing._survivors
+    with monkeypatch.context() as m:
+        m.setattr(sensing, "_survivors", lambda *args: kept.append(survivors(*args)) or kept[-1])
+        got = csi(diags, 1)
+    assert kept[0].size == 1
+    want = exhaustive_direct_csi(spec, diags, 1, monkeypatch)
+    assert estimate_tuples(got) == [(ell_max, -1.0)]
     assert [(e.delay_norm_hat, e.doppler_norm_hat, e.gain_hat) for e in got] == \
         [(e.delay_norm_hat, e.doppler_norm_hat, e.gain_hat) for e in want]
 
@@ -735,7 +767,7 @@ def _reference_trial(spec, cfg, constellation, snr_db, doppler_mode, seed, key, 
                              refine_levels=levels, refine_factor=factor)
     return [(p.delay_norm, p.doppler_norm) for p in chan.paths], {
         "matched_filter": mf_est,
-        "direct_csi": _direct_csi(spec, delay_diagonals(chan, spec.wrap), cfg.P),
+        "direct_csi": _ChannelCsi(spec, cfg.ell_max + 1)(delay_diagonals(chan, spec.wrap), cfg.P),
         "indirect_ml": ml_est,
     }
 
