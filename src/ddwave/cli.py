@@ -22,7 +22,7 @@ from .channel import ChannelRealization, PathParams, sample_paths
 from .config import ConfigError, ScenarioConfig, load_config
 from .link import Constellation, SingularChannelError, _chunks, run_ber_point, substream
 from .modem import effective_channel
-from .sensing import RadarTargetEstimate, _frame_ambiguity, _sense_trials, sensing_rmse
+from .sensing import RadarTargetEstimate, _frame_ambiguity, _sense_trials, _threshold, sensing_rmse
 
 log = logging.getLogger("ddwave")
 
@@ -139,7 +139,7 @@ def cmd_effchan(cfg: ScenarioConfig, out: str, fig3: bool = False, variant: str 
     written = []
     for name, spec in cfg.waveform_specs():
         G = effective_channel(spec, chan)
-        threshold = 1.0 / (2 * spec.n)
+        threshold = _threshold(spec)  # the direct-CSI detection threshold
         mag = np.abs(G)
         rows, cols = np.nonzero(mag > threshold)
         csv_path = os.path.join(out, f"effchan_{name}.csv")

@@ -443,8 +443,8 @@ def _chunks(N: int, count: int) -> list[range]:
 def _draw_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
                  snr_db: float, doppler_mode: str, seed: int, keys) -> tuple:
     """The frames of the substream keys `keys` as stacks, one row per frame:
-    ((gains, delays, dopplers), Doppler phases, bits, symbols, prefixed
-    samples, received blocks).
+    ((gains, delays, dopplers), Doppler phases, bits, prefixed samples,
+    received blocks).
 
     Frame key k draws channel, bits and noise, in this order, from
     substream(seed, *k); the transmit chain, the channel and the noise then
@@ -470,13 +470,13 @@ def _draw_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: 
     r = _apply_samples(s_cp, N, paths[0], paths[1], phases)
     if noisy:
         r = r + _noise(normals, snr_db)
-    return paths, phases, bits, x, s_cp, r
+    return paths, phases, bits, s_cp, r
 
 
 def _run_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
                 snr_db: float, detector: str, doppler_mode: str, seed: int, frames: range):
     """Monte Carlo frames `frames` as (B, N) stacks; returns (bit errors, papr_db) per frame."""
-    paths, phases, bits, _, s_cp, r = _draw_frames(
+    paths, phases, bits, s_cp, r = _draw_frames(
         spec, chan_config, constellation, snr_db, doppler_mode, seed, [(i,) for i in frames]
     )
     if detector == "zf":

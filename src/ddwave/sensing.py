@@ -8,14 +8,14 @@ gather, or from the channel itself through the closed form of G in H's
 ell_max + 1 cyclic diagonals, which never builds G and, on AFDM, scores
 only the candidates that Parseval bounds cannot rule out (_ChannelCsi).
 The indirect route fits
-path parameters to a demodulated pilot frame by greedy successive
+path parameters to a known pilot frame by greedy successive
 cancellation over a coarse-to-fine grid. Every modem has T_rx unitary and
 T_tx = T_rx^H, so the search scores its candidates in time domain with
 the matched filter's correlation kernel (_correlate), and no candidate
 goes through a receive transform. No routine here builds an N x N array.
 The `sense` trials (_sense_trials) are the BER frame stacks of
-link._draw_frames, demodulated once per chunk, and the tables of both
-routes that depend only on the spec and the grid are built once per sweep.
+link._draw_frames, read in time domain, and the tables of both routes
+that depend only on the spec and the grid are built once per sweep.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def _top_targets(spec, ells, fs, scores, entries, P, threshold, pilot) -> list[R
     return [RadarTargetEstimate(float(ells[c]), float(fs[c]), complex(g)) for c, g in zip(top, gains)]
 
 
-def _threshold(spec: WaveformSpec, threshold: float | None) -> float:
+def _threshold(spec: WaveformSpec, threshold: float | None = None) -> float:
     """The detection threshold of both direct routes: threshold, by default 1/(2N)."""
     return 1.0 / (2 * spec.n) if threshold is None else threshold
 
@@ -259,8 +259,8 @@ class _ChannelCsi:
     the unit probe's pilot, the chirp and phase tables) is built once here,
     so the `sense` trials pay for it once per sweep (_trial_tables). Called
     with diags = delay_diagonals(chan, spec.wrap), it returns
-    direct_csi_extract(effective_channel(spec, chan), spec, P, threshold)
-    without building G.
+    direct_csi_extract(effective_channel(spec, chan), spec, P) without
+    building G.
 
     The support entries come from the closed form of G in H's diagonals
     (support). On AFDM the score of candidate c is the row mean of
@@ -283,10 +283,10 @@ class _ChannelCsi:
         else:
             self.cols = _support_indices(spec, self.ells, self.fs)[1]
 
-    def __call__(self, diags: np.ndarray, P: int, threshold: float | None = None) -> list[RadarTargetEstimate]:
+    def __call__(self, diags: np.ndarray, P: int) -> list[RadarTargetEstimate]:
         if diags.shape[-1] != self.spec.n:
             raise ValueError(f"channel block size {diags.shape[-1]} != waveform size {self.spec.n}")
-        threshold = _threshold(self.spec, threshold)
+        threshold = _threshold(self.spec)
         scores, entries = self.support(diags, P, threshold)
         return _top_targets(self.spec, self.ells, self.fs, scores, entries, P, threshold, self.pilot)
 
@@ -420,8 +420,8 @@ def indirect_csi_ml(
     No candidate goes through a receive transform. With s = modulate(x),
     z = T_rx u for the time-domain row u[n] = phi_ell[n] s[(n - ell) mod N]
     e^{j2pi f n/N}, phi_ell the delay's prefix window. T_rx is unitary and
-    T_tx = T_rx^H, so z^H r = u^H T_tx r, the matched filter's correlation
-    (_correlate) of T_tx r with the windowed pilot, and |z|^2 = |s|^2. Per
+    T_tx = T_rx^H, so z^H y = u^H T_tx y, the matched filter's correlation
+    (_correlate) of T_tx y with the windowed pilot, and |z|^2 = |s|^2. Per
     target the coarse grid is one (L, N) @ (N, F) product for L delays and
     F Dopplers. Each refinement level is one product of the incumbent's
     row, its Doppler phases included, with the level's table of
@@ -443,13 +443,13 @@ def indirect_csi_ml(
         raise ValueError(f"y and x_known must have length {N}")
     if P < 1:
         raise ValueError("P must be >= 1")
-    return _ml_fit(spec, _ml_grid(spec, coarse_grid, refine_levels, refine_factor), y, x_known, P)
+    grid = _ml_grid(spec, coarse_grid, refine_levels, refine_factor)
+    return _ml_fit(spec, grid, spec._tx(y.astype(complex)), spec._tx(x_known), P)
 
 
-def _ml_fit(spec: WaveformSpec, grid: _MlGrid, y: np.ndarray, x_known: np.ndarray,
+def _ml_fit(spec: WaveformSpec, grid: _MlGrid, r: np.ndarray, s: np.ndarray,
             P: int) -> list[RadarTargetEstimate]:
-    """indirect_csi_ml on a validated grid (_ml_grid) and (N,) blocks y and x_known."""
-    s = spec._tx(x_known)
+    """indirect_csi_ml on a validated grid (_ml_grid), in time domain: r = T_tx y, s = T_tx x_known."""
     energy = float(np.real(np.vdot(s, s)))
     if energy == 0.0:  # every score is -inf: each target is the first cell, with gain 0
         return [RadarTargetEstimate(float(grid.ells[0]), float(grid.dops[0]), 0.0j)] * P
@@ -461,17 +461,16 @@ def _ml_fit(spec: WaveformSpec, grid: _MlGrid, y: np.ndarray, x_known: np.ndarra
         c = int(np.argmax(scores))
         return c, float(scores[c]), complex(C.flat[c] / energy)
 
-    resid = spec._tx(y.astype(complex))
     estimates = []
     for _ in range(P):
-        c, score, gain = best(_correlate(resid, rows, grid.coarse))
+        c, score, gain = best(_correlate(r, rows, grid.coarse))
         i, j = divmod(c, grid.dops.size)
         f, doppler = float(grid.dops[j]), np.conj(grid.coarse[j])
         for step, table in grid.levels:
-            k, sc, g = best(_correlate(resid, rows[i] * doppler, table))
+            k, sc, g = best(_correlate(r, rows[i] * doppler, table))
             if sc > score:
                 score, gain, f, doppler = sc, g, f + grid.ks[k] * step, doppler * np.conj(table[k])
-        resid = resid - gain * (rows[i] * doppler)
+        r = r - gain * (rows[i] * doppler)
         estimates.append(RadarTargetEstimate(float(grid.ells[i]), f, gain))
     return estimates
 
@@ -480,11 +479,10 @@ def _ml_fit(spec: WaveformSpec, grid: _MlGrid, y: np.ndarray, x_known: np.ndarra
 def _trial_tables(spec: WaveformSpec, ell_max: int, f_max: int, refine_levels: int,
                   refine_factor: int) -> tuple[_ChannelCsi, _MlGrid]:
     """The direct-CSI tables and the ML grid of _sense_trials on the window
-    0..ell_max x -f_max..f_max. They depend on these arguments only, so a
-    sweep builds them once, not once per chunk of trials (one trial from
-    N = 256 on)."""
-    grid = (range(ell_max + 1), range(-f_max, f_max + 1))
-    return _ChannelCsi(spec, ell_max + 1), _ml_grid(spec, grid, refine_levels, refine_factor)
+    0..ell_max x -f_max..f_max, the matched filter's window too. A sweep
+    builds them once, not once per chunk (one trial from N = 256 on)."""
+    window = (range(ell_max + 1), range(-f_max, f_max + 1))
+    return _ChannelCsi(spec, ell_max + 1), _ml_grid(spec, window, refine_levels, refine_factor)
 
 
 def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
@@ -492,23 +490,21 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
                   refine_factor: int) -> list[tuple[list, dict]]:
     """Sensing trials of the substream keys `keys`: (truth pairs, estimates per method) each.
 
-    A trial is a BER frame (link._draw_frames). The received stack is
-    demodulated, and H's diagonals formed, once; the direct-CSI tables and
-    the ML grid come from _trial_tables. Then each trial runs the matched
-    filter, direct CSI and the ML search for chan_config.P targets on the
-    window 0..ell_max x -f_max..f_max.
+    A trial is a BER frame (link._draw_frames), read in time domain: no
+    method demodulates it. H's diagonals are formed once per chunk, and the
+    tables come from _trial_tables. Each trial runs the matched filter,
+    direct CSI and the ML search for chan_config.P targets on the window
+    0..ell_max x -f_max..f_max.
     """
-    (gains, delays, dopplers), phases, _, x, s_cp, r = _draw_frames(
+    (gains, delays, dopplers), phases, _, s_cp, r = _draw_frames(
         spec, chan_config, constellation, snr_db, doppler_mode, seed, keys
     )
     ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P
-    grid = (range(ell_max + 1), range(-f_max, f_max + 1))
     csi, ml_grid = _trial_tables(spec, ell_max, f_max, refine_levels, refine_factor)
-    y = demodulate(spec, r)
     diags = _stack_diagonals(ell_max, gains, delays, phases, spec.wrap)
     trials = []
     for b, s in enumerate(s_cp[:, spec.cp_len :]):
-        mf = matched_filter_map(r[b], s, *grid)
+        mf = matched_filter_map(r[b], s, ml_grid.ells, ml_grid.dops)
         s_energy = float(np.real(np.vdot(s, s)))
         ests = {
             "matched_filter": [
@@ -516,10 +512,18 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
                 for d, f in mf.top_peaks(P)
             ],
             "direct_csi": csi(diags[b], P),
-            "indirect_ml": _ml_fit(spec, ml_grid, y[b], x[b], P),
+            "indirect_ml": _ml_fit(spec, ml_grid, r[b], s, P),
         }
         trials.append((list(zip(delays[b].tolist(), dopplers[b].tolist())), ests))
     return trials
+
+
+def _check_radar(f_c: float, geometry: str) -> None:
+    """The arguments radar_convert and radar_invert share: f_c > 0 and a known geometry."""
+    if f_c <= 0:
+        raise ValueError(f"carrier frequency must be positive, got {f_c}")
+    if geometry not in ("monostatic", "bistatic"):
+        raise ValueError(f"unknown geometry {geometry!r}")
 
 
 def radar_convert(tau_s: float, nu_hz: float, f_c: float, geometry: str = "monostatic") -> tuple[float, float]:
@@ -529,10 +533,7 @@ def radar_convert(tau_s: float, nu_hz: float, f_c: float, geometry: str = "monos
     Monostatic geometry reports half the round-trip range as the target
     distance; bistatic reports the total propagation distance unprojected.
     """
-    if f_c <= 0:
-        raise ValueError(f"carrier frequency must be positive, got {f_c}")
-    if geometry not in ("monostatic", "bistatic"):
-        raise ValueError(f"unknown geometry {geometry!r}")
+    _check_radar(f_c, geometry)
     r = LIGHT_SPEED * tau_s
     v = LIGHT_SPEED * nu_hz / (2.0 * f_c)
     if geometry == "monostatic":
@@ -542,10 +543,7 @@ def radar_convert(tau_s: float, nu_hz: float, f_c: float, geometry: str = "monos
 
 def radar_invert(range_m: float, velocity_mps: float, f_c: float, geometry: str = "monostatic") -> tuple[float, float]:
     """Inverse of radar_convert for the same f_c and geometry."""
-    if f_c <= 0:
-        raise ValueError(f"carrier frequency must be positive, got {f_c}")
-    if geometry not in ("monostatic", "bistatic"):
-        raise ValueError(f"unknown geometry {geometry!r}")
+    _check_radar(f_c, geometry)
     r = range_m * 2.0 if geometry == "monostatic" else range_m
     return r / LIGHT_SPEED, 2.0 * f_c * velocity_mps / LIGHT_SPEED
 
