@@ -212,10 +212,20 @@ def delay_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
 
     Row ell holds d[ell][n] = H[n, (n - ell) mod N], the sum of the taps of
     every path with delay ell; H has no other nonzero entry. wrap is spec.wrap.
+
+    Only a path's first ell entries read the prefix, so only they are
+    multiplied by its window wrap[N - ell:]; the other window entries are 1.
+    The result equals _stack_diagonals' bit for bit: each product keeps its
+    operand order, and a factor 1 can change only the sign of a zero, which
+    the sum into the zeroed rows drops.
     """
+    N = chan.config.N
     gains, delays, dopplers = _path_arrays(chan.paths)
-    phases = doppler_phases(chan.config.N, dopplers)
-    return _stack_diagonals(chan.config.ell_max, gains[None], delays[None], phases[None], wrap)[0]
+    d = np.zeros((chan.config.ell_max + 1, N), dtype=complex)
+    for gain, ell, tap in zip(gains, delays.tolist(), doppler_phases(N, dopplers)):
+        tap[:ell] = wrap[N - ell :] * tap[:ell]
+        d[ell] += gain * tap
+    return d
 
 
 def _stack_diagonals(ell_max: int, gains, delays, phases, wrap) -> np.ndarray:

@@ -10,10 +10,12 @@ reduction solves them with about log2(nb) batched solves for nb blocks of
 m rows (m at least the folded half-bandwidth and at least 8): O(N m^2), so
 linear in N. ZF solves the folded dense H in O(N^3), behind the same guard
 as the symbol-domain solve it replaces: it refuses when cond(H) = cond(G)
-exceeds 1e12. A Cholesky of H H^H - t I, with t a rounding-error margin,
-certifies cond(H) <= about 1e6 without an SVD; only a frame it does not
-clear runs the exact np.linalg.cond test, so every frame is accepted or
-refused as the SVD alone would decide.
+exceeds 1e12, in three stages. Weyl's bound on the diagonals' magnitudes
+certifies cond(H) <= about 1e6 in O(N ell_max) when one delay outweighs the
+others; a Cholesky of H H^H - t I, with t a rounding-error margin, certifies
+the same bound for a frame it does not clear; only a frame neither clears
+runs the exact np.linalg.cond test, so every frame is accepted or refused
+as the SVD alone would decide.
 
 _draw_frames writes the transmitted frame once: each frame draws channel,
 bits and noise from its own RNG substream, and a chunk of about 2^16 / N^2
@@ -27,6 +29,7 @@ from there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -243,11 +246,34 @@ def _gram(d: np.ndarray, lay: _BandLayout) -> np.ndarray:
 
 
 # The ZF guard refuses H when cond(H) > 1e12. An SVD decides that exactly but
-# costs more than the solve, so a Cholesky certificate runs first (Rump,
-# "Verification of positive definiteness," BIT 46, 2006). Let A = H H^H,
-# u = 2^-53 and gamma_k = k u / (1 - k u); complex arithmetic adds two units
-# per inner product (Higham, Accuracy and Stability of Numerical Algorithms,
-# 2nd ed., §3.6). The certificate factors M = fl(A) - t I with t = tau_N tr(A):
+# costs more than the solve, so two certificates of cond(H) <= K = sqrt(2 / tau_N),
+# tau_N = (4N + 64) u, u = 2^-53, run first; an SVD of such an H cannot report
+# a condition number near 1e12, so the exact test accepts every certified
+# frame, and only a frame that neither clears gets it.
+#
+# The first, _weyl_certified, needs no factorization. H = sum_ell D_ell Pi^ell
+# for the diagonal D_ell of d[ell] and the cyclic shift Pi, so with
+# a_ell = max_n |d[ell][n]| and b_ell = min_n |d[ell][n]|, sigma_max(H) <= S =
+# sum_ell a_ell, and by Weyl's inequality sigma_min(X + Y) >= sigma_min(X) - ||Y||_2
+# (Weyl, Math. Ann. 71, 1912) sigma_min(H) >= b_0 - r for any ell0 and the
+# sum r of the other a_ell: cond(H) <= S / (b_0 - r) when b_0 > r. It clears a
+# channel whose strongest delay outweighs the others, in O(N ell_max). With
+# c = 1 - 2 K tau_N it tests a_0 + (c K + 1) r <= c K b_0, ell0 the delay of
+# the largest a_ell + b_ell; that is S <= c K (b_0 - r) without a subtraction:
+#   - its quantities are sums and products of nonnegative floats, each |d|
+#     off by 2u at most and r a sum of at most N terms, so either side is off
+#     by less than (N + 8) u < tau_N / 4 relatively, and the exact
+#     S / (b_0 - r) is at most (1 - K tau_N) K;
+#   - an SVD whose singular values are off by at most N u ||H||_2 <= tau_N S / 4
+#     (a backward stable one, with LAPACK's modest constant) then reports
+#     cond(H) <= (1 - K tau_N) K (1 + tau_N / 4) / (1 - K tau_N / 4) <= K.
+# It assumes no underflow or overflow: b_0 must exceed 1e-200 and S stay below 1e200.
+#
+# The second (Rump, "Verification of positive definiteness," BIT 46, 2006)
+# is a Cholesky of H H^H - t I. Let A = H H^H and gamma_k = k u / (1 - k u);
+# complex arithmetic adds two units per inner product (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., §3.6). _certified factors
+# M = fl(A) - t I with t = tau_N tr(A):
 #   - each entry of fl(A) sums at most N products, so fl(A) - A is at most
 #     gamma_{N+2} |H| |H|^H entrywise and gamma_{N+2} ||H||_F^2 = gamma_{N+2} tr(A)
 #     in 2-norm;
@@ -256,23 +282,40 @@ def _gram(d: np.ndarray, lay: _BandLayout) -> np.ndarray:
 #     |dM| <= gamma_{N+3} |R^H| |R| (§10.1, Theorem 10.3), and
 #     || |R^H| |R| ||_2 <= ||R||_F^2 <= tr(M) / (1 - gamma_{N+3}).
 # So R^H R = A - t I + E with ||E||_2 <= (2N + 6) u tr(A) to first order.
-# tau_N = (4N + 64) u is more than twice that, with room for the second-order
-# terms and the rounding of tr(A), so R^H R >= 0 gives lambda_min(A) >= t / 2
-# and cond(H)^2 = cond(A) <= tr(A) / lambda_min(A) <= 2 / tau_N: cond(H) <= 7.5e6
-# at N = 64 and less at larger N. An SVD of such an H cannot report a
-# condition number near 1e12, so the exact test accepts every certified
-# frame. The bounds assume no underflow or overflow: frames whose trace lies
-# outside (1e-200, 1e200) get no certificate.
+# tau_N is more than twice that, with room for the second-order terms and
+# the rounding of tr(A), so R^H R >= 0 gives lambda_min(A) >= t / 2 and
+# cond(H)^2 = cond(A) <= tr(A) / lambda_min(A) <= 2 / tau_N: K = 7.5e6 at
+# N = 64 and less at larger N. The bounds assume no underflow or overflow:
+# frames whose trace lies outside (1e-200, 1e200) get no certificate.
+def _tau(N: int) -> float:
+    """tau_N = (4N + 64) u of the certificates above."""
+    return (4 * N + 64) * 2.0**-53
+
+
+def _weyl_certified(d: np.ndarray) -> bool:
+    """True if Weyl's bound above proves cond(H) <= sqrt(2 / tau_N) for H's
+    (ell_max + 1, N) diagonals d, with no factorization."""
+    tau = _tau(d.shape[1])
+    K = math.sqrt(2.0 / tau)
+    cK = (1.0 - 2.0 * K * tau) * K
+    mags = np.abs(d)
+    # ell_max + 1 values each: Python floats cost less than more numpy calls
+    a, b = mags.max(axis=1).tolist(), mags.min(axis=1).tolist()
+    l0 = max(range(len(a)), key=lambda ell: a[ell] + b[ell])
+    r = sum(a[:l0] + a[l0 + 1 :])
+    return b[l0] > 1e-200 and a[l0] + r < 1e200 and a[l0] + (cK + 1.0) * r <= cK * b[l0]
+
+
 def _certified(d: np.ndarray) -> bool:
-    """True if the certificate above proves cond(H) <= sqrt(2 / tau_N) for
-    H's (ell_max + 1, N) diagonals d."""
+    """True if the Cholesky certificate above proves cond(H) <= sqrt(2 / tau_N)
+    for H's (ell_max + 1, N) diagonals d."""
     N = d.shape[1]
     lay = _band_layout(N, d.shape[0] - 1)
     a = _gram(d[None], lay)[0]
     trace = a[lay.slot0].real.sum()
     if not 1e-200 < trace < 1e200:
         return False
-    a[lay.slot0] -= (4 * N + 64) * 2.0**-53 * trace
+    a[lay.slot0] -= _tau(N) * trace
     M = np.zeros(N * N, dtype=complex)
     M[lay.dense_dst] = a.ravel()
     try:
@@ -287,8 +330,9 @@ def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     H's diagonals are scattered straight into the folded layout, whose band
     keeps the growth of partial pivoting bounded, and solved densely. H
-    with cond(H) > 1e12 is refused: an H the certificate clears needs no
-    SVD, any other H gets the exact np.linalg.cond test.
+    with cond(H) > 1e12 is refused: an H that Weyl's bound or, failing it,
+    the Cholesky certificate clears needs no SVD; any other H gets the exact
+    np.linalg.cond test.
     """
     N = r.size
     lay = _band_layout(N, d.shape[0] - 1)
@@ -296,7 +340,7 @@ def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     H = np.zeros(N * N, dtype=complex)
     H[lay.dense_dst[: d.size]] = d.ravel()
     H = H.reshape(N, N)
-    if not _certified(d):
+    if not (_weyl_certified(d) or _certified(d)):
         cond = np.linalg.cond(H)
         if not np.isfinite(cond) or cond > 1e12:
             raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
@@ -391,8 +435,8 @@ def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> 
 
     r is the CP-stripped received block. H is solved densely in the fold
     permutation's banded order. Refuses channels with cond(H) = cond(G) >
-    1e12; a Cholesky certificate clears well-conditioned channels without
-    an SVD (see _certified).
+    1e12; Weyl's bound or a Cholesky certificate clears well-conditioned
+    channels without an SVD (see _weyl_certified and _certified).
     """
     d, r = _equalizer_inputs(spec, chan, r)
     return demodulate(spec, _zf_solve(d, r))
@@ -514,11 +558,11 @@ def run_ber_point(
     demapping as (B, N) stacks, and no step, the LMMSE block rule included,
     depends on the stack size, so the chunk size changes no result. ZF
     equalizes the chunk's frames one by one through equalize_zf, in frame
-    order: a Cholesky certificate clears a well-conditioned H without an
-    SVD, any other H gets the exact cond(H) > 1e12 test, and the first
-    refused frame raises SingularChannelError. snr_db = +inf runs noiseless;
-    NaN and -inf raise ValueError before the first frame. `threads` must be
-    >= 1 and has no other effect.
+    order: Weyl's bound or a Cholesky certificate clears a well-conditioned
+    H without an SVD, any other H gets the exact cond(H) > 1e12 test, and
+    the first refused frame raises SingularChannelError. snr_db = +inf runs
+    noiseless; NaN and -inf raise ValueError before the first frame.
+    `threads` must be >= 1 and has no other effect.
     """
     _check_snr(snr_db)
     if frames < 1:

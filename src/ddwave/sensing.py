@@ -444,13 +444,14 @@ def indirect_csi_ml(
     if P < 1:
         raise ValueError("P must be >= 1")
     grid = _ml_grid(spec, coarse_grid, refine_levels, refine_factor)
-    return _ml_fit(spec, grid, spec._tx(y.astype(complex)), spec._tx(x_known), P)
+    s = spec._tx(x_known)
+    return _ml_fit(spec, grid, spec._tx(y.astype(complex)), s, float(np.real(np.vdot(s, s))), P)
 
 
-def _ml_fit(spec: WaveformSpec, grid: _MlGrid, r: np.ndarray, s: np.ndarray,
+def _ml_fit(spec: WaveformSpec, grid: _MlGrid, r: np.ndarray, s: np.ndarray, energy: float,
             P: int) -> list[RadarTargetEstimate]:
-    """indirect_csi_ml on a validated grid (_ml_grid), in time domain: r = T_tx y, s = T_tx x_known."""
-    energy = float(np.real(np.vdot(s, s)))
+    """indirect_csi_ml on a validated grid (_ml_grid), in time domain: r = T_tx y,
+    s = T_tx x_known and energy = |s|^2, float(np.real(np.vdot(s, s)))."""
     if energy == 0.0:  # every score is -inf: each target is the first cell, with gain 0
         return [RadarTargetEstimate(float(grid.ells[0]), float(grid.dops[0]), 0.0j)] * P
     rows = _delayed_rows(spec, s, grid.ells)
@@ -502,9 +503,12 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
     ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P
     csi, ml_grid = _trial_tables(spec, ell_max, f_max, refine_levels, refine_factor)
     diags = _stack_diagonals(ell_max, gains, delays, phases, spec.wrap)
+    # the matched filter's plain cyclic pilot rows; ml_grid.coarse is its Doppler table
+    cyclic = (np.arange(spec.n) - ml_grid.ells[:, None]) % spec.n
     trials = []
     for b, s in enumerate(s_cp[:, spec.cp_len :]):
-        mf = matched_filter_map(r[b], s, ml_grid.ells, ml_grid.dops)
+        mf = DelayDopplerMap(ml_grid.ells.astype(float), ml_grid.dops,
+                             _correlate(r[b], s[cyclic], ml_grid.coarse))
         s_energy = float(np.real(np.vdot(s, s)))
         ests = {
             "matched_filter": [
@@ -512,7 +516,7 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
                 for d, f in mf.top_peaks(P)
             ],
             "direct_csi": csi(diags[b], P),
-            "indirect_ml": _ml_fit(spec, ml_grid, r[b], s, P),
+            "indirect_ml": _ml_fit(spec, ml_grid, r[b], s, s_energy, P),
         }
         trials.append((list(zip(delays[b].tolist(), dopplers[b].tolist())), ests))
     return trials

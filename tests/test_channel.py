@@ -10,8 +10,11 @@ from ddwave.channel import (
     ChannelConfig,
     ChannelRealization,
     PathParams,
+    _path_arrays,
+    _stack_diagonals,
     apply_paths,
     delay_diagonals,
+    doppler_phases,
     dvirf_points,
     mimo_channel,
     realization_from_points,
@@ -225,6 +228,31 @@ def test_channel_matrix_frobenius_energy():
     d = delay_diagonals(chan, OfdmSpec(16).wrap)
     expected = 16 * sum(abs(p.gain) ** 2 for p in chan.paths)
     assert abs(np.linalg.norm(d) ** 2 - expected) <= 1e-9 * expected
+
+
+def test_delay_diagonals_equal_the_per_path_sum_bit_for_bit():
+    # delay_diagonals windows only a path's prefix rows; it must give the bits of
+    # summing every path's full taps gain * (window * Doppler phase), window
+    # wrap[N - ell + n] on rows n < ell and 1 elsewhere, in path order, and of the
+    # frame stacks' _stack_diagonals. P > ell_max + 1 makes delays repeat, and a
+    # given c1 puts the AFDM prefix factors off the real line.
+    rng = np.random.default_rng(15)
+    for N in (16, 37, 64):
+        for wrap in (OfdmSpec(N).wrap, AfdmSpec(N, 3.0 / (2 * N), 0.0).wrap, AfdmSpec(N, 0.0123, 0.011).wrap):
+            for mode in ("integer", "fractional"):
+                cfg = make_config(N=N, ell_max=3, f_max=2, P=7)
+                chan = sample_paths(cfg, mode, rng)
+                n = np.arange(N)
+                want = np.zeros((cfg.ell_max + 1, N), dtype=complex)
+                for p in chan.paths:
+                    window = np.where(n < p.delay_norm, wrap[(N - p.delay_norm + n) % N], 1.0)
+                    want[p.delay_norm] += p.gain * (window * doppler_phases(N, p.doppler_norm))
+                got = delay_diagonals(chan, wrap)
+                assert got.tobytes() == want.tobytes()
+                gains, delays, dopplers = _path_arrays(chan.paths)
+                stacked = _stack_diagonals(cfg.ell_max, gains[None], delays[None],
+                                           doppler_phases(N, dopplers)[None], wrap)
+                assert got.tobytes() == stacked[0].tobytes()
 
 
 def test_single_path_operator_matches_factor_product():

@@ -554,11 +554,13 @@ def test_zf_refuses_cond_2e13_and_ber_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_zf_guard_decides_as_the_svd_test():
-    """Certificate plus fallback against np.linalg.cond(H) > 1e12, frame by frame.
+    """Certificates plus fallback against np.linalg.cond(H) > 1e12, frame by frame.
 
     2,000 sampled N = 64 fractional-Doppler channels (OFDM's and AFDM's
-    prefix rules) and near-singular ones across the 1e12 boundary. Every
-    certified H must have cond(H) <= sqrt(2 / tau_N).
+    prefix rules) and near-singular ones across the 1e12 boundary. Every H
+    certified by either stage, Weyl's bound or the Cholesky certificate,
+    must have cond(H) <= sqrt(2 / tau_N), and Weyl's bound must clear some
+    of the sampled channels.
     """
     cfg = _dispersive_config(64)
     c1, c2 = afdm_tune(3, 2, 0, 64)
@@ -572,7 +574,7 @@ def test_zf_guard_decides_as_the_svd_test():
     bound = np.sqrt(2.0 / ((4 * 64 + 64) * 2.0**-53))
     n = np.arange(64)
     r = np.ones(64, dtype=complex)
-    fallbacks = refusals = 0
+    fallbacks = refusals = weyl = 0
     for spec, chan in cases:
         d = delay_diagonals(chan, spec.wrap)
         H = np.zeros((64, 64), dtype=complex)
@@ -589,5 +591,9 @@ def test_zf_guard_decides_as_the_svd_test():
             assert cond <= bound
         else:
             fallbacks += 1
+        if link._weyl_certified(d):
+            assert cond <= bound
+            weyl += 1
         refusals += refused
     assert fallbacks > 26 and refusals > 0
+    assert 0 < weyl < len(cases)

@@ -1,12 +1,13 @@
 """Property tests: direct CSI extraction, from G and from the channel's closed form, the
-equalizers (ZF per block, LMMSE stacked) against dense G-domain solves, and the time-domain
-pipeline against effective_channel and the oracle, for tuned and given AFDM rates."""
+equalizers (ZF per block, LMMSE stacked) against dense G-domain solves, the time-domain
+pipeline against effective_channel and the oracle, for tuned and given AFDM rates, and the
+Weyl stage of the ZF guard against the dense condition number."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -19,7 +20,7 @@ from ddwave.channel import (
     doppler_phases,
     time_domain_apply,
 )
-from ddwave.link import _lmmse_solve, _zf_solve
+from ddwave.link import _lmmse_solve, _weyl_certified, _zf_solve
 from ddwave.modem import (
     AfdmSpec,
     OfdmSpec,
@@ -290,3 +291,102 @@ def test_pipeline_equals_effective_channel_equals_the_oracle(case):
     G = effective_channel(spec, chan)
     assert np.max(np.abs(y - G @ x)) <= 1e-10
     assert np.max(np.abs(G - oracle.effective_matrix(tx, rx, paths, phase))) <= 1e-10
+
+
+@st.composite
+def weyl_channels(draw):
+    """N, a channel and a prefix vector for the Weyl stage of the ZF guard.
+
+    N odd, prime or even; the prefix factors of OFDM (ones), of a tuned AFDM
+    c1 (+-1) or of a given c1 (off the real line). The paths are one of:
+      - "spread": a unit path and up to ell_max + 3 others, so delays repeat,
+        whose magnitudes sum to a drawn share of it, around the Weyl edge;
+      - "dominance": two paths with gain ratio 1 +- 10^-k, on either side of
+        the dominance edge |g_1| = |g_0|;
+      - "bound": two aligned paths at one integer Doppler whose Weyl bound,
+        sharp for OFDM, lies within 10^-e of sqrt(2 / tau_N), on either side
+        and across the stage's rounding margin.
+    """
+    N = draw(st.sampled_from([5, 7, 16, 31, 36, 37, 61, 64, 97]))
+    ell_max, f_max = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["spread", "dominance", "bound"]))
+    if kind == "spread":
+        P = draw(st.integers(1, ell_max + 4))
+        share = draw(st.floats(0.0, 1.5))
+        weights = rng.random(P - 1)
+        gains = np.concatenate([[1.0], share * weights / max(weights.sum(), 1e-300)])
+        delays = rng.integers(0, ell_max + 1, P)
+    else:
+        K = np.sqrt(2.0 / ((4 * N + 64) * 2.0**-53))
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        if kind == "dominance":
+            ratio = 1.0 + side * 10.0 ** -draw(st.integers(1, 15))
+        else:
+            ratio = (K - 1.0) / (K + 1.0) * (1.0 + side * 10.0 ** -draw(st.integers(3, 15)))
+        gains = np.array([1.0, -ratio])
+        delays = np.array([0, ell_max]) if draw(st.booleans()) else rng.integers(0, ell_max + 1, 2)
+    gains = gains * np.exp(2j * np.pi * rng.random()) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    if kind == "bound":  # aligned phases and one Doppler keep the bound sharp
+        dopplers = np.full(2, float(rng.integers(-f_max, f_max + 1)))
+    else:
+        gains = gains * np.exp(2j * np.pi * rng.random(len(gains)))
+        if draw(st.booleans()):
+            dopplers = rng.integers(-f_max, f_max + 1, len(gains)).astype(float)
+        else:
+            dopplers = rng.uniform(-f_max - 0.5, f_max + 0.5, len(gains))
+    prefix = draw(st.sampled_from(["ofdm", "afdm tuned", "afdm given"]))
+    if prefix == "ofdm":
+        wrap = OfdmSpec(N).wrap
+    else:
+        c1 = (2 * f_max + 1) / (2 * N) if prefix == "afdm tuned" else draw(st.floats(-0.5, 0.5))
+        wrap = AfdmSpec(N, c1, 0.0).wrap
+    cfg = ChannelConfig(N=N, f_s=1e6, f_c=1e9, ell_max=ell_max, f_max=f_max, P=len(gains),
+                        cp_len=ell_max)
+    paths = tuple(PathParams(complex(g), int(ell), float(f)) for g, ell, f in zip(gains, delays, dopplers))
+    return N, ChannelRealization(cfg, paths), wrap
+
+
+def _sharp_pair(N, ell, e):
+    """Paths 1 and -rho at delays 0 and ell, OFDM: cond(H) = (1 + rho) / (1 - rho), the
+    Weyl bound, set to sqrt(2 / tau_N) (1 - 10^-e) up to the rounding of rho."""
+    K = np.sqrt(2.0 / ((4 * N + 64) * 2.0**-53))
+    bound = K * (1.0 - 10.0**-e)
+    rho = (bound - 1.0) / (bound + 1.0)
+    cfg = ChannelConfig(N=N, f_s=1e6, f_c=1e9, ell_max=ell, f_max=1, P=2, cp_len=ell)
+    chan = ChannelRealization(cfg, (PathParams(1.0, 0, 1.0), PathParams(-rho, ell, 1.0)))
+    return N, chan, OfdmSpec(N).wrap
+
+
+@pytest.mark.filterwarnings("ignore:channel is not underspread")
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(case=weyl_channels())
+@example(case=_sharp_pair(64, 1, 5))   # certified, cond(H) within 1e-5 of the bound
+@example(case=_sharp_pair(64, 3, 7))   # inside the stage's rounding margin: not certified
+def test_weyl_stage_certifies_only_channels_within_its_bound(case):
+    """Every H the Weyl stage certifies has dense np.linalg.cond(H) <= sqrt(2 / tau_N),
+    and the bound S / (b_0 - r) itself holds wherever it is finite and moderate."""
+    N, chan, wrap = case
+    d = delay_diagonals(chan, wrap)
+    n = np.arange(N)
+    H = np.zeros((N, N), dtype=complex)
+    for ell, diag in enumerate(d):
+        H[n, (n - ell) % N] = diag
+    cond = np.linalg.cond(H)
+    if _weyl_certified(d):
+        assert cond <= np.sqrt(2.0 / ((4 * N + 64) * 2.0**-53))
+    a = np.abs(d)
+    hi, lo = a.max(axis=1), a.min(axis=1)
+    S = hi.sum()
+    den = np.max(lo + hi) - S
+    if den > 0 and S / den <= 1e8:
+        assert cond <= S / den * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("N,ell", [(64, 1), (37, 2), (97, 4)])
+def test_weyl_stage_is_sharp_up_to_its_rounding_margin(N, ell):
+    # the Weyl bound 10^-5 below sqrt(2 / tau_N) certifies; 10^-7 below, inside the
+    # margin 2 sqrt(2 tau_N) (5.3e-7 at N = 64), it does not
+    for e, certified in ((5, True), (7, False)):
+        _, chan, wrap = _sharp_pair(N, ell, e)
+        assert _weyl_certified(delay_diagonals(chan, wrap)) == certified
