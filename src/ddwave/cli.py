@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelRealization, PathParams, sample_paths
 from .config import ConfigError, ScenarioConfig, load_config
-from .link import Constellation, SingularChannelError, _chunks, run_ber_point, substream
+from .link import Constellation, SingularChannelError, _ber_sweep, _chunks, substream
 from .modem import effective_channel
 from .sensing import RadarTargetEstimate, _frame_ambiguity, _sense_trials, _threshold, sensing_rmse
 
@@ -163,22 +163,14 @@ def cmd_effchan(cfg: ScenarioConfig, out: str, fig3: bool = False, variant: str 
 
 
 def cmd_ber(cfg: ScenarioConfig, out: str) -> list[str]:
-    """SNR sweep x waveform BER table."""
+    """SNR sweep x waveform BER table: one _ber_sweep per waveform, so each
+    frame is drawn, and each ZF channel guarded and factored, once per sweep."""
     chan_cfg = cfg.channel_config()
     constellation = Constellation.by_name(cfg.constellation)
     table = {key: [] for key in ("snr_db", "waveform", "ber", "frames", "papr_db_p99")}
     for name, spec in cfg.waveform_specs():
-        for snr in sorted(cfg.snr_sweep):
-            res = run_ber_point(
-                spec,
-                chan_cfg,
-                constellation,
-                snr,
-                cfg.frames,
-                detector=cfg.detector,
-                seed=cfg.seed,
-                doppler_mode=cfg.doppler_mode,
-            )
+        for res in _ber_sweep(spec, chan_cfg, constellation, sorted(cfg.snr_sweep), cfg.frames,
+                              cfg.detector, cfg.seed, cfg.doppler_mode):
             row = (res.snr_db, name, res.ber, res.frames, res.papr_db_p99)
             for column, value in zip(table.values(), row):
                 column.append(value)

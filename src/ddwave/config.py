@@ -102,7 +102,7 @@ class ScenarioConfig:
             if not (_is_int(data[name]) or (data[name] is None and name in _DERIVED)):
                 raise ConfigError(f"{name} must be an integer, got {data[name]!r}")
         for name, low in (("n", 1), ("seed", 0), ("paths", 1), ("frames", 1), ("trials", 1),
-                          ("refine_levels", 0), ("refine_factor", 2), ("k", 1), ("l", 1)):
+                          ("refine_levels", 0), ("refine_factor", 2), ("xi", 0), ("k", 1), ("l", 1)):
             if data[name] is not None and data[name] < low:
                 raise ConfigError(f"{name} must be >= {low}, got {data[name]}")
         for name in ("f_s", "f_c"):

@@ -8,23 +8,28 @@ diagonals. LMMSE forms the 2 ell_max + 1 cyclic diagonals of H H^H + s2 I;
 after a fold permutation they are block tridiagonal, and block cyclic
 reduction solves them with about log2(nb) batched solves for nb blocks of
 m rows (m at least the folded half-bandwidth and at least 8): O(N m^2), so
-linear in N. ZF solves the folded dense H in O(N^3), behind the same guard
-as the symbol-domain solve it replaces: it refuses when cond(H) = cond(G)
-exceeds 1e12, in three stages. Weyl's bound on the diagonals' magnitudes
-certifies cond(H) <= about 1e6 in O(N ell_max) when one delay outweighs the
-others; a Cholesky of H H^H - t I, with t a rounding-error margin, certifies
-the same bound for a frame it does not clear; only a frame neither clears
-runs the exact np.linalg.cond test, so every frame is accepted or refused
-as the SVD alone would decide.
+linear in N. ZF solves the folded dense H in O(N^3), one LU for a stack of
+received blocks, behind the same guard as the symbol-domain solve it
+replaces: it refuses when cond(H) = cond(G) exceeds 1e12, in three stages.
+Weyl's bound on the diagonals' magnitudes certifies cond(H) <= about 1e6 in
+O(N ell_max) when one delay outweighs the others; a Cholesky of
+H H^H - t I, with t a rounding-error margin, certifies the same bound for a
+frame it does not clear; only a frame neither clears runs the exact
+np.linalg.cond test, so every frame is accepted or refused as the SVD alone
+would decide.
 
 _draw_frames writes the transmitted frame once: each frame draws channel,
-bits and noise from its own RNG substream, and a chunk of about 2^16 / N^2
-frames runs the transmit chain and the channel as (B, N) stacks. BER frames
-and the `sense` trials (sensing._sense_trials) both come from it, in the
-same chunks. The public single-block functions call the same stacked code
-with B = 1. ZF is the exception: its guard decides frame by frame, so each
-frame of a chunk goes through the public equalize_zf, and a refusal raises
-from there.
+bits and noise from its own RNG substream, none of them depending on the
+SNR, and a chunk of about 2^16 / N^2 frames runs the transmit chain and the
+channel as (B, N) stacks once for a whole SNR sweep; each SNR point then
+adds its own scaling of the frame's noise to the noiseless received block.
+BER frames and the `sense` trials (sensing._sense_trials, one point) both
+come from it, in the same chunks. The public single-block functions call
+the same stacked code with B = 1. LMMSE solves a chunk once per SNR point,
+since s2 changes A. ZF is the exception: its guard decides frame by frame,
+so each frame of a chunk goes through the public equalize_zf once, with its
+received blocks of all SNR points as one (S, N) stack: the guard and the LU
+of H run once per frame, and a refusal raises from there.
 """
 
 from __future__ import annotations
@@ -326,15 +331,16 @@ def _certified(d: np.ndarray) -> bool:
 
 
 def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """H^{-1} r for H's (ell_max + 1, N) diagonals d and a block r.
+    """H^{-1} r for H's (ell_max + 1, N) diagonals d and a block r, row by row
+    for an (S, N) stack r.
 
     H's diagonals are scattered straight into the folded layout, whose band
-    keeps the growth of partial pivoting bounded, and solved densely. H
-    with cond(H) > 1e12 is refused: an H that Weyl's bound or, failing it,
-    the Cholesky certificate clears needs no SVD; any other H gets the exact
-    np.linalg.cond test.
+    keeps the growth of partial pivoting bounded, and solved densely, the
+    rows of a stack as right-hand sides of one LU. H with cond(H) > 1e12 is
+    refused: an H that Weyl's bound or, failing it, the Cholesky certificate
+    clears needs no SVD; any other H gets the exact np.linalg.cond test.
     """
-    N = r.size
+    N = r.shape[-1]
     lay = _band_layout(N, d.shape[0] - 1)
     # offsets 0..ell_max come first, so H's diagonals are the band's first rows
     H = np.zeros(N * N, dtype=complex)
@@ -344,8 +350,8 @@ def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
         cond = np.linalg.cond(H)
         if not np.isfinite(cond) or cond > 1e12:
             raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
-    z = np.empty(N, dtype=complex)
-    z[lay.perm] = np.linalg.solve(H, r[lay.perm])
+    z = np.empty(r.shape, dtype=complex)
+    z[..., lay.perm] = np.linalg.solve(H, r[..., lay.perm].T).T
     return z
 
 
@@ -422,21 +428,25 @@ def _check_spec(spec: WaveformSpec, N: int) -> None:
 
 
 def _equalizer_inputs(spec: WaveformSpec, chan: ChannelRealization, r) -> tuple[np.ndarray, np.ndarray]:
-    """The equalizers' shared input check; returns H's diagonals and r as an array."""
+    """The equalizers' shared input check; returns H's diagonals and r, one
+    block (N,) or a stack (S, N), as an array."""
     _check_spec(spec, chan.config.N)
     r = np.asarray(r)
-    if r.shape != (spec.n,):
-        raise ValueError(f"received block must have length {spec.n}, got {r.shape}")
+    if r.ndim not in (1, 2) or r.shape[-1] != spec.n:
+        raise ValueError(f"received blocks must have shape ({spec.n},) or (S, {spec.n}), got {r.shape}")
     return delay_diagonals(chan, spec.wrap), r
 
 
 def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> np.ndarray:
     """Zero-forcing on the time-domain channel: x_hat = demodulate(H^{-1} r) = G^{-1} y.
 
-    r is the CP-stripped received block. H is solved densely in the fold
-    permutation's banded order. Refuses channels with cond(H) = cond(G) >
-    1e12; Weyl's bound or a Cholesky certificate clears well-conditioned
-    channels without an SVD (see _weyl_certified and _certified).
+    r is the CP-stripped received block (N,), or an (S, N) stack of blocks
+    through the same channel, equalized row by row. H is solved densely in
+    the fold permutation's banded order, once for the whole stack. Refuses
+    channels with cond(H) = cond(G) > 1e12; Weyl's bound or a Cholesky
+    certificate clears well-conditioned channels without an SVD (see
+    _weyl_certified and _certified). The guard reads H alone, so it runs
+    once per call, whatever S.
     """
     d, r = _equalizer_inputs(spec, chan, r)
     return demodulate(spec, _zf_solve(d, r))
@@ -452,10 +462,13 @@ def equalize_lmmse(
     O(N ell_max^2); folded, it is block tridiagonal and Hermitian positive
     definite, so block cyclic reduction needs no pivoting across blocks and
     costs O(N m^2) for blocks of m rows in about log2(N / m) batched solves.
-    No N x N array is formed unless N is one block (N <= 96 here).
+    No N x N array is formed unless N is one block (N <= 96 here). r is one
+    block (N,) or an (S, N) stack, equalized row by row.
     """
     d, r = _equalizer_inputs(spec, chan, r)
-    return demodulate(spec, _lmmse_solve(d[None], r[None], noise_var)[0])
+    rows = r.reshape(-1, spec.n)
+    x = _lmmse_solve(np.broadcast_to(d, (len(rows), *d.shape)), rows, noise_var)
+    return demodulate(spec, x.reshape(r.shape))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -485,22 +498,24 @@ def _chunks(N: int, count: int) -> list[range]:
 
 
 def _draw_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
-                 snr_db: float, doppler_mode: str, seed: int, keys) -> tuple:
+                 snrs, doppler_mode: str, seed: int, keys) -> tuple:
     """The frames of the substream keys `keys` as stacks, one row per frame:
     ((gains, delays, dopplers), Doppler phases, bits, prefixed samples,
-    received blocks).
+    received blocks), the received blocks (B, S, N), one per SNR point snrs[s].
 
     Frame key k draws channel, bits and noise, in this order, from
-    substream(seed, *k); the transmit chain, the channel and the noise then
-    run once on the stacks. The (B, P, N) phases doppler_phases(N, dopplers)
-    are formed once, for the channel here and for the caller's H diagonals
-    (_stack_diagonals). snr_db = +inf draws no noise.
+    substream(seed, *k), so no draw depends on snrs. The transmit chain and
+    the channel then run once on the stacks, and point s adds the frame's
+    noise at snrs[s] to the noiseless received block. The (B, P, N) phases
+    doppler_phases(N, dopplers) are formed once, for the channel here and
+    for the caller's H diagonals (_stack_diagonals). A sweep of +inf points
+    alone draws no noise.
     """
     N, B = spec.n, len(keys)
     paths = [np.empty((B, chan_config.P), dtype=t) for t in (complex, np.intp, float)]
     bits = np.empty((B, N * constellation.bits_per_symbol), dtype=int)
     normals = np.empty((B, N, 2))
-    noisy = snr_db != np.inf
+    noisy = any(snr != np.inf for snr in snrs)
     for b, key in enumerate(keys):
         rng = substream(seed, *key)
         for stack, drawn in zip(paths, _draw_paths(chan_config, doppler_mode, rng)):
@@ -511,30 +526,70 @@ def _draw_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: 
     x = map_bits(bits.ravel(), constellation).reshape(B, N)
     s_cp = prepend_cp(spec, modulate(spec, x))
     phases = doppler_phases(N, paths[2])
-    r = _apply_samples(s_cp, N, paths[0], paths[1], phases)
-    if noisy:
-        r = r + _noise(normals, snr_db)
+    r0 = _apply_samples(s_cp, N, paths[0], paths[1], phases)
+    r = np.stack([r0 if snr == np.inf else r0 + _noise(normals, snr) for snr in snrs], axis=1)
     return paths, phases, bits, s_cp, r
 
 
 def _run_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
-                snr_db: float, detector: str, doppler_mode: str, seed: int, frames: range):
-    """Monte Carlo frames `frames` as (B, N) stacks; returns (bit errors, papr_db) per frame."""
+                snrs, detector: str, doppler_mode: str, seed: int, frames: range):
+    """Monte Carlo frames `frames` at the SNR points snrs as stacks; returns
+    (bit errors (B, S), papr_db (B,))."""
     paths, phases, bits, s_cp, r = _draw_frames(
-        spec, chan_config, constellation, snr_db, doppler_mode, seed, [(i,) for i in frames]
+        spec, chan_config, constellation, snrs, doppler_mode, seed, [(i,) for i in frames]
     )
     if detector == "zf":
-        # one public call per frame, in frame order: the first frame with
-        # cond(H) > 1e12 raises from equalize_zf, as a lone block would
+        # one public call per frame, in frame order, with its S blocks: the
+        # first frame with cond(H) > 1e12 raises from equalize_zf, as a lone block would
         x_hat = np.stack([
             equalize_zf(spec, _realization(chan_config, *path), r_b) for *path, r_b in zip(*paths, r)
         ])
     else:
         d = _stack_diagonals(chan_config.ell_max, paths[0], paths[1], phases, spec.wrap)
-        x_hat = demodulate(spec, _lmmse_solve(d, r, _noise_var(snr_db)))
-    bits_hat = demap_symbols(x_hat.ravel(), constellation)
-    errors = np.count_nonzero((bits_hat != bits.ravel()).reshape(len(frames), -1), axis=1)
-    return errors, _papr_db(s_cp)
+        x_hat = np.stack([
+            demodulate(spec, _lmmse_solve(d, r[:, s], _noise_var(snr))) for s, snr in enumerate(snrs)
+        ], axis=1)
+    bits_hat = demap_symbols(x_hat.ravel(), constellation).reshape(*x_hat.shape[:2], -1)
+    return np.count_nonzero(bits_hat != bits[:, None], axis=2), _papr_db(s_cp)
+
+
+def _ber_sweep(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
+               snrs, frames: int, detector: str = "lmmse", seed: int = 0,
+               doppler_mode: str = "fractional") -> list[LinkResult]:
+    """Monte Carlo BER at each SNR point of snrs: one LinkResult per point, in order.
+
+    Each frame draws a fresh channel, bit block and noise from an RNG
+    substream derived from (seed, frame index), so frame i is the same frame
+    at every point and the result is reproducible to the byte. Frames run
+    in fixed chunks of about 2^16 / N^2 frames (16 at N = 64, one from
+    N = 256 on): each chunk goes through mapping, modulation, prefix and
+    channel once for the sweep, then through noise, equalizer, demodulation
+    and demapping per point, as stacks, and no step, the LMMSE block rule
+    included, depends on the stack size, so neither the chunk size nor the
+    other points change a point's result (with one BLAS thread, ZF's LU
+    solves S right-hand sides bit for bit as it solves one). ZF equalizes
+    the chunk's frames one by one through equalize_zf, in frame order, each
+    with its S blocks: Weyl's bound or a Cholesky certificate clears a
+    well-conditioned H without an SVD, any other H gets the exact
+    cond(H) > 1e12 test, and the first refused frame raises
+    SingularChannelError. A point of +inf runs noiseless; NaN and -inf
+    raise ValueError before the first frame.
+    """
+    for snr_db in snrs:
+        _check_snr(snr_db)
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
+    if detector not in ("zf", "lmmse"):
+        raise ValueError(f"unknown detector {detector!r}")
+    _check_spec(spec, chan_config.N)
+    results = [
+        _run_frames(spec, chan_config, constellation, snrs, detector, doppler_mode, seed, chunk)
+        for chunk in _chunks(spec.n, frames)
+    ]
+    errors = np.concatenate([e for e, _ in results]).sum(axis=0).tolist()
+    p99 = float(np.percentile(np.concatenate([p for _, p in results]), 99))
+    total_bits = frames * spec.n * constellation.bits_per_symbol
+    return [LinkResult(snr, frames, e, e / total_bits, p99) for snr, e in zip(snrs, errors)]
 
 
 def run_ber_point(
@@ -548,41 +603,17 @@ def run_ber_point(
     doppler_mode: str = "fractional",
     threads: int = 1,
 ) -> LinkResult:
-    """Monte Carlo BER at one SNR point.
+    """Monte Carlo BER at one SNR point: the one-point sweep of _ber_sweep.
 
     Each frame draws a fresh channel, bit block and noise from an RNG
     substream derived from (seed, frame index), so the result is
-    reproducible to the byte. Frames run in fixed chunks of about 2^16 / N^2
-    frames (16 at N = 64, one from N = 256 on): each chunk goes through
-    mapping, modulation, prefix, channel, noise, equalizer, demodulation and
-    demapping as (B, N) stacks, and no step, the LMMSE block rule included,
-    depends on the stack size, so the chunk size changes no result. ZF
-    equalizes the chunk's frames one by one through equalize_zf, in frame
-    order: Weyl's bound or a Cholesky certificate clears a well-conditioned
-    H without an SVD, any other H gets the exact cond(H) > 1e12 test, and
-    the first refused frame raises SingularChannelError. snr_db = +inf runs
-    noiseless; NaN and -inf raise ValueError before the first frame.
-    `threads` must be >= 1 and has no other effect.
+    reproducible to the byte and equals this point's row of any sweep.
+    Frames run in fixed chunks as (B, N) stacks; ZF equalizes them one by
+    one through equalize_zf, and the first frame with cond(H) > 1e12
+    raises SingularChannelError. snr_db = +inf runs noiseless; NaN and -inf
+    raise ValueError before the first frame. `threads` must be >= 1 and has
+    no other effect.
     """
-    _check_snr(snr_db)
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if detector not in ("zf", "lmmse"):
-        raise ValueError(f"unknown detector {detector!r}")
-    _check_spec(spec, chan_config.N)
-    results = [
-        _run_frames(spec, chan_config, constellation, snr_db, detector, doppler_mode, seed, chunk)
-        for chunk in _chunks(spec.n, frames)
-    ]
-    errors = int(sum(e.sum() for e, _ in results))
-    paprs = np.concatenate([p for _, p in results])
-    total_bits = frames * spec.n * constellation.bits_per_symbol
-    return LinkResult(
-        snr_db=snr_db,
-        frames=frames,
-        bit_errors=errors,
-        ber=errors / total_bits,
-        papr_db_p99=float(np.percentile(paprs, 99)),
-    )
+    return _ber_sweep(spec, chan_config, constellation, [snr_db], frames, detector, seed, doppler_mode)[0]

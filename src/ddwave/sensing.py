@@ -498,8 +498,9 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
     0..ell_max x -f_max..f_max.
     """
     (gains, delays, dopplers), phases, _, s_cp, r = _draw_frames(
-        spec, chan_config, constellation, snr_db, doppler_mode, seed, keys
+        spec, chan_config, constellation, [snr_db], doppler_mode, seed, keys
     )
+    r = r[:, 0]
     ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P
     csi, ml_grid = _trial_tables(spec, ell_max, f_max, refine_levels, refine_factor)
     diags = _stack_diagonals(ell_max, gains, delays, phases, spec.wrap)

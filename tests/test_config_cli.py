@@ -538,6 +538,9 @@ GIVEN_C1 = {"waveform": "afdm", "c1": 0.0123}
         {"f_s": True},
         GIVEN_C1,
         {"n": 16, "cp_len": 17},  # a prefix longer than the block
+        {"waveform": "afdm", "n": 36, "xi": -1},  # tuned c1, c2
+        {"waveform": "afdm", "n": 36, "xi": -1, "c1": 1 / 72, "c2": 0.011},
+        {"waveform": "ofdm", "n": 36, "xi": -1},  # no AFDM to use it, still refused
     ],
 )
 def test_exit_2_on_out_of_range_config(tmp_path, capsys, patch):

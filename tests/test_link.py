@@ -1,5 +1,6 @@
 """Constellations, noise, equalizers, Monte Carlo BER."""
 
+import dataclasses
 import json
 import re
 
@@ -473,6 +474,8 @@ def _reference_frame(spec, chan_config, constellation, snr_db, detector, doppler
 
 @pytest.mark.parametrize("detector", ["zf", "lmmse"])
 def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
+    """One sweep of (6 dB, inf): each chunk records (B, S) bit errors, and
+    column s matches the per-frame reference at SNR point s."""
     run_frames, chunks = link._run_frames, []
 
     def recording(*args):
@@ -489,33 +492,63 @@ def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
         (OfdmSpec(128, 3), _dispersive_config(128), 10, [4, 4, 2]),
     ]
     assert link._band_layout(128, 3).nb == 16
+    snrs = [6.0, np.inf]  # inf draws no noise
     for spec, cfg, frames, sizes in cases:
-        for snr_db in (6.0, np.inf):  # inf draws no noise
-            chunks.clear()
+        chunks.clear()
+        results = link._ber_sweep(spec, cfg, QAM16, snrs, frames, detector, seed=11)
+        assert [e.shape for e, _ in chunks] == [(size, 2) for size in sizes]
+        for s, (snr_db, res) in enumerate(zip(snrs, results)):
             args = (spec, cfg, QAM16, snr_db, detector, "fractional", 11)
             errors, paprs = zip(*(_reference_frame(*args, i) for i in range(frames)))
-            res = run_ber_point(spec, cfg, QAM16, snr_db, frames, detector=detector, seed=11)
-            assert [len(e) for e, _ in chunks] == sizes
-            assert np.concatenate([e for e, _ in chunks]).tolist() == list(errors), (spec, snr_db)
+            assert np.concatenate([e[:, s] for e, _ in chunks]).tolist() == list(errors), (spec, snr_db)
             assert np.concatenate([p for _, p in chunks]).tolist() == list(paprs), (spec, snr_db)
+            assert res.snr_db == snr_db
             assert res.bit_errors == sum(errors)
             assert res.papr_db_p99 == float(np.percentile(paprs, 99))
             if snr_db == 6.0:
                 assert res.bit_errors > 0
 
 
+@pytest.mark.parametrize("detector", ["zf", "lmmse"])
+def test_ber_sweep_rows_equal_single_point_runs(detector):
+    """Frame i is the same frame at every point, so a sweep's row s is run_ber_point at snrs[s]."""
+    c1, c2 = afdm_tune(3, 1, 1, 37)
+    cases = [  # each frame count ends on a partial chunk
+        (OfdmSpec(64, 3), _dispersive_config(64), 37, "fractional"),
+        (OtfsSpec(k=4, l=9, cp_len=3), _dispersive_config(36), 53, "integer"),  # K != L
+        (AfdmSpec(37, c1, c2, 1, 3), _dispersive_config(37), 50, "fractional"),  # odd N, xi = 1
+    ]
+    snrs = [0.0, np.inf, 8.0, 20.0]  # finite points around the noiseless one
+    for spec, cfg, frames, mode in cases:
+        sweep = link._ber_sweep(spec, cfg, QAM16, snrs, frames, detector, 5, mode)
+        points = [
+            run_ber_point(spec, cfg, QAM16, snr, frames, detector=detector, seed=5, doppler_mode=mode)
+            for snr in snrs
+        ]
+        for row, point in zip(sweep, points):
+            for field in dataclasses.fields(link.LinkResult):
+                assert getattr(row, field.name) == getattr(point, field.name), (spec, row, field.name)
+        assert sweep[0].bit_errors > sweep[3].bit_errors
+
+
 def test_ber_zf_equalizes_each_frame_through_equalize_zf(monkeypatch):
-    """ZF frames call the public equalize_zf once each, in frame order, so its refusals surface there."""
+    """ZF frames call the public equalize_zf once each, in frame order, so its
+    refusals surface there; a sweep passes a frame's blocks of all its points
+    in that one call."""
     cfg, seen = _dispersive_config(64), []
     equalize = link.equalize_zf
 
     def recording(spec, chan, r):
-        seen.append(chan.paths)
+        seen.append((chan.paths, np.shape(r)))
         return equalize(spec, chan, r)
 
     monkeypatch.setattr(link, "equalize_zf", recording)
+    paths = [sample_paths(cfg, "fractional", link.substream(4, i)).paths for i in range(37)]
     run_ber_point(OfdmSpec(64, 3), cfg, QPSK, 10.0, frames=37, detector="zf", seed=4)
-    assert seen == [sample_paths(cfg, "fractional", link.substream(4, i)).paths for i in range(37)]
+    assert seen == [(p, (1, 64)) for p in paths]
+    seen.clear()
+    link._ber_sweep(OfdmSpec(64, 3), cfg, QPSK, [0.0, 10.0, np.inf], 37, "zf", seed=4)
+    assert seen == [(p, (3, 64)) for p in paths]
 
 
 def _near_singular(eps, n=64):
@@ -551,6 +584,23 @@ def test_zf_refuses_cond_2e13_and_ber_exits_3(tmp_path, monkeypatch, capsys):
         equalize_zf(OfdmSpec(64), chan, np.ones(64, dtype=complex))
     assert _ber_with_channel(tmp_path, monkeypatch, chan) == 3
     assert re.search("numerical failure: " + message, capsys.readouterr().err)
+
+
+def test_equalizers_take_a_stack_of_blocks_row_by_row():
+    for seed, spec in enumerate(_three_waveforms()):
+        chan = _realization(spec.n, _dominant_paths(seed, 3, 3, 1), f_max=1)
+        R = np.stack([_block(spec.n, 40 + 10 * seed + s) for s in range(3)])
+        zf, lmmse = equalize_zf(spec, chan, R), equalize_lmmse(spec, chan, R, 0.1)
+        assert zf.shape == lmmse.shape == R.shape
+        for s in range(3):
+            assert np.max(np.abs(zf[s] - equalize_zf(spec, chan, R[s]))) <= 1e-12
+            assert np.max(np.abs(lmmse[s] - equalize_lmmse(spec, chan, R[s], 0.1))) <= 1e-12
+    # the guard reads H alone: a stack through a cond 2e13 channel is refused
+    with pytest.raises(SingularChannelError, match="exceeds 1e12"):
+        equalize_zf(OfdmSpec(64), _near_singular(1e-13), np.ones((3, 64), dtype=complex))
+    for bad in (np.ones((2, 3, spec.n)), np.ones((3, spec.n - 1)), np.ones(spec.n + 1)):
+        with pytest.raises(ValueError, match="received blocks must have shape"):
+            equalize_zf(spec, chan, bad)
 
 
 def test_zf_guard_decides_as_the_svd_test():
