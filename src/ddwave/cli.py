@@ -163,14 +163,15 @@ def cmd_effchan(cfg: ScenarioConfig, out: str, fig3: bool = False, variant: str 
 
 
 def cmd_ber(cfg: ScenarioConfig, out: str) -> list[str]:
-    """SNR sweep x waveform BER table: one _ber_sweep per waveform, so each
-    frame is drawn, and each ZF channel guarded and factored, once per sweep."""
-    chan_cfg = cfg.channel_config()
-    constellation = Constellation.by_name(cfg.constellation)
+    """SNR sweep x waveform BER table from one _ber_sweep over all waveforms,
+    so each frame is drawn once, each ZF channel guarded and factored once
+    per waveform, and each LMMSE system solved once per prefix group."""
+    names, specs = zip(*cfg.waveform_specs())
+    sweeps = _ber_sweep(specs, cfg.channel_config(), Constellation.by_name(cfg.constellation),
+                        sorted(cfg.snr_sweep), cfg.frames, cfg.detector, cfg.seed, cfg.doppler_mode)
     table = {key: [] for key in ("snr_db", "waveform", "ber", "frames", "papr_db_p99")}
-    for name, spec in cfg.waveform_specs():
-        for res in _ber_sweep(spec, chan_cfg, constellation, sorted(cfg.snr_sweep), cfg.frames,
-                              cfg.detector, cfg.seed, cfg.doppler_mode):
+    for name, results in zip(names, sweeps):
+        for res in results:
             row = (res.snr_db, name, res.ber, res.frames, res.papr_db_p99)
             for column, value in zip(table.values(), row):
                 column.append(value)

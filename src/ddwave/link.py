@@ -20,22 +20,28 @@ would decide.
 
 _draw_frames writes the transmitted frame once: each frame draws channel,
 bits and noise from its own RNG substream, none of them depending on the
-SNR, and a chunk of about 2^16 / N^2 frames runs the transmit chain and the
-channel as (B, N) stacks once for a whole SNR sweep; each SNR point then
-adds its own scaling of the frame's noise to the noiseless received block.
-BER frames and the `sense` trials (sensing._sense_trials, one point) both
-come from it, in the same chunks. The public single-block functions call
-the same stacked code with B = 1. LMMSE solves a chunk once per SNR point,
-since s2 changes A. ZF is the exception: its guard decides frame by frame,
-so each frame of a chunk goes through the public equalize_zf once, with its
-received blocks of all SNR points as one (S, N) stack: the guard and the LU
-of H run once per frame, and a refusal raises from there.
+SNR or the waveform, and a chunk of about 2^16 / N^2 frames is drawn and
+mapped once for all waveforms of a sweep; each waveform runs the transmit
+chain and the channel as (B, N) stacks once for the whole SNR sweep, and
+each SNR point adds its own scaling of the frame's noise, scaled once, to
+the noiseless received block. BER frames and the `sense` trials
+(sensing._sense_trials, one point, one waveform) both come from it, in the
+same chunks. The public single-block functions call the same stacked code
+with B = 1. Waveforms with equal prefix vectors (spec.wrap) see the same
+H, so LMMSE groups them (_prefix_groups): a group builds H's diagonals
+and the diagonals of H H^H once per chunk (_lmmse_sweep), and each SNR
+point fills the block rows, adds its s2 and runs one cyclic reduction with
+a right-hand-side column per waveform of the group. ZF is the exception: its guard decides
+frame by frame, so each frame of a chunk goes through the public
+equalize_zf once per waveform, with its received blocks of all SNR points
+as one (S, N) stack: the guard and the LU of H run once per frame and
+waveform, and a refusal raises from there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -164,11 +170,13 @@ class _BandLayout:
 
     Folded A is block tridiagonal with nb blocks of m rows (m at least its
     half-bandwidth), padded by an identity to nb * m rows. Block row i is
-    stored as one (m, width) frame [A_ii | rhs_i | A_{i,i-1} | A_{i,i+1}];
-    with nb = 1 it is [A | rhs]. Band entry k goes to entry band_dst[k] of
-    the flattened (nb, m, width) frames and to entry dense_dst[k] of the
-    whole folded A, flattened. Sample n of a block sits at vec[n] of the
-    flattened frames, in the rhs column of folded row inv[n].
+    stored as one (m, width) frame [A_ii | rhs_i | A_{i,i-1} | A_{i,i+1}]
+    with R right-hand-side columns rhs_i; with nb = 1 it is [A | rhs].
+    Band entry k goes to entry band_dst[k] of the flattened (nb, m, width)
+    frames and to entry dense_dst[k] of the whole folded A, flattened; the
+    main diagonal's N entries go to diag_dst. Sample n of right-hand side
+    k sits at vec[k * N + n] of the flattened frames, in rhs column k of
+    folded row inv[n].
     """
 
     perm: np.ndarray
@@ -184,6 +192,7 @@ class _BandLayout:
     m: int
     width: int
     band_dst: np.ndarray
+    diag_dst: np.ndarray
     pad_dst: np.ndarray
     vec: np.ndarray
     # H^H z: entry k sums conj(d[e]) * z at (k + e) mod N over e, read from the
@@ -194,10 +203,11 @@ class _BandLayout:
 # The block rule, from timings of _lmmse_solve on a 2-vCPU box with one BLAS
 # thread (CHANGES.md has the table). Cyclic reduction makes about a dozen
 # numpy calls per level, ceil(log2(nb)) levels, and one LAPACK solve with
-# 2m + 1 right-hand sides per block. At m = 8 that solve costs a few us, and
-# several times more per row from m = 10 on, so blocks have _BLOCK_ROWS rows
-# unless the band is wider. Up to N = _ONE_BLOCK_ROWS the reduction's
-# per-level calls cost more than the N^3 LU, so A is one dense block there.
+# 2m + 1 right-hand sides per block (2m + R for R waveforms sharing H). At
+# m = 8 that solve costs a few us, and several times more per row from
+# m = 10 on, so blocks have _BLOCK_ROWS rows unless the band is wider. Up
+# to N = _ONE_BLOCK_ROWS the reduction's per-level calls cost more than the
+# N^3 LU, so A is one dense block there.
 # The rule reads N alone: a frame's estimate must not depend on how many
 # frames share its stack.
 _BLOCK_ROWS = 8
@@ -206,8 +216,8 @@ _ONE_BLOCK_ROWS = 96
 
 @lru_cache(maxsize=32)
 def _band_layout(N: int, ell_max: int) -> _BandLayout:
-    """The layout of A: one dense block while N <= 96, else
-    ceil(N / max(half-bandwidth, 8)) blocks of at least the half-bandwidth."""
+    """The layout of A with one right-hand side: one dense block while N <= 96,
+    else ceil(N / max(half-bandwidth, 8)) blocks of at least the half-bandwidth."""
     perm, inv = _fold(N)
     offsets = sorted({o % N for o in range(-ell_max, ell_max + 1)})
     n = np.arange(N)
@@ -223,20 +233,47 @@ def _band_layout(N: int, ell_max: int) -> _BandLayout:
     width = m + 1 if nb == 1 else 3 * m + 1
     bi, bj = i // m, j // m
     col = j % m + np.select([bj == bi, bj < bi], [0, m + 1], 2 * m + 1)
+    band_dst = i * width + col
+    slot0 = offsets.index(0)
     pad = np.arange(N, nb * m)
     return _BandLayout(
         perm=perm,
         pair_src=(e2[:, None] * N + (n - (e - e2)[:, None]) % N).reshape(ell_max + 1, -1, N),
         pair_slot=pair_slot,
-        slot0=offsets.index(0),
+        slot0=slot0,
         dense_dst=i * N + j,
         nb=nb,
         m=m,
         width=width,
-        band_dst=i * width + col,
+        band_dst=band_dst,
+        diag_dst=band_dst[slot0 * N : (slot0 + 1) * N],
         pad_dst=pad * width + pad % m,
         vec=inv * width + m,
         adjoint_src=np.arange(ell_max + 1)[:, None] * N + (n + np.arange(ell_max + 1)[:, None]) % N,
+    )
+
+
+@lru_cache(maxsize=32)
+def _rhs_layout(N: int, ell_max: int, R: int) -> _BandLayout:
+    """_band_layout with R right-hand sides: R - 1 more rhs columns before L
+    and U. The tables that do not depend on R are shared, not built again."""
+    lay = _band_layout(N, ell_max)
+    if R == 1:
+        return lay
+    width = lay.width + R - 1
+
+    def widen(dst):
+        row, col = np.divmod(dst, lay.width)
+        return row * width + col + (R - 1) * (col > lay.m)
+
+    band_dst = widen(lay.band_dst)
+    return replace(
+        lay,
+        width=width,
+        band_dst=band_dst,
+        diag_dst=band_dst[lay.slot0 * N : (lay.slot0 + 1) * N],
+        pad_dst=widen(lay.pad_dst),
+        vec=(widen(lay.vec) + np.arange(R)[:, None]).ravel(),
     )
 
 
@@ -359,61 +396,81 @@ def _cyclic_reduction(F: np.ndarray, m: int) -> None:
     """Solve block-tridiagonal Hermitian positive definite systems in place.
 
     F holds B systems of n block rows, F[:, i] = [D_i | b_i | L_i | U_i] with
-    L_i = A_{i,i-1} and U_i = A_{i,i+1} (L_0 and U_{n-1} zero); on return
-    F[..., m] holds x. Each level of the reduction (Heller, SIAM J. Numer.
-    Anal. 13, 1976) overwrites [b | L | U] of the odd rows by
-    [y | P | Q] = D^{-1} [b | L | U] in one batched solve, and one batched
-    matmul gives the Schur complements that turn the even rows, in place,
-    into the half-size system of the even x. Its blocks stay Hermitian
-    positive definite, so no pivoting across blocks is needed. Back-
-    substitution sets x_odd = y - P x_left - Q x_right, level by level.
+    L_i = A_{i,i-1} and U_i = A_{i,i+1} (L_0 and U_{n-1} zero) and b_i the
+    R columns of R right-hand sides, R read from F's width (m + R if n = 1,
+    else 3m + R); on return F[..., m : m + R] holds x. Each level of the
+    reduction (Heller, SIAM J. Numer. Anal. 13, 1976) overwrites [b | L | U]
+    of the odd rows by [y | P | Q] = D^{-1} [b | L | U] in one batched
+    solve, and one batched matmul gives the Schur complements that turn the
+    even rows, in place, into the half-size system of the even x. Its
+    blocks stay Hermitian positive definite, so no pivoting across blocks
+    is needed. Back-substitution sets x_odd = y - P x_left - Q x_right,
+    level by level.
     """
+    R = F.shape[-1] - (m if F.shape[1] == 1 else 3 * m)
     levels = []
     while F.shape[1] > 1:
         n = F.shape[1]
         odd, even = F[:, 1::2], F[:, 0::2]
         # odd row j couples to even j through A_{2j,2j+1} = L^H and to even
         # j + 1 through A_{2j+2,2j+1} = U^H: one matmul gives both products
-        coupling = odd[..., m + 1 :].conj().swapaxes(-1, -2)
+        coupling = odd[..., m + R :].conj().swapaxes(-1, -2)
         odd[..., m:] = np.linalg.solve(odd[..., :m], odd[..., m:])
         t = coupling @ odd[..., m:]
         # even j takes D -= L^H P, b -= L^H y and its new U = -L^H Q from odd
         # j, and D -= U^H Q, b -= U^H y and its new L = -U^H P from odd j - 1
         up, low = t[..., :m, :], t[:, : (n - 1) // 2, m:, :]
-        even[:, : n // 2, :, :m] -= up[..., 1 : m + 1]
-        even[:, : n // 2, :, m] -= up[..., 0]
-        np.negative(up[..., m + 1 :], out=even[:, : n // 2, :, 2 * m + 1 :])
-        even[:, 1:, :, :m] -= low[..., m + 1 :]
-        even[:, 1:, :, m] -= low[..., 0]
-        np.negative(low[..., 1 : m + 1], out=even[:, 1:, :, m + 1 : 2 * m + 1])
+        even[:, : n // 2, :, :m] -= up[..., R : m + R]
+        even[:, : n // 2, :, m : m + R] -= up[..., :R]
+        np.negative(up[..., m + R :], out=even[:, : n // 2, :, 2 * m + R :])
+        even[:, 1:, :, :m] -= low[..., m + R :]
+        even[:, 1:, :, m : m + R] -= low[..., :R]
+        np.negative(low[..., R : m + R], out=even[:, 1:, :, m + R : 2 * m + R])
         levels.append(F)
         F = even
-    F[..., m : m + 1] = np.linalg.solve(F[..., :m], F[..., m : m + 1])
+    F[..., m : m + R] = np.linalg.solve(F[..., :m], F[..., m : m + R])
     for F in reversed(levels):
         n = F.shape[1]
-        x, odd = F[..., m, None], F[:, 1::2]
-        x[:, 1::2] -= odd[..., m + 1 : 2 * m + 1] @ x[:, 0 : n - 1 : 2]
-        x[:, 1 : n - 1 : 2] -= odd[:, : (n - 1) // 2, :, 2 * m + 1 :] @ x[:, 2::2]
+        x, odd = F[..., m : m + R], F[:, 1::2]
+        x[:, 1::2] -= odd[..., m + R : 2 * m + R] @ x[:, 0 : n - 1 : 2]
+        x[:, 1 : n - 1 : 2] -= odd[:, : (n - 1) // 2, :, 2 * m + R :] @ x[:, 2::2]
+
+
+def _lmmse_sweep(d: np.ndarray, r: np.ndarray, noise_vars) -> np.ndarray:
+    """H^H (H H^H + s2 I)^{-1} r[:, s] at s2 = noise_vars[s], for a
+    (B, ell_max + 1, N) stack of H's diagonals and a (B, S, R, N) stack r:
+    R blocks per frame through that frame's H at each of S noise variances.
+
+    The cyclic diagonals of H H^H are formed once. For each noise variance
+    the folded H H^H of every frame is scattered into one (B, nb, m, width)
+    array of block rows, reused across the variances, s2 is added to its
+    main diagonal and the R blocks put in the rhs columns, and
+    _cyclic_reduction solves the whole stack with one batched solve per
+    level; with nb = 1 that is one dense solve per frame.
+    """
+    B, S, R, N = r.shape
+    lay = _rhs_layout(N, d.shape[1] - 1, R)
+    a = _gram(d, lay).reshape(B, -1)
+    x = np.empty(r.shape, dtype=complex)
+    F = np.empty((B, lay.nb * lay.m * lay.width), dtype=complex)
+    for s, noise_var in enumerate(noise_vars):
+        F.fill(0.0)
+        F[:, lay.band_dst] = a
+        F[:, lay.pad_dst] = 1.0
+        F[:, lay.diag_dst] += noise_var
+        F[:, lay.vec] = r[:, s].reshape(B, -1)
+        _cyclic_reduction(F.reshape(B, lay.nb, lay.m, lay.width), lay.m)
+        # one (B R, ell_max + 1, N) product, summed over the delays as one stack
+        u = d.conj()[:, None] * F[:, lay.vec].reshape(B, R, 1, N)
+        x[:, s] = u.reshape(B * R, -1)[:, lay.adjoint_src].sum(axis=1).reshape(B, R, N)
+    return x
 
 
 def _lmmse_solve(d: np.ndarray, r: np.ndarray, noise_var: float) -> np.ndarray:
-    """H^H (H H^H + s2 I)^{-1} r for a (B, ell_max + 1, N) stack of H's diagonals.
-
-    The folded A of every frame goes into one (B, nb, m, width) array of
-    block rows, and _cyclic_reduction solves the whole stack with one
-    batched solve per level; with nb = 1 that is one dense solve per frame.
-    """
-    B, N = r.shape
-    lay = _band_layout(N, d.shape[1] - 1)
-    a = _gram(d, lay)
-    a[:, lay.slot0] += noise_var
-    F = np.zeros((B, lay.nb * lay.m * lay.width), dtype=complex)
-    F[:, lay.band_dst] = a.reshape(B, -1)
-    F[:, lay.pad_dst] = 1.0
-    F[:, lay.vec] = r
-    _cyclic_reduction(F.reshape(B, lay.nb, lay.m, lay.width), lay.m)
-    u = d.conj() * F[:, None, lay.vec]
-    return u.reshape(B, -1)[:, lay.adjoint_src].sum(axis=1)
+    """H^H (H H^H + s2 I)^{-1} r for a (B, ell_max + 1, N) stack of H's
+    diagonals and a (B, N) stack r, one block per frame: the one-point,
+    one-column _lmmse_sweep."""
+    return _lmmse_sweep(d, r[:, None, None], [noise_var])[:, 0, 0]
 
 
 def _check_spec(spec: WaveformSpec, N: int) -> None:
@@ -497,21 +554,24 @@ def _chunks(N: int, count: int) -> list[range]:
     return [range(start, min(start + size, count)) for start in range(0, count, size)]
 
 
-def _draw_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
+def _draw_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
                  snrs, doppler_mode: str, seed: int, keys) -> tuple:
-    """The frames of the substream keys `keys` as stacks, one row per frame:
-    ((gains, delays, dopplers), Doppler phases, bits, prefixed samples,
-    received blocks), the received blocks (B, S, N), one per SNR point snrs[s].
+    """The frames of the substream keys `keys` as stacks, one row per frame,
+    for each waveform of specs (all of one block size N): ((gains, delays,
+    dopplers), Doppler phases, bits, [(prefixed samples, received blocks)
+    per spec]), the received blocks (B, S, N), one per SNR point snrs[s].
 
     Frame key k draws channel, bits and noise, in this order, from
-    substream(seed, *k), so no draw depends on snrs. The transmit chain and
-    the channel then run once on the stacks, and point s adds the frame's
-    noise at snrs[s] to the noiseless received block. The (B, P, N) phases
-    doppler_phases(N, dopplers) are formed once, for the channel here and
-    for the caller's H diagonals (_stack_diagonals). A sweep of +inf points
-    alone draws no noise.
+    substream(seed, *k), once for all waveforms, so no draw depends on snrs
+    or specs. The bits are mapped, the (B, P, N) phases
+    doppler_phases(N, dopplers) formed and each point's noise scaled once;
+    the phases serve the channel here and the caller's H diagonals
+    (_stack_diagonals). Each waveform then runs the transmit chain and the
+    channel once on the stacks, and point s adds the frame's noise at
+    snrs[s] to the noiseless received block. A sweep of +inf points alone
+    draws no noise.
     """
-    N, B = spec.n, len(keys)
+    N, B = specs[0].n, len(keys)
     paths = [np.empty((B, chan_config.P), dtype=t) for t in (complex, np.intp, float)]
     bits = np.empty((B, N * constellation.bits_per_symbol), dtype=int)
     normals = np.empty((B, N, 2))
@@ -524,53 +584,86 @@ def _draw_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: 
         if noisy:
             normals[b] = rng.standard_normal((N, 2))
     x = map_bits(bits.ravel(), constellation).reshape(B, N)
-    s_cp = prepend_cp(spec, modulate(spec, x))
     phases = doppler_phases(N, paths[2])
-    r0 = _apply_samples(s_cp, N, paths[0], paths[1], phases)
-    r = np.stack([r0 if snr == np.inf else r0 + _noise(normals, snr) for snr in snrs], axis=1)
-    return paths, phases, bits, s_cp, r
+    noise = [None if snr == np.inf else _noise(normals, snr) for snr in snrs]
+    stacks = []
+    for spec in specs:
+        s_cp = prepend_cp(spec, modulate(spec, x))
+        r0 = _apply_samples(s_cp, N, paths[0], paths[1], phases)
+        stacks.append((s_cp, np.stack([r0 if z is None else r0 + z for z in noise], axis=1)))
+    return paths, phases, bits, stacks
 
 
-def _run_frames(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
+def _prefix_groups(specs) -> list[list[int]]:
+    """Indices of specs grouped by equal prefix vectors (spec.wrap), in order
+    of first appearance: waveforms of one group see the same time-domain H."""
+    groups: list[list[int]] = []
+    for w, spec in enumerate(specs):
+        group = next((g for g in groups if np.array_equal(specs[g[0]].wrap, spec.wrap)), None)
+        if group is None:
+            groups.append([w])
+        else:
+            group.append(w)
+    return groups
+
+
+def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
                 snrs, detector: str, doppler_mode: str, seed: int, frames: range):
-    """Monte Carlo frames `frames` at the SNR points snrs as stacks; returns
-    (bit errors (B, S), papr_db (B,))."""
-    paths, phases, bits, s_cp, r = _draw_frames(
-        spec, chan_config, constellation, snrs, doppler_mode, seed, [(i,) for i in frames]
+    """Monte Carlo frames `frames` of every waveform of specs at the SNR
+    points snrs as stacks; returns (bit errors (W, B, S), papr_db (W, B))
+    for W = len(specs)."""
+    paths, phases, bits, stacks = _draw_frames(
+        specs, chan_config, constellation, snrs, doppler_mode, seed, [(i,) for i in frames]
     )
+    errors = np.empty((len(specs), len(frames), len(snrs)), dtype=np.intp)
+
+    def count(w, x_hat):
+        """Bit errors of waveform w's (B, S, N) estimates, demapped as soon as
+        they exist: a (symbols, points) distance table per waveform, not per sweep."""
+        bits_hat = demap_symbols(x_hat.ravel(), constellation).reshape(*x_hat.shape[:2], -1)
+        errors[w] = np.count_nonzero(bits_hat != bits[:, None], axis=2)
+
     if detector == "zf":
-        # one public call per frame, in frame order, with its S blocks: the
-        # first frame with cond(H) > 1e12 raises from equalize_zf, as a lone block would
-        x_hat = np.stack([
-            equalize_zf(spec, _realization(chan_config, *path), r_b) for *path, r_b in zip(*paths, r)
-        ])
+        # one public call per frame and waveform, with the frame's S blocks:
+        # the first frame with cond(H) > 1e12 raises from equalize_zf, as a lone block would
+        chans = [_realization(chan_config, *path) for path in zip(*paths)]
+        for w, (spec, (_, r)) in enumerate(zip(specs, stacks)):
+            count(w, np.stack([equalize_zf(spec, chan, r_b) for chan, r_b in zip(chans, r)]))
     else:
-        d = _stack_diagonals(chan_config.ell_max, paths[0], paths[1], phases, spec.wrap)
-        x_hat = np.stack([
-            demodulate(spec, _lmmse_solve(d, r[:, s], _noise_var(snr))) for s, snr in enumerate(snrs)
-        ], axis=1)
-    bits_hat = demap_symbols(x_hat.ravel(), constellation).reshape(*x_hat.shape[:2], -1)
-    return np.count_nonzero(bits_hat != bits[:, None], axis=2), _papr_db(s_cp)
+        noise_vars = [_noise_var(snr) for snr in snrs]
+        for group in _prefix_groups(specs):
+            # one Gram per chunk and prefix, one reduction per point with a
+            # right-hand side per waveform of the group
+            d = _stack_diagonals(chan_config.ell_max, paths[0], paths[1], phases, specs[group[0]].wrap)
+            z = _lmmse_sweep(d, np.stack([stacks[w][1] for w in group], axis=2), noise_vars)
+            for k, w in enumerate(group):
+                count(w, demodulate(specs[w], z[:, :, k]))
+    return errors, np.stack([_papr_db(s_cp) for s_cp, _ in stacks])
 
 
-def _ber_sweep(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
+def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
                snrs, frames: int, detector: str = "lmmse", seed: int = 0,
-               doppler_mode: str = "fractional") -> list[LinkResult]:
-    """Monte Carlo BER at each SNR point of snrs: one LinkResult per point, in order.
+               doppler_mode: str = "fractional") -> list[list[LinkResult]]:
+    """Monte Carlo BER of each waveform of specs at each SNR point of snrs:
+    per spec, one LinkResult per point, in order.
 
     Each frame draws a fresh channel, bit block and noise from an RNG
     substream derived from (seed, frame index), so frame i is the same frame
-    at every point and the result is reproducible to the byte. Frames run
-    in fixed chunks of about 2^16 / N^2 frames (16 at N = 64, one from
-    N = 256 on): each chunk goes through mapping, modulation, prefix and
-    channel once for the sweep, then through noise, equalizer, demodulation
-    and demapping per point, as stacks, and no step, the LMMSE block rule
-    included, depends on the stack size, so neither the chunk size nor the
-    other points change a point's result (with one BLAS thread, ZF's LU
-    solves S right-hand sides bit for bit as it solves one). ZF equalizes
-    the chunk's frames one by one through equalize_zf, in frame order, each
-    with its S blocks: Weyl's bound or a Cholesky certificate clears a
-    well-conditioned H without an SVD, any other H gets the exact
+    at every point and for every waveform, and the result is reproducible
+    to the byte. Frames run in fixed chunks of about 2^16 / N^2 frames (16
+    at N = 64, one from N = 256 on): each chunk is drawn once, goes through
+    mapping, modulation, prefix and channel once per waveform for the sweep,
+    then through noise, equalizer, demodulation and demapping per point, as
+    stacks. LMMSE solves the waveforms that share a prefix vector, and so
+    H, as one system per chunk with one right-hand side per waveform
+    (_prefix_groups). No step, the LMMSE block rule included, depends on
+    the stack size, so neither the chunk size nor the other points change a
+    point's result (with one BLAS thread, ZF's LU solves S right-hand sides
+    bit for bit as it solves one; LMMSE's reduction of R > 1 right-hand
+    sides agrees with R = 1 solves to rounding). ZF equalizes the chunk's
+    frames one by one through equalize_zf, waveform by waveform, in frame
+    order, each with its S blocks: Weyl's bound or a Cholesky certificate
+    clears a well-conditioned H without an SVD, any other H gets the exact
     cond(H) > 1e12 test, and the first refused frame raises
     SingularChannelError. A point of +inf runs noiseless; NaN and -inf
     raise ValueError before the first frame.
@@ -581,15 +674,19 @@ def _ber_sweep(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Co
         raise ValueError("frames must be >= 1")
     if detector not in ("zf", "lmmse"):
         raise ValueError(f"unknown detector {detector!r}")
-    _check_spec(spec, chan_config.N)
+    for spec in specs:
+        _check_spec(spec, chan_config.N)
     results = [
-        _run_frames(spec, chan_config, constellation, snrs, detector, doppler_mode, seed, chunk)
-        for chunk in _chunks(spec.n, frames)
+        _run_frames(specs, chan_config, constellation, snrs, detector, doppler_mode, seed, chunk)
+        for chunk in _chunks(chan_config.N, frames)
     ]
-    errors = np.concatenate([e for e, _ in results]).sum(axis=0).tolist()
-    p99 = float(np.percentile(np.concatenate([p for _, p in results]), 99))
-    total_bits = frames * spec.n * constellation.bits_per_symbol
-    return [LinkResult(snr, frames, e, e / total_bits, p99) for snr, e in zip(snrs, errors)]
+    errors = np.concatenate([e for e, _ in results], axis=1).sum(axis=1).tolist()
+    paprs = np.concatenate([p for _, p in results], axis=1)
+    total_bits = frames * chan_config.N * constellation.bits_per_symbol
+    return [
+        [LinkResult(snr, frames, e, e / total_bits, p99) for snr, e in zip(snrs, errs)]
+        for errs, p99 in zip(errors, (float(np.percentile(p, 99)) for p in paprs))
+    ]
 
 
 def run_ber_point(
@@ -603,7 +700,7 @@ def run_ber_point(
     doppler_mode: str = "fractional",
     threads: int = 1,
 ) -> LinkResult:
-    """Monte Carlo BER at one SNR point: the one-point sweep of _ber_sweep.
+    """Monte Carlo BER at one SNR point: the one-point, one-waveform sweep of _ber_sweep.
 
     Each frame draws a fresh channel, bit block and noise from an RNG
     substream derived from (seed, frame index), so the result is
@@ -616,4 +713,4 @@ def run_ber_point(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    return _ber_sweep(spec, chan_config, constellation, [snr_db], frames, detector, seed, doppler_mode)[0]
+    return _ber_sweep([spec], chan_config, constellation, [snr_db], frames, detector, seed, doppler_mode)[0][0]

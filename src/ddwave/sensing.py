@@ -497,8 +497,8 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
     direct CSI and the ML search for chan_config.P targets on the window
     0..ell_max x -f_max..f_max.
     """
-    (gains, delays, dopplers), phases, _, s_cp, r = _draw_frames(
-        spec, chan_config, constellation, [snr_db], doppler_mode, seed, keys
+    (gains, delays, dopplers), phases, _, [(s_cp, r)] = _draw_frames(
+        [spec], chan_config, constellation, [snr_db], doppler_mode, seed, keys
     )
     r = r[:, 0]
     ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P

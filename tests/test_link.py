@@ -260,6 +260,28 @@ def test_lmmse_of_a_frame_does_not_depend_on_its_stack():
     assert np.array_equal(alone[0], stacked[0])
 
 
+@pytest.mark.parametrize("N", [36, 96, 97, 128, 1024])
+def test_multi_column_reduction_matches_per_block_solves(N):
+    # one Gram serves both noise variances and R right-hand sides per frame;
+    # nb = 1 up to N = 96, cyclic reduction from N = 97 on
+    assert (link._band_layout(N, 3).nb > 1) == (N > 96)
+    d = np.stack([
+        delay_diagonals(_realization(N, _dominant_paths(seed, 3, 3, 1), f_max=1), OfdmSpec(N, 3).wrap)
+        for seed in range(2)
+    ])
+    for R in (1, 2, 3):
+        r = np.stack([np.stack([_block(N, 10 * b + k) for k in range(R)]) for b in range(2)])
+        noise_vars = (0.1, 0.0)
+        swept = link._lmmse_sweep(d, np.stack([r, r], axis=1), noise_vars)
+        for s, noise_var in enumerate(noise_vars):
+            got = swept[:, s]
+            for k in range(R):
+                alone = link._lmmse_solve(d, r[:, k], noise_var)
+                assert np.max(np.abs(got[:, k] - alone)) <= 1e-12 * np.max(np.abs(alone)), (R, k)
+                if R == 1:
+                    assert np.array_equal(got[:, k], alone)
+
+
 def _block_tridiagonal_system(nb, m, B, pad, seed):
     """B random HPD block-tridiagonal systems (A, b) of nb blocks of m rows.
 
@@ -474,8 +496,8 @@ def _reference_frame(spec, chan_config, constellation, snr_db, detector, doppler
 
 @pytest.mark.parametrize("detector", ["zf", "lmmse"])
 def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
-    """One sweep of (6 dB, inf): each chunk records (B, S) bit errors, and
-    column s matches the per-frame reference at SNR point s."""
+    """One one-waveform sweep of (6 dB, inf): each chunk records (1, B, S) bit
+    errors, and column s matches the per-frame reference at SNR point s."""
     run_frames, chunks = link._run_frames, []
 
     def recording(*args):
@@ -495,13 +517,13 @@ def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
     snrs = [6.0, np.inf]  # inf draws no noise
     for spec, cfg, frames, sizes in cases:
         chunks.clear()
-        results = link._ber_sweep(spec, cfg, QAM16, snrs, frames, detector, seed=11)
-        assert [e.shape for e, _ in chunks] == [(size, 2) for size in sizes]
+        [results] = link._ber_sweep([spec], cfg, QAM16, snrs, frames, detector, seed=11)
+        assert [e.shape for e, _ in chunks] == [(1, size, 2) for size in sizes]
         for s, (snr_db, res) in enumerate(zip(snrs, results)):
             args = (spec, cfg, QAM16, snr_db, detector, "fractional", 11)
             errors, paprs = zip(*(_reference_frame(*args, i) for i in range(frames)))
-            assert np.concatenate([e[:, s] for e, _ in chunks]).tolist() == list(errors), (spec, snr_db)
-            assert np.concatenate([p for _, p in chunks]).tolist() == list(paprs), (spec, snr_db)
+            assert np.concatenate([e[0, :, s] for e, _ in chunks]).tolist() == list(errors), (spec, snr_db)
+            assert np.concatenate([p[0] for _, p in chunks]).tolist() == list(paprs), (spec, snr_db)
             assert res.snr_db == snr_db
             assert res.bit_errors == sum(errors)
             assert res.papr_db_p99 == float(np.percentile(paprs, 99))
@@ -520,7 +542,7 @@ def test_ber_sweep_rows_equal_single_point_runs(detector):
     ]
     snrs = [0.0, np.inf, 8.0, 20.0]  # finite points around the noiseless one
     for spec, cfg, frames, mode in cases:
-        sweep = link._ber_sweep(spec, cfg, QAM16, snrs, frames, detector, 5, mode)
+        [sweep] = link._ber_sweep([spec], cfg, QAM16, snrs, frames, detector, 5, mode)
         points = [
             run_ber_point(spec, cfg, QAM16, snr, frames, detector=detector, seed=5, doppler_mode=mode)
             for snr in snrs
@@ -529,6 +551,38 @@ def test_ber_sweep_rows_equal_single_point_runs(detector):
             for field in dataclasses.fields(link.LinkResult):
                 assert getattr(row, field.name) == getattr(point, field.name), (spec, row, field.name)
         assert sweep[0].bit_errors > sweep[3].bit_errors
+
+
+@pytest.mark.parametrize("mode", ["integer", "fractional"])
+@pytest.mark.parametrize("detector", ["zf", "lmmse"])
+def test_ber_rows_equal_single_waveform_runs(detector, mode):
+    """Frame i is the same frame for every waveform, and LMMSE solves a prefix
+    group as one system, so each waveform's rows of a multi-waveform sweep
+    are its one-waveform sweep's rows."""
+    c1, c2 = afdm_tune(3, 1, 1, 37)
+    t1, t2 = afdm_tune(3, 1, 0, 36)
+    given = AfdmSpec(36, 0.0123, 0.011, cp_len=3)  # 2 N c1 = 0.89: wrap is not +-1
+    assert not np.allclose(np.abs(given.wrap.real), 1.0)
+    cases = [  # (specs, channel config, frames, prefix groups): each ends on a partial chunk
+        ([OfdmSpec(64, 3), OtfsSpec(k=8, l=8, cp_len=3)], _dispersive_config(64), 37, [[0, 1]]),
+        ([OfdmSpec(36, 3), OtfsSpec(k=4, l=9, cp_len=3), AfdmSpec(36, t1, t2, 0, 3)],  # K != L
+         _dispersive_config(36), 53, [[0, 1], [2]]),  # tuned wrap is ones only to rounding
+        ([OfdmSpec(37, 3), AfdmSpec(37, c1, c2, 1, 3)], _dispersive_config(37), 50, [[0], [1]]),
+        ([given, OfdmSpec(36, 3), OtfsSpec(k=6, l=6, cp_len=3)], _dispersive_config(36), 53,
+         [[0], [1, 2]]),
+    ]
+    assert np.allclose(AfdmSpec(37, c1, c2, 1, 3).wrap, -1.0)  # xi = 1: prefix factors -1
+    snrs = [0.0, np.inf, 8.0, 20.0]
+    for specs, cfg, frames, groups in cases:
+        assert link._prefix_groups(specs) == groups
+        sweeps = link._ber_sweep(specs, cfg, QAM16, snrs, frames, detector, 5, mode)
+        assert len(sweeps) == len(specs)
+        for spec, rows in zip(specs, sweeps):
+            [alone] = link._ber_sweep([spec], cfg, QAM16, snrs, frames, detector, 5, mode)
+            for row, single in zip(rows, alone, strict=True):
+                for field in dataclasses.fields(link.LinkResult):
+                    assert getattr(row, field.name) == getattr(single, field.name), (spec, field.name)
+            assert rows[0].bit_errors > rows[3].bit_errors
 
 
 def test_ber_zf_equalizes_each_frame_through_equalize_zf(monkeypatch):
@@ -547,7 +601,7 @@ def test_ber_zf_equalizes_each_frame_through_equalize_zf(monkeypatch):
     run_ber_point(OfdmSpec(64, 3), cfg, QPSK, 10.0, frames=37, detector="zf", seed=4)
     assert seen == [(p, (1, 64)) for p in paths]
     seen.clear()
-    link._ber_sweep(OfdmSpec(64, 3), cfg, QPSK, [0.0, 10.0, np.inf], 37, "zf", seed=4)
+    link._ber_sweep([OfdmSpec(64, 3)], cfg, QPSK, [0.0, 10.0, np.inf], 37, "zf", seed=4)
     assert seen == [(p, (3, 64)) for p in paths]
 
 
