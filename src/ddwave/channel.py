@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,11 +25,81 @@ def doppler_phases(N: int, f) -> np.ndarray:
     The + sign follows the time-domain sample relation r[n] ~ e^{+j2pi f n/N};
     all support-shift rules downstream inherit this convention. An array of
     Dopplers gives one diagonal per entry, shape f.shape + (N,).
+
+    The phase is reduced before any exponential, so its error does not grow
+    with f n. |f| splits exactly into its nearest integer w and a rest phi,
+    |phi| <= 1/2, and phi n into its nearest integer m and rho, |rho| <= 1/2:
+    e^{j2pi (w n + m)/N} is entry (w n + m) mod N of the N-th roots of unity
+    (_roots), and only a fractional Doppler adds the small turn
+    e^{j2pi rho/N}. So integer Dopplers call no exponential and are exact at
+    quarter turns. A negative f (sign bit set) takes the conjugate, so
+    doppler_phases(N, -f) is conj(doppler_phases(N, f)) bit for bit, signed
+    zeros included.
     """
     if N < 1:
         raise ValueError(f"size must be >= 1, got {N}")
-    n = np.arange(N)
-    return np.exp(2j * np.pi * np.asarray(f, dtype=float)[..., None] * n / N)
+    f = np.asarray(f, dtype=float)
+    n, roots = _unit_circle(N)
+    size = np.abs(f)
+    whole = np.rint(size)
+    index = np.multiply.outer((whole % N).astype(np.intp), n)
+    rest = size - whole
+    turn = None
+    if np.count_nonzero(rest):
+        cycles = np.multiply.outer(rest, n)
+        carry = np.rint(cycles)
+        index += carry.astype(np.intp)
+        cycles -= carry
+        cycles *= 2 * np.pi / N
+        turn = np.empty(cycles.shape, dtype=complex)
+        np.cos(cycles, out=turn.real)
+        np.sin(cycles, out=turn.imag)
+    index %= N
+    phases = roots[index]
+    if turn is not None:
+        phases *= turn
+    np.conjugate(phases, out=phases, where=np.signbit(f)[..., None])
+    return phases
+
+
+@lru_cache(maxsize=8)
+def _unit_circle(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """n = 0..N-1 and the N-th roots of unity (_roots), cached."""
+    return np.arange(N), _roots(N)
+
+
+def _turns(t) -> np.ndarray:
+    """e^{j2pi t} for phases t in cycles, |t| <= 1/2.
+
+    t = q/4 + r with q = rint(4 t), so |r| <= 1/8, and r is exact (Sterbenz);
+    e^{j2pi r} is then turned by j^q, a swap and negation of its parts. A
+    quarter turn gives exactly 1, j, -1 or -j.
+    """
+    q = np.rint(4 * t)
+    angle = q / -4
+    angle += t
+    angle *= 2 * np.pi
+    z = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=z.real)
+    np.sin(angle, out=z.imag)
+    z *= _QUARTER_TURNS[q.astype(np.intp) % 4]
+    return z
+
+
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+@lru_cache(maxsize=8)
+def _roots(M: int) -> np.ndarray:
+    """The M-th roots of unity e^{j2pi k/M}, k = 0..M-1 (read-only, cached).
+
+    Entries k <= M/2 are _turns(k/M), so the quarter turns are exactly 1, j,
+    -1 and -j, and entry M - k is the conjugate of entry k, bit for bit.
+    """
+    half = _turns(np.arange(M // 2 + 1) / M)
+    roots = np.concatenate([half, np.conj(half[(M + 1) // 2 - 1 : 0 : -1])])
+    roots.flags.writeable = False
+    return roots
 
 
 @dataclass(frozen=True)
@@ -88,11 +159,22 @@ class ChannelRealization:
         for p in self.paths:
             if not 0 <= p.delay_norm <= self.config.ell_max:
                 raise ValueError(f"path delay {p.delay_norm} outside 0..{self.config.ell_max}")
-            # f_max bounds the integer part; fractional draws reach f_max + 0.5
-            if abs(p.doppler_norm) > self.config.f_max + 0.5:
+            # f_max bounds the integer part; fractional draws reach f_max + 0.5 (NaN fails too)
+            if not abs(p.doppler_norm) <= self.config.f_max + 0.5:
                 raise ValueError(
                     f"path Doppler {p.doppler_norm} outside +-{self.config.f_max + 0.5}"
                 )
+
+    @cached_property
+    def _taps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (P,) gains and integer delays and the (P, N) Doppler phases of the
+        paths, read-only: formed once, however many waveforms this realization
+        is applied to or equalized for."""
+        gains, delays, dopplers = _path_arrays(self.paths)
+        taps = gains, delays, doppler_phases(self.config.N, dopplers)
+        for a in taps:
+            a.flags.writeable = False
+        return taps
 
 
 def sample_paths(config: ChannelConfig, doppler_mode: str, rng: np.random.Generator) -> ChannelRealization:
@@ -150,8 +232,7 @@ def time_domain_apply(s_cp: np.ndarray, chan: ChannelRealization) -> np.ndarray:
     cp_len = s_cp.shape[0] - N
     if cp_len < 0:
         raise ValueError(f"input length {s_cp.shape[0]} shorter than block size {N}")
-    gains, delays, dopplers = _path_arrays(chan.paths)
-    return _apply_samples(s_cp, N, gains, delays, doppler_phases(N, dopplers))
+    return _apply_samples(s_cp, N, *chan._taps)
 
 
 def _path_arrays(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,11 +301,11 @@ def delay_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
     the sum into the zeroed rows drops.
     """
     N = chan.config.N
-    gains, delays, dopplers = _path_arrays(chan.paths)
+    gains, delays, phases = chan._taps
     d = np.zeros((chan.config.ell_max + 1, N), dtype=complex)
-    for gain, ell, tap in zip(gains, delays.tolist(), doppler_phases(N, dopplers)):
-        tap[:ell] = wrap[N - ell :] * tap[:ell]
-        d[ell] += gain * tap
+    for gain, ell, tap in zip(gains, delays.tolist(), phases):
+        d[ell, :ell] += gain * (wrap[N - ell :] * tap[:ell])
+        d[ell, ell:] += gain * tap[ell:]
     return d
 
 

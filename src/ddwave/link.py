@@ -31,11 +31,13 @@ with B = 1. Waveforms with equal prefix vectors (spec.wrap) see the same
 H, so LMMSE groups them (_prefix_groups): a group builds H's diagonals
 and the diagonals of H H^H once per chunk (_lmmse_sweep), and each SNR
 point fills the block rows, adds its s2 and runs one cyclic reduction with
-a right-hand-side column per waveform of the group. ZF is the exception: its guard decides
-frame by frame, so each frame of a chunk goes through the public
-equalize_zf once per waveform, with its received blocks of all SNR points
-as one (S, N) stack: the guard and the LU of H run once per frame and
-waveform, and a refusal raises from there.
+a right-hand-side column per waveform of the group. The prefix phases are
+reduced exactly (modem.AfdmSpec.wrap), so a tuned AFDM prefix vector is
+exactly ones at even N, and OFDM, OTFS and AFDM then form one group. ZF is
+the exception: its guard decides frame by frame, so each frame of a chunk
+goes through the public equalize_zf once per waveform, with its received
+blocks of all SNR points as one (S, N) stack: the guard and the LU of H run
+once per frame and waveform, and a refusal raises from there.
 """
 
 from __future__ import annotations
@@ -596,7 +598,12 @@ def _draw_frames(specs, chan_config: ChannelConfig, constellation: Constellation
 
 def _prefix_groups(specs) -> list[list[int]]:
     """Indices of specs grouped by equal prefix vectors (spec.wrap), in order
-    of first appearance: waveforms of one group see the same time-domain H."""
+    of first appearance: waveforms of one group see the same time-domain H.
+
+    The vectors are compared exactly. OFDM and OTFS are ones, and so is a
+    tuned AFDM at even N, whose phases q (N^2 + 2 N n') / 2N are whole
+    cycles: all three form one group. A tuned AFDM at odd N (factors -1) or
+    an AFDM with a given c1 forms a group of its own."""
     groups: list[list[int]] = []
     for w, spec in enumerate(specs):
         group = next((g for g in groups if np.array_equal(specs[g[0]].wrap, spec.wrap)), None)

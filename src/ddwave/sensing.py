@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelConfig, _stack_diagonals, _wrap_window, doppler_phases
+from .channel import ChannelConfig, _roots, _stack_diagonals, _wrap_window, doppler_phases
 from .link import Constellation, _check_spec, _draw_frames, map_bits
 from .modem import AfdmSpec, OfdmSpec, WaveformSpec, _support_indices, afdm_shift, demodulate, modulate
 
@@ -106,17 +106,13 @@ def matched_filter_map(r: np.ndarray, s_known: np.ndarray, delay_bins, doppler_b
     N = r.shape[0]
     ells, dops = _check_bins(delay_bins, doppler_bins, N)
     rows = s_known[(np.arange(N) - ells[:, None]) % N]
-    return DelayDopplerMap(ells.astype(float), dops, _correlate(r, rows, _doppler_table(N, dops)))
-
-
-def _doppler_table(N: int, dops: np.ndarray) -> np.ndarray:
-    """E[j, n] = e^{-j2pi f_j n/N}, one row per Doppler bin: the conjugate of doppler_phases."""
-    return np.exp(-2j * np.pi * np.outer(dops, np.arange(N)) / N)
+    return DelayDopplerMap(ells.astype(float), dops, _correlate(r, rows, doppler_phases(N, -dops)))
 
 
 def _correlate(r: np.ndarray, rows: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """C[i, j] = sum_n r[n] conj(rows[i, n]) E[j, n], E a _doppler_table: the one
-    correlation kernel, of the matched filter, the ambiguity map and the ML search."""
+    """C[i, j] = sum_n r[n] conj(rows[i, n]) E[j, n], with E[j, n] = e^{-j2pi f_j n/N}
+    the rows doppler_phases(N, -f): the one correlation kernel, of the matched
+    filter, the ambiguity map and the ML search."""
     return (r * np.conj(rows)) @ E.T
 
 
@@ -338,7 +334,7 @@ class _ChannelCsi:
         Dh = np.fft.fft(diags.reshape(E, L, K), axis=1) / L
         a_src, b_src = np.divmod(self.cols.reshape(-1, L, K), K)
         b = np.arange(K)
-        roots = np.exp(2j * np.pi * np.arange(L) / L)
+        roots = _roots(L)
         G = np.zeros(a_src.shape, dtype=complex)
         for ell in range(E):
             hit = (ells - ell) % K == 0  # the candidates whose support this diagonal reaches
@@ -356,10 +352,10 @@ class _MlGrid:
     on (N, grid, refine_factor, refine_levels) only: built once per call, or
     once per sweep for the `sense` trials (_trial_tables).
 
-    coarse is the _doppler_table of the coarse Dopplers. Each refinement
-    level holds its step and the rows e^{-j2pi k step n/N} for
-    k in ks = -refine_factor..-1, 1..refine_factor, in the convention of
-    _doppler_table.
+    coarse is doppler_phases(N, -dops), the rows e^{-j2pi f n/N} of the
+    coarse Dopplers. Each refinement level holds its step and the rows
+    e^{-j2pi k step n/N} for k in ks = -refine_factor..-1, 1..refine_factor,
+    in the same convention.
     """
 
     ells: np.ndarray
@@ -373,9 +369,8 @@ def _ml_grid(spec: WaveformSpec, coarse_grid: tuple, refine_levels: int, refine_
     """Validate the spec and the search grid of indirect_csi_ml and build its tables.
 
     An offset table is conj(doppler_phases(N, ks * step)), and its k > 0
-    rows are the conjugates of its k < 0 rows, reversed: doppler_phases is
-    odd in f bit for bit (its exponent negates exactly, and cos and sin are
-    even and odd in libm), so half the complex exponentials suffice.
+    rows are the conjugates of its k < 0 rows, reversed: doppler_phases(N, -f)
+    is conj(doppler_phases(N, f)) bit for bit, so half the phase rows suffice.
     """
     N = spec.n
     _check_spec(spec, N)
@@ -392,7 +387,7 @@ def _ml_grid(spec: WaveformSpec, coarse_grid: tuple, refine_levels: int, refine_
         half = doppler_phases(N, [k * step for k in range(1, refine_factor + 1)])
         levels.append((step, np.concatenate([half[::-1], np.conj(half)])))
     ks = [*range(-refine_factor, 0), *range(1, refine_factor + 1)]
-    return _MlGrid(ells, dops, _doppler_table(N, dops), ks, levels)
+    return _MlGrid(ells, dops, doppler_phases(N, -dops), ks, levels)
 
 
 def indirect_csi_ml(

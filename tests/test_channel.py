@@ -83,8 +83,9 @@ def test_realization_validates_paths():
         ChannelRealization(config=cfg, paths=())
     with pytest.raises(ValueError, match="delay"):
         single(cfg, 1.0, 5, 0.0)
-    with pytest.raises(ValueError, match="Doppler"):
-        single(cfg, 1.0, 0, 2.6)
+    for f in (2.6, float("nan")):
+        with pytest.raises(ValueError, match="Doppler"):
+            single(cfg, 1.0, 0, f)
 
 
 def test_fractional_doppler_may_exceed_integer_bound_by_half():

@@ -1,11 +1,15 @@
 """Tests for scenario config validation and the command-line entry point."""
 
+import contextlib
 import csv
+import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -585,3 +589,90 @@ def test_written_files_logged_at_info(tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="ddwave"):
         assert main(["demo-v2x", "--out", str(tmp_path)]) == 0
     assert any("wrote" in r.getMessage() for r in caplog.records)
+
+
+# ------------------------------------------------------- config boundary property
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+_FIELDS = {  # valid values of each optional field, then edge values and wrong types
+    "xi": (st.integers(0, 2), st.just(-1)),
+    "c1": (st.floats(-1.0, 1.0) | st.integers(1, 9).map(lambda q: q / 74),
+           st.sampled_from([float("inf"), float("nan"), 1e300])),
+    "c2": (st.floats(-1.0, 1.0), st.sampled_from([float("-inf"), 1e300])),
+    "cp_len": (st.integers(0, 3), st.sampled_from([-1, 38])),
+    "ell_max": (st.integers(0, 2), st.sampled_from([-1, 37])),
+    "f_max": (st.integers(0, 2), st.sampled_from([-1, 19])),
+    "paths": (st.integers(1, 4), st.just(0)),
+    "constellation": (st.sampled_from(["qpsk", "qam16", "16QAM"]), st.just("bpsk")),
+    "snr_sweep": (st.lists(st.sampled_from([0.0, 10.0, 30.0, float("inf")]), min_size=1, max_size=2),
+                  st.sampled_from([[], [float("nan")], [float("-inf")], ["10"]])),
+    "frames": (st.integers(1, 2), st.just(0)),
+    "trials": (st.integers(1, 2), st.just(0)),
+    "seed": (st.integers(0, 3), st.just(-1)),
+    "doppler_mode": (st.sampled_from(["integer", "fractional"]), st.just("mixed")),
+    "detector": (st.sampled_from(["zf", "lmmse"]), st.just("mmse")),
+    "refine_levels": (st.integers(0, 2), st.just(-1)),
+    "refine_factor": (st.integers(2, 3), st.just(1)),
+    "f_s": (st.just(1.0e7), st.sampled_from([0.0, float("inf")])),
+    "geometry": (st.sampled_from(["monostatic", "bistatic"]), st.just("tristatic")),
+    "waveform": (st.sampled_from(["ofdm", "otfs", "afdm", "all"]), st.just("OFDM")),
+    "n": (st.integers(1, 37), st.sampled_from([0, -1])),
+    "k": (st.integers(1, 37), st.just(0)),
+}
+_WRONG_TYPE = st.sampled_from(["x", [], {}, True, None, 1.5])
+
+
+@st.composite
+def scenarios(draw):
+    """A scenario dict with n <= 37 and at most 2 frames and trials: a valid
+    draw of some fields, the OTFS grid from a divisor of n whenever n is not
+    a square, and, a third of the time, one field set to an edge value or a
+    value of the wrong type."""
+    n = draw(st.sampled_from([25, 36, 37]) | st.integers(1, 37))
+    scenario = {"n": n, "frames": 1, "trials": 1, "snr_sweep": [10.0], "refine_levels": 1}
+    for name in sorted(draw(st.sets(st.sampled_from(sorted(set(_FIELDS) - {"n", "k"}))))):
+        scenario[name] = draw(_FIELDS[name][0])
+    if "cp_len" in scenario:  # at least the largest delay
+        scenario["cp_len"] += scenario.get("ell_max", 3)
+    if math.isqrt(n) ** 2 != n or draw(st.booleans()):
+        k = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        scenario["k"], scenario["l"] = k, n // k
+    if draw(st.integers(0, 2)) == 0:
+        name = draw(st.sampled_from(sorted(_FIELDS)))
+        scenario[name] = draw(_FIELDS[name][1] | _WRONG_TYPE)
+    return scenario
+
+
+def _run(command, config, out):
+    """main's exit code, its stderr and the bytes of every file it wrote."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", config, "--out", out])
+    names = sorted(os.listdir(out)) if os.path.isdir(out) else []
+    return code, err.getvalue(), {name: read_bytes(os.path.join(out, name)) for name in names}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=scenarios())
+def test_every_scenario_exits_0_2_or_3_and_reruns_the_same_bytes(scenario):
+    """Any scenario dict, valid or not, through ber, sense, effchan and ambiguity:
+    exit 0, 2 (one stderr line, no traceback) or 3, and an exit-0 run writes
+    the same bytes again."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ChannelConfig's underspread warning
+        config = os.path.join(tmp, "cfg.json")
+        with open(config, "w") as fh:
+            json.dump(scenario, fh)
+        for command in ("ber", "sense", "effchan", "ambiguity"):
+            code, err, files = _run(command, config, os.path.join(tmp, command))
+            assert code in (0, 2, 3), (command, code, err)
+            assert "Traceback" not in err
+            if code == 2:
+                assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+            if code == 0:
+                assert files and _run(command, config, os.path.join(tmp, command + "-again"))[2] == files

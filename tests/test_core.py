@@ -171,11 +171,12 @@ def test_cp_phase_rejects_delay_at_or_past_n():
 
 
 def test_phase_rules_return_cycles():
-    # entry N + n' is e^{j2pi phi(n')}: phi(-1) = 0.5 * (16 - 8) = 4 cycles
+    # entry N + n' is e^{j2pi phi(n')}: phi(-1) = 0.5 * (16 - 8) = 4 cycles, exactly 1
+    # because the phase is reduced before the exponential
     assert OfdmSpec(4).wrap.tolist() == [1.0] * 4
     wrap = AfdmSpec(4, 0.5, 0.0).wrap
     assert wrap.shape == (4,)
-    assert wrap[3] == np.exp(2j * np.pi * (0.5 * (16 - 8)))
+    assert wrap[3] == 1.0 + 0.0j
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 81, 256, 512])

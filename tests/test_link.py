@@ -19,6 +19,7 @@ from ddwave.channel import (
     time_domain_apply,
 )
 from ddwave.cli import main
+from ddwave.config import ScenarioConfig
 from ddwave.link import (
     Constellation,
     SingularChannelError,
@@ -566,12 +567,12 @@ def test_ber_rows_equal_single_waveform_runs(detector, mode):
     cases = [  # (specs, channel config, frames, prefix groups): each ends on a partial chunk
         ([OfdmSpec(64, 3), OtfsSpec(k=8, l=8, cp_len=3)], _dispersive_config(64), 37, [[0, 1]]),
         ([OfdmSpec(36, 3), OtfsSpec(k=4, l=9, cp_len=3), AfdmSpec(36, t1, t2, 0, 3)],  # K != L
-         _dispersive_config(36), 53, [[0, 1], [2]]),  # tuned wrap is ones only to rounding
+         _dispersive_config(36), 53, [[0, 1, 2]]),  # tuned wrap at even N: exactly ones
         ([OfdmSpec(37, 3), AfdmSpec(37, c1, c2, 1, 3)], _dispersive_config(37), 50, [[0], [1]]),
         ([given, OfdmSpec(36, 3), OtfsSpec(k=6, l=6, cp_len=3)], _dispersive_config(36), 53,
          [[0], [1, 2]]),
     ]
-    assert np.allclose(AfdmSpec(37, c1, c2, 1, 3).wrap, -1.0)  # xi = 1: prefix factors -1
+    assert np.array_equal(AfdmSpec(37, c1, c2, 1, 3).wrap, -np.ones(37))  # xi = 1: prefix factors -1
     snrs = [0.0, np.inf, 8.0, 20.0]
     for specs, cfg, frames, groups in cases:
         assert link._prefix_groups(specs) == groups
@@ -583,6 +584,16 @@ def test_ber_rows_equal_single_waveform_runs(detector, mode):
                 for field in dataclasses.fields(link.LinkResult):
                     assert getattr(row, field.name) == getattr(single, field.name), (spec, field.name)
             assert rows[0].bit_errors > rows[3].bit_errors
+
+
+@pytest.mark.parametrize("scenario,groups", [
+    ({"n": 1024, "k": 32, "l": 32}, [[0, 1, 2]]),  # the ber-dense-n1024 shape: one LMMSE system
+    ({"n": 225, "k": 15, "l": 15}, [[0, 1], [2]]),  # odd N: tuned AFDM prefix factors are -1
+    ({"n": 1024, "k": 32, "l": 32, "c1": 0.0123}, [[0, 1], [2]]),  # a given c1: not +-1
+])
+def test_prefix_groups_of_scenario_waveforms(scenario, groups):
+    specs = [spec for _, spec in ScenarioConfig.from_dict(scenario).waveform_specs()]
+    assert link._prefix_groups(specs) == groups
 
 
 def test_ber_zf_equalizes_each_frame_through_equalize_zf(monkeypatch):

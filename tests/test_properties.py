@@ -1,13 +1,18 @@
 """Property tests: direct CSI extraction, from G and from the channel's closed form, the
 equalizers (ZF per block, LMMSE stacked) against dense G-domain solves, the time-domain
-pipeline against effective_channel and the oracle, for tuned and given AFDM rates, and the
-Weyl stage of the ZF guard against the dense condition number."""
+pipeline against effective_channel and the oracle, for tuned and given AFDM rates, the
+Weyl stage of the ZF guard against the dense condition number, the chirp, prefix and
+Doppler phases against exact rational phases, unitary transforms, and predicted supports
+against the oracle's."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -26,10 +31,14 @@ from ddwave.modem import (
     OfdmSpec,
     OtfsSpec,
     _support_indices,
+    afdm_orthogonality_ok,
     afdm_tune,
+    chirp_phases,
     demodulate,
     effective_channel,
     modulate,
+    otfs_orthogonality_ok,
+    predict_support,
     prepend_cp,
 )
 from ddwave.sensing import (
@@ -390,3 +399,127 @@ def test_weyl_stage_is_sharp_up_to_its_rounding_margin(N, ell):
     for e, certified in ((5, True), (7, False)):
         _, chan, wrap = _sharp_pair(N, ell, e)
         assert _weyl_certified(delay_diagonals(chan, wrap)) == certified
+
+
+# ---------------------------------------------------------------- exact phases
+
+
+def _exact_turn(t: Fraction) -> complex:
+    """e^{j2pi t} for exact cycles t: reduced as a Fraction to r in [-1/8, 1/8]
+    plus q quarter turns, so the one float rounding is of a small angle."""
+    q = round(4 * (t - math.floor(t)))
+    r = t - math.floor(t) - Fraction(q, 4)
+    return complex(math.cos(2 * math.pi * r), math.sin(2 * math.pi * r)) * (1, 1j, -1, -1j)[q % 4]
+
+
+def _assert_exact(got, cycles, indices):
+    """got[n] equals e^{j2pi cycles(n)} to 1e-15 at each sampled index n."""
+    want = np.array([_exact_turn(cycles(int(n))) for n in indices])
+    assert np.max(np.abs(got[indices] - want)) <= 1e-15
+
+
+# block sizes up to 2^16, powers of two and odd ones included
+SIZES = st.sampled_from([256, 1024, 4096, 2**16]) | st.integers(1, 2**16)
+
+
+@st.composite
+def sampled_indices(draw, N):
+    """At most 200 indices of 0..N-1, the last ones included: no N x N array."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return np.unique(np.concatenate([rng.integers(0, N, 200), np.arange(max(N - 4, 0), N)]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(N=SIZES, kind=st.sampled_from(["c1", "c2", "float"]), q=st.integers(-8, 64),
+       c=st.floats(-2.0, 2.0), data=st.data())
+def test_chirp_and_prefix_phases_match_the_exact_phases(N, kind, q, c, data):
+    """chirp_phases and AfdmSpec.wrap equal the exact e^{-j2pi c n^2} and
+    e^{j2pi c (N^2 + 2 N n')} to 1e-15: c = q / 2N and q / 2N^2 as exact
+    rationals, or any other float c as the binary fraction it is."""
+    if kind == "float":
+        assume(all(abs(M * c - round(M * c)) > 1e-9 for M in (2 * N, 2 * N * N)))
+        exact = Fraction(c)
+    else:
+        exact = Fraction(q, 2 * N if kind == "c1" else 2 * N * N)
+        c = q / (2 * N) if kind == "c1" else q / (2 * N * N)
+    n = data.draw(sampled_indices(N))
+    _assert_exact(chirp_phases(N, c), lambda k: -exact * k * k, n)
+    _assert_exact(AfdmSpec(N, c, 0.0).wrap, lambda k: exact * (N * N + 2 * N * (k - N)), n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(N=SIZES, integer=st.booleans(), u=st.floats(-0.5, 0.5), data=st.data())
+def test_doppler_phases_match_the_exact_phases_and_are_odd_bitwise(N, integer, u, data):
+    """doppler_phases(N, f) equals e^{j2pi f n/N} to 1e-15 for integer and
+    fractional f within +-N/2, and doppler_phases(N, -f) is its conjugate bit
+    for bit, signed zeros included."""
+    f = float(round(u * N)) if integer else u * N
+    got = doppler_phases(N, f)
+    _assert_exact(got, lambda k: Fraction(f) * k / N, data.draw(sampled_indices(N)))
+    assert doppler_phases(N, -f).tobytes() == np.conj(got).tobytes()
+    pair = doppler_phases(N, [f, -f])
+    assert pair[0].tobytes() == got.tobytes() and pair[1].tobytes() == np.conj(got).tobytes()
+
+
+@pytest.mark.parametrize("N", [6, 36, 37, 256, 1024])
+def test_tuned_prefix_vector_is_exactly_ones_at_even_n_and_minus_ones_at_odd_stride(N):
+    for f_max, xi in ((0, 0), (1, 0), (2, 1)):
+        wrap = AfdmSpec(N, *afdm_tune(0, f_max, xi, N)).wrap
+        assert np.array_equal(wrap, np.ones(N) if N % 2 == 0 else -np.ones(N))
+
+
+@st.composite
+def any_spec(draw):
+    """OFDM, OTFS with unit-modulus adjoint pulses, or AFDM with tuned or any rates, N <= 64."""
+    kind = draw(st.sampled_from(["ofdm", "otfs", "afdm tuned", "afdm given"]))
+    if kind == "ofdm":
+        return OfdmSpec(draw(st.integers(1, 64)))
+    if kind == "otfs":
+        k, l = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        if not draw(st.booleans()):
+            return OtfsSpec(k, l)
+        phase = np.exp(2j * np.pi * np.random.default_rng(draw(st.integers(0, 2**16))).random(k))
+        return OtfsSpec(k, l, pulse_tx=tuple(phase.conj()), pulse_rx=tuple(phase))
+    n = draw(st.integers(1, 64))
+    if kind == "afdm tuned":
+        f_max = draw(st.integers(0, (n - 1) // 2))
+        return AfdmSpec(n, *afdm_tune(0, f_max, 0, n))
+    return AfdmSpec(n, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(spec=any_spec())
+def test_modulate_and_demodulate_are_unitary_and_adjoint(spec):
+    eye = np.eye(spec.n, dtype=complex)
+    U, D = modulate(spec, eye), demodulate(spec, eye)  # T_tx^T and T_rx^T: row j is the image of e_j
+    assert np.max(np.abs(U @ U.conj().T - eye)) <= 1e-12
+    assert np.max(np.abs(D - U.conj().T)) <= 1e-12  # T_rx = T_tx^H
+    assert np.max(np.abs(demodulate(spec, U) - eye)) <= 1e-12
+
+
+@st.composite
+def supports(draw):
+    """A tuned AFDM or an OTFS spec, its dense oracle operators and prefix phase
+    rule, and one integer (delay, Doppler) pair inside its orthogonality region."""
+    if draw(st.booleans()):
+        ell_max, f_max, xi = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        span = (2 * (f_max + xi) + 1) * ell_max + 2 * f_max + 1
+        n = draw(st.integers(max(span, 2 * (f_max + xi) + 1), 48))
+        assert afdm_orthogonality_ok(ell_max, f_max, xi, n)
+        c1, c2 = afdm_tune(ell_max, f_max, xi, n)
+        spec, ops, phase = AfdmSpec(n, c1, c2, xi), oracle.afdm_ops(n, c1, c2), oracle.chirp_cp_cycles(c1, n)
+    else:
+        k, l = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        ell_max, f_max = k - 1, (l - 1) // 2
+        assert otfs_orthogonality_ok(ell_max, f_max, k, l)
+        spec, ops, phase = OtfsSpec(k, l), oracle.otfs_ops(k, l), oracle.zero_cycles
+    ell, f = draw(st.integers(0, ell_max)), draw(st.integers(-f_max, f_max))
+    return spec, ops, phase, ell, f
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(case=supports())
+def test_predicted_support_equals_the_oracle_support_inside_the_orthogonality_region(case):
+    spec, (tx, rx), phase, ell, f = case
+    G = oracle.effective_matrix(tx, rx, [(1.0, ell, float(f))], phase)
+    assert predict_support(spec, ell, f) == oracle.support_set(G, 1.0 / (2 * spec.n))

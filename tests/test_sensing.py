@@ -708,6 +708,25 @@ def test_refinement_tables_built_by_conjugation_equal_doppler_phases_bitwise(N, 
         assert np.conj(table).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("N", [64, 256])  # the default and sense-afdm-n256 windows, f_max = 2
+def test_coarse_doppler_table_is_the_conjugated_doppler_phases(N):
+    # the matched filter's and the ML search's one Doppler table: rows e^{-j2pi f n/N}
+    # from doppler_phases, an exact root-of-unity gather for these integer bins
+    dops = np.arange(-2.0, 3.0)
+    grid = _ml_grid(tuned_afdm(N), (range(4), dops), 0, 10)
+    assert grid.coarse.tobytes() == doppler_phases(N, -dops).tobytes()
+    assert grid.coarse.tobytes() == np.conj(doppler_phases(N, dops)).tobytes()
+    quarter_turns = [[1, -1, 1], [1, 1j, -1], [1, 1, 1], [1, -1j, -1], [1, -1, 1]]  # n = 0, N/4, N/2
+    assert np.array_equal(grid.coarse[:, [0, N // 4, N // 2]], quarter_turns)
+    # e^{-j2pi f n/N} with 2 pi multiplied in before the reduction, the table before
+    # exact phases, differs from it by rounding only
+    assert np.max(np.abs(grid.coarse - np.exp(-2j * np.pi * np.outer(dops, np.arange(N)) / N))) <= 2e-15
+    r, s = np.random.default_rng(N).standard_normal((2, N)) + 0j
+    rows = s[(np.arange(N) - grid.ells[:, None]) % N]
+    mf = matched_filter_map(r, s, grid.ells, dops)
+    assert mf.values.tobytes() == ((r * np.conj(rows)) @ grid.coarse.T).tobytes()
+
+
 @pytest.mark.parametrize("pulses", _NON_ADJOINT_PULSES)
 def test_ml_rejects_otfs_pulses_without_time_domain_identity(pulses):
     # the time-domain scores equal z^H r / |z|^2 only when T_tx = T_rx^H
