@@ -139,7 +139,7 @@ class ChannelConfig:
             warnings.warn(
                 f"channel is not underspread: ell_max*f_max/N = "
                 f"{self.ell_max * self.f_max / self.N:.2f}",
-                stacklevel=2,
+                stacklevel=3,  # past dataclass's generated __init__, to the caller
             )
 
 
@@ -175,6 +175,14 @@ class ChannelRealization:
         for a in taps:
             a.flags.writeable = False
         return taps
+
+    @cached_property
+    def _zf_accepted(self) -> dict[bytes, np.ndarray]:
+        """H's read-only (ell_max + 1, N) diagonals for each prefix vector, keyed
+        by its bytes, that link's ZF condition guard has accepted: filled by
+        link._zf_diagonals, and gone with this realization. A refused H is
+        never entered."""
+        return {}
 
 
 def sample_paths(config: ChannelConfig, doppler_mode: str, rng: np.random.Generator) -> ChannelRealization:

@@ -164,8 +164,9 @@ def cmd_effchan(cfg: ScenarioConfig, out: str, fig3: bool = False, variant: str 
 
 def cmd_ber(cfg: ScenarioConfig, out: str) -> list[str]:
     """SNR sweep x waveform BER table from one _ber_sweep over all waveforms,
-    so each frame is drawn once, each ZF channel guarded and factored once
-    per waveform, and each LMMSE system solved once per prefix group."""
+    so each frame is drawn once, each ZF channel guarded once per prefix
+    group and factored once per waveform, and each LMMSE system solved once
+    per prefix group."""
     names, specs = zip(*cfg.waveform_specs())
     sweeps = _ber_sweep(specs, cfg.channel_config(), Constellation.by_name(cfg.constellation),
                         sorted(cfg.snr_sweep), cfg.frames, cfg.detector, cfg.seed, cfg.doppler_mode)

@@ -33,11 +33,13 @@ and the diagonals of H H^H once per chunk (_lmmse_sweep), and each SNR
 point fills the block rows, adds its s2 and runs one cyclic reduction with
 a right-hand-side column per waveform of the group. The prefix phases are
 reduced exactly (modem.AfdmSpec.wrap), so a tuned AFDM prefix vector is
-exactly ones at even N, and OFDM, OTFS and AFDM then form one group. ZF is
-the exception: its guard decides frame by frame, so each frame of a chunk
-goes through the public equalize_zf once per waveform, with its received
-blocks of all SNR points as one (S, N) stack: the guard and the LU of H run
-once per frame and waveform, and a refusal raises from there.
+exactly ones at even N, and OFDM, OTFS and AFDM then form one group. ZF
+decides frame by frame: each frame of a chunk goes through the public
+equalize_zf once per waveform, with its received blocks of all SNR points
+as one (S, N) stack, and a refusal raises from there. The frame's
+realization keeps H's diagonals and the guard's acceptance per prefix
+vector (_zf_diagonals), so the diagonals and the guard run once per frame
+and prefix vector, and the LU of H once per frame and waveform.
 """
 
 from __future__ import annotations
@@ -369,28 +371,50 @@ def _certified(d: np.ndarray) -> bool:
     return True
 
 
-def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """H^{-1} r for H's (ell_max + 1, N) diagonals d and a block r, row by row
-    for an (S, N) stack r.
-
-    H's diagonals are scattered straight into the folded layout, whose band
-    keeps the growth of partial pivoting bounded, and solved densely, the
-    rows of a stack as right-hand sides of one LU. H with cond(H) > 1e12 is
-    refused: an H that Weyl's bound or, failing it, the Cholesky certificate
-    clears needs no SVD; any other H gets the exact np.linalg.cond test.
-    """
-    N = r.shape[-1]
+def _folded(d: np.ndarray) -> np.ndarray:
+    """H in the fold permutation's banded order, dense, from its (ell_max + 1, N) diagonals d."""
+    N = d.shape[1]
     lay = _band_layout(N, d.shape[0] - 1)
     # offsets 0..ell_max come first, so H's diagonals are the band's first rows
     H = np.zeros(N * N, dtype=complex)
     H[lay.dense_dst[: d.size]] = d.ravel()
-    H = H.reshape(N, N)
-    if not (_weyl_certified(d) or _certified(d)):
-        cond = np.linalg.cond(H)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
+    return H.reshape(N, N)
+
+
+def _zf_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
+    """H's diagonals for the prefix vector wrap, read-only, once the guard has
+    accepted H; H with cond(H) > 1e12 raises SingularChannelError.
+
+    An H that Weyl's bound or, failing it, the Cholesky certificate clears
+    needs no SVD; any other H gets the exact np.linalg.cond test. Guard and
+    diagonals read H alone, so an accepted H is kept on the realization
+    (chan._zf_accepted), keyed by wrap's bytes: waveforms with equal prefix
+    vectors, as OFDM, OTFS and a tuned AFDM at even N, form and guard H once
+    per realization. A refused H is not kept, so every call on it raises."""
+    key = wrap.tobytes()
+    d = chan._zf_accepted.get(key)
+    if d is None:
+        d = delay_diagonals(chan, wrap)
+        if not (_weyl_certified(d) or _certified(d)):
+            cond = np.linalg.cond(_folded(d))
+            if not np.isfinite(cond) or cond > 1e12:
+                raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
+        d.flags.writeable = False
+        chan._zf_accepted[key] = d
+    return d
+
+
+def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """H^{-1} r for H's (ell_max + 1, N) diagonals d and a block r, row by row
+    for an (S, N) stack r; the caller guards H (_zf_diagonals).
+
+    H's diagonals are scattered straight into the folded layout, whose band
+    keeps the growth of partial pivoting bounded, and solved densely, the
+    rows of a stack as right-hand sides of one LU.
+    """
+    perm = _band_layout(r.shape[-1], d.shape[0] - 1).perm
     z = np.empty(r.shape, dtype=complex)
-    z[..., lay.perm] = np.linalg.solve(H, r[..., lay.perm].T).T
+    z[..., perm] = np.linalg.solve(_folded(d), r[..., perm].T).T
     return z
 
 
@@ -486,14 +510,14 @@ def _check_spec(spec: WaveformSpec, N: int) -> None:
         )
 
 
-def _equalizer_inputs(spec: WaveformSpec, chan: ChannelRealization, r) -> tuple[np.ndarray, np.ndarray]:
-    """The equalizers' shared input check; returns H's diagonals and r, one
-    block (N,) or a stack (S, N), as an array."""
+def _received(spec: WaveformSpec, chan: ChannelRealization, r) -> np.ndarray:
+    """The equalizers' shared input check; returns r, one block (N,) or a
+    stack (S, N), as an array."""
     _check_spec(spec, chan.config.N)
     r = np.asarray(r)
     if r.ndim not in (1, 2) or r.shape[-1] != spec.n:
         raise ValueError(f"received blocks must have shape ({spec.n},) or (S, {spec.n}), got {r.shape}")
-    return delay_diagonals(chan, spec.wrap), r
+    return r
 
 
 def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> np.ndarray:
@@ -505,10 +529,13 @@ def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> 
     channels with cond(H) = cond(G) > 1e12; Weyl's bound or a Cholesky
     certificate clears well-conditioned channels without an SVD (see
     _weyl_certified and _certified). The guard reads H alone, so it runs
-    once per call, whatever S.
+    once per realization and prefix vector, whatever S: H's diagonals and
+    an acceptance are kept on chan, and a later call for a waveform with an
+    equal spec.wrap pays only the LU and demodulate. A refused channel is
+    refused again, with the same message, by every call.
     """
-    d, r = _equalizer_inputs(spec, chan, r)
-    return demodulate(spec, _zf_solve(d, r))
+    r = _received(spec, chan, r)
+    return demodulate(spec, _zf_solve(_zf_diagonals(chan, spec.wrap), r))
 
 
 def equalize_lmmse(
@@ -524,7 +551,8 @@ def equalize_lmmse(
     No N x N array is formed unless N is one block (N <= 96 here). r is one
     block (N,) or an (S, N) stack, equalized row by row.
     """
-    d, r = _equalizer_inputs(spec, chan, r)
+    r = _received(spec, chan, r)
+    d = delay_diagonals(chan, spec.wrap)
     rows = r.reshape(-1, spec.n)
     x = _lmmse_solve(np.broadcast_to(d, (len(rows), *d.shape)), rows, noise_var)
     return demodulate(spec, x.reshape(r.shape))
@@ -672,8 +700,11 @@ def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
     order, each with its S blocks: Weyl's bound or a Cholesky certificate
     clears a well-conditioned H without an SVD, any other H gets the exact
     cond(H) > 1e12 test, and the first refused frame raises
-    SingularChannelError. A point of +inf runs noiseless; NaN and -inf
-    raise ValueError before the first frame.
+    SingularChannelError. The diagonals and the guard run once per frame
+    and prefix vector, kept on the frame's realization for the next
+    waveform of its group; the LU runs once per frame and waveform. A point
+    of +inf runs noiseless; NaN and -inf raise ValueError before the first
+    frame.
     """
     for snr_db in snrs:
         _check_snr(snr_db)
@@ -713,7 +744,9 @@ def run_ber_point(
     substream derived from (seed, frame index), so the result is
     reproducible to the byte and equals this point's row of any sweep.
     Frames run in fixed chunks as (B, N) stacks; ZF equalizes them one by
-    one through equalize_zf, and the first frame with cond(H) > 1e12
+    one through equalize_zf, one guard and one LU per frame (a sweep of
+    several waveforms guards once per frame and prefix vector and factors
+    once per frame and waveform), and the first frame with cond(H) > 1e12
     raises SingularChannelError. snr_db = +inf runs noiseless; NaN and -inf
     raise ValueError before the first frame. `threads` must be >= 1 and has
     no other effect.

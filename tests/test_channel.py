@@ -73,8 +73,10 @@ def test_config_rejects_oversized_bounds():
 
 
 def test_config_warns_when_not_underspread():
-    with pytest.warns(UserWarning, match="underspread"):
+    with pytest.warns(UserWarning, match="underspread") as record:
         make_config(N=16, ell_max=4, f_max=2, cp_len=4)
+    # the warning names the code that built the config, not dataclass's generated __init__
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_realization_validates_paths():

@@ -616,6 +616,69 @@ def test_ber_zf_equalizes_each_frame_through_equalize_zf(monkeypatch):
     assert seen == [(p, (3, 64)) for p in paths]
 
 
+@pytest.mark.parametrize("n,groups", [(64, 1), (37, 2)])
+def test_zf_guards_each_frame_once_per_prefix_vector(monkeypatch, n, groups):
+    """Waveforms with equal prefix vectors share H, so a ZF sweep runs the
+    guard once per frame and prefix vector, while equalize_zf still runs once
+    per frame and waveform, waveform by waveform within each chunk."""
+    if n == 64:  # tuned AFDM at even N: prefix vector ones, one group
+        c1, c2 = afdm_tune(3, 1, 0, 64)
+        specs = [OfdmSpec(64, 3), OtfsSpec(k=8, l=8, cp_len=3), AfdmSpec(64, c1, c2, 0, 3)]
+    else:  # xi = 1 at odd N: prefix factors -1, a group of its own
+        c1, c2 = afdm_tune(3, 1, 1, 37)
+        specs = [OfdmSpec(37, 3), AfdmSpec(37, c1, c2, 1, 3)]
+    assert len(link._prefix_groups(specs)) == groups
+    cfg, frames, weyl, calls = _dispersive_config(n), 37, [], []
+    certified, equalize = link._weyl_certified, link.equalize_zf
+
+    def counting(d):
+        weyl.append(d.shape)
+        return certified(d)
+
+    def recording(spec, chan, r):
+        calls.append((spec, chan.paths))
+        return equalize(spec, chan, r)
+
+    monkeypatch.setattr(link, "_weyl_certified", counting)
+    monkeypatch.setattr(link, "equalize_zf", recording)
+    link._ber_sweep(specs, cfg, QAM16, [10.0, 20.0], frames, "zf", seed=6)
+    assert len(weyl) == groups * frames
+    paths = [sample_paths(cfg, "fractional", link.substream(6, i)).paths for i in range(frames)]
+    assert calls == [(spec, paths[i]) for chunk in link._chunks(n, frames) for spec in specs for i in chunk]
+
+
+def test_zf_keeps_no_refusal_and_no_other_prefix_vectors_channel():
+    """A refused H is refused by every call, whatever the waveform, and
+    nothing is kept for it; an accepted H is kept per prefix vector, so a
+    waveform with another prefix vector gets its own H, bit for bit as on a
+    fresh realization."""
+    chan = _near_singular(1e-13)
+    c1, c2 = afdm_tune(0, 1, 0, 64)
+    specs = [OfdmSpec(64), OtfsSpec(k=8, l=8), AfdmSpec(64, c1, c2), OfdmSpec(64)]
+    messages = []
+    for spec in specs:
+        with pytest.raises(SingularChannelError) as refusal:
+            equalize_zf(spec, chan, np.ones((2, 64), dtype=complex))
+        messages.append(str(refusal.value))
+    assert len(set(messages)) == 1 and "exceeds 1e12" in messages[0]
+    assert not chan._zf_accepted
+
+    cfg = _dispersive_config(36)
+    given = AfdmSpec(36, 0.0123, 0.011, cp_len=3)  # 2 N c1 = 0.89: wrap is not +-1
+    assert not np.allclose(np.abs(given.wrap.real), 1.0)
+    r = np.stack([_block(36, s) for s in range(3)])
+    for order in ([OfdmSpec(36, 3), given], [given, OfdmSpec(36, 3)]):
+        shared = sample_paths(cfg, "fractional", link.substream(9, 0))
+        for spec in order:
+            fresh = sample_paths(cfg, "fractional", link.substream(9, 0))
+            assert np.array_equal(equalize_zf(spec, shared, r), equalize_zf(spec, fresh, r))
+        assert len(shared._zf_accepted) == 2
+        # the kept diagonals are read-only; the public delay_diagonals stays fresh and writable
+        assert not any(d.flags.writeable for d in shared._zf_accepted.values())
+        d = delay_diagonals(shared, given.wrap)
+        assert d.flags.writeable and all(d is not kept for kept in shared._zf_accepted.values())
+
+
 def _near_singular(eps, n=64):
     """One ell = 0 diagonal 1 - (1 - eps) e^{j2pi n/N}: cond(H) = (2 - eps) / eps."""
     return _realization(n, [(1.0 + 0.0j, 0, 0.0), (-(1.0 - eps) + 0.0j, 0, 1.0)], ell_max=0, f_max=1)
