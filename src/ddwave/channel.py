@@ -179,8 +179,8 @@ class ChannelRealization:
     @cached_property
     def _zf_accepted(self) -> dict[bytes, np.ndarray]:
         """H's read-only (ell_max + 1, N) diagonals for each prefix vector, keyed
-        by its bytes, that link's ZF condition guard has accepted: filled by
-        link._zf_diagonals, and gone with this realization. A refused H is
+        by its bytes, that link's ZF condition guard has accepted: filled only
+        by link._zf_accept, and gone with this realization. A refused H is
         never entered."""
         return {}
 

@@ -34,12 +34,13 @@ point fills the block rows, adds its s2 and runs one cyclic reduction with
 a right-hand-side column per waveform of the group. The prefix phases are
 reduced exactly (modem.AfdmSpec.wrap), so a tuned AFDM prefix vector is
 exactly ones at even N, and OFDM, OTFS and AFDM then form one group. ZF
-decides frame by frame: each frame of a chunk goes through the public
-equalize_zf once per waveform, with its received blocks of all SNR points
-as one (S, N) stack, and a refusal raises from there. The frame's
-realization keeps H's diagonals and the guard's acceptance per prefix
-vector (_zf_diagonals), so the diagonals and the guard run once per frame
-and prefix vector, and the LU of H once per frame and waveform.
+builds the same diagonals per chunk and group and guards the chunk's
+groups as one stack (_zf_accept), with one decision per frame: the first
+refused frame, in group and then frame order, raises. Each accepted
+frame's realization keeps its diagonals per prefix vector, and each frame
+then goes through the public equalize_zf once per waveform, with its
+received blocks of all SNR points as one (S, N) stack, for the LU and
+demodulation alone.
 """
 
 from __future__ import annotations
@@ -116,14 +117,70 @@ def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
     return np.asarray(constellation.points)[labels]
 
 
-def demap_symbols(x_hat: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Hard nearest-point demapping back to bits."""
-    x_hat = np.asarray(x_hat)
+@lru_cache(maxsize=8)
+def _demap_tables(constellation: Constellation):
+    """(real cuts, imaginary cuts, bit table) of a grid constellation, or
+    (None, None, bit table) for any other.
+
+    A grid has points re[i] + 1j im[q], i = label // len(im) and q = label %
+    len(im): the high bits of a label pick the real level and the low bits
+    the imaginary one, as in QPSK and 16-QAM. Between two neighbouring
+    levels lo < hi of an axis, the cut t is the largest float that does not
+    go to hi, decided exactly (math.fsum): x goes to hi if it is nearer to
+    hi, or exactly midway and hi's label is the lower. Row
+    k * len(im) + j of a grid's bit table holds the bits of the point at the
+    k-th real and j-th imaginary level, in ascending order; otherwise row
+    `label` holds the bits of that label.
+    """
     pts = np.asarray(constellation.points)
-    labels = np.argmin(np.abs(x_hat[:, None] - pts[None, :]), axis=1)
     bps = constellation.bits_per_symbol
-    shifts = np.arange(bps - 1, -1, -1)
-    return ((labels[:, None] >> shifts[None, :]) & 1).reshape(-1)
+    bits = (np.arange(len(pts))[:, None] >> np.arange(bps - 1, -1, -1)) & 1
+    n_re, n_im = len(np.unique(pts.real)), len(np.unique(pts.imag))
+    if n_re * n_im != len(pts):
+        return None, None, bits
+    re, im = pts.real.reshape(n_re, n_im), pts.imag.reshape(n_re, n_im)
+    if np.any(re != re[:, :1]) or np.any(im != im[:1]):
+        return None, None, bits
+
+    def axis(levels):
+        order = np.argsort(levels)
+        cuts = []
+        for lo, hi, hi_wins_ties in zip(levels[order[:-1]], levels[order[1:]], order[1:] < order[:-1]):
+            def goes_up(x):
+                gap = math.fsum((2.0 * x, -lo, -hi))  # correctly rounded: its sign is exact
+                return gap > 0 or (gap == 0 and hi_wins_ties)
+
+            t = (lo + hi) / 2.0  # within an ulp of the exact midpoint
+            while goes_up(t):
+                t = np.nextafter(t, -np.inf)
+            while not goes_up(np.nextafter(t, np.inf)):
+                t = np.nextafter(t, np.inf)
+            cuts.append(t)
+        return order, np.array(cuts)
+
+    (i_order, i_cuts), (q_order, q_cuts) = axis(re[:, 0]), axis(im[0])
+    return i_cuts, q_cuts, bits[(i_order[:, None] * n_im + q_order).ravel()]
+
+
+def demap_symbols(x_hat: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Hard nearest-point demapping back to bits, MSB first per symbol.
+
+    One rule decides every constellation: the nearest point, a tie going
+    to the lowest label. A constellation that is not a grid (see
+    _demap_tables) takes the argmin of |x - p| over its points p. A grid
+    (QPSK, 16-QAM) is decided per axis by its cuts, as the nearest level
+    in exact arithmetic, so a value exactly midway between two levels goes
+    to the one with the lower label (with 16-QAM's Gray labels on
+    -3, -1, 1, 3: -3 at the first cut, -1 at the second and 3 at the
+    third, where the labels descend).
+    """
+    x_hat = np.asarray(x_hat).ravel()
+    i_cuts, q_cuts, bits = _demap_tables(constellation)
+    if i_cuts is None:
+        rows = np.argmin(np.abs(x_hat[:, None] - np.asarray(constellation.points)), axis=1)
+    else:
+        rows = np.searchsorted(i_cuts, x_hat.real) * (len(q_cuts) + 1) + np.searchsorted(q_cuts, x_hat.imag)
+    return np.take(bits, rows, axis=0).reshape(-1)
 
 
 def _check_snr(snr_db: float) -> None:
@@ -338,37 +395,47 @@ def _tau(N: int) -> float:
     return (4 * N + 64) * 2.0**-53
 
 
-def _weyl_certified(d: np.ndarray) -> bool:
-    """True if Weyl's bound above proves cond(H) <= sqrt(2 / tau_N) for H's
-    (ell_max + 1, N) diagonals d, with no factorization."""
-    tau = _tau(d.shape[1])
+def _weyl_certified(d: np.ndarray):
+    """Whether Weyl's bound above proves cond(H) <= sqrt(2 / tau_N), with no
+    factorization, for each H of a (..., ell_max + 1, N) stack d of H's
+    diagonals: a bool array of the leading shape, or one bool for one H."""
+    tau = _tau(d.shape[-1])
     K = math.sqrt(2.0 / tau)
     cK = (1.0 - 2.0 * K * tau) * K
     mags = np.abs(d)
-    # ell_max + 1 values each: Python floats cost less than more numpy calls
-    a, b = mags.max(axis=1).tolist(), mags.min(axis=1).tolist()
-    l0 = max(range(len(a)), key=lambda ell: a[ell] + b[ell])
-    r = sum(a[:l0] + a[l0 + 1 :])
-    return b[l0] > 1e-200 and a[l0] + r < 1e200 and a[l0] + (cK + 1.0) * r <= cK * b[l0]
+    a, b = mags.max(axis=-1), mags.min(axis=-1)
+    l0 = np.argmax(a + b, axis=-1)[..., None]  # the first delay of the largest a + b
+    a0, b0 = (np.take_along_axis(x, l0, axis=-1)[..., 0] for x in (a, b))
+    # the other a_ell summed one by one in delay order (accumulate is sequential)
+    r = np.add.accumulate(np.where(np.arange(a.shape[-1]) == l0, 0.0, a), axis=-1)[..., -1]
+    ok = (b0 > 1e-200) & (a0 + r < 1e200) & (a0 + (cK + 1.0) * r <= cK * b0)
+    return bool(ok) if d.ndim == 2 else ok
 
 
-def _certified(d: np.ndarray) -> bool:
-    """True if the Cholesky certificate above proves cond(H) <= sqrt(2 / tau_N)
-    for H's (ell_max + 1, N) diagonals d."""
-    N = d.shape[1]
-    lay = _band_layout(N, d.shape[0] - 1)
-    a = _gram(d[None], lay)[0]
-    trace = a[lay.slot0].real.sum()
-    if not 1e-200 < trace < 1e200:
-        return False
-    a[lay.slot0] -= _tau(N) * trace
+def _certified(d: np.ndarray):
+    """Whether the Cholesky certificate above proves cond(H) <= sqrt(2 / tau_N)
+    for each H of a (..., ell_max + 1, N) stack d of H's diagonals: a bool
+    array of the leading shape, or one bool for one H. The Gram diagonals
+    of the whole stack come from one _gram call; the Cholesky runs frame by
+    frame, so one failure leaves the other frames' answers alone, on one
+    reused N x N buffer."""
+    E, N = d.shape[-2:]
+    lay = _band_layout(N, E - 1)
+    a = _gram(d.reshape(-1, E, N), lay)
+    ok = np.zeros(len(a), dtype=bool)
     M = np.zeros(N * N, dtype=complex)
-    M[lay.dense_dst] = a.ravel()
-    try:
-        np.linalg.cholesky(M.reshape(N, N))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    for b, ab in enumerate(a):
+        trace = ab[lay.slot0].real.sum()
+        if not 1e-200 < trace < 1e200:
+            continue
+        ab[lay.slot0] -= _tau(N) * trace
+        M[lay.dense_dst] = ab.ravel()
+        try:
+            np.linalg.cholesky(M.reshape(N, N))
+        except np.linalg.LinAlgError:
+            continue
+        ok[b] = True
+    return bool(ok[0]) if d.ndim == 2 else ok.reshape(d.shape[:-2])
 
 
 def _folded(d: np.ndarray) -> np.ndarray:
@@ -381,27 +448,53 @@ def _folded(d: np.ndarray) -> np.ndarray:
     return H.reshape(N, N)
 
 
+def _zf_guard(d: np.ndarray) -> None:
+    """Raise SingularChannelError for the first H, in C order, of a
+    (..., ell_max + 1, N) stack d of H's diagonals with cond(H) > 1e12.
+
+    Weyl's bound clears what it can of the whole stack, the Cholesky
+    certificate runs on the rest as one stack, and only a frame neither
+    clears gets the exact np.linalg.cond test, in order, so each frame is
+    decided as the SVD alone would decide it and the message names the
+    first refused frame's condition number."""
+    flat = d.reshape(-1, *d.shape[-2:])
+    ok = _weyl_certified(flat)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        ok[rest] = _certified(flat[rest])
+    for b in np.flatnonzero(~ok):
+        cond = np.linalg.cond(_folded(flat[b]))
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
+
+
+def _zf_accept(chans, wraps, d: np.ndarray) -> None:
+    """Guard a (G, B, ell_max + 1, N) stack d of H's diagonals, G prefix
+    vectors wraps by B realizations chans (_zf_guard), then keep row
+    d[g, b], read-only, on chans[b]._zf_accepted under wraps[g]'s bytes.
+    A refusal raises before anything is kept."""
+    _zf_guard(d)
+    d.flags.writeable = False
+    for wrap, rows in zip(wraps, d):
+        for chan, row in zip(chans, rows):
+            chan._zf_accepted[wrap.tobytes()] = row
+
+
 def _zf_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
     """H's diagonals for the prefix vector wrap, read-only, once the guard has
     accepted H; H with cond(H) > 1e12 raises SingularChannelError.
 
-    An H that Weyl's bound or, failing it, the Cholesky certificate clears
-    needs no SVD; any other H gets the exact np.linalg.cond test. Guard and
-    diagonals read H alone, so an accepted H is kept on the realization
-    (chan._zf_accepted), keyed by wrap's bytes: waveforms with equal prefix
-    vectors, as OFDM, OTFS and a tuned AFDM at even N, form and guard H once
-    per realization. A refused H is not kept, so every call on it raises."""
+    The diagonals kept on the realization (chan._zf_accepted, keyed by
+    wrap's bytes) are returned as they are; otherwise this is the one-frame
+    _zf_accept. Waveforms with equal prefix vectors, as OFDM, OTFS and a
+    tuned AFDM at even N, so form and guard H once per realization. A
+    refused H is not kept, so every call on it raises."""
     key = wrap.tobytes()
-    d = chan._zf_accepted.get(key)
-    if d is None:
-        d = delay_diagonals(chan, wrap)
-        if not (_weyl_certified(d) or _certified(d)):
-            cond = np.linalg.cond(_folded(d))
-            if not np.isfinite(cond) or cond > 1e12:
-                raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
-        d.flags.writeable = False
-        chan._zf_accepted[key] = d
-    return d
+    if key not in chan._zf_accepted:
+        gains, delays, phases = chan._taps
+        d = _stack_diagonals(chan.config.ell_max, gains[None], delays[None], phases[None], wrap)
+        _zf_accept([chan], [wrap], d[None])
+    return chan._zf_accepted[key]
 
 
 def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -528,11 +621,10 @@ def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> 
     the fold permutation's banded order, once for the whole stack. Refuses
     channels with cond(H) = cond(G) > 1e12; Weyl's bound or a Cholesky
     certificate clears well-conditioned channels without an SVD (see
-    _weyl_certified and _certified). The guard reads H alone, so it runs
-    once per realization and prefix vector, whatever S: H's diagonals and
-    an acceptance are kept on chan, and a later call for a waveform with an
-    equal spec.wrap pays only the LU and demodulate. A refused channel is
-    refused again, with the same message, by every call.
+    _zf_guard). The guard reads H alone, so it runs once per realization
+    and prefix vector, whatever S (_zf_diagonals): a later call for a
+    waveform with an equal spec.wrap pays only the LU and demodulate. A
+    refused channel is refused again, with the same message, by every call.
     """
     r = _received(spec, chan, r)
     return demodulate(spec, _zf_solve(_zf_diagonals(chan, spec.wrap), r))
@@ -658,19 +750,24 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
         bits_hat = demap_symbols(x_hat.ravel(), constellation).reshape(*x_hat.shape[:2], -1)
         errors[w] = np.count_nonzero(bits_hat != bits[:, None], axis=2)
 
+    # H's diagonals once per chunk and prefix group, for either detector
+    groups = _prefix_groups(specs)
+    wraps = [specs[group[0]].wrap for group in groups]
+    d = [_stack_diagonals(chan_config.ell_max, paths[0], paths[1], phases, wrap) for wrap in wraps]
     if detector == "zf":
-        # one public call per frame and waveform, with the frame's S blocks:
-        # the first frame with cond(H) > 1e12 raises from equalize_zf, as a lone block would
+        # one guard for the chunk's groups and frames, the first refusal in group
+        # and frame order raising; then one public call per frame and waveform,
+        # with the frame's S blocks, which finds H accepted and runs the LU
         chans = [_realization(chan_config, *path) for path in zip(*paths)]
+        _zf_accept(chans, wraps, np.stack(d))
         for w, (spec, (_, r)) in enumerate(zip(specs, stacks)):
             count(w, np.stack([equalize_zf(spec, chan, r_b) for chan, r_b in zip(chans, r)]))
     else:
         noise_vars = [_noise_var(snr) for snr in snrs]
-        for group in _prefix_groups(specs):
+        for group, d_g in zip(groups, d):
             # one Gram per chunk and prefix, one reduction per point with a
             # right-hand side per waveform of the group
-            d = _stack_diagonals(chan_config.ell_max, paths[0], paths[1], phases, specs[group[0]].wrap)
-            z = _lmmse_sweep(d, np.stack([stacks[w][1] for w in group], axis=2), noise_vars)
+            z = _lmmse_sweep(d_g, np.stack([stacks[w][1] for w in group], axis=2), noise_vars)
             for k, w in enumerate(group):
                 count(w, demodulate(specs[w], z[:, :, k]))
     return errors, np.stack([_papr_db(s_cp) for s_cp, _ in stacks])
@@ -695,16 +792,15 @@ def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
     the stack size, so neither the chunk size nor the other points change a
     point's result (with one BLAS thread, ZF's LU solves S right-hand sides
     bit for bit as it solves one; LMMSE's reduction of R > 1 right-hand
-    sides agrees with R = 1 solves to rounding). ZF equalizes the chunk's
-    frames one by one through equalize_zf, waveform by waveform, in frame
-    order, each with its S blocks: Weyl's bound or a Cholesky certificate
-    clears a well-conditioned H without an SVD, any other H gets the exact
-    cond(H) > 1e12 test, and the first refused frame raises
-    SingularChannelError. The diagonals and the guard run once per frame
-    and prefix vector, kept on the frame's realization for the next
-    waveform of its group; the LU runs once per frame and waveform. A point
-    of +inf runs noiseless; NaN and -inf raise ValueError before the first
-    frame.
+    sides agrees with R = 1 solves to rounding). ZF guards each chunk's
+    prefix groups as one stack, one decision per frame: Weyl's bound or a
+    Cholesky certificate clears a well-conditioned H without an SVD, any
+    other H gets the exact cond(H) > 1e12 test, and the first refused frame,
+    in group and then frame order, raises SingularChannelError. It then
+    equalizes the chunk's frames one by one through equalize_zf, waveform
+    by waveform, in frame order, each with its S blocks: the LU runs once
+    per frame and waveform. A point of +inf runs noiseless; NaN and -inf
+    raise ValueError before the first frame.
     """
     for snr_db in snrs:
         _check_snr(snr_db)
@@ -743,13 +839,12 @@ def run_ber_point(
     Each frame draws a fresh channel, bit block and noise from an RNG
     substream derived from (seed, frame index), so the result is
     reproducible to the byte and equals this point's row of any sweep.
-    Frames run in fixed chunks as (B, N) stacks; ZF equalizes them one by
-    one through equalize_zf, one guard and one LU per frame (a sweep of
-    several waveforms guards once per frame and prefix vector and factors
-    once per frame and waveform), and the first frame with cond(H) > 1e12
-    raises SingularChannelError. snr_db = +inf runs noiseless; NaN and -inf
-    raise ValueError before the first frame. `threads` must be >= 1 and has
-    no other effect.
+    Frames run in fixed chunks as (B, N) stacks; ZF guards each chunk as
+    one stack and equalizes its frames one by one through equalize_zf, one
+    LU per frame (and waveform, in a sweep of several), and the first frame
+    with cond(H) > 1e12 raises SingularChannelError. snr_db = +inf runs
+    noiseless; NaN and -inf raise ValueError before the first frame.
+    `threads` must be >= 1 and has no other effect.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,73 @@ def test_map_demap_round_trip():
     for c in (QPSK, QAM16):
         bits = rng.integers(0, 2, size=40 * c.bits_per_symbol)
         assert np.array_equal(demap_symbols(map_bits(bits, c), c), bits)
+
+
+def _argmin_bits(x, c):
+    """The nearest-point rule as a distance table: argmin over |x - p|, ties to the lowest label."""
+    labels = np.argmin(np.abs(x[:, None] - np.asarray(c.points)), axis=1)
+    return ((labels[:, None] >> np.arange(c.bits_per_symbol - 1, -1, -1)) & 1).reshape(-1)
+
+
+def test_demap_cuts_equal_the_distance_table_on_noisy_symbols():
+    rng = np.random.default_rng(21)
+    for c in (QPSK, QAM16):
+        pts = np.asarray(c.points)
+        for _ in range(16):  # 2^20 symbols per constellation, in chunks of 2^16
+            x = pts[rng.integers(0, len(pts), 1 << 16)] + 0.3 * (rng.standard_normal((1 << 16, 2)) @ [1.0, 1.0j])
+            assert np.array_equal(demap_symbols(x, c), _argmin_bits(x, c))
+
+
+def test_demap_sends_a_symbol_exactly_midway_to_the_lower_label():
+    """On a grid whose midpoints are floats (16-QAM's Gray labels on the
+    unscaled levels -3, -1, 1, 3), a symbol exactly on a cut goes to the level
+    with the lower label: -3 at -2, -1 at 0 and, at 2, where the labels
+    descend (11 | 10), 3. On both axes at once it goes to the lowest of four."""
+    gray = Constellation("unscaled 16QAM", tuple(
+        complex(link._PAM4_GRAY[label >> 2], link._PAM4_GRAY[label & 3]) for label in range(16)
+    ), 4)
+    won = {-2.0: 0b00, 0.0: 0b01, 2.0: 0b10}
+    level_label = {v: k for k, v in link._PAM4_GRAY.items()}
+    for re_cut, im in [(x, y) for x in won for y in (*won, -3.0, 1.0)]:
+        q = won.get(im, level_label.get(im))
+        for sym, label in ((re_cut + 1j * im, won[re_cut] << 2 | q), (im + 1j * re_cut, q << 2 | won[re_cut])):
+            expected = (label >> np.arange(3, -1, -1)) & 1
+            assert np.array_equal(demap_symbols(np.array([sym]), gray), expected), sym
+            assert np.array_equal(_argmin_bits(np.array([sym]), gray), expected), sym
+
+
+def test_demap_cuts_decide_the_nearest_level_exactly():
+    """Around each cut, the floats go to the level that is nearer in exact
+    arithmetic, and an exact midpoint (0.0) to the lower label. The 16-QAM
+    cuts at +-2 / sqrt(10) are not floats, so no float there is a tie. On a
+    2-PAM of 0.7 (label 0) and 0.1, the float midpoint 0.39999999999999997
+    is nearer to 0.1, so it goes there although 0.7 has the lower label."""
+    pam2 = Constellation("2-PAM", (0.7 + 0.0j, 0.1 + 0.0j), 1)
+    assert demap_symbols(np.array([(0.1 + 0.7) / 2]), pam2).tolist() == [1]
+    for c in (QPSK, QAM16, pam2):
+        pts = np.asarray(c.points)
+        levels, im = np.unique(pts.real), pts.imag.min()
+        for lo, hi in zip(levels[:-1], levels[1:]):
+            x = (lo + hi) / 2.0
+            for _ in range(3):
+                x = np.nextafter(x, -np.inf)
+            for _ in range(6):
+                gap = 2 * Fraction(float(x)) - Fraction(float(lo)) - Fraction(float(hi))
+                tied = [p for p in range(len(pts)) if pts[p].real in (lo, hi) and pts[p].imag == im]
+                if gap != 0:
+                    tied = [p for p in tied if pts[p].real == (hi if gap > 0 else lo)]
+                expected = (min(tied) >> np.arange(c.bits_per_symbol - 1, -1, -1)) & 1
+                assert np.array_equal(demap_symbols(np.array([x + 1j * im]), c), expected), x
+                x = np.nextafter(x, np.inf)
+
+
+def test_demap_of_a_constellation_that_is_no_grid_is_the_distance_table():
+    # a diamond: levels -1, 0, 1 on each axis, 4 of the 9 grid points
+    diamond = Constellation("diamond", (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j), 2)
+    x = np.array([0.0, 0.5 + 0.5j, -0.5 + 0.5j, -0.5 - 0.5j, 0.9 - 0.2j])
+    assert demap_symbols(x, diamond).tolist() == [0, 0, 0, 0, 0, 1, 1, 0, 0, 0]
+    noisy = np.asarray(diamond.points)[np.arange(4000) % 4] + np.random.default_rng(5).standard_normal((4000, 2)) @ [0.5, 0.5j]
+    assert np.array_equal(demap_symbols(noisy, diamond), _argmin_bits(noisy, diamond))
 
 
 def test_map_bits_length_mismatch():
@@ -618,9 +686,10 @@ def test_ber_zf_equalizes_each_frame_through_equalize_zf(monkeypatch):
 
 @pytest.mark.parametrize("n,groups", [(64, 1), (37, 2)])
 def test_zf_guards_each_frame_once_per_prefix_vector(monkeypatch, n, groups):
-    """Waveforms with equal prefix vectors share H, so a ZF sweep runs the
-    guard once per frame and prefix vector, while equalize_zf still runs once
-    per frame and waveform, waveform by waveform within each chunk."""
+    """Waveforms with equal prefix vectors share H, so a ZF sweep guards each
+    frame once per prefix vector, in one stack per chunk of all its groups,
+    while equalize_zf still runs once per frame and waveform, waveform by
+    waveform within each chunk."""
     if n == 64:  # tuned AFDM at even N: prefix vector ones, one group
         c1, c2 = afdm_tune(3, 1, 0, 64)
         specs = [OfdmSpec(64, 3), OtfsSpec(k=8, l=8, cp_len=3), AfdmSpec(64, c1, c2, 0, 3)]
@@ -628,11 +697,11 @@ def test_zf_guards_each_frame_once_per_prefix_vector(monkeypatch, n, groups):
         c1, c2 = afdm_tune(3, 1, 1, 37)
         specs = [OfdmSpec(37, 3), AfdmSpec(37, c1, c2, 1, 3)]
     assert len(link._prefix_groups(specs)) == groups
-    cfg, frames, weyl, calls = _dispersive_config(n), 37, [], []
+    cfg, frames, stacks, calls = _dispersive_config(n), 37, [], []
     certified, equalize = link._weyl_certified, link.equalize_zf
 
     def counting(d):
-        weyl.append(d.shape)
+        stacks.append(len(d))
         return certified(d)
 
     def recording(spec, chan, r):
@@ -642,9 +711,65 @@ def test_zf_guards_each_frame_once_per_prefix_vector(monkeypatch, n, groups):
     monkeypatch.setattr(link, "_weyl_certified", counting)
     monkeypatch.setattr(link, "equalize_zf", recording)
     link._ber_sweep(specs, cfg, QAM16, [10.0, 20.0], frames, "zf", seed=6)
-    assert len(weyl) == groups * frames
+    assert stacks == [groups * len(chunk) for chunk in link._chunks(n, frames)]
+    assert sum(stacks) == groups * frames
     paths = [sample_paths(cfg, "fractional", link.substream(6, i)).paths for i in range(frames)]
     assert calls == [(spec, paths[i]) for chunk in link._chunks(n, frames) for spec in specs for i in chunk]
+
+
+def test_zf_guard_decides_each_frame_of_a_stack():
+    """One guard call on a (G, B) stack decides each frame as np.linalg.cond(H) > 1e12.
+
+    B = 16 channels at N = 64 under OFDM's prefix rule and a given-c1 AFDM's,
+    with near-singular frames (cond 2e11, 2e13, 5e12) at 0, 7 and 15. The
+    stacked certificates give each frame its one-frame answer, so a Cholesky
+    failure leaves the other frames certified. The guard raises with the
+    first refused frame's message, in group and then frame order, and keeps
+    nothing on any realization of a refused stack.
+    """
+    cfg, rng = _dispersive_config(64), np.random.default_rng(77)
+    chans = [sample_paths(cfg, "fractional", rng) for _ in range(16)]
+    for b, eps in ((0, 1e-11), (7, 1e-13), (15, 4e-13)):
+        chans[b] = _realization(64, [(1.0 + 0.0j, 0, 0.0), (-(1.0 - eps) + 0.0j, 0, 1.0)], f_max=1)
+    wraps = [OfdmSpec(64, 3).wrap, AfdmSpec(64, 0.0123, 0.011, cp_len=3).wrap]
+    d = np.stack([[delay_diagonals(chan, wrap) for chan in chans] for wrap in wraps])
+    flat = d.reshape(32, 4, 64)
+    n = np.arange(64)
+    conds = []
+    for x in flat:
+        H = np.zeros((64, 64), dtype=complex)
+        for ell, diag in enumerate(x):
+            H[n, (n - ell) % 64] = diag
+        conds.append(np.linalg.cond(H))
+    refused = [i for i, cond in enumerate(conds) if cond > 1e12]
+    assert refused == [7, 15, 23, 31]
+
+    for stage in (link._weyl_certified, link._certified):
+        assert stage(d).shape == (2, 16)
+        assert stage(d).ravel().tolist() == [stage(x) for x in flat]
+    cholesky = link._certified(d)
+    assert not cholesky[:, [0, 7, 15]].any() and cholesky.sum() >= 20
+
+    start = 0
+    for j in refused:
+        link._zf_guard(flat[start:j])
+        with pytest.raises(SingularChannelError) as first:
+            link._zf_guard(flat[start:])
+        with pytest.raises(SingularChannelError) as alone:
+            link._zf_guard(flat[j])
+        assert str(first.value) == str(alone.value)
+        start = j + 1
+    link._zf_guard(flat[start:])
+
+    with pytest.raises(SingularChannelError, match=r"(1\.99\d|2\.00\d)e\+13 exceeds 1e12"):
+        link._zf_accept(chans, wraps, d)
+    assert not any(chan._zf_accepted for chan in chans)
+    kept = [b for b in range(16) if b not in refused]
+    link._zf_accept([chans[b] for b in kept], wraps, d[:, kept])
+    for b, chan in enumerate(chans):
+        assert len(chan._zf_accepted) == (0 if b in refused else 2)
+    with pytest.raises(SingularChannelError):
+        equalize_zf(OfdmSpec(64, 3), chans[7], np.ones(64, dtype=complex))
 
 
 def test_zf_keeps_no_refusal_and_no_other_prefix_vectors_channel():
