@@ -2,11 +2,14 @@
 
 A channel realization is a finite set of propagation paths, each with a
 complex gain, an integer normalized delay (samples) and a real normalized
-digital Doppler f = N*nu/f_s. The sample-level time-domain application is
-the ground truth. After the cyclic prefix is stripped, H is P shifted
-diagonals, and no N x N matrix is built here: apply_paths applies H in
-O(N P) per block and delay_diagonals gives its ell_max + 1 populated cyclic
-diagonals. Both read the prefix factors of a delay-ell path, wrap[N - ell + n]
+digital Doppler f = N*nu/f_s. H = sum_p h_p Phi_p D(f_p) Pi^{ell_p} has two
+routes, and no N x N matrix is built here. The sample route,
+time_domain_apply (_apply_samples for stacks), reads each path's samples
+from the transmitted prefix: it is the ground truth and the frames' transmit
+channel. After the prefix is stripped, H is its ell_max + 1 populated cyclic
+diagonals: _stack_diagonals is their one builder (delay_diagonals its
+one-realization call), and _apply_diagonals applies them in O(N) per delay.
+The builder reads the prefix factors of a delay-ell path, wrap[N - ell + n]
 on its rows n < ell, from the waveform's prefix vector (modem.AfdmSpec.wrap).
 """
 
@@ -286,41 +289,26 @@ def _wrap_window(wrap: np.ndarray, delays) -> np.ndarray:
     return np.concatenate([wrap, np.ones(N)])[N - delays[..., None] + np.arange(N)]
 
 
-def _path_taps(gains, delays, phases, wrap) -> np.ndarray:
-    """Entries of each path's populated cyclic diagonal: h_p * phi_p[n] * e^{j2pi f_p n/N}.
-
-    The gains and delays have shape (..., P), the Doppler phases
-    e^{j2pi f_p n/N} and the taps (..., P, N), phi_p is the path's
-    _wrap_window, and entry n of path p sits at (n, (n - ell_p) mod N).
-    """
-    return gains[..., None] * (_wrap_window(wrap, delays) * phases)
-
-
 def delay_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
     """The ell_max + 1 populated cyclic diagonals of H, shape (ell_max + 1, N).
 
     Row ell holds d[ell][n] = H[n, (n - ell) mod N], the sum of the taps of
-    every path with delay ell; H has no other nonzero entry. wrap is spec.wrap.
-
-    Only a path's first ell entries read the prefix, so only they are
-    multiplied by its window wrap[N - ell:]; the other window entries are 1.
-    The result equals _stack_diagonals' bit for bit: each product keeps its
-    operand order, and a factor 1 can change only the sign of a zero, which
-    the sum into the zeroed rows drops.
+    every path with delay ell; H has no other nonzero entry. wrap is
+    spec.wrap. This is the one-realization _stack_diagonals.
     """
-    N = chan.config.N
     gains, delays, phases = chan._taps
-    d = np.zeros((chan.config.ell_max + 1, N), dtype=complex)
-    for gain, ell, tap in zip(gains, delays.tolist(), phases):
-        d[ell, :ell] += gain * (wrap[N - ell :] * tap[:ell])
-        d[ell, ell:] += gain * tap[ell:]
-    return d
+    return _stack_diagonals(chan.config.ell_max, gains[None], delays[None], phases[None], wrap)[0]
 
 
 def _stack_diagonals(ell_max: int, gains, delays, phases, wrap) -> np.ndarray:
     """delay_diagonals of B realizations given as (B, P) gains and delays and
-    (B, P, N) Doppler phases (doppler_phases of the Dopplers): shape (B, ell_max + 1, N)."""
-    taps = _path_taps(gains, delays, phases, wrap)
+    (B, P, N) Doppler phases (doppler_phases of the Dopplers): shape (B, ell_max + 1, N).
+
+    Path p's taps h_p * phi_p[n] * e^{j2pi f_p n/N}, phi_p its _wrap_window
+    of wrap, sit at (n, (n - ell_p) mod N), so they sum, in path order, into
+    row ell_p.
+    """
+    taps = gains[..., None] * (_wrap_window(wrap, delays) * phases)
     d = np.zeros((delays.shape[0], ell_max + 1, phases.shape[-1]), dtype=complex)
     rows = np.arange(delays.shape[0])
     for p in range(delays.shape[1]):
@@ -328,23 +316,19 @@ def _stack_diagonals(ell_max: int, gains, delays, phases, wrap) -> np.ndarray:
     return d
 
 
-def apply_paths(S: np.ndarray, paths, wrap: np.ndarray) -> np.ndarray:
-    """Apply H = sum_p h_p . Phi_p . D(f_p) . Pi^{ell_p} to N-sample blocks.
+def _apply_diagonals(d: np.ndarray, S) -> np.ndarray:
+    """H S for H's (ell_max + 1, N) cyclic diagonals d and blocks along the last axis of S.
 
-    S holds blocks along its last axis (one block, or one block per row) and
-    `paths` is an iterable of PathParams. Entry n of each output block is
-    sum_p h_p * phi_p[n] * e^{j2pi f_p n/N} * s[(n - ell_p) mod N], so a path
-    costs O(N) per block: two sliced multiplies and one add, no matrix.
-    phi_p is the path's window of wrap, the waveform's prefix vector (spec.wrap).
+    Entry n of each output block is sum_ell d[ell][n] * s[(n - ell) mod N],
+    summed in delay order: two sliced multiplies and one add per delay, no matrix.
     """
     S = np.asarray(S)
     N = S.shape[-1]
-    gains, delays, dopplers = _path_arrays(paths)
     out = np.zeros(S.shape, dtype=complex)
     term = np.empty(S.shape, dtype=complex)
-    for ell, d in zip(delays.tolist(), _path_taps(gains, delays, doppler_phases(N, dopplers), wrap)):
-        np.multiply(S[..., N - ell:], d[:ell], out=term[..., :ell])
-        np.multiply(S[..., : N - ell], d[ell:], out=term[..., ell:])
+    for ell, d_ell in enumerate(d):
+        np.multiply(S[..., N - ell :], d_ell[:ell], out=term[..., :ell])
+        np.multiply(S[..., : N - ell], d_ell[ell:], out=term[..., ell:])
         out += term
     return out
 

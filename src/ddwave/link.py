@@ -27,26 +27,28 @@ each SNR point adds its own scaling of the frame's noise, scaled once, to
 the noiseless received block. BER frames and the `sense` trials
 (sensing._sense_trials, one point, one waveform) both come from it, in the
 same chunks. The public single-block functions call the same stacked code
-with B = 1. Waveforms with equal prefix vectors (spec.wrap) see the same
-H, so LMMSE groups them (_prefix_groups): a group builds H's diagonals
-and the diagonals of H H^H once per chunk (_lmmse_sweep), and each SNR
+with B = 1. The transmitted blocks take the channel's sample route
+(channel._apply_samples), which reads their prefix; the receivers read H
+by its diagonal route. Waveforms with equal prefix vectors (spec.wrap) see
+the same H (_prefix_groups), so _draw_frames forms H's diagonals
+(channel._stack_diagonals) once per chunk and group. LMMSE forms the
+diagonals of H H^H once per chunk and group (_lmmse_sweep), and each SNR
 point fills the block rows, adds its s2 and runs one cyclic reduction with
 a right-hand-side column per waveform of the group. The prefix phases are
 reduced exactly (modem.AfdmSpec.wrap), so a tuned AFDM prefix vector is
 exactly ones at even N, and OFDM, OTFS and AFDM then form one group. ZF
-builds the same diagonals per chunk and group and guards the chunk's
-groups as one stack (_zf_accept), with one decision per frame: the first
-refused frame, in group and then frame order, raises. Each accepted
-frame's realization keeps its diagonals per prefix vector, and each frame
-then goes through the public equalize_zf once per waveform, with its
-received blocks of all SNR points as one (S, N) stack, for the LU and
-demodulation alone.
+guards the chunk's groups as one stack (_zf_accept), with one decision
+per frame: the first refused frame, in group and then frame order,
+raises. Each accepted frame's realization keeps its diagonals per prefix
+vector, and each frame then goes through the public equalize_zf once per
+waveform, with its received blocks of all SNR points as one (S, N) stack,
+for the LU and demodulation alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -232,7 +234,8 @@ class _BandLayout:
     Folded A is block tridiagonal with nb blocks of m rows (m at least its
     half-bandwidth), padded by an identity to nb * m rows. Block row i is
     stored as one (m, width) frame [A_ii | rhs_i | A_{i,i-1} | A_{i,i+1}]
-    with R right-hand-side columns rhs_i; with nb = 1 it is [A | rhs].
+    with R right-hand-side columns rhs_i, width 3m + R; with nb = 1 it is
+    [A | rhs], width m + R.
     Band entry k goes to entry band_dst[k] of the flattened (nb, m, width)
     frames and to entry dense_dst[k] of the whole folded A, flattened; the
     main diagonal's N entries go to diag_dst. Sample n of right-hand side
@@ -276,8 +279,8 @@ _ONE_BLOCK_ROWS = 96
 
 
 @lru_cache(maxsize=32)
-def _band_layout(N: int, ell_max: int) -> _BandLayout:
-    """The layout of A with one right-hand side: one dense block while N <= 96,
+def _band_layout(N: int, ell_max: int, R: int = 1) -> _BandLayout:
+    """The layout of A with R right-hand sides: one dense block while N <= 96,
     else ceil(N / max(half-bandwidth, 8)) blocks of at least the half-bandwidth."""
     perm, inv = _fold(N)
     offsets = sorted({o % N for o in range(-ell_max, ell_max + 1)})
@@ -291,9 +294,9 @@ def _band_layout(N: int, ell_max: int) -> _BandLayout:
     half_width = int(np.max(np.abs(i - j)))
     nb = 1 if N <= _ONE_BLOCK_ROWS else -(-N // max(half_width, _BLOCK_ROWS))
     m = max(-(-N // nb), half_width)
-    width = m + 1 if nb == 1 else 3 * m + 1
+    width = m + R if nb == 1 else 3 * m + R
     bi, bj = i // m, j // m
-    col = j % m + np.select([bj == bi, bj < bi], [0, m + 1], 2 * m + 1)
+    col = j % m + np.select([bj == bi, bj < bi], [0, m + R], 2 * m + R)
     band_dst = i * width + col
     slot0 = offsets.index(0)
     pad = np.arange(N, nb * m)
@@ -309,32 +312,8 @@ def _band_layout(N: int, ell_max: int) -> _BandLayout:
         band_dst=band_dst,
         diag_dst=band_dst[slot0 * N : (slot0 + 1) * N],
         pad_dst=pad * width + pad % m,
-        vec=inv * width + m,
+        vec=(inv * width + m + np.arange(R)[:, None]).ravel(),
         adjoint_src=np.arange(ell_max + 1)[:, None] * N + (n + np.arange(ell_max + 1)[:, None]) % N,
-    )
-
-
-@lru_cache(maxsize=32)
-def _rhs_layout(N: int, ell_max: int, R: int) -> _BandLayout:
-    """_band_layout with R right-hand sides: R - 1 more rhs columns before L
-    and U. The tables that do not depend on R are shared, not built again."""
-    lay = _band_layout(N, ell_max)
-    if R == 1:
-        return lay
-    width = lay.width + R - 1
-
-    def widen(dst):
-        row, col = np.divmod(dst, lay.width)
-        return row * width + col + (R - 1) * (col > lay.m)
-
-    band_dst = widen(lay.band_dst)
-    return replace(
-        lay,
-        width=width,
-        band_dst=band_dst,
-        diag_dst=band_dst[lay.slot0 * N : (lay.slot0 + 1) * N],
-        pad_dst=widen(lay.pad_dst),
-        vec=(widen(lay.vec) + np.arange(R)[:, None]).ravel(),
     )
 
 
@@ -491,9 +470,7 @@ def _zf_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
     refused H is not kept, so every call on it raises."""
     key = wrap.tobytes()
     if key not in chan._zf_accepted:
-        gains, delays, phases = chan._taps
-        d = _stack_diagonals(chan.config.ell_max, gains[None], delays[None], phases[None], wrap)
-        _zf_accept([chan], [wrap], d[None])
+        _zf_accept([chan], [wrap], delay_diagonals(chan, wrap)[None, None])
     return chan._zf_accepted[key]
 
 
@@ -568,7 +545,7 @@ def _lmmse_sweep(d: np.ndarray, r: np.ndarray, noise_vars) -> np.ndarray:
     level; with nb = 1 that is one dense solve per frame.
     """
     B, S, R, N = r.shape
-    lay = _rhs_layout(N, d.shape[1] - 1, R)
+    lay = _band_layout(N, d.shape[1] - 1, R)
     a = _gram(d, lay).reshape(B, -1)
     x = np.empty(r.shape, dtype=complex)
     F = np.empty((B, lay.nb * lay.m * lay.width), dtype=complex)
@@ -680,18 +657,19 @@ def _draw_frames(specs, chan_config: ChannelConfig, constellation: Constellation
                  snrs, doppler_mode: str, seed: int, keys) -> tuple:
     """The frames of the substream keys `keys` as stacks, one row per frame,
     for each waveform of specs (all of one block size N): ((gains, delays,
-    dopplers), Doppler phases, bits, [(prefixed samples, received blocks)
+    dopplers), [(group, H's (B, ell_max + 1, N) diagonals)] per prefix
+    group (_prefix_groups), bits, [(prefixed samples, received blocks)
     per spec]), the received blocks (B, S, N), one per SNR point snrs[s].
 
     Frame key k draws channel, bits and noise, in this order, from
     substream(seed, *k), once for all waveforms, so no draw depends on snrs
     or specs. The bits are mapped, the (B, P, N) phases
     doppler_phases(N, dopplers) formed and each point's noise scaled once;
-    the phases serve the channel here and the caller's H diagonals
-    (_stack_diagonals). Each waveform then runs the transmit chain and the
-    channel once on the stacks, and point s adds the frame's noise at
-    snrs[s] to the noiseless received block. A sweep of +inf points alone
-    draws no noise.
+    the phases serve both routes of the channel: the diagonals, formed once
+    per group (_stack_diagonals), and the sample route (_apply_samples), on
+    which each waveform runs the transmit chain once on the stacks. Point s
+    adds the frame's noise at snrs[s] to the noiseless received block. A
+    sweep of +inf points alone draws no noise.
     """
     N, B = specs[0].n, len(keys)
     paths = [np.empty((B, chan_config.P), dtype=t) for t in (complex, np.intp, float)]
@@ -713,7 +691,11 @@ def _draw_frames(specs, chan_config: ChannelConfig, constellation: Constellation
         s_cp = prepend_cp(spec, modulate(spec, x))
         r0 = _apply_samples(s_cp, N, paths[0], paths[1], phases)
         stacks.append((s_cp, np.stack([r0 if z is None else r0 + z for z in noise], axis=1)))
-    return paths, phases, bits, stacks
+    diagonals = [
+        (group, _stack_diagonals(chan_config.ell_max, paths[0], paths[1], phases, specs[group[0]].wrap))
+        for group in _prefix_groups(specs)
+    ]
+    return paths, diagonals, bits, stacks
 
 
 def _prefix_groups(specs) -> list[list[int]]:
@@ -739,7 +721,7 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
     """Monte Carlo frames `frames` of every waveform of specs at the SNR
     points snrs as stacks; returns (bit errors (W, B, S), papr_db (W, B))
     for W = len(specs)."""
-    paths, phases, bits, stacks = _draw_frames(
+    paths, diagonals, bits, stacks = _draw_frames(
         specs, chan_config, constellation, snrs, doppler_mode, seed, [(i,) for i in frames]
     )
     errors = np.empty((len(specs), len(frames), len(snrs)), dtype=np.intp)
@@ -750,24 +732,21 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
         bits_hat = demap_symbols(x_hat.ravel(), constellation).reshape(*x_hat.shape[:2], -1)
         errors[w] = np.count_nonzero(bits_hat != bits[:, None], axis=2)
 
-    # H's diagonals once per chunk and prefix group, for either detector
-    groups = _prefix_groups(specs)
-    wraps = [specs[group[0]].wrap for group in groups]
-    d = [_stack_diagonals(chan_config.ell_max, paths[0], paths[1], phases, wrap) for wrap in wraps]
     if detector == "zf":
         # one guard for the chunk's groups and frames, the first refusal in group
         # and frame order raising; then one public call per frame and waveform,
         # with the frame's S blocks, which finds H accepted and runs the LU
         chans = [_realization(chan_config, *path) for path in zip(*paths)]
-        _zf_accept(chans, wraps, np.stack(d))
+        wraps = [specs[group[0]].wrap for group, _ in diagonals]
+        _zf_accept(chans, wraps, np.stack([d for _, d in diagonals]))
         for w, (spec, (_, r)) in enumerate(zip(specs, stacks)):
             count(w, np.stack([equalize_zf(spec, chan, r_b) for chan, r_b in zip(chans, r)]))
     else:
         noise_vars = [_noise_var(snr) for snr in snrs]
-        for group, d_g in zip(groups, d):
+        for group, d in diagonals:
             # one Gram per chunk and prefix, one reduction per point with a
             # right-hand side per waveform of the group
-            z = _lmmse_sweep(d_g, np.stack([stacks[w][1] for w in group], axis=2), noise_vars)
+            z = _lmmse_sweep(d, np.stack([stacks[w][1] for w in group], axis=2), noise_vars)
             for k, w in enumerate(group):
                 count(w, demodulate(specs[w], z[:, :, k]))
     return errors, np.stack([_papr_db(s_cp) for s_cp, _ in stacks])

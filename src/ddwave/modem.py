@@ -3,7 +3,7 @@
 This is the one module that knows how a waveform transforms. Each spec owns
 its unitary transmit and receive transforms, written as FFTs with norm="ortho"
 and diagonal factors (no N x N matrix), plus its prefix vector `wrap`, which
-the prefix, the channel's path operators and the sensing search all read.
+the prefix, the channel's two routes and the sensing search all read.
 The transforms, and modulate, demodulate and prepend_cp over them, act on
 blocks along the last axis, so one call maps a single block or a stack of
 blocks. On top of them sit the effective-channel
@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelRealization, _roots, _turns, apply_paths
+from .channel import ChannelRealization, _apply_diagonals, _roots, _turns, delay_diagonals
 
 
 @lru_cache(maxsize=16)
@@ -276,16 +276,16 @@ def effective_channel(spec: WaveformSpec, chan: ChannelRealization) -> np.ndarra
 
     Noiselessly, demodulate(strip_cp(apply(chan, prepend_cp(modulate(x))))) equals
     G @ x; H is reduced with this waveform's own prefix vector. G is built
-    by sending every unit symbol block through the transmit transform, the
-    path operators and the receive transform: O(N^2 log N), no matrix product.
+    by sending every unit symbol block through the transmit transform, H's
+    cyclic diagonals delay_diagonals(chan, spec.wrap) (the diagonal route of
+    the channel module, not the sample route of time_domain_apply) and the
+    receive transform: O(N^2 log N), no matrix product.
     """
     if chan.config.N != spec.n:
         raise ValueError(f"channel block size {chan.config.N} != waveform size {spec.n}")
     # row j is the response to unit block e_j, i.e. column j of G
-    rows = spec._rx(
-        apply_paths(spec._tx(np.eye(spec.n, dtype=complex)), chan.paths, spec.wrap)
-    )
-    return rows.T
+    d = delay_diagonals(chan, spec.wrap)
+    return spec._rx(_apply_diagonals(d, spec._tx(np.eye(spec.n, dtype=complex)))).T
 
 
 def afdm_orthogonality_ok(ell_max: int, f_max: int, xi: int, N: int) -> bool:

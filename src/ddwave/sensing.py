@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelConfig, _roots, _stack_diagonals, _wrap_window, doppler_phases
+from .channel import ChannelConfig, _roots, _wrap_window, doppler_phases
 from .link import Constellation, _check_spec, _draw_frames, map_bits
 from .modem import AfdmSpec, OfdmSpec, WaveformSpec, _support_indices, afdm_shift, demodulate, modulate
 
@@ -82,11 +82,12 @@ class RadarTargetEstimate:
 def _check_bins(delay_bins, doppler_bins, N: int) -> tuple[np.ndarray, np.ndarray]:
     delay_bins = np.asarray(delay_bins, dtype=float)
     doppler_bins = np.asarray(doppler_bins, dtype=float)
+    # the range tests are written so that NaN fails them: a non-finite bin is out of range
+    if not np.all((delay_bins >= 0) & (delay_bins <= N - 1)):
+        raise ValueError(f"delay bins must lie in 0..{N - 1}")
     if np.any(np.abs(delay_bins - np.round(delay_bins)) > 1e-9):
         raise ValueError("fractional delay bins are unsupported (integer-delay scope)")
-    if np.any((delay_bins < 0) | (delay_bins > N - 1)):
-        raise ValueError(f"delay bins must lie in 0..{N - 1}")
-    if np.any(np.abs(doppler_bins) > N / 2):
+    if not np.all(np.abs(doppler_bins) <= N / 2):
         raise ValueError("Doppler bins must lie within +-N/2")
     return np.round(delay_bins).astype(int), doppler_bins
 
@@ -263,8 +264,8 @@ class _ChannelCsi:
     |Q[c]|, with Q[c] a sum of E complex exponentials whose coefficients
     cost O(E) per candidate; Parseval bounds that mean (_parseval_bounds),
     and only the candidates the bounds cannot rule out (_survivors) get
-    their (N,) row: O(C E + k N) for C candidates and k survivors, about 4
-    of 255 at N = 256. OTFS scores every candidate, in O(C N).
+    their (N,) row: O(C E + k N) for C candidates and k survivors. OTFS
+    scores every candidate, in O(C N).
     """
 
     def __init__(self, spec: WaveformSpec, E: int):
@@ -487,18 +488,17 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
     """Sensing trials of the substream keys `keys`: (truth pairs, estimates per method) each.
 
     A trial is a BER frame (link._draw_frames), read in time domain: no
-    method demodulates it. H's diagonals are formed once per chunk, and the
-    tables come from _trial_tables. Each trial runs the matched filter,
+    method demodulates it. H's diagonals come with the chunk, and the
+    tables from _trial_tables. Each trial runs the matched filter,
     direct CSI and the ML search for chan_config.P targets on the window
     0..ell_max x -f_max..f_max.
     """
-    (gains, delays, dopplers), phases, _, [(s_cp, r)] = _draw_frames(
+    (_, delays, dopplers), [(_, diags)], _, [(s_cp, r)] = _draw_frames(
         [spec], chan_config, constellation, [snr_db], doppler_mode, seed, keys
     )
     r = r[:, 0]
     ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P
     csi, ml_grid = _trial_tables(spec, ell_max, f_max, refine_levels, refine_factor)
-    diags = _stack_diagonals(ell_max, gains, delays, phases, spec.wrap)
     # the matched filter's plain cyclic pilot rows; ml_grid.coarse is its Doppler table
     cyclic = (np.arange(spec.n) - ml_grid.ells[:, None]) % spec.n
     trials = []

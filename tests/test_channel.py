@@ -1,4 +1,4 @@
-"""Channel model: sample-level oracle, path operators, continuous views, MIMO."""
+"""Channel model: sample-level oracle, H's diagonals and their applier, continuous views, MIMO."""
 
 import tracemalloc
 
@@ -10,9 +10,7 @@ from ddwave.channel import (
     ChannelConfig,
     ChannelRealization,
     PathParams,
-    _path_arrays,
-    _stack_diagonals,
-    apply_paths,
+    _apply_diagonals,
     delay_diagonals,
     doppler_phases,
     dvirf_points,
@@ -42,9 +40,14 @@ def paths_tuple(chan):
     return [(p.gain, p.delay_norm, p.doppler_norm) for p in chan.paths]
 
 
-def operator_matrix(N, paths, wrap):
-    """H assembled column by column from apply_paths: row j of the applied identity is column j."""
-    return apply_paths(np.eye(N), paths, wrap).T
+def apply_h(chan, wrap, S):
+    """H S through H's diagonals: the diagonal route of effective_channel."""
+    return _apply_diagonals(delay_diagonals(chan, wrap), S)
+
+
+def operator_matrix(chan, wrap):
+    """H assembled column by column from its diagonals: row j of the applied identity is column j."""
+    return apply_h(chan, wrap, np.eye(chan.config.N)).T
 
 
 def oracle_diagonals(H, ell_max):
@@ -181,13 +184,13 @@ def test_short_input_rejected():
         time_domain_apply(np.ones(10), single(cfg, 1.0, 0, 0.0))
 
 
-# ----------------------------------------------------- path operator, diagonals
+# ------------------------------------------------------ diagonals and applier
 
 def test_channel_matrix_identity_path():
     cfg = make_config(P=1)
     chan = single(cfg, 1.0, 0, 0.0)
     S = np.random.default_rng(1).standard_normal((3, 16)) + 0j
-    assert np.array_equal(apply_paths(S, chan.paths, OfdmSpec(16).wrap), S)
+    assert np.array_equal(apply_h(chan, OfdmSpec(16).wrap, S), S)
     expected = np.zeros((cfg.ell_max + 1, 16), dtype=complex)
     expected[0] = 1.0
     assert np.array_equal(delay_diagonals(chan, OfdmSpec(16).wrap), expected)
@@ -197,7 +200,7 @@ def test_channel_matrix_pure_delay_is_shift_matrix():
     cfg = make_config(P=1)
     shift = oracle.channel_matrix(16, [(1.0, 1, 0.0)], oracle.zero_cycles)
     s = np.exp(2j * np.pi * np.arange(16) / 7)
-    out = apply_paths(s, single(cfg, 1.0, 1, 0.0).paths, OfdmSpec(16).wrap)
+    out = apply_h(single(cfg, 1.0, 1, 0.0), OfdmSpec(16).wrap, s)
     assert np.allclose(out, np.roll(s, 1), atol=1e-12)
     assert np.max(np.abs(out - shift @ s)) <= 1e-10
 
@@ -234,11 +237,10 @@ def test_channel_matrix_frobenius_energy():
 
 
 def test_delay_diagonals_equal_the_per_path_sum_bit_for_bit():
-    # delay_diagonals windows only a path's prefix rows; it must give the bits of
-    # summing every path's full taps gain * (window * Doppler phase), window
-    # wrap[N - ell + n] on rows n < ell and 1 elsewhere, in path order, and of the
-    # frame stacks' _stack_diagonals. P > ell_max + 1 makes delays repeat, and a
-    # given c1 puts the AFDM prefix factors off the real line.
+    # delay_diagonals must give the bits of summing every path's full taps
+    # gain * (window * Doppler phase), window wrap[N - ell + n] on rows n < ell
+    # and 1 elsewhere, in path order. P > ell_max + 1 makes delays repeat, and
+    # a given c1 puts the AFDM prefix factors off the real line.
     rng = np.random.default_rng(15)
     for N in (16, 37, 64):
         for wrap in (OfdmSpec(N).wrap, AfdmSpec(N, 3.0 / (2 * N), 0.0).wrap, AfdmSpec(N, 0.0123, 0.011).wrap):
@@ -250,18 +252,13 @@ def test_delay_diagonals_equal_the_per_path_sum_bit_for_bit():
                 for p in chan.paths:
                     window = np.where(n < p.delay_norm, wrap[(N - p.delay_norm + n) % N], 1.0)
                     want[p.delay_norm] += p.gain * (window * doppler_phases(N, p.doppler_norm))
-                got = delay_diagonals(chan, wrap)
-                assert got.tobytes() == want.tobytes()
-                gains, delays, dopplers = _path_arrays(chan.paths)
-                stacked = _stack_diagonals(cfg.ell_max, gains[None], delays[None],
-                                           doppler_phases(N, dopplers)[None], wrap)
-                assert got.tobytes() == stacked[0].tobytes()
+                assert delay_diagonals(chan, wrap).tobytes() == want.tobytes()
 
 
 def test_single_path_operator_matches_factor_product():
     # the oracle forms Phi(ell) . D(f) . Pi^ell entry by entry
     c1 = 5.0 / 32.0
-    direct = operator_matrix(16, (PathParams(1.0, 3, -1.4),), AfdmSpec(16, c1, 0.0).wrap)
+    direct = operator_matrix(single(make_config(P=1), 1.0, 3, -1.4), AfdmSpec(16, c1, 0.0).wrap)
     product = oracle.channel_matrix(16, [(1.0, 3, -1.4)], oracle.chirp_cp_cycles(c1, 16))
     assert np.max(np.abs(direct - product)) <= 1e-10
 
@@ -281,7 +278,7 @@ def test_time_domain_equals_matrix_form_zero_phase(trial):
     chan = sample_paths(cfg, "fractional", rng)
     s = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     lhs = time_domain_apply(_prepend(s, cfg.cp_len, oracle.zero_cycles), chan)
-    rhs = apply_paths(s, chan.paths, OfdmSpec(16).wrap)
+    rhs = apply_h(chan, OfdmSpec(16).wrap, s)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
     ref = oracle.channel_matrix(16, paths_tuple(chan), oracle.zero_cycles) @ s
     assert np.max(np.abs(rhs - ref)) <= 1e-10
@@ -298,7 +295,7 @@ def test_time_domain_equals_matrix_form_chirp_phase(trial):
     chan = sample_paths(cfg, "fractional", rng)
     s = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     lhs = time_domain_apply(_prepend(s, cfg.cp_len, oracle.chirp_cp_cycles(c1, N)), chan)
-    rhs = apply_paths(s, chan.paths, wrap)
+    rhs = apply_h(chan, wrap, s)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
     ref = oracle.channel_matrix(N, paths_tuple(chan), oracle.chirp_cp_cycles(c1, N)) @ s
     assert np.max(np.abs(rhs - ref)) <= 1e-10
@@ -315,7 +312,7 @@ def test_matrix_form_matches_independent_reference():
         (AfdmSpec(N, c1, 0.0).wrap, oracle.chirp_cp_cycles(c1, N)),
     ):
         H_ref = oracle.channel_matrix(N, paths_tuple(chan), cycles)
-        assert np.max(np.abs(operator_matrix(N, chan.paths, wrap) - H_ref)) <= 1e-10
+        assert np.max(np.abs(operator_matrix(chan, wrap) - H_ref)) <= 1e-10
         d = delay_diagonals(chan, wrap)
         assert np.max(np.abs(d - oracle_diagonals(H_ref, cfg.ell_max))) <= 1e-10
 
@@ -346,7 +343,7 @@ def test_given_c1_operators_match_the_oracle(c1, N):
     spec = AfdmSpec(N, c1, c2, cp_len=cfg.cp_len)
     cycles = oracle.chirp_cp_cycles(c1, N)
     H_ref = oracle.channel_matrix(N, paths_tuple(chan), cycles)
-    assert np.max(np.abs(operator_matrix(N, chan.paths, spec.wrap) - H_ref)) <= 1e-10
+    assert np.max(np.abs(operator_matrix(chan, spec.wrap) - H_ref)) <= 1e-10
     assert np.max(np.abs(delay_diagonals(chan, spec.wrap) - oracle_diagonals(H_ref, cfg.ell_max))) <= 1e-10
     G = effective_channel(spec, chan)
     G_ref = oracle.effective_matrix(*oracle.afdm_ops(N, c1, c2), paths_tuple(chan), cycles)
@@ -354,6 +351,33 @@ def test_given_c1_operators_match_the_oracle(c1, N):
     x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     r = time_domain_apply(prepend_cp(spec, modulate(spec, x)), chan)
     assert np.max(np.abs(demodulate(spec, r) - G @ x)) <= 1e-10
+
+
+C1_37, C2_37 = afdm_tune(3, 1, 1, 37)
+REPEATED_DELAY_CASES = [
+    (OfdmSpec(37, 3), oracle.ofdm_ops(37), oracle.zero_cycles),
+    (AfdmSpec(37, C1_37, C2_37, xi=1, cp_len=3), oracle.afdm_ops(37, C1_37, C2_37),
+     oracle.chirp_cp_cycles(C1_37, 37)),
+]
+
+
+@pytest.mark.parametrize("case", REPEATED_DELAY_CASES, ids=["ofdm-37", "afdm-37-xi1"])
+def test_applier_sums_repeated_delays_drawn_out_of_order(case):
+    # P > ell_max + 1 paths, drawn out of delay order, at odd N (the tuned AFDM
+    # prefix factors are -1): the applier sums each delay's paths into one
+    # diagonal, and must still agree with the sample route and the oracle
+    spec, (tx, rx), cycles = case
+    rng = np.random.default_rng(37)
+    cfg = make_config(N=37, ell_max=3, f_max=1, P=6)
+    chan = sample_paths(cfg, "fractional", rng)
+    delays = [p.delay_norm for p in chan.paths]
+    assert len(set(delays)) < len(delays) and delays != sorted(delays)
+    S = rng.standard_normal((3, 37, 2)) @ np.array([1.0, 1.0j])
+    got = apply_h(chan, spec.wrap, S)
+    for s, row in zip(S, got):
+        assert np.max(np.abs(row - time_domain_apply(prepend_cp(spec, s), chan))) <= 1e-12
+    G_ref = oracle.effective_matrix(tx, rx, paths_tuple(chan), cycles)
+    assert np.max(np.abs(effective_channel(spec, chan) - G_ref)) <= 1e-10
 
 
 # ------------------------------------------------------- continuous-domain views
@@ -420,7 +444,7 @@ def test_mimo_siso_reduces_to_channel_matrix():
     assert len(out) == 1 and len(out[0]) == 1
     assert out[0][0] == chan
     H_ref = oracle.channel_matrix(16, paths_tuple(chan), oracle.zero_cycles)
-    assert np.max(np.abs(operator_matrix(16, out[0][0].paths, OfdmSpec(16).wrap) - H_ref)) <= 1e-10
+    assert np.max(np.abs(operator_matrix(out[0][0], OfdmSpec(16).wrap) - H_ref)) <= 1e-10
 
 
 def test_mimo_zero_beam_gain_removes_path():

@@ -1,12 +1,21 @@
 """Entrywise contracts of the transform factors: the DFT and DAFT (through the
-OFDM and AFDM modems), chirp and Doppler phases, the cyclic shift (through the
-path operator) and each waveform's prefix vector, read through the path
-operator's prefix window."""
+OFDM and AFDM modems), chirp and Doppler phases, the cyclic shift (through
+H's diagonals and their applier) and each waveform's prefix vector, read
+through the diagonals' prefix window."""
 
 import numpy as np
 import pytest
 
-from ddwave.channel import PathParams, _wrap_window, apply_paths, doppler_phases
+from ddwave.channel import (
+    ChannelConfig,
+    ChannelRealization,
+    PathParams,
+    _apply_diagonals,
+    _stack_diagonals,
+    _wrap_window,
+    delay_diagonals,
+    doppler_phases,
+)
 from ddwave.modem import AfdmSpec, OfdmSpec, OtfsSpec, chirp_phases, demodulate, modulate
 
 
@@ -24,8 +33,11 @@ def daft_matrix(n, c1, c2):
 
 
 def shift(s, k):
-    """Pure cyclic delay by k samples through the path operator."""
-    return apply_paths(s, (PathParams(1.0, k % len(s), 0.0),), OfdmSpec(len(s)).wrap)
+    """Pure cyclic delay by k samples through H's diagonals and their applier."""
+    N, ell = len(s), k % len(s)
+    cfg = ChannelConfig(N=N, f_s=1e7, f_c=5.9e9, ell_max=ell, f_max=0, P=1, cp_len=ell)
+    chan = ChannelRealization(cfg, (PathParams(1.0, ell, 0.0),))
+    return _apply_diagonals(delay_diagonals(chan, OfdmSpec(N).wrap), s)
 
 
 def test_dft_identity_case():
@@ -162,12 +174,11 @@ def test_cp_phase_unit_modulus():
 
 
 def test_cp_phase_rejects_delay_at_or_past_n():
-    s = np.ones(8, dtype=complex)
     for ell in (8, -1):
         with pytest.raises(ValueError, match="delays"):
             _wrap_window(OfdmSpec(8).wrap, ell)
         with pytest.raises(ValueError, match="delays"):
-            apply_paths(s, (PathParams(1.0, ell, 0.0),), OfdmSpec(8).wrap)
+            _stack_diagonals(7, np.ones((1, 1)), np.array([[ell]]), np.ones((1, 1, 8)), OfdmSpec(8).wrap)
 
 
 def test_phase_rules_return_cycles():

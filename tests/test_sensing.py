@@ -9,7 +9,7 @@ from ddwave.channel import (
     ChannelConfig,
     ChannelRealization,
     PathParams,
-    apply_paths,
+    _apply_diagonals,
     delay_diagonals,
     doppler_phases,
     sample_paths,
@@ -591,12 +591,35 @@ def test_indirect_ml_rejects_out_of_range_coarse_delay():
         indirect_csi_ml(y, x, spec, 1, ([-1, 0], range(-2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_maps_and_ml_reject_non_finite_bins_on_either_axis(bad):
+    # NaN fails every range comparison, so it is refused as out of range, not
+    # cast to a delay or left for the map's non-finite check to find
+    spec = tuned_afdm()
+    x, y = pilot_observation(spec, three_target_channel(), 12)
+    s = modulate(spec, x)
+    for delays, dops, match in (([0, bad], [0], "delay bins"), ([0], [0, bad], "Doppler bins")):
+        with pytest.raises(ValueError, match=match):
+            matched_filter_map(y, s, delays, dops)
+        with pytest.raises(ValueError, match=match):
+            ambiguity_map(s, delays, dops)
+        with pytest.raises(ValueError, match=match):
+            indirect_csi_ml(y, x, spec, 1, (delays, dops))
+
+
+def unit_path(spec, s, ell, f):
+    """s through a unit-gain path at (ell, f), by H's diagonals and their applier."""
+    cfg = ChannelConfig(N=spec.n, f_s=1e7, f_c=5.9e9, ell_max=ell, f_max=round(abs(f)), P=1, cp_len=ell)
+    chan = ChannelRealization(cfg, (PathParams(1.0, ell, f),))
+    return _apply_diagonals(delay_diagonals(chan, spec.wrap), s)
+
+
 def reference_ml(y, x, spec, P, grid, refine_levels, refine_factor):
     """The per-candidate greedy search: one unit response and one fit per (ell, f) visited."""
     s = modulate(spec, x)
 
     def score(ell, f, resid):
-        z = demodulate(spec, apply_paths(s, (PathParams(1.0, ell, f),), spec.wrap))
+        z = demodulate(spec, unit_path(spec, s, ell, f))
         energy = float(np.real(np.vdot(z, z)))
         if energy == 0.0:
             return -np.inf, 0.0j, z
