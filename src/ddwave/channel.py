@@ -1,43 +1,45 @@
 """Doubly-dispersive channel model.
 
-A channel realization is a finite set of propagation paths, each with a
-complex gain, an integer normalized delay (samples) and a real normalized
-digital Doppler f = N*nu/f_s. H = sum_p h_p Phi_p D(f_p) Pi^{ell_p} has two
-routes, and no N x N matrix is built here. The sample route,
-time_domain_apply (_apply_samples for stacks), reads each path's samples
-from the transmitted prefix: it is the ground truth and the frames' transmit
-channel. After the prefix is stripped, H is its ell_max + 1 populated cyclic
-diagonals: _stack_diagonals is their one builder (delay_diagonals its
-one-realization call), and _apply_diagonals applies them in O(N) per delay.
-The builder reads the prefix factors of a delay-ell path, wrap[N - ell + n]
-on its rows n < ell, from the waveform's prefix vector (modem.AfdmSpec.wrap).
+A realization is P paths, each a complex gain h_p, an integer delay ell_p
+in samples and a real normalized Doppler f_p = N nu_p / f_s:
+H = sum_p h_p Phi_p D(f_p) Pi^{ell_p}. No N x N matrix is built here. H
+has two routes:
+
+- the sample route, time_domain_apply (_apply_samples for stacks), reads
+  each path's samples from the transmitted prefix. It is the ground truth
+  and the frames' transmit channel.
+- the diagonal route: with the prefix stripped, H is its ell_max + 1
+  populated cyclic diagonals d[ell][n] = H[n, (n - ell) mod N].
+  _stack_diagonals is their one builder (delay_diagonals its
+  one-realization call) and _apply_diagonals their one applier, O(N) per
+  delay. Row n of a delay-ell path reads its sample from the prefix when
+  n < ell and then takes the factor wrap[N - ell + n] of the waveform's
+  prefix vector (modem.AfdmSpec.wrap), else 1 (_wrap_window).
+
+tvtf, dvirf_points and realization_from_points are the paper's continuous
+views of a realization: the time-variant transfer function, and the
+delay-Doppler spreading function as (tau, nu, gain) points with its
+inverse. Nothing else in the package calls them; they stay as those views.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 
 def doppler_phases(N: int, f) -> np.ndarray:
-    """Diagonal of the Doppler matrix: exp(+j2pi*f*n/N) for n = 0..N-1.
+    """The Doppler diagonal exp(+j2pi f n/N), n = 0..N-1, shape f.shape + (N,).
 
-    The + sign follows the time-domain sample relation r[n] ~ e^{+j2pi f n/N};
-    all support-shift rules downstream inherit this convention. An array of
-    Dopplers gives one diagonal per entry, shape f.shape + (N,).
-
-    The phase is reduced before any exponential, so its error does not grow
-    with f n. |f| splits exactly into its nearest integer w and a rest phi,
-    |phi| <= 1/2, and phi n into its nearest integer m and rho, |rho| <= 1/2:
-    e^{j2pi (w n + m)/N} is entry (w n + m) mod N of the N-th roots of unity
-    (_roots), and only a fractional Doppler adds the small turn
-    e^{j2pi rho/N}. So integer Dopplers call no exponential and are exact at
-    quarter turns. A negative f (sign bit set) takes the conjugate, so
-    doppler_phases(N, -f) is conj(doppler_phases(N, f)) bit for bit, signed
-    zeros included.
+    The + sign is the sample relation r[n] ~ e^{+j2pi f n/N}, which every
+    support-shift rule inherits. The phase is reduced before its exponential:
+    |f| = w + phi and phi n = m + rho with w, m the nearest integers, so the
+    result is entry (w n + m) mod N of _roots(N), times e^{j2pi rho/N} for a
+    fractional f only. doppler_phases(N, -f) is conj(doppler_phases(N, f))
+    bit for bit, signed zeros included. Raises ValueError for N < 1.
     """
     if N < 1:
         raise ValueError(f"size must be >= 1, got {N}")
@@ -112,8 +114,6 @@ class PathParams:
     gain: complex
     delay_norm: int        # ell, integer delay in samples
     doppler_norm: float    # f = N*nu/f_s, fractional allowed
-    aod: float | None = None  # departure angle [rad], only used by the MIMO model
-    aoa: float | None = None  # arrival angle [rad]
 
 
 @dataclass(frozen=True)
@@ -181,22 +181,19 @@ class ChannelRealization:
 
     @cached_property
     def _zf_accepted(self) -> dict[bytes, np.ndarray]:
-        """H's read-only (ell_max + 1, N) diagonals for each prefix vector, keyed
-        by its bytes, that link's ZF condition guard has accepted: filled only
-        by link._zf_accept, and gone with this realization. A refused H is
-        never entered."""
+        """H's read-only diagonals per prefix vector, keyed by its bytes, once
+        link's ZF guard has accepted them; filled only by link._zf_accept."""
         return {}
 
 
 def sample_paths(config: ChannelConfig, doppler_mode: str, rng: np.random.Generator) -> ChannelRealization:
-    """Draw a random channel realization.
+    """Draw a realization from rng.
 
-    Gains are i.i.d. circularly-symmetric complex Gaussian with variance 1/P
-    (unit mean total power). Delays are uniform over {0..ell_max}, without
-    replacement while P allows it. Dopplers are uniform over the integers
-    {-f_max..f_max} in "integer" mode, or uniform reals over
-    [-f_max-0.5, f_max+0.5) in "fractional" mode. Frame stacks use the
-    array form, _draw_paths, which makes the same RNG calls.
+    Gains are i.i.d. circular complex Gaussian of variance 1/P. Delays are
+    uniform over 0..ell_max, without replacement while P allows it.
+    Dopplers are uniform over the integers -f_max..f_max ("integer") or the
+    reals [-f_max - 0.5, f_max + 0.5) ("fractional"). Raises ValueError for
+    P < 1 or another mode. _draw_paths makes the same RNG calls.
     """
     return _realization(config, *_draw_paths(config, doppler_mode, rng))
 
@@ -224,19 +221,10 @@ def _realization(config: ChannelConfig, gains, delays, dopplers) -> ChannelReali
 
 
 def time_domain_apply(s_cp: np.ndarray, chan: ChannelRealization) -> np.ndarray:
-    """Apply the channel at sample level. This is the ground-truth oracle.
+    """The sample route: the noiseless (N,) r[n] = sum_p h_p e^{j2pi f_p n/N}
+    s_cp[cp_len + n - ell_p] of the prefixed (N + cp_len,) block s_cp.
 
-    Parameters
-    ----------
-    s_cp : array, length N + cp_len
-        CP-prepended transmit sequence; index 0 is the first prefix sample.
-    chan : ChannelRealization
-
-    Returns
-    -------
-    array, length N
-        r[n] = sum_p h_p * e^{j2pi f_p n / N} * s_cp[n - ell_p], with the
-        prefix supplying the samples at n - ell_p < 0. Noiseless.
+    Raises ValueError if s_cp is shorter than N or a delay exceeds cp_len.
     """
     N = chan.config.N
     s_cp = np.asarray(s_cp)
@@ -257,13 +245,9 @@ def _path_arrays(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _apply_samples(s_cp, N: int, gains, delays, phases) -> np.ndarray:
-    """time_domain_apply for blocks along the last axis of s_cp.
-
-    The gains and delays have shape (..., P) and the Doppler phases,
-    doppler_phases(N, dopplers), shape (..., P, N). They broadcast against
-    the leading axes of s_cp, so a (B, N + cp_len) stack of blocks takes
-    (B, P) arrays: one realization per block.
-    """
+    """time_domain_apply for blocks along the last axis of s_cp, with (..., P)
+    gains and delays and (..., P, N) Doppler phases broadcast against its
+    leading axes: (B, P) arrays give one realization per block."""
     cp_len = s_cp.shape[-1] - N
     too_late = delays[delays > cp_len]
     if too_late.size:
@@ -277,11 +261,8 @@ def _apply_samples(s_cp, N: int, gains, delays, phases) -> np.ndarray:
 
 
 def _wrap_window(wrap: np.ndarray, delays) -> np.ndarray:
-    """Prefix factors of paths with the given delays, shape delays.shape + (N,).
-
-    Row n of a delay-ell path reads its sample from the prefix if n < ell and
-    takes wrap[N - ell + n], else 1: one gather from [wrap, ones] for all paths.
-    """
+    """Prefix factors of paths with the given delays (module docstring),
+    shape delays.shape + (N,); raises ValueError unless 0 <= ell < N."""
     N = wrap.shape[0]
     delays = np.asarray(delays)
     if np.any((delays < 0) | (delays >= N)):
@@ -290,23 +271,18 @@ def _wrap_window(wrap: np.ndarray, delays) -> np.ndarray:
 
 
 def delay_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
-    """The ell_max + 1 populated cyclic diagonals of H, shape (ell_max + 1, N).
-
-    Row ell holds d[ell][n] = H[n, (n - ell) mod N], the sum of the taps of
-    every path with delay ell; H has no other nonzero entry. wrap is
-    spec.wrap. This is the one-realization _stack_diagonals.
-    """
+    """H's (ell_max + 1, N) cyclic diagonals for the prefix vector wrap
+    (spec.wrap): the one-realization _stack_diagonals."""
     gains, delays, phases = chan._taps
     return _stack_diagonals(chan.config.ell_max, gains[None], delays[None], phases[None], wrap)[0]
 
 
 def _stack_diagonals(ell_max: int, gains, delays, phases, wrap) -> np.ndarray:
-    """delay_diagonals of B realizations given as (B, P) gains and delays and
-    (B, P, N) Doppler phases (doppler_phases of the Dopplers): shape (B, ell_max + 1, N).
+    """H's (B, ell_max + 1, N) diagonals of B realizations given as (B, P)
+    gains and delays and (B, P, N) Doppler phases.
 
-    Path p's taps h_p * phi_p[n] * e^{j2pi f_p n/N}, phi_p its _wrap_window
-    of wrap, sit at (n, (n - ell_p) mod N), so they sum, in path order, into
-    row ell_p.
+    Path p's taps h_p phi_p[n] e^{j2pi f_p n/N}, phi_p its _wrap_window,
+    sum into row ell_p in path order.
     """
     taps = gains[..., None] * (_wrap_window(wrap, delays) * phases)
     d = np.zeros((delays.shape[0], ell_max + 1, phases.shape[-1]), dtype=complex)
@@ -317,11 +293,8 @@ def _stack_diagonals(ell_max: int, gains, delays, phases, wrap) -> np.ndarray:
 
 
 def _apply_diagonals(d: np.ndarray, S) -> np.ndarray:
-    """H S for H's (ell_max + 1, N) cyclic diagonals d and blocks along the last axis of S.
-
-    Entry n of each output block is sum_ell d[ell][n] * s[(n - ell) mod N],
-    summed in delay order: two sliced multiplies and one add per delay, no matrix.
-    """
+    """H S for H's (ell_max + 1, N) diagonals d and blocks along the last axis
+    of S: sum_ell d[ell][n] s[(n - ell) mod N], summed in delay order."""
     S = np.asarray(S)
     N = S.shape[-1]
     out = np.zeros(S.shape, dtype=complex)
@@ -375,59 +348,3 @@ def realization_from_points(config: ChannelConfig, points) -> ChannelRealization
         )
     return ChannelRealization(config=config, paths=tuple(paths))
 
-
-def mimo_channel(
-    base: ChannelRealization,
-    gains: np.ndarray,
-    tx_gain=None,
-    rx_gain=None,
-) -> tuple[tuple[ChannelRealization, ...], ...]:
-    """One realization per antenna pair, all sharing the base path geometry.
-
-    Parameters
-    ----------
-    base : ChannelRealization
-        Supplies the shared (ell_p, f_p) and any angles; its own gains are
-        ignored in favour of `gains`.
-    gains : array, shape (P, Nt, Nr)
-        Complex small-scale gain of path p between transmit antenna n_t and
-        receive antenna n_r.
-    tx_gain, rx_gain : callable or None
-        Beam gain as a function of angle [rad]. None means constant 1; a
-        callable requires the matching angle on every path.
-
-    Returns
-    -------
-    Nt x Nr nested tuple of ChannelRealization
-        Entry [n_t][n_r] keeps the base paths' delays, Dopplers and angles,
-        with gain beam_p * gains[p, n_t, n_r] on path p. Each applies like
-        any realization (time_domain_apply, effective_channel, equalizers),
-        with the waveform's own prefix vector; memory is O(P Nt Nr).
-    """
-    gains = np.asarray(gains)
-    P, Nt, Nr = gains.shape
-    if P != len(base.paths):
-        raise ValueError(f"gain tensor has {P} paths, realization has {len(base.paths)}")
-    beams = []
-    for p_idx, p in enumerate(base.paths):
-        if tx_gain is not None and p.aod is None:
-            raise ValueError(f"path {p_idx} lacks a departure angle for the tx beam gain")
-        if rx_gain is not None and p.aoa is None:
-            raise ValueError(f"path {p_idx} lacks an arrival angle for the rx beam gain")
-        beam = 1.0
-        if tx_gain is not None:
-            beam *= float(tx_gain(p.aod))
-        if rx_gain is not None:
-            beam *= float(rx_gain(p.aoa))
-        beams.append(beam)
-    pair_gains = np.array(beams)[:, None, None] * gains
-    return tuple(
-        tuple(
-            ChannelRealization(
-                base.config,
-                tuple(replace(p, gain=complex(g)) for p, g in zip(base.paths, pair_gains[:, nt, nr])),
-            )
-            for nr in range(Nr)
-        )
-        for nt in range(Nt)
-    )

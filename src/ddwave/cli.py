@@ -1,9 +1,8 @@
 """Command-line front end: scenario presets, sweep tables, file emission.
 
 Subcommands: effchan, ber, sense, ambiguity, demo-v2x. Every command is a
-pure function of (config, seed): re-running writes byte-identical files
-(per-index RNG substreams), and --threads changes nothing. No frame is
-built here: link and sensing draw them, the CLI tabulates and writes.
+pure function of (config, seed). No frame is built here: link and sensing
+draw them, the CLI tabulates and writes.
 """
 
 from __future__ import annotations
@@ -163,10 +162,7 @@ def cmd_effchan(cfg: ScenarioConfig, out: str, fig3: bool = False, variant: str 
 
 
 def cmd_ber(cfg: ScenarioConfig, out: str) -> list[str]:
-    """SNR sweep x waveform BER table from one _ber_sweep over all waveforms,
-    so each frame is drawn once, each ZF channel guarded once per prefix
-    group and factored once per waveform, and each LMMSE system solved once
-    per prefix group."""
+    """SNR sweep x waveform BER table from one _ber_sweep over all waveforms."""
     names, specs = zip(*cfg.waveform_specs())
     sweeps = _ber_sweep(specs, cfg.channel_config(), Constellation.by_name(cfg.constellation),
                         sorted(cfg.snr_sweep), cfg.frames, cfg.detector, cfg.seed, cfg.doppler_mode)
@@ -258,12 +254,9 @@ def cmd_ambiguity(cfg: ScenarioConfig, out: str) -> list[str]:
 
 
 def cmd_demo_v2x(out: str, geometry: str = "monostatic", seed: int = 1) -> list[str]:
-    """Write the vehicular preset: 5.9 GHz carrier, 10 MHz bandwidth, 3 paths.
-
-    At this carrier/bandwidth and N=64 the Doppler of even a 500 km/h closing
-    speed stays below one bin (normalized ~0.035), so the preset keeps N=64,
-    sets f_max=0 and uses fractional Doppler mode to cover the sub-bin range.
-    """
+    """Write the vehicular preset: 5.9 GHz carrier, 10 MHz bandwidth, 3 paths,
+    N = 64, and f_max = 0 with fractional Doppler, since even a 500 km/h
+    target stays below one Doppler bin there (the preset's notes)."""
     preset = {
         "schema": 1,
         "waveform": "all",

@@ -1,48 +1,41 @@
 """Communication-side measurement: constellations, AWGN, equalizers, BER.
 
-Both equalizers run on the time-domain channel H, never on the symbol-domain
-G = T_rx . H . T_tx: every modem has T_tx = T_rx^H with T_rx unitary, so ZF is
-G^{-1} y = demodulate(H^{-1} r) and LMMSE is demodulate(H^H (H H^H + s2 I)^{-1} r)
-for the CP-stripped received block r. H has only ell_max + 1 populated cyclic
-diagonals. LMMSE forms the 2 ell_max + 1 cyclic diagonals of H H^H + s2 I;
-after a fold permutation they are block tridiagonal, and block cyclic
-reduction solves them with about log2(nb) batched solves for nb blocks of
-m rows (m at least the folded half-bandwidth and at least 8): O(N m^2), so
-linear in N. ZF solves the folded dense H in O(N^3), one LU for a stack of
-received blocks, behind the same guard as the symbol-domain solve it
-replaces: it refuses when cond(H) = cond(G) exceeds 1e12, in three stages.
-Weyl's bound on the diagonals' magnitudes certifies cond(H) <= about 1e6 in
-O(N ell_max) when one delay outweighs the others; a Cholesky of
-H H^H - t I, with t a rounding-error margin, certifies the same bound for a
-frame it does not clear; only a frame neither clears runs the exact
-np.linalg.cond test, so every frame is accepted or refused as the SVD alone
-would decide.
+Both equalizers work on the time-domain channel H and never form
+G = T_rx H T_tx: since T_tx = T_rx^H (modem), ZF is
+G^{-1} y = demodulate(H^{-1} r) and LMMSE is
+demodulate(H^H (H H^H + s2 I)^{-1} r) for the CP-stripped block r.
 
-_draw_frames writes the transmitted frame once: each frame draws channel,
-bits and noise from its own RNG substream, none of them depending on the
-SNR or the waveform, and a chunk of about 2^16 / N^2 frames is drawn and
-mapped once for all waveforms of a sweep; each waveform runs the transmit
-chain and the channel as (B, N) stacks once for the whole SNR sweep, and
-each SNR point adds its own scaling of the frame's noise, scaled once, to
-the noiseless received block. BER frames and the `sense` trials
-(sensing._sense_trials, one point, one waveform) both come from it, in the
-same chunks. The public single-block functions call the same stacked code
-with B = 1. The transmitted blocks take the channel's sample route
-(channel._apply_samples), which reads their prefix; the receivers read H
-by its diagonal route. Waveforms with equal prefix vectors (spec.wrap) see
-the same H (_prefix_groups), so _draw_frames forms H's diagonals
-(channel._stack_diagonals) once per chunk and group. LMMSE forms the
-diagonals of H H^H once per chunk and group (_lmmse_sweep), and each SNR
-point fills the block rows, adds its s2 and runs one cyclic reduction with
-a right-hand-side column per waveform of the group. The prefix phases are
-reduced exactly (modem.AfdmSpec.wrap), so a tuned AFDM prefix vector is
-exactly ones at even N, and OFDM, OTFS and AFDM then form one group. ZF
-guards the chunk's groups as one stack (_zf_accept), with one decision
-per frame: the first refused frame, in group and then frame order,
-raises. Each accepted frame's realization keeps its diagonals per prefix
-vector, and each frame then goes through the public equalize_zf once per
-waveform, with its received blocks of all SNR points as one (S, N) stack,
-for the LU and demodulation alone.
+Fold layout. The fold permutation 0, N-1, 1, N-2, ... (_fold) turns a
+matrix whose nonzeros lie within cyclic distance b of the diagonal into a
+plain band of half-width at most 2b + 1. H has ell_max + 1 populated cyclic
+diagonals and A = H H^H + s2 I has 2 ell_max + 1, so folded A, cut into nb
+blocks of m rows, m at least its half-width (_band_layout), is block
+tridiagonal and Hermitian positive definite. Block cyclic reduction
+(Heller, SIAM J. Numer. Anal. 13, 1976) then needs no pivoting across
+blocks: each level solves the odd block rows in one batched solve, and
+their Schur complements turn the even rows into the half-size system of
+the even unknowns; back-substitution recovers the odd ones. That is about
+log2(nb) levels and O(N m^2) work. ZF solves folded H densely, O(N^3), its
+band bounding the growth of partial pivoting, behind a guard that refuses
+cond(H) = cond(G) > 1e12; the comment above _tau derives its certificates.
+
+Frames. Frame key k draws its channel, bits and noise, in that order, from
+substream(seed, *k) (_draw_frames). No draw depends on the SNR points, the
+waveforms or the chunks the frames run in (_chunks), and no later step
+reads the chunk size. So a result is a pure function of (config, seed),
+frame i is the same frame at every point and for every waveform, and a
+sweep's row equals a one-point, one-waveform run, up to the rounding of
+LMMSE's shared reduction of several right-hand sides. A chunk's bits are
+mapped once, each waveform modulates the chunk and sends it through the
+sample route once for the whole sweep, and each point adds its own scaling
+of the frame's noise. Waveforms with equal prefix vectors see the same H
+(_prefix_groups): per chunk and group, H's diagonals and those of H H^H are
+formed once, and LMMSE runs one reduction per point with a right-hand-side
+column per waveform. ZF guards the chunk's groups as one stack, one
+decision per frame, the first refusal in group and then frame order
+raising. Each accepted realization keeps its diagonals, so equalize_zf,
+called once per frame and waveform with the blocks of all points, runs
+only the LU and demodulation.
 """
 
 from __future__ import annotations
@@ -165,16 +158,10 @@ def _demap_tables(constellation: Constellation):
 
 
 def demap_symbols(x_hat: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Hard nearest-point demapping back to bits, MSB first per symbol.
-
-    One rule decides every constellation: the nearest point, a tie going
-    to the lowest label. A constellation that is not a grid (see
-    _demap_tables) takes the argmin of |x - p| over its points p. A grid
-    (QPSK, 16-QAM) is decided per axis by its cuts, as the nearest level
-    in exact arithmetic, so a value exactly midway between two levels goes
-    to the one with the lower label (with 16-QAM's Gray labels on
-    -3, -1, 1, 3: -3 at the first cut, -1 at the second and 3 at the
-    third, where the labels descend).
+    """Hard nearest-point demapping back to bits, MSB first per symbol; a tie
+    goes to the lowest label. A grid (QPSK, 16-QAM) is decided per axis by
+    exact cuts (_demap_tables), any other constellation by the argmin of
+    |x - p| over its points p.
     """
     x_hat = np.asarray(x_hat).ravel()
     i_cuts, q_cuts, bits = _demap_tables(constellation)
@@ -214,11 +201,7 @@ def _noise(normals: np.ndarray, snr_db: float) -> np.ndarray:
 
 
 def _fold(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fold permutation 0, N-1, 1, N-2, ... and its inverse.
-
-    Re-ordered by it, a matrix whose nonzeros lie within cyclic distance b of
-    the diagonal has a plain (non-cyclic) band of half-width at most 2b + 1.
-    """
+    """The fold permutation 0, N-1, 1, N-2, ... and its inverse (module docstring)."""
     perm = np.empty(N, dtype=np.intp)
     perm[0::2] = np.arange((N + 1) // 2)
     perm[1::2] = np.arange(N - 1, (N - 1) // 2, -1)
@@ -229,18 +212,15 @@ def _fold(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _BandLayout:
-    """Where the diagonals of A = H H^H + s2 I go in the folded A.
+    """Where the diagonals of A = H H^H + s2 I and R right-hand sides go.
 
-    Folded A is block tridiagonal with nb blocks of m rows (m at least its
-    half-bandwidth), padded by an identity to nb * m rows. Block row i is
-    stored as one (m, width) frame [A_ii | rhs_i | A_{i,i-1} | A_{i,i+1}]
-    with R right-hand-side columns rhs_i, width 3m + R; with nb = 1 it is
-    [A | rhs], width m + R.
-    Band entry k goes to entry band_dst[k] of the flattened (nb, m, width)
-    frames and to entry dense_dst[k] of the whole folded A, flattened; the
-    main diagonal's N entries go to diag_dst. Sample n of right-hand side
-    k sits at vec[k * N + n] of the flattened frames, in rhs column k of
-    folded row inv[n].
+    Folded A is padded by an identity to nb * m rows. Block row i is one
+    (m, width) frame [A_ii | rhs_i | A_{i,i-1} | A_{i,i+1}], width 3m + R,
+    or [A | rhs], width m + R, when nb = 1. Band entry k goes to entry
+    band_dst[k] of the flattened (nb, m, width) frames and dense_dst[k] of
+    the flattened folded A; the main diagonal's go to diag_dst. Sample n of
+    right-hand side k sits at vec[k * N + n], in rhs column k of folded row
+    inv[n].
     """
 
     perm: np.ndarray
@@ -264,16 +244,13 @@ class _BandLayout:
     adjoint_src: np.ndarray
 
 
-# The block rule, from timings of _lmmse_solve on a 2-vCPU box with one BLAS
-# thread (CHANGES.md has the table). Cyclic reduction makes about a dozen
-# numpy calls per level, ceil(log2(nb)) levels, and one LAPACK solve with
-# 2m + 1 right-hand sides per block (2m + R for R waveforms sharing H). At
-# m = 8 that solve costs a few us, and several times more per row from
-# m = 10 on, so blocks have _BLOCK_ROWS rows unless the band is wider. Up
-# to N = _ONE_BLOCK_ROWS the reduction's per-level calls cost more than the
-# N^3 LU, so A is one dense block there.
-# The rule reads N alone: a frame's estimate must not depend on how many
-# frames share its stack.
+# The block rule, from timings of _lmmse_solve with one BLAS thread (CHANGES.md
+# has the table). Each level makes about a dozen numpy calls and one LAPACK
+# solve with 2m + R right-hand sides per block, whose cost per row is lowest
+# at m = 8, so blocks have _BLOCK_ROWS rows unless the band is wider. Up to
+# N = _ONE_BLOCK_ROWS the per-level calls cost more than the N^3 LU, so A is
+# one dense block there. The rule reads N alone: a frame's estimate must not
+# depend on how many frames share its stack.
 _BLOCK_ROWS = 8
 _ONE_BLOCK_ROWS = 96
 
@@ -366,8 +343,8 @@ def _gram(d: np.ndarray, lay: _BandLayout) -> np.ndarray:
 # So R^H R = A - t I + E with ||E||_2 <= (2N + 6) u tr(A) to first order.
 # tau_N is more than twice that, with room for the second-order terms and
 # the rounding of tr(A), so R^H R >= 0 gives lambda_min(A) >= t / 2 and
-# cond(H)^2 = cond(A) <= tr(A) / lambda_min(A) <= 2 / tau_N: K = 7.5e6 at
-# N = 64 and less at larger N. The bounds assume no underflow or overflow:
+# cond(H)^2 = cond(A) <= tr(A) / lambda_min(A) <= 2 / tau_N = K^2. The bounds
+# assume no underflow or overflow:
 # frames whose trace lies outside (1e-200, 1e200) get no certificate.
 def _tau(N: int) -> float:
     """tau_N = (4N + 64) u of the certificates above."""
@@ -394,10 +371,8 @@ def _weyl_certified(d: np.ndarray):
 def _certified(d: np.ndarray):
     """Whether the Cholesky certificate above proves cond(H) <= sqrt(2 / tau_N)
     for each H of a (..., ell_max + 1, N) stack d of H's diagonals: a bool
-    array of the leading shape, or one bool for one H. The Gram diagonals
-    of the whole stack come from one _gram call; the Cholesky runs frame by
-    frame, so one failure leaves the other frames' answers alone, on one
-    reused N x N buffer."""
+    array of the leading shape, or one bool for one H. Each H is factored
+    alone, so one failure leaves the others' answers alone."""
     E, N = d.shape[-2:]
     lay = _band_layout(N, E - 1)
     a = _gram(d.reshape(-1, E, N), lay)
@@ -428,14 +403,10 @@ def _folded(d: np.ndarray) -> np.ndarray:
 
 
 def _zf_guard(d: np.ndarray) -> None:
-    """Raise SingularChannelError for the first H, in C order, of a
-    (..., ell_max + 1, N) stack d of H's diagonals with cond(H) > 1e12.
-
-    Weyl's bound clears what it can of the whole stack, the Cholesky
-    certificate runs on the rest as one stack, and only a frame neither
-    clears gets the exact np.linalg.cond test, in order, so each frame is
-    decided as the SVD alone would decide it and the message names the
-    first refused frame's condition number."""
+    """Raise SingularChannelError, naming cond(H), for the first H in C order
+    of a (..., ell_max + 1, N) stack d of H's diagonals with cond(H) > 1e12.
+    Weyl's bound, then the Cholesky certificate, then np.linalg.cond on what
+    neither clears: each H is decided as the SVD alone would decide it."""
     flat = d.reshape(-1, *d.shape[-2:])
     ok = _weyl_certified(flat)
     rest = np.flatnonzero(~ok)
@@ -448,10 +419,9 @@ def _zf_guard(d: np.ndarray) -> None:
 
 
 def _zf_accept(chans, wraps, d: np.ndarray) -> None:
-    """Guard a (G, B, ell_max + 1, N) stack d of H's diagonals, G prefix
-    vectors wraps by B realizations chans (_zf_guard), then keep row
-    d[g, b], read-only, on chans[b]._zf_accepted under wraps[g]'s bytes.
-    A refusal raises before anything is kept."""
+    """Guard a (G, B, ell_max + 1, N) stack d of H's diagonals for G prefix
+    vectors wraps and B realizations chans (_zf_guard), then keep d[g, b],
+    read-only, on chans[b]._zf_accepted; a refusal raises first."""
     _zf_guard(d)
     d.flags.writeable = False
     for wrap, rows in zip(wraps, d):
@@ -460,14 +430,9 @@ def _zf_accept(chans, wraps, d: np.ndarray) -> None:
 
 
 def _zf_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
-    """H's diagonals for the prefix vector wrap, read-only, once the guard has
-    accepted H; H with cond(H) > 1e12 raises SingularChannelError.
-
-    The diagonals kept on the realization (chan._zf_accepted, keyed by
-    wrap's bytes) are returned as they are; otherwise this is the one-frame
-    _zf_accept. Waveforms with equal prefix vectors, as OFDM, OTFS and a
-    tuned AFDM at even N, so form and guard H once per realization. A
-    refused H is not kept, so every call on it raises."""
+    """H's read-only diagonals for the prefix vector wrap: those kept on chan,
+    else the one-frame _zf_accept's. Raises SingularChannelError for
+    cond(H) > 1e12, on every call, since a refused H is never kept."""
     key = wrap.tobytes()
     if key not in chan._zf_accepted:
         _zf_accept([chan], [wrap], delay_diagonals(chan, wrap)[None, None])
@@ -475,13 +440,9 @@ def _zf_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
 
 
 def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """H^{-1} r for H's (ell_max + 1, N) diagonals d and a block r, row by row
-    for an (S, N) stack r; the caller guards H (_zf_diagonals).
-
-    H's diagonals are scattered straight into the folded layout, whose band
-    keeps the growth of partial pivoting bounded, and solved densely, the
-    rows of a stack as right-hand sides of one LU.
-    """
+    """H^{-1} r for H's (ell_max + 1, N) diagonals d and a block (N,) or an
+    (S, N) stack r: one dense LU of folded H for all rows. The caller
+    guards H (_zf_diagonals)."""
     perm = _band_layout(r.shape[-1], d.shape[0] - 1).perm
     z = np.empty(r.shape, dtype=complex)
     z[..., perm] = np.linalg.solve(_folded(d), r[..., perm].T).T
@@ -489,19 +450,15 @@ def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _cyclic_reduction(F: np.ndarray, m: int) -> None:
-    """Solve block-tridiagonal Hermitian positive definite systems in place.
+    """Solve B block-tridiagonal Hermitian positive definite systems in place
+    by block cyclic reduction (module docstring).
 
-    F holds B systems of n block rows, F[:, i] = [D_i | b_i | L_i | U_i] with
-    L_i = A_{i,i-1} and U_i = A_{i,i+1} (L_0 and U_{n-1} zero) and b_i the
-    R columns of R right-hand sides, R read from F's width (m + R if n = 1,
-    else 3m + R); on return F[..., m : m + R] holds x. Each level of the
-    reduction (Heller, SIAM J. Numer. Anal. 13, 1976) overwrites [b | L | U]
-    of the odd rows by [y | P | Q] = D^{-1} [b | L | U] in one batched
-    solve, and one batched matmul gives the Schur complements that turn the
-    even rows, in place, into the half-size system of the even x. Its
-    blocks stay Hermitian positive definite, so no pivoting across blocks
-    is needed. Back-substitution sets x_odd = y - P x_left - Q x_right,
-    level by level.
+    F is (B, n, m, width) with block rows F[:, i] = [D_i | b_i | L_i | U_i]
+    as in _BandLayout, L_i = A_{i,i-1} and U_i = A_{i,i+1} (L_0 and U_{n-1}
+    zero), and R right-hand sides read from the width; on return
+    F[..., m : m + R] holds x. Each level overwrites [b | L | U] of the odd
+    rows by [y | P | Q] = D^{-1} [b | L | U], and back-substitution sets
+    x_odd = y - P x_left - Q x_right.
     """
     R = F.shape[-1] - (m if F.shape[1] == 1 else 3 * m)
     levels = []
@@ -533,16 +490,10 @@ def _cyclic_reduction(F: np.ndarray, m: int) -> None:
 
 
 def _lmmse_sweep(d: np.ndarray, r: np.ndarray, noise_vars) -> np.ndarray:
-    """H^H (H H^H + s2 I)^{-1} r[:, s] at s2 = noise_vars[s], for a
-    (B, ell_max + 1, N) stack of H's diagonals and a (B, S, R, N) stack r:
-    R blocks per frame through that frame's H at each of S noise variances.
-
-    The cyclic diagonals of H H^H are formed once. For each noise variance
-    the folded H H^H of every frame is scattered into one (B, nb, m, width)
-    array of block rows, reused across the variances, s2 is added to its
-    main diagonal and the R blocks put in the rhs columns, and
-    _cyclic_reduction solves the whole stack with one batched solve per
-    level; with nb = 1 that is one dense solve per frame.
+    """H^H (H H^H + s2 I)^{-1} r[:, s] at s2 = noise_vars[s], shape (B, S, R, N),
+    for a (B, ell_max + 1, N) stack of H's diagonals and a (B, S, R, N)
+    stack r: R blocks per frame at each of S noise variances. The diagonals
+    of H H^H are formed once, then one _cyclic_reduction per variance.
     """
     B, S, R, N = r.shape
     lay = _band_layout(N, d.shape[1] - 1, R)
@@ -570,8 +521,8 @@ def _lmmse_solve(d: np.ndarray, r: np.ndarray, noise_var: float) -> np.ndarray:
 
 
 def _check_spec(spec: WaveformSpec, N: int) -> None:
-    """Refuse another block size, and OTFS pulses without T_tx = T_rx^H, the identity
-    that the equalizers and the ML sensing search rest on by working in time domain."""
+    """Raise ValueError for another block size, or for OTFS pulses without
+    T_tx = T_rx^H (modem)."""
     if N != spec.n:
         raise ValueError(f"channel block size {N} != waveform size {spec.n}")
     if isinstance(spec, OtfsSpec) and not spec.adjoint_pulses:
@@ -591,17 +542,12 @@ def _received(spec: WaveformSpec, chan: ChannelRealization, r) -> np.ndarray:
 
 
 def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> np.ndarray:
-    """Zero-forcing on the time-domain channel: x_hat = demodulate(H^{-1} r) = G^{-1} y.
+    """Zero-forcing: x_hat = demodulate(H^{-1} r) = G^{-1} y (module docstring).
 
-    r is the CP-stripped received block (N,), or an (S, N) stack of blocks
-    through the same channel, equalized row by row. H is solved densely in
-    the fold permutation's banded order, once for the whole stack. Refuses
-    channels with cond(H) = cond(G) > 1e12; Weyl's bound or a Cholesky
-    certificate clears well-conditioned channels without an SVD (see
-    _zf_guard). The guard reads H alone, so it runs once per realization
-    and prefix vector, whatever S (_zf_diagonals): a later call for a
-    waveform with an equal spec.wrap pays only the LU and demodulate. A
-    refused channel is refused again, with the same message, by every call.
+    r is a CP-stripped block (N,) or an (S, N) stack through one channel;
+    x_hat has its shape. Raises SingularChannelError when cond(H) > 1e12,
+    on every call for that channel. The guard runs once per realization and
+    prefix vector (_zf_diagonals), the LU once per call.
     """
     r = _received(spec, chan, r)
     return demodulate(spec, _zf_solve(_zf_diagonals(chan, spec.wrap), r))
@@ -610,15 +556,11 @@ def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> 
 def equalize_lmmse(
     spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray, noise_var: float
 ) -> np.ndarray:
-    """LMMSE on the time-domain channel: x_hat = demodulate(H^H (H H^H + s2 I)^{-1} r).
+    """LMMSE: x_hat = demodulate(H^H (H H^H + s2 I)^{-1} r) = G^H (G G^H + s2 I)^{-1} y,
+    by block cyclic reduction of folded A (module docstring).
 
-    This equals G^H (G G^H + s2 I)^{-1} y, because T_tx = T_rx^H with T_rx
-    unitary. A = H H^H + s2 I has 2 ell_max + 1 cyclic diagonals, formed in
-    O(N ell_max^2); folded, it is block tridiagonal and Hermitian positive
-    definite, so block cyclic reduction needs no pivoting across blocks and
-    costs O(N m^2) for blocks of m rows in about log2(N / m) batched solves.
-    No N x N array is formed unless N is one block (N <= 96 here). r is one
-    block (N,) or an (S, N) stack, equalized row by row.
+    r is a CP-stripped block (N,) or an (S, N) stack through one channel;
+    x_hat has its shape. O(N m^2); no N x N array unless N <= 96.
     """
     r = _received(spec, chan, r)
     d = delay_diagonals(chan, spec.wrap)
@@ -642,8 +584,7 @@ class LinkResult:
 
 
 # Frames per chunk: about 2^16 N x N entries (1 MiB of complex128) per chunk,
-# the size of LMMSE's (B, m, m) stack while N is one block of m = N rows, so
-# 16 frames at N = 64 and one from N = 256 on.
+# the size of LMMSE's (B, m, m) stack while N is one block of m = N rows.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -655,21 +596,12 @@ def _chunks(N: int, count: int) -> list[range]:
 
 def _draw_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
                  snrs, doppler_mode: str, seed: int, keys) -> tuple:
-    """The frames of the substream keys `keys` as stacks, one row per frame,
-    for each waveform of specs (all of one block size N): ((gains, delays,
-    dopplers), [(group, H's (B, ell_max + 1, N) diagonals)] per prefix
-    group (_prefix_groups), bits, [(prefixed samples, received blocks)
-    per spec]), the received blocks (B, S, N), one per SNR point snrs[s].
-
-    Frame key k draws channel, bits and noise, in this order, from
-    substream(seed, *k), once for all waveforms, so no draw depends on snrs
-    or specs. The bits are mapped, the (B, P, N) phases
-    doppler_phases(N, dopplers) formed and each point's noise scaled once;
-    the phases serve both routes of the channel: the diagonals, formed once
-    per group (_stack_diagonals), and the sample route (_apply_samples), on
-    which each waveform runs the transmit chain once on the stacks. Point s
-    adds the frame's noise at snrs[s] to the noiseless received block. A
-    sweep of +inf points alone draws no noise.
+    """The frames of substream keys `keys` (module docstring), one row per
+    frame, for the waveforms specs of one block size N: ((gains, delays,
+    dopplers), each (B, P); [(group, H's (B, ell_max + 1, N) diagonals)]
+    per prefix group; the (B, N bits_per_symbol) bits; [(prefixed samples
+    (B, N + cp_len), received blocks (B, S, N) at the points snrs)] per
+    spec). Pure; a sweep of +inf points alone draws no noise.
     """
     N, B = specs[0].n, len(keys)
     paths = [np.empty((B, chan_config.P), dtype=t) for t in (complex, np.intp, float)]
@@ -699,13 +631,9 @@ def _draw_frames(specs, chan_config: ChannelConfig, constellation: Constellation
 
 
 def _prefix_groups(specs) -> list[list[int]]:
-    """Indices of specs grouped by equal prefix vectors (spec.wrap), in order
-    of first appearance: waveforms of one group see the same time-domain H.
-
-    The vectors are compared exactly. OFDM and OTFS are ones, and so is a
-    tuned AFDM at even N, whose phases q (N^2 + 2 N n') / 2N are whole
-    cycles: all three form one group. A tuned AFDM at odd N (factors -1) or
-    an AFDM with a given c1 forms a group of its own."""
+    """Indices of specs grouped by exactly equal prefix vectors (spec.wrap), in
+    order of first appearance: one group sees one H. OFDM and OTFS are ones,
+    and so is a tuned AFDM at even N (modem.AfdmSpec.wrap)."""
     groups: list[list[int]] = []
     for w, spec in enumerate(specs):
         group = next((g for g in groups if np.array_equal(specs[g[0]].wrap, spec.wrap)), None)
@@ -727,8 +655,7 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
     errors = np.empty((len(specs), len(frames), len(snrs)), dtype=np.intp)
 
     def count(w, x_hat):
-        """Bit errors of waveform w's (B, S, N) estimates, demapped as soon as
-        they exist: a (symbols, points) distance table per waveform, not per sweep."""
+        """Bit errors of waveform w's (B, S, N) estimates, demapped as soon as they exist."""
         bits_hat = demap_symbols(x_hat.ravel(), constellation).reshape(*x_hat.shape[:2], -1)
         errors[w] = np.count_nonzero(bits_hat != bits[:, None], axis=2)
 
@@ -756,30 +683,12 @@ def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
                snrs, frames: int, detector: str = "lmmse", seed: int = 0,
                doppler_mode: str = "fractional") -> list[list[LinkResult]]:
     """Monte Carlo BER of each waveform of specs at each SNR point of snrs:
-    per spec, one LinkResult per point, in order.
+    per spec, one LinkResult per point, in order (module docstring).
 
-    Each frame draws a fresh channel, bit block and noise from an RNG
-    substream derived from (seed, frame index), so frame i is the same frame
-    at every point and for every waveform, and the result is reproducible
-    to the byte. Frames run in fixed chunks of about 2^16 / N^2 frames (16
-    at N = 64, one from N = 256 on): each chunk is drawn once, goes through
-    mapping, modulation, prefix and channel once per waveform for the sweep,
-    then through noise, equalizer, demodulation and demapping per point, as
-    stacks. LMMSE solves the waveforms that share a prefix vector, and so
-    H, as one system per chunk with one right-hand side per waveform
-    (_prefix_groups). No step, the LMMSE block rule included, depends on
-    the stack size, so neither the chunk size nor the other points change a
-    point's result (with one BLAS thread, ZF's LU solves S right-hand sides
-    bit for bit as it solves one; LMMSE's reduction of R > 1 right-hand
-    sides agrees with R = 1 solves to rounding). ZF guards each chunk's
-    prefix groups as one stack, one decision per frame: Weyl's bound or a
-    Cholesky certificate clears a well-conditioned H without an SVD, any
-    other H gets the exact cond(H) > 1e12 test, and the first refused frame,
-    in group and then frame order, raises SingularChannelError. It then
-    equalizes the chunk's frames one by one through equalize_zf, waveform
-    by waveform, in frame order, each with its S blocks: the LU runs once
-    per frame and waveform. A point of +inf runs noiseless; NaN and -inf
-    raise ValueError before the first frame.
+    A point of +inf runs noiseless. Raises ValueError, before the first
+    frame, for a NaN or -inf point, frames < 1, an unknown detector or a
+    spec that fails _check_spec; and SingularChannelError for the first ZF
+    frame with cond(H) > 1e12.
     """
     for snr_db in snrs:
         _check_snr(snr_db)
@@ -813,17 +722,8 @@ def run_ber_point(
     doppler_mode: str = "fractional",
     threads: int = 1,
 ) -> LinkResult:
-    """Monte Carlo BER at one SNR point: the one-point, one-waveform sweep of _ber_sweep.
-
-    Each frame draws a fresh channel, bit block and noise from an RNG
-    substream derived from (seed, frame index), so the result is
-    reproducible to the byte and equals this point's row of any sweep.
-    Frames run in fixed chunks as (B, N) stacks; ZF guards each chunk as
-    one stack and equalizes its frames one by one through equalize_zf, one
-    LU per frame (and waveform, in a sweep of several), and the first frame
-    with cond(H) > 1e12 raises SingularChannelError. snr_db = +inf runs
-    noiseless; NaN and -inf raise ValueError before the first frame.
-    `threads` must be >= 1 and has no other effect.
+    """Monte Carlo BER at one SNR point: the one-point, one-waveform _ber_sweep,
+    with its errors. Raises ValueError for threads < 1, its only effect.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -1,14 +1,16 @@
 """The three waveform chains: OFDM, OTFS and AFDM.
 
 This is the one module that knows how a waveform transforms. Each spec owns
-its unitary transmit and receive transforms, written as FFTs with norm="ortho"
-and diagonal factors (no N x N matrix), plus its prefix vector `wrap`, which
-the prefix, the channel's two routes and the sensing search all read.
-The transforms, and modulate, demodulate and prepend_cp over them, act on
-blocks along the last axis, so one call maps a single block or a stack of
-blocks. On top of them sit the effective-channel
-builder, chirp tuning for AFDM, per-waveform orthogonality predicates, and exact
-support-pattern prediction for integer-Doppler paths.
+its transforms, FFTs with norm="ortho" and diagonal factors (no N x N
+matrix), and its prefix vector `wrap` (AfdmSpec.wrap). The transforms, and
+modulate, demodulate and prepend_cp over them, map a block or a stack of
+blocks along the last axis. On top sit the effective channel, AFDM chirp
+tuning, the orthogonality predicates and integer-Doppler support prediction.
+
+Every receive transform T_rx is unitary and every transmit transform is its
+adjoint, T_tx = T_rx^H; OTFS only when pulse_tx = conj(pulse_rx) with
+|pulse_rx| = 1 (OtfsSpec.adjoint_pulses). link's equalizers and sensing's
+ML search rest on this identity and refuse other pulses (link._check_spec).
 """
 
 from __future__ import annotations
@@ -24,15 +26,9 @@ from .channel import ChannelRealization, _apply_diagonals, _roots, _turns, delay
 
 @lru_cache(maxsize=16)
 def chirp_phases(N: int, c: float) -> np.ndarray:
-    """Diagonal of the chirp matrix: exp(-j2pi*c*n^2) for n = 0..N-1.
-
-    The phase c n^2 is reduced mod 1 exactly before its one exponential
-    (_cycle_phases), so no error grows with n^2. For the tuned c1 at
-    N = 256, 1024 and 4096, the largest error against the exact phases is
-    1.1e-16, 1.6e-16 and 1.6e-16; multiplying by 2 pi before reducing gave
-    3.8e-13, 1.5e-12 and 6.0e-12. The result is read-only and cached per
-    (N, c), so the specs every command rebuilds share it.
-    """
+    """The chirp diagonal exp(-j2pi c n^2), n = 0..N-1, read-only and cached
+    per (N, c); the phase is reduced exactly (_cycle_phases). Raises
+    ValueError for N < 1."""
     if N < 1:
         raise ValueError(f"chirp size must be >= 1, got {N}")
     n = np.arange(N, dtype=np.int64)
@@ -139,11 +135,8 @@ class OtfsSpec:
 
     @cached_property
     def adjoint_pulses(self) -> bool:
-        """True iff pulse_tx = conj(pulse_rx) with |pulse_rx| = 1.
-
-        Exactly then the receive transform is unitary and the transmit
-        transform is its adjoint, as it is for every OFDM and AFDM spec.
-        """
+        """True iff pulse_tx = conj(pulse_rx) with |pulse_rx| = 1, the pulses
+        for which T_tx = T_rx^H (module docstring)."""
         p_tx, p_rx = (
             np.ones(self.k) if p is None else np.asarray(p, dtype=complex)
             for p in (self.pulse_tx, self.pulse_rx)
@@ -210,15 +203,12 @@ class AfdmSpec:
     @cached_property
     def wrap(self) -> np.ndarray:
         """Prefix vector: entry N + n' is e^{j2pi c1 (N^2 + 2 N n')}, the factor a
-        sample picks up when it wraps from index N + n' to n' = -N..-1.
+        sample picks up when it wraps from index N + n' to n' = -N..-1. The
+        transmitter (prepend_cp), H's diagonals and the ML search read it.
 
-        The phase is reduced exactly before the exponential (_cycle_phases).
-        For 2 N c1 = q integral (tuned rates) it is q N^2 / 2N mod 1, so
-        every entry is exactly 1 at even N or even q and exactly -1 otherwise,
-        and the prefix is chirp-periodic. Multiplying by 2 pi before reducing
-        left the tuned entries 3.5e-13, 1.5e-12 and 6.1e-12 off at N = 256,
-        1024 and 4096. For any c1, the transmitter and the channel share this
-        rule.
+        The phase is reduced exactly (_cycle_phases). For 2 N c1 = q integral,
+        as for tuned rates, it is q N^2 / 2N mod 1: every entry is exactly 1
+        at even N or even q, else exactly -1, and the prefix is chirp-periodic.
         """
         n_prime = np.arange(-self.n, 0, dtype=np.int64)
         return _cycle_phases(self.n, self.c1, self.n * (self.n + 2 * n_prime))
@@ -272,14 +262,10 @@ def prepend_cp(spec: WaveformSpec, s: np.ndarray) -> np.ndarray:
 
 
 def effective_channel(spec: WaveformSpec, chan: ChannelRealization) -> np.ndarray:
-    """Symbol-domain channel G = T_rx . H . T_tx.
-
-    Noiselessly, demodulate(strip_cp(apply(chan, prepend_cp(modulate(x))))) equals
-    G @ x; H is reduced with this waveform's own prefix vector. G is built
-    by sending every unit symbol block through the transmit transform, H's
-    cyclic diagonals delay_diagonals(chan, spec.wrap) (the diagonal route of
-    the channel module, not the sample route of time_domain_apply) and the
-    receive transform: O(N^2 log N), no matrix product.
+    """The (N, N) symbol-domain channel G = T_rx H T_tx, H on the diagonal
+    route with spec.wrap: noiselessly, demodulate of the channel's output for
+    prepend_cp(spec, modulate(spec, x)) is G @ x. O(N^2 log N), no matrix
+    product; raises ValueError if the block sizes differ.
     """
     if chan.config.N != spec.n:
         raise ValueError(f"channel block size {chan.config.N} != waveform size {spec.n}")
@@ -354,9 +340,9 @@ def predict_support(spec: WaveformSpec, ell: int, f_int: int) -> frozenset[tuple
     OTFS: block (a, (a - f_int) mod L) for every block-row a, each block a
     K x K sub-matrix populated on its cyclic diagonal col - row = -ell mod K.
 
-    Callers are responsible for staying inside the orthogonality region;
-    beyond it the patterns still wrap (and collide), which is what the
-    boundary tests look for. Structural bounds are still enforced.
+    Beyond the orthogonality region the patterns still wrap and collide.
+    Raises ValueError for OFDM, or unless 0 <= ell < N and |f_int| <= N/2
+    (NaN and inf included).
     """
     rows, cols = _support_indices(spec, ell, f_int)
     return frozenset(zip(rows.tolist(), cols.tolist()))
@@ -371,9 +357,10 @@ def _support_indices(spec: WaveformSpec, ell, f_int) -> tuple[np.ndarray, np.nda
     if isinstance(spec, OfdmSpec):
         raise ValueError("no support predictor for OFDM (Doppler spreads into a band)")
     ell, f_int = np.broadcast_arrays(ell, f_int)
-    if np.any((ell < 0) | (ell >= spec.n)):
+    # the range tests are written so that NaN fails them: a non-finite value is out of range
+    if not np.all((ell >= 0) & (ell < spec.n)):
         raise ValueError(f"delay must satisfy 0 <= ell < N, got {ell}")
-    if np.any(np.abs(f_int) > spec.n // 2):
+    if not np.all(np.abs(f_int) <= spec.n // 2):
         raise ValueError(f"integer Doppler {f_int} outside +-N/2")
     shape = ell.shape + (spec.n,)
     ell, f_int = ell[..., None], f_int[..., None]

@@ -1,21 +1,44 @@
 """Delay-Doppler sensing: correlation maps, CSI-based extraction, grid-search ML.
 
-Three method families over the same target model. The matched-filter map
-correlates raw sequences, and the self-ambiguity is that map of a frame
-against itself. Direct extraction reads integer targets off the effective
-channel G on each candidate's predicted support: from a given G in one
-gather, or from the channel itself through the closed form of G in H's
-ell_max + 1 cyclic diagonals, which never builds G and, on AFDM, scores
-only the candidates that Parseval bounds cannot rule out (_ChannelCsi).
-The indirect route fits
-path parameters to a known pilot frame by greedy successive
-cancellation over a coarse-to-fine grid. Every modem has T_rx unitary and
-T_tx = T_rx^H, so the search scores its candidates in time domain with
-the matched filter's correlation kernel (_correlate), and no candidate
-goes through a receive transform. No routine here builds an N x N array.
+Three methods over one target model; none builds an N x N array. The
+matched filter correlates raw sequences (matched_filter_map), and the
+self-ambiguity is that map of a frame against itself.
+
+Direct extraction reads integer targets off the effective channel G on
+each candidate's predicted support: from a given G in one gather, or from
+H's cyclic diagonals d_ell through the closed form of G (_ChannelCsi).
+On AFDM, with D_ell = FFT(c1 d_ell conj(c1[(n - ell) mod N])) / N,
+G[n, m] = c2[n] conj(c2[m]) sum_ell D_ell[(n - m) mod N] e^{-j2pi ell m/N}.
+On candidate c's support m = (n + s_c) mod N, so its entries are unit
+chirps times Q[c, m] = sum_ell a[c, ell] e^{-j2pi ell m/N}, with
+a[c, ell] = D_ell[-s_c mod N], and its score is the row mean of |Q[c]|.
+Parseval bounds: ChannelConfig keeps ell_max < N, so the E <= N
+frequencies ell/N are distinct, mean_m |Q[c, m]|^2 = ||a_c||_2^2 and
+max_m |Q[c, m]| <= ||a_c||_1. Hence
+||a_c||_2^2 / ||a_c||_1 <= mean_m |Q[c, m]| <= ||a_c||_2. At least P
+candidates score at least the P-th largest lower bound, so one whose upper
+bound falls short of it, or of the threshold, cannot rank (_survivors).
+Only the survivors get their (N,) row: O(C E + k N) for C candidates and
+k survivors, with the targets, order, ties and gains of scoring them all.
+On OTFS, row (a, b) = a K + b with a on the L axis, G[(a, b), (a', b')] is
+p_rx[b] p_tx[b'] times the sum, over the ell with (b - ell) mod K = b', of
+e^{j2pi a' q/L} Dh_ell[(a - a') mod L, b], where q = floor((b - ell) / K)
+and Dh_ell[u, b] = DFT_L(d_ell[. K + b])[u] / L; every candidate is
+scored, in O(C N).
+
+The ML search fits paths to a known pilot frame by greedy successive
+cancellation over a coarse-to-fine grid, and no candidate goes through a
+receive transform. With s = T_tx x, the unit response of (ell, f) is
+z = T_rx u for u[n] = phi_ell[n] s[(n - ell) mod N] e^{j2pi f n/N}, phi_ell
+the delay's prefix window. Since T_tx = T_rx^H (modem), z^H y = u^H T_tx y
+and |z|^2 = |s|^2: a score is the matched filter's correlation (_correlate)
+of T_tx y with the windowed pilot. Per target the coarse grid is one
+(L, N) @ (N, F) product for L delays and F Dopplers, and each refinement
+level one row against a table of 2 refine_factor Doppler offsets (_MlGrid).
+
 The `sense` trials (_sense_trials) are the BER frame stacks of
-link._draw_frames, read in time domain, and the tables of both routes
-that depend only on the spec and the grid are built once per sweep.
+link._draw_frames, read in time domain. The tables that depend only on the
+spec and the grid are built once per sweep (_trial_tables).
 """
 
 from __future__ import annotations
@@ -165,17 +188,12 @@ def _integer_candidates(spec: WaveformSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _top_targets(spec, ells, fs, scores, entries, P, threshold, pilot) -> list[RadarTargetEstimate]:
-    """Rank the candidates and fit the gains of the top P; both direct routes end here.
-
-    Ties at the cut rank break toward smaller ell, then smaller f, and a
-    candidate scoring below threshold (_threshold) is dropped; a candidate
-    pruned unscored has score -inf. `entries(c)` gives G on the
-    supports of the candidates c. A winner's gain is the mean of those
-    entries divided entrywise by the unit-gain probe G1 on the same support.
-    Inside the injective region G1 has one entry per row, so its support
-    entries are the row sums G1 @ 1: one stacked transform of the unit
-    responses to pilot = modulate(ones) for all winners, no matrix. The
-    probe supplies the deterministic per-entry phase.
+    """The top P candidates by score, ties toward smaller ell, then smaller f,
+    without those below threshold (a pruned candidate scores -inf); both
+    direct routes end here. `entries(c)` gives G on the supports of the
+    candidates c. A winner's gain is the mean of its entries divided
+    entrywise by those of the unit-gain probe G1, which inside the injective
+    region are the row sums G1 @ 1: the responses to pilot = modulate(ones).
     """
     top = np.array([c for c in np.lexsort((fs, ells, -scores))[:P] if not scores[c] < threshold], dtype=int)
     if top.size == 0:
@@ -196,13 +214,9 @@ def direct_csi_extract(
     P: int,
     threshold: float | None = None,
 ) -> list[RadarTargetEstimate]:
-    """Read integer target parameters straight off an effective channel matrix.
-
-    Scores every candidate (ell, f_int) by the mean magnitude of G over its
-    predicted support, read in one gather, keeps the top P, and fits each
-    winner's gain against a unit-gain probe (see _top_targets). Given H's
-    cyclic diagonals instead of G, _ChannelCsi returns the same estimates
-    without building G.
+    """Integer targets read off an (N, N) effective channel G: every candidate
+    (ell, f_int) scored by the mean of |G| over its predicted support, the
+    top P kept (_top_targets). Raises ValueError for another shape or OFDM.
     """
     G = np.asarray(G)
     if G.shape != (spec.n, spec.n):
@@ -215,27 +229,17 @@ def direct_csi_extract(
 
 
 def _parseval_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds on the row means of |Q| for Q[c, m] = sum_ell a[c, ell] e^{-j2pi ell m/N}.
-
-    ChannelConfig keeps ell_max < N, so the E <= N frequencies ell/N are
-    distinct, and by Parseval
-    mean_m |Q[c, m]|^2 = ||a_c||_2^2; and max_m |Q[c, m]| <= ||a_c||_1.
-    Hence ||a_c||_2^2 / ||a_c||_1 <= mean_m |Q[c, m]| <= ||a_c||_2.
-    """
+    """The (lower, upper) Parseval bounds (module docstring) on the row means
+    of |Q| for Q[c, m] = sum_ell a[c, ell] e^{-j2pi ell m/N}."""
     mag = np.abs(a)
     l1, l2sq = mag.sum(axis=1), (mag * mag).sum(axis=1)
     return np.divide(l2sq, l1, out=np.zeros_like(l1), where=l1 > 0), np.sqrt(l2sq)
 
 
 def _survivors(lower: np.ndarray, upper: np.ndarray, P: int, threshold: float) -> np.ndarray:
-    """Ascending indices of the candidates that may rank in the top P at or above threshold.
-
-    At least P candidates score at least the P-th largest lower bound, so a
-    candidate whose upper bound falls short of it ranks below all of them;
-    one whose upper bound falls short of the threshold is dropped anyway,
-    and so is any candidate that would take its place in the top P. The
-    relative margin 1e-9 absorbs the rounding of bounds and scores.
-    """
+    """Ascending indices of the candidates that may rank in the top P at or
+    above threshold (module docstring); the relative margin 1e-9 absorbs the
+    rounding of bounds and scores."""
     cut = threshold if P > lower.size else max(threshold, float(np.partition(lower, -P)[-P]))
     return np.flatnonzero(upper * (1.0 + 1e-9) >= cut)
 
@@ -250,22 +254,12 @@ def _afdm_rows(a: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 
 class _ChannelCsi:
-    """Direct CSI from H's cyclic diagonals, for one spec and E = ell_max + 1 diagonals.
+    """Direct CSI from H's cyclic diagonals, for one spec and E = ell_max + 1
+    diagonals, through the closed form of G (module docstring).
 
-    What does not depend on the channel (candidates, their support shifts,
-    the unit probe's pilot, the chirp and phase tables) is built once here,
-    so the `sense` trials pay for it once per sweep (_trial_tables). Called
-    with diags = delay_diagonals(chan, spec.wrap), it returns
-    direct_csi_extract(effective_channel(spec, chan), spec, P) without
-    building G.
-
-    The support entries come from the closed form of G in H's diagonals
-    (support). On AFDM the score of candidate c is the row mean of
-    |Q[c]|, with Q[c] a sum of E complex exponentials whose coefficients
-    cost O(E) per candidate; Parseval bounds that mean (_parseval_bounds),
-    and only the candidates the bounds cannot rule out (_survivors) get
-    their (N,) row: O(C E + k N) for C candidates and k survivors. OTFS
-    scores every candidate, in O(C N).
+    Called with diags = delay_diagonals(chan, spec.wrap), it returns
+    direct_csi_extract(effective_channel(spec, chan), spec, P). What does
+    not depend on the channel is built once, in __init__.
     """
 
     def __init__(self, spec: WaveformSpec, E: int):
@@ -288,32 +282,14 @@ class _ChannelCsi:
         return _top_targets(self.spec, self.ells, self.fs, scores, entries, P, threshold, self.pilot)
 
     def coefficients(self, diags: np.ndarray) -> np.ndarray:
-        """AFDM: the (C, E) coefficients a[c, ell] = D_ell[-s_c mod N] of the rows Q[c] (see support)."""
+        """AFDM: the (C, E) coefficients a[c, ell] = D_ell[-s_c mod N] of the rows Q[c]."""
         D = np.fft.fft(self.spec._chirps[0] * diags * self.lagged, axis=-1) / self.spec.n
         return D[:, self.taps].T
 
     def support(self, diags: np.ndarray, P: int, threshold: float):
-        """Mean support magnitudes of G = T_rx H T_tx per candidate (-inf where
-        pruned), and a reader of its support entries.
-
-        diags is delay_diagonals(H, spec.wrap): row ell holds
-        d_ell[n] = H[n, (n - ell) mod N]. The reader maps candidate indices
-        to G[rows, cols] on their supports, in the layout of _support_indices.
-
-        AFDM: with D_ell = FFT(c1 * d_ell * conj(c1[(n - ell) mod N])) / N,
-        G[n, m] = c2[n] conj(c2[m]) sum_ell D_ell[(n - m) mod N] e^{-j2pi ell m/N}.
-        On the support of candidate c, m = (n + s_c) mod N, so its entries
-        are the chirps times Q[c, m] = sum_ell D_ell[-s_c mod N] e^{-j2pi ell m/N}.
-        The chirps have unit modulus and n -> m permutes, so the score is
-        the row mean of |Q[c]|, formed for the survivors of the Parseval
-        bounds only: the top P, their order, ties and the threshold come
-        out as if every candidate were scored.
-
-        OTFS, row (a, b) = a*K + b with a on the L axis: G[(a, b), (a', b')] is
-        p_rx[b] p_tx[b'] times the sum, over the ell with (b - ell) mod K = b',
-        of e^{j2pi a' q/L} Dh_ell[(a - a') mod L, b], where q = floor((b - ell)/K)
-        and Dh_ell[u, b] = DFT_L(d_ell[. K + b])[u] / L.
-        """
+        """Mean support magnitudes of G per candidate (-inf where pruned), and a
+        reader mapping candidate indices to G on their supports, in the
+        layout of _support_indices."""
         spec, ells, fs, E = self.spec, self.ells, self.fs, diags.shape[0]
         N = spec.n
         if isinstance(spec, AfdmSpec):
@@ -349,15 +325,10 @@ class _ChannelCsi:
 
 @dataclass(frozen=True, eq=False)
 class _MlGrid:
-    """The search grid of indirect_csi_ml and its Doppler tables, which depend
-    on (N, grid, refine_factor, refine_levels) only: built once per call, or
-    once per sweep for the `sense` trials (_trial_tables).
-
-    coarse is doppler_phases(N, -dops), the rows e^{-j2pi f n/N} of the
-    coarse Dopplers. Each refinement level holds its step and the rows
-    e^{-j2pi k step n/N} for k in ks = -refine_factor..-1, 1..refine_factor,
-    in the same convention.
-    """
+    """The search grid of indirect_csi_ml and its Doppler tables: coarse is
+    doppler_phases(N, -dops), and each refinement level holds its step and
+    the rows e^{-j2pi k step n/N} for k in ks = -refine_factor..-1,
+    1..refine_factor."""
 
     ells: np.ndarray
     dops: np.ndarray
@@ -367,12 +338,9 @@ class _MlGrid:
 
 
 def _ml_grid(spec: WaveformSpec, coarse_grid: tuple, refine_levels: int, refine_factor: int) -> _MlGrid:
-    """Validate the spec and the search grid of indirect_csi_ml and build its tables.
-
-    An offset table is conj(doppler_phases(N, ks * step)), and its k > 0
-    rows are the conjugates of its k < 0 rows, reversed: doppler_phases(N, -f)
-    is conj(doppler_phases(N, f)) bit for bit, so half the phase rows suffice.
-    """
+    """Validate the spec and the search grid of indirect_csi_ml and build its
+    tables; a table's k > 0 rows are the conjugates of its k < 0 rows, which
+    doppler_phases keeps bit for bit."""
     N = spec.n
     _check_spec(spec, N)
     if refine_levels > 0 and refine_factor < 2:
@@ -400,37 +368,20 @@ def indirect_csi_ml(
     refine_levels: int = 0,
     refine_factor: int = 10,
 ) -> list[RadarTargetEstimate]:
-    """Grid-search ML fit of P paths to a known-pilot frame.
+    """Grid-search ML fit of P paths to a known-pilot frame (module docstring).
 
-    Greedy successive cancellation: for each target, score every (ell, f)
-    of the coarse grid. At a candidate the best gain is the closed-form
-    scalar least-squares fit of the residual r onto the unit response
-    z = G1(ell, f) x, and the candidate minimizing the residual L2 norm,
-    that is maximizing |z^H r|^2 / |z|^2, wins; on a tie the first in
-    ell-major, f-ascending order does. The winner's Doppler is then refined
-    on a grid whose step shrinks by refine_factor per level (delays stay
-    integer), and a refined candidate replaces the incumbent only with a
-    strictly higher score. The fitted component is subtracted, and the
-    search repeats on the residual.
+    For each target, every (ell, f) of the coarse grid is scored by
+    |z^H r|^2 / |z|^2 for its unit response z and the residual r, the first
+    maximum in ell-major, f-ascending order winning. Its Doppler is refined
+    on refine_levels grids whose step shrinks by refine_factor per level; a
+    refined candidate replaces the incumbent only with a strictly higher
+    score. The least-squares fitted component is subtracted, and the search
+    repeats on the residual.
 
-    No candidate goes through a receive transform. With s = modulate(x),
-    z = T_rx u for the time-domain row u[n] = phi_ell[n] s[(n - ell) mod N]
-    e^{j2pi f n/N}, phi_ell the delay's prefix window. T_rx is unitary and
-    T_tx = T_rx^H, so z^H y = u^H T_tx y, the matched filter's correlation
-    (_correlate) of T_tx y with the windowed pilot, and |z|^2 = |s|^2. Per
-    target the coarse grid is one (L, N) @ (N, F) product for L delays and
-    F Dopplers. Each refinement level is one product of the incumbent's
-    row, its Doppler phases included, with the level's table of
-    2 * refine_factor offsets (_MlGrid); a refined winner's phase row is
-    the incumbent's times the conjugate of its table row. Cancellation subtracts the fitted
-    time-domain row. OTFS specs whose pulses break T_tx = T_rx^H are refused.
-
-    Parameters
-    ----------
-    y : demodulated received block (length N)
-    x_known : the transmitted symbol block (pilot, fully known)
-    coarse_grid : (delay_range, doppler_range) iterables of integer bins,
-        delays in 0..N-1 and Dopplers within +-N/2
+    y is the demodulated (N,) block, x_known the (N,) pilot symbols, and
+    coarse_grid (delays, Dopplers) of integer bins in 0..N-1 and within
+    +-N/2. Raises ValueError for other shapes or bins, P < 1, a
+    refine_factor < 2 with refinement, or OTFS pulses without T_tx = T_rx^H.
     """
     y = np.asarray(y)
     x_known = np.asarray(x_known)
@@ -476,8 +427,8 @@ def _ml_fit(spec: WaveformSpec, grid: _MlGrid, r: np.ndarray, s: np.ndarray, ene
 def _trial_tables(spec: WaveformSpec, ell_max: int, f_max: int, refine_levels: int,
                   refine_factor: int) -> tuple[_ChannelCsi, _MlGrid]:
     """The direct-CSI tables and the ML grid of _sense_trials on the window
-    0..ell_max x -f_max..f_max, the matched filter's window too. A sweep
-    builds them once, not once per chunk (one trial from N = 256 on)."""
+    0..ell_max x -f_max..f_max, the matched filter's window too: built once
+    per sweep, not once per chunk."""
     window = (range(ell_max + 1), range(-f_max, f_max + 1))
     return _ChannelCsi(spec, ell_max + 1), _ml_grid(spec, window, refine_levels, refine_factor)
 
@@ -485,13 +436,10 @@ def _trial_tables(spec: WaveformSpec, ell_max: int, f_max: int, refine_levels: i
 def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
                   snr_db: float, doppler_mode: str, seed: int, keys, refine_levels: int,
                   refine_factor: int) -> list[tuple[list, dict]]:
-    """Sensing trials of the substream keys `keys`: (truth pairs, estimates per method) each.
-
-    A trial is a BER frame (link._draw_frames), read in time domain: no
-    method demodulates it. H's diagonals come with the chunk, and the
-    tables from _trial_tables. Each trial runs the matched filter,
-    direct CSI and the ML search for chan_config.P targets on the window
-    0..ell_max x -f_max..f_max.
+    """Sensing trials of the substream keys `keys`: (truth pairs, estimates per
+    method) each. A trial is the BER frame of its key (link._draw_frames),
+    and each method looks for chan_config.P targets on the window
+    0..ell_max x -f_max..f_max; no method demodulates it.
     """
     (_, delays, dopplers), [(_, diags)], _, [(s_cp, r)] = _draw_frames(
         [spec], chan_config, constellation, [snr_db], doppler_mode, seed, keys
@@ -519,8 +467,9 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
 
 
 def _check_radar(f_c: float, geometry: str) -> None:
-    """The arguments radar_convert and radar_invert share: f_c > 0 and a known geometry."""
-    if f_c <= 0:
+    """The arguments radar_convert and radar_invert share: a finite f_c > 0 and
+    a known geometry."""
+    if not 0 < f_c < math.inf:  # NaN fails too
         raise ValueError(f"carrier frequency must be positive, got {f_c}")
     if geometry not in ("monostatic", "bistatic"):
         raise ValueError(f"unknown geometry {geometry!r}")

@@ -1,6 +1,4 @@
-"""Channel model: sample-level oracle, H's diagonals and their applier, continuous views, MIMO."""
-
-import tracemalloc
+"""Channel model: sample-level oracle, H's diagonals and their applier, continuous views."""
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from ddwave.channel import (
     delay_diagonals,
     doppler_phases,
     dvirf_points,
-    mimo_channel,
     realization_from_points,
     sample_paths,
     time_domain_apply,
@@ -431,114 +428,3 @@ def test_realization_from_points_rejects_fractional_delay():
     with pytest.raises(ValueError, match="integer"):
         realization_from_points(cfg, [(1.5 / cfg.f_s, 0.0, 1.0)])
 
-
-# ----------------------------------------------------------------------- MIMO
-
-def test_mimo_siso_reduces_to_channel_matrix():
-    cfg = make_config(P=2)
-    chan = ChannelRealization(
-        config=cfg, paths=(PathParams(0.6, 1, 1.0), PathParams(0.3j, 2, -1.0))
-    )
-    gains = np.array([p.gain for p in chan.paths]).reshape(2, 1, 1)
-    out = mimo_channel(chan, gains)
-    assert len(out) == 1 and len(out[0]) == 1
-    assert out[0][0] == chan
-    H_ref = oracle.channel_matrix(16, paths_tuple(chan), oracle.zero_cycles)
-    assert np.max(np.abs(operator_matrix(out[0][0], OfdmSpec(16).wrap) - H_ref)) <= 1e-10
-
-
-def test_mimo_zero_beam_gain_removes_path():
-    cfg = make_config(P=1)
-    chan = ChannelRealization(
-        config=cfg, paths=(PathParams(1.0, 1, 0.5, aod=0.3, aoa=-0.1),)
-    )
-    out = mimo_channel(chan, np.ones((1, 2, 2)), tx_gain=lambda theta: 0.0)
-    for row in out:
-        for pair in row:
-            assert pair.paths[0].gain == 0
-            assert not np.any(delay_diagonals(pair, OfdmSpec(16).wrap))
-
-
-def test_mimo_requires_angles_for_beam_gains():
-    cfg = make_config(P=1)
-    chan = single(cfg, 1.0, 0, 0.0)  # no angles attached
-    with pytest.raises(ValueError, match="angle"):
-        mimo_channel(chan, np.ones((1, 1, 1)), tx_gain=lambda theta: 1.0)
-    with pytest.raises(ValueError, match="angle"):
-        mimo_channel(chan, np.ones((1, 1, 1)), rx_gain=lambda theta: 1.0)
-
-
-def test_mimo_pairs_share_support():
-    cfg = make_config(P=2)
-    base = ChannelRealization(
-        config=cfg, paths=(PathParams(1.0, 1, 1.0, aod=0.2, aoa=0.4), PathParams(1.0, 3, -2.0))
-    )
-    rng = np.random.default_rng(13)
-    gains = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-    out = mimo_channel(base, gains)
-    assert (len(out), len(out[0])) == (2, 2)
-    geometry = [(p.delay_norm, p.doppler_norm, p.aod, p.aoa) for p in base.paths]
-    for nt in range(2):
-        for nr in range(2):
-            pair = out[nt][nr]
-            assert pair.config == cfg
-            assert [(p.delay_norm, p.doppler_norm, p.aod, p.aoa) for p in pair.paths] == geometry
-            d = delay_diagonals(pair, OfdmSpec(16).wrap)
-            assert np.all(np.abs(d[[1, 3]]) > 1e-12) and not np.any(d[[0, 2]])
-
-
-def test_mimo_gain_shape_mismatch_rejected():
-    cfg = make_config(P=2)
-    chan = ChannelRealization(
-        config=cfg, paths=(PathParams(1.0, 0, 0.0), PathParams(1.0, 1, 0.0))
-    )
-    with pytest.raises(ValueError, match="paths"):
-        mimo_channel(chan, np.ones((3, 1, 1)))
-
-
-@pytest.mark.parametrize("waveform", ["ofdm", "afdm"])
-def test_mimo_pairs_match_oracle_effective_channel(waveform):
-    # each pair is an ordinary realization: the waveform supplies its prefix
-    # rule, and G matches the oracle built from the beam-scaled gains
-    N, ell_max, f_max = 16, 2, 1
-    if waveform == "ofdm":
-        spec, ops, cycles = OfdmSpec(N, ell_max), oracle.ofdm_ops(N), oracle.zero_cycles
-    else:
-        c1, c2 = afdm_tune(ell_max, f_max, 0, N)
-        spec = AfdmSpec(N, c1, c2, cp_len=ell_max)
-        ops, cycles = oracle.afdm_ops(N, c1, c2), oracle.chirp_cp_cycles(c1, N)
-    cfg = make_config(N=N, ell_max=ell_max, f_max=f_max, P=2)
-    base = ChannelRealization(
-        config=cfg,
-        paths=(PathParams(1.0, 0, 0.7, aod=0.3, aoa=-0.5), PathParams(1.0, 2, -1.0, aod=-0.8, aoa=0.1)),
-    )
-    rng = np.random.default_rng(21)
-    gains = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-    tx_gain, rx_gain = np.cos, lambda theta: 1.0 + 0.5 * np.sin(theta)
-    beams = [tx_gain(p.aod) * rx_gain(p.aoa) for p in base.paths]
-    out = mimo_channel(base, gains, tx_gain=tx_gain, rx_gain=rx_gain)
-    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    for nt in range(2):
-        for nr in range(2):
-            scaled = [(beams[i] * gains[i, nt, nr], p.delay_norm, p.doppler_norm)
-                      for i, p in enumerate(base.paths)]
-            G = effective_channel(spec, out[nt][nr])
-            assert np.max(np.abs(G - oracle.effective_matrix(*ops, scaled, cycles))) <= 1e-10
-            r = time_domain_apply(prepend_cp(spec, modulate(spec, x)), out[nt][nr])
-            assert np.max(np.abs(demodulate(spec, r) - G @ x)) <= 1e-10
-
-
-def test_mimo_builds_no_dense_tensor():
-    # 4 x 4 pairs at N = 1024: one N x N complex array alone would be 16 MiB
-    N = 1024
-    cfg = make_config(N=N, ell_max=3, f_max=2, P=3)
-    base = sample_paths(cfg, "fractional", np.random.default_rng(5))
-    gains = np.ones((3, 4, 4), dtype=complex)
-    tracemalloc.start()
-    try:
-        out = mimo_channel(base, gains)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (len(out), len(out[0])) == (4, 4)
-    assert peak < N * N  # bytes: less than one byte per entry of an N x N array

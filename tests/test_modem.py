@@ -307,6 +307,12 @@ def test_predict_support_rejects_ofdm_and_bad_bounds():
         predict_support(spec, 36, 0)
     with pytest.raises(ValueError):
         predict_support(spec, 0, 19)
+    for s in (spec, OtfsSpec(k=6, l=6)):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="delay"):
+                predict_support(s, bad, 0)
+            with pytest.raises(ValueError, match="Doppler"):
+                predict_support(s, 0, bad)
 
 
 def test_afdm_fractional_leakage_monotone():

@@ -977,7 +977,7 @@ def test_rmse_accepts_estimate_objects():
 
 
 
-@pytest.mark.parametrize("f_c", [0.0, -5.9e9])
+@pytest.mark.parametrize("f_c", [0.0, -5.9e9, np.nan, np.inf])
 @pytest.mark.parametrize("fn", [radar_convert, radar_invert])
 def test_radar_functions_share_the_argument_checks(fn, f_c):
     with pytest.raises(ValueError, match=f"carrier frequency must be positive, got {f_c}"):
