@@ -2,19 +2,15 @@
 
 A realization is P paths, each a complex gain h_p, an integer delay ell_p
 in samples and a real normalized Doppler f_p = N nu_p / f_s:
-H = sum_p h_p Phi_p D(f_p) Pi^{ell_p}. No N x N matrix is built here. H
-has two routes:
-
-- the sample route, time_domain_apply (_apply_samples for stacks), reads
-  each path's samples from the transmitted prefix. It is the ground truth
-  and the frames' transmit channel.
-- the diagonal route: with the prefix stripped, H is its ell_max + 1
-  populated cyclic diagonals d[ell][n] = H[n, (n - ell) mod N].
-  _stack_diagonals is their one builder (delay_diagonals its
-  one-realization call) and _apply_diagonals their one applier, O(N) per
-  delay. Row n of a delay-ell path reads its sample from the prefix when
-  n < ell and then takes the factor wrap[N - ell + n] of the waveform's
-  prefix vector (modem.AfdmSpec.wrap), else 1 (_wrap_window).
+H = sum_p h_p Phi_p D(f_p) Pi^{ell_p}, with no N x N matrix built: H is
+its ell_max + 1 populated cyclic diagonals d[ell][n] = H[n, (n - ell) mod N].
+_stack_diagonals builds them, the one place a path's tap is formed, and
+_apply_diagonals applies them, O(N) per delay. Row n of a delay-ell path
+reads its sample from the prefix when n < ell and then takes the factor
+wrap[N - ell + n] of the waveform's prefix vector (modem.AfdmSpec.wrap),
+else 1 (_wrap_window). The sample route, time_domain_apply, and the frames'
+transmit channel apply the plain diagonals (prefix vector ones) to the
+caller's prefixed samples (_transmit), so they read the prefix as sent.
 
 tvtf, dvirf_points and realization_from_points are the paper's continuous
 views of a realization: the time-variant transfer function, and the
@@ -24,6 +20,7 @@ inverse. Nothing else in the package calls them; they stay as those views.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -129,6 +126,9 @@ class ChannelConfig:
     cp_len: int       # cyclic prefix length [samples]
 
     def __post_init__(self):
+        for name in ("f_s", "f_c"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.cp_len < self.ell_max:
             raise ValueError(f"cp_len must be >= ell_max, got {self.cp_len} < {self.ell_max}")
         if self.cp_len > self.N:
@@ -167,17 +167,6 @@ class ChannelRealization:
                 raise ValueError(
                     f"path Doppler {p.doppler_norm} outside +-{self.config.f_max + 0.5}"
                 )
-
-    @cached_property
-    def _taps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (P,) gains and integer delays and the (P, N) Doppler phases of the
-        paths, read-only: formed once, however many waveforms this realization
-        is applied to or equalized for."""
-        gains, delays, dopplers = _path_arrays(self.paths)
-        taps = gains, delays, doppler_phases(self.config.N, dopplers)
-        for a in taps:
-            a.flags.writeable = False
-        return taps
 
     @cached_property
     def _zf_accepted(self) -> dict[bytes, np.ndarray]:
@@ -222,21 +211,16 @@ def _realization(config: ChannelConfig, gains, delays, dopplers) -> ChannelReali
 
 def time_domain_apply(s_cp: np.ndarray, chan: ChannelRealization) -> np.ndarray:
     """The sample route: the noiseless (N,) r[n] = sum_p h_p e^{j2pi f_p n/N}
-    s_cp[cp_len + n - ell_p] of the prefixed (N + cp_len,) block s_cp.
+    s_cp[cp_len + n - ell_p] of the prefixed (N + cp_len,) block s_cp, whose
+    prefix is read as given (_transmit).
 
     Raises ValueError if s_cp is shorter than N or a delay exceeds cp_len.
     """
-    N = chan.config.N
-    s_cp = np.asarray(s_cp)
-    cp_len = s_cp.shape[0] - N
-    if cp_len < 0:
-        raise ValueError(f"input length {s_cp.shape[0]} shorter than block size {N}")
-    return _apply_samples(s_cp, N, *chan._taps)
+    return _transmit(delay_diagonals(chan, np.ones(chan.config.N)), _path_arrays(chan.paths)[1], np.asarray(s_cp))
 
 
 def _path_arrays(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gains, integer delays and Dopplers of an iterable of PathParams, each of shape (P,)."""
-    paths = tuple(paths)
+    """Gains, integer delays and Dopplers of a sequence of PathParams, each of shape (P,)."""
     return (
         np.array([p.gain for p in paths], dtype=complex),
         np.array([p.delay_norm for p in paths], dtype=np.intp),
@@ -244,20 +228,18 @@ def _path_arrays(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _apply_samples(s_cp, N: int, gains, delays, phases) -> np.ndarray:
-    """time_domain_apply for blocks along the last axis of s_cp, with (..., P)
-    gains and delays and (..., P, N) Doppler phases broadcast against its
-    leading axes: (B, P) arrays give one realization per block."""
-    cp_len = s_cp.shape[-1] - N
+def _transmit(d: np.ndarray, delays, s_cp: np.ndarray) -> np.ndarray:
+    """H s_cp for H's plain (..., ell_max + 1, N) diagonals d (prefix vector
+    ones), the delays of their paths and prefixed blocks s_cp (..., N + cp_len):
+    rows 0..cp_len of d read the prefix as given. Raises ValueError if s_cp
+    is shorter than N or a delay exceeds cp_len."""
+    cp_len = s_cp.shape[-1] - d.shape[-1]
+    if cp_len < 0:
+        raise ValueError(f"input length {s_cp.shape[-1]} shorter than block size {d.shape[-1]}")
     too_late = delays[delays > cp_len]
     if too_late.size:
         raise ValueError(f"path delay {too_late[0]} exceeds prefix length {cp_len}")
-    n = np.arange(N)
-    taps = gains[..., None] * phases
-    r = np.zeros(s_cp.shape[:-1] + (N,), dtype=complex)
-    for p in range(gains.shape[-1]):
-        r += taps[..., p, :] * np.take_along_axis(s_cp, cp_len + n - delays[..., p, None], axis=-1)
-    return r
+    return _apply_diagonals(d[..., : cp_len + 1, :], s_cp)
 
 
 def _wrap_window(wrap: np.ndarray, delays) -> np.ndarray:
@@ -273,17 +255,17 @@ def _wrap_window(wrap: np.ndarray, delays) -> np.ndarray:
 def delay_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
     """H's (ell_max + 1, N) cyclic diagonals for the prefix vector wrap
     (spec.wrap): the one-realization _stack_diagonals."""
-    gains, delays, phases = chan._taps
-    return _stack_diagonals(chan.config.ell_max, gains[None], delays[None], phases[None], wrap)[0]
+    return _stack_diagonals(chan.config.ell_max, *(a[None] for a in _path_arrays(chan.paths)), wrap)[0]
 
 
-def _stack_diagonals(ell_max: int, gains, delays, phases, wrap) -> np.ndarray:
-    """H's (B, ell_max + 1, N) diagonals of B realizations given as (B, P)
-    gains and delays and (B, P, N) Doppler phases.
+def _stack_diagonals(ell_max: int, gains, delays, dopplers, wrap) -> np.ndarray:
+    """H's (B, ell_max + 1, N) diagonals, N = len(wrap), of B realizations
+    given as (B, P) gains, integer delays and Dopplers.
 
     Path p's taps h_p phi_p[n] e^{j2pi f_p n/N}, phi_p its _wrap_window,
     sum into row ell_p in path order.
     """
+    phases = doppler_phases(wrap.shape[0], dopplers)
     taps = gains[..., None] * (_wrap_window(wrap, delays) * phases)
     d = np.zeros((delays.shape[0], ell_max + 1, phases.shape[-1]), dtype=complex)
     rows = np.arange(delays.shape[0])
@@ -293,15 +275,16 @@ def _stack_diagonals(ell_max: int, gains, delays, phases, wrap) -> np.ndarray:
 
 
 def _apply_diagonals(d: np.ndarray, S) -> np.ndarray:
-    """H S for H's (ell_max + 1, N) diagonals d and blocks along the last axis
-    of S: sum_ell d[ell][n] s[(n - ell) mod N], summed in delay order."""
-    S = np.asarray(S)
-    N = S.shape[-1]
-    out = np.zeros(S.shape, dtype=complex)
-    term = np.empty(S.shape, dtype=complex)
-    for ell, d_ell in enumerate(d):
-        np.multiply(S[..., N - ell :], d_ell[:ell], out=term[..., :ell])
-        np.multiply(S[..., : N - ell], d_ell[ell:], out=term[..., ell:])
+    """H s for H's (..., E, N) diagonals d and blocks along the last axis of S
+    that carry h = S.shape[-1] - N >= E - 1 samples of history each:
+    r[n] = sum_ell d[ell][n] S[h + n - ell], summed in delay order. The
+    leading axes of d and S broadcast."""
+    E, N = d.shape[-2:]
+    h = S.shape[-1] - N
+    out = np.zeros(np.broadcast_shapes(S.shape[:-1], d.shape[:-2]) + (N,), dtype=complex)
+    term = np.empty(out.shape, dtype=complex)
+    for ell in range(E):
+        np.multiply(S[..., h - ell : h - ell + N], d[..., ell, :], out=term)
         out += term
     return out
 

@@ -43,18 +43,25 @@ def _setup_logging():
     logging.basicConfig(level=getattr(logging, level))
 
 
+_CSV_BLOCK = 4096  # rows per write of _write_csv
+
+
 def _write_csv(path: str, columns: dict) -> None:
     """Write a table given as {header: column}, one row per column index.
 
     The bytes are those of `csv.writer` with its default dialect on rows of
     these values: CRLF line ends and floats as their shortest round-trip
     repr. Each column is a sequence of numbers or of names that need no
-    quoting; a table with no rows is the header line alone.
+    quoting; a table with no rows is the header line alone. Rows are
+    written _CSV_BLOCK at a time, so memory stays bounded.
     """
-    cells = [map(str, np.asarray(col).tolist()) for col in columns.values()]
-    lines = [",".join(columns), *map(",".join, zip(*cells)), ""]
+    cols = [np.asarray(col) for col in columns.values()]
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+        fh.write(",".join(columns))
+        for start in range(0, min(map(len, cols), default=0), _CSV_BLOCK):
+            cells = [map(str, col[start : start + _CSV_BLOCK].tolist()) for col in cols]
+            fh.write("\r\n" + "\r\n".join(map(",".join, zip(*cells))))
+        fh.write("\r\n")
 
 
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

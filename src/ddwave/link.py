@@ -26,16 +26,15 @@ reads the chunk size. So a result is a pure function of (config, seed),
 frame i is the same frame at every point and for every waveform, and a
 sweep's row equals a one-point, one-waveform run, up to the rounding of
 LMMSE's shared reduction of several right-hand sides. A chunk's bits are
-mapped once, each waveform modulates the chunk and sends it through the
-sample route once for the whole sweep, and each point adds its own scaling
-of the frame's noise. Waveforms with equal prefix vectors see the same H
-(_prefix_groups): per chunk and group, H's diagonals and those of H H^H are
-formed once, and LMMSE runs one reduction per point with a right-hand-side
-column per waveform. ZF guards the chunk's groups as one stack, one
-decision per frame, the first refusal in group and then frame order
-raising. Each accepted realization keeps its diagonals, so equalize_zf,
-called once per frame and waveform with the blocks of all points, runs
-only the LU and demodulation.
+mapped once, each waveform modulates the chunk once for the whole sweep,
+and each point adds its own scaling of the frame's noise. Waveforms with
+equal prefix vectors see the same H (_prefix_groups): per chunk and group,
+H's diagonals and those of H H^H are formed once, and LMMSE runs one
+reduction per point with a right-hand-side column per waveform. ZF guards
+the chunk's groups as one stack, one decision per frame, the first refusal
+in group and then frame order raising. Each accepted realization keeps its
+diagonals, so equalize_zf, called once per frame and waveform with the
+blocks of all points, runs only the LU and demodulation.
 """
 
 from __future__ import annotations
@@ -49,12 +48,11 @@ import numpy as np
 from .channel import (
     ChannelConfig,
     ChannelRealization,
-    _apply_samples,
     _draw_paths,
     _realization,
     _stack_diagonals,
+    _transmit,
     delay_diagonals,
-    doppler_phases,
 )
 from .modem import OtfsSpec, WaveformSpec, _papr_db, demodulate, modulate, prepend_cp
 
@@ -616,32 +614,30 @@ def _draw_frames(specs, chan_config: ChannelConfig, constellation: Constellation
         if noisy:
             normals[b] = rng.standard_normal((N, 2))
     x = map_bits(bits.ravel(), constellation).reshape(B, N)
-    phases = doppler_phases(N, paths[2])
+    diagonals = [
+        (group, _stack_diagonals(chan_config.ell_max, *paths, specs[group[0]].wrap))
+        for group in _prefix_groups(specs)
+    ]
+    # the transmit channel: H's plain diagonals, a group's own if its prefix vector is ones
+    ones = [d for group, d in diagonals if np.all(specs[group[0]].wrap == 1)]
+    plain = ones[0] if ones else _stack_diagonals(chan_config.ell_max, *paths, np.ones(N))
     noise = [None if snr == np.inf else _noise(normals, snr) for snr in snrs]
     stacks = []
     for spec in specs:
         s_cp = prepend_cp(spec, modulate(spec, x))
-        r0 = _apply_samples(s_cp, N, paths[0], paths[1], phases)
+        r0 = _transmit(plain, paths[1], s_cp)
         stacks.append((s_cp, np.stack([r0 if z is None else r0 + z for z in noise], axis=1)))
-    diagonals = [
-        (group, _stack_diagonals(chan_config.ell_max, paths[0], paths[1], phases, specs[group[0]].wrap))
-        for group in _prefix_groups(specs)
-    ]
     return paths, diagonals, bits, stacks
 
 
 def _prefix_groups(specs) -> list[list[int]]:
-    """Indices of specs grouped by exactly equal prefix vectors (spec.wrap), in
-    order of first appearance: one group sees one H. OFDM and OTFS are ones,
-    and so is a tuned AFDM at even N (modem.AfdmSpec.wrap)."""
-    groups: list[list[int]] = []
+    """Indices of specs grouped by bitwise equal prefix vectors (spec.wrap, as
+    _zf_accepted keys them), in order of first appearance: one group sees one
+    H. OFDM, OTFS and a tuned AFDM at even N have ones (modem.AfdmSpec.wrap)."""
+    groups: dict[bytes, list[int]] = {}
     for w, spec in enumerate(specs):
-        group = next((g for g in groups if np.array_equal(specs[g[0]].wrap, spec.wrap)), None)
-        if group is None:
-            groups.append([w])
-        else:
-            group.append(w)
-    return groups
+        groups.setdefault(spec.wrap.tobytes(), []).append(w)
+    return list(groups.values())
 
 
 def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,

@@ -87,12 +87,23 @@ def _integral(x: float) -> int | None:
     return r if abs(x - r) <= 1e-9 else None
 
 
+def _check_sizes(n: int, cp_len: int) -> None:
+    """A spec's block and prefix sizes: n >= 1 and cp_len >= 0."""
+    if n < 1:
+        raise ValueError(f"block size must be >= 1, got {n}")
+    if cp_len < 0:
+        raise ValueError(f"prefix length must be >= 0, got {cp_len}")
+
+
 @dataclass(frozen=True)
 class OfdmSpec:
     """Plain multicarrier spec: IDFT transmit, DFT receive."""
 
     n: int
     cp_len: int = 0
+
+    def __post_init__(self):
+        _check_sizes(self.n, self.cp_len)
 
     def _tx(self, x: np.ndarray) -> np.ndarray:
         return np.fft.ifft(x, norm="ortho")
@@ -125,6 +136,7 @@ class OtfsSpec:
     def __post_init__(self):
         if self.k < 1 or self.l < 1:
             raise ValueError(f"grid sizes must be >= 1, got K={self.k}, L={self.l}")
+        _check_sizes(self.n, self.cp_len)
         for name, p in (("pulse_tx", self.pulse_tx), ("pulse_rx", self.pulse_rx)):
             if p is not None and len(p) != self.k:
                 raise ValueError(f"{name} must have length K={self.k}, got {len(p)}")
@@ -177,6 +189,7 @@ class AfdmSpec:
     cp_len: int = 0
 
     def __post_init__(self):
+        _check_sizes(self.n, self.cp_len)
         if self.xi < 0:
             raise ValueError(f"guard width must be >= 0, got {self.xi}")
         if not (np.isfinite(self.c1) and np.isfinite(self.c2)):
@@ -262,16 +275,19 @@ def prepend_cp(spec: WaveformSpec, s: np.ndarray) -> np.ndarray:
 
 
 def effective_channel(spec: WaveformSpec, chan: ChannelRealization) -> np.ndarray:
-    """The (N, N) symbol-domain channel G = T_rx H T_tx, H on the diagonal
-    route with spec.wrap: noiselessly, demodulate of the channel's output for
+    """The (N, N) symbol-domain channel G = T_rx H T_tx, H as its diagonals
+    for spec.wrap: noiselessly, demodulate of the channel's output for
     prepend_cp(spec, modulate(spec, x)) is G @ x. O(N^2 log N), no matrix
     product; raises ValueError if the block sizes differ.
     """
     if chan.config.N != spec.n:
         raise ValueError(f"channel block size {chan.config.N} != waveform size {spec.n}")
-    # row j is the response to unit block e_j, i.e. column j of G
+    # row j is the response to unit block e_j, i.e. column j of G; as d holds
+    # the prefix factors, each row's history is a plain copy of its tail
     d = delay_diagonals(chan, spec.wrap)
-    return spec._rx(_apply_diagonals(d, spec._tx(np.eye(spec.n, dtype=complex)))).T
+    s = spec._tx(np.eye(spec.n, dtype=complex))
+    s = np.concatenate([s[:, spec.n - len(d) + 1 :], s], axis=1)  # frees the first s: a lower peak
+    return spec._rx(_apply_diagonals(d, s)).T
 
 
 def afdm_orthogonality_ok(ell_max: int, f_max: int, xi: int, N: int) -> bool:

@@ -38,8 +38,10 @@ def paths_tuple(chan):
 
 
 def apply_h(chan, wrap, S):
-    """H S through H's diagonals: the diagonal route of effective_channel."""
-    return _apply_diagonals(delay_diagonals(chan, wrap), S)
+    """H S through H's diagonals, each block of S given its cyclic tail as
+    history, as effective_channel applies them."""
+    S, N = np.asarray(S), chan.config.N
+    return _apply_diagonals(delay_diagonals(chan, wrap), np.concatenate([S[..., N - chan.config.ell_max :], S], axis=-1))
 
 
 def operator_matrix(chan, wrap):
@@ -63,6 +65,18 @@ def test_config_rejects_short_cp():
 def test_config_rejects_prefix_longer_than_block():
     with pytest.raises(ValueError, match="cp_len must be <= N"):
         make_config(N=16, cp_len=17)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e7])
+@pytest.mark.parametrize("name", ["f_s", "f_c"])
+def test_config_rejects_rates_that_are_not_finite_and_positive(name, value):
+    # unchecked, f_s = nan made dvirf_points return nan and tvtf nan+nanj silently
+    rates = {"f_s": 1e7, "f_c": 5.9e9}
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
+        ChannelConfig(N=16, ell_max=3, f_max=2, P=1, cp_len=3, **{**rates, name: value})
+    chan = single(ChannelConfig(N=16, ell_max=3, f_max=2, P=1, cp_len=3, **rates), 0.5j, 2, 1.5)
+    assert dvirf_points(chan) == [(2e-7, 1.5 * 1e7 / 16, 0.5j)]
+    assert np.isclose(tvtf(chan, 0.0, 0.0), 0.5j)
 
 
 def test_config_rejects_oversized_bounds():
@@ -375,6 +389,18 @@ def test_applier_sums_repeated_delays_drawn_out_of_order(case):
         assert np.max(np.abs(row - time_domain_apply(prepend_cp(spec, s), chan))) <= 1e-12
     G_ref = oracle.effective_matrix(tx, rx, paths_tuple(chan), cycles)
     assert np.max(np.abs(effective_channel(spec, chan) - G_ref)) <= 1e-10
+    # the sample route reads the caller's own prefix: random prefix samples
+    # (not wrap * s), fractional Dopplers, repeated delays out of order, and a
+    # prefix of 3 < ell_max = 4 samples that still covers every drawn delay
+    rng = np.random.default_rng(3)
+    chan = sample_paths(make_config(N=37, ell_max=4, f_max=1, P=6), "fractional", rng)
+    delays = [p.delay_norm for p in chan.paths]
+    assert max(delays) == 3 and len(set(delays)) < len(delays) and delays != sorted(delays)
+    s_cp = rng.standard_normal((40, 2)) @ np.array([1.0, 1.0j])
+    assert np.max(np.abs(s_cp[:3] - prepend_cp(spec, s_cp[3:])[:3])) > 0.1
+    n = np.arange(37)
+    want = sum(p.gain * np.exp(2j * np.pi * p.doppler_norm * n / 37) * s_cp[3 + n - p.delay_norm] for p in chan.paths)
+    assert np.max(np.abs(time_domain_apply(s_cp, chan) - want)) <= 1e-12
 
 
 # ------------------------------------------------------- continuous-domain views

@@ -175,6 +175,17 @@ def test_prefix_longer_than_block_rejected():
         prepend_cp(OfdmSpec(8, cp_len=9), random_block(8, 13))
 
 
+@pytest.mark.parametrize("make, cp_len", [
+    (lambda: OfdmSpec(8, -1), -1),
+    (lambda: OtfsSpec(2, 4, cp_len=-2), -2),
+    (lambda: AfdmSpec(8, 1.0 / 32.0, 0.0, cp_len=-1), -1),
+], ids=["ofdm", "otfs", "afdm"])
+def test_negative_prefix_rejected_at_construction(make, cp_len):
+    # prepend_cp would otherwise return the unprefixed block
+    with pytest.raises(ValueError, match=f"prefix length must be >= 0, got {cp_len}"):
+        make()
+
+
 # ------------------------------------------------------------ effective channel
 
 def test_effective_channel_identity_path_all_waveforms():

@@ -274,7 +274,7 @@ def channel_stacks(draw):
 @given(case=channel_stacks(), noise_var=st.sampled_from([0.0, 0.05, 0.3]))
 def test_equalizers_match_dense_g_domain_solves(case, noise_var):
     spec, (tx, rx), phase, (ell_max, _, gains, delays, dopplers) = case
-    d = _stack_diagonals(ell_max, gains, delays, doppler_phases(spec.n, dopplers), spec.wrap)
+    d = _stack_diagonals(ell_max, gains, delays, dopplers, spec.wrap)
     r = np.random.default_rng(len(gains)).standard_normal((len(gains), spec.n, 2)) @ np.array([1.0, 1.0j])
     lmmse = spec._rx(_lmmse_solve(d, r, noise_var))
     for b in range(len(gains)):

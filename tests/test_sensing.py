@@ -611,7 +611,8 @@ def unit_path(spec, s, ell, f):
     """s through a unit-gain path at (ell, f), by H's diagonals and their applier."""
     cfg = ChannelConfig(N=spec.n, f_s=1e7, f_c=5.9e9, ell_max=ell, f_max=round(abs(f)), P=1, cp_len=ell)
     chan = ChannelRealization(cfg, (PathParams(1.0, ell, f),))
-    return _apply_diagonals(delay_diagonals(chan, spec.wrap), s)
+    s = np.asarray(s)
+    return _apply_diagonals(delay_diagonals(chan, spec.wrap), np.concatenate([s[..., spec.n - ell :], s], axis=-1))
 
 
 def reference_ml(y, x, spec, P, grid, refine_levels, refine_factor):
