@@ -187,11 +187,14 @@ def sample_paths(config: ChannelConfig, doppler_mode: str, rng: np.random.Genera
     return _realization(config, *_draw_paths(config, doppler_mode, rng))
 
 
+_DOPPLER_MODES = ("integer", "fractional")
+
+
 def _draw_paths(config: ChannelConfig, doppler_mode: str, rng: np.random.Generator) -> tuple:
     """The draw of sample_paths as (P,) gain, integer delay and Doppler arrays."""
     if config.P < 1:
         raise ValueError("cannot sample an empty channel (P must be >= 1)")
-    if doppler_mode not in ("integer", "fractional"):
+    if doppler_mode not in _DOPPLER_MODES:
         raise ValueError(f"unknown doppler_mode {doppler_mode!r}")
     P = config.P
     g = rng.standard_normal((P, 2)) @ np.array([1.0, 1.0j]) * np.sqrt(1.0 / (2 * P))

@@ -1,8 +1,9 @@
 """Command-line front end: scenario presets, sweep tables, file emission.
 
 Subcommands: effchan, ber, sense, ambiguity, demo-v2x. Every command is a
-pure function of (config, seed). No frame is built here: link and sensing
-draw them, the CLI tabulates and writes.
+pure function of (config, seed). Link and sensing draw and chunk the frames
+and score the maps; the CLI knows no chunk size and no grid index, and only
+tabulates and writes.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from .channel import ChannelRealization, PathParams, sample_paths
 from .config import ConfigError, ScenarioConfig, load_config
-from .link import Constellation, SingularChannelError, _ber_sweep, _chunks, substream
+from .link import Constellation, SingularChannelError, _ber_sweep, substream
 from .modem import effective_channel
-from .sensing import RadarTargetEstimate, _frame_ambiguity, _sense_trials, _threshold, sensing_rmse
+from .sensing import _GEOMETRIES, RadarTargetEstimate, _frame_ambiguity, _sense_trials, _threshold, sensing_rmse
 
 log = logging.getLogger("ddwave")
 
@@ -62,6 +63,11 @@ def _write_csv(path: str, columns: dict) -> None:
             cells = [map(str, col[start : start + _CSV_BLOCK].tolist()) for col in cols]
             fh.write("\r\n" + "\r\n".join(map(",".join, zip(*cells))))
         fh.write("\r\n")
+
+
+def _write_rows(path: str, header: tuple, rows: list) -> None:
+    """Write a nonempty list of row tuples under header, transposed into _write_csv's columns."""
+    _write_csv(path, dict(zip(header, zip(*rows))))
 
 
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -173,54 +179,39 @@ def cmd_ber(cfg: ScenarioConfig, out: str) -> list[str]:
     names, specs = zip(*cfg.waveform_specs())
     sweeps = _ber_sweep(specs, cfg.channel_config(), Constellation.by_name(cfg.constellation),
                         sorted(cfg.snr_sweep), cfg.frames, cfg.detector, cfg.seed, cfg.doppler_mode)
-    table = {key: [] for key in ("snr_db", "waveform", "ber", "frames", "papr_db_p99")}
-    for name, results in zip(names, sweeps):
-        for res in results:
-            row = (res.snr_db, name, res.ber, res.frames, res.papr_db_p99)
-            for column, value in zip(table.values(), row):
-                column.append(value)
+    rows = [(res.snr_db, name, res.ber, res.frames, res.papr_db_p99)
+            for name, results in zip(names, sweeps) for res in results]
     path = os.path.join(out, "ber.csv")
-    _write_csv(path, table)
+    _write_rows(path, ("snr_db", "waveform", "ber", "frames", "papr_db_p99"), rows)
     return [path]
 
 
 def cmd_sense(cfg: ScenarioConfig, out: str) -> list[str]:
     """Monte Carlo sensing sweep; RMSE per (SNR, method) plus example estimates.
 
-    Trial t of SNR point i is sensing._sense_trials' trial of key (i, t), in
-    the chunks of the BER frames. The example is trial 0 of the last point.
+    Trial t of SNR point i is sensing._sense_trials' trial of key (i, t).
+    The example is trial 0 of the last point.
     """
     _, spec = cfg.sensing_spec()
     chan_cfg = cfg.channel_config()
     constellation = Constellation.by_name(cfg.constellation)
     sweep = sorted(cfg.snr_sweep)
-    table = {
-        key: []
-        for key in ("snr_db", "method", "trials", "rmse_delay", "rmse_doppler", "misdetections")
-    }
+    rows = []
     for snr_idx, snr in enumerate(sweep):
-        trials = [
-            trial
-            for chunk in _chunks(spec.n, cfg.trials)
-            for trial in _sense_trials(
-                spec, chan_cfg, constellation, snr, cfg.doppler_mode, cfg.seed,
-                [(snr_idx, t) for t in chunk], cfg.refine_levels, cfg.refine_factor,
-            )
-        ]
+        trials = _sense_trials(spec, chan_cfg, constellation, snr, cfg.doppler_mode, cfg.seed,
+                               [(snr_idx, t) for t in range(cfg.trials)], cfg.refine_levels, cfg.refine_factor)
         for m in trials[0][1]:
             errs = [sensing_rmse(ests[m], truth) for truth, ests in trials]
             paired = [e for e in errs if not np.isnan(e.rmse_delay)]
             rmse_d = float(np.sqrt(np.mean([e.rmse_delay**2 for e in paired]))) if paired else math.nan
             rmse_f = float(np.sqrt(np.mean([e.rmse_doppler**2 for e in paired]))) if paired else math.nan
-            row = (float(snr), m, cfg.trials, rmse_d, rmse_f, sum(e.misdetections for e in errs))
-            for column, value in zip(table.values(), row):
-                column.append(value)
+            rows.append((float(snr), m, cfg.trials, rmse_d, rmse_f, sum(e.misdetections for e in errs)))
     example = {
         m: [_estimate_record(e.with_physical_units(cfg.f_s, cfg.f_c, spec.n, cfg.geometry)) for e in ests]
         for m, ests in trials[0][1].items()
     }
     csv_path = os.path.join(out, "sense.csv")
-    _write_csv(csv_path, table)
+    _write_rows(csv_path, ("snr_db", "method", "trials", "rmse_delay", "rmse_doppler", "misdetections"), rows)
     json_path = os.path.join(out, "estimates.json")
     _write_json(json_path, {"snr_db": sweep[-1], "geometry": cfg.geometry, "methods": example})
     return [csv_path, json_path]
@@ -229,10 +220,9 @@ def cmd_sense(cfg: ScenarioConfig, out: str) -> list[str]:
 def cmd_ambiguity(cfg: ScenarioConfig, out: str) -> list[str]:
     """Ambiguity maps of one random frame per waveform, plus a peak summary."""
     constellation = Constellation.by_name(cfg.constellation)
-    written = []
-    summary = {"waveform": [], "peak_mag": [], "psr_db": []}
+    written, summary = [], []
     for idx, (name, spec) in enumerate(cfg.waveform_specs()):
-        amb = _frame_ambiguity(spec, constellation, substream(cfg.seed, idx))
+        amb, peak, psr_db = _frame_ambiguity(spec, constellation, substream(cfg.seed, idx))
         mags = np.abs(amb.values)
         path = os.path.join(out, f"ambiguity_{name}.csv")
         _write_csv(
@@ -246,40 +236,21 @@ def cmd_ambiguity(cfg: ScenarioConfig, out: str) -> list[str]:
             },
         )
         written.append(path)
-        zero = (0, spec.n // 2)  # (delay 0, Doppler 0)
-        peak = float(mags[zero])
-        side = mags.copy()
-        side[zero] = 0.0
-        # a one-cell map (n = 1) has no sidelobes: the ratio is unbounded
-        psr_db = float(20.0 * np.log10(peak / side.max())) if side.max() > 0 else float("inf")
-        for column, value in zip(summary.values(), (name, peak, psr_db)):
-            column.append(value)
+        summary.append((name, peak, psr_db))
     path = os.path.join(out, "ambiguity_summary.csv")
-    _write_csv(path, summary)
+    _write_rows(path, ("waveform", "peak_mag", "psr_db"), summary)
     written.append(path)
     return written
 
 
 def cmd_demo_v2x(out: str, geometry: str = "monostatic", seed: int = 1) -> list[str]:
-    """Write the vehicular preset: 5.9 GHz carrier, 10 MHz bandwidth, 3 paths,
-    N = 64, and f_max = 0 with fractional Doppler, since even a 500 km/h
-    target stays below one Doppler bin there (the preset's notes)."""
+    """Write the vehicular preset, every field (to_json_dict): the schema's 5.9 GHz carrier,
+    10 MHz bandwidth, 3 paths and N = 64, with f_max = 0 and fractional Doppler,
+    since even a 500 km/h target stays below one Doppler bin there (the notes)."""
     preset = {
-        "schema": 1,
-        "waveform": "all",
-        "n": 64,
-        "k": 8,
-        "l": 8,
-        "f_s": 1.0e7,
-        "f_c": 5.9e9,
-        "ell_max": 3,
         "f_max": 0,
         "xi": 1,
-        "paths": 3,
-        "cp_len": 3,
-        "constellation": "qpsk",
         "snr_sweep": [0.0, 10.0, 20.0],
-        "frames": 200,
         "trials": 25,
         "seed": seed,
         "doppler_mode": "fractional",
@@ -320,7 +291,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p_eff)
     p_eff.add_argument("--fig3", action="store_true",
                        help="use the three-target structural preset (N=36, 6x6 grid)")
-    p_eff.add_argument("--variant", choices=["integer", "fractional"], default="integer")
+    p_eff.add_argument("--variant", choices=list(_FIG3_TARGETS), default="integer")
 
     p_ber = sub.add_parser("ber", help="Monte Carlo BER sweep")
     common(p_ber)
@@ -333,7 +304,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo-v2x", help="write the 5.9 GHz vehicular preset config")
     common(p_demo, config=False)
-    p_demo.add_argument("--geometry", choices=["monostatic", "bistatic"], default="monostatic")
+    p_demo.add_argument("--geometry", choices=_GEOMETRIES, default="monostatic")
     return parser
 
 

@@ -7,8 +7,8 @@ import logging
 import math
 from dataclasses import dataclass, fields
 
-from .channel import ChannelConfig
-from .link import Constellation
+from .channel import _DOPPLER_MODES, ChannelConfig
+from .link import _DETECTORS, Constellation
 from .modem import (
     AfdmSpec,
     OfdmSpec,
@@ -18,6 +18,7 @@ from .modem import (
     afdm_tune,
     otfs_orthogonality_ok,
 )
+from .sensing import _GEOMETRIES
 
 log = logging.getLogger("ddwave")
 
@@ -28,6 +29,7 @@ class ConfigError(ValueError):
 
 _ALIASES = {"N": "n", "K": "k", "L": "l", "P": "paths", "p": "paths"}
 _DERIVED = ("k", "l", "cp_len")  # None in a scenario: from_dict derives them
+_WAVEFORMS = ("ofdm", "otfs", "afdm", "all")
 
 
 def _is_int(value) -> bool:
@@ -46,7 +48,7 @@ class ScenarioConfig:
     out; None marks a value from_dict derives (k, l, cp_len) or leaves unset.
     """
 
-    waveform: str = "all"       # ofdm | otfs | afdm | all
+    waveform: str = "all"       # one of _WAVEFORMS
     n: int = 64
     k: int | None = None        # otfs grid; defaults to sqrt(n) when square
     l: int | None = None
@@ -83,14 +85,10 @@ class ScenarioConfig:
             data[key] = value
         if data["schema"] != 1:
             raise ConfigError(f"unsupported schema version {data['schema']!r} (expected 1)")
-        if data["waveform"] not in ("ofdm", "otfs", "afdm", "all"):
-            raise ConfigError(f"waveform must be ofdm|otfs|afdm|all, got {data['waveform']!r}")
-        if data["doppler_mode"] not in ("integer", "fractional"):
-            raise ConfigError(f"doppler_mode must be integer|fractional, got {data['doppler_mode']!r}")
-        if data["geometry"] not in ("monostatic", "bistatic"):
-            raise ConfigError(f"geometry must be monostatic|bistatic, got {data['geometry']!r}")
-        if data["detector"] not in ("zf", "lmmse"):
-            raise ConfigError(f"detector must be zf|lmmse, got {data['detector']!r}")
+        for name, choices in (("waveform", _WAVEFORMS), ("doppler_mode", _DOPPLER_MODES),
+                              ("geometry", _GEOMETRIES), ("detector", _DETECTORS)):
+            if data[name] not in choices:
+                raise ConfigError(f"{name} must be {'|'.join(choices)}, got {data[name]!r}")
         if not isinstance(data["constellation"], str):
             raise ConfigError(f"constellation must be a string, got {data['constellation']!r}")
         try:

@@ -675,6 +675,9 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
     return errors, np.stack([_papr_db(s_cp) for s_cp, _ in stacks])
 
 
+_DETECTORS = ("zf", "lmmse")
+
+
 def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
                snrs, frames: int, detector: str = "lmmse", seed: int = 0,
                doppler_mode: str = "fractional") -> list[list[LinkResult]]:
@@ -690,7 +693,7 @@ def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
         _check_snr(snr_db)
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    if detector not in ("zf", "lmmse"):
+    if detector not in _DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
     for spec in specs:
         _check_spec(spec, chan_config.N)

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelConfig, _roots, _wrap_window, doppler_phases
-from .link import Constellation, _check_spec, _draw_frames, map_bits
+from .link import Constellation, _check_spec, _chunks, _draw_frames, map_bits
 from .modem import AfdmSpec, OfdmSpec, WaveformSpec, _support_indices, afdm_shift, demodulate, modulate
 
 LIGHT_SPEED = 2.99792458e8  # m/s, exact
@@ -76,7 +76,10 @@ class DelayDopplerMap:
         return float(self.delay_bins[i]), float(self.doppler_bins[j])
 
     def top_peaks(self, count: int) -> list[tuple[float, float]]:
-        """The `count` largest cells, magnitude-descending, ties by (delay, Doppler)."""
+        """The `count` largest cells, magnitude-descending, ties by (delay, Doppler).
+        Raises ValueError for count < 0."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         d, f = (g.ravel() for g in np.meshgrid(self.delay_bins, self.doppler_bins, indexing="ij"))
         order = np.lexsort((f, d, -np.abs(self.values).ravel()))[:count]
         return [(float(d[k]), float(f[k])) for k in order]
@@ -121,10 +124,13 @@ def matched_filter_map(r: np.ndarray, s_known: np.ndarray, delay_bins, doppler_b
     M[l, f] = sum_n r[n] conj(s_known[(n-l) mod N]) e^{-j2pi f n/N}; the grid
     argmax is the correlation-based estimate. The Doppler exponent is
     conjugated relative to the self-ambiguity so that a target at (l*, f*)
-    peaks exactly there.
+    peaks exactly there. Raises ValueError unless r and s_known are nonempty
+    1-D sequences of one length.
     """
     r = np.asarray(r)
     s_known = np.asarray(s_known)
+    if r.ndim != 1 or r.size == 0:
+        raise ValueError(f"r must be a nonempty 1-D sequence, got shape {r.shape}")
     if r.shape != s_known.shape:
         raise ValueError(f"length mismatch: {r.shape} vs {s_known.shape}")
     N = r.shape[0]
@@ -151,12 +157,20 @@ def ambiguity_map(s: np.ndarray, delay_bins, doppler_bins) -> DelayDopplerMap:
     return DelayDopplerMap(m.delay_bins, dops, m.values)
 
 
-def _frame_ambiguity(spec: WaveformSpec, constellation: Constellation, rng) -> DelayDopplerMap:
+def _frame_ambiguity(spec: WaveformSpec, constellation: Constellation, rng) -> tuple:
     """ambiguity_map of one frame of random bits from rng, over delays 0..N-1
-    and Doppler bins -(N // 2)..N // 2."""
+    and Doppler bins -(N // 2)..N // 2, with its peak |A[0, 0]| and its
+    peak-to-sidelobe ratio in dB: inf for a one-cell map, which has no
+    sidelobes."""
     bits = rng.integers(0, 2, size=spec.n * constellation.bits_per_symbol)
     s = modulate(spec, map_bits(bits, constellation))
-    return ambiguity_map(s, range(spec.n), range(-(spec.n // 2), spec.n // 2 + 1))
+    half = spec.n // 2
+    amb = ambiguity_map(s, range(spec.n), range(-half, half + 1))
+    side = np.abs(amb.values)
+    peak = float(side[0, half])
+    side[0, half] = 0.0
+    psr_db = float(20.0 * np.log10(peak / side.max())) if side.max() > 0 else float("inf")
+    return amb, peak, psr_db
 
 
 def _delayed_rows(spec: WaveformSpec, s: np.ndarray, ells) -> np.ndarray:
@@ -436,34 +450,38 @@ def _trial_tables(spec: WaveformSpec, ell_max: int, f_max: int, refine_levels: i
 def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation: Constellation,
                   snr_db: float, doppler_mode: str, seed: int, keys, refine_levels: int,
                   refine_factor: int) -> list[tuple[list, dict]]:
-    """Sensing trials of the substream keys `keys`: (truth pairs, estimates per
-    method) each. A trial is the BER frame of its key (link._draw_frames),
-    and each method looks for chan_config.P targets on the window
-    0..ell_max x -f_max..f_max; no method demodulates it.
+    """Sensing trials of the substream keys `keys`, all those of one SNR
+    point: (truth pairs, estimates per method) each, in key order. A trial
+    is the BER frame of its key (link._draw_frames), drawn in the BER
+    frames' chunks (link._chunks), and each method looks for chan_config.P
+    targets on the window 0..ell_max x -f_max..f_max; no method demodulates it.
     """
-    (_, delays, dopplers), [(_, diags)], _, [(s_cp, r)] = _draw_frames(
-        [spec], chan_config, constellation, [snr_db], doppler_mode, seed, keys
-    )
-    r = r[:, 0]
     ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P
     csi, ml_grid = _trial_tables(spec, ell_max, f_max, refine_levels, refine_factor)
     # the matched filter's plain cyclic pilot rows; ml_grid.coarse is its Doppler table
     cyclic = (np.arange(spec.n) - ml_grid.ells[:, None]) % spec.n
     trials = []
-    for b, s in enumerate(s_cp[:, spec.cp_len :]):
-        mf = DelayDopplerMap(ml_grid.ells.astype(float), ml_grid.dops,
-                             _correlate(r[b], s[cyclic], ml_grid.coarse))
-        s_energy = float(np.real(np.vdot(s, s)))
-        ests = {
-            "matched_filter": [
-                RadarTargetEstimate(d, f, complex(mf.values[int(d), int(f) + f_max] / s_energy))
-                for d, f in mf.top_peaks(P)
-            ],
-            "direct_csi": csi(diags[b], P),
-            "indirect_ml": _ml_fit(spec, ml_grid, r[b], s, s_energy, P),
-        }
-        trials.append((list(zip(delays[b].tolist(), dopplers[b].tolist())), ests))
+    for chunk in _chunks(spec.n, len(keys)):
+        (_, delays, dopplers), [(_, diags)], _, [(s_cp, r)] = _draw_frames(
+            [spec], chan_config, constellation, [snr_db], doppler_mode, seed, [keys[i] for i in chunk]
+        )
+        for b, s in enumerate(s_cp[:, spec.cp_len :]):
+            mf = DelayDopplerMap(ml_grid.ells.astype(float), ml_grid.dops,
+                                 _correlate(r[b, 0], s[cyclic], ml_grid.coarse))
+            s_energy = float(np.real(np.vdot(s, s)))
+            ests = {
+                "matched_filter": [
+                    RadarTargetEstimate(d, f, complex(mf.values[int(d), int(f) + f_max] / s_energy))
+                    for d, f in mf.top_peaks(P)
+                ],
+                "direct_csi": csi(diags[b], P),
+                "indirect_ml": _ml_fit(spec, ml_grid, r[b, 0], s, s_energy, P),
+            }
+            trials.append((list(zip(delays[b].tolist(), dopplers[b].tolist())), ests))
     return trials
+
+
+_GEOMETRIES = ("monostatic", "bistatic")
 
 
 def _check_radar(f_c: float, geometry: str) -> None:
@@ -471,7 +489,7 @@ def _check_radar(f_c: float, geometry: str) -> None:
     a known geometry."""
     if not 0 < f_c < math.inf:  # NaN fails too
         raise ValueError(f"carrier frequency must be positive, got {f_c}")
-    if geometry not in ("monostatic", "bistatic"):
+    if geometry not in _GEOMETRIES:
         raise ValueError(f"unknown geometry {geometry!r}")
 
 

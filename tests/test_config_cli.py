@@ -514,6 +514,36 @@ def test_exit_2_on_unreadable_config_or_unusable_out(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+CHOICE_ERRORS = [
+    ({"waveform": "dft-s-ofdm"}, "waveform must be ofdm|otfs|afdm|all, got 'dft-s-ofdm'"),
+    ({"doppler_mode": "half"}, "doppler_mode must be integer|fractional, got 'half'"),
+    ({"geometry": "multistatic"}, "geometry must be monostatic|bistatic, got 'multistatic'"),
+    ({"detector": "mmse"}, "detector must be zf|lmmse, got 'mmse'"),
+    # checked in the order above: the first bad field is the one named
+    ({"detector": "mmse", "geometry": "multistatic", "doppler_mode": "half"},
+     "doppler_mode must be integer|fractional, got 'half'"),
+]
+
+
+@pytest.mark.parametrize("patch, message", CHOICE_ERRORS, ids=["waveform", "doppler_mode", "geometry",
+                                                               "detector", "order"])
+def test_choice_fields_name_their_choices(tmp_path, capsys, patch, message):
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict(patch)
+    assert str(exc.value) == message
+    assert main(["ber", "--config", write_config(tmp_path, patch), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, choices", [(["demo-v2x"], "--geometry {monostatic,bistatic}"),
+                                           (["effchan"], "--variant {integer,fractional}")])
+def test_help_lists_the_choices(capsys, argv, choices):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert choices in capsys.readouterr().out
+
+
 def test_exit_2_on_invalid_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"waveform": "dft-s-ofdm"})
     assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 2

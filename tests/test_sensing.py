@@ -172,6 +172,13 @@ def test_top_peaks_orders_by_magnitude_then_bins():
     assert m.top_peaks(4) == [(0.0, -1.0), (1.0, 0.0), (0.0, 0.0), (1.0, -1.0)]
 
 
+def test_top_peaks_refuses_a_negative_count():
+    m = DelayDopplerMap(np.arange(3.0), np.array([-1.0, 0.0]), np.arange(6.0).reshape(3, 2) + 0j)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        m.top_peaks(-1)  # a slice [:-1] would return 5 of the 6 cells
+    assert m.top_peaks(0) == []
+
+
 def test_top_peaks_ties_break_on_bin_values_not_positions():
     # bins listed in descending order: value order and index order disagree
     vals = np.ones((2, 2), dtype=complex)
@@ -212,6 +219,17 @@ def test_matched_filter_scaling_invariance():
 def test_matched_filter_length_mismatch_rejected():
     with pytest.raises(ValueError, match="mismatch"):
         matched_filter_map(random_frame(8, 9), random_frame(16, 9), [0], [0])
+
+
+@pytest.mark.parametrize("bad", [np.complex128(1.0), np.ones((2, 8), dtype=complex), np.zeros(0, dtype=complex)],
+                         ids=["0-d", "2x8", "empty"])
+@pytest.mark.parametrize("build", [lambda s: matched_filter_map(s, s, [0], [0]),
+                                   lambda s: ambiguity_map(s, [0], [0])],
+                         ids=["matched_filter_map", "ambiguity_map"])
+def test_maps_refuse_anything_but_nonempty_1d_sequences(build, bad):
+    # each used to fail deeper down: an IndexError, numpy's matmul, doppler_phases
+    with pytest.raises(ValueError, match="nonempty 1-D sequence"):
+        build(bad)
 
 
 # ---------------------------------------------------------------- direct CSI
@@ -853,6 +871,31 @@ def test_sense_trials_match_the_per_trial_reference(case, mode):
                     assert np.max(np.abs(gains - gains_ref), initial=0.0) <= 1e-12
                 else:
                     assert gains.tobytes() == gains_ref.tobytes(), method
+
+
+@pytest.mark.parametrize("mode", ["integer", "fractional"])
+def test_sense_trials_draw_the_keys_of_a_point_in_chunks(mode, monkeypatch):
+    # 40 keys at N = 64 are drawn in link._chunks' chunks of 16, 16 and 8,
+    # and the trials are those of one call per chunk, in key order
+    spec = OtfsSpec(k=8, l=8, cp_len=3)
+    cfg = ChannelConfig(N=64, f_s=1e6, f_c=1e9, ell_max=3, f_max=2, P=3, cp_len=3)
+    keys = [(1, t) for t in range(40)]
+
+    def trials(keys):
+        return _sense_trials(spec, cfg, Constellation.qpsk(), 10.0, mode, 7, keys, 1, 10)
+
+    per_chunk = [trial for start in (0, 16, 32) for trial in trials(keys[start : start + 16])]
+    drawn = []
+    draw = sensing._draw_frames
+
+    def recorder(specs, chan_config, constellation, snrs, doppler_mode, seed, chunk_keys):
+        drawn.append(list(chunk_keys))
+        return draw(specs, chan_config, constellation, snrs, doppler_mode, seed, chunk_keys)
+
+    monkeypatch.setattr(sensing, "_draw_frames", recorder)
+    got = trials(keys)
+    assert drawn == [keys[:16], keys[16:32], keys[32:]]
+    assert got == per_chunk
 
 
 @pytest.mark.parametrize("case", SENSE_TRIAL_SPECS, ids=[c[0] for c in SENSE_TRIAL_SPECS])
