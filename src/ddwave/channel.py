@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,12 +167,6 @@ class ChannelRealization:
                 raise ValueError(
                     f"path Doppler {p.doppler_norm} outside +-{self.config.f_max + 0.5}"
                 )
-
-    @cached_property
-    def _zf_accepted(self) -> dict[bytes, np.ndarray]:
-        """H's read-only diagonals per prefix vector, keyed by its bytes, once
-        link's ZF guard has accepted them; filled only by link._zf_accept."""
-        return {}
 
 
 def sample_paths(config: ChannelConfig, doppler_mode: str, rng: np.random.Generator) -> ChannelRealization:

@@ -138,13 +138,17 @@ def _estimate_record(est: RadarTargetEstimate) -> dict:
     }
 
 
-def cmd_effchan(cfg: ScenarioConfig, out: str, fig3: bool = False, variant: str = "integer") -> list[str]:
-    """Emit effective-channel heatmap CSVs (sparse, thresholded) plus JSON grids."""
+def cmd_effchan(cfg: ScenarioConfig, out: str, fig3: bool = False, variant: str | None = None) -> list[str]:
+    """Emit effective-channel heatmap CSVs (sparse, thresholded) plus JSON grids.
+    variant picks the Fig. 3 preset's targets (default integer); raises
+    ConfigError when given without fig3, which alone reads it."""
+    if variant is not None and not fig3:
+        raise ConfigError(f"--variant {variant} needs --fig3: only the Fig. 3 preset has variants")
     if fig3:
         # the preset's chirp is tuned afresh, so the scenario's c1/c2 do not carry over
         base = {k: v for k, v in cfg.to_json_dict().items() if k not in ("c1", "c2")}
         cfg = ScenarioConfig.from_dict({**base, **_FIG3_SCENARIO})
-        paths = (PathParams(1.0 + 0.0j, ell, f) for ell, f in _FIG3_TARGETS[variant])
+        paths = (PathParams(1.0 + 0.0j, ell, f) for ell, f in _FIG3_TARGETS[variant or "integer"])
         chan = ChannelRealization(cfg.channel_config(), tuple(paths))
     else:
         chan = sample_paths(cfg.channel_config(), cfg.doppler_mode, substream(cfg.seed, 0))
@@ -291,7 +295,8 @@ def _parser() -> argparse.ArgumentParser:
     common(p_eff)
     p_eff.add_argument("--fig3", action="store_true",
                        help="use the three-target structural preset (N=36, 6x6 grid)")
-    p_eff.add_argument("--variant", choices=list(_FIG3_TARGETS), default="integer")
+    p_eff.add_argument("--variant", choices=list(_FIG3_TARGETS), default=None,
+                       help="the preset's targets (default integer); needs --fig3")
 
     p_ber = sub.add_parser("ber", help="Monte Carlo BER sweep")
     common(p_ber)

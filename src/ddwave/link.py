@@ -32,9 +32,11 @@ equal prefix vectors see the same H (_prefix_groups): per chunk and group,
 H's diagonals and those of H H^H are formed once, and LMMSE runs one
 reduction per point with a right-hand-side column per waveform. ZF guards
 the chunk's groups as one stack, one decision per frame, the first refusal
-in group and then frame order raising. Each accepted realization keeps its
-diagonals, so equalize_zf, called once per frame and waveform with the
-blocks of all points, runs only the LU and demodulation.
+in group and then frame order raising; then each group makes one batched
+solve, one LU per frame for the blocks of every point and waveform of the
+group, and each waveform one demodulate of its slice. LAPACK factors each
+matrix of a stack alone and solves each right-hand side column alone, so
+every row equals equalize_zf on that frame's realization, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .channel import (
     ChannelConfig,
     ChannelRealization,
     _draw_paths,
-    _realization,
     _stack_diagonals,
     _transmit,
     delay_diagonals,
@@ -369,81 +370,71 @@ def _weyl_certified(d: np.ndarray):
 def _certified(d: np.ndarray):
     """Whether the Cholesky certificate above proves cond(H) <= sqrt(2 / tau_N)
     for each H of a (..., ell_max + 1, N) stack d of H's diagonals: a bool
-    array of the leading shape, or one bool for one H. Each H is factored
-    alone, so one failure leaves the others' answers alone."""
+    array of the leading shape, or one bool for one H. The stack's frames
+    with a trace in range are factored in one batched Cholesky, which LAPACK
+    runs matrix by matrix; only when it raises are they factored one by one,
+    so each H is decided alone."""
     E, N = d.shape[-2:]
     lay = _band_layout(N, E - 1)
     a = _gram(d.reshape(-1, E, N), lay)
-    ok = np.zeros(len(a), dtype=bool)
-    M = np.zeros(N * N, dtype=complex)
-    for b, ab in enumerate(a):
-        trace = ab[lay.slot0].real.sum()
-        if not 1e-200 < trace < 1e200:
-            continue
-        ab[lay.slot0] -= _tau(N) * trace
-        M[lay.dense_dst] = ab.ravel()
-        try:
-            np.linalg.cholesky(M.reshape(N, N))
-        except np.linalg.LinAlgError:
-            continue
-        ok[b] = True
+    trace = a[:, lay.slot0].real.sum(axis=1)
+    ok = (1e-200 < trace) & (trace < 1e200)
+    a[:, lay.slot0] -= _tau(N) * trace[:, None]
+    rows = np.flatnonzero(ok)
+    M = np.zeros((rows.size, N * N), dtype=complex)
+    M[:, lay.dense_dst] = a.reshape(len(a), -1)[rows]
+    M = M.reshape(-1, N, N)
+    if not _factors(M):
+        ok[rows] = [_factors(m) for m in M]
     return bool(ok[0]) if d.ndim == 2 else ok.reshape(d.shape[:-2])
 
 
+def _factors(M: np.ndarray) -> bool:
+    """Whether np.linalg.cholesky factors M, one matrix or a stack, to completion."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _folded(d: np.ndarray) -> np.ndarray:
-    """H in the fold permutation's banded order, dense, from its (ell_max + 1, N) diagonals d."""
-    N = d.shape[1]
-    lay = _band_layout(N, d.shape[0] - 1)
+    """H in the fold permutation's banded order, dense, (B, N, N), from a
+    (B, ell_max + 1, N) stack d of H's diagonals."""
+    B, E, N = d.shape
+    lay = _band_layout(N, E - 1)
     # offsets 0..ell_max come first, so H's diagonals are the band's first rows
-    H = np.zeros(N * N, dtype=complex)
-    H[lay.dense_dst[: d.size]] = d.ravel()
-    return H.reshape(N, N)
+    H = np.zeros((B, N * N), dtype=complex)
+    H[:, lay.dense_dst[: E * N]] = d.reshape(B, -1)
+    return H.reshape(B, N, N)
 
 
 def _zf_guard(d: np.ndarray) -> None:
     """Raise SingularChannelError, naming cond(H), for the first H in C order
     of a (..., ell_max + 1, N) stack d of H's diagonals with cond(H) > 1e12.
-    Weyl's bound, then the Cholesky certificate, then np.linalg.cond on what
-    neither clears: each H is decided as the SVD alone would decide it."""
+    Weyl's bound on the whole stack, then one _certified call on what it
+    leaves, then np.linalg.cond on what neither clears: each H is decided as
+    the SVD alone would decide it."""
     flat = d.reshape(-1, *d.shape[-2:])
     ok = _weyl_certified(flat)
     rest = np.flatnonzero(~ok)
     if rest.size:
         ok[rest] = _certified(flat[rest])
     for b in np.flatnonzero(~ok):
-        cond = np.linalg.cond(_folded(flat[b]))
+        cond = np.linalg.cond(_folded(flat[b : b + 1])[0])
         if not np.isfinite(cond) or cond > 1e12:
             raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
 
 
-def _zf_accept(chans, wraps, d: np.ndarray) -> None:
-    """Guard a (G, B, ell_max + 1, N) stack d of H's diagonals for G prefix
-    vectors wraps and B realizations chans (_zf_guard), then keep d[g, b],
-    read-only, on chans[b]._zf_accepted; a refusal raises first."""
-    _zf_guard(d)
-    d.flags.writeable = False
-    for wrap, rows in zip(wraps, d):
-        for chan, row in zip(chans, rows):
-            chan._zf_accepted[wrap.tobytes()] = row
-
-
-def _zf_diagonals(chan: ChannelRealization, wrap: np.ndarray) -> np.ndarray:
-    """H's read-only diagonals for the prefix vector wrap: those kept on chan,
-    else the one-frame _zf_accept's. Raises SingularChannelError for
-    cond(H) > 1e12, on every call, since a refused H is never kept."""
-    key = wrap.tobytes()
-    if key not in chan._zf_accepted:
-        _zf_accept([chan], [wrap], delay_diagonals(chan, wrap)[None, None])
-    return chan._zf_accepted[key]
-
-
 def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """H^{-1} r for H's (ell_max + 1, N) diagonals d and a block (N,) or an
-    (S, N) stack r: one dense LU of folded H for all rows. The caller
-    guards H (_zf_diagonals)."""
-    perm = _band_layout(r.shape[-1], d.shape[0] - 1).perm
+    """H^{-1} r for a (B, ell_max + 1, N) stack d of H's diagonals and a
+    (B, ..., N) stack r: one batched solve, one dense LU of each folded H
+    for all the blocks of its frame. The caller guards H (_zf_guard)."""
+    B, N = r.shape[0], r.shape[-1]
+    perm = _band_layout(N, d.shape[1] - 1).perm
     z = np.empty(r.shape, dtype=complex)
-    z[..., perm] = np.linalg.solve(_folded(d), r[..., perm].T).T
+    cols = r.reshape(B, -1, N)[..., perm].swapaxes(1, 2)
+    z.reshape(B, -1, N)[..., perm] = np.linalg.solve(_folded(d), cols).swapaxes(1, 2)
     return z
 
 
@@ -543,12 +534,14 @@ def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> 
     """Zero-forcing: x_hat = demodulate(H^{-1} r) = G^{-1} y (module docstring).
 
     r is a CP-stripped block (N,) or an (S, N) stack through one channel;
-    x_hat has its shape. Raises SingularChannelError when cond(H) > 1e12,
-    on every call for that channel. The guard runs once per realization and
-    prefix vector (_zf_diagonals), the LU once per call.
+    x_hat has its shape. Raises SingularChannelError when cond(H) > 1e12.
+    The one-frame case of a BER chunk's ZF: H's diagonals, _zf_guard, one
+    LU for all rows (_zf_solve), demodulate.
     """
     r = _received(spec, chan, r)
-    return demodulate(spec, _zf_solve(_zf_diagonals(chan, spec.wrap), r))
+    d = delay_diagonals(chan, spec.wrap)[None]
+    _zf_guard(d)
+    return demodulate(spec, _zf_solve(d, r[None])[0])
 
 
 def equalize_lmmse(
@@ -631,9 +624,9 @@ def _draw_frames(specs, chan_config: ChannelConfig, constellation: Constellation
 
 
 def _prefix_groups(specs) -> list[list[int]]:
-    """Indices of specs grouped by bitwise equal prefix vectors (spec.wrap, as
-    _zf_accepted keys them), in order of first appearance: one group sees one
-    H. OFDM, OTFS and a tuned AFDM at even N have ones (modem.AfdmSpec.wrap)."""
+    """Indices of specs grouped by bitwise equal prefix vectors (spec.wrap),
+    in order of first appearance: one group sees one H. OFDM, OTFS and a
+    tuned AFDM at even N have ones (modem.AfdmSpec.wrap)."""
     groups: dict[bytes, list[int]] = {}
     for w, spec in enumerate(specs):
         groups.setdefault(spec.wrap.tobytes(), []).append(w)
@@ -645,7 +638,7 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
     """Monte Carlo frames `frames` of every waveform of specs at the SNR
     points snrs as stacks; returns (bit errors (W, B, S), papr_db (W, B))
     for W = len(specs)."""
-    paths, diagonals, bits, stacks = _draw_frames(
+    _, diagonals, bits, stacks = _draw_frames(
         specs, chan_config, constellation, snrs, doppler_mode, seed, [(i,) for i in frames]
     )
     errors = np.empty((len(specs), len(frames), len(snrs)), dtype=np.intp)
@@ -656,22 +649,20 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
         errors[w] = np.count_nonzero(bits_hat != bits[:, None], axis=2)
 
     if detector == "zf":
-        # one guard for the chunk's groups and frames, the first refusal in group
-        # and frame order raising; then one public call per frame and waveform,
-        # with the frame's S blocks, which finds H accepted and runs the LU
-        chans = [_realization(chan_config, *path) for path in zip(*paths)]
-        wraps = [specs[group[0]].wrap for group, _ in diagonals]
-        _zf_accept(chans, wraps, np.stack([d for _, d in diagonals]))
-        for w, (spec, (_, r)) in enumerate(zip(specs, stacks)):
-            count(w, np.stack([equalize_zf(spec, chan, r_b) for chan, r_b in zip(chans, r)]))
-    else:
-        noise_vars = [_noise_var(snr) for snr in snrs]
-        for group, d in diagonals:
-            # one Gram per chunk and prefix, one reduction per point with a
-            # right-hand side per waveform of the group
-            z = _lmmse_sweep(d, np.stack([stacks[w][1] for w in group], axis=2), noise_vars)
-            for k, w in enumerate(group):
-                count(w, demodulate(specs[w], z[:, :, k]))
+        # one guard for the chunk's groups and frames, the first refusal in
+        # group and frame order raising, before any solve
+        _zf_guard(np.stack([d for _, d in diagonals]))
+    for group, d in diagonals:
+        # per chunk and prefix group, the (B, S, R, N) blocks of its R waveforms:
+        # ZF makes one LU per frame for all S R of them, LMMSE one Gram and
+        # then one reduction per point with a right-hand side per waveform
+        r = np.stack([stacks[w][1] for w in group], axis=2)
+        if detector == "zf":
+            z = _zf_solve(d, r)
+        else:
+            z = _lmmse_sweep(d, r, [_noise_var(snr) for snr in snrs])
+        for k, w in enumerate(group):
+            count(w, demodulate(specs[w], z[:, :, k]))
     return errors, np.stack([_papr_db(s_cp) for s_cp, _ in stacks])
 
 

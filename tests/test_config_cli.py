@@ -227,6 +227,20 @@ def test_effchan_fig3_fractional_leaks_off_support(tmp_path):
     assert cells - fig3_expected_support(afdm)  # inter-bin leakage shows up
 
 
+def test_effchan_variant_without_fig3_exits_2(tmp_path, capsys):
+    # only the Fig. 3 preset has variants; a sampled channel would ignore the flag
+    for variant in ("integer", "fractional"):
+        assert main(["effchan", "--variant", variant, "--out", str(tmp_path)]) == 2
+        message = f"--variant {variant} needs --fig3: only the Fig. 3 preset has variants"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.iterdir())
+    # --fig3 alone means the integer variant
+    assert main(["effchan", "--fig3", "--out", str(tmp_path / "default")]) == 0
+    assert main(["effchan", "--fig3", "--variant", "integer", "--out", str(tmp_path / "integer")]) == 0
+    for path in sorted((tmp_path / "default").iterdir()):
+        assert read_bytes(path) == read_bytes(tmp_path / "integer" / path.name), path.name
+
+
 def test_effchan_runs_with_sampled_channel(tmp_path):
     cfg = write_config(tmp_path, {"waveform": "afdm", "n": 16,
                                   "ell_max": 1, "f_max": 1})

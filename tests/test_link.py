@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from ddwave import link
@@ -664,32 +666,81 @@ def test_prefix_groups_of_scenario_waveforms(scenario, groups):
     assert link._prefix_groups(specs) == groups
 
 
-def test_ber_zf_equalizes_each_frame_through_equalize_zf(monkeypatch):
-    """ZF frames call the public equalize_zf once each, in frame order, so its
-    refusals surface there; a sweep passes a frame's blocks of all its points
-    in that one call."""
-    cfg, seen = _dispersive_config(64), []
-    equalize = link.equalize_zf
+def _zf_rows(specs, cfg, snrs, frames, seed, mode="fractional"):
+    """A ZF sweep's estimates, one (frame i, waveform w, received (S, N),
+    estimate (S, N)) per row of each chunk, read from the chunk's draw and
+    its demodulate calls (prefix group, then waveform, order)."""
+    draws, estimates = [], []
+    draw, demod = link._draw_frames, link.demodulate
 
-    def recording(spec, chan, r):
-        seen.append((chan.paths, np.shape(r)))
-        return equalize(spec, chan, r)
+    def drawing(*args):
+        draws.append(draw(*args))
+        return draws[-1]
 
-    monkeypatch.setattr(link, "equalize_zf", recording)
-    paths = [sample_paths(cfg, "fractional", link.substream(4, i)).paths for i in range(37)]
-    run_ber_point(OfdmSpec(64, 3), cfg, QPSK, 10.0, frames=37, detector="zf", seed=4)
-    assert seen == [(p, (1, 64)) for p in paths]
-    seen.clear()
-    link._ber_sweep([OfdmSpec(64, 3)], cfg, QPSK, [0.0, 10.0, np.inf], 37, "zf", seed=4)
-    assert seen == [(p, (3, 64)) for p in paths]
+    def demodulating(spec, z):
+        estimates.append(demod(spec, z))
+        return estimates[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(link, "_draw_frames", drawing)
+        mp.setattr(link, "demodulate", demodulating)
+        link._ber_sweep(specs, cfg, QAM16, snrs, frames, "zf", seed, mode)
+    order = [w for group in link._prefix_groups(specs) for w in group]
+    chunks, W = link._chunks(cfg.N, frames), len(specs)
+    assert len(draws) == len(chunks) and len(estimates) == len(chunks) * W
+    return [
+        (i, w, draws[c][3][w][1][b], x[b])
+        for c, chunk in enumerate(chunks)
+        for w, x in zip(order, estimates[c * W : (c + 1) * W])
+        for b, i in enumerate(chunk)
+    ]
+
+
+def _assert_rows_equal_equalize_zf(rows, specs, cfg, seed, mode="fractional"):
+    """Each row's estimate is equalize_zf's on that frame's realization, bit for bit."""
+    for i, w, r, x in rows:
+        chan = sample_paths(cfg, mode, link.substream(seed, i))
+        assert equalize_zf(specs[w], chan, r).tobytes() == x.tobytes(), (i, w)
+
+
+def test_ber_zf_refuses_the_first_frame_in_group_then_frame_order(monkeypatch):
+    """A ZF chunk refuses before any solve, naming the first refused H in
+    prefix group and then frame order, with the message equalize_zf gives
+    for that frame alone. At odd N = 37, I - (1 - eps) Pi is near singular
+    with OFDM's prefix vector (ones) and well conditioned with the xi = 1
+    AFDM's (-1), and I + (1 - eps) Pi the other way round: frame 2 is
+    refused in the AFDM group only, frame 5 in the OFDM group only, so the
+    sweep names frame 5."""
+    c1, c2 = afdm_tune(1, 0, 1, 37)
+    specs = [OfdmSpec(37, 1), AfdmSpec(37, c1, c2, 1, 1)]
+    assert link._prefix_groups(specs) == [[0], [1]]
+    good, afdm_refused, ofdm_refused = (
+        _realization(37, [(1.0 + 0.0j, 0, 0.0), (g, 1, 0.0)], ell_max=1, f_max=0)
+        for g in (0.3 + 0.0j, (1 - 1e-14) + 0.0j, -(1 - 1e-13) + 0.0j)
+    )
+    chans = [good, good, afdm_refused, good, good, ofdm_refused, good]
+    draws = iter(chans)
+    monkeypatch.setattr(link, "_draw_paths", lambda config, mode, rng: _path_arrays(next(draws).paths))
+    with pytest.raises(SingularChannelError) as sweep:
+        link._ber_sweep(specs, good.config, QAM16, [10.0, np.inf], len(chans), "zf", seed=3)
+
+    r = np.ones(37, dtype=complex)
+    with pytest.raises(SingularChannelError) as alone:
+        equalize_zf(specs[0], ofdm_refused, r)
+    assert str(sweep.value) == str(alone.value)
+    assert re.search(r"(1\.99\d|2\.00\d)e\+13 exceeds 1e12", str(alone.value))
+    with pytest.raises(SingularChannelError, match=r"e\+14 exceeds 1e12"):
+        equalize_zf(specs[1], afdm_refused, r)
+    equalize_zf(specs[0], afdm_refused, r)
+    equalize_zf(specs[1], ofdm_refused, r)
 
 
 @pytest.mark.parametrize("n,groups", [(64, 1), (37, 2)])
 def test_zf_guards_each_frame_once_per_prefix_vector(monkeypatch, n, groups):
     """Waveforms with equal prefix vectors share H, so a ZF sweep guards each
     frame once per prefix vector, in one stack per chunk of all its groups,
-    while equalize_zf still runs once per frame and waveform, waveform by
-    waveform within each chunk."""
+    and each waveform's row of a chunk is equalize_zf's on that frame's
+    realization, bit for bit."""
     if n == 64:  # tuned AFDM at even N: prefix vector ones, one group
         c1, c2 = afdm_tune(3, 1, 0, 64)
         specs = [OfdmSpec(64, 3), OtfsSpec(k=8, l=8, cp_len=3), AfdmSpec(64, c1, c2, 0, 3)]
@@ -697,24 +748,92 @@ def test_zf_guards_each_frame_once_per_prefix_vector(monkeypatch, n, groups):
         c1, c2 = afdm_tune(3, 1, 1, 37)
         specs = [OfdmSpec(37, 3), AfdmSpec(37, c1, c2, 1, 3)]
     assert len(link._prefix_groups(specs)) == groups
-    cfg, frames, stacks, calls = _dispersive_config(n), 37, [], []
-    certified, equalize = link._weyl_certified, link.equalize_zf
+    cfg, frames, stacks = _dispersive_config(n), 37, []
+    certified = link._weyl_certified
 
     def counting(d):
         stacks.append(len(d))
         return certified(d)
 
-    def recording(spec, chan, r):
-        calls.append((spec, chan.paths))
-        return equalize(spec, chan, r)
-
     monkeypatch.setattr(link, "_weyl_certified", counting)
-    monkeypatch.setattr(link, "equalize_zf", recording)
-    link._ber_sweep(specs, cfg, QAM16, [10.0, 20.0], frames, "zf", seed=6)
+    rows = _zf_rows(specs, cfg, [10.0, 20.0], frames, seed=6)
     assert stacks == [groups * len(chunk) for chunk in link._chunks(n, frames)]
     assert sum(stacks) == groups * frames
-    paths = [sample_paths(cfg, "fractional", link.substream(6, i)).paths for i in range(frames)]
-    assert calls == [(spec, paths[i]) for chunk in link._chunks(n, frames) for spec in specs for i in chunk]
+    assert sorted((i, w) for i, w, _, _ in rows) == [(i, w) for i in range(frames) for w in range(len(specs))]
+    _assert_rows_equal_equalize_zf(rows, specs, cfg, seed=6)
+
+
+@st.composite
+def zf_sweeps(draw):
+    """Waveforms at odd, prime or even N in one or two prefix groups, 1 to 3
+    SNR points, +inf among the choices, and frames filling one or two chunks."""
+    groups = draw(st.integers(1, 2))
+    # a tuned AFDM's prefix vector is ones at even N and -1 at odd N; a given
+    # chirp rate with 2 N c1 not an integer makes neither
+    n = draw(st.sampled_from([36, 64] if groups == 1 else [31, 36, 37, 45, 64]))
+    xi = draw(st.integers(0, 1))
+    c1, c2 = afdm_tune(3, 1, xi, n)
+    if groups == 2 and n % 2 == 0:
+        c1 = 0.0123
+    specs = [OfdmSpec(n, 3), AfdmSpec(n, c1, c2, xi, 3)]
+    k = draw(st.sampled_from([k for k in range(2, n) if n % k == 0] or [1]))
+    if k > 1:
+        specs.insert(1, OtfsSpec(k=k, l=n // k, cp_len=3))
+    assert len(link._prefix_groups(specs)) == groups
+    size, chunks = len(link._chunks(n, 10**6)[0]), draw(st.integers(1, 2))
+    frames = draw(st.integers((chunks - 1) * size + 1, chunks * size))
+    snrs = draw(st.lists(st.sampled_from([0.0, 10.0, 25.0, np.inf]), min_size=1, max_size=3, unique=True))
+    mode = draw(st.sampled_from(["integer", "fractional"]))
+    return specs, _dispersive_config(n), snrs, frames, draw(st.integers(0, 2**16)), mode
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(case=zf_sweeps())
+def test_stacked_zf_rows_equal_equalize_zf_bit_for_bit(case):
+    """Every row of a stacked ZF sweep is equalize_zf's on that frame alone,
+    bit for bit, and a refused sweep names the first H refused alone."""
+    specs, cfg, snrs, frames, seed, mode = case
+    try:
+        rows = _zf_rows(specs, cfg, snrs, frames, seed, mode)
+    except SingularChannelError as refusal:
+        # the first H that equalize_zf refuses alone, in chunk, prefix group and frame order
+        chans = [sample_paths(cfg, mode, link.substream(seed, i)) for i in range(frames)]
+        for chunk in link._chunks(cfg.N, frames):
+            for group in link._prefix_groups(specs):
+                for i in chunk:
+                    try:
+                        equalize_zf(specs[group[0]], chans[i], np.ones(cfg.N))
+                    except SingularChannelError as alone:
+                        assert str(refusal) == str(alone)
+                        return
+        raise
+    _assert_rows_equal_equalize_zf(rows, specs, cfg, seed, mode)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(n=st.sampled_from([31, 36, 64]), before=st.integers(0, 5), after=st.integers(0, 5),
+       eps=st.sampled_from([1e-14, 1e-11, 1e-8]), seed=st.integers(0, 2**16))
+def test_certified_answers_each_frame_when_the_batched_cholesky_raises(n, before, after, eps, seed):
+    """A stack with a frame whose Cholesky fails amid certifiable ones: the
+    batched factorization raises, and each answer is the one-frame call's."""
+    rng = np.random.default_rng(seed)
+    seeds = rng.integers(0, 2**16, before + after)
+    chans = [_realization(n, _dominant_paths(int(s), 3, 3, 1), f_max=1) for s in seeds]
+    chans.insert(before, _realization(n, [(1.0 + 0.0j, 0, 0.0), (-(1.0 - eps) + 0.0j, 0, 1.0)], f_max=1))
+    d = np.stack([delay_diagonals(chan, OfdmSpec(n, 3).wrap) for chan in chans])
+    calls, factors = [], link._factors
+
+    def recording(M):
+        calls.append((M.shape, factors(M)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(link, "_factors", recording)
+        got = link._certified(d)
+    assert calls[0] == ((len(chans), n, n), False)  # the batched call raised
+    assert len(calls) == 1 + len(chans)
+    assert got.tolist() == [link._certified(x) for x in d]
+    assert not got[before] and got.sum() == before + after
 
 
 def test_zf_guard_decides_each_frame_of_a_stack():
@@ -724,8 +843,8 @@ def test_zf_guard_decides_each_frame_of_a_stack():
     with near-singular frames (cond 2e11, 2e13, 5e12) at 0, 7 and 15. The
     stacked certificates give each frame its one-frame answer, so a Cholesky
     failure leaves the other frames certified. The guard raises with the
-    first refused frame's message, in group and then frame order, and keeps
-    nothing on any realization of a refused stack.
+    first refused frame's message, in group and then frame order, and
+    every later call refuses that H with the same message.
     """
     cfg, rng = _dispersive_config(64), np.random.default_rng(77)
     chans = [sample_paths(cfg, "fractional", rng) for _ in range(16)]
@@ -761,22 +880,20 @@ def test_zf_guard_decides_each_frame_of_a_stack():
         start = j + 1
     link._zf_guard(flat[start:])
 
-    with pytest.raises(SingularChannelError, match=r"(1\.99\d|2\.00\d)e\+13 exceeds 1e12"):
-        link._zf_accept(chans, wraps, d)
-    assert not any(chan._zf_accepted for chan in chans)
-    kept = [b for b in range(16) if b not in refused]
-    link._zf_accept([chans[b] for b in kept], wraps, d[:, kept])
-    for b, chan in enumerate(chans):
-        assert len(chan._zf_accepted) == (0 if b in refused else 2)
-    with pytest.raises(SingularChannelError):
-        equalize_zf(OfdmSpec(64, 3), chans[7], np.ones(64, dtype=complex))
+    with pytest.raises(SingularChannelError, match=r"(1\.99\d|2\.00\d)e\+13 exceeds 1e12") as stack:
+        link._zf_guard(d)
+    # each call decides H afresh: frame 7 is refused by every call, with one message
+    for _ in range(2):
+        with pytest.raises(SingularChannelError) as again:
+            equalize_zf(OfdmSpec(64, 3), chans[7], np.ones(64, dtype=complex))
+        assert str(again.value) == str(stack.value)
 
 
 def test_zf_keeps_no_refusal_and_no_other_prefix_vectors_channel():
-    """A refused H is refused by every call, whatever the waveform, and
-    nothing is kept for it; an accepted H is kept per prefix vector, so a
-    waveform with another prefix vector gets its own H, bit for bit as on a
-    fresh realization."""
+    """A refused H is refused by every call, whatever the waveform, with one
+    message; each prefix vector gets its own H, so a waveform's estimate on
+    a realization another waveform used first is bit for bit its estimate
+    on a fresh realization."""
     chan = _near_singular(1e-13)
     c1, c2 = afdm_tune(0, 1, 0, 64)
     specs = [OfdmSpec(64), OtfsSpec(k=8, l=8), AfdmSpec(64, c1, c2), OfdmSpec(64)]
@@ -786,22 +903,16 @@ def test_zf_keeps_no_refusal_and_no_other_prefix_vectors_channel():
             equalize_zf(spec, chan, np.ones((2, 64), dtype=complex))
         messages.append(str(refusal.value))
     assert len(set(messages)) == 1 and "exceeds 1e12" in messages[0]
-    assert not chan._zf_accepted
 
     cfg = _dispersive_config(36)
-    given = AfdmSpec(36, 0.0123, 0.011, cp_len=3)  # 2 N c1 = 0.89: wrap is not +-1
-    assert not np.allclose(np.abs(given.wrap.real), 1.0)
+    given_c1 = AfdmSpec(36, 0.0123, 0.011, cp_len=3)  # 2 N c1 = 0.89: wrap is not +-1
+    assert not np.allclose(np.abs(given_c1.wrap.real), 1.0)
     r = np.stack([_block(36, s) for s in range(3)])
-    for order in ([OfdmSpec(36, 3), given], [given, OfdmSpec(36, 3)]):
+    for order in ([OfdmSpec(36, 3), given_c1], [given_c1, OfdmSpec(36, 3)]):
         shared = sample_paths(cfg, "fractional", link.substream(9, 0))
         for spec in order:
             fresh = sample_paths(cfg, "fractional", link.substream(9, 0))
-            assert np.array_equal(equalize_zf(spec, shared, r), equalize_zf(spec, fresh, r))
-        assert len(shared._zf_accepted) == 2
-        # the kept diagonals are read-only; the public delay_diagonals stays fresh and writable
-        assert not any(d.flags.writeable for d in shared._zf_accepted.values())
-        d = delay_diagonals(shared, given.wrap)
-        assert d.flags.writeable and all(d is not kept for kept in shared._zf_accepted.values())
+            assert equalize_zf(spec, shared, r).tobytes() == equalize_zf(spec, fresh, r).tobytes()
 
 
 def _near_singular(eps, n=64):

@@ -1,5 +1,5 @@
 """Property tests: direct CSI extraction, from G and from the channel's closed form, the
-equalizers (ZF per block, LMMSE stacked) against dense G-domain solves, the time-domain
+equalizers (ZF and LMMSE stacked) against dense G-domain solves, the time-domain
 pipeline against effective_channel and the oracle, for tuned and given AFDM rates, the
 Weyl stage of the ZF guard against the dense condition number, the chirp, prefix and
 Doppler phases against exact rational phases, unitary transforms, and predicted supports
@@ -277,11 +277,11 @@ def test_equalizers_match_dense_g_domain_solves(case, noise_var):
     d = _stack_diagonals(ell_max, gains, delays, dopplers, spec.wrap)
     r = np.random.default_rng(len(gains)).standard_normal((len(gains), spec.n, 2)) @ np.array([1.0, 1.0j])
     lmmse = spec._rx(_lmmse_solve(d, r, noise_var))
+    zf = spec._rx(_zf_solve(d, r))
     for b in range(len(gains)):
         G = oracle.effective_matrix(tx, rx, list(zip(gains[b], delays[b], dopplers[b])), phase)
         y = rx @ r[b]
-        zf = spec._rx(_zf_solve(d[b], r[b]))
-        assert np.max(np.abs(zf - np.linalg.solve(G, y))) <= 1e-10
+        assert np.max(np.abs(zf[b] - np.linalg.solve(G, y))) <= 1e-10
         A = G @ G.conj().T + noise_var * np.eye(spec.n)
         assert np.max(np.abs(lmmse[b] - G.conj().T @ np.linalg.solve(A, y))) <= 1e-10
 
