@@ -50,7 +50,7 @@ class ScenarioConfig:
 
     waveform: str = "all"       # one of _WAVEFORMS
     n: int = 64
-    k: int | None = None        # otfs grid; defaults to sqrt(n) when square
+    k: int | None = None        # otfs grid; n // the other when one is given, else sqrt(n)
     l: int | None = None
     xi: int = 0
     c1: float | None = None     # None means afdm_tune decides
@@ -89,8 +89,9 @@ class ScenarioConfig:
                               ("geometry", _GEOMETRIES), ("detector", _DETECTORS)):
             if data[name] not in choices:
                 raise ConfigError(f"{name} must be {'|'.join(choices)}, got {data[name]!r}")
-        if not isinstance(data["constellation"], str):
-            raise ConfigError(f"constellation must be a string, got {data['constellation']!r}")
+        for name in ("constellation", "outputs"):
+            if not isinstance(data[name], str):
+                raise ConfigError(f"{name} must be a string, got {data[name]!r}")
         try:
             Constellation.by_name(data["constellation"])
         except ValueError as exc:
@@ -113,13 +114,17 @@ class ScenarioConfig:
             data["cp_len"] = data["ell_max"]
         needs_otfs = data["waveform"] in ("otfs", "all")
         if needs_otfs:
-            if data["k"] is None or data["l"] is None:
-                root = math.isqrt(data["n"])
-                if root * root != data["n"]:
-                    raise ConfigError(
-                        f"k and l required: n={data['n']} is not a perfect square"
-                    )
+            n, given = data["n"], [name for name in ("k", "l") if data[name] is not None]
+            if not given:
+                root = math.isqrt(n)
+                if root * root != n:
+                    raise ConfigError(f"k and l required: n={n} is not a perfect square")
                 data["k"] = data["l"] = root
+            elif len(given) == 1:
+                [name] = given
+                if n % data[name]:
+                    raise ConfigError(f"{name}={data[name]} does not divide n={n}: give both k and l")
+                data["l" if name == "k" else "k"] = n // data[name]
             if data["k"] * data["l"] != data["n"]:
                 raise ConfigError(
                     f"k*l must equal n, got {data['k']}*{data['l']} != {data['n']}"

@@ -21,22 +21,27 @@ cond(H) = cond(G) > 1e12; the comment above _tau derives its certificates.
 
 Frames. Frame key k draws its channel, bits and noise, in that order, from
 substream(seed, *k) (_draw_frames). No draw depends on the SNR points, the
-waveforms or the chunks the frames run in (_chunks), and no later step
-reads the chunk size. So a result is a pure function of (config, seed),
-frame i is the same frame at every point and for every waveform, and a
-sweep's row equals a one-point, one-waveform run, up to the rounding of
-LMMSE's shared reduction of several right-hand sides. A chunk's bits are
-mapped once, each waveform modulates the chunk once for the whole sweep,
+waveforms or the stacks the frames run in, and no later step reads a stack
+size. So a result is a pure function of (config, seed), frame i is the same
+frame at every point and for every waveform, and a sweep's row equals a
+one-point, one-waveform run, up to the rounding of LMMSE's shared reduction
+of several right-hand sides. Each stack is sized by its own largest array
+within one budget (_CHUNK_ENTRIES): a sweep draws, modulates, sends,
+demodulates, demaps and counts its frames in chunks of as many frames as
+keep their O(N) stacks within it (_chunks), and only the solvers cut a
+chunk into sub-stacks of their N x N or block-row arrays. Per chunk, the
+bits are mapped once, each waveform modulates once for the whole sweep,
 and each point adds its own scaling of the frame's noise. Waveforms with
 equal prefix vectors see the same H (_prefix_groups): per chunk and group,
-H's diagonals and those of H H^H are formed once, and LMMSE runs one
-reduction per point with a right-hand-side column per waveform. ZF guards
-the chunk's groups as one stack, one decision per frame, the first refusal
-in group and then frame order raising; then each group makes one batched
-solve, one LU per frame for the blocks of every point and waveform of the
-group, and each waveform one demodulate of its slice. LAPACK factors each
-matrix of a stack alone and solves each right-hand side column alone, so
-every row equals equalize_zf on that frame's realization, bit for bit.
+H's diagonals are formed once, and LMMSE forms those of H H^H once per
+sub-stack and runs one reduction per point with a right-hand-side column
+per waveform. ZF guards the chunk's groups as one stack, one decision per
+frame, the first refusal in ZF sub-stack, group and then frame order
+raising; then each group makes one batched solve per sub-stack, one LU per
+frame for the blocks of every point and waveform of the group, and each
+waveform one demodulate of its slice. LAPACK factors each matrix of a
+stack alone and solves each right-hand side column alone, so every row
+equals equalize_zf on that frame's realization, bit for bit.
 """
 
 from __future__ import annotations
@@ -293,6 +298,19 @@ def _band_layout(N: int, ell_max: int, R: int = 1) -> _BandLayout:
     )
 
 
+# The one budget of every stack of frames: 2^16 entries (1 MiB of complex128)
+# in its largest array, unless one frame needs more. A draw chunk holds O(N)
+# rows per frame (_chunks); the solvers cut it into sub-stacks by their own
+# arrays, ZF's (b, N, N) folded H's and LMMSE's (b, nb, m, width) block rows.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _stack_size(entries: int) -> int:
+    """Frames per stack of `entries` array entries each: as many as stay
+    within _CHUNK_ENTRIES, at least one."""
+    return max(1, _CHUNK_ENTRIES // entries)
+
+
 def _gram(d: np.ndarray, lay: _BandLayout) -> np.ndarray:
     """The cyclic diagonals of H H^H, (B, offsets, N), from a (B, ell_max + 1, N) stack of H's."""
     B, E, N = d.shape
@@ -410,31 +428,40 @@ def _folded(d: np.ndarray) -> np.ndarray:
 
 
 def _zf_guard(d: np.ndarray) -> None:
-    """Raise SingularChannelError, naming cond(H), for the first H in C order
-    of a (..., ell_max + 1, N) stack d of H's diagonals with cond(H) > 1e12.
-    Weyl's bound on the whole stack, then one _certified call on what it
-    leaves, then np.linalg.cond on what neither clears: each H is decided as
-    the SVD alone would decide it."""
-    flat = d.reshape(-1, *d.shape[-2:])
-    ok = _weyl_certified(flat)
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        ok[rest] = _certified(flat[rest])
-    for b in np.flatnonzero(~ok):
-        cond = np.linalg.cond(_folded(flat[b : b + 1])[0])
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
+    """Raise SingularChannelError, naming cond(H), for the first H with
+    cond(H) > 1e12 of a (G, B, ell_max + 1, N) stack d of H's diagonals, G
+    prefix groups of B frames (a (B, ...) stack or one H has G = 1), in the
+    order of _zf_solve's sub-stacks and, in each, group then frame order.
+    Weyl's bound on the whole stack, then per sub-stack one _certified call
+    on what it leaves and np.linalg.cond on what neither clears: each H is
+    decided as the SVD alone would decide it."""
+    d = d.reshape((1,) * (4 - d.ndim) + d.shape)
+    weyl = _weyl_certified(d)
+    size = _stack_size(d.shape[-1] ** 2)
+    for start in range(0, d.shape[1], size):
+        part, ok = d[:, start : start + size], weyl[:, start : start + size]
+        if not ok.all():
+            ok[~ok] = _certified(part[~ok])
+        for g, b in np.argwhere(~ok):
+            cond = np.linalg.cond(_folded(part[g, b][None])[0])
+            if not np.isfinite(cond) or cond > 1e12:
+                raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
 
 
 def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     """H^{-1} r for a (B, ell_max + 1, N) stack d of H's diagonals and a
-    (B, ..., N) stack r: one batched solve, one dense LU of each folded H
+    (B, ..., N) stack r: one batched solve per sub-stack of _stack_size(N^2)
+    frames, the size of its (b, N, N) folded H's, with one dense LU of each
     for all the blocks of its frame. The caller guards H (_zf_guard)."""
     B, N = r.shape[0], r.shape[-1]
     perm = _band_layout(N, d.shape[1] - 1).perm
     z = np.empty(r.shape, dtype=complex)
-    cols = r.reshape(B, -1, N)[..., perm].swapaxes(1, 2)
-    z.reshape(B, -1, N)[..., perm] = np.linalg.solve(_folded(d), cols).swapaxes(1, 2)
+    rows, out = r.reshape(B, -1, N), z.reshape(B, -1, N)
+    size = _stack_size(N * N)
+    for start in range(0, B, size):
+        sub = slice(start, start + size)
+        cols = rows[sub][..., perm].swapaxes(1, 2)
+        out[sub][..., perm] = np.linalg.solve(_folded(d[sub]), cols).swapaxes(1, 2)
     return z
 
 
@@ -481,24 +508,31 @@ def _cyclic_reduction(F: np.ndarray, m: int) -> None:
 def _lmmse_sweep(d: np.ndarray, r: np.ndarray, noise_vars) -> np.ndarray:
     """H^H (H H^H + s2 I)^{-1} r[:, s] at s2 = noise_vars[s], shape (B, S, R, N),
     for a (B, ell_max + 1, N) stack of H's diagonals and a (B, S, R, N)
-    stack r: R blocks per frame at each of S noise variances. The diagonals
-    of H H^H are formed once, then one _cyclic_reduction per variance.
+    stack r: R blocks per frame at each of S noise variances. The frames go
+    in sub-stacks of _stack_size(nb m width), the size of their block rows
+    F; per sub-stack the diagonals of H H^H are formed once, then one
+    _cyclic_reduction per variance.
     """
     B, S, R, N = r.shape
     lay = _band_layout(N, d.shape[1] - 1, R)
-    a = _gram(d, lay).reshape(B, -1)
     x = np.empty(r.shape, dtype=complex)
-    F = np.empty((B, lay.nb * lay.m * lay.width), dtype=complex)
-    for s, noise_var in enumerate(noise_vars):
-        F.fill(0.0)
-        F[:, lay.band_dst] = a
-        F[:, lay.pad_dst] = 1.0
-        F[:, lay.diag_dst] += noise_var
-        F[:, lay.vec] = r[:, s].reshape(B, -1)
-        _cyclic_reduction(F.reshape(B, lay.nb, lay.m, lay.width), lay.m)
-        # one (B R, ell_max + 1, N) product, summed over the delays as one stack
-        u = d.conj()[:, None] * F[:, lay.vec].reshape(B, R, 1, N)
-        x[:, s] = u.reshape(B * R, -1)[:, lay.adjoint_src].sum(axis=1).reshape(B, R, N)
+    size = _stack_size(lay.nb * lay.m * lay.width)
+    buffer = np.empty((min(B, size), lay.nb * lay.m * lay.width), dtype=complex)
+    for start in range(0, B, size):
+        sub = slice(start, start + size)
+        ds = d[sub]
+        b = len(ds)
+        a, F = _gram(ds, lay).reshape(b, -1), buffer[:b]
+        for s, noise_var in enumerate(noise_vars):
+            F.fill(0.0)
+            F[:, lay.band_dst] = a
+            F[:, lay.pad_dst] = 1.0
+            F[:, lay.diag_dst] += noise_var
+            F[:, lay.vec] = r[sub, s].reshape(b, -1)
+            _cyclic_reduction(F.reshape(b, lay.nb, lay.m, lay.width), lay.m)
+            # one (b R, ell_max + 1, N) product, summed over the delays as one stack
+            u = ds.conj()[:, None] * F[:, lay.vec].reshape(b, R, 1, N)
+            x[sub, s] = u.reshape(b * R, -1)[:, lay.adjoint_src].sum(axis=1).reshape(b, R, N)
     return x
 
 
@@ -574,14 +608,13 @@ class LinkResult:
     papr_db_p99: float
 
 
-# Frames per chunk: about 2^16 N x N entries (1 MiB of complex128) per chunk,
-# the size of LMMSE's (B, m, m) stack while N is one block of m = N rows.
-_CHUNK_ENTRIES = 1 << 16
-
-
-def _chunks(N: int, count: int) -> list[range]:
-    """Indices 0..count-1 in chunks of max(1, 2^16 // N^2): BER frames and sensing trials."""
-    size = max(1, _CHUNK_ENTRIES // N**2)
+def _chunks(count: int, N: int, rows: int, whole: int = 1) -> list[range]:
+    """Indices 0..count-1, BER frames or sensing trials, in the chunks
+    _draw_frames draws: as many per chunk as keep `rows` length-N rows each,
+    its largest O(N) stack, within _CHUNK_ENTRIES (_stack_size), rounded
+    down to a multiple of `whole`, at least `whole`."""
+    size = _stack_size(rows * N)
+    size = max(whole, size - size % whole)
     return [range(start, min(start + size, count)) for start in range(0, count, size)]
 
 
@@ -635,9 +668,11 @@ def _prefix_groups(specs) -> list[list[int]]:
 
 def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
                 snrs, detector: str, doppler_mode: str, seed: int, frames: range):
-    """Monte Carlo frames `frames` of every waveform of specs at the SNR
-    points snrs as stacks; returns (bit errors (W, B, S), papr_db (W, B))
-    for W = len(specs)."""
+    """Monte Carlo frames `frames`, one draw chunk (_chunks), of every
+    waveform of specs at the SNR points snrs as stacks: drawn, modulated,
+    sent, demodulated, demapped and counted once per chunk, and cut into
+    sub-stacks only by the solvers (_zf_guard, _zf_solve, _lmmse_sweep);
+    returns (bit errors (W, B, S), papr_db (W, B)) for W = len(specs)."""
     _, diagonals, bits, stacks = _draw_frames(
         specs, chan_config, constellation, snrs, doppler_mode, seed, [(i,) for i in frames]
     )
@@ -650,7 +685,7 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
 
     if detector == "zf":
         # one guard for the chunk's groups and frames, the first refusal in
-        # group and frame order raising, before any solve
+        # sub-stack, group and frame order raising, before any solve
         _zf_guard(np.stack([d for _, d in diagonals]))
     for group, d in diagonals:
         # per chunk and prefix group, the (B, S, R, N) blocks of its R waveforms:
@@ -688,9 +723,15 @@ def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
         raise ValueError(f"unknown detector {detector!r}")
     for spec in specs:
         _check_spec(spec, chan_config.N)
+    N, groups = chan_config.N, len(_prefix_groups(specs))
+    # the chunk's largest O(N) stacks: the (B, S, R, N) received blocks and the
+    # (B, groups, ell_max + 1, N) diagonals; a ZF chunk holds whole ZF
+    # sub-stacks, so its refusal order reads their size alone
+    rows = max(len(snrs) * len(specs), groups * (chan_config.ell_max + 1))
+    whole = _stack_size(N * N) if detector == "zf" else 1
     results = [
         _run_frames(specs, chan_config, constellation, snrs, detector, doppler_mode, seed, chunk)
-        for chunk in _chunks(chan_config.N, frames)
+        for chunk in _chunks(frames, N, rows, whole)
     ]
     errors = np.concatenate([e for e, _ in results], axis=1).sum(axis=1).tolist()
     paprs = np.concatenate([p for _, p in results], axis=1)

@@ -452,16 +452,18 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
                   refine_factor: int) -> list[tuple[list, dict]]:
     """Sensing trials of the substream keys `keys`, all those of one SNR
     point: (truth pairs, estimates per method) each, in key order. A trial
-    is the BER frame of its key (link._draw_frames), drawn in the BER
-    frames' chunks (link._chunks), and each method looks for chan_config.P
-    targets on the window 0..ell_max x -f_max..f_max; no method demodulates it.
+    is the BER frame of its key (link._draw_frames), drawn in the chunks of
+    a one-point, one-waveform BER sweep, whose largest stack is H's
+    (B, ell_max + 1, N) diagonals (link._chunks), and each method looks for
+    chan_config.P targets on the window 0..ell_max x -f_max..f_max; no
+    method demodulates it.
     """
     ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P
     csi, ml_grid = _trial_tables(spec, ell_max, f_max, refine_levels, refine_factor)
     # the matched filter's plain cyclic pilot rows; ml_grid.coarse is its Doppler table
     cyclic = (np.arange(spec.n) - ml_grid.ells[:, None]) % spec.n
     trials = []
-    for chunk in _chunks(spec.n, len(keys)):
+    for chunk in _chunks(len(keys), spec.n, ell_max + 1):
         (_, delays, dopplers), [(_, diags)], _, [(s_cp, r)] = _draw_frames(
             [spec], chan_config, constellation, [snr_db], doppler_mode, seed, [keys[i] for i in chunk]
         )

@@ -9,6 +9,7 @@ byte for byte.
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ def test_csv_writer_empty_table_is_header_only(tmp_path):
 def test_json_writer_matches_json_module(tmp_path, grid):
     obj = {"waveform": "afdm", "n": len(grid), "threshold": 1e-05, "magnitude": grid}
     _write_json(tmp_path / "got.json", obj)
+    reference_json(tmp_path / "want.json", {**obj, "magnitude": grid.tolist()})
+    assert read_bytes(tmp_path / "got.json") == read_bytes(tmp_path / "want.json")
+
+
+def test_json_writer_writes_a_grid_a_row_at_a_time(tmp_path):
+    # a 256 x 256 grid is about 1.6 MB of JSON; formatted a row at a time,
+    # the writer holds a row's text at most, not the document's
+    grid = np.random.default_rng(5).random((256, 256))
+    obj = {"waveform": "otfs", "n": 256, "threshold": 1e-05, "magnitude": grid}
+    tracemalloc.start()
+    try:
+        _write_json(tmp_path / "got.json", obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "got.json").stat().st_size
+    assert size > 1_500_000 and peak < size / 10
     reference_json(tmp_path / "want.json", {**obj, "magnitude": grid.tolist()})
     assert read_bytes(tmp_path / "got.json") == read_bytes(tmp_path / "want.json")
 

@@ -90,6 +90,44 @@ def test_otfs_non_square_needs_explicit_grid():
     assert (cfg.k, cfg.l) == (6, 8)
 
 
+@pytest.mark.parametrize("given, grid", [
+    ({"n": 64, "k": 16}, (16, 4)),
+    ({"n": 64, "l": 2}, (32, 2)),
+    ({"n": 48, "k": 6}, (6, 8)),  # n not a square
+    ({"n": 37, "l": 37}, (1, 37)),
+])
+def test_otfs_grid_derives_the_missing_side_from_the_given_one(given, grid):
+    for waveform in ("otfs", "all"):
+        cfg = ScenarioConfig.from_dict({"waveform": waveform, **given})
+        assert (cfg.k, cfg.l) == grid
+        otfs = dict(cfg.waveform_specs())["otfs"]
+        assert (otfs.k, otfs.l) == grid
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"waveform": "otfs", "n": 64, "k": 7}, "k=7 does not divide n=64: give both k and l"),
+    ({"n": 36, "l": 5}, "l=5 does not divide n=36: give both k and l"),
+])
+def test_a_grid_side_that_does_not_divide_n_exits_2(tmp_path, capsys, patch, message):
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict(patch)
+    assert str(exc.value) == message
+    assert main(["ber", "--config", write_config(tmp_path, patch), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("outputs", [5, ["a"], None, {"dir": "out"}])
+def test_non_string_outputs_exits_2(tmp_path, capsys, monkeypatch, outputs):
+    message = f"outputs must be a string, got {outputs!r}"
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict({"outputs": outputs})
+    assert str(exc.value) == message
+    monkeypatch.chdir(tmp_path)  # no --out: the run would write under `outputs`
+    assert main(["ber", "--config", write_config(tmp_path, {"outputs": outputs, "frames": 1})]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_unknown_field_rejected():
     with pytest.raises(ConfigError, match="unknown config field"):
         ScenarioConfig.from_dict({"bandwidth": 1e6})

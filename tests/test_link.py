@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from ddwave import link
+from ddwave import link, sensing
 from ddwave.channel import (
     ChannelConfig,
     ChannelRealization,
@@ -567,8 +567,9 @@ def _reference_frame(spec, chan_config, constellation, snr_db, detector, doppler
 
 @pytest.mark.parametrize("detector", ["zf", "lmmse"])
 def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
-    """One one-waveform sweep of (6 dB, inf): each chunk records (1, B, S) bit
-    errors, and column s matches the per-frame reference at SNR point s."""
+    """One one-waveform sweep of (6 dB, inf), at the default stack budget and
+    at 2^12 entries: each draw chunk records (1, B, S) bit errors, and
+    column s matches the per-frame reference at SNR point s."""
     run_frames, chunks = link._run_frames, []
 
     def recording(*args):
@@ -577,29 +578,40 @@ def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
 
     monkeypatch.setattr(link, "_run_frames", recording)
     c1, c2 = afdm_tune(3, 1, 1, 37)
-    cases = [  # (spec, channel config, frames, chunk sizes): each ends on a partial chunk
-        (OfdmSpec(64, 3), _dispersive_config(64), 37, [16, 16, 5]),
-        (OtfsSpec(k=4, l=9, cp_len=3), _dispersive_config(36), 53, [50, 3]),  # K != L
-        (AfdmSpec(37, c1, c2, 1, 3), _dispersive_config(37), 50, [47, 3]),  # odd N, xi = 1
-        # 16 blocks of 8 rows, batched 4 and 2 frames at a time, 1 in the reference
-        (OfdmSpec(128, 3), _dispersive_config(128), 10, [4, 4, 2]),
+    # (spec, channel config, frames, chunk sizes at 2^12 entries by detector);
+    # a chunk holds 4 rows of H's diagonals per frame, a ZF chunk whole ZF
+    # sub-stacks of 2^12 // N^2 frames, and each sweep ends on a partial chunk
+    cases = [
+        (OfdmSpec(64, 3), _dispersive_config(64), 37, {"zf": [16, 16, 5], "lmmse": [16, 16, 5]}),
+        (OtfsSpec(k=4, l=9, cp_len=3), _dispersive_config(36), 53,  # K != L
+         {"zf": [27, 26], "lmmse": [28, 25]}),
+        (AfdmSpec(37, c1, c2, 1, 3), _dispersive_config(37), 50,  # odd N, xi = 1
+         {"zf": [26, 24], "lmmse": [27, 23]}),
+        # 16 blocks of 8 rows: at the default budget LMMSE reduces all 10
+        # frames in one sub-stack, at 2^12 one at a time, and 1 in the reference
+        (OfdmSpec(128, 3), _dispersive_config(128), 10, {"zf": [8, 2], "lmmse": [8, 2]}),
     ]
     assert link._band_layout(128, 3).nb == 16
     snrs = [6.0, np.inf]  # inf draws no noise
-    for spec, cfg, frames, sizes in cases:
-        chunks.clear()
-        [results] = link._ber_sweep([spec], cfg, QAM16, snrs, frames, detector, seed=11)
-        assert [e.shape for e, _ in chunks] == [(1, size, 2) for size in sizes]
-        for s, (snr_db, res) in enumerate(zip(snrs, results)):
+    for spec, cfg, frames, small in cases:
+        references = []
+        for snr_db in snrs:
             args = (spec, cfg, QAM16, snr_db, detector, "fractional", 11)
-            errors, paprs = zip(*(_reference_frame(*args, i) for i in range(frames)))
-            assert np.concatenate([e[0, :, s] for e, _ in chunks]).tolist() == list(errors), (spec, snr_db)
-            assert np.concatenate([p[0] for _, p in chunks]).tolist() == list(paprs), (spec, snr_db)
-            assert res.snr_db == snr_db
-            assert res.bit_errors == sum(errors)
-            assert res.papr_db_p99 == float(np.percentile(paprs, 99))
-            if snr_db == 6.0:
-                assert res.bit_errors > 0
+            references.append(list(zip(*(_reference_frame(*args, i) for i in range(frames)))))
+        for budget, sizes in ((link._CHUNK_ENTRIES, [frames]), (1 << 12, small[detector])):
+            chunks.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(link, "_CHUNK_ENTRIES", budget)
+                [results] = link._ber_sweep([spec], cfg, QAM16, snrs, frames, detector, seed=11)
+            assert [e.shape for e, _ in chunks] == [(1, size, 2) for size in sizes]
+            for s, (snr_db, res, (errors, paprs)) in enumerate(zip(snrs, results, references)):
+                assert np.concatenate([e[0, :, s] for e, _ in chunks]).tolist() == list(errors), (spec, snr_db)
+                assert np.concatenate([p[0] for _, p in chunks]).tolist() == list(paprs), (spec, snr_db)
+                assert res.snr_db == snr_db
+                assert res.bit_errors == sum(errors)
+                assert res.papr_db_p99 == float(np.percentile(paprs, 99))
+                if snr_db == 6.0:
+                    assert res.bit_errors > 0
 
 
 @pytest.mark.parametrize("detector", ["zf", "lmmse"])
@@ -668,14 +680,15 @@ def test_prefix_groups_of_scenario_waveforms(scenario, groups):
 
 def _zf_rows(specs, cfg, snrs, frames, seed, mode="fractional"):
     """A ZF sweep's estimates, one (frame i, waveform w, received (S, N),
-    estimate (S, N)) per row of each chunk, read from the chunk's draw and
-    its demodulate calls (prefix group, then waveform, order)."""
+    estimate (S, N)) per row of each draw chunk, read from the chunk's draw
+    and its demodulate calls, one per chunk and waveform (prefix group, then
+    waveform, order); and the chunk sizes, which cover the frames in order."""
     draws, estimates = [], []
     draw, demod = link._draw_frames, link.demodulate
 
     def drawing(*args):
-        draws.append(draw(*args))
-        return draws[-1]
+        draws.append((args[-1], draw(*args)))
+        return draws[-1][1]
 
     def demodulating(spec, z):
         estimates.append(demod(spec, z))
@@ -686,14 +699,16 @@ def _zf_rows(specs, cfg, snrs, frames, seed, mode="fractional"):
         mp.setattr(link, "demodulate", demodulating)
         link._ber_sweep(specs, cfg, QAM16, snrs, frames, "zf", seed, mode)
     order = [w for group in link._prefix_groups(specs) for w in group]
-    chunks, W = link._chunks(cfg.N, frames), len(specs)
-    assert len(draws) == len(chunks) and len(estimates) == len(chunks) * W
-    return [
-        (i, w, draws[c][3][w][1][b], x[b])
-        for c, chunk in enumerate(chunks)
+    W = len(specs)
+    assert len(estimates) == len(draws) * W
+    assert [key for keys, _ in draws for key in keys] == [(i,) for i in range(frames)]
+    rows = [
+        (i, w, drawn[3][w][1][b], x[b])
+        for c, (keys, drawn) in enumerate(draws)
         for w, x in zip(order, estimates[c * W : (c + 1) * W])
-        for b, i in enumerate(chunk)
+        for b, (i,) in enumerate(keys)
     ]
+    return rows, [len(keys) for keys, _ in draws]
 
 
 def _assert_rows_equal_equalize_zf(rows, specs, cfg, seed, mode="fractional"):
@@ -705,12 +720,14 @@ def _assert_rows_equal_equalize_zf(rows, specs, cfg, seed, mode="fractional"):
 
 def test_ber_zf_refuses_the_first_frame_in_group_then_frame_order(monkeypatch):
     """A ZF chunk refuses before any solve, naming the first refused H in
-    prefix group and then frame order, with the message equalize_zf gives
-    for that frame alone. At odd N = 37, I - (1 - eps) Pi is near singular
-    with OFDM's prefix vector (ones) and well conditioned with the xi = 1
-    AFDM's (-1), and I + (1 - eps) Pi the other way round: frame 2 is
-    refused in the AFDM group only, frame 5 in the OFDM group only, so the
-    sweep names frame 5."""
+    ZF sub-stack, prefix group and then frame order, with the message
+    equalize_zf gives for that frame alone. At odd N = 37, I - (1 - eps) Pi
+    is near singular with OFDM's prefix vector (ones) and well conditioned
+    with the xi = 1 AFDM's (-1), and I + (1 - eps) Pi the other way round:
+    frame 2 is refused in the AFDM group only, frame 5 in the OFDM group
+    only. So a sweep whose ZF sub-stacks hold both frames names frame 5,
+    and one whose budget gives each frame a sub-stack of its own names
+    frame 2."""
     c1, c2 = afdm_tune(1, 0, 1, 37)
     specs = [OfdmSpec(37, 1), AfdmSpec(37, c1, c2, 1, 1)]
     assert link._prefix_groups(specs) == [[0], [1]]
@@ -719,28 +736,31 @@ def test_ber_zf_refuses_the_first_frame_in_group_then_frame_order(monkeypatch):
         for g in (0.3 + 0.0j, (1 - 1e-14) + 0.0j, -(1 - 1e-13) + 0.0j)
     )
     chans = [good, good, afdm_refused, good, good, ofdm_refused, good]
-    draws = iter(chans)
-    monkeypatch.setattr(link, "_draw_paths", lambda config, mode, rng: _path_arrays(next(draws).paths))
-    with pytest.raises(SingularChannelError) as sweep:
-        link._ber_sweep(specs, good.config, QAM16, [10.0, np.inf], len(chans), "zf", seed=3)
-
     r = np.ones(37, dtype=complex)
-    with pytest.raises(SingularChannelError) as alone:
+    with pytest.raises(SingularChannelError) as ofdm_alone:
         equalize_zf(specs[0], ofdm_refused, r)
-    assert str(sweep.value) == str(alone.value)
-    assert re.search(r"(1\.99\d|2\.00\d)e\+13 exceeds 1e12", str(alone.value))
-    with pytest.raises(SingularChannelError, match=r"e\+14 exceeds 1e12"):
+    assert re.search(r"(1\.99\d|2\.00\d)e\+13 exceeds 1e12", str(ofdm_alone.value))
+    with pytest.raises(SingularChannelError, match=r"e\+14 exceeds 1e12") as afdm_alone:
         equalize_zf(specs[1], afdm_refused, r)
     equalize_zf(specs[0], afdm_refused, r)
     equalize_zf(specs[1], ofdm_refused, r)
+
+    for budget, alone in ((link._CHUNK_ENTRIES, ofdm_alone), (1 << 22, ofdm_alone), (1, afdm_alone)):
+        draws = iter(chans)
+        monkeypatch.setattr(link, "_draw_paths", lambda config, mode, rng: _path_arrays(next(draws).paths))
+        monkeypatch.setattr(link, "_CHUNK_ENTRIES", budget)
+        with pytest.raises(SingularChannelError) as sweep:
+            link._ber_sweep(specs, good.config, QAM16, [10.0, np.inf], len(chans), "zf", seed=3)
+        assert str(sweep.value) == str(alone.value), budget
 
 
 @pytest.mark.parametrize("n,groups", [(64, 1), (37, 2)])
 def test_zf_guards_each_frame_once_per_prefix_vector(monkeypatch, n, groups):
     """Waveforms with equal prefix vectors share H, so a ZF sweep guards each
-    frame once per prefix vector, in one stack per chunk of all its groups,
-    and each waveform's row of a chunk is equalize_zf's on that frame's
-    realization, bit for bit."""
+    frame once per prefix vector: Weyl's bound runs once per draw chunk on
+    the stack of all its groups, at the default stack budget and at one
+    that cuts the sweep into several chunks, and each waveform's row of a
+    chunk is equalize_zf's on that frame's realization, bit for bit."""
     if n == 64:  # tuned AFDM at even N: prefix vector ones, one group
         c1, c2 = afdm_tune(3, 1, 0, 64)
         specs = [OfdmSpec(64, 3), OtfsSpec(k=8, l=8, cp_len=3), AfdmSpec(64, c1, c2, 0, 3)]
@@ -752,21 +772,24 @@ def test_zf_guards_each_frame_once_per_prefix_vector(monkeypatch, n, groups):
     certified = link._weyl_certified
 
     def counting(d):
-        stacks.append(len(d))
+        stacks.append(d.shape[:2])
         return certified(d)
 
     monkeypatch.setattr(link, "_weyl_certified", counting)
-    rows = _zf_rows(specs, cfg, [10.0, 20.0], frames, seed=6)
-    assert stacks == [groups * len(chunk) for chunk in link._chunks(n, frames)]
-    assert sum(stacks) == groups * frames
-    assert sorted((i, w) for i, w, _, _ in rows) == [(i, w) for i in range(frames) for w in range(len(specs))]
-    _assert_rows_equal_equalize_zf(rows, specs, cfg, seed=6)
+    for budget, draws in ((link._CHUNK_ENTRIES, 1), (1 << 12, 4)):
+        stacks.clear()
+        monkeypatch.setattr(link, "_CHUNK_ENTRIES", budget)
+        rows, sizes = _zf_rows(specs, cfg, [10.0, 20.0], frames, seed=6)
+        assert len(sizes) == draws
+        assert stacks == [(groups, size) for size in sizes]
+        assert sorted((i, w) for i, w, _, _ in rows) == [(i, w) for i in range(frames) for w in range(len(specs))]
+        _assert_rows_equal_equalize_zf(rows, specs, cfg, seed=6)
 
 
 @st.composite
 def zf_sweeps(draw):
     """Waveforms at odd, prime or even N in one or two prefix groups, 1 to 3
-    SNR points, +inf among the choices, and frames filling one or two chunks."""
+    SNR points, +inf among the choices, and frames filling one or two ZF sub-stacks."""
     groups = draw(st.integers(1, 2))
     # a tuned AFDM's prefix vector is ones at even N and -1 at odd N; a given
     # chirp rate with 2 N c1 not an integer makes neither
@@ -780,8 +803,8 @@ def zf_sweeps(draw):
     if k > 1:
         specs.insert(1, OtfsSpec(k=k, l=n // k, cp_len=3))
     assert len(link._prefix_groups(specs)) == groups
-    size, chunks = len(link._chunks(n, 10**6)[0]), draw(st.integers(1, 2))
-    frames = draw(st.integers((chunks - 1) * size + 1, chunks * size))
+    size, subs = link._stack_size(n * n), draw(st.integers(1, 2))
+    frames = draw(st.integers((subs - 1) * size + 1, subs * size))
     snrs = draw(st.lists(st.sampled_from([0.0, 10.0, 25.0, np.inf]), min_size=1, max_size=3, unique=True))
     mode = draw(st.sampled_from(["integer", "fractional"]))
     return specs, _dispersive_config(n), snrs, frames, draw(st.integers(0, 2**16)), mode
@@ -794,20 +817,28 @@ def test_stacked_zf_rows_equal_equalize_zf_bit_for_bit(case):
     bit for bit, and a refused sweep names the first H refused alone."""
     specs, cfg, snrs, frames, seed, mode = case
     try:
-        rows = _zf_rows(specs, cfg, snrs, frames, seed, mode)
+        rows, _ = _zf_rows(specs, cfg, snrs, frames, seed, mode)
     except SingularChannelError as refusal:
-        # the first H that equalize_zf refuses alone, in chunk, prefix group and frame order
-        chans = [sample_paths(cfg, mode, link.substream(seed, i)) for i in range(frames)]
-        for chunk in link._chunks(cfg.N, frames):
-            for group in link._prefix_groups(specs):
-                for i in chunk:
-                    try:
-                        equalize_zf(specs[group[0]], chans[i], np.ones(cfg.N))
-                    except SingularChannelError as alone:
-                        assert str(refusal) == str(alone)
-                        return
-        raise
+        _assert_names_the_first_refusal(refusal, specs, cfg, frames, seed, mode)
+        return
     _assert_rows_equal_equalize_zf(rows, specs, cfg, seed, mode)
+
+
+def _assert_names_the_first_refusal(refusal, specs, cfg, frames, seed, mode):
+    """The refusal is that of the first H equalize_zf refuses alone, in ZF
+    sub-stack (_stack_size(N^2) frames at the current budget), prefix group
+    and frame order."""
+    chans = [sample_paths(cfg, mode, link.substream(seed, i)) for i in range(frames)]
+    size = link._stack_size(cfg.N**2)
+    for start in range(0, frames, size):
+        for group in link._prefix_groups(specs):
+            for i in range(start, min(start + size, frames)):
+                try:
+                    equalize_zf(specs[group[0]], chans[i], np.ones(cfg.N))
+                except SingularChannelError as alone:
+                    assert str(refusal) == str(alone)
+                    return
+    raise AssertionError(f"no frame is refused alone, yet the sweep raised {refusal}")
 
 
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -834,6 +865,132 @@ def test_certified_answers_each_frame_when_the_batched_cholesky_raises(n, before
     assert len(calls) == 1 + len(chans)
     assert got.tolist() == [link._certified(x) for x in d]
     assert not got[before] and got.sum() == before + after
+
+
+@st.composite
+def stack_budget_cases(draw):
+    """A BER sweep of either detector over waveforms in one or two prefix
+    groups at 1 to 3 SNR points, +inf among the choices, up to 40 frames;
+    and a sensing point of up to 4 trials of a tuned AFDM at the same N."""
+    specs, cfg, snrs, _, seed, mode = draw(zf_sweeps())
+    n, xi = cfg.N, specs[-1].xi
+    sense_spec = AfdmSpec(n, *afdm_tune(cfg.ell_max, cfg.f_max, xi, n), xi, 3)
+    detector = draw(st.sampled_from(["zf", "lmmse"]))
+    return specs, cfg, snrs, draw(st.integers(1, 40)), detector, seed, mode, sense_spec, draw(st.integers(1, 4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(case=stack_budget_cases())
+def test_no_result_depends_on_the_stack_sizes(case):
+    """A sweep's per-frame estimates, bit errors and PAPR, its LinkResults
+    and a sensing point's estimates are bit for bit the same at a stack
+    budget of one entry (every stack one frame), at the default and at 2^22
+    entries (one draw for the sweep). A refused ZF sweep names, at each
+    budget, the first frame refused alone in ZF sub-stack, prefix group and
+    frame order."""
+    specs, cfg, snrs, frames, detector, seed, mode, sense_spec, trials = case
+    run_frames, demod, outcomes = link._run_frames, link.demodulate, []
+    W = len(specs)
+    for budget in (1, link._CHUNK_ENTRIES, 1 << 22):
+        chunks, estimates = [], []
+
+        def recording(*args):
+            chunks.append(run_frames(*args))
+            return chunks[-1]
+
+        def demodulating(spec, z):
+            estimates.append(demod(spec, z))
+            return estimates[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(link, "_CHUNK_ENTRIES", budget)
+            mp.setattr(link, "_run_frames", recording)
+            mp.setattr(link, "demodulate", demodulating)
+            sensed = sensing._sense_trials(sense_spec, cfg, QPSK, snrs[0], mode, seed,
+                                           [(0, t) for t in range(trials)], 1, 10)
+            try:
+                results = link._ber_sweep(specs, cfg, QAM16, snrs, frames, detector, seed, mode)
+            except SingularChannelError as refusal:
+                _assert_names_the_first_refusal(refusal, specs, cfg, frames, seed, mode)
+                outcomes.append(("refused", sensed))
+                continue
+        errors = np.concatenate([e for e, _ in chunks], axis=1)
+        paprs = np.concatenate([p for _, p in chunks], axis=1)
+        assert errors.shape == (W, frames, len(snrs)) and len(estimates) == W * len(chunks)
+        # one demodulate per chunk and waveform: each waveform's (frames, S, N) estimates
+        x_hat = [np.concatenate(estimates[k::W]).tobytes() for k in range(W)]
+        outcomes.append((x_hat, errors.tobytes(), paprs.tobytes(), results, sensed))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 12, link._CHUNK_ENTRIES, 1 << 22])
+def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
+    """Each _draw_frames stack of a BER sweep or a sensing point holds at
+    most _CHUNK_ENTRIES entries in its largest O(N) stack, `rows` length-N
+    rows per frame, and is as large as that allows; each solver sub-stack
+    holds at most as many in its own arrays, ZF's (b, N, N) folded H's and
+    LMMSE's (b, nb, m, width) block rows. A stack of one frame, and a ZF
+    draw of one ZF sub-stack, which a ZF draw is a whole number of, are the
+    only exceptions. The ber-small-n64 shape draws its 50 frames at once."""
+    monkeypatch.setattr(link, "_CHUNK_ENTRIES", budget)
+    draws, folded, reductions = [], [], []
+    draw_frames, fold, reduce = link._draw_frames, link._folded, link._cyclic_reduction
+
+    def drawing(*args):
+        draws.append(list(args[-1]))
+        return draw_frames(*args)
+
+    def folding(d):
+        folded.append(len(d))
+        return fold(d)
+
+    def reducing(F, m):
+        reductions.append(F.shape)
+        return reduce(F, m)
+
+    monkeypatch.setattr(link, "_draw_frames", drawing)
+    monkeypatch.setattr(sensing, "_draw_frames", drawing)
+    monkeypatch.setattr(link, "_folded", folding)
+    monkeypatch.setattr(link, "_cyclic_reduction", reducing)
+    c1, c2 = afdm_tune(3, 1, 1, 37)
+    odd = [OfdmSpec(37, 3), AfdmSpec(37, c1, c2, 1, 3)]  # two prefix groups
+    three = [spec for _, spec in ScenarioConfig.from_dict({"n": 64, "k": 8, "l": 8}).waveform_specs()]
+    cases = [  # (specs, N, snrs, frames, detector); rows = max(S W, groups (ell_max + 1))
+        (three, 64, [10.0, 20.0], 50, "zf"),  # the ber-small-n64 shape: 6 rows
+        ([OfdmSpec(128, 3), OtfsSpec(k=8, l=16, cp_len=3)], 128, [0.0, 10.0, 20.0], 30, "lmmse"),  # 6 rows
+        (odd, 37, [float(s) for s in range(21)], 60, "zf"),  # 42 rows > N: a ZF draw exceeds the budget
+        (odd, 37, [10.0, np.inf], 60, "lmmse"),  # 8 rows of diagonals
+    ]
+    for specs, N, snrs, frames, detector in cases:
+        for record in (draws, folded, reductions):
+            record.clear()
+        cfg = _dispersive_config(N)
+        link._ber_sweep(specs, cfg, QAM16, snrs, frames, detector, 4, "fractional")
+        rows = max(len(snrs) * len(specs), len(link._prefix_groups(specs)) * (cfg.ell_max + 1))
+        whole = link._stack_size(N * N) if detector == "zf" else 1
+        assert [key for keys in draws for key in keys] == [(i,) for i in range(frames)]
+        for keys in draws:
+            assert len(keys) * rows * N <= budget or len(keys) in (1, whole)
+            assert len(keys) % whole == 0 or keys is draws[-1]
+        for keys in draws[:-1]:
+            assert (len(keys) + whole) * rows * N > budget
+        for b in folded:
+            assert b * N * N <= budget or b == 1
+        for shape in reductions:
+            assert np.prod(shape) <= budget or shape[0] == 1
+        assert (detector == "zf") == bool(folded) and (detector == "lmmse") == bool(reductions)
+        if budget == 1 << 16 and specs is three:  # the default budget
+            assert [len(keys) for keys in draws] == [50]
+    # a sensing point: H's (B, ell_max + 1, N) diagonals are its largest stack
+    draws.clear()
+    cfg = _dispersive_config(64)
+    keys = [(1, t) for t in range(40)]
+    sensing._sense_trials(OtfsSpec(k=8, l=8, cp_len=3), cfg, QPSK, 10.0, "fractional", 7, keys, 1, 10)
+    assert [key for chunk in draws for key in chunk] == keys
+    for chunk in draws:
+        assert len(chunk) * (cfg.ell_max + 1) * 64 <= budget or len(chunk) == 1
+    for chunk in draws[:-1]:
+        assert (len(chunk) + 1) * (cfg.ell_max + 1) * 64 > budget
 
 
 def test_zf_guard_decides_each_frame_of_a_stack():

@@ -845,12 +845,10 @@ def test_sense_trials_match_the_per_trial_reference(case, mode):
     _, spec = case
     cfg = ChannelConfig(N=spec.n, f_s=1e6, f_c=1e9, ell_max=3, f_max=2, P=3, cp_len=3)
     qpsk = Constellation.qpsk()
-    chunks = link._chunks(spec.n, 6)
-    assert [len(c) for c in chunks] == [4, 2]  # the sweep ends on a partial chunk
     for snr_idx, snr_db in enumerate((10.0, np.inf)):
-        got = [
+        got = [  # the point's keys in two calls, the second a partial one
             trial
-            for chunk in chunks
+            for chunk in (range(4), range(4, 6))
             for trial in _sense_trials(spec, cfg, qpsk, snr_db, mode, 7,
                                        [(snr_idx, t) for t in chunk], 2, 10)
         ]
@@ -875,8 +873,10 @@ def test_sense_trials_match_the_per_trial_reference(case, mode):
 
 @pytest.mark.parametrize("mode", ["integer", "fractional"])
 def test_sense_trials_draw_the_keys_of_a_point_in_chunks(mode, monkeypatch):
-    # 40 keys at N = 64 are drawn in link._chunks' chunks of 16, 16 and 8,
-    # and the trials are those of one call per chunk, in key order
+    # at a budget of 2^12 entries, 16 trials' (ell_max + 1, N) diagonals at
+    # N = 64, 40 keys are drawn in link._chunks' chunks of 16, 16 and 8, and
+    # the trials are those of one call per chunk, in key order
+    monkeypatch.setattr(link, "_CHUNK_ENTRIES", 1 << 12)
     spec = OtfsSpec(k=8, l=8, cp_len=3)
     cfg = ChannelConfig(N=64, f_s=1e6, f_c=1e9, ell_max=3, f_max=2, P=3, cp_len=3)
     keys = [(1, t) for t in range(40)]
