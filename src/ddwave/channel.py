@@ -41,7 +41,7 @@ def doppler_phases(N: int, f) -> np.ndarray:
     if N < 1:
         raise ValueError(f"size must be >= 1, got {N}")
     f = np.asarray(f, dtype=float)
-    n, roots = _unit_circle(N)
+    n = np.arange(N)
     size = np.abs(f)
     whole = np.rint(size)
     index = np.multiply.outer((whole % N).astype(np.intp), n)
@@ -57,17 +57,11 @@ def doppler_phases(N: int, f) -> np.ndarray:
         np.cos(cycles, out=turn.real)
         np.sin(cycles, out=turn.imag)
     index %= N
-    phases = roots[index]
+    phases = _roots(N)[index]
     if turn is not None:
         phases *= turn
     np.conjugate(phases, out=phases, where=np.signbit(f)[..., None])
     return phases
-
-
-@lru_cache(maxsize=8)
-def _unit_circle(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """n = 0..N-1 and the N-th roots of unity (_roots), cached."""
-    return np.arange(N), _roots(N)
 
 
 def _turns(t) -> np.ndarray:

@@ -120,33 +120,25 @@ def _json_value(v, level: int) -> str:
     return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
 
 
-def _is_grid(v) -> bool:
-    """Whether v is a nonempty 2-D array, which _write_json writes a row at a time."""
-    return isinstance(v, np.ndarray) and v.ndim == 2 and len(v) > 0
-
-
 def _write_json(path: str, obj: dict) -> None:
     """Write `json.dump(obj, sort_keys=True, indent=2)` and a newline (see _json_value).
 
-    A nonempty 2-D array among obj's values, such as an effchan magnitude
-    grid, is written a row at a time as it is formatted, so the document is
-    never held whole; any other document is formatted first, then written.
+    Each top-level value is written as it is formatted, and a nonempty 2-D
+    array, such as an effchan magnitude grid, a row at a time, so the
+    document is never held whole.
     """
     with open(path, "w") as fh:
-        if not any(map(_is_grid, obj.values())):
-            fh.write(_json_value(obj, 0))
-            fh.write("\n")
-            return
+        fh.write("{")
         for i, key in enumerate(sorted(obj)):
-            fh.write(("," if i else "{") + "\n  " + encode_basestring_ascii(key) + ": ")
+            fh.write(("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": ")
             v = obj[key]
-            if _is_grid(v):
+            if isinstance(v, np.ndarray) and v.ndim == 2 and len(v) > 0:
                 for j, row in enumerate(v):
                     fh.write(("," if j else "[") + "\n    " + _json_array(row, 2))
                 fh.write("\n  ]")
             else:
                 fh.write(_json_value(v, 1))
-        fh.write("\n}\n")
+        fh.write("\n}\n" if obj else "}\n")
 
 
 def _estimate_record(est: RadarTargetEstimate) -> dict:

@@ -78,11 +78,15 @@ class ScenarioConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
         data = {f.name: f.default for f in fields(ScenarioConfig)}
+        source: dict[str, str] = {}  # field -> the key that gave it
         for key, value in raw.items():
-            key = _ALIASES.get(key, key)
-            if key not in data:
-                raise ConfigError(f"unknown config field {key!r}")
-            data[key] = value
+            name = _ALIASES.get(key, key)
+            if name not in data:
+                raise ConfigError(f"unknown config field {name!r}")
+            if name in source:
+                raise ConfigError(f"config field {name!r} given twice, as {source[name]!r} and {key!r}")
+            source[name] = key
+            data[name] = value
         if data["schema"] != 1:
             raise ConfigError(f"unsupported schema version {data['schema']!r} (expected 1)")
         for name, choices in (("waveform", _WAVEFORMS), ("doppler_mode", _DOPPLER_MODES),
@@ -92,6 +96,8 @@ class ScenarioConfig:
         for name in ("constellation", "outputs"):
             if not isinstance(data[name], str):
                 raise ConfigError(f"{name} must be a string, got {data[name]!r}")
+        if not (data["notes"] is None or isinstance(data["notes"], str)):
+            raise ConfigError(f"notes must be a string or null, got {data['notes']!r}")
         try:
             Constellation.by_name(data["constellation"])
         except ValueError as exc:
@@ -113,8 +119,10 @@ class ScenarioConfig:
         if data["cp_len"] is None:
             data["cp_len"] = data["ell_max"]
         needs_otfs = data["waveform"] in ("otfs", "all")
+        n, given = data["n"], [name for name in ("k", "l") if data[name] is not None]
+        if given and not needs_otfs:
+            raise ConfigError(f"{given[0]} sets the OTFS grid: waveform {data['waveform']} has none")
         if needs_otfs:
-            n, given = data["n"], [name for name in ("k", "l") if data[name] is not None]
             if not given:
                 root = math.isqrt(n)
                 if root * root != n:
@@ -219,11 +227,21 @@ class ScenarioConfig:
         return {name: value for name, value in d.items() if value is not None}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; ConfigError for a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config field {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str, seed: int | None = None) -> ScenarioConfig:
     """Parse and validate a JSON scenario file; `seed`, when given, replaces its seed."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8

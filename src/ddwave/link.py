@@ -36,12 +36,13 @@ equal prefix vectors see the same H (_prefix_groups): per chunk and group,
 H's diagonals are formed once, and LMMSE forms those of H H^H once per
 sub-stack and runs one reduction per point with a right-hand-side column
 per waveform. ZF guards the chunk's groups as one stack, one decision per
-frame, the first refusal in ZF sub-stack, group and then frame order
-raising; then each group makes one batched solve per sub-stack, one LU per
-frame for the blocks of every point and waveform of the group, and each
-waveform one demodulate of its slice. LAPACK factors each matrix of a
-stack alone and solves each right-hand side column alone, so every row
-equals equalize_zf on that frame's realization, bit for bit.
+frame, the first refusal in frame and then group order raising, so a
+refused sweep names the same frame whatever its stack sizes; then each
+group makes one batched solve per sub-stack, one LU per frame for the
+blocks of every point and waveform of the group, and each waveform one
+demodulate of its slice. LAPACK factors each matrix of a stack alone and
+solves each right-hand side column alone, so every row equals equalize_zf
+on that frame's realization, bit for bit.
 """
 
 from __future__ import annotations
@@ -248,13 +249,13 @@ class _BandLayout:
     adjoint_src: np.ndarray
 
 
-# The block rule, from timings of _lmmse_solve with one BLAS thread (CHANGES.md
-# has the table). Each level makes about a dozen numpy calls and one LAPACK
-# solve with 2m + R right-hand sides per block, whose cost per row is lowest
-# at m = 8, so blocks have _BLOCK_ROWS rows unless the band is wider. Up to
-# N = _ONE_BLOCK_ROWS the per-level calls cost more than the N^3 LU, so A is
-# one dense block there. The rule reads N alone: a frame's estimate must not
-# depend on how many frames share its stack.
+# The block rule, from timings of one-point LMMSE solves with one BLAS
+# thread (CHANGES.md has the table). Each level makes about a dozen numpy
+# calls and one LAPACK solve with 2m + R right-hand sides per block, whose
+# cost per row is lowest at m = 8, so blocks have _BLOCK_ROWS rows unless
+# the band is wider. Up to N = _ONE_BLOCK_ROWS the per-level calls cost more
+# than the N^3 LU, so A is one dense block there. The rule reads N alone: a
+# frame's estimate must not depend on how many frames share its stack.
 _BLOCK_ROWS = 8
 _ONE_BLOCK_ROWS = 96
 
@@ -368,10 +369,10 @@ def _tau(N: int) -> float:
     return (4 * N + 64) * 2.0**-53
 
 
-def _weyl_certified(d: np.ndarray):
+def _weyl_certified(d: np.ndarray) -> np.ndarray:
     """Whether Weyl's bound above proves cond(H) <= sqrt(2 / tau_N), with no
     factorization, for each H of a (..., ell_max + 1, N) stack d of H's
-    diagonals: a bool array of the leading shape, or one bool for one H."""
+    diagonals: a bool array of the leading shape."""
     tau = _tau(d.shape[-1])
     K = math.sqrt(2.0 / tau)
     cK = (1.0 - 2.0 * K * tau) * K
@@ -381,17 +382,16 @@ def _weyl_certified(d: np.ndarray):
     a0, b0 = (np.take_along_axis(x, l0, axis=-1)[..., 0] for x in (a, b))
     # the other a_ell summed one by one in delay order (accumulate is sequential)
     r = np.add.accumulate(np.where(np.arange(a.shape[-1]) == l0, 0.0, a), axis=-1)[..., -1]
-    ok = (b0 > 1e-200) & (a0 + r < 1e200) & (a0 + (cK + 1.0) * r <= cK * b0)
-    return bool(ok) if d.ndim == 2 else ok
+    return (b0 > 1e-200) & (a0 + r < 1e200) & (a0 + (cK + 1.0) * r <= cK * b0)
 
 
-def _certified(d: np.ndarray):
+def _certified(d: np.ndarray) -> np.ndarray:
     """Whether the Cholesky certificate above proves cond(H) <= sqrt(2 / tau_N)
     for each H of a (..., ell_max + 1, N) stack d of H's diagonals: a bool
-    array of the leading shape, or one bool for one H. The stack's frames
-    with a trace in range are factored in one batched Cholesky, which LAPACK
-    runs matrix by matrix; only when it raises are they factored one by one,
-    so each H is decided alone."""
+    array of the leading shape. The stack's frames with a trace in range are
+    factored in one batched Cholesky, which LAPACK runs matrix by matrix;
+    only when it raises are they factored one by one, so each H is decided
+    alone."""
     E, N = d.shape[-2:]
     lay = _band_layout(N, E - 1)
     a = _gram(d.reshape(-1, E, N), lay)
@@ -404,7 +404,7 @@ def _certified(d: np.ndarray):
     M = M.reshape(-1, N, N)
     if not _factors(M):
         ok[rows] = [_factors(m) for m in M]
-    return bool(ok[0]) if d.ndim == 2 else ok.reshape(d.shape[:-2])
+    return ok.reshape(d.shape[:-2])
 
 
 def _factors(M: np.ndarray) -> bool:
@@ -430,19 +430,18 @@ def _folded(d: np.ndarray) -> np.ndarray:
 def _zf_guard(d: np.ndarray) -> None:
     """Raise SingularChannelError, naming cond(H), for the first H with
     cond(H) > 1e12 of a (G, B, ell_max + 1, N) stack d of H's diagonals, G
-    prefix groups of B frames (a (B, ...) stack or one H has G = 1), in the
-    order of _zf_solve's sub-stacks and, in each, group then frame order.
-    Weyl's bound on the whole stack, then per sub-stack one _certified call
-    on what it leaves and np.linalg.cond on what neither clears: each H is
-    decided as the SVD alone would decide it."""
-    d = d.reshape((1,) * (4 - d.ndim) + d.shape)
+    prefix groups of B frames, in frame and then group order: a sweep names
+    the same frame whatever its stack sizes. Weyl's bound on the whole
+    stack, then per sub-stack of _stack_size(N^2) frames one _certified
+    call on what it leaves and np.linalg.cond on what neither clears: each
+    H is decided as the SVD alone would decide it."""
     weyl = _weyl_certified(d)
     size = _stack_size(d.shape[-1] ** 2)
     for start in range(0, d.shape[1], size):
         part, ok = d[:, start : start + size], weyl[:, start : start + size]
         if not ok.all():
             ok[~ok] = _certified(part[~ok])
-        for g, b in np.argwhere(~ok):
+        for b, g in np.argwhere(~ok.T):
             cond = np.linalg.cond(_folded(part[g, b][None])[0])
             if not np.isfinite(cond) or cond > 1e12:
                 raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
@@ -536,13 +535,6 @@ def _lmmse_sweep(d: np.ndarray, r: np.ndarray, noise_vars) -> np.ndarray:
     return x
 
 
-def _lmmse_solve(d: np.ndarray, r: np.ndarray, noise_var: float) -> np.ndarray:
-    """H^H (H H^H + s2 I)^{-1} r for a (B, ell_max + 1, N) stack of H's
-    diagonals and a (B, N) stack r, one block per frame: the one-point,
-    one-column _lmmse_sweep."""
-    return _lmmse_sweep(d, r[:, None, None], [noise_var])[:, 0, 0]
-
-
 def _check_spec(spec: WaveformSpec, N: int) -> None:
     """Raise ValueError for another block size, or for OTFS pulses without
     T_tx = T_rx^H (modem)."""
@@ -573,9 +565,9 @@ def equalize_zf(spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray) -> 
     LU for all rows (_zf_solve), demodulate.
     """
     r = _received(spec, chan, r)
-    d = delay_diagonals(chan, spec.wrap)[None]
-    _zf_guard(d)
-    return demodulate(spec, _zf_solve(d, r[None])[0])
+    d = delay_diagonals(chan, spec.wrap)
+    _zf_guard(d[None, None])
+    return demodulate(spec, _zf_solve(d[None], r[None])[0])
 
 
 def equalize_lmmse(
@@ -589,8 +581,8 @@ def equalize_lmmse(
     """
     r = _received(spec, chan, r)
     d = delay_diagonals(chan, spec.wrap)
-    rows = r.reshape(-1, spec.n)
-    x = _lmmse_solve(np.broadcast_to(d, (len(rows), *d.shape)), rows, noise_var)
+    rows = r.reshape(-1, 1, 1, spec.n)  # one frame per block: one point, one column each
+    x = _lmmse_sweep(np.broadcast_to(d, (len(rows), *d.shape)), rows, [noise_var])
     return demodulate(spec, x.reshape(r.shape))
 
 
@@ -608,13 +600,11 @@ class LinkResult:
     papr_db_p99: float
 
 
-def _chunks(count: int, N: int, rows: int, whole: int = 1) -> list[range]:
+def _chunks(count: int, N: int, rows: int) -> list[range]:
     """Indices 0..count-1, BER frames or sensing trials, in the chunks
     _draw_frames draws: as many per chunk as keep `rows` length-N rows each,
-    its largest O(N) stack, within _CHUNK_ENTRIES (_stack_size), rounded
-    down to a multiple of `whole`, at least `whole`."""
+    its largest O(N) stack, within _CHUNK_ENTRIES (_stack_size)."""
     size = _stack_size(rows * N)
-    size = max(whole, size - size % whole)
     return [range(start, min(start + size, count)) for start in range(0, count, size)]
 
 
@@ -685,7 +675,7 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
 
     if detector == "zf":
         # one guard for the chunk's groups and frames, the first refusal in
-        # sub-stack, group and frame order raising, before any solve
+        # frame and then group order raising, before any solve
         _zf_guard(np.stack([d for _, d in diagonals]))
     for group, d in diagonals:
         # per chunk and prefix group, the (B, S, R, N) blocks of its R waveforms:
@@ -723,15 +713,12 @@ def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
         raise ValueError(f"unknown detector {detector!r}")
     for spec in specs:
         _check_spec(spec, chan_config.N)
-    N, groups = chan_config.N, len(_prefix_groups(specs))
     # the chunk's largest O(N) stacks: the (B, S, R, N) received blocks and the
-    # (B, groups, ell_max + 1, N) diagonals; a ZF chunk holds whole ZF
-    # sub-stacks, so its refusal order reads their size alone
-    rows = max(len(snrs) * len(specs), groups * (chan_config.ell_max + 1))
-    whole = _stack_size(N * N) if detector == "zf" else 1
+    # (B, groups, ell_max + 1, N) diagonals
+    rows = max(len(snrs) * len(specs), len(_prefix_groups(specs)) * (chan_config.ell_max + 1))
     results = [
         _run_frames(specs, chan_config, constellation, snrs, detector, doppler_mode, seed, chunk)
-        for chunk in _chunks(frames, N, rows, whole)
+        for chunk in _chunks(frames, chan_config.N, rows)
     ]
     errors = np.concatenate([e for e, _ in results], axis=1).sum(axis=1).tolist()
     paprs = np.concatenate([p for _, p in results], axis=1)

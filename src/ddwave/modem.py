@@ -79,12 +79,14 @@ def _split(x):
 
 
 def _integral(x: float) -> int | None:
-    """round(x) if x is within 1e-9 of an integer, else None: the one test of
-    whether a chirp rate times its denominator (2N c1, 2N^2 c2) is an integer."""
+    """round(x) if x is within 4 ulps of an integer, else None: the one test of
+    whether a chirp rate times its denominator (2N c1, 2N^2 c2) is an integer.
+    A rate q / M rounded to a float, times M, lands within 2 ulps of q; any
+    rate further off is taken as the float it is, so c2 = 1e-12 is not 0."""
     if not math.isfinite(x):
         return None
     r = round(x)
-    return r if abs(x - r) <= 1e-9 else None
+    return r if abs(x - r) <= 4 * math.ulp(x) else None
 
 
 def _check_sizes(n: int, cp_len: int) -> None:

@@ -116,6 +116,51 @@ def test_a_grid_side_that_does_not_divide_n_exits_2(tmp_path, capsys, patch, mes
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"waveform": "afdm", "n": 64, "k": 5, "l": 3}, "k sets the OTFS grid: waveform afdm has none"),
+    ({"waveform": "ofdm", "n": 64, "k": 7}, "k sets the OTFS grid: waveform ofdm has none"),
+    ({"waveform": "afdm", "n": 64, "L": 8}, "l sets the OTFS grid: waveform afdm has none"),
+])
+def test_a_grid_given_with_no_otfs_waveform_exits_2(tmp_path, capsys, patch, message):
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict(patch)
+    assert str(exc.value) == message
+    assert main(["ber", "--config", write_config(tmp_path, patch), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 64, "N": 36}', "config field 'n' given twice, as 'n' and 'N'"),
+    ('{"paths": 2, "P": 5, "p": 1}', "config field 'paths' given twice, as 'paths' and 'P'"),
+    ('{"p": 1, "K": 8, "k": 8}', "config field 'k' given twice, as 'K' and 'k'"),
+    ('{"n": 64, "n": 36}', "config field 'n' given twice"),
+    ('{"seed": 1, "frames": 2, "seed": 3}', "config field 'seed' given twice"),
+])
+def test_a_field_given_twice_exits_2(tmp_path, capsys, text, message):
+    """An alias beside its field, or a JSON key given twice, is refused: no
+    value silently wins."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path), seed=4)
+    assert str(exc.value) == message
+    assert main(["ber", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("notes", [5, ["a"], {"text": "a"}, True])
+def test_non_string_notes_exits_2(tmp_path, capsys, notes):
+    message = f"notes must be a string or null, got {notes!r}"
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict({"notes": notes})
+    assert str(exc.value) == message
+    assert main(["ber", "--config", write_config(tmp_path, {"notes": notes}), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    for notes in (None, "", "a note"):
+        assert ScenarioConfig.from_dict({"notes": notes}).notes == notes
+
+
 @pytest.mark.parametrize("outputs", [5, ["a"], None, {"dir": "out"}])
 def test_non_string_outputs_exits_2(tmp_path, capsys, monkeypatch, outputs):
     message = f"outputs must be a string, got {outputs!r}"
@@ -712,7 +757,7 @@ _WRONG_TYPE = st.sampled_from(["x", [], {}, True, None, 1.5])
 def scenarios(draw):
     """A scenario dict with n <= 37 and at most 2 frames and trials: a valid
     draw of some fields, the OTFS grid from a divisor of n whenever n is not
-    a square, and, a third of the time, one field set to an edge value or a
+    a square and the waveform has a grid, and, a third of the time, one field set to an edge value or a
     value of the wrong type."""
     n = draw(st.sampled_from([25, 36, 37]) | st.integers(1, 37))
     scenario = {"n": n, "frames": 1, "trials": 1, "snr_sweep": [10.0], "refine_levels": 1}
@@ -720,7 +765,9 @@ def scenarios(draw):
         scenario[name] = draw(_FIELDS[name][0])
     if "cp_len" in scenario:  # at least the largest delay
         scenario["cp_len"] += scenario.get("ell_max", 3)
-    if math.isqrt(n) ** 2 != n or draw(st.booleans()):
+    # the grid only where it is read: an OTFS grid given to another waveform exits 2
+    has_grid = scenario.get("waveform", "all") in ("otfs", "all")
+    if has_grid and (math.isqrt(n) ** 2 != n or draw(st.booleans())):
         k = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
         scenario["k"], scenario["l"] = k, n // k
     if draw(st.integers(0, 2)) == 0:

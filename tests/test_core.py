@@ -80,6 +80,13 @@ def test_chirp_two_point_quarter_rate():
     assert np.allclose(chirp_phases(2, 0.25), [1.0, -1.0j], atol=1e-15)
 
 
+def test_chirp_rate_near_a_rational_is_not_rounded_to_it():
+    # 2 N c = 1.94e-10 at N = 97 is not an integer: the phase reaches 5.8e-8 rad at n = 96
+    n = np.arange(97)
+    assert np.max(np.abs(chirp_phases(97, 1e-12) - np.exp(-2j * np.pi * 1e-12 * n * n))) <= 1e-15
+    assert np.max(np.abs(AfdmSpec(97, 1e-12, 0.0).wrap - 1.0)) > 1e-8
+
+
 def test_chirp_unit_modulus():
     d = chirp_phases(16, 1.0 / 32.0)
     assert np.max(np.abs(np.abs(d) - 1.0)) <= 1e-12

@@ -326,8 +326,8 @@ def test_lmmse_of_a_frame_does_not_depend_on_its_stack():
     spec = OfdmSpec(100, 3)
     d = np.stack([delay_diagonals(chan, spec.wrap) for chan in chans])
     r = np.stack([_block(100, seed) for seed in range(6)])
-    alone = link._lmmse_solve(d[:1], r[:1], 0.1)
-    stacked = link._lmmse_solve(d, r, 0.1)
+    alone = link._lmmse_sweep(d[:1], r[:1, None, None], [0.1])
+    stacked = link._lmmse_sweep(d, r[:, None, None], [0.1])
     assert np.array_equal(alone[0], stacked[0])
 
 
@@ -347,7 +347,7 @@ def test_multi_column_reduction_matches_per_block_solves(N):
         for s, noise_var in enumerate(noise_vars):
             got = swept[:, s]
             for k in range(R):
-                alone = link._lmmse_solve(d, r[:, k], noise_var)
+                alone = link._lmmse_sweep(d, r[:, None, k : k + 1], [noise_var])[:, 0, 0]
                 assert np.max(np.abs(got[:, k] - alone)) <= 1e-12 * np.max(np.abs(alone)), (R, k)
                 if R == 1:
                     assert np.array_equal(got[:, k], alone)
@@ -578,18 +578,16 @@ def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
 
     monkeypatch.setattr(link, "_run_frames", recording)
     c1, c2 = afdm_tune(3, 1, 1, 37)
-    # (spec, channel config, frames, chunk sizes at 2^12 entries by detector);
-    # a chunk holds 4 rows of H's diagonals per frame, a ZF chunk whole ZF
-    # sub-stacks of 2^12 // N^2 frames, and each sweep ends on a partial chunk
+    # (spec, channel config, frames, chunk sizes at 2^12 entries); a chunk of
+    # either detector holds 4 rows of H's diagonals per frame, and each sweep
+    # ends on a partial chunk
     cases = [
-        (OfdmSpec(64, 3), _dispersive_config(64), 37, {"zf": [16, 16, 5], "lmmse": [16, 16, 5]}),
-        (OtfsSpec(k=4, l=9, cp_len=3), _dispersive_config(36), 53,  # K != L
-         {"zf": [27, 26], "lmmse": [28, 25]}),
-        (AfdmSpec(37, c1, c2, 1, 3), _dispersive_config(37), 50,  # odd N, xi = 1
-         {"zf": [26, 24], "lmmse": [27, 23]}),
+        (OfdmSpec(64, 3), _dispersive_config(64), 37, [16, 16, 5]),
+        (OtfsSpec(k=4, l=9, cp_len=3), _dispersive_config(36), 53, [28, 25]),  # K != L
+        (AfdmSpec(37, c1, c2, 1, 3), _dispersive_config(37), 50, [27, 23]),  # odd N, xi = 1
         # 16 blocks of 8 rows: at the default budget LMMSE reduces all 10
         # frames in one sub-stack, at 2^12 one at a time, and 1 in the reference
-        (OfdmSpec(128, 3), _dispersive_config(128), 10, {"zf": [8, 2], "lmmse": [8, 2]}),
+        (OfdmSpec(128, 3), _dispersive_config(128), 10, [8, 2]),
     ]
     assert link._band_layout(128, 3).nb == 16
     snrs = [6.0, np.inf]  # inf draws no noise
@@ -598,7 +596,7 @@ def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
         for snr_db in snrs:
             args = (spec, cfg, QAM16, snr_db, detector, "fractional", 11)
             references.append(list(zip(*(_reference_frame(*args, i) for i in range(frames)))))
-        for budget, sizes in ((link._CHUNK_ENTRIES, [frames]), (1 << 12, small[detector])):
+        for budget, sizes in ((link._CHUNK_ENTRIES, [frames]), (1 << 12, small)):
             chunks.clear()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(link, "_CHUNK_ENTRIES", budget)
@@ -718,16 +716,15 @@ def _assert_rows_equal_equalize_zf(rows, specs, cfg, seed, mode="fractional"):
         assert equalize_zf(specs[w], chan, r).tobytes() == x.tobytes(), (i, w)
 
 
-def test_ber_zf_refuses_the_first_frame_in_group_then_frame_order(monkeypatch):
+def test_ber_zf_refuses_the_first_frame_in_frame_then_group_order(monkeypatch):
     """A ZF chunk refuses before any solve, naming the first refused H in
-    ZF sub-stack, prefix group and then frame order, with the message
-    equalize_zf gives for that frame alone. At odd N = 37, I - (1 - eps) Pi
-    is near singular with OFDM's prefix vector (ones) and well conditioned
-    with the xi = 1 AFDM's (-1), and I + (1 - eps) Pi the other way round:
-    frame 2 is refused in the AFDM group only, frame 5 in the OFDM group
-    only. So a sweep whose ZF sub-stacks hold both frames names frame 5,
-    and one whose budget gives each frame a sub-stack of its own names
-    frame 2."""
+    frame and then prefix group order, with the message equalize_zf gives
+    for that frame alone. At odd N = 37, I - (1 - eps) Pi is near singular
+    with OFDM's prefix vector (ones) and well conditioned with the xi = 1
+    AFDM's (-1), and I + (1 - eps) Pi the other way round: frame 2 is
+    refused in the AFDM group only, frame 5 in the OFDM group only. So a
+    sweep names frame 2, whether its stacks hold one frame each, all seven
+    or the default budget's share."""
     c1, c2 = afdm_tune(1, 0, 1, 37)
     specs = [OfdmSpec(37, 1), AfdmSpec(37, c1, c2, 1, 1)]
     assert link._prefix_groups(specs) == [[0], [1]]
@@ -745,13 +742,13 @@ def test_ber_zf_refuses_the_first_frame_in_group_then_frame_order(monkeypatch):
     equalize_zf(specs[0], afdm_refused, r)
     equalize_zf(specs[1], ofdm_refused, r)
 
-    for budget, alone in ((link._CHUNK_ENTRIES, ofdm_alone), (1 << 22, ofdm_alone), (1, afdm_alone)):
+    for budget in (1, link._CHUNK_ENTRIES, 1 << 22):
         draws = iter(chans)
         monkeypatch.setattr(link, "_draw_paths", lambda config, mode, rng: _path_arrays(next(draws).paths))
         monkeypatch.setattr(link, "_CHUNK_ENTRIES", budget)
         with pytest.raises(SingularChannelError) as sweep:
             link._ber_sweep(specs, good.config, QAM16, [10.0, np.inf], len(chans), "zf", seed=3)
-        assert str(sweep.value) == str(alone.value), budget
+        assert str(sweep.value) == str(afdm_alone.value), budget
 
 
 @pytest.mark.parametrize("n,groups", [(64, 1), (37, 2)])
@@ -776,7 +773,8 @@ def test_zf_guards_each_frame_once_per_prefix_vector(monkeypatch, n, groups):
         return certified(d)
 
     monkeypatch.setattr(link, "_weyl_certified", counting)
-    for budget, draws in ((link._CHUNK_ENTRIES, 1), (1 << 12, 4)):
+    # at 2^12 entries, 10 frames of 6 rows (S W) or 13 of 8 (groups (ell_max + 1)) per draw
+    for budget, draws in ((link._CHUNK_ENTRIES, 1), (1 << 12, {64: 4, 37: 3}[n])):
         stacks.clear()
         monkeypatch.setattr(link, "_CHUNK_ENTRIES", budget)
         rows, sizes = _zf_rows(specs, cfg, [10.0, 20.0], frames, seed=6)
@@ -825,19 +823,16 @@ def test_stacked_zf_rows_equal_equalize_zf_bit_for_bit(case):
 
 
 def _assert_names_the_first_refusal(refusal, specs, cfg, frames, seed, mode):
-    """The refusal is that of the first H equalize_zf refuses alone, in ZF
-    sub-stack (_stack_size(N^2) frames at the current budget), prefix group
-    and frame order."""
-    chans = [sample_paths(cfg, mode, link.substream(seed, i)) for i in range(frames)]
-    size = link._stack_size(cfg.N**2)
-    for start in range(0, frames, size):
+    """The refusal is that of the first H equalize_zf refuses alone, in frame
+    and then prefix group order."""
+    for i in range(frames):
+        chan = sample_paths(cfg, mode, link.substream(seed, i))
         for group in link._prefix_groups(specs):
-            for i in range(start, min(start + size, frames)):
-                try:
-                    equalize_zf(specs[group[0]], chans[i], np.ones(cfg.N))
-                except SingularChannelError as alone:
-                    assert str(refusal) == str(alone)
-                    return
+            try:
+                equalize_zf(specs[group[0]], chan, np.ones(cfg.N))
+            except SingularChannelError as alone:
+                assert str(refusal) == str(alone)
+                return
     raise AssertionError(f"no frame is refused alone, yet the sweep raised {refusal}")
 
 
@@ -883,11 +878,9 @@ def stack_budget_cases(draw):
 @given(case=stack_budget_cases())
 def test_no_result_depends_on_the_stack_sizes(case):
     """A sweep's per-frame estimates, bit errors and PAPR, its LinkResults
-    and a sensing point's estimates are bit for bit the same at a stack
-    budget of one entry (every stack one frame), at the default and at 2^22
-    entries (one draw for the sweep). A refused ZF sweep names, at each
-    budget, the first frame refused alone in ZF sub-stack, prefix group and
-    frame order."""
+    or its refusal, and a sensing point's estimates are bit for bit the same
+    at a stack budget of one entry (every stack one frame), at the default
+    and at 2^22 entries (one draw for the sweep)."""
     specs, cfg, snrs, frames, detector, seed, mode, sense_spec, trials = case
     run_frames, demod, outcomes = link._run_frames, link.demodulate, []
     W = len(specs)
@@ -911,8 +904,7 @@ def test_no_result_depends_on_the_stack_sizes(case):
             try:
                 results = link._ber_sweep(specs, cfg, QAM16, snrs, frames, detector, seed, mode)
             except SingularChannelError as refusal:
-                _assert_names_the_first_refusal(refusal, specs, cfg, frames, seed, mode)
-                outcomes.append(("refused", sensed))
+                outcomes.append((str(refusal), sensed))
                 continue
         errors = np.concatenate([e for e, _ in chunks], axis=1)
         paprs = np.concatenate([p for _, p in chunks], axis=1)
@@ -929,9 +921,8 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
     most _CHUNK_ENTRIES entries in its largest O(N) stack, `rows` length-N
     rows per frame, and is as large as that allows; each solver sub-stack
     holds at most as many in its own arrays, ZF's (b, N, N) folded H's and
-    LMMSE's (b, nb, m, width) block rows. A stack of one frame, and a ZF
-    draw of one ZF sub-stack, which a ZF draw is a whole number of, are the
-    only exceptions. The ber-small-n64 shape draws its 50 frames at once."""
+    LMMSE's (b, nb, m, width) block rows. A stack of one frame is the only
+    exception. The ber-small-n64 shape draws its 50 frames at once."""
     monkeypatch.setattr(link, "_CHUNK_ENTRIES", budget)
     draws, folded, reductions = [], [], []
     draw_frames, fold, reduce = link._draw_frames, link._folded, link._cyclic_reduction
@@ -958,7 +949,7 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
     cases = [  # (specs, N, snrs, frames, detector); rows = max(S W, groups (ell_max + 1))
         (three, 64, [10.0, 20.0], 50, "zf"),  # the ber-small-n64 shape: 6 rows
         ([OfdmSpec(128, 3), OtfsSpec(k=8, l=16, cp_len=3)], 128, [0.0, 10.0, 20.0], 30, "lmmse"),  # 6 rows
-        (odd, 37, [float(s) for s in range(21)], 60, "zf"),  # 42 rows > N: a ZF draw exceeds the budget
+        (odd, 37, [float(s) for s in range(21)], 60, "zf"),  # 42 rows, more than N
         (odd, 37, [10.0, np.inf], 60, "lmmse"),  # 8 rows of diagonals
     ]
     for specs, N, snrs, frames, detector in cases:
@@ -967,13 +958,11 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
         cfg = _dispersive_config(N)
         link._ber_sweep(specs, cfg, QAM16, snrs, frames, detector, 4, "fractional")
         rows = max(len(snrs) * len(specs), len(link._prefix_groups(specs)) * (cfg.ell_max + 1))
-        whole = link._stack_size(N * N) if detector == "zf" else 1
         assert [key for keys in draws for key in keys] == [(i,) for i in range(frames)]
         for keys in draws:
-            assert len(keys) * rows * N <= budget or len(keys) in (1, whole)
-            assert len(keys) % whole == 0 or keys is draws[-1]
+            assert len(keys) * rows * N <= budget or len(keys) == 1
         for keys in draws[:-1]:
-            assert (len(keys) + whole) * rows * N > budget
+            assert (len(keys) + 1) * rows * N > budget
         for b in folded:
             assert b * N * N <= budget or b == 1
         for shape in reductions:
@@ -1000,8 +989,8 @@ def test_zf_guard_decides_each_frame_of_a_stack():
     with near-singular frames (cond 2e11, 2e13, 5e12) at 0, 7 and 15. The
     stacked certificates give each frame its one-frame answer, so a Cholesky
     failure leaves the other frames certified. The guard raises with the
-    first refused frame's message, in group and then frame order, and
-    every later call refuses that H with the same message.
+    first refused H's message, in frame and then group order, and every
+    later call refuses that H with the same message.
     """
     cfg, rng = _dispersive_config(64), np.random.default_rng(77)
     chans = [sample_paths(cfg, "fractional", rng) for _ in range(16)]
@@ -1017,25 +1006,28 @@ def test_zf_guard_decides_each_frame_of_a_stack():
         for ell, diag in enumerate(x):
             H[n, (n - ell) % 64] = diag
         conds.append(np.linalg.cond(H))
-    refused = [i for i, cond in enumerate(conds) if cond > 1e12]
-    assert refused == [7, 15, 23, 31]
+    refused = [(b, g) for b in range(16) for g in range(2) if conds[16 * g + b] > 1e12]
+    assert refused == [(7, 0), (7, 1), (15, 0), (15, 1)]
 
     for stage in (link._weyl_certified, link._certified):
         assert stage(d).shape == (2, 16)
-        assert stage(d).ravel().tolist() == [stage(x) for x in flat]
+        assert stage(d).ravel().tolist() == [stage(x).item() for x in flat]
     cholesky = link._certified(d)
     assert not cholesky[:, [0, 7, 15]].any() and cholesky.sum() >= 20
 
-    start = 0
-    for j in refused:
-        link._zf_guard(flat[start:j])
-        with pytest.raises(SingularChannelError) as first:
-            link._zf_guard(flat[start:])
-        with pytest.raises(SingularChannelError) as alone:
-            link._zf_guard(flat[j])
-        assert str(first.value) == str(alone.value)
-        start = j + 1
-    link._zf_guard(flat[start:])
+    # a stack names its first refused H in frame and then group order: frame
+    # 7's H of the first group, and from frame 8 on frame 15's; the second
+    # group alone names its own H's of the same frames
+    for groups in (d, d[1:]):
+        start = 0
+        for b in (7, 15):
+            link._zf_guard(groups[:, start:b])
+            with pytest.raises(SingularChannelError) as first:
+                link._zf_guard(groups[:, start:])
+            with pytest.raises(SingularChannelError) as alone:
+                link._zf_guard(groups[0, b][None, None])
+            assert str(first.value) == str(alone.value)
+            start = b + 1
 
     with pytest.raises(SingularChannelError, match=r"(1\.99\d|2\.00\d)e\+13 exceeds 1e12") as stack:
         link._zf_guard(d)

@@ -25,7 +25,7 @@ from ddwave.channel import (
     doppler_phases,
     time_domain_apply,
 )
-from ddwave.link import _lmmse_solve, _weyl_certified, _zf_solve
+from ddwave.link import _lmmse_sweep, _weyl_certified, _zf_solve
 from ddwave.modem import (
     AfdmSpec,
     OfdmSpec,
@@ -276,7 +276,7 @@ def test_equalizers_match_dense_g_domain_solves(case, noise_var):
     spec, (tx, rx), phase, (ell_max, _, gains, delays, dopplers) = case
     d = _stack_diagonals(ell_max, gains, delays, dopplers, spec.wrap)
     r = np.random.default_rng(len(gains)).standard_normal((len(gains), spec.n, 2)) @ np.array([1.0, 1.0j])
-    lmmse = spec._rx(_lmmse_solve(d, r, noise_var))
+    lmmse = spec._rx(_lmmse_sweep(d, r[:, None, None], [noise_var])[:, 0, 0])
     zf = spec._rx(_zf_solve(d, r))
     for b in range(len(gains)):
         G = oracle.effective_matrix(tx, rx, list(zip(gains[b], delays[b], dopplers[b])), phase)
