@@ -3,13 +3,15 @@
 Subcommands: effchan, ber, sense, ambiguity, demo-v2x. Every command is a
 pure function of (config, seed). Link and sensing draw and chunk the frames
 and score the maps; the CLI knows no chunk size and no grid index, and only
-tabulates and writes.
+tabulates and writes. The json module encodes every JSON value; only the
+rows of an effchan magnitude grid are formatted here.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import logging
 import math
 import os
@@ -71,61 +73,25 @@ def _write_rows(path: str, header: tuple, rows: list) -> None:
 
 
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_array(a: np.ndarray, level: int) -> str:
-    """A float array as `json.dumps(a.tolist(), indent=2)` nested `level` deep."""
-    if len(a) == 0:
+def _json_row(row: np.ndarray) -> str:
+    """One row of a 2-D float array as _write_json's `json.dumps` gives it, nested two deep."""
+    if len(row) == 0:
         return "[]"
-    if a.ndim == 1:
-        items = list(map(repr, a.tolist()))
-        if not np.isfinite(a).all():
-            items = [_JSON_SPECIAL.get(v, v) for v in items]
-    else:
-        items = [_json_array(row, level + 1) for row in a]
-    pad = "\n" + "  " * (level + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
-
-
-def _json_value(v, level: int) -> str:
-    """`json.dumps(v, sort_keys=True, indent=2)` nested `level` deep.
-
-    Takes dicts with str keys, lists, tuples, str, int, float, bool, None
-    and float numpy arrays, which are written as the nested lists of their
-    values, a whole row at a time (_json_array).
-    """
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None or isinstance(v, bool):
-        return _JSON_CONSTANTS[v]
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        text = float.__repr__(v)
-        return _JSON_SPECIAL.get(text, text)
-    if isinstance(v, np.ndarray):
-        return _json_array(v, level)
-    if isinstance(v, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json_value(v[k], level + 1)}" for k in sorted(v)]
-        brackets = "{}"
-    elif isinstance(v, (list, tuple)):
-        items = [_json_value(item, level + 1) for item in v]
-        brackets = "[]"
-    else:
-        raise TypeError(f"cannot write {type(v).__name__} as JSON")
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+    items = list(map(repr, row.tolist()))
+    if not np.isfinite(row).all():
+        items = [_JSON_SPECIAL.get(v, v) for v in items]
+    return "[\n      " + ",\n      ".join(items) + "\n    ]"
 
 
 def _write_json(path: str, obj: dict) -> None:
-    """Write `json.dump(obj, sort_keys=True, indent=2)` and a newline (see _json_value).
+    """Write `json.dump(obj, sort_keys=True, indent=2)` and a newline.
 
-    Each top-level value is written as it is formatted, and a nonempty 2-D
-    array, such as an effchan magnitude grid, a row at a time, so the
-    document is never held whole.
+    obj's keys must be str. The stdlib encodes each top-level value as it is
+    written, an ndarray as its `tolist()`, except a nonempty 2-D array, such
+    as an effchan magnitude grid: its rows are formatted here (_json_row)
+    and written one at a time, so the document is never held whole.
     """
     with open(path, "w") as fh:
         fh.write("{")
@@ -134,10 +100,11 @@ def _write_json(path: str, obj: dict) -> None:
             v = obj[key]
             if isinstance(v, np.ndarray) and v.ndim == 2 and len(v) > 0:
                 for j, row in enumerate(v):
-                    fh.write(("," if j else "[") + "\n    " + _json_array(row, 2))
+                    fh.write(("," if j else "[") + "\n    " + _json_row(row))
                 fh.write("\n  ]")
             else:
-                fh.write(_json_value(v, 1))
+                v = v.tolist() if isinstance(v, np.ndarray) else v
+                fh.write(json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  "))
         fh.write("\n}\n" if obj else "}\n")
 
 
@@ -343,6 +310,8 @@ def main(argv=None) -> int:
         if args.command == "demo-v2x":
             written = cmd_demo_v2x(out, geometry=args.geometry, seed=args.seed if args.seed is not None else 1)
         elif args.command == "effchan":
+            if args.fig3 and args.seed is not None:
+                log.warning("--seed %d has no effect with --fig3: the Fig. 3 preset's paths are fixed", args.seed)
             written = cmd_effchan(cfg, out, fig3=args.fig3, variant=args.variant)
         elif args.command == "ber":
             written = cmd_ber(cfg, out)

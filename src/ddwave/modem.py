@@ -305,18 +305,17 @@ def afdm_orthogonality_ok(ell_max: int, f_max: int, xi: int, N: int) -> bool:
 
 def _c1_merges_targets(c1: float, ell_max: int, f_max: int, N: int) -> bool:
     """True iff 2*N*c1 is an integral stride that puts two (delay, integer
-    Doppler) pairs of the window on one diagonal, (ell * 2*N*c1 - f_int) mod N.
+    Doppler) pairs of the window on one diagonal (afdm_shift).
 
     afdm_orthogonality_ok decides separability for the tuned c1; a given c1
     can have any stride. With a stride that is not integral no path sits on
     one diagonal (sensing refuses such a c1), so none merge.
     """
     try:
-        stride = _delay_stride(N, c1)
+        shifts = afdm_shift(AfdmSpec(N, c1, 0.0), *np.mgrid[: ell_max + 1, -f_max : f_max + 1])
     except ValueError:
         return False
-    window = [(ell, f) for ell in range(ell_max + 1) for f in range(-f_max, f_max + 1)]
-    return len({(ell * stride - f) % N for ell, f in window}) < len(window)
+    return len(np.unique(shifts)) < shifts.size
 
 
 def otfs_orthogonality_ok(ell_max: int, f_max: int, K: int, L: int) -> bool:

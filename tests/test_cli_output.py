@@ -205,6 +205,11 @@ def test_json_writer_matches_json_module_without_arrays(tmp_path, obj):
     assert read_bytes(tmp_path / "got.json") == read_bytes(tmp_path / "want.json")
 
 
+def test_json_writer_refuses_a_key_that_is_not_a_string(tmp_path):
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "got.json", {1: 0.5})
+
+
 JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.text()
     | st.floats(allow_nan=True, allow_infinity=True)

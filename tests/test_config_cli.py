@@ -324,6 +324,22 @@ def test_effchan_variant_without_fig3_exits_2(tmp_path, capsys):
         assert read_bytes(path) == read_bytes(tmp_path / "integer" / path.name), path.name
 
 
+def test_effchan_fig3_warns_that_seed_has_no_effect(tmp_path, caplog):
+    # the preset's paths are fixed: --seed changes no byte, and says so
+    with caplog.at_level(logging.WARNING, logger="ddwave"):
+        assert main(["effchan", "--fig3", "--seed", "7", "--out", str(tmp_path / "seeded")]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "--seed 7 has no effect with --fig3: the Fig. 3 preset's paths are fixed"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ddwave"):
+        assert main(["effchan", "--fig3", "--out", str(tmp_path / "plain")]) == 0
+    assert not caplog.records
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "seeded").iterdir()) and len(names) == 6
+    for name in names:
+        assert read_bytes(tmp_path / "seeded" / name) == read_bytes(tmp_path / "plain" / name), name
+
+
 def test_effchan_runs_with_sampled_channel(tmp_path):
     cfg = write_config(tmp_path, {"waveform": "afdm", "n": 16,
                                   "ell_max": 1, "f_max": 1})

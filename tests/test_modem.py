@@ -9,6 +9,8 @@ from ddwave.modem import (
     AfdmSpec,
     OfdmSpec,
     OtfsSpec,
+    _c1_merges_targets,
+    _delay_stride,
     afdm_orthogonality_ok,
     afdm_shift,
     afdm_tune,
@@ -413,6 +415,32 @@ def test_predicates_reject_negative_arguments():
 def test_delay_stride_requires_integer():
     with pytest.raises(ValueError, match="integral"):
         AfdmSpec(16, c1=0.031, c2=0.0).delay_stride
+
+
+def merges_by_the_set_rule(c1, ell_max, f_max, N):
+    """Two window pairs on one diagonal: a set of (ell * 2*N*c1 - f) mod N over Python ints."""
+    try:
+        stride = _delay_stride(N, c1)
+    except ValueError:
+        return False
+    window = [(ell, f) for ell in range(ell_max + 1) for f in range(-f_max, f_max + 1)]
+    return len({(ell * stride - f) % N for ell, f in window}) < len(window)
+
+
+@pytest.mark.parametrize("N", [16, 19, 36, 37, 64, 97])
+def test_c1_merges_targets_agrees_with_the_set_rule(N):
+    # tuned strides 2(f_max + xi) + 1, given ones (negative, huge, past N) and
+    # rates whose stride is not an integer, which merge nothing
+    given = [1 / (2 * N), -3 / (2 * N), 5 / (2 * N), (N + 2) / (2 * N), 0.031, -0.25, 1e300, -1e300, 0.0]
+    seen = set()
+    for ell_max in range(4):
+        for f_max in range(3):
+            tuned = [afdm_tune(0, f_max, xi, N)[0] for xi in range(2) if 2 * (f_max + xi) + 1 <= N]
+            for c1 in tuned + given:
+                want = merges_by_the_set_rule(c1, ell_max, f_max, N)
+                assert _c1_merges_targets(c1, ell_max, f_max, N) == want, (c1, ell_max, f_max)
+                seen.add(want)
+    assert seen == {True, False}
 
 
 # ------------------------------------------------------------------------ PAPR

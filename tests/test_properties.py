@@ -30,6 +30,7 @@ from ddwave.modem import (
     AfdmSpec,
     OfdmSpec,
     OtfsSpec,
+    _integral,
     _support_indices,
     afdm_orthogonality_ok,
     afdm_tune,
@@ -262,16 +263,32 @@ def channel_stacks(draw):
         spec = OtfsSpec(k, l, cp_len=ell_max)
         ops, phase = oracle.otfs_ops(k, l), oracle.zero_cycles
     B, P = draw(st.integers(1, 3)), draw(st.integers(ell_max + 2, ell_max + 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return spec, ops, phase, _path_stack(ell_max, f_max, B, P, draw(st.integers(0, 2**16)))
+
+
+def _path_stack(ell_max, f_max, B, P, seed):
+    """(ell_max, f_max, gains, delays, dopplers) of B frames of P paths: a unit direct
+    path and P - 1 others summing to at most 1/2 in magnitude, fractional Dopplers."""
+    rng = np.random.default_rng(seed)
     weak = rng.uniform(0.0, 0.5 / (P - 1), (B, P - 1)) * np.exp(2j * np.pi * rng.random((B, P - 1)))
     gains = np.concatenate([np.ones((B, 1)), weak], axis=1)
     delays = np.concatenate([np.zeros((B, 1), dtype=int), rng.integers(0, ell_max + 1, (B, P - 1))], axis=1)
     dopplers = rng.uniform(-f_max - 0.5, f_max + 0.5, (B, P))
-    return spec, ops, phase, (ell_max, f_max, gains, delays, dopplers)
+    return ell_max, f_max, gains, delays, dopplers
+
+
+def _afdm_case(n, c1, c2, xi, ell_max, f_max, B, P, seed):
+    """A channel_stacks case for AFDM with the rates (c1, c2)."""
+    spec = AfdmSpec(n, c1, c2, xi=xi, cp_len=ell_max)
+    return (spec, oracle.afdm_ops(n, c1, c2), oracle.chirp_cp_cycles(c1, n),
+            _path_stack(ell_max, f_max, B, P, seed))
 
 
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)
 @given(case=channel_stacks(), noise_var=st.sampled_from([0.0, 0.05, 0.3]))
+# a given c2 within 1e-9 / 2N of 0, which must not run as c2 = 0; N = 97 and B = 2
+# solve over more than one block
+@example(case=_afdm_case(97, 0.0, 1e-12, xi=1, ell_max=2, f_max=1, B=2, P=4, seed=0), noise_var=0.05)
 def test_equalizers_match_dense_g_domain_solves(case, noise_var):
     spec, (tx, rx), phase, (ell_max, _, gains, delays, dopplers) = case
     d = _stack_diagonals(ell_max, gains, delays, dopplers, spec.wrap)
@@ -289,6 +306,8 @@ def test_equalizers_match_dense_g_domain_solves(case, noise_var):
 @pytest.mark.filterwarnings("ignore:channel is not underspread")
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)
 @given(case=channel_stacks())
+# prime N, xi > 0, fractional Doppler and P = ell_max + 3 paths, so delays repeat
+@example(case=_afdm_case(61, *afdm_tune(2, 1, 1, 61), xi=1, ell_max=2, f_max=1, B=1, P=5, seed=0))
 def test_pipeline_equals_effective_channel_equals_the_oracle(case):
     spec, (tx, rx), phase, (ell_max, f_max, gains, delays, dopplers) = case
     paths = [(complex(g), int(ell), float(f)) for g, ell, f in zip(gains[0], delays[0], dopplers[0])]
@@ -429,22 +448,44 @@ def sampled_indices(draw, N):
     return np.unique(np.concatenate([rng.integers(0, N, 200), np.arange(max(N - 4, 0), N)]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60, database=None)
-@given(N=SIZES, kind=st.sampled_from(["c1", "c2", "float"]), q=st.integers(-8, 64),
-       c=st.floats(-2.0, 2.0), data=st.data())
-def test_chirp_and_prefix_phases_match_the_exact_phases(N, kind, q, c, data):
-    """chirp_phases and AfdmSpec.wrap equal the exact e^{-j2pi c n^2} and
-    e^{j2pi c (N^2 + 2 N n')} to 1e-15: c = q / 2N and q / 2N^2 as exact
-    rationals, or any other float c as the binary fraction it is."""
-    if kind == "float":
-        assume(all(abs(M * c - round(M * c)) > 1e-9 for M in (2 * N, 2 * N * N)))
-        exact = Fraction(c)
-    else:
-        exact = Fraction(q, 2 * N if kind == "c1" else 2 * N * N)
-        c = q / (2 * N) if kind == "c1" else q / (2 * N * N)
-    n = data.draw(sampled_indices(N))
+def _assert_exact_chirp_and_prefix(N, c, exact, n):
+    """chirp_phases(N, c) and AfdmSpec(N, c, 0).wrap equal e^{-j2pi c n^2} and
+    e^{j2pi c (N^2 + 2 N n')} to 1e-15 at the indices n, for c = exact."""
     _assert_exact(chirp_phases(N, c), lambda k: -exact * k * k, n)
     _assert_exact(AfdmSpec(N, c, 0.0).wrap, lambda k: exact * (N * N + 2 * N * (k - N)), n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(N=SIZES, kind=st.sampled_from(["c1", "c2", "float", "near"]), q=st.integers(-8, 64),
+       c=st.floats(-2.0, 2.0), data=st.data())
+def test_chirp_and_prefix_phases_match_the_exact_phases(N, kind, q, c, data):
+    """The chirp and prefix phases are exact for c = q / 2N and q / 2N^2 as exact
+    rationals, and for any other float c, near one of them or not, as the binary
+    fraction it is."""
+    if kind in ("c1", "c2"):
+        exact = Fraction(q, 2 * N if kind == "c1" else 2 * N * N)
+        c = q / (2 * N) if kind == "c1" else q / (2 * N * N)
+    else:
+        if kind == "near":  # M c between 4 ulps and 1e-9 off the integer q
+            M = data.draw(st.sampled_from([2 * N, 2 * N * N]))
+            d = 2.0 ** data.draw(st.floats(math.log2(5 * math.ulp(max(abs(q), 1))), math.log2(1e-9)))
+            c = (q + data.draw(st.sampled_from([-d, d]))) / M
+        # only the rates the code rounds to q / M are left to the other kinds
+        assume(all(_integral(M * c) is None for M in (2 * N, 2 * N * N)))
+        exact = Fraction(c)
+    _assert_exact_chirp_and_prefix(N, c, exact, data.draw(sampled_indices(N)))
+
+
+@pytest.mark.parametrize("N,c", [
+    (97, 1e-12),                          # the c2 of the equalizer test's AFDM example
+    (64, 1.0 / 128 + 1e-12),              # just off a tuned c1
+    (37, (3.0 + 2e-13) / (2 * 37 * 37)),  # about 450 ulps off q / 2N^2
+    (2**16, -1e-10),
+])
+def test_chirp_and_prefix_phases_are_exact_off_a_rational(N, c):
+    assert all(_integral(M * c) is None for M in (2 * N, 2 * N * N))
+    n = np.unique(np.concatenate([np.arange(0, N, max(N // 200, 1)), np.arange(max(N - 4, 0), N)]))
+    _assert_exact_chirp_and_prefix(N, c, Fraction(c), n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
