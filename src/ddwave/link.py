@@ -17,23 +17,27 @@ their Schur complements turn the even rows into the half-size system of
 the even unknowns; back-substitution recovers the odd ones. That is about
 log2(nb) levels and O(N m^2) work. ZF solves folded H densely, O(N^3), its
 band bounding the growth of partial pivoting, behind a guard that refuses
-cond(H) = cond(G) > 1e12; the comment above _tau derives its certificates.
+cond(H) = cond(G) > 1e12. Its two certificates, derived in the comment
+above _tau, cost O(N ell_max) (Weyl's bound) and O(N ell_max^2) (a banded
+Cholesky of folded H H^H) per channel; only a channel neither clears gets
+an SVD.
 
 Frames. Frame key k draws its channel, bits and noise, in that order, from
 substream(seed, *k) (_draw_frames). No draw depends on the SNR points, the
 waveforms or the stacks the frames run in, and no later step reads a stack
-size. So a result is a pure function of (config, seed), frame i is the same
-frame at every point and for every waveform, and a sweep's row equals a
-one-point, one-waveform run, up to the rounding of LMMSE's shared reduction
-of several right-hand sides. Each stack is sized by its own largest array
-within one budget (_CHUNK_ENTRIES): a sweep draws, modulates, sends,
-demodulates, demaps and counts its frames in chunks of as many frames as
-keep their O(N) stacks within it (_chunks), and only the solvers cut a
-chunk into sub-stacks of their N x N or block-row arrays. Per chunk, the
-bits are mapped once, each waveform modulates once for the whole sweep,
-and each point adds its own scaling of the frame's noise. Waveforms with
-equal prefix vectors see the same H (_prefix_groups): per chunk and group,
-H's diagonals are formed once, and LMMSE forms those of H H^H once per
+size. So a result is a pure function of (config, seed), frame i is the
+same frame at every point and for every waveform, and a sweep's row equals
+a one-point, one-waveform run, up to the rounding of LMMSE's shared
+reduction of several right-hand sides. Each stack is sized by its own
+largest array within one budget (_CHUNK_ENTRIES): a sweep draws,
+modulates, sends, demodulates, demaps and counts its frames in chunks of
+as many frames as keep their O(N) stacks within it (_chunks), and only the
+solvers and the ZF guard's certificate cut a chunk into sub-stacks of
+their N x N, block-row or band-store arrays. Per chunk, the bits are
+mapped once, each waveform modulates once for the whole sweep, and each
+point adds its own scaling of the frame's noise. Waveforms with equal
+prefix vectors see the same H (_prefix_groups): per chunk and group, H's
+diagonals are formed once, and LMMSE forms those of H H^H once per
 sub-stack and runs one reduction per point with a right-hand-side column
 per waveform. ZF guards the chunk's groups as one stack, one decision per
 frame, the first refusal in frame and then group order raising, so a
@@ -106,21 +110,24 @@ class Constellation:
         raise ValueError(f"unknown constellation {name!r}")
 
 
+def _labels(bits: np.ndarray, bps: int) -> np.ndarray:
+    """The integer labels of bits, bps bits per symbol, MSB first: (..., n bps) -> (..., n)."""
+    return bits.reshape(*bits.shape[:-1], -1, bps) @ (1 << np.arange(bps - 1, -1, -1))
+
+
 def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Pack bits (MSB first per symbol) into constellation points."""
     bits = np.asarray(bits, dtype=int)
     bps = constellation.bits_per_symbol
     if bits.size % bps != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {bps}")
-    weights = 1 << np.arange(bps - 1, -1, -1)
-    labels = bits.reshape(-1, bps) @ weights
-    return np.asarray(constellation.points)[labels]
+    return np.asarray(constellation.points)[_labels(bits.ravel(), bps)]
 
 
 @lru_cache(maxsize=8)
 def _demap_tables(constellation: Constellation):
-    """(real cuts, imaginary cuts, bit table) of a grid constellation, or
-    (None, None, bit table) for any other.
+    """(real cuts, imaginary cuts, label table) of a grid constellation, or
+    None for any other.
 
     A grid has points re[i] + 1j im[q], i = label // len(im) and q = label %
     len(im): the high bits of a label pick the real level and the low bits
@@ -128,19 +135,16 @@ def _demap_tables(constellation: Constellation):
     levels lo < hi of an axis, the cut t is the largest float that does not
     go to hi, decided exactly (math.fsum): x goes to hi if it is nearer to
     hi, or exactly midway and hi's label is the lower. Row
-    k * len(im) + j of a grid's bit table holds the bits of the point at the
-    k-th real and j-th imaginary level, in ascending order; otherwise row
-    `label` holds the bits of that label.
+    k * len(im) + j of a grid's label table holds the label of the point at
+    the k-th real and j-th imaginary level, in ascending order.
     """
     pts = np.asarray(constellation.points)
-    bps = constellation.bits_per_symbol
-    bits = (np.arange(len(pts))[:, None] >> np.arange(bps - 1, -1, -1)) & 1
     n_re, n_im = len(np.unique(pts.real)), len(np.unique(pts.imag))
     if n_re * n_im != len(pts):
-        return None, None, bits
+        return None
     re, im = pts.real.reshape(n_re, n_im), pts.imag.reshape(n_re, n_im)
     if np.any(re != re[:, :1]) or np.any(im != im[:1]):
-        return None, None, bits
+        return None
 
     def axis(levels):
         order = np.argsort(levels)
@@ -159,22 +163,49 @@ def _demap_tables(constellation: Constellation):
         return order, np.array(cuts)
 
     (i_order, i_cuts), (q_order, q_cuts) = axis(re[:, 0]), axis(im[0])
-    return i_cuts, q_cuts, bits[(i_order[:, None] * n_im + q_order).ravel()]
+    return i_cuts, q_cuts, (i_order[:, None] * n_im + q_order).ravel()
+
+
+def _level(cuts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """How many of the ascending cuts lie below each v, NaN above them all:
+    np.searchsorted(cuts, v), in one comparison per cut, which for a grid's
+    few cuts costs less than a binary search per entry."""
+    v = np.ascontiguousarray(v)
+    k = np.zeros(v.shape, dtype=np.intp)
+    for t in cuts:
+        k += ~(v <= t)
+    return k
+
+
+def _decide(x_hat: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """The label of the point each estimate of x_hat is decided to, in its
+    shape: per axis by exact cuts on a grid (_demap_tables), else by the
+    argmin of |x - p| over the points p; a tie goes to the lowest label."""
+    tables = _demap_tables(constellation)
+    if tables is None:
+        return np.argmin(np.abs(x_hat[..., None] - np.asarray(constellation.points)), axis=-1)
+    i_cuts, q_cuts, labels = tables
+    return labels[_level(i_cuts, x_hat.real) * (len(q_cuts) + 1) + _level(q_cuts, x_hat.imag)]
 
 
 def demap_symbols(x_hat: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Hard nearest-point demapping back to bits, MSB first per symbol; a tie
     goes to the lowest label. A grid (QPSK, 16-QAM) is decided per axis by
-    exact cuts (_demap_tables), any other constellation by the argmin of
-    |x - p| over its points p.
+    exact cuts, any other constellation by the argmin of |x - p| over its
+    points p (_decide).
     """
-    x_hat = np.asarray(x_hat).ravel()
-    i_cuts, q_cuts, bits = _demap_tables(constellation)
-    if i_cuts is None:
-        rows = np.argmin(np.abs(x_hat[:, None] - np.asarray(constellation.points)), axis=1)
-    else:
-        rows = np.searchsorted(i_cuts, x_hat.real) * (len(q_cuts) + 1) + np.searchsorted(q_cuts, x_hat.imag)
-    return np.take(bits, rows, axis=0).reshape(-1)
+    bps = constellation.bits_per_symbol
+    labels = _decide(np.asarray(x_hat).ravel(), constellation)
+    return ((labels[:, None] >> np.arange(bps - 1, -1, -1)) & 1).reshape(-1)
+
+
+def _bit_errors(x_hat: np.ndarray, sent: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Bit errors of estimates x_hat (..., n) against the labels sent, summed
+    over the last axis: popcount(decided label XOR sent label), with
+    demap_symbols' decisions (_decide)."""
+    bps = constellation.bits_per_symbol
+    ones = ((np.arange(1 << bps)[:, None] >> np.arange(bps)) & 1).sum(axis=1)  # popcount table
+    return ones[_decide(x_hat, constellation) ^ sent].sum(axis=-1)
 
 
 def _check_snr(snr_db: float) -> None:
@@ -244,6 +275,13 @@ class _BandLayout:
     diag_dst: np.ndarray
     pad_dst: np.ndarray
     vec: np.ndarray
+    # _certified's band store: folded A's half-width w, and the band entries
+    # chol_src on or below the diagonal, folded (j + t, j), at chol_dst[k] =
+    # j * store_width + t of a store of rows of store_width = max(2w, 1)
+    half_width: int
+    store_width: int
+    chol_src: np.ndarray
+    chol_dst: np.ndarray
     # H^H z: entry k sums conj(d[e]) * z at (k + e) mod N over e, read from the
     # flattened (ell_max + 1, N) product at adjoint_src[:, k]
     adjoint_src: np.ndarray
@@ -282,6 +320,8 @@ def _band_layout(N: int, ell_max: int, R: int = 1) -> _BandLayout:
     band_dst = i * width + col
     slot0 = offsets.index(0)
     pad = np.arange(N, nb * m)
+    store_width = max(2 * half_width, 1)
+    lower = np.flatnonzero(i >= j)
     return _BandLayout(
         perm=perm,
         pair_src=(e2[:, None] * N + (n - (e - e2)[:, None]) % N).reshape(ell_max + 1, -1, N),
@@ -296,13 +336,18 @@ def _band_layout(N: int, ell_max: int, R: int = 1) -> _BandLayout:
         pad_dst=pad * width + pad % m,
         vec=(inv * width + m + np.arange(R)[:, None]).ravel(),
         adjoint_src=np.arange(ell_max + 1)[:, None] * N + (n + np.arange(ell_max + 1)[:, None]) % N,
+        half_width=half_width,
+        store_width=store_width,
+        chol_src=lower,
+        chol_dst=j[lower] * store_width + (i - j)[lower],
     )
 
 
 # The one budget of every stack of frames: 2^16 entries (1 MiB of complex128)
 # in its largest array, unless one frame needs more. A draw chunk holds O(N)
 # rows per frame (_chunks); the solvers cut it into sub-stacks by their own
-# arrays, ZF's (b, N, N) folded H's and LMMSE's (b, nb, m, width) block rows.
+# arrays, ZF's (b, N, N) folded H's and LMMSE's (b, nb, m, width) block rows,
+# and so does the ZF guard's certificate, by its band stores (_certified).
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -361,8 +406,15 @@ def _gram(d: np.ndarray, lay: _BandLayout) -> np.ndarray:
 # So R^H R = A - t I + E with ||E||_2 <= (2N + 6) u tr(A) to first order.
 # tau_N is more than twice that, with room for the second-order terms and
 # the rounding of tr(A), so R^H R >= 0 gives lambda_min(A) >= t / 2 and
-# cond(H)^2 = cond(A) <= tr(A) / lambda_min(A) <= 2 / tau_N = K^2. The bounds
-# assume no underflow or overflow:
+# cond(H)^2 = cond(A) <= tr(A) / lambda_min(A) <= 2 / tau_N = K^2.
+# Folded M is a band of half-width w (module docstring), and so is R, whose
+# entries outside it are exact zeros: _certified evaluates the dense
+# Cholesky's recurrences, right-looking and column by column, for the
+# entries in the band alone, each pivot's root scaling its column through
+# its reciprocal as LAPACK's does, and skips only terms that are exactly
+# zero. Theorem 10.3 holds for any order of evaluating each inner product,
+# so the bound is the dense factorization's, at O(N w^2) instead of O(N^3).
+# The bounds assume no underflow or overflow:
 # frames whose trace lies outside (1e-200, 1e200) get no certificate.
 def _tau(N: int) -> float:
     """tau_N = (4N + 64) u of the certificates above."""
@@ -388,32 +440,41 @@ def _weyl_certified(d: np.ndarray) -> np.ndarray:
 def _certified(d: np.ndarray) -> np.ndarray:
     """Whether the Cholesky certificate above proves cond(H) <= sqrt(2 / tau_N)
     for each H of a (..., ell_max + 1, N) stack d of H's diagonals: a bool
-    array of the leading shape. The stack's frames with a trace in range are
-    factored in one batched Cholesky, which LAPACK runs matrix by matrix;
-    only when it raises are they factored one by one, so each H is decided
-    alone."""
+    array of the leading shape. Per sub-stack of as many frames as keep
+    their band stores within _stack_size, folded M's entries on and below
+    the diagonal go to a store S[j, t] = M[j + t, j] of N + w rows
+    (_BandLayout), frames last, and one right-looking Cholesky runs column
+    by column on all its frames: an H is certified iff its trace is in range
+    and every pivot is positive. Each step is elementwise across frames, so
+    each H is decided alone; no N x N array is formed."""
     E, N = d.shape[-2:]
     lay = _band_layout(N, E - 1)
-    a = _gram(d.reshape(-1, E, N), lay)
-    trace = a[:, lay.slot0].real.sum(axis=1)
-    ok = (1e-200 < trace) & (trace < 1e200)
-    a[:, lay.slot0] -= _tau(N) * trace[:, None]
-    rows = np.flatnonzero(ok)
-    M = np.zeros((rows.size, N * N), dtype=complex)
-    M[:, lay.dense_dst] = a.reshape(len(a), -1)[rows]
-    M = M.reshape(-1, N, N)
-    if not _factors(M):
-        ok[rows] = [_factors(m) for m in M]
+    w, L = lay.half_width, lay.store_width
+    flat = d.reshape(-1, E, N)
+    ok = np.empty(len(flat), dtype=bool)
+    size = _stack_size((N + w) * L)
+    # a frame out of range or past a failed pivot may fill with infs and NaNs,
+    # which stay in its own column of the store
+    with np.errstate(all="ignore"):
+        for start in range(0, len(flat), size):
+            a = _gram(flat[start : start + size], lay)
+            b = len(a)
+            trace = a[:, lay.slot0].real.sum(axis=1)
+            a[:, lay.slot0] -= _tau(N) * trace[:, None]
+            S = np.zeros(((N + w) * L, b), dtype=complex)
+            S[lay.chol_dst] = a.reshape(b, -1)[:, lay.chol_src].T
+            rows = S.reshape(N + w, L, b)
+            for j in range(N):
+                col = rows[j, 1 : w + 1] * (1.0 / np.sqrt(rows[j, 0].real))
+                # M[j + s, j + t] -= col[s - 1] conj(col[t - 1]), 1 <= t <= s <= w: entry
+                # (t - 1, s - 1) of the (w, w) view of stride L - 1 from row j + 1; those
+                # with t > s land in spare columns w + 1 .. 2w - 1, which nothing reads
+                base = (j + 1) * L
+                S[base : base + w * (L - 1)].reshape(w, L - 1, b)[:, :w] -= col * col[:, None].conj()
+            # each pivot stays in column 0 of its row: later updates start below it
+            pivots = rows[:N, 0].real
+            ok[start : start + size] = (1e-200 < trace) & (trace < 1e200) & (pivots > 0).all(axis=0)
     return ok.reshape(d.shape[:-2])
-
-
-def _factors(M: np.ndarray) -> bool:
-    """Whether np.linalg.cholesky factors M, one matrix or a stack, to completion."""
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _folded(d: np.ndarray) -> np.ndarray:
@@ -432,19 +493,14 @@ def _zf_guard(d: np.ndarray) -> None:
     cond(H) > 1e12 of a (G, B, ell_max + 1, N) stack d of H's diagonals, G
     prefix groups of B frames, in frame and then group order: a sweep names
     the same frame whatever its stack sizes. Weyl's bound on the whole
-    stack, then per sub-stack of _stack_size(N^2) frames one _certified
-    call on what it leaves and np.linalg.cond on what neither clears: each
-    H is decided as the SVD alone would decide it."""
-    weyl = _weyl_certified(d)
-    size = _stack_size(d.shape[-1] ** 2)
-    for start in range(0, d.shape[1], size):
-        part, ok = d[:, start : start + size], weyl[:, start : start + size]
-        if not ok.all():
-            ok[~ok] = _certified(part[~ok])
-        for b, g in np.argwhere(~ok.T):
-            cond = np.linalg.cond(_folded(part[g, b][None])[0])
-            if not np.isfinite(cond) or cond > 1e12:
-                raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
+    stack, one _certified call on what it leaves, then np.linalg.cond on
+    what neither clears: each H is decided as the SVD alone would decide it."""
+    ok = _weyl_certified(d)
+    ok[~ok] = _certified(d[~ok])
+    for b, g in np.argwhere(~ok.T):
+        cond = np.linalg.cond(_folded(d[g, b][None])[0])
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SingularChannelError(f"channel condition number {cond:.3e} exceeds 1e12")
 
 
 def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -667,11 +723,11 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
         specs, chan_config, constellation, snrs, doppler_mode, seed, [(i,) for i in frames]
     )
     errors = np.empty((len(specs), len(frames), len(snrs)), dtype=np.intp)
+    sent = _labels(bits, constellation.bits_per_symbol)[:, None]  # (B, 1, N)
 
     def count(w, x_hat):
-        """Bit errors of waveform w's (B, S, N) estimates, demapped as soon as they exist."""
-        bits_hat = demap_symbols(x_hat.ravel(), constellation).reshape(*x_hat.shape[:2], -1)
-        errors[w] = np.count_nonzero(bits_hat != bits[:, None], axis=2)
+        """Bit errors of waveform w's (B, S, N) estimates, counted as soon as they exist."""
+        errors[w] = _bit_errors(x_hat, sent, constellation)
 
     if detector == "zf":
         # one guard for the chunk's groups and frames, the first refusal in

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +151,41 @@ def test_demap_cuts_decide_the_nearest_level_exactly():
                 expected = (min(tied) >> np.arange(c.bits_per_symbol - 1, -1, -1)) & 1
                 assert np.array_equal(demap_symbols(np.array([x + 1j * im]), c), expected), x
                 x = np.nextafter(x, np.inf)
+
+
+def test_cut_levels_equal_searchsorted():
+    """_level counts the cuts below each value as np.searchsorted does: on
+    the cuts, the floats next to them, infinities and NaN."""
+    rng = np.random.default_rng(3)
+    for c in (QPSK, QAM16):
+        for cuts in link._demap_tables(c)[:2]:
+            near = np.concatenate([cuts, np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf)])
+            v = np.concatenate([near, rng.standard_normal(1000), [np.inf, -np.inf, np.nan, 0.0, -0.0]])
+            assert np.array_equal(link._level(cuts, v), np.searchsorted(cuts, v))
+            grid = v[:30].reshape(3, 2, 5)  # any shape, strided or not
+            assert np.array_equal(link._level(cuts, grid[:, ::2]), np.searchsorted(cuts, grid[:, ::2]))
+
+
+def test_bit_errors_from_labels_equal_the_bit_array_comparison():
+    """A BER sweep counts popcount(decided label XOR sent label); that equals
+    comparing demap_symbols' bits with the sent bits, symbol by symbol, for
+    every (sent, decided) label pair: at each point, on noisy estimates and on
+    estimates exactly on a cut or the next float above it, on both axes."""
+    rng = np.random.default_rng(8)
+    for c in (QPSK, QAM16):
+        bps, pts = c.bits_per_symbol, np.asarray(c.points)
+        i_cuts, q_cuts, _ = link._demap_tables(c)
+        re = np.concatenate([i_cuts, np.nextafter(i_cuts, np.inf), np.unique(pts.real)])
+        im = np.concatenate([q_cuts, np.nextafter(q_cuts, np.inf), np.unique(pts.imag)])
+        on_cuts = (re[:, None] + 1j * im).ravel()
+        noisy = pts[rng.integers(0, len(pts), 4000)] + 0.4 * (rng.standard_normal((4000, 2)) @ [1.0, 1.0j])
+        x = np.concatenate([pts, on_cuts, noisy])
+        decided = demap_symbols(x, c).reshape(-1, bps)
+        assert {tuple(row) for row in decided} == {tuple(row) for row in demap_symbols(pts, c).reshape(-1, bps)}
+        for sent in range(len(pts)):
+            sent_bits = (sent >> np.arange(bps - 1, -1, -1)) & 1
+            got = link._bit_errors(x[:, None], np.full((len(x), 1), sent), c)
+            assert got.tolist() == np.count_nonzero(decided != sent_bits, axis=1).tolist()
 
 
 def test_demap_of_a_constellation_that_is_no_grid_is_the_distance_table():
@@ -839,25 +875,16 @@ def _assert_names_the_first_refusal(refusal, specs, cfg, frames, seed, mode):
 @settings(derandomize=True, deadline=None, max_examples=25, database=None)
 @given(n=st.sampled_from([31, 36, 64]), before=st.integers(0, 5), after=st.integers(0, 5),
        eps=st.sampled_from([1e-14, 1e-11, 1e-8]), seed=st.integers(0, 2**16))
-def test_certified_answers_each_frame_when_the_batched_cholesky_raises(n, before, after, eps, seed):
+def test_certified_answers_each_frame_alone_amid_a_failing_one(n, before, after, eps, seed):
     """A stack with a frame whose Cholesky fails amid certifiable ones: the
-    batched factorization raises, and each answer is the one-frame call's."""
+    failed pivot's NaNs stay in its frame, and each answer is the one-frame
+    call's."""
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**16, before + after)
     chans = [_realization(n, _dominant_paths(int(s), 3, 3, 1), f_max=1) for s in seeds]
     chans.insert(before, _realization(n, [(1.0 + 0.0j, 0, 0.0), (-(1.0 - eps) + 0.0j, 0, 1.0)], f_max=1))
     d = np.stack([delay_diagonals(chan, OfdmSpec(n, 3).wrap) for chan in chans])
-    calls, factors = [], link._factors
-
-    def recording(M):
-        calls.append((M.shape, factors(M)))
-        return calls[-1][1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(link, "_factors", recording)
-        got = link._certified(d)
-    assert calls[0] == ((len(chans), n, n), False)  # the batched call raised
-    assert len(calls) == 1 + len(chans)
+    got = link._certified(d)
     assert got.tolist() == [link._certified(x) for x in d]
     assert not got[before] and got.sum() == before + after
 
@@ -920,12 +947,13 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
     """Each _draw_frames stack of a BER sweep or a sensing point holds at
     most _CHUNK_ENTRIES entries in its largest O(N) stack, `rows` length-N
     rows per frame, and is as large as that allows; each solver sub-stack
-    holds at most as many in its own arrays, ZF's (b, N, N) folded H's and
-    LMMSE's (b, nb, m, width) block rows. A stack of one frame is the only
-    exception. The ber-small-n64 shape draws its 50 frames at once."""
+    holds at most as many in its own arrays, ZF's (b, N, N) folded H's,
+    the ZF guard's (b, N + w, max(2w, 1)) band stores and LMMSE's (b, nb,
+    m, width) block rows. A stack of one frame is the only exception. The
+    ber-small-n64 shape draws its 50 frames at once."""
     monkeypatch.setattr(link, "_CHUNK_ENTRIES", budget)
-    draws, folded, reductions = [], [], []
-    draw_frames, fold, reduce = link._draw_frames, link._folded, link._cyclic_reduction
+    draws, folded, reductions, grams = [], [], [], []
+    draw_frames, fold, reduce, gram = link._draw_frames, link._folded, link._cyclic_reduction, link._gram
 
     def drawing(*args):
         draws.append(list(args[-1]))
@@ -939,10 +967,15 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
         reductions.append(F.shape)
         return reduce(F, m)
 
+    def gramming(d, lay):
+        grams.append((len(d), len(d) * (d.shape[-1] + lay.half_width) * lay.store_width))
+        return gram(d, lay)
+
     monkeypatch.setattr(link, "_draw_frames", drawing)
     monkeypatch.setattr(sensing, "_draw_frames", drawing)
     monkeypatch.setattr(link, "_folded", folding)
     monkeypatch.setattr(link, "_cyclic_reduction", reducing)
+    monkeypatch.setattr(link, "_gram", gramming)
     c1, c2 = afdm_tune(3, 1, 1, 37)
     odd = [OfdmSpec(37, 3), AfdmSpec(37, c1, c2, 1, 3)]  # two prefix groups
     three = [spec for _, spec in ScenarioConfig.from_dict({"n": 64, "k": 8, "l": 8}).waveform_specs()]
@@ -953,7 +986,7 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
         (odd, 37, [10.0, np.inf], 60, "lmmse"),  # 8 rows of diagonals
     ]
     for specs, N, snrs, frames, detector in cases:
-        for record in (draws, folded, reductions):
+        for record in (draws, folded, reductions, grams):
             record.clear()
         cfg = _dispersive_config(N)
         link._ber_sweep(specs, cfg, QAM16, snrs, frames, detector, 4, "fractional")
@@ -967,6 +1000,8 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
             assert b * N * N <= budget or b == 1
         for shape in reductions:
             assert np.prod(shape) <= budget or shape[0] == 1
+        if detector == "zf":  # LMMSE's Gram sub-stacks are its block rows'
+            assert grams and all(entries <= budget or b == 1 for b, entries in grams)
         assert (detector == "zf") == bool(folded) and (detector == "lmmse") == bool(reductions)
         if budget == 1 << 16 and specs is three:  # the default budget
             assert [len(keys) for keys in draws] == [50]
@@ -999,13 +1034,7 @@ def test_zf_guard_decides_each_frame_of_a_stack():
     wraps = [OfdmSpec(64, 3).wrap, AfdmSpec(64, 0.0123, 0.011, cp_len=3).wrap]
     d = np.stack([[delay_diagonals(chan, wrap) for chan in chans] for wrap in wraps])
     flat = d.reshape(32, 4, 64)
-    n = np.arange(64)
-    conds = []
-    for x in flat:
-        H = np.zeros((64, 64), dtype=complex)
-        for ell, diag in enumerate(x):
-            H[n, (n - ell) % 64] = diag
-        conds.append(np.linalg.cond(H))
+    conds = [np.linalg.cond(_dense_H(x)) for x in flat]
     refused = [(b, g) for b in range(16) for g in range(2) if conds[16 * g + b] > 1e12]
     assert refused == [(7, 0), (7, 1), (15, 0), (15, 1)]
 
@@ -1116,15 +1145,10 @@ def test_equalizers_take_a_stack_of_blocks_row_by_row():
             equalize_zf(spec, chan, bad)
 
 
-def test_zf_guard_decides_as_the_svd_test():
-    """Certificates plus fallback against np.linalg.cond(H) > 1e12, frame by frame.
-
-    2,000 sampled N = 64 fractional-Doppler channels (OFDM's and AFDM's
-    prefix rules) and near-singular ones across the 1e12 boundary. Every H
-    certified by either stage, Weyl's bound or the Cholesky certificate,
-    must have cond(H) <= sqrt(2 / tau_N), and Weyl's bound must clear some
-    of the sampled channels.
-    """
+def _svd_test_cases():
+    """(spec, channel) pairs: 2,000 sampled N = 64 fractional-Doppler channels
+    under OFDM's and AFDM's prefix rules, and 26 near-singular ones across
+    the 1e12 boundary."""
     cfg = _dispersive_config(64)
     c1, c2 = afdm_tune(3, 2, 0, 64)
     rng = np.random.default_rng(2024)
@@ -1133,17 +1157,23 @@ def test_zf_guard_decides_as_the_svd_test():
         for spec in (OfdmSpec(64, 3), AfdmSpec(64, c1, c2, 0, 3))
         for _ in range(1000)
     ]
-    cases += [(OfdmSpec(64), _near_singular(eps)) for eps in np.logspace(-14, -9, 26)]
+    return cases + [(OfdmSpec(64), _near_singular(eps)) for eps in np.logspace(-14, -9, 26)]
+
+
+def test_zf_guard_decides_as_the_svd_test():
+    """Certificates plus fallback against np.linalg.cond(H) > 1e12, frame by
+    frame, on _svd_test_cases. Every H
+    certified by either stage, Weyl's bound or the Cholesky certificate,
+    must have cond(H) <= sqrt(2 / tau_N), and Weyl's bound must clear some
+    of the sampled channels.
+    """
+    cases = _svd_test_cases()
     bound = np.sqrt(2.0 / ((4 * 64 + 64) * 2.0**-53))
-    n = np.arange(64)
     r = np.ones(64, dtype=complex)
     fallbacks = refusals = weyl = 0
     for spec, chan in cases:
         d = delay_diagonals(chan, spec.wrap)
-        H = np.zeros((64, 64), dtype=complex)
-        for ell, diag in enumerate(d):
-            H[n, (n - ell) % 64] = diag
-        cond = np.linalg.cond(H)
+        cond = np.linalg.cond(_dense_H(d))
         try:
             equalize_zf(spec, chan, r)
             refused = False
@@ -1160,3 +1190,105 @@ def test_zf_guard_decides_as_the_svd_test():
         refusals += refused
     assert fallbacks > 26 and refusals > 0
     assert 0 < weyl < len(cases)
+
+
+def _dense_H(d):
+    """Dense H from its (ell_max + 1, N) diagonals: H[n, (n - ell) mod N] = d[ell][n]."""
+    E, N = d.shape
+    n = np.arange(N)
+    H = np.zeros((N, N), dtype=complex)
+    for ell, diag in enumerate(d):
+        H[n, (n - ell) % N] = diag
+    return H
+
+
+def _dense_certified(d):
+    """The Cholesky certificate by a dense reference: np.linalg.cholesky of
+    folded M = fl(A) - tau_N tr(A) I, fl(A)'s cyclic diagonals from _gram
+    placed here by the fold permutation; no certificate for a trace outside
+    (1e-200, 1e200)."""
+    E, N = d.shape
+    a = link._gram(d[None], link._band_layout(N, E - 1))
+    offsets = sorted({o % N for o in range(-(E - 1), E)})
+    trace = a[:, offsets.index(0)].real.sum(axis=1)[0]
+    _, inv = link._fold(N)
+    n = np.arange(N)
+    M = np.zeros((N, N), dtype=complex)
+    for o, diag in zip(offsets, a[0]):
+        M[inv[n], inv[(n - o) % N]] = diag
+    M[n, n] -= link._tau(N) * trace
+    if not 1e-200 < trace < 1e200:
+        return False
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def test_certified_clears_exactly_what_a_dense_cholesky_clears():
+    """The banded certificate, one call per stack of _svd_test_cases' sampled
+    (ell_max = 3) and near-singular (ell_max = 0) channels, clears exactly
+    the frames that the dense reference clears."""
+    cases = _svd_test_cases()
+    refused = 0
+    for part in (cases[:2000], cases[2000:]):
+        d = np.stack([delay_diagonals(chan, spec.wrap) for spec, chan in part])
+        got = link._certified(d)
+        assert got.tolist() == [_dense_certified(x) for x in d]
+        refused += len(got) - got.sum()
+    assert 26 < refused < len(cases)
+
+
+@pytest.mark.filterwarnings("ignore:channel is not underspread")
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 37, 61])
+def test_certified_agrees_with_the_dense_reference_at_the_edges(n):
+    """At small, prime and odd N, for ell_max = 0, a band wide enough to wrap
+    (2 ell_max >= N), P > ell_max + 1 and traces outside (1e-200, 1e200),
+    the banded certificate clears what the dense reference clears, every
+    cleared H has cond(H) <= sqrt(2 / tau_N), and the guard refuses exactly
+    the H's with cond(H) > 1e12."""
+    rng = np.random.default_rng(n)
+    bound = np.sqrt(2.0 / link._tau(n))
+    answers = []
+    for ell_max in sorted({0, 1, n // 2, min(3, n - 1), n - 1} & set(range(n))):
+        f_max = min(1, n // 2)
+        d = []
+        for P in (1, ell_max + 3):
+            cfg = ChannelConfig(N=n, f_s=1e7, f_c=5.9e9, ell_max=ell_max, f_max=f_max, P=P, cp_len=ell_max)
+            d += [delay_diagonals(sample_paths(cfg, "fractional", rng), np.ones(n)) for _ in range(6)]
+        if n > 1:  # one delay, 1 - (1 - eps) e^{j2pi m/N}: cond(H) = (2 - eps) / eps
+            d += [delay_diagonals(_realization(n, [(1.0 + 0.0j, 0, 0.0), (eps - 1.0 + 0.0j, 0, 1.0)],
+                                               ell_max, 1), np.ones(n)) for eps in (1e-14, 1e-8, 0.5)]
+        d = np.stack(d)
+        d = np.concatenate([d, d[:2] * 1e-110, d[:2] * 1e110])  # traces out of range
+        got = link._certified(d)
+        assert got.tolist() == [_dense_certified(x) for x in d], ell_max
+        assert not got[-4:].any()
+        for x, certified in zip(d, got):
+            cond = np.linalg.cond(_dense_H(x))
+            assert cond <= bound or not certified
+            try:
+                link._zf_guard(x[None, None])
+                refused = False
+            except SingularChannelError:
+                refused = True
+            assert refused == (not np.isfinite(cond) or cond > 1e12), (ell_max, cond)
+        answers += got.tolist()
+    assert any(answers) and not all(answers)
+
+
+def test_certified_keeps_an_n1024_frame_far_below_a_dense_matrix():
+    """One N = 1024 frame peaks, under tracemalloc, below an eighth of a
+    dense N x N complex matrix: the certificate forms no N x N array."""
+    cfg = ChannelConfig(N=1024, f_s=1e7, f_c=5.9e9, ell_max=3, f_max=2, P=3, cp_len=3)
+    d = delay_diagonals(sample_paths(cfg, "fractional", np.random.default_rng(3)), np.ones(1024))
+    expected = _dense_certified(d)  # also builds the cached layout outside the measurement
+    tracemalloc.start()
+    try:
+        got = link._certified(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 1024 * 1024 * 16 / 8, peak

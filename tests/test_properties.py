@@ -457,8 +457,8 @@ def _assert_exact_chirp_and_prefix(N, c, exact, n):
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(N=SIZES, kind=st.sampled_from(["c1", "c2", "float", "near"]), q=st.integers(-8, 64),
-       c=st.floats(-2.0, 2.0), data=st.data())
-def test_chirp_and_prefix_phases_match_the_exact_phases(N, kind, q, c, data):
+       mantissa=st.integers(2**51, 2**52 - 1), exponent=st.integers(-60, -53), data=st.data())
+def test_chirp_and_prefix_phases_match_the_exact_phases(N, kind, q, mantissa, exponent, data):
     """The chirp and prefix phases are exact for c = q / 2N and q / 2N^2 as exact
     rationals, and for any other float c, near one of them or not, as the binary
     fraction it is."""
@@ -466,6 +466,9 @@ def test_chirp_and_prefix_phases_match_the_exact_phases(N, kind, q, c, data):
         exact = Fraction(q, 2 * N if kind == "c1" else 2 * N * N)
         c = q / (2 * N) if kind == "c1" else q / (2 * N * N)
     else:
+        # a float of 53 significant bits, 2^-8 < |c| < 2, from an odd integer
+        # mantissa: no simple value such as 0.5 that is itself a q / 2N
+        c = (2 * mantissa + 1) * 2.0**exponent * data.draw(st.sampled_from([-1, 1]))
         if kind == "near":  # M c between 4 ulps and 1e-9 off the integer q
             M = data.draw(st.sampled_from([2 * N, 2 * N * N]))
             d = 2.0 ** data.draw(st.floats(math.log2(5 * math.ulp(max(abs(q), 1))), math.log2(1e-9)))
