@@ -10,6 +10,7 @@ rows of an effchan magnitude grid are formatted here.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -46,6 +47,26 @@ def _setup_logging():
     logging.basicConfig(level=getattr(logging, level))
 
 
+@contextlib.contextmanager
+def _result_file(path, newline: str | None = None):
+    """A text file for path's contents, written at path + ".tmp" beside it and
+    renamed onto path (os.replace) when the block ends, so path is never left
+    half-written: if the block raises, the temporary file is removed. An
+    OSError is raised as ConfigError "cannot write <path>: <strerror>"."""
+    tmp = f"{path}.tmp"
+    opened = False
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            opened = True
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if opened and os.path.lexists(tmp):
+            os.remove(tmp)
+
+
 _CSV_BLOCK = 4096  # rows per write of _write_csv
 
 
@@ -56,10 +77,11 @@ def _write_csv(path: str, columns: dict) -> None:
     these values: CRLF line ends and floats as their shortest round-trip
     repr. Each column is a sequence of numbers or of names that need no
     quoting; a table with no rows is the header line alone. Rows are
-    written _CSV_BLOCK at a time, so memory stays bounded.
+    written _CSV_BLOCK at a time, so memory stays bounded, to a temporary
+    file that replaces path once whole (_result_file).
     """
     cols = [np.asarray(col) for col in columns.values()]
-    with open(path, "w", newline="") as fh:
+    with _result_file(path, newline="") as fh:
         fh.write(",".join(columns))
         for start in range(0, min(map(len, cols), default=0), _CSV_BLOCK):
             cells = [map(str, col[start : start + _CSV_BLOCK].tolist()) for col in cols]
@@ -91,9 +113,10 @@ def _write_json(path: str, obj: dict) -> None:
     obj's keys must be str. The stdlib encodes each top-level value as it is
     written, an ndarray as its `tolist()`, except a nonempty 2-D array, such
     as an effchan magnitude grid: its rows are formatted here (_json_row)
-    and written one at a time, so the document is never held whole.
+    and written one at a time, so the document is never held whole. A value
+    that fails to encode leaves no file (_result_file).
     """
-    with open(path, "w") as fh:
+    with _result_file(path) as fh:
         fh.write("{")
         for i, key in enumerate(sorted(obj)):
             fh.write(("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": ")

@@ -14,6 +14,7 @@ from .modem import (
     OfdmSpec,
     OtfsSpec,
     _c1_merges_targets,
+    _default_c2,
     afdm_orthogonality_ok,
     afdm_tune,
     otfs_orthogonality_ok,
@@ -30,6 +31,12 @@ class ConfigError(ValueError):
 _ALIASES = {"N": "n", "K": "k", "L": "l", "P": "paths", "p": "paths"}
 _DERIVED = ("k", "l", "cp_len")  # None in a scenario: from_dict derives them
 _WAVEFORMS = ("ofdm", "otfs", "afdm", "all")
+# the fields one waveform alone reads, and what they set: away from its
+# default, a field given to a scenario without its waveform exits 2
+_WAVEFORM_FIELDS = (
+    ("otfs", ("k", "l"), "the OTFS grid"),
+    ("afdm", ("c1", "c2", "xi"), "the AFDM chirp"),
+)
 
 
 def _is_int(value) -> bool:
@@ -54,7 +61,7 @@ class ScenarioConfig:
     l: int | None = None
     xi: int = 0
     c1: float | None = None     # None means afdm_tune decides
-    c2: float | None = None
+    c2: float | None = None     # None means modem._default_c2
     cp_len: int | None = None   # None means ell_max
     f_s: float = 1.0e7          # Hz
     f_c: float = 5.9e9          # Hz
@@ -77,7 +84,8 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
-        data = {f.name: f.default for f in fields(ScenarioConfig)}
+        defaults = {f.name: f.default for f in fields(ScenarioConfig)}
+        data = dict(defaults)
         source: dict[str, str] = {}  # field -> the key that gave it
         for key, value in raw.items():
             name = _ALIASES.get(key, key)
@@ -118,11 +126,14 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be a finite number, got {data[name]!r}")
         if data["cp_len"] is None:
             data["cp_len"] = data["ell_max"]
-        needs_otfs = data["waveform"] in ("otfs", "all")
-        n, given = data["n"], [name for name in ("k", "l") if data[name] is not None]
-        if given and not needs_otfs:
-            raise ConfigError(f"{given[0]} sets the OTFS grid: waveform {data['waveform']} has none")
-        if needs_otfs:
+        for owner, names, what in _WAVEFORM_FIELDS:
+            given = [name for name in names if data[name] != defaults[name]]
+            if given and data["waveform"] not in (owner, "all"):
+                raise ConfigError(f"{given[0]} sets {what}: waveform {data['waveform']} has none")
+        if data["xi"] and data["c1"] is not None:
+            raise ConfigError("xi sets the tuned AFDM chirp: a given c1 is not tuned")
+        if data["waveform"] in ("otfs", "all"):
+            n, given = data["n"], [name for name in ("k", "l") if data[name] is not None]
             if not given:
                 root = math.isqrt(n)
                 if root * root != n:
@@ -186,14 +197,14 @@ class ScenarioConfig:
         )
 
     def afdm_spec(self) -> AfdmSpec:
-        c1, c2 = self.c1, self.c2
-        if c1 is None or c2 is None:
+        """The AFDM spec: c1 tuned (afdm_tune) unless given, c2 _default_c2 unless given."""
+        c1 = self.c1
+        if c1 is None:
             try:
-                tuned_c1, tuned_c2 = afdm_tune(self.ell_max, self.f_max, self.xi, self.n)
+                c1, _ = afdm_tune(self.ell_max, self.f_max, self.xi, self.n)
             except ValueError as exc:
                 raise ConfigError(f"afdm tuning: {exc}") from None
-            c1 = tuned_c1 if c1 is None else c1
-            c2 = tuned_c2 if c2 is None else c2
+        c2 = _default_c2(self.n) if self.c2 is None else self.c2
         return AfdmSpec(n=self.n, c1=c1, c2=c2, xi=self.xi, cp_len=self.cp_len)
 
     def waveform_specs(self) -> list[tuple[str, object]]:

@@ -65,7 +65,7 @@ from .channel import (
     _transmit,
     delay_diagonals,
 )
-from .modem import OtfsSpec, WaveformSpec, _papr_db, demodulate, modulate, prepend_cp
+from .modem import WaveformSpec, _check_spec, _papr_db, demodulate, modulate, prepend_cp
 
 
 class SingularChannelError(ValueError):
@@ -591,17 +591,6 @@ def _lmmse_sweep(d: np.ndarray, r: np.ndarray, noise_vars) -> np.ndarray:
     return x
 
 
-def _check_spec(spec: WaveformSpec, N: int) -> None:
-    """Raise ValueError for another block size, or for OTFS pulses without
-    T_tx = T_rx^H (modem)."""
-    if N != spec.n:
-        raise ValueError(f"channel block size {N} != waveform size {spec.n}")
-    if isinstance(spec, OtfsSpec) and not spec.adjoint_pulses:
-        raise ValueError(
-            "time-domain processing needs pulse_tx = conj(pulse_rx) with |pulse_rx| = 1"
-        )
-
-
 def _received(spec: WaveformSpec, chan: ChannelRealization, r) -> np.ndarray:
     """The equalizers' shared input check; returns r, one block (N,) or a
     stack (S, N), as an array."""
@@ -758,7 +747,7 @@ def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
 
     A point of +inf runs noiseless. Raises ValueError, before the first
     frame, for a NaN or -inf point, frames < 1, an unknown detector or a
-    spec that fails _check_spec; and SingularChannelError for the first ZF
+    spec that fails modem._check_spec; and SingularChannelError for the first ZF
     frame with cond(H) > 1e12.
     """
     for snr_db in snrs:

@@ -10,7 +10,7 @@ tuning, the orthogonality predicates and integer-Doppler support prediction.
 Every receive transform T_rx is unitary and every transmit transform is its
 adjoint, T_tx = T_rx^H; OTFS only when pulse_tx = conj(pulse_rx) with
 |pulse_rx| = 1 (OtfsSpec.adjoint_pulses). link's equalizers and sensing's
-ML search rest on this identity and refuse other pulses (link._check_spec).
+ML search rest on this identity and refuse other pulses (_check_spec).
 """
 
 from __future__ import annotations
@@ -97,8 +97,17 @@ def _check_sizes(n: int, cp_len: int) -> None:
         raise ValueError(f"prefix length must be >= 0, got {cp_len}")
 
 
+class _CyclicPrefix:
+    """A spec whose prefix is a plain cyclic copy (OfdmSpec, OtfsSpec)."""
+
+    @cached_property
+    def wrap(self) -> np.ndarray:
+        """Prefix vector of a plain cyclic copy: ones (see AfdmSpec.wrap)."""
+        return np.ones(self.n, dtype=complex)
+
+
 @dataclass(frozen=True)
-class OfdmSpec:
+class OfdmSpec(_CyclicPrefix):
     """Plain multicarrier spec: IDFT transmit, DFT receive."""
 
     n: int
@@ -113,14 +122,9 @@ class OfdmSpec:
     def _rx(self, r: np.ndarray) -> np.ndarray:
         return np.fft.fft(r, norm="ortho")
 
-    @cached_property
-    def wrap(self) -> np.ndarray:
-        """Prefix vector of a plain cyclic copy: ones (see AfdmSpec.wrap)."""
-        return np.ones(self.n, dtype=complex)
-
 
 @dataclass(frozen=True)
-class OtfsSpec:
+class OtfsSpec(_CyclicPrefix):
     """Delay-Doppler grid spec, transmit operator (F_L^H kron P_tx).
 
     The symbol grid X is K x L and is sent column-stacked, so the delay
@@ -173,11 +177,6 @@ class OtfsSpec:
 
     def _rx(self, r: np.ndarray) -> np.ndarray:
         return self._grid(np.fft.fft, r, self.pulse_rx)
-
-    @cached_property
-    def wrap(self) -> np.ndarray:
-        """Prefix vector of a plain cyclic copy: ones (see AfdmSpec.wrap)."""
-        return np.ones(self.n, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -244,6 +243,22 @@ def _delay_stride(n: int, c1: float) -> int:
 WaveformSpec = OfdmSpec | OtfsSpec | AfdmSpec
 
 
+def _check_block(spec: WaveformSpec, N: int) -> None:
+    """Raise ValueError unless a channel's block size N is the spec's."""
+    if N != spec.n:
+        raise ValueError(f"channel block size {N} != waveform size {spec.n}")
+
+
+def _check_spec(spec: WaveformSpec, N: int) -> None:
+    """_check_block, and ValueError for OTFS pulses without T_tx = T_rx^H
+    (module docstring): what time-domain processing needs."""
+    _check_block(spec, N)
+    if isinstance(spec, OtfsSpec) and not spec.adjoint_pulses:
+        raise ValueError(
+            "time-domain processing needs pulse_tx = conj(pulse_rx) with |pulse_rx| = 1"
+        )
+
+
 def _blocks(spec: WaveformSpec, a, what: str) -> np.ndarray:
     """a as an array of N-sample blocks along its last axis; only that axis is checked."""
     a = np.asarray(a)
@@ -280,10 +295,9 @@ def effective_channel(spec: WaveformSpec, chan: ChannelRealization) -> np.ndarra
     """The (N, N) symbol-domain channel G = T_rx H T_tx, H as its diagonals
     for spec.wrap: noiselessly, demodulate of the channel's output for
     prepend_cp(spec, modulate(spec, x)) is G @ x. O(N^2 log N), no matrix
-    product; raises ValueError if the block sizes differ.
+    product; raises ValueError if the block sizes differ (_check_block).
     """
-    if chan.config.N != spec.n:
-        raise ValueError(f"channel block size {chan.config.N} != waveform size {spec.n}")
+    _check_block(spec, chan.config.N)
     # row j is the response to unit block e_j, i.e. column j of G; as d holds
     # the prefix factors, each row's history is a plain copy of its tail
     d = delay_diagonals(chan, spec.wrap)
@@ -338,16 +352,19 @@ def _check_nonneg(**kwargs):
 def afdm_tune(ell_max: int, f_max: int, xi: int, N: int) -> tuple[float, float]:
     """Chirp rates that make integer-Doppler paths land on disjoint diagonals.
 
-    c1 = (2(f_max+xi)+1) / (2N); c2 defaults to 1/(2N^2), well below the 1/N
-    scale that matters, and deterministic so runs reproduce.
+    c1 = (2(f_max+xi)+1) / (2N); c2 is _default_c2(N).
     """
     if not afdm_orthogonality_ok(ell_max, f_max, xi, N):
         raise ValueError(
             f"tuning infeasible: (2({f_max}+{xi})+1)*{ell_max} + 2*{f_max}+1 > {N}"
         )
-    c1 = (2 * (f_max + xi) + 1) / (2 * N)
-    c2 = 1.0 / (2 * N * N)
-    return c1, c2
+    return (2 * (f_max + xi) + 1) / (2 * N), _default_c2(N)
+
+
+def _default_c2(N: int) -> float:
+    """The c2 of a tuned chirp, and of a given c1 without c2: 1/(2N^2), well
+    below the 1/N scale that matters, and deterministic so runs reproduce."""
+    return 1.0 / (2 * N * N)
 
 
 def predict_support(spec: WaveformSpec, ell: int, f_int: int) -> frozenset[tuple[int, int]]:

@@ -50,8 +50,18 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelConfig, _roots, _wrap_window, doppler_phases
-from .link import Constellation, _check_spec, _chunks, _draw_frames, map_bits
-from .modem import AfdmSpec, OfdmSpec, WaveformSpec, _support_indices, afdm_shift, demodulate, modulate
+from .link import Constellation, _chunks, _draw_frames, map_bits
+from .modem import (
+    AfdmSpec,
+    OfdmSpec,
+    WaveformSpec,
+    _check_block,
+    _check_spec,
+    _support_indices,
+    afdm_shift,
+    demodulate,
+    modulate,
+)
 
 LIGHT_SPEED = 2.99792458e8  # m/s, exact
 
@@ -118,6 +128,13 @@ def _check_bins(delay_bins, doppler_bins, N: int) -> tuple[np.ndarray, np.ndarra
     return np.round(delay_bins).astype(int), doppler_bins
 
 
+def _lagged(v: np.ndarray, ells) -> np.ndarray:
+    """The rows v[(n - ell) mod N], n = 0..N-1, one per ell of ells: v
+    delayed cyclically, the one gather of every delayed copy here."""
+    N = v.shape[-1]
+    return v[(np.arange(N) - np.asarray(ells)[:, None]) % N]
+
+
 def matched_filter_map(r: np.ndarray, s_known: np.ndarray, delay_bins, doppler_bins) -> DelayDopplerMap:
     """Cross-correlation against delayed, Doppler-shifted copies of a known frame.
 
@@ -135,7 +152,7 @@ def matched_filter_map(r: np.ndarray, s_known: np.ndarray, delay_bins, doppler_b
         raise ValueError(f"length mismatch: {r.shape} vs {s_known.shape}")
     N = r.shape[0]
     ells, dops = _check_bins(delay_bins, doppler_bins, N)
-    rows = s_known[(np.arange(N) - ells[:, None]) % N]
+    rows = _lagged(s_known, ells)
     return DelayDopplerMap(ells.astype(float), dops, _correlate(r, rows, doppler_phases(N, -dops)))
 
 
@@ -177,7 +194,7 @@ def _delayed_rows(spec: WaveformSpec, s: np.ndarray, ells) -> np.ndarray:
     """phi_ell[n] * s[(n - ell) mod N], one row per ell of ells, with phi_ell
     the delay's window of spec.wrap: a unit path at (ell, 0) applied to s."""
     ells = np.asarray(ells, dtype=np.intp)
-    return _wrap_window(spec.wrap, ells) * s[(np.arange(spec.n) - ells[:, None]) % spec.n]
+    return _wrap_window(spec.wrap, ells) * _lagged(s, ells)
 
 
 def _integer_candidates(spec: WaveformSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -282,15 +299,14 @@ class _ChannelCsi:
         self.ells, self.fs = _integer_candidates(spec)
         self.pilot = modulate(spec, np.ones(N, dtype=complex))
         if isinstance(spec, AfdmSpec):
-            self.lagged = spec._chirps[2][(np.arange(N) - np.arange(E)[:, None]) % N]
+            self.lagged = _lagged(spec._chirps[2], range(E))
             self.taps = -afdm_shift(spec, self.ells, self.fs) % N
             self.phases = doppler_phases(N, -np.arange(E))
         else:
             self.cols = _support_indices(spec, self.ells, self.fs)[1]
 
     def __call__(self, diags: np.ndarray, P: int) -> list[RadarTargetEstimate]:
-        if diags.shape[-1] != self.spec.n:
-            raise ValueError(f"channel block size {diags.shape[-1]} != waveform size {self.spec.n}")
+        _check_block(self.spec, diags.shape[-1])
         threshold = _threshold(self.spec)
         scores, entries = self.support(diags, P, threshold)
         return _top_targets(self.spec, self.ells, self.fs, scores, entries, P, threshold, self.pilot)
@@ -460,16 +476,15 @@ def _sense_trials(spec: WaveformSpec, chan_config: ChannelConfig, constellation:
     """
     ell_max, f_max, P = chan_config.ell_max, chan_config.f_max, chan_config.P
     csi, ml_grid = _trial_tables(spec, ell_max, f_max, refine_levels, refine_factor)
-    # the matched filter's plain cyclic pilot rows; ml_grid.coarse is its Doppler table
-    cyclic = (np.arange(spec.n) - ml_grid.ells[:, None]) % spec.n
     trials = []
     for chunk in _chunks(len(keys), spec.n, ell_max + 1):
         (_, delays, dopplers), [(_, diags)], _, [(s_cp, r)] = _draw_frames(
             [spec], chan_config, constellation, [snr_db], doppler_mode, seed, [keys[i] for i in chunk]
         )
         for b, s in enumerate(s_cp[:, spec.cp_len :]):
+            # the matched filter's plain cyclic pilot rows; ml_grid.coarse is its Doppler table
             mf = DelayDopplerMap(ml_grid.ells.astype(float), ml_grid.dops,
-                                 _correlate(r[b, 0], s[cyclic], ml_grid.coarse))
+                                 _correlate(r[b, 0], _lagged(s, ml_grid.ells), ml_grid.coarse))
             s_energy = float(np.real(np.vdot(s, s)))
             ests = {
                 "matched_filter": [

@@ -8,7 +8,9 @@ byte for byte.
 """
 
 import csv
+import errno
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -208,6 +210,33 @@ def test_json_writer_matches_json_module_without_arrays(tmp_path, obj):
 def test_json_writer_refuses_a_key_that_is_not_a_string(tmp_path):
     with pytest.raises(TypeError):
         _write_json(tmp_path / "got.json", {1: 0.5})
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_value_that_fails_to_encode_leaves_the_old_file_whole(tmp_path):
+    path = tmp_path / "got.json"
+    _write_json(path, {"a": 1})
+    before = read_bytes(path)
+    with pytest.raises(TypeError):
+        _write_json(path, {"a": 2, "b": object()})  # "a" is written before "b" fails
+    assert os.listdir(tmp_path) == ["got.json"] and read_bytes(path) == before
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "new.json", {"a": 2, "b": object()})
+    assert os.listdir(tmp_path) == ["got.json"]
+
+
+@pytest.mark.parametrize("blocked", ["ber.csv", "ber.csv.tmp"])
+def test_a_result_file_that_cannot_be_written_exits_2_and_leaves_no_file(tmp_path, capsys, blocked):
+    """A directory where the result file, or its temporary name, should go:
+    the sweep's result cannot be written, so the run exits 2 with one line,
+    and only the directory, untouched, is left."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({**SMALL, "frames": 1, "snr_sweep": [10.0]}))
+    (out / blocked).mkdir(parents=True)
+    assert main(["ber", "--config", str(cfg), "--out", str(out)]) == 2
+    path = out / "ber.csv"
+    assert capsys.readouterr().err == f"config error: cannot write {path}: {os.strerror(errno.EISDIR)}\n"
+    assert os.listdir(out) == [blocked] and os.listdir(out / blocked) == []
 
 
 JSON_SCALARS = (

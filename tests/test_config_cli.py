@@ -120,6 +120,13 @@ def test_a_grid_side_that_does_not_divide_n_exits_2(tmp_path, capsys, patch, mes
     ({"waveform": "afdm", "n": 64, "k": 5, "l": 3}, "k sets the OTFS grid: waveform afdm has none"),
     ({"waveform": "ofdm", "n": 64, "k": 7}, "k sets the OTFS grid: waveform ofdm has none"),
     ({"waveform": "afdm", "n": 64, "L": 8}, "l sets the OTFS grid: waveform afdm has none"),
+    ({"waveform": "ofdm", "c1": 0.3}, "c1 sets the AFDM chirp: waveform ofdm has none"),
+    ({"waveform": "otfs", "c1": 0.0}, "c1 sets the AFDM chirp: waveform otfs has none"),
+    ({"waveform": "otfs", "n": 64, "c2": 0.001}, "c2 sets the AFDM chirp: waveform otfs has none"),
+    ({"waveform": "otfs", "xi": 4}, "xi sets the AFDM chirp: waveform otfs has none"),
+    ({"waveform": "ofdm", "xi": 1, "c2": 0.0}, "c2 sets the AFDM chirp: waveform ofdm has none"),
+    # the table's order: the grid before the chirp
+    ({"waveform": "ofdm", "c1": 0.3, "k": 8}, "k sets the OTFS grid: waveform ofdm has none"),
 ])
 def test_a_grid_given_with_no_otfs_waveform_exits_2(tmp_path, capsys, patch, message):
     with pytest.raises(ConfigError) as exc:
@@ -127,6 +134,37 @@ def test_a_grid_given_with_no_otfs_waveform_exits_2(tmp_path, capsys, patch, mes
     assert str(exc.value) == message
     assert main(["ber", "--config", write_config(tmp_path, patch), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("waveform", ["ofdm", "otfs"])
+def test_a_chirp_field_at_its_default_loads_with_any_waveform(waveform):
+    cfg = ScenarioConfig.from_dict({"waveform": waveform, "xi": 0, "c1": None, "c2": None})
+    assert [name for name, _ in cfg.waveform_specs()] == [waveform]
+
+
+def test_a_given_c1_is_never_tuned(tmp_path, capsys):
+    """At n = 16 tuning is infeasible, but a given c1 is not tuned: it runs,
+    and the omitted c2 is afdm_tune's 1/(2N^2)."""
+    scenario = {"waveform": "afdm", "n": 16, "c1": 0.0123, "frames": 2, "snr_sweep": [10.0]}
+    spec = ScenarioConfig.from_dict(scenario).afdm_spec()
+    assert (spec.c1, spec.c2) == (0.0123, afdm_tune(1, 1, 0, 16)[1]) == (0.0123, 1 / 512)
+    assert main(["ber", "--config", write_config(tmp_path, scenario), "--out", str(tmp_path / "out")]) == 0
+    assert len(read_csv(tmp_path / "out" / "ber.csv")) == 1
+    # a given c2 beside a tuned c1 is kept as given
+    spec = ScenarioConfig.from_dict({"waveform": "afdm", "n": 36, "c2": 0.011}).afdm_spec()
+    assert (spec.c1, spec.c2) == (afdm_tune(3, 2, 0, 36)[0], 0.011)
+
+
+def test_xi_with_a_given_c1_exits_2(tmp_path, capsys):
+    message = "xi sets the tuned AFDM chirp: a given c1 is not tuned"
+    for waveform in ("afdm", "all"):
+        patch = {"waveform": waveform, "c1": 0.0123, "xi": 1}
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(patch)
+        assert str(exc.value) == message
+        assert main(["ber", "--config", write_config(tmp_path, patch), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert ScenarioConfig.from_dict({"waveform": "afdm", "c1": 0.0123, "xi": 0}).xi == 0
 
 
 @pytest.mark.parametrize("text, message", [
@@ -772,17 +810,25 @@ _WRONG_TYPE = st.sampled_from(["x", [], {}, True, None, 1.5])
 @st.composite
 def scenarios(draw):
     """A scenario dict with n <= 37 and at most 2 frames and trials: a valid
-    draw of some fields, the OTFS grid from a divisor of n whenever n is not
-    a square and the waveform has a grid, and, a third of the time, one field set to an edge value or a
-    value of the wrong type."""
+    draw of some fields, the AFDM chirp fields only if the waveform has a
+    chirp (xi only without c1), the OTFS grid from a divisor of n whenever n
+    is not a square and the waveform has a grid, and, a third of the time,
+    one field set to an edge value or a value of the wrong type."""
     n = draw(st.sampled_from([25, 36, 37]) | st.integers(1, 37))
     scenario = {"n": n, "frames": 1, "trials": 1, "snr_sweep": [10.0], "refine_levels": 1}
     for name in sorted(draw(st.sets(st.sampled_from(sorted(set(_FIELDS) - {"n", "k"}))))):
         scenario[name] = draw(_FIELDS[name][0])
     if "cp_len" in scenario:  # at least the largest delay
         scenario["cp_len"] += scenario.get("ell_max", 3)
-    # the grid only where it is read: an OTFS grid given to another waveform exits 2
-    has_grid = scenario.get("waveform", "all") in ("otfs", "all")
+    # the grid and the chirp only where they are read: an OTFS grid or an
+    # AFDM chirp field given to another waveform exits 2, as does xi beside c1
+    waveform = scenario.get("waveform", "all")
+    if waveform not in ("afdm", "all"):
+        for name in ("c1", "c2", "xi"):
+            scenario.pop(name, None)
+    if "c1" in scenario:
+        scenario.pop("xi", None)
+    has_grid = waveform in ("otfs", "all")
     if has_grid and (math.isqrt(n) ** 2 != n or draw(st.booleans())):
         k = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
         scenario["k"], scenario["l"] = k, n // k
