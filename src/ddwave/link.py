@@ -8,28 +8,33 @@ demodulate(H^H (H H^H + s2 I)^{-1} r) for the CP-stripped block r.
 Fold layout. The fold permutation 0, N-1, 1, N-2, ... (_fold) turns a
 matrix whose nonzeros lie within cyclic distance b of the diagonal into a
 plain band of half-width at most 2b + 1. H has ell_max + 1 populated cyclic
-diagonals and A = H H^H + s2 I has 2 ell_max + 1, so folded A, cut into nb
-blocks of m rows, m at least its half-width (_band_layout), is block
-tridiagonal and Hermitian positive definite. Block cyclic reduction
-(Heller, SIAM J. Numer. Anal. 13, 1976) then needs no pivoting across
-blocks: each level solves the odd block rows in one batched solve, and
-their Schur complements turn the even rows into the half-size system of
-the even unknowns; back-substitution recovers the odd ones. That is about
-log2(nb) levels and O(N m^2) work. ZF solves folded H densely, O(N^3), its
-band bounding the growth of partial pivoting, behind a guard that refuses
+diagonals and A = H H^H + s2 I has 2 ell_max + 1; folded A's half-width w
+(_band_layout) bounds folded H's too. Where numpy's bundled OpenBLAS is
+found (_lapack), each frame takes one LAPACK call on a band store of w
+sub- and superdiagonals: ZF one zgbsv (banded LU with partial pivoting,
+backward stable as dense GEPP is) of folded H, LMMSE one zgbsv of folded A
+per noise variance, O(N w^2) either. Otherwise numpy kernels run. Folded
+A, cut into nb blocks of m rows, m at least w, is block tridiagonal and
+Hermitian positive definite, so block cyclic reduction (Heller, SIAM J.
+Numer. Anal. 13, 1976) needs no pivoting across blocks: each level solves
+the odd block rows in one batched solve, and their Schur complements turn
+the even rows into the half-size system of the even unknowns;
+back-substitution recovers the odd ones. That is about log2(nb) levels and
+O(N m^2) work. ZF then solves folded H densely, O(N^3), its band bounding
+the growth of partial pivoting. ZF runs behind a guard that refuses
 cond(H) = cond(G) > 1e12. Its two certificates, derived in the comment
 above _tau, cost O(N ell_max) (Weyl's bound) and O(N ell_max^2) (a banded
-Cholesky of folded H H^H) per channel; only a channel neither clears gets
-an SVD.
+Cholesky of folded H H^H, LAPACK's zpbtrf where found) per channel; only a
+channel neither clears gets an SVD.
 
 Frames. Frame key k draws its channel, bits and noise, in that order, from
 substream(seed, *k) (_draw_frames). No draw depends on the SNR points, the
 waveforms or the stacks the frames run in, and no later step reads a stack
 size. So a result is a pure function of (config, seed), frame i is the
 same frame at every point and for every waveform, and a sweep's row equals
-a one-point, one-waveform run, up to the rounding of LMMSE's shared
-reduction of several right-hand sides. Each stack is sized by its own
-largest array within one budget (_CHUNK_ENTRIES): a sweep draws,
+a one-point, one-waveform run, up to the rounding of the numpy kernels'
+shared LMMSE reduction of several right-hand sides. Each stack is sized
+by its own largest array within one budget (_CHUNK_ENTRIES): a sweep draws,
 modulates, sends, demodulates, demaps and counts its frames in chunks of
 as many frames as keep their O(N) stacks within it (_chunks), and only the
 solvers and the ZF guard's certificate cut a chunk into sub-stacks of
@@ -38,15 +43,15 @@ mapped once, each waveform modulates once for the whole sweep, and each
 point adds its own scaling of the frame's noise. Waveforms with equal
 prefix vectors see the same H (_prefix_groups): per chunk and group, H's
 diagonals are formed once, and LMMSE forms those of H H^H once per
-sub-stack and runs one reduction per point with a right-hand-side column
-per waveform. ZF guards the chunk's groups as one stack, one decision per
+sub-stack and solves once per point with a right-hand-side column per
+waveform. ZF guards the chunk's groups as one stack, one decision per
 frame, the first refusal in frame and then group order raising, so a
 refused sweep names the same frame whatever its stack sizes; then each
-group makes one batched solve per sub-stack, one LU per frame for the
-blocks of every point and waveform of the group, and each waveform one
-demodulate of its slice. LAPACK factors each matrix of a stack alone and
-solves each right-hand side column alone, so every row equals equalize_zf
-on that frame's realization, bit for bit.
+group makes one LU per frame for the blocks of every point and waveform
+of the group, and each waveform one demodulate of its slice. LAPACK
+factors each matrix of a stack alone and solves each right-hand side
+column alone, so every row equals equalize_zf on that frame's
+realization, bit for bit. The two paths may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _lapack
 from .channel import (
     ChannelConfig,
     ChannelRealization,
@@ -275,12 +281,18 @@ class _BandLayout:
     diag_dst: np.ndarray
     pad_dst: np.ndarray
     vec: np.ndarray
-    # _certified's band store: folded A's half-width w, and the band entries
-    # chol_src on or below the diagonal, folded (j + t, j), at chol_dst[k] =
-    # j * store_width + t of a store of rows of store_width = max(2w, 1)
+    # Band stores, flattened (N, width) arrays of one frame whose row j holds
+    # folded column j, w being folded A's half-width: band entry k at gb_dst[k]
+    # of zgbsv's store, width 3w + 1 (H's entries are the first
+    # (ell_max + 1) N); the entries chol_src on or below the diagonal, folded
+    # (j + t, j), at pb_dst[k] = j (w + 1) + t of zpbtrf's lower store, and at
+    # chol_dst[k] = j * store_width + t of the numpy certificate's rows of
+    # store_width = max(2w, 1)
     half_width: int
+    gb_dst: np.ndarray
     store_width: int
     chol_src: np.ndarray
+    pb_dst: np.ndarray
     chol_dst: np.ndarray
     # H^H z: entry k sums conj(d[e]) * z at (k + e) mod N over e, read from the
     # flattened (ell_max + 1, N) product at adjoint_src[:, k]
@@ -337,8 +349,10 @@ def _band_layout(N: int, ell_max: int, R: int = 1) -> _BandLayout:
         vec=(inv * width + m + np.arange(R)[:, None]).ravel(),
         adjoint_src=np.arange(ell_max + 1)[:, None] * N + (n + np.arange(ell_max + 1)[:, None]) % N,
         half_width=half_width,
+        gb_dst=j * (3 * half_width + 1) + 2 * half_width + i - j,
         store_width=store_width,
         chol_src=lower,
+        pb_dst=j[lower] * (half_width + 1) + (i - j)[lower],
         chol_dst=j[lower] * store_width + (i - j)[lower],
     )
 
@@ -409,11 +423,13 @@ def _gram(d: np.ndarray, lay: _BandLayout) -> np.ndarray:
 # cond(H)^2 = cond(A) <= tr(A) / lambda_min(A) <= 2 / tau_N = K^2.
 # Folded M is a band of half-width w (module docstring), and so is R, whose
 # entries outside it are exact zeros: _certified evaluates the dense
-# Cholesky's recurrences, right-looking and column by column, for the
-# entries in the band alone, each pivot's root scaling its column through
-# its reciprocal as LAPACK's does, and skips only terms that are exactly
-# zero. Theorem 10.3 holds for any order of evaluating each inner product,
-# so the bound is the dense factorization's, at O(N w^2) instead of O(N^3).
+# Cholesky's recurrences for the entries in the band alone and skips only
+# terms that are exactly zero. With LAPACK it calls zpbtrf, which below its
+# block size (w < 32) runs zpbtf2: right-looking, column by column, each
+# pivot's root scaling its column through its reciprocal. The numpy column
+# loop does the same, vectorized over frames. Theorem 10.3 holds for any
+# order of evaluating each inner product, so the bound is the dense
+# factorization's, at O(N w^2) instead of O(N^3).
 # The bounds assume no underflow or overflow:
 # frames whose trace lies outside (1e-200, 1e200) get no certificate.
 def _tau(N: int) -> float:
@@ -442,25 +458,35 @@ def _certified(d: np.ndarray) -> np.ndarray:
     for each H of a (..., ell_max + 1, N) stack d of H's diagonals: a bool
     array of the leading shape. Per sub-stack of as many frames as keep
     their band stores within _stack_size, folded M's entries on and below
-    the diagonal go to a store S[j, t] = M[j + t, j] of N + w rows
-    (_BandLayout), frames last, and one right-looking Cholesky runs column
-    by column on all its frames: an H is certified iff its trace is in range
-    and every pivot is positive. Each step is elementwise across frames, so
-    each H is decided alone; no N x N array is formed."""
+    the diagonal go to a store S[j, t] = M[j + t, j] (_BandLayout): with
+    LAPACK, one zpbtrf per frame on its (N, w + 1) store; else a store of
+    N + w rows, frames last, and one right-looking Cholesky column by column
+    on all its frames. An H is certified iff its trace is in range, the
+    factorization ran to completion and every stored pivot is positive (so
+    not NaN). Each H is decided alone; no N x N array is formed."""
     E, N = d.shape[-2:]
     lay = _band_layout(N, E - 1)
     w, L = lay.half_width, lay.store_width
     flat = d.reshape(-1, E, N)
     ok = np.empty(len(flat), dtype=bool)
-    size = _stack_size((N + w) * L)
+    lapack = _lapack.banded()
+    size = _stack_size(N * (w + 1) if lapack else (N + w) * L)
     # a frame out of range or past a failed pivot may fill with infs and NaNs,
-    # which stay in its own column of the store
+    # which stay in its own store
     with np.errstate(all="ignore"):
         for start in range(0, len(flat), size):
             a = _gram(flat[start : start + size], lay)
             b = len(a)
             trace = a[:, lay.slot0].real.sum(axis=1)
             a[:, lay.slot0] -= _tau(N) * trace[:, None]
+            in_range = (1e-200 < trace) & (trace < 1e200)
+            if lapack:
+                S = np.zeros((b, N * (w + 1)), dtype=complex)
+                S[:, lay.pb_dst] = a.reshape(b, -1)[:, lay.chol_src]
+                done = lapack.pbtrf(S.reshape(b, N, w + 1)) == 0
+                pivots = S.reshape(b, N, w + 1)[:, :, 0].real
+                ok[start : start + size] = in_range & done & (pivots > 0).all(axis=1)
+                continue
             S = np.zeros(((N + w) * L, b), dtype=complex)
             S[lay.chol_dst] = a.reshape(b, -1)[:, lay.chol_src].T
             rows = S.reshape(N + w, L, b)
@@ -473,7 +499,7 @@ def _certified(d: np.ndarray) -> np.ndarray:
                 S[base : base + w * (L - 1)].reshape(w, L - 1, b)[:, :w] -= col * col[:, None].conj()
             # each pivot stays in column 0 of its row: later updates start below it
             pivots = rows[:N, 0].real
-            ok[start : start + size] = (1e-200 < trace) & (trace < 1e200) & (pivots > 0).all(axis=0)
+            ok[start : start + size] = in_range & (pivots > 0).all(axis=0)
     return ok.reshape(d.shape[:-2])
 
 
@@ -505,19 +531,42 @@ def _zf_guard(d: np.ndarray) -> None:
 
 def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     """H^{-1} r for a (B, ell_max + 1, N) stack d of H's diagonals and a
-    (B, ..., N) stack r: one batched solve per sub-stack of _stack_size(N^2)
-    frames, the size of its (b, N, N) folded H's, with one dense LU of each
-    for all the blocks of its frame. The caller guards H (_zf_guard)."""
+    (B, ..., N) stack r, with one LU of each folded H for all the blocks of
+    its frame: with LAPACK, one zgbsv per frame on sub-stacks of
+    _stack_size(N (3w + 1)) frames, the size of their band stores; else one
+    batched dense solve per sub-stack of _stack_size(N^2), the size of its
+    (b, N, N) folded H's. The caller guards H (_zf_guard)."""
     B, N = r.shape[0], r.shape[-1]
-    perm = _band_layout(N, d.shape[1] - 1).perm
+    lay = _band_layout(N, d.shape[1] - 1)
     z = np.empty(r.shape, dtype=complex)
     rows, out = r.reshape(B, -1, N), z.reshape(B, -1, N)
-    size = _stack_size(N * N)
+    lapack = _lapack.banded()
+    w = lay.half_width
+    size = _stack_size(N * (3 * w + 1) if lapack else N * N)
     for start in range(0, B, size):
         sub = slice(start, start + size)
-        cols = rows[sub][..., perm].swapaxes(1, 2)
-        out[sub][..., perm] = np.linalg.solve(_folded(d[sub]), cols).swapaxes(1, 2)
+        if lapack:
+            ds = d[sub]
+            ab = np.zeros((len(ds), N * (3 * w + 1)), dtype=complex)
+            ab[:, lay.gb_dst[: ds[0].size]] = ds.reshape(len(ds), -1)
+            out[sub] = _banded_solve(lapack, lay, ab, rows[sub])
+        else:
+            cols = rows[sub][..., lay.perm].swapaxes(1, 2)
+            out[sub][..., lay.perm] = np.linalg.solve(_folded(d[sub]), cols).swapaxes(1, 2)
     return z
+
+
+def _banded_solve(lapack, lay: _BandLayout, ab: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x = A^{-1} r for (b, k, N) columns r in sample order, each frame's
+    folded A in zgbsv's band store ab, (b, N (3w + 1)), which it overwrites:
+    one zgbsv per frame. Raises LinAlgError, as np.linalg.solve does, when
+    an exactly zero pivot makes a frame's A singular."""
+    w, x = lay.half_width, np.ascontiguousarray(r[..., lay.perm])
+    if lapack.gbsv(ab.reshape(len(ab), -1, 3 * w + 1), w, w, x).any():
+        raise np.linalg.LinAlgError("Singular matrix")
+    out = np.empty_like(x)
+    out[..., lay.perm] = x
+    return out
 
 
 def _cyclic_reduction(F: np.ndarray, m: int) -> None:
@@ -564,15 +613,20 @@ def _lmmse_sweep(d: np.ndarray, r: np.ndarray, noise_vars) -> np.ndarray:
     """H^H (H H^H + s2 I)^{-1} r[:, s] at s2 = noise_vars[s], shape (B, S, R, N),
     for a (B, ell_max + 1, N) stack of H's diagonals and a (B, S, R, N)
     stack r: R blocks per frame at each of S noise variances. The frames go
-    in sub-stacks of _stack_size(nb m width), the size of their block rows
-    F; per sub-stack the diagonals of H H^H are formed once, then one
-    _cyclic_reduction per variance.
+    in sub-stacks of as many as keep their largest arrays within
+    _stack_size: with LAPACK their (N, 3w + 1) band stores, else their
+    (nb, m, width) block rows F. Per sub-stack the diagonals of H H^H are
+    formed once, then per variance one zgbsv per frame, or one
+    _cyclic_reduction.
     """
     B, S, R, N = r.shape
     lay = _band_layout(N, d.shape[1] - 1, R)
     x = np.empty(r.shape, dtype=complex)
-    size = _stack_size(lay.nb * lay.m * lay.width)
-    buffer = np.empty((min(B, size), lay.nb * lay.m * lay.width), dtype=complex)
+    lapack = _lapack.banded()
+    w = lay.half_width
+    entries = N * (3 * w + 1) if lapack else lay.nb * lay.m * lay.width
+    size = _stack_size(entries)
+    buffer = np.empty((min(B, size), entries), dtype=complex)
     for start in range(0, B, size):
         sub = slice(start, start + size)
         ds = d[sub]
@@ -580,13 +634,19 @@ def _lmmse_sweep(d: np.ndarray, r: np.ndarray, noise_vars) -> np.ndarray:
         a, F = _gram(ds, lay).reshape(b, -1), buffer[:b]
         for s, noise_var in enumerate(noise_vars):
             F.fill(0.0)
-            F[:, lay.band_dst] = a
-            F[:, lay.pad_dst] = 1.0
-            F[:, lay.diag_dst] += noise_var
-            F[:, lay.vec] = r[sub, s].reshape(b, -1)
-            _cyclic_reduction(F.reshape(b, lay.nb, lay.m, lay.width), lay.m)
+            if lapack:
+                F[:, lay.gb_dst] = a
+                F[:, lay.gb_dst[lay.slot0 * N : (lay.slot0 + 1) * N]] += noise_var
+                y = _banded_solve(lapack, lay, F, r[sub, s])
+            else:
+                F[:, lay.band_dst] = a
+                F[:, lay.pad_dst] = 1.0
+                F[:, lay.diag_dst] += noise_var
+                F[:, lay.vec] = r[sub, s].reshape(b, -1)
+                _cyclic_reduction(F.reshape(b, lay.nb, lay.m, lay.width), lay.m)
+                y = F[:, lay.vec].reshape(b, R, N)
             # one (b R, ell_max + 1, N) product, summed over the delays as one stack
-            u = ds.conj()[:, None] * F[:, lay.vec].reshape(b, R, 1, N)
+            u = ds.conj()[:, None] * y.reshape(b, R, 1, N)
             x[sub, s] = u.reshape(b * R, -1)[:, lay.adjoint_src].sum(axis=1).reshape(b, R, N)
     return x
 
@@ -725,7 +785,7 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
     for group, d in diagonals:
         # per chunk and prefix group, the (B, S, R, N) blocks of its R waveforms:
         # ZF makes one LU per frame for all S R of them, LMMSE one Gram and
-        # then one reduction per point with a right-hand side per waveform
+        # then one solve per point with a right-hand side per waveform
         r = np.stack([stacks[w][1] for w in group], axis=2)
         if detector == "zf":
             z = _zf_solve(d, r)
@@ -766,11 +826,11 @@ def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
         for chunk in _chunks(frames, chan_config.N, rows)
     ]
     errors = np.concatenate([e for e, _ in results], axis=1).sum(axis=1).tolist()
-    paprs = np.concatenate([p for _, p in results], axis=1)
+    p99s = np.percentile(np.concatenate([p for _, p in results], axis=1), 99, axis=1).tolist()
     total_bits = frames * chan_config.N * constellation.bits_per_symbol
     return [
         [LinkResult(snr, frames, e, e / total_bits, p99) for snr, e in zip(snrs, errs)]
-        for errs, p99 in zip(errors, (float(np.percentile(p, 99)) for p in paprs))
+        for errs, p99 in zip(errors, p99s)
     ]
 
 

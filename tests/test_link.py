@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from ddwave import link, sensing
+from ddwave import _lapack, link, sensing
 from ddwave.channel import (
     ChannelConfig,
     ChannelRealization,
@@ -942,18 +942,38 @@ def test_no_result_depends_on_the_stack_sizes(case):
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
+class _RecordingBanded:
+    """The banded LAPACK routines, recording the (b, N, width) band stores of each call."""
+
+    def __init__(self, lapack, stores):
+        self.lapack, self.stores = lapack, stores
+
+    def gbsv(self, ab, kl, ku, b):
+        self.stores.append(("gbsv", ab.shape))
+        return self.lapack.gbsv(ab, kl, ku, b)
+
+    def pbtrf(self, ab):
+        self.stores.append(("pbtrf", ab.shape))
+        return self.lapack.pbtrf(ab)
+
+
 @pytest.mark.parametrize("budget", [1, 1 << 12, link._CHUNK_ENTRIES, 1 << 22])
 def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
     """Each _draw_frames stack of a BER sweep or a sensing point holds at
     most _CHUNK_ENTRIES entries in its largest O(N) stack, `rows` length-N
     rows per frame, and is as large as that allows; each solver sub-stack
-    holds at most as many in its own arrays, ZF's (b, N, N) folded H's,
-    the ZF guard's (b, N + w, max(2w, 1)) band stores and LMMSE's (b, nb,
-    m, width) block rows. A stack of one frame is the only exception. The
-    ber-small-n64 shape draws its 50 frames at once."""
+    holds at most as many in its own arrays. With LAPACK (_lapack.banded)
+    those are the (b, N, 3w + 1) band stores of both equalizers' zgbsv and
+    the ZF guard's (b, N, w + 1) zpbtrf stores, and no folded H or block
+    row is formed but the guard's SVD of a lone frame; with the numpy
+    kernels, ZF's (b, N, N) folded H's, the ZF guard's (b, N + w, max(2w, 1))
+    band stores and LMMSE's (b, nb, m, width) block rows. A stack of one
+    frame is the only exception. The ber-small-n64 shape draws its 50
+    frames at once."""
     monkeypatch.setattr(link, "_CHUNK_ENTRIES", budget)
-    draws, folded, reductions, grams = [], [], [], []
+    draws, folded, reductions, grams, stores = [], [], [], [], []
     draw_frames, fold, reduce, gram = link._draw_frames, link._folded, link._cyclic_reduction, link._gram
+    lapack = _lapack.banded()
 
     def drawing(*args):
         draws.append(list(args[-1]))
@@ -976,6 +996,8 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
     monkeypatch.setattr(link, "_folded", folding)
     monkeypatch.setattr(link, "_cyclic_reduction", reducing)
     monkeypatch.setattr(link, "_gram", gramming)
+    if lapack:
+        monkeypatch.setattr(_lapack, "banded", lambda: _RecordingBanded(lapack, stores))
     c1, c2 = afdm_tune(3, 1, 1, 37)
     odd = [OfdmSpec(37, 3), AfdmSpec(37, c1, c2, 1, 3)]  # two prefix groups
     three = [spec for _, spec in ScenarioConfig.from_dict({"n": 64, "k": 8, "l": 8}).waveform_specs()]
@@ -986,7 +1008,7 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
         (odd, 37, [10.0, np.inf], 60, "lmmse"),  # 8 rows of diagonals
     ]
     for specs, N, snrs, frames, detector in cases:
-        for record in (draws, folded, reductions, grams):
+        for record in (draws, folded, reductions, grams, stores):
             record.clear()
         cfg = _dispersive_config(N)
         link._ber_sweep(specs, cfg, QAM16, snrs, frames, detector, 4, "fractional")
@@ -996,13 +1018,22 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
             assert len(keys) * rows * N <= budget or len(keys) == 1
         for keys in draws[:-1]:
             assert (len(keys) + 1) * rows * N > budget
-        for b in folded:
-            assert b * N * N <= budget or b == 1
-        for shape in reductions:
-            assert np.prod(shape) <= budget or shape[0] == 1
-        if detector == "zf":  # LMMSE's Gram sub-stacks are its block rows'
-            assert grams and all(entries <= budget or b == 1 for b, entries in grams)
-        assert (detector == "zf") == bool(folded) and (detector == "lmmse") == bool(reductions)
+        if lapack:
+            w = link._band_layout(N, cfg.ell_max).half_width
+            widths = {"gbsv": 3 * w + 1, "pbtrf": w + 1}
+            for routine, (b, n, width) in stores:
+                assert n == N and width == widths[routine]
+                assert b * N * width <= budget or b == 1
+            assert {routine for routine, _ in stores} == ({"gbsv", "pbtrf"} if detector == "zf" else {"gbsv"})
+            assert not reductions and all(b == 1 for b in folded)  # the guard's SVD, if any
+        else:
+            for b in folded:
+                assert b * N * N <= budget or b == 1
+            for shape in reductions:
+                assert np.prod(shape) <= budget or shape[0] == 1
+            if detector == "zf":  # LMMSE's Gram sub-stacks are its block rows'
+                assert grams and all(entries <= budget or b == 1 for b, entries in grams)
+            assert (detector == "zf") == bool(folded) and (detector == "lmmse") == bool(reductions)
         if budget == 1 << 16 and specs is three:  # the default budget
             assert [len(keys) for keys in draws] == [50]
     # a sensing point: H's (B, ell_max + 1, N) diagonals are its largest stack
@@ -1292,3 +1323,73 @@ def test_certified_keeps_an_n1024_frame_far_below_a_dense_matrix():
         tracemalloc.stop()
     assert got == expected
     assert peak < 1024 * 1024 * 16 / 8, peak
+
+
+@pytest.mark.skipif(_lapack.banded() is None, reason="numpy's bundled OpenBLAS has no banded LAPACK here")
+@pytest.mark.parametrize("N", [37, 61, 64, 97, 128])
+@pytest.mark.parametrize("ell_max", [0, 1, 3, 5])
+def test_banded_lapack_equalizers_match_the_dense_reference(N, ell_max):
+    """On the LAPACK path, ZF's zgbsv of folded H and LMMSE's zgbsv of folded
+    H H^H + s2 I agree with dense solves of H to 1e-10 relative, at odd,
+    prime and even N, for S x R blocks per frame and at s2 = 0. The
+    channels have a unit direct path (cond(H) <= 3), so the guard accepts
+    them and a dense solve is a sharp reference."""
+    B = 3
+    d = np.stack([
+        delay_diagonals(_realization(N, _dominant_paths(10 * N + b, 4, ell_max, 1), ell_max, 1), np.ones(N))
+        for b in range(B)
+    ])
+    noise_vars = [0.0, 0.1, 1.0]
+    for S, R in ((1, 1), (2, 3), (3, 2)):
+        rng = np.random.default_rng(N + S + R)
+        r = rng.standard_normal((B, S, R, N, 2)) @ np.array([1.0, 1.0j])
+        zf = link._zf_solve(d, r)
+        lmmse = link._lmmse_sweep(d, r, noise_vars[:S])
+        for b in range(B):
+            H = _dense_H(d[b])
+            cols = r[b].reshape(-1, N).T
+            want = np.linalg.solve(H, cols).T.reshape(S, R, N)
+            assert np.max(np.abs(zf[b] - want)) <= 1e-10 * np.max(np.abs(want)), (S, R, b)
+            for s, noise_var in enumerate(noise_vars[:S]):
+                A = H @ H.conj().T + noise_var * np.eye(N)
+                want = (H.conj().T @ np.linalg.solve(A, r[b, s].T)).T
+                assert np.max(np.abs(lmmse[b, s] - want)) <= 1e-10 * np.max(np.abs(want)), (S, R, b, s)
+
+
+def test_an_exactly_singular_system_raises_linalgerror_and_ber_exits_3(tmp_path, monkeypatch, capsys):
+    """A zero row of H stays zero through elimination, so LU meets an exact
+    zero pivot in folded H and in folded H H^H at s2 = 0: both solvers raise
+    LinAlgError, as np.linalg.solve does, and a noiseless LMMSE `ddwave ber`
+    through H = 0 exits 3."""
+    d = delay_diagonals(_realization(64, _dominant_paths(3, 3, 3, 1), f_max=1), np.ones(64))
+    d[:, 20] = 0.0
+    r = _block(64, 5)[None, None, None]
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        link._zf_solve(d[None], r)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        link._lmmse_sweep(d[None], r, [0.0])
+    assert np.all(np.isfinite(link._lmmse_sweep(d[None], r, [0.1])))
+
+    silent = _realization(64, [(0.0j, 0, 0.0)], ell_max=0, f_max=1)
+    monkeypatch.setattr(link, "_draw_paths", lambda config, mode, rng: _path_arrays(silent.paths))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "waveform": "ofdm", "n": 64, "ell_max": 0, "f_max": 1, "paths": 1, "cp_len": 0,
+        "detector": "lmmse", "snr_sweep": [float("inf")], "frames": 3,
+    }))
+    assert main(["ber", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: Singular matrix" in capsys.readouterr().err
+
+
+def test_a_frame_whose_trace_is_nan_or_inf_is_never_certified():
+    """The certificate refuses a frame whose trace is NaN or infinite: an
+    entry of NaN, of inf, or one whose square overflows. Each frame is
+    decided alone, so the finite frames between them stay certified."""
+    good = delay_diagonals(_realization(64, _dominant_paths(4, 3, 3, 1), f_max=1), np.ones(64))
+    bad = []
+    for value in (np.nan, complex(np.nan, np.nan), np.inf, complex(0.0, -np.inf), 1e160):
+        x = good.copy()
+        x[1, 9] = value
+        bad.append(x)
+    stack = np.stack([frame for x in bad for frame in (good, x)])
+    assert link._certified(stack).tolist() == [True, False] * len(bad)
