@@ -9,49 +9,40 @@ Fold layout. The fold permutation 0, N-1, 1, N-2, ... (_fold) turns a
 matrix whose nonzeros lie within cyclic distance b of the diagonal into a
 plain band of half-width at most 2b + 1. H has ell_max + 1 populated cyclic
 diagonals and A = H H^H + s2 I has 2 ell_max + 1; folded A's half-width w
-(_band_layout) bounds folded H's too. Where numpy's bundled OpenBLAS is
-found (_lapack), each frame takes one LAPACK call on a band store of w
-sub- and superdiagonals: ZF one zgbsv (banded LU with partial pivoting,
-backward stable as dense GEPP is) of folded H, LMMSE one zgbsv of folded A
-per noise variance, O(N w^2) either. Otherwise numpy kernels run. Folded
-A, cut into nb blocks of m rows, m at least w, is block tridiagonal and
-Hermitian positive definite, so block cyclic reduction (Heller, SIAM J.
-Numer. Anal. 13, 1976) needs no pivoting across blocks: each level solves
-the odd block rows in one batched solve, and their Schur complements turn
-the even rows into the half-size system of the even unknowns;
-back-substitution recovers the odd ones. That is about log2(nb) levels and
-O(N m^2) work. ZF then solves folded H densely, O(N^3), its band bounding
-the growth of partial pivoting. ZF runs behind a guard that refuses
+(_band_layout) bounds folded H's too. Each frame takes one call of
+_lapack.banded() on a band store of w sub- and superdiagonals: LAPACK's
+zgbsv from numpy's bundled OpenBLAS where found, else the same routine's
+steps in numpy. ZF makes one gbsv (banded LU with partial pivoting,
+backward stable as dense GEPP is) of folded H, LMMSE one gbsv of folded A
+per noise variance, O(N w^2) either. ZF runs behind a guard that refuses
 cond(H) = cond(G) > 1e12. Its two certificates, derived in the comment
 above _tau, cost O(N ell_max) (Weyl's bound) and O(N ell_max^2) (a banded
-Cholesky of folded H H^H, LAPACK's zpbtrf where found) per channel; only a
-channel neither clears gets an SVD.
+Cholesky of folded H H^H, pbtrf) per channel; only a channel neither
+clears gets an SVD.
 
 Frames. Frame key k draws its channel, bits and noise, in that order, from
 substream(seed, *k) (_draw_frames). No draw depends on the SNR points, the
 waveforms or the stacks the frames run in, and no later step reads a stack
-size. So a result is a pure function of (config, seed), frame i is the
-same frame at every point and for every waveform, and a sweep's row equals
-a one-point, one-waveform run, up to the rounding of the numpy kernels'
-shared LMMSE reduction of several right-hand sides. Each stack is sized
-by its own largest array within one budget (_CHUNK_ENTRIES): a sweep draws,
-modulates, sends, demodulates, demaps and counts its frames in chunks of
-as many frames as keep their O(N) stacks within it (_chunks), and only the
-solvers and the ZF guard's certificate cut a chunk into sub-stacks of
-their N x N, block-row or band-store arrays. Per chunk, the bits are
-mapped once, each waveform modulates once for the whole sweep, and each
-point adds its own scaling of the frame's noise. Waveforms with equal
-prefix vectors see the same H (_prefix_groups): per chunk and group, H's
-diagonals are formed once, and LMMSE forms those of H H^H once per
-sub-stack and solves once per point with a right-hand-side column per
+size. So a result is a pure function of (config, seed), frame i is the same
+frame at every point and for every waveform, and a sweep's row equals a
+one-point, one-waveform run. Each stack is sized by its own largest array
+within one budget (_CHUNK_ENTRIES): a sweep draws, modulates, sends,
+demodulates, demaps and counts its frames in chunks of as many frames as
+keep their O(N) stacks within it (_chunks), and only the solvers and the ZF
+guard's certificate cut a chunk into sub-stacks of their band stores. Per
+chunk, the bits are mapped once, each waveform modulates once for the whole
+sweep, and each point adds its own scaling of the frame's noise. Waveforms
+with equal prefix vectors see the same H (_prefix_groups): per chunk and
+group, H's diagonals are formed once, and LMMSE forms those of H H^H once
+per sub-stack and solves once per point with a right-hand-side column per
 waveform. ZF guards the chunk's groups as one stack, one decision per
 frame, the first refusal in frame and then group order raising, so a
 refused sweep names the same frame whatever its stack sizes; then each
 group makes one LU per frame for the blocks of every point and waveform
-of the group, and each waveform one demodulate of its slice. LAPACK
-factors each matrix of a stack alone and solves each right-hand side
-column alone, so every row equals equalize_zf on that frame's
-realization, bit for bit. The two paths may differ in the last bits.
+of the group, and each waveform one demodulate of its slice. Either
+kernel factors each matrix of a stack alone and solves each right-hand
+side column alone, so every row equals equalize_zf on that frame's
+realization, bit for bit. The two kernels may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -76,6 +67,15 @@ from .modem import WaveformSpec, _check_spec, _papr_db, demodulate, modulate, pr
 
 class SingularChannelError(ValueError):
     """Zero-forcing asked to invert a numerically singular channel."""
+
+
+class _SingularSystem(np.linalg.LinAlgError):
+    """np.linalg.solve's "Singular matrix": an exactly zero pivot in the
+    banded LU of frame `frame` of a solver's stack, at its point `point`."""
+
+    def __init__(self, frame: int, point: int):
+        super().__init__("Singular matrix")
+        self.frame, self.point = frame, point
 
 
 # Gray-coded PAM-4 levels indexed by the 2-bit label value
@@ -254,15 +254,10 @@ def _fold(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _BandLayout:
-    """Where the diagonals of A = H H^H + s2 I and R right-hand sides go.
-
-    Folded A is padded by an identity to nb * m rows. Block row i is one
-    (m, width) frame [A_ii | rhs_i | A_{i,i-1} | A_{i,i+1}], width 3m + R,
-    or [A | rhs], width m + R, when nb = 1. Band entry k goes to entry
-    band_dst[k] of the flattened (nb, m, width) frames and dense_dst[k] of
-    the flattened folded A; the main diagonal's go to diag_dst. Sample n of
-    right-hand side k sits at vec[k * N + n], in rhs column k of folded row
-    inv[n].
+    """Where the cyclic diagonals of H and of A = H H^H + s2 I go in fold
+    order. Band entry k, row k % N of the diagonal at the k // N-th offset,
+    is entry dense_dst[k] of the flattened folded A; H's entries are the
+    first (ell_max + 1) N.
     """
 
     perm: np.ndarray
@@ -274,46 +269,23 @@ class _BandLayout:
     pair_slot: np.ndarray  # (offsets mod N, pairs) 0/1 matrix
     slot0: int  # row of the main diagonal
     dense_dst: np.ndarray
-    nb: int
-    m: int
-    width: int
-    band_dst: np.ndarray
-    diag_dst: np.ndarray
-    pad_dst: np.ndarray
-    vec: np.ndarray
     # Band stores, flattened (N, width) arrays of one frame whose row j holds
     # folded column j, w being folded A's half-width: band entry k at gb_dst[k]
-    # of zgbsv's store, width 3w + 1 (H's entries are the first
-    # (ell_max + 1) N); the entries chol_src on or below the diagonal, folded
-    # (j + t, j), at pb_dst[k] = j (w + 1) + t of zpbtrf's lower store, and at
-    # chol_dst[k] = j * store_width + t of the numpy certificate's rows of
-    # store_width = max(2w, 1)
+    # of gbsv's store, width 3w + 1; the entries chol_src on or below the
+    # diagonal, folded (j + t, j), at pb_dst[k] = j (w + 1) + t of pbtrf's
+    # lower store
     half_width: int
     gb_dst: np.ndarray
-    store_width: int
     chol_src: np.ndarray
     pb_dst: np.ndarray
-    chol_dst: np.ndarray
     # H^H z: entry k sums conj(d[e]) * z at (k + e) mod N over e, read from the
     # flattened (ell_max + 1, N) product at adjoint_src[:, k]
     adjoint_src: np.ndarray
 
 
-# The block rule, from timings of one-point LMMSE solves with one BLAS
-# thread (CHANGES.md has the table). Each level makes about a dozen numpy
-# calls and one LAPACK solve with 2m + R right-hand sides per block, whose
-# cost per row is lowest at m = 8, so blocks have _BLOCK_ROWS rows unless
-# the band is wider. Up to N = _ONE_BLOCK_ROWS the per-level calls cost more
-# than the N^3 LU, so A is one dense block there. The rule reads N alone: a
-# frame's estimate must not depend on how many frames share its stack.
-_BLOCK_ROWS = 8
-_ONE_BLOCK_ROWS = 96
-
-
 @lru_cache(maxsize=32)
-def _band_layout(N: int, ell_max: int, R: int = 1) -> _BandLayout:
-    """The layout of A with R right-hand sides: one dense block while N <= 96,
-    else ceil(N / max(half-bandwidth, 8)) blocks of at least the half-bandwidth."""
+def _band_layout(N: int, ell_max: int) -> _BandLayout:
+    """The fold-order layout of H and A at block size N and delay spread ell_max."""
     perm, inv = _fold(N)
     offsets = sorted({o % N for o in range(-ell_max, ell_max + 1)})
     n = np.arange(N)
@@ -323,45 +295,27 @@ def _band_layout(N: int, ell_max: int, R: int = 1) -> _BandLayout:
     # band entry k: row n = k % N of diagonal k // N, at folded (i[k], j[k])
     i = np.tile(inv, len(offsets))
     j = inv[(n[None, :] - np.asarray(offsets)[:, None]) % N].ravel()
-    half_width = int(np.max(np.abs(i - j)))
-    nb = 1 if N <= _ONE_BLOCK_ROWS else -(-N // max(half_width, _BLOCK_ROWS))
-    m = max(-(-N // nb), half_width)
-    width = m + R if nb == 1 else 3 * m + R
-    bi, bj = i // m, j // m
-    col = j % m + np.select([bj == bi, bj < bi], [0, m + R], 2 * m + R)
-    band_dst = i * width + col
-    slot0 = offsets.index(0)
-    pad = np.arange(N, nb * m)
-    store_width = max(2 * half_width, 1)
+    w = int(np.max(np.abs(i - j)))
     lower = np.flatnonzero(i >= j)
     return _BandLayout(
         perm=perm,
         pair_src=(e2[:, None] * N + (n - (e - e2)[:, None]) % N).reshape(ell_max + 1, -1, N),
         pair_slot=pair_slot,
-        slot0=slot0,
+        slot0=offsets.index(0),
         dense_dst=i * N + j,
-        nb=nb,
-        m=m,
-        width=width,
-        band_dst=band_dst,
-        diag_dst=band_dst[slot0 * N : (slot0 + 1) * N],
-        pad_dst=pad * width + pad % m,
-        vec=(inv * width + m + np.arange(R)[:, None]).ravel(),
         adjoint_src=np.arange(ell_max + 1)[:, None] * N + (n + np.arange(ell_max + 1)[:, None]) % N,
-        half_width=half_width,
-        gb_dst=j * (3 * half_width + 1) + 2 * half_width + i - j,
-        store_width=store_width,
+        half_width=w,
+        gb_dst=j * (3 * w + 1) + 2 * w + i - j,
         chol_src=lower,
-        pb_dst=j[lower] * (half_width + 1) + (i - j)[lower],
-        chol_dst=j[lower] * store_width + (i - j)[lower],
+        pb_dst=j[lower] * (w + 1) + (i - j)[lower],
     )
 
 
 # The one budget of every stack of frames: 2^16 entries (1 MiB of complex128)
 # in its largest array, unless one frame needs more. A draw chunk holds O(N)
 # rows per frame (_chunks); the solvers cut it into sub-stacks by their own
-# arrays, ZF's (b, N, N) folded H's and LMMSE's (b, nb, m, width) block rows,
-# and so does the ZF guard's certificate, by its band stores (_certified).
+# arrays, both equalizers' (b, N, 3w + 1) band stores, and so does the ZF
+# guard's certificate, by its (b, N, w + 1) ones (_certified).
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -424,10 +378,10 @@ def _gram(d: np.ndarray, lay: _BandLayout) -> np.ndarray:
 # Folded M is a band of half-width w (module docstring), and so is R, whose
 # entries outside it are exact zeros: _certified evaluates the dense
 # Cholesky's recurrences for the entries in the band alone and skips only
-# terms that are exactly zero. With LAPACK it calls zpbtrf, which below its
-# block size (w < 32) runs zpbtf2: right-looking, column by column, each
-# pivot's root scaling its column through its reciprocal. The numpy column
-# loop does the same, vectorized over frames. Theorem 10.3 holds for any
+# terms that are exactly zero. It calls pbtrf (_lapack.banded): LAPACK's
+# zpbtrf, which below its block size (w < 32) runs zpbtf2, or zpbtf2's own
+# steps in numpy: right-looking, column by column, each pivot's root
+# scaling its column through its reciprocal. Theorem 10.3 holds for any
 # order of evaluating each inner product, so the bound is the dense
 # factorization's, at O(N w^2) instead of O(N^3).
 # The bounds assume no underflow or overflow:
@@ -458,19 +412,17 @@ def _certified(d: np.ndarray) -> np.ndarray:
     for each H of a (..., ell_max + 1, N) stack d of H's diagonals: a bool
     array of the leading shape. Per sub-stack of as many frames as keep
     their band stores within _stack_size, folded M's entries on and below
-    the diagonal go to a store S[j, t] = M[j + t, j] (_BandLayout): with
-    LAPACK, one zpbtrf per frame on its (N, w + 1) store; else a store of
-    N + w rows, frames last, and one right-looking Cholesky column by column
-    on all its frames. An H is certified iff its trace is in range, the
-    factorization ran to completion and every stored pivot is positive (so
-    not NaN). Each H is decided alone; no N x N array is formed."""
+    the diagonal go to pbtrf's (N, w + 1) store S[j, t] = M[j + t, j]
+    (_BandLayout), one pbtrf per frame. An H is certified iff its trace is
+    in range, the factorization ran to completion and every stored pivot
+    is positive (so not NaN). Each H is decided alone; no N x N array is
+    formed."""
     E, N = d.shape[-2:]
     lay = _band_layout(N, E - 1)
-    w, L = lay.half_width, lay.store_width
+    w = lay.half_width
     flat = d.reshape(-1, E, N)
     ok = np.empty(len(flat), dtype=bool)
-    lapack = _lapack.banded()
-    size = _stack_size(N * (w + 1) if lapack else (N + w) * L)
+    size = _stack_size(N * (w + 1))
     # a frame out of range or past a failed pivot may fill with infs and NaNs,
     # which stay in its own store
     with np.errstate(all="ignore"):
@@ -480,26 +432,10 @@ def _certified(d: np.ndarray) -> np.ndarray:
             trace = a[:, lay.slot0].real.sum(axis=1)
             a[:, lay.slot0] -= _tau(N) * trace[:, None]
             in_range = (1e-200 < trace) & (trace < 1e200)
-            if lapack:
-                S = np.zeros((b, N * (w + 1)), dtype=complex)
-                S[:, lay.pb_dst] = a.reshape(b, -1)[:, lay.chol_src]
-                done = lapack.pbtrf(S.reshape(b, N, w + 1)) == 0
-                pivots = S.reshape(b, N, w + 1)[:, :, 0].real
-                ok[start : start + size] = in_range & done & (pivots > 0).all(axis=1)
-                continue
-            S = np.zeros(((N + w) * L, b), dtype=complex)
-            S[lay.chol_dst] = a.reshape(b, -1)[:, lay.chol_src].T
-            rows = S.reshape(N + w, L, b)
-            for j in range(N):
-                col = rows[j, 1 : w + 1] * (1.0 / np.sqrt(rows[j, 0].real))
-                # M[j + s, j + t] -= col[s - 1] conj(col[t - 1]), 1 <= t <= s <= w: entry
-                # (t - 1, s - 1) of the (w, w) view of stride L - 1 from row j + 1; those
-                # with t > s land in spare columns w + 1 .. 2w - 1, which nothing reads
-                base = (j + 1) * L
-                S[base : base + w * (L - 1)].reshape(w, L - 1, b)[:, :w] -= col * col[:, None].conj()
-            # each pivot stays in column 0 of its row: later updates start below it
-            pivots = rows[:N, 0].real
-            ok[start : start + size] = in_range & (pivots > 0).all(axis=0)
+            S = np.zeros((b, N, w + 1), dtype=complex)
+            S.reshape(b, -1)[:, lay.pb_dst] = a.reshape(b, -1)[:, lay.chol_src]
+            done = _lapack.banded().pbtrf(S) == 0
+            ok[start : start + size] = in_range & done & (S[:, :, 0].real > 0).all(axis=1)
     return ok.reshape(d.shape[:-2])
 
 
@@ -531,102 +467,55 @@ def _zf_guard(d: np.ndarray) -> None:
 
 def _zf_solve(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     """H^{-1} r for a (B, ell_max + 1, N) stack d of H's diagonals and a
-    (B, ..., N) stack r, with one LU of each folded H for all the blocks of
-    its frame: with LAPACK, one zgbsv per frame on sub-stacks of
-    _stack_size(N (3w + 1)) frames, the size of their band stores; else one
-    batched dense solve per sub-stack of _stack_size(N^2), the size of its
-    (b, N, N) folded H's. The caller guards H (_zf_guard)."""
+    (B, ..., N) stack r, with one banded LU of each folded H for all the
+    blocks of its frame: one gbsv per frame on sub-stacks of
+    _stack_size(N (3w + 1)) frames, the size of their band stores. The
+    caller guards H (_zf_guard)."""
     B, N = r.shape[0], r.shape[-1]
     lay = _band_layout(N, d.shape[1] - 1)
     z = np.empty(r.shape, dtype=complex)
     rows, out = r.reshape(B, -1, N), z.reshape(B, -1, N)
-    lapack = _lapack.banded()
     w = lay.half_width
-    size = _stack_size(N * (3 * w + 1) if lapack else N * N)
+    size = _stack_size(N * (3 * w + 1))
     for start in range(0, B, size):
         sub = slice(start, start + size)
-        if lapack:
-            ds = d[sub]
-            ab = np.zeros((len(ds), N * (3 * w + 1)), dtype=complex)
-            ab[:, lay.gb_dst[: ds[0].size]] = ds.reshape(len(ds), -1)
-            out[sub] = _banded_solve(lapack, lay, ab, rows[sub])
-        else:
-            cols = rows[sub][..., lay.perm].swapaxes(1, 2)
-            out[sub][..., lay.perm] = np.linalg.solve(_folded(d[sub]), cols).swapaxes(1, 2)
+        ds = d[sub]
+        ab = np.zeros((len(ds), N * (3 * w + 1)), dtype=complex)
+        ab[:, lay.gb_dst[: ds[0].size]] = ds.reshape(len(ds), -1)
+        out[sub] = _banded_solve(lay, ab, rows[sub], start, 0)
     return z
 
 
-def _banded_solve(lapack, lay: _BandLayout, ab: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _banded_solve(lay: _BandLayout, ab: np.ndarray, r: np.ndarray, start: int, point: int) -> np.ndarray:
     """x = A^{-1} r for (b, k, N) columns r in sample order, each frame's
-    folded A in zgbsv's band store ab, (b, N (3w + 1)), which it overwrites:
-    one zgbsv per frame. Raises LinAlgError, as np.linalg.solve does, when
-    an exactly zero pivot makes a frame's A singular."""
+    folded A in gbsv's band store ab, (b, N (3w + 1)), which it overwrites:
+    one gbsv per frame (_lapack.banded). Raises _SingularSystem at frame
+    start + f and point `point` for the first frame f of the stack whose A
+    meets an exactly zero pivot."""
     w, x = lay.half_width, np.ascontiguousarray(r[..., lay.perm])
-    if lapack.gbsv(ab.reshape(len(ab), -1, 3 * w + 1), w, w, x).any():
-        raise np.linalg.LinAlgError("Singular matrix")
+    info = _lapack.banded().gbsv(ab.reshape(len(ab), -1, 3 * w + 1), w, w, x)
+    if info.any():
+        raise _SingularSystem(start + int(np.flatnonzero(info)[0]), point)
     out = np.empty_like(x)
     out[..., lay.perm] = x
     return out
-
-
-def _cyclic_reduction(F: np.ndarray, m: int) -> None:
-    """Solve B block-tridiagonal Hermitian positive definite systems in place
-    by block cyclic reduction (module docstring).
-
-    F is (B, n, m, width) with block rows F[:, i] = [D_i | b_i | L_i | U_i]
-    as in _BandLayout, L_i = A_{i,i-1} and U_i = A_{i,i+1} (L_0 and U_{n-1}
-    zero), and R right-hand sides read from the width; on return
-    F[..., m : m + R] holds x. Each level overwrites [b | L | U] of the odd
-    rows by [y | P | Q] = D^{-1} [b | L | U], and back-substitution sets
-    x_odd = y - P x_left - Q x_right.
-    """
-    R = F.shape[-1] - (m if F.shape[1] == 1 else 3 * m)
-    levels = []
-    while F.shape[1] > 1:
-        n = F.shape[1]
-        odd, even = F[:, 1::2], F[:, 0::2]
-        # odd row j couples to even j through A_{2j,2j+1} = L^H and to even
-        # j + 1 through A_{2j+2,2j+1} = U^H: one matmul gives both products
-        coupling = odd[..., m + R :].conj().swapaxes(-1, -2)
-        odd[..., m:] = np.linalg.solve(odd[..., :m], odd[..., m:])
-        t = coupling @ odd[..., m:]
-        # even j takes D -= L^H P, b -= L^H y and its new U = -L^H Q from odd
-        # j, and D -= U^H Q, b -= U^H y and its new L = -U^H P from odd j - 1
-        up, low = t[..., :m, :], t[:, : (n - 1) // 2, m:, :]
-        even[:, : n // 2, :, :m] -= up[..., R : m + R]
-        even[:, : n // 2, :, m : m + R] -= up[..., :R]
-        np.negative(up[..., m + R :], out=even[:, : n // 2, :, 2 * m + R :])
-        even[:, 1:, :, :m] -= low[..., m + R :]
-        even[:, 1:, :, m : m + R] -= low[..., :R]
-        np.negative(low[..., R : m + R], out=even[:, 1:, :, m + R : 2 * m + R])
-        levels.append(F)
-        F = even
-    F[..., m : m + R] = np.linalg.solve(F[..., :m], F[..., m : m + R])
-    for F in reversed(levels):
-        n = F.shape[1]
-        x, odd = F[..., m : m + R], F[:, 1::2]
-        x[:, 1::2] -= odd[..., m + R : 2 * m + R] @ x[:, 0 : n - 1 : 2]
-        x[:, 1 : n - 1 : 2] -= odd[:, : (n - 1) // 2, :, 2 * m + R :] @ x[:, 2::2]
 
 
 def _lmmse_sweep(d: np.ndarray, r: np.ndarray, noise_vars) -> np.ndarray:
     """H^H (H H^H + s2 I)^{-1} r[:, s] at s2 = noise_vars[s], shape (B, S, R, N),
     for a (B, ell_max + 1, N) stack of H's diagonals and a (B, S, R, N)
     stack r: R blocks per frame at each of S noise variances. The frames go
-    in sub-stacks of as many as keep their largest arrays within
-    _stack_size: with LAPACK their (N, 3w + 1) band stores, else their
-    (nb, m, width) block rows F. Per sub-stack the diagonals of H H^H are
-    formed once, then per variance one zgbsv per frame, or one
-    _cyclic_reduction.
+    in sub-stacks of as many as keep their (N, 3w + 1) band stores within
+    _stack_size. Per sub-stack the diagonals of H H^H are formed once, then
+    per variance one gbsv per frame (_banded_solve), whose first frame with
+    a singular A raises _SingularSystem.
     """
     B, S, R, N = r.shape
-    lay = _band_layout(N, d.shape[1] - 1, R)
+    lay = _band_layout(N, d.shape[1] - 1)
     x = np.empty(r.shape, dtype=complex)
-    lapack = _lapack.banded()
     w = lay.half_width
-    entries = N * (3 * w + 1) if lapack else lay.nb * lay.m * lay.width
-    size = _stack_size(entries)
-    buffer = np.empty((min(B, size), entries), dtype=complex)
+    size = _stack_size(N * (3 * w + 1))
+    buffer = np.empty((min(B, size), N * (3 * w + 1)), dtype=complex)
     for start in range(0, B, size):
         sub = slice(start, start + size)
         ds = d[sub]
@@ -634,17 +523,9 @@ def _lmmse_sweep(d: np.ndarray, r: np.ndarray, noise_vars) -> np.ndarray:
         a, F = _gram(ds, lay).reshape(b, -1), buffer[:b]
         for s, noise_var in enumerate(noise_vars):
             F.fill(0.0)
-            if lapack:
-                F[:, lay.gb_dst] = a
-                F[:, lay.gb_dst[lay.slot0 * N : (lay.slot0 + 1) * N]] += noise_var
-                y = _banded_solve(lapack, lay, F, r[sub, s])
-            else:
-                F[:, lay.band_dst] = a
-                F[:, lay.pad_dst] = 1.0
-                F[:, lay.diag_dst] += noise_var
-                F[:, lay.vec] = r[sub, s].reshape(b, -1)
-                _cyclic_reduction(F.reshape(b, lay.nb, lay.m, lay.width), lay.m)
-                y = F[:, lay.vec].reshape(b, R, N)
+            F[:, lay.gb_dst] = a
+            F[:, lay.gb_dst[lay.slot0 * N : (lay.slot0 + 1) * N]] += noise_var
+            y = _banded_solve(lay, F, r[sub, s], start, s)
             # one (b R, ell_max + 1, N) product, summed over the delays as one stack
             u = ds.conj()[:, None] * y.reshape(b, R, 1, N)
             x[sub, s] = u.reshape(b * R, -1)[:, lay.adjoint_src].sum(axis=1).reshape(b, R, N)
@@ -679,10 +560,10 @@ def equalize_lmmse(
     spec: WaveformSpec, chan: ChannelRealization, r: np.ndarray, noise_var: float
 ) -> np.ndarray:
     """LMMSE: x_hat = demodulate(H^H (H H^H + s2 I)^{-1} r) = G^H (G G^H + s2 I)^{-1} y,
-    by block cyclic reduction of folded A (module docstring).
+    by one banded LU of folded A (module docstring).
 
     r is a CP-stripped block (N,) or an (S, N) stack through one channel;
-    x_hat has its shape. O(N m^2); no N x N array unless N <= 96.
+    x_hat has its shape. O(N ell_max^2); no N x N array.
     """
     r = _received(spec, chan, r)
     d = delay_diagonals(chan, spec.wrap)
@@ -790,7 +671,12 @@ def _run_frames(specs, chan_config: ChannelConfig, constellation: Constellation,
         if detector == "zf":
             z = _zf_solve(d, r)
         else:
-            z = _lmmse_sweep(d, r, [_noise_var(snr) for snr in snrs])
+            try:
+                z = _lmmse_sweep(d, r, [_noise_var(snr) for snr in snrs])
+            except _SingularSystem as exc:
+                names = ", ".join(type(specs[w]).__name__.removesuffix("Spec").lower() for w in group)
+                raise np.linalg.LinAlgError(f"Singular matrix in LMMSE frame {frames[exc.frame]} "
+                                            f"at {snrs[exc.point]} dB, waveforms {names}") from None
         for k, w in enumerate(group):
             count(w, demodulate(specs[w], z[:, :, k]))
     return errors, np.stack([_papr_db(s_cp) for s_cp, _ in stacks])
@@ -807,8 +693,10 @@ def _ber_sweep(specs, chan_config: ChannelConfig, constellation: Constellation,
 
     A point of +inf runs noiseless. Raises ValueError, before the first
     frame, for a NaN or -inf point, frames < 1, an unknown detector or a
-    spec that fails modem._check_spec; and SingularChannelError for the first ZF
-    frame with cond(H) > 1e12.
+    spec that fails modem._check_spec; SingularChannelError for the first ZF
+    frame with cond(H) > 1e12; and LinAlgError, naming the frame, the point
+    and the prefix group's waveforms, for an LMMSE system that meets an
+    exactly zero pivot.
     """
     for snr_db in snrs:
         _check_snr(snr_db)

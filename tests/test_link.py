@@ -328,9 +328,8 @@ def _reference_cases():
     add(OfdmSpec(16, 5), oracle.ofdm_ops(16), zero, seed=9)  # cp_len > ell_max
     spec, ops, phase = afdm(16, 3, 1, cp_len=5)
     add(spec, ops, phase, f_max=1, seed=10)
-    # the N = 97 and N = 128 cases run the cyclic reduction (N = 97 as 13
-    # blocks, the last one padded), and the wide bands (m = 24 and 14) pad
-    # the last block
+    # N = 97 and N = 128 span the band many times over, and ell_max = 12 and
+    # 7 give wide bands
     add(OfdmSpec(97, 3), oracle.ofdm_ops(97), zero, P=5, seed=11)
     add(OfdmSpec(128, 12), oracle.ofdm_ops(128), zero, ell_max=12, P=5, seed=14)  # wide band
     add(OtfsSpec(k=8, l=16, cp_len=3), oracle.otfs_ops(8, 16), zero, seed=12)
@@ -354,8 +353,7 @@ def test_equalizers_match_dense_reference():
 
 
 def test_lmmse_of_a_frame_does_not_depend_on_its_stack():
-    # N = 100 runs the cyclic reduction whether the frame is alone or one of six
-    assert link._band_layout(100, 3).nb > 1
+    # N = 100: one gbsv per frame, whether the frame is alone or one of six in its sub-stack
     cfg = _dispersive_config(100)
     rng = np.random.default_rng(100)
     chans = [sample_paths(cfg, "fractional", rng) for _ in range(6)]
@@ -369,9 +367,8 @@ def test_lmmse_of_a_frame_does_not_depend_on_its_stack():
 
 @pytest.mark.parametrize("N", [36, 96, 97, 128, 1024])
 def test_multi_column_reduction_matches_per_block_solves(N):
-    # one Gram serves both noise variances and R right-hand sides per frame;
-    # nb = 1 up to N = 96, cyclic reduction from N = 97 on
-    assert (link._band_layout(N, 3).nb > 1) == (N > 96)
+    # one Gram serves both noise variances and R right-hand sides per frame,
+    # and the banded LU solves each right-hand side column alone
     d = np.stack([
         delay_diagonals(_realization(N, _dominant_paths(seed, 3, 3, 1), f_max=1), OfdmSpec(N, 3).wrap)
         for seed in range(2)
@@ -384,57 +381,7 @@ def test_multi_column_reduction_matches_per_block_solves(N):
             got = swept[:, s]
             for k in range(R):
                 alone = link._lmmse_sweep(d, r[:, None, k : k + 1], [noise_var])[:, 0, 0]
-                assert np.max(np.abs(got[:, k] - alone)) <= 1e-12 * np.max(np.abs(alone)), (R, k)
-                if R == 1:
-                    assert np.array_equal(got[:, k], alone)
-
-
-def _block_tridiagonal_system(nb, m, B, pad, seed):
-    """B random HPD block-tridiagonal systems (A, b) of nb blocks of m rows.
-
-    A = M M^H + I for a block lower-bidiagonal M. The last `pad` rows are an
-    identity with a zero right-hand side, decoupled from the rest, as the
-    band layout pads the last block.
-    """
-    rng = np.random.default_rng(seed)
-    size = nb * m
-    A = np.empty((B, size, size), dtype=complex)
-    for b in range(B):
-        M = np.zeros((size, size), dtype=complex)
-        for i in range(nb):
-            for j in (i - 1, i):
-                if j >= 0:
-                    M[i * m : (i + 1) * m, j * m : (j + 1) * m] = rng.standard_normal((m, m, 2)) @ [1, 1j]
-        A[b] = M @ M.conj().T + np.eye(size)
-    rhs = rng.standard_normal((B, size, 2)) @ np.array([1, 1j])
-    if pad:
-        A[:, -pad:, :] = A[:, :, -pad:] = 0.0
-        A[:, -pad:, -pad:] = np.eye(pad)
-        rhs[:, -pad:] = 0.0
-    return A, rhs
-
-
-@pytest.mark.parametrize("B", [1, 3])
-@pytest.mark.parametrize("nb", range(1, 18))
-def test_cyclic_reduction_matches_the_dense_solve(nb, B):
-    # nb = 1..17 covers odd and even block counts, 2^k and 2^k + 1
-    m = 5
-    A, rhs = _block_tridiagonal_system(nb, m, B, pad=2, seed=nb)
-    width = m + 1 if nb == 1 else 3 * m + 1  # [D | b | L | U], as _band_layout lays out
-    F = np.zeros((B, nb, m, width), dtype=complex)
-    for i in range(nb):
-        rows = slice(i * m, (i + 1) * m)
-        F[:, i, :, :m] = A[:, rows, rows]
-        F[:, i, :, m] = rhs[:, rows]
-        if i > 0:
-            F[:, i, :, m + 1 : 2 * m + 1] = A[:, rows, (i - 1) * m : i * m]
-        if i < nb - 1:
-            F[:, i, :, 2 * m + 1 :] = A[:, rows, (i + 1) * m : (i + 2) * m]
-    link._cyclic_reduction(F, m)
-    x = F[..., m].reshape(B, -1)
-    expected = np.linalg.solve(A, rhs[..., None])[..., 0]
-    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert np.max(np.abs(x[:, -2:])) <= 1e-12 * np.max(np.abs(expected))  # the padding
+                assert np.array_equal(got[:, k], alone), (R, k)
 
 
 def test_zf_solves_channel_that_dense_elimination_got_wrong():
@@ -621,11 +568,12 @@ def test_batched_frames_match_the_per_frame_reference(monkeypatch, detector):
         (OfdmSpec(64, 3), _dispersive_config(64), 37, [16, 16, 5]),
         (OtfsSpec(k=4, l=9, cp_len=3), _dispersive_config(36), 53, [28, 25]),  # K != L
         (AfdmSpec(37, c1, c2, 1, 3), _dispersive_config(37), 50, [27, 23]),  # odd N, xi = 1
-        # 16 blocks of 8 rows: at the default budget LMMSE reduces all 10
-        # frames in one sub-stack, at 2^12 one at a time, and 1 in the reference
+        # at the default budget each solver takes all 10 frames in one
+        # sub-stack, at 2^12 one at a time, and 1 in the reference
         (OfdmSpec(128, 3), _dispersive_config(128), 10, [8, 2]),
     ]
-    assert link._band_layout(128, 3).nb == 16
+    store = 128 * (3 * link._band_layout(128, 3).half_width + 1)  # a gbsv band store
+    assert 10 * store <= link._CHUNK_ENTRIES and 2 * store > 1 << 12
     snrs = [6.0, np.inf]  # inf draws no noise
     for spec, cfg, frames, small in cases:
         references = []
@@ -943,18 +891,18 @@ def test_no_result_depends_on_the_stack_sizes(case):
 
 
 class _RecordingBanded:
-    """The banded LAPACK routines, recording the (b, N, width) band stores of each call."""
+    """A banded kernel (_lapack.banded), recording the (b, N, width) band stores of each call."""
 
-    def __init__(self, lapack, stores):
-        self.lapack, self.stores = lapack, stores
+    def __init__(self, kernel, stores):
+        self.kernel, self.stores = kernel, stores
 
     def gbsv(self, ab, kl, ku, b):
         self.stores.append(("gbsv", ab.shape))
-        return self.lapack.gbsv(ab, kl, ku, b)
+        return self.kernel.gbsv(ab, kl, ku, b)
 
     def pbtrf(self, ab):
         self.stores.append(("pbtrf", ab.shape))
-        return self.lapack.pbtrf(ab)
+        return self.kernel.pbtrf(ab)
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 12, link._CHUNK_ENTRIES, 1 << 22])
@@ -962,18 +910,14 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
     """Each _draw_frames stack of a BER sweep or a sensing point holds at
     most _CHUNK_ENTRIES entries in its largest O(N) stack, `rows` length-N
     rows per frame, and is as large as that allows; each solver sub-stack
-    holds at most as many in its own arrays. With LAPACK (_lapack.banded)
-    those are the (b, N, 3w + 1) band stores of both equalizers' zgbsv and
-    the ZF guard's (b, N, w + 1) zpbtrf stores, and no folded H or block
-    row is formed but the guard's SVD of a lone frame; with the numpy
-    kernels, ZF's (b, N, N) folded H's, the ZF guard's (b, N + w, max(2w, 1))
-    band stores and LMMSE's (b, nb, m, width) block rows. A stack of one
-    frame is the only exception. The ber-small-n64 shape draws its 50
-    frames at once."""
+    holds at most as many in its own arrays: on either kernel
+    (_lapack.banded), the (b, N, 3w + 1) band stores of both equalizers'
+    gbsv and the ZF guard's (b, N, w + 1) pbtrf stores, and no folded H is
+    formed but the guard's SVD of a lone frame. A stack of one frame is the
+    only exception. The ber-small-n64 shape draws its 50 frames at once."""
     monkeypatch.setattr(link, "_CHUNK_ENTRIES", budget)
-    draws, folded, reductions, grams, stores = [], [], [], [], []
-    draw_frames, fold, reduce, gram = link._draw_frames, link._folded, link._cyclic_reduction, link._gram
-    lapack = _lapack.banded()
+    draws, folded, stores = [], [], []
+    draw_frames, fold, kernel = link._draw_frames, link._folded, _lapack.banded()
 
     def drawing(*args):
         draws.append(list(args[-1]))
@@ -983,21 +927,10 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
         folded.append(len(d))
         return fold(d)
 
-    def reducing(F, m):
-        reductions.append(F.shape)
-        return reduce(F, m)
-
-    def gramming(d, lay):
-        grams.append((len(d), len(d) * (d.shape[-1] + lay.half_width) * lay.store_width))
-        return gram(d, lay)
-
     monkeypatch.setattr(link, "_draw_frames", drawing)
     monkeypatch.setattr(sensing, "_draw_frames", drawing)
     monkeypatch.setattr(link, "_folded", folding)
-    monkeypatch.setattr(link, "_cyclic_reduction", reducing)
-    monkeypatch.setattr(link, "_gram", gramming)
-    if lapack:
-        monkeypatch.setattr(_lapack, "banded", lambda: _RecordingBanded(lapack, stores))
+    monkeypatch.setattr(_lapack, "banded", lambda: _RecordingBanded(kernel, stores))
     c1, c2 = afdm_tune(3, 1, 1, 37)
     odd = [OfdmSpec(37, 3), AfdmSpec(37, c1, c2, 1, 3)]  # two prefix groups
     three = [spec for _, spec in ScenarioConfig.from_dict({"n": 64, "k": 8, "l": 8}).waveform_specs()]
@@ -1008,7 +941,7 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
         (odd, 37, [10.0, np.inf], 60, "lmmse"),  # 8 rows of diagonals
     ]
     for specs, N, snrs, frames, detector in cases:
-        for record in (draws, folded, reductions, grams, stores):
+        for record in (draws, folded, stores):
             record.clear()
         cfg = _dispersive_config(N)
         link._ber_sweep(specs, cfg, QAM16, snrs, frames, detector, 4, "fractional")
@@ -1018,22 +951,13 @@ def test_draw_and_solver_stacks_stay_within_the_budget(monkeypatch, budget):
             assert len(keys) * rows * N <= budget or len(keys) == 1
         for keys in draws[:-1]:
             assert (len(keys) + 1) * rows * N > budget
-        if lapack:
-            w = link._band_layout(N, cfg.ell_max).half_width
-            widths = {"gbsv": 3 * w + 1, "pbtrf": w + 1}
-            for routine, (b, n, width) in stores:
-                assert n == N and width == widths[routine]
-                assert b * N * width <= budget or b == 1
-            assert {routine for routine, _ in stores} == ({"gbsv", "pbtrf"} if detector == "zf" else {"gbsv"})
-            assert not reductions and all(b == 1 for b in folded)  # the guard's SVD, if any
-        else:
-            for b in folded:
-                assert b * N * N <= budget or b == 1
-            for shape in reductions:
-                assert np.prod(shape) <= budget or shape[0] == 1
-            if detector == "zf":  # LMMSE's Gram sub-stacks are its block rows'
-                assert grams and all(entries <= budget or b == 1 for b, entries in grams)
-            assert (detector == "zf") == bool(folded) and (detector == "lmmse") == bool(reductions)
+        w = link._band_layout(N, cfg.ell_max).half_width
+        widths = {"gbsv": 3 * w + 1, "pbtrf": w + 1}
+        for routine, (b, n, width) in stores:
+            assert n == N and width == widths[routine]
+            assert b * N * width <= budget or b == 1
+        assert {routine for routine, _ in stores} == ({"gbsv", "pbtrf"} if detector == "zf" else {"gbsv"})
+        assert all(b == 1 for b in folded)  # the guard's SVD, if any
         if budget == 1 << 16 and specs is three:  # the default budget
             assert [len(keys) for keys in draws] == [50]
     # a sensing point: H's (B, ell_max + 1, N) diagonals are its largest stack
@@ -1325,11 +1249,11 @@ def test_certified_keeps_an_n1024_frame_far_below_a_dense_matrix():
     assert peak < 1024 * 1024 * 16 / 8, peak
 
 
-@pytest.mark.skipif(_lapack.banded() is None, reason="numpy's bundled OpenBLAS has no banded LAPACK here")
+@pytest.mark.skipif(_lapack.banded().path is None, reason="numpy's bundled OpenBLAS has no banded LAPACK here")
 @pytest.mark.parametrize("N", [37, 61, 64, 97, 128])
 @pytest.mark.parametrize("ell_max", [0, 1, 3, 5])
 def test_banded_lapack_equalizers_match_the_dense_reference(N, ell_max):
-    """On the LAPACK path, ZF's zgbsv of folded H and LMMSE's zgbsv of folded
+    """On either kernel, ZF's gbsv of folded H and LMMSE's gbsv of folded
     H H^H + s2 I agree with dense solves of H to 1e-10 relative, at odd,
     prime and even N, for S x R blocks per frame and at s2 = 0. The
     channels have a unit direct path (cond(H) <= 3), so the guard accepts
@@ -1359,8 +1283,9 @@ def test_banded_lapack_equalizers_match_the_dense_reference(N, ell_max):
 def test_an_exactly_singular_system_raises_linalgerror_and_ber_exits_3(tmp_path, monkeypatch, capsys):
     """A zero row of H stays zero through elimination, so LU meets an exact
     zero pivot in folded H and in folded H H^H at s2 = 0: both solvers raise
-    LinAlgError, as np.linalg.solve does, and a noiseless LMMSE `ddwave ber`
-    through H = 0 exits 3."""
+    LinAlgError, as np.linalg.solve does. An LMMSE `ddwave ber` whose frame
+    1 goes through H = 0 exits 3 at its noiseless point, naming the frame,
+    the point and the prefix group's waveforms."""
     d = delay_diagonals(_realization(64, _dominant_paths(3, 3, 3, 1), f_max=1), np.ones(64))
     d[:, 20] = 0.0
     r = _block(64, 5)[None, None, None]
@@ -1370,15 +1295,21 @@ def test_an_exactly_singular_system_raises_linalgerror_and_ber_exits_3(tmp_path,
         link._lmmse_sweep(d[None], r, [0.0])
     assert np.all(np.isfinite(link._lmmse_sweep(d[None], r, [0.1])))
 
-    silent = _realization(64, [(0.0j, 0, 0.0)], ell_max=0, f_max=1)
-    monkeypatch.setattr(link, "_draw_paths", lambda config, mode, rng: _path_arrays(silent.paths))
+    silent, draw_paths, calls = _realization(64, [(0.0j, 0, 0.0)], ell_max=0, f_max=1), link._draw_paths, []
+
+    def drawing(config, mode, rng):
+        calls.append(rng)
+        return _path_arrays(silent.paths) if len(calls) == 2 else draw_paths(config, mode, rng)
+
+    monkeypatch.setattr(link, "_draw_paths", drawing)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "waveform": "ofdm", "n": 64, "ell_max": 0, "f_max": 1, "paths": 1, "cp_len": 0,
-        "detector": "lmmse", "snr_sweep": [float("inf")], "frames": 3,
+        "waveform": "all", "n": 64, "k": 8, "l": 8, "ell_max": 0, "f_max": 1, "paths": 1, "cp_len": 0,
+        "detector": "lmmse", "snr_sweep": [10.0, float("inf")], "frames": 3,
     }))
     assert main(["ber", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
-    assert "numerical failure: Singular matrix" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: Singular matrix in LMMSE frame 1 at inf dB, waveforms ofdm, otfs, afdm" in err
 
 
 def test_a_frame_whose_trace_is_nan_or_inf_is_never_certified():

@@ -1,11 +1,11 @@
-"""The equalizer and guard tests, run again on the numpy kernels.
+"""The equalizer and guard tests, run again on the numpy kernel.
 
 Where numpy's bundled OpenBLAS is found, both equalizers and the ZF guard's
 certificate call LAPACK's banded routines (ddwave._lapack), and test_link
-and test_properties exercise that path. The autouse fixture below makes the
-binding absent, so the same tests, collected here once more under their
-own names, check the dense LU, the block cyclic reduction and the column
-loop that run on any other numpy build.
+and test_properties exercise that path. The autouse fixture below hands
+them the numpy kernel instead, so the same tests, collected here once more
+under their own names, check the zgbsv and zpbtrf steps in numpy that run
+on any other numpy build.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from ddwave import _lapack
 from test_link import (  # noqa: F401 (collected here)
     test_a_frame_whose_trace_is_nan_or_inf_is_never_certified,
     test_an_exactly_singular_system_raises_linalgerror_and_ber_exits_3,
+    test_banded_lapack_equalizers_match_the_dense_reference,
     test_batched_frames_match_the_per_frame_reference,
     test_ber_rows_equal_single_waveform_runs,
     test_ber_sweep_rows_equal_single_point_runs,
@@ -48,5 +49,5 @@ from test_properties import test_equalizers_match_dense_g_domain_solves  # noqa:
 
 @pytest.fixture(autouse=True)
 def numpy_kernels(monkeypatch):
-    """Every test of this module runs as if numpy bundled no banded LAPACK."""
-    monkeypatch.setattr(_lapack, "banded", lambda: None)
+    """Every test of this module runs on the kernel of a numpy without banded LAPACK."""
+    monkeypatch.setattr(_lapack, "banded", _lapack._NumpyBanded)

@@ -231,8 +231,8 @@ def channel_stacks(draw):
     """A spec with its dense oracle transforms and prefix phase rule, and (B, P) path arrays.
 
     OFDM and AFDM (xi > 0) at prime N, or OTFS with K != L; P > ell_max + 1
-    paths, so delays repeat. N = 127, and N = 97 or 101 with B >= 2, are
-    solved by cyclic reduction over more than one block.
+    paths, so delays repeat. N = 97, 101 and 127 are many times wider than
+    the band.
     AFDM takes the tuned rates or a given pair (c1, c2), for which 2*N*c1
     and 2*N^2*c1 are in general not integers. Path 0 is a unit direct path
     and the others sum to at most 1/2 in magnitude, so cond(H) <= 3 and a
