@@ -11,6 +11,7 @@ column at a time for all frames of a stack. Both return LAPACK's info.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import pathlib
 from functools import lru_cache
@@ -34,6 +35,26 @@ class _Banded:
         self._gbsv.argtypes = [ctypes.c_void_p] * 10
         self._pbtrf.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 5 + [ctypes.c_size_t]
         self._gbsv.restype = self._pbtrf.restype = None
+        self._threads = None  # OpenBLAS's thread count: (get, set), where the library exports them
+        with contextlib.suppress(AttributeError):
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+            self._threads = get, put
+
+    @contextlib.contextmanager
+    def one_thread(self):
+        """Run this OpenBLAS, numpy's own, on one thread inside the block and
+        restore the caller's thread count after it. Yields whether it could."""
+        if self._threads is None:
+            yield False
+            return
+        get, put = self._threads
+        before = get()
+        put(1)
+        try:
+            yield True
+        finally:
+            put(before)
 
     def gbsv(self, ab: np.ndarray, kl: int, ku: int, b: np.ndarray) -> np.ndarray:
         """Solve each frame's system in place by banded LU with partial
@@ -75,6 +96,11 @@ class _NumpyBanded:
     a frame's bits must not depend on how many frames share its stack."""
 
     path = None
+
+    @contextlib.contextmanager
+    def one_thread(self):
+        """No OpenBLAS of numpy's to pin: yields False and changes nothing."""
+        yield False
 
     def gbsv(self, ab: np.ndarray, kl: int, ku: int, b: np.ndarray) -> np.ndarray:
         """_Banded.gbsv by zgbtf2's column loop, then zgbtrs's two sweeps."""

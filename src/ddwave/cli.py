@@ -4,7 +4,9 @@ Subcommands: effchan, ber, sense, ambiguity, demo-v2x. Every command is a
 pure function of (config, seed). Link and sensing draw and chunk the frames
 and score the maps; the CLI knows no chunk size and no grid index, and only
 tabulates and writes. The json module encodes every JSON value; only the
-rows of an effchan magnitude grid are formatted here.
+rows of an effchan magnitude grid are formatted here, by repr. A CSV table
+of at least 500 rows of numbers (the effchan and ambiguity maps) is
+formatted in numpy, into the same bytes as repr's and str's.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import _floattext, _lapack
 from .channel import ChannelRealization, PathParams, sample_paths
 from .config import ConfigError, ScenarioConfig, load_config
 from .link import Constellation, SingularChannelError, _ber_sweep, substream
@@ -68,6 +71,10 @@ def _result_file(path, newline: str | None = None):
 
 
 _CSV_BLOCK = 4096  # rows per write of _write_csv
+# From this many rows up, a table of numbers is formatted by _floattext.Rows. Its
+# fixed cost per block, about 0.8 ms for effchan's two integer and three float
+# columns, matched str's per-row cost at about 420 to 450 rows.
+_KERNEL_ROWS = 500
 
 
 def _write_csv(path: str, columns: dict) -> None:
@@ -78,14 +85,27 @@ def _write_csv(path: str, columns: dict) -> None:
     repr. Each column is a sequence of numbers or of names that need no
     quoting; a table with no rows is the header line alone. Rows are
     written _CSV_BLOCK at a time, so memory stays bounded, to a temporary
-    file that replaces path once whole (_result_file).
+    file that replaces path once whole (_result_file). A table of at least
+    _KERNEL_ROWS rows whose columns are all float or integer arrays is
+    formatted in numpy (_floattext.Rows: the same repr and str bytes, in one
+    workspace every block reuses); any other goes through `map(str, ...)`.
+    The rule reads only the row count and the column dtypes.
     """
     cols = [np.asarray(col) for col in columns.values()]
+    rows = min(map(len, cols), default=0)
+    table = None
+    if rows >= _KERNEL_ROWS and all(col.dtype.kind in "fiu" and col.itemsize <= 8 for col in cols):
+        table = _floattext.Rows(cols, min(rows, _CSV_BLOCK), "\r\n", ["", *[","] * (len(cols) - 1)])
     with _result_file(path, newline="") as fh:
         fh.write(",".join(columns))
-        for start in range(0, min(map(len, cols), default=0), _CSV_BLOCK):
-            cells = [map(str, col[start : start + _CSV_BLOCK].tolist()) for col in cols]
-            fh.write("\r\n" + "\r\n".join(map(",".join, zip(*cells))))
+        if table is not None:
+            fh.flush()  # the rows go to the file's buffer as ASCII, after the header
+            for start in range(0, rows, _CSV_BLOCK):
+                fh.buffer.write(table.text(start, min(start + _CSV_BLOCK, rows)))
+        else:
+            for start in range(0, rows, _CSV_BLOCK):
+                cells = [map(str, col[start : start + _CSV_BLOCK].tolist()) for col in cols]
+                fh.write("\r\n" + "\r\n".join(map(",".join, zip(*cells))))
         fh.write("\r\n")
 
 
@@ -112,9 +132,10 @@ def _write_json(path: str, obj: dict) -> None:
 
     obj's keys must be str. The stdlib encodes each top-level value as it is
     written, an ndarray as its `tolist()`, except a nonempty 2-D array, such
-    as an effchan magnitude grid: its rows are formatted here (_json_row)
-    and written one at a time, so the document is never held whole. A value
-    that fails to encode leaves no file (_result_file).
+    as an effchan magnitude grid: its rows are formatted here (_json_row,
+    by repr, not _floattext: a grid row is too short a block for the numpy
+    kernel's fixed cost) and written one at a time, so the document is never
+    held whole. A value that fails to encode leaves no file (_result_file).
     """
     with _result_file(path) as fh:
         fh.write("{")
@@ -323,33 +344,37 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
-    try:
-        cfg = None if args.command == "demo-v2x" else _load(args)
-        out = args.out or (cfg.outputs if cfg else "out")
+    with _lapack.banded().one_thread() as pinned:  # BLAS's results then depend on no thread count
+        if not pinned:
+            log.warning("numpy bundles no OpenBLAS whose thread count can be set, so BLAS keeps the "
+                        "caller's threads and a condition number an exit-3 message names may depend on them")
         try:
-            os.makedirs(out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
-        if args.command == "demo-v2x":
-            written = cmd_demo_v2x(out, geometry=args.geometry, seed=args.seed if args.seed is not None else 1)
-        elif args.command == "effchan":
-            if args.fig3 and args.seed is not None:
-                log.warning("--seed %d has no effect with --fig3: the Fig. 3 preset's paths are fixed", args.seed)
-            written = cmd_effchan(cfg, out, fig3=args.fig3, variant=args.variant)
-        elif args.command == "ber":
-            written = cmd_ber(cfg, out)
-        elif args.command == "sense":
-            written = cmd_sense(cfg, out)
-        elif args.command == "ambiguity":
-            written = cmd_ambiguity(cfg, out)
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularChannelError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+            cfg = None if args.command == "demo-v2x" else _load(args)
+            out = args.out or (cfg.outputs if cfg else "out")
+            try:
+                os.makedirs(out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
+            if args.command == "demo-v2x":
+                written = cmd_demo_v2x(out, geometry=args.geometry, seed=args.seed if args.seed is not None else 1)
+            elif args.command == "effchan":
+                if args.fig3 and args.seed is not None:
+                    log.warning("--seed %d has no effect with --fig3: the Fig. 3 preset's paths are fixed", args.seed)
+                written = cmd_effchan(cfg, out, fig3=args.fig3, variant=args.variant)
+            elif args.command == "ber":
+                written = cmd_ber(cfg, out)
+            elif args.command == "sense":
+                written = cmd_sense(cfg, out)
+            elif args.command == "ambiguity":
+                written = cmd_ambiguity(cfg, out)
+            else:  # pragma: no cover
+                raise AssertionError(args.command)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (SingularChannelError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
     for path in written:
         log.info("wrote %s", path)
     return 0

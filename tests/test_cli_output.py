@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddwave.channel import ChannelRealization, PathParams, sample_paths
-from ddwave.cli import _write_csv, _write_json, main
+from ddwave.cli import _CSV_BLOCK, _KERNEL_ROWS, _write_csv, _write_json, main
 from ddwave.config import ScenarioConfig
 from ddwave.link import Constellation, map_bits, run_ber_point
 from ddwave.modem import effective_channel, modulate
@@ -129,18 +129,46 @@ def assert_same_files(got, want):
 
 
 def test_csv_writer_matches_csv_module(tmp_path):
-    n = len(EDGE_FLOATS)
+    """Both sides of the size rule: a table of numbers from _KERNEL_ROWS rows
+    up is formatted by _floattext, one with a names column never is."""
+    for rows in (len(EDGE_FLOATS), _KERNEL_ROWS - 1, _KERNEL_ROWS, 2 * _CSV_BLOCK + 3):
+        values = np.resize(EDGE_FLOATS, rows)
+        bits = np.random.default_rng(rows).integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+        numbers = {
+            "count": np.arange(-rows // 2, rows - rows // 2),
+            "value": values,
+            "bits": bits,
+            "listed": values[::-1].tolist(),
+        }
+        names = np.resize(["ofdm", "otfs", "afdm", "matched_filter", "direct_csi"], rows).tolist()
+        for columns in (numbers, {"name": names, **numbers}):
+            got, want = tmp_path / f"got-{rows}-{len(columns)}.csv", tmp_path / f"want-{rows}-{len(columns)}.csv"
+            _write_csv(got, columns)
+            cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns.values()]
+            reference_csv(want, list(columns), zip(*cells))
+            assert read_bytes(got) == read_bytes(want), (rows, list(columns))
+
+
+def test_csv_writer_keeps_its_memory_bounded(tmp_path):
+    # an ambiguity map's table at N = 256: 65,792 rows, about 4.6 MB of CSV; formatted
+    # _CSV_BLOCK rows at a time, the writer holds a block's text and workspace, not the file's
+    rng = np.random.default_rng(9)
+    rows = 256 * 257
     columns = {
-        "name": ["ofdm", "otfs", "afdm", "matched_filter", "direct_csi", "a", "b", "c"],
-        "count": np.arange(-n, 0),
-        "value": np.array(EDGE_FLOATS),
-        "listed": EDGE_FLOATS[::-1],
+        "delay_bin": np.repeat(np.arange(256), 257),
+        "doppler_bin": np.tile(np.arange(-128, 129), 256),
+        "re": 0.05 * rng.standard_normal(rows),
+        "im": 0.05 * rng.standard_normal(rows),
+        "mag": rng.random(rows),
     }
-    _write_csv(tmp_path / "got.csv", columns)
-    reference_csv(tmp_path / "want.csv", list(columns), zip(
-        columns["name"], range(-n, 0), EDGE_FLOATS, EDGE_FLOATS[::-1]
-    ))
-    assert read_bytes(tmp_path / "got.csv") == read_bytes(tmp_path / "want.csv")
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "got.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "got.csv").stat().st_size
+    assert size > 4_000_000 and peak < size / 2
 
 
 def test_csv_writer_empty_table_is_header_only(tmp_path):

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 import ddwave
+import ddwave._lapack
+import ddwave.cli
 from ddwave.cli import _parser, _setup_logging, main
 from ddwave.config import ConfigError, ScenarioConfig, load_config
 from ddwave.modem import AfdmSpec, OtfsSpec, afdm_tune, predict_support
@@ -448,6 +450,56 @@ def test_ber_thread_count_does_not_change_bytes(tmp_path):
     assert main(["ber", "--config", cfg, "--out", str(a), "--threads", "1"]) == 0
     assert main(["ber", "--config", cfg, "--out", str(b), "--threads", "3"]) == 0
     assert read_bytes(a / "ber.csv") == read_bytes(b / "ber.csv")
+
+
+# the ber-small-n64 shape at N = 128, L = 16, seed 4: a channel singular to working
+# precision, whose SVD condition number moved with the BLAS thread count
+SINGULAR_ZF = {"waveform": "all", "n": 128, "k": 8, "l": 16, "constellation": "qam16", "detector": "zf",
+               "doppler_mode": "integer", "snr_sweep": [10.0, 20.0], "frames": 50, "seed": 4}
+
+
+def test_the_exit_3_message_does_not_depend_on_the_blas_thread_count(tmp_path):
+    if ddwave._lapack.banded().path is None:
+        pytest.skip("numpy bundles no OpenBLAS here, so the CLI cannot pin its thread count")
+    cfg = write_config(tmp_path, SINGULAR_ZF)
+    src = str(Path(ddwave.__file__).resolve().parents[1])
+    code = "import sys; from ddwave.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        runs.append(subprocess.run([sys.executable, "-c", code, "ber", "--config", cfg, "--out", str(tmp_path)],
+                                   env=env, capture_output=True, text=True))
+    assert [r.returncode for r in runs] == [3, 3]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.startswith("numerical failure: channel condition number")
+
+
+def test_main_runs_blas_on_one_thread_and_restores_the_callers_count(tmp_path, monkeypatch):
+    blas = ddwave._lapack.banded()
+    if blas.path is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    get, put = blas._threads
+    seen = []
+    real = ddwave.cli.cmd_ber
+    monkeypatch.setattr(ddwave.cli, "cmd_ber", lambda *a: seen.append(get()) or real(*a))
+    cfg = write_config(tmp_path, {**FLAT_SCENARIO, "frames": 2})
+    before = get()
+    put(2)
+    try:
+        assert main(["ber", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert seen == [1] and get() == 2
+    finally:
+        put(before)
+
+
+def test_without_numpys_openblas_main_warns_once_and_runs(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(ddwave._lapack, "banded", ddwave._lapack._NumpyBanded)
+    cfg = write_config(tmp_path, {**FLAT_SCENARIO, "frames": 2})
+    with caplog.at_level(logging.WARNING, logger="ddwave"):
+        assert main(["ber", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "thread count" in caplog.records[0].getMessage()
 
 
 def test_seed_flag_overrides_config(tmp_path):
