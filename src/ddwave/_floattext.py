@@ -5,10 +5,12 @@ prints, by Ryu's d2d (Adams, "Ryu: fast float-to-string conversion", PLDI
 2018). The value and the ends of its rounding interval, each times 4, are
 multiplied by a 125-bit power of 5 or its inverse from a table and shifted,
 which leaves about 18 decimal digits; digits are then removed while the
-interval still holds two candidates, and the last digit removed rounds the
-value. The 55 x 125-bit products are formed from 32-bit limbs in uint64
-across the block. Only rows where the value or the interval's lower end may
-be exact (the paper's trailing-zero cases) take the loop that tracks them.
+interval still holds two candidates (each row's count of places is found
+first, one power of 10 per pass over the block, and the places go at once),
+and the last digit removed rounds the value. The 55 x 125-bit
+products are formed from 32-bit limbs in uint64 across the block. The tests
+of whether the value or the interval's ends are exact (the paper's
+trailing-zero cases) run only on the rows whose exponent allows it.
 
 The digits are then laid out as CPython's repr does, in three uint64 words
 of ASCII per value: fixed notation for -4 < decpt <= 16, where the value is
@@ -148,16 +150,10 @@ def _shortest(bits):
     rows = np.flatnonzero(t["rare"][biased])
     if rows.size:
         _rare(rows, t["q"][biased[rows]], mv[rows], mant[rows], biased[rows], vp, vr_tz, vm_tz)
-    digits = np.empty_like(vr)
-    removed = np.empty(len(bits), dtype=np.int64)
-    exact = vr_tz | vm_tz
-    rows = np.flatnonzero(~exact)
-    _remove(rows, vr[rows], vp[rows], vm[rows], digits, removed)
-    rows = np.flatnonzero(exact)
-    if rows.size:
-        accept = (mv[rows] & 4) == 0  # an even mantissa's interval includes its ends
-        _remove_exact(rows, vr[rows], vp[rows], vm[rows], vr_tz[rows], vm_tz[rows], accept, digits, removed)
-    return digits, t["exp10"][biased] + removed
+    vr, vm, removed, last = _remove(vr, vp, vm, vr_tz, vm_tz)
+    last[vr_tz & (last == 5) & (vr % 2 == 0)] = 4  # a removed 5 that was exactly half rounds to even
+    accept = (mv & 4) == 0  # an even mantissa's interval includes its ends
+    return vr + (((vr == vm) & ~(accept & vm_tz)) | (last >= 5)), t["exp10"][biased] + removed
 
 
 def _rare(rows, q, mv, mant, biased, vp, vr_tz, vm_tz):
@@ -173,70 +169,37 @@ def _rare(rows, q, mv, mant, biased, vp, vr_tz, vm_tz):
     vp[rows] -= np.where(big, ~five & ~accept & ((mv + 2) % p5 == 0), ~accept)
 
 
-def _remove(rows, vr, vp, vm, digits, removed):
-    """Ryu's common case: remove digits while vp / 10 > vm / 10 and round vr
-    by the last digit removed. The places below the interval's width go at
-    once (vp - vm >= 10^k gives vp / 10^k > vm / 10^k); up to three more go
-    in steps of 2 and 1, and the rows with places left, at most 15, take
-    steps of 8, 4, 2 and 1."""
+def _remove(vr, vp, vm, vr_tz, vm_tz):
+    """Ryu's digit removal: while vp / 10 > vm / 10, drop vr's, vp's and vm's
+    last digit; then, where vm is exact, while vm ends in 0. As vp / 10^k >
+    vm / 10^k holds for k places whenever it holds for k + 1, each row's
+    count of places is found first, one power of 10 per pass, and the places
+    go at once. vm_tz keeps whether every digit removed from vm was 0, vr_tz
+    whether every one removed from vr but the last was. Returns vr and vm
+    with their places removed, the count and the last digit removed from vr."""
     pow10 = _tables()["pow10"]
-    log2 = ((vp - vm).astype(np.float64).view(np.int64) >> 52) - 1023  # the width is exact, < 2^53
-    count = np.maximum(log2 * 1233 >> 12, 0)  # 1233 / 4096 < log10(2)
-    step = pow10[count]
-    vr_next = vr // step
-    state = vr_next, vp // step, vm // step, 2 * (vr - vr_next * step) >= step, count
-    state = _steps((2, 1), *state)
-    more = np.flatnonzero(state[1] // 10 > state[2] // 10)
-    if more.size:
-        _finish(rows, *state, digits, removed)
-        rows, state = rows[more], _steps((8, 4, 2, 1), *(a[more] for a in state))
-    _finish(rows, *state, digits, removed)
-
-
-def _steps(places, vr, vp, vm, round_up, count):
-    """Remove k places, for each k of places in turn, where vp / 10^k > vm / 10^k
-    still holds; round_up tells whether the last digit removed was 5 or more."""
-    for k in places:
-        step = _tables()["pow10"][k]
-        go = vp // step > vm // step
-        vr_next = vr // step
-        round_up = np.where(go, 2 * (vr - vr_next * step) >= step, round_up)
-        vr, vp, vm = np.where(go, vr_next, vr), np.where(go, vp // step, vp), np.where(go, vm // step, vm)
-        count = count + k * go
-    return vr, vp, vm, round_up, count
-
-
-def _finish(rows, vr, vp, vm, round_up, count, digits, removed):
-    """Ryu's output: vr rounded up past the last digit removed, or off an excluded vm."""
-    digits[rows] = vr + ((vr == vm) | round_up)
-    removed[rows] = count
-
-
-def _remove_exact(rows, vr, vp, vm, vr_tz, vm_tz, accept, digits, removed):
-    """Ryu's general case, on the few rows that need it: while removing, track
-    whether all digits removed from vm, and all but the last from vr, were 0;
-    an exact vm then loses its trailing zeros too, and a removed 5 that was
-    exactly half rounds vr to even."""
-    last = np.zeros_like(vr)
-    count = np.zeros(len(rows), dtype=np.int64)
-    more = vp // 10 > vm // 10
-    while more.any():
-        vm_tz &= ~more | (vm % 10 == 0)
-        vr_tz &= ~more | (last == 0)
-        last = np.where(more, vr % 10, last)
-        vr, vp, vm = (np.where(more, v // 10, v) for v in (vr, vp, vm))
-        count += more
-        more = vp // 10 > vm // 10
-    more = vm_tz & (vm % 10 == 0)
-    while more.any():
-        vr_tz &= ~more | (last == 0)
-        last = np.where(more, vr % 10, last)
-        vr, vm = (np.where(more, v // 10, v) for v in (vr, vm))
-        count += more
-        more = vm_tz & (vm % 10 == 0)
-    last[vr_tz & (last == 5) & (vr % 2 == 0)] = 4
-    digits[rows] = vr + (((vr == vm) & ~(accept & vm_tz)) | (last >= 5))
-    removed[rows] = count
+    count = np.zeros(len(vr), dtype=np.int64)
+    k = 1
+    while (go := vp // pow10[k] > vm // pow10[k]).any():
+        count += go
+        k += 1
+    above = pow10[np.maximum(count - 1, 0)]
+    head = vr // above  # vr less all its places removed but the last
+    vr_tz &= vr == head * above
+    last = np.where(count > 0, head % 10, 0)
+    vr = np.where(count > 0, head // 10, vr)
+    below = pow10[count]
+    vm_next = vm // below
+    vm_tz &= vm == vm_next * below
+    vm = vm_next
+    rows = np.flatnonzero(vm_tz & (vm % 10 == 0))
+    while rows.size:
+        r = vr[rows]
+        vr_tz[rows] &= last[rows] == 0
+        last[rows], vr[rows], vm[rows] = r % 10, r // 10, vm[rows] // 10
+        count[rows] += 1
+        rows = rows[vm[rows] % 10 == 0]
+    return vr, vm, count, last
 
 
 def _quads(v, places):

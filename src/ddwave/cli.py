@@ -5,8 +5,8 @@ pure function of (config, seed). Link and sensing draw and chunk the frames
 and score the maps; the CLI knows no chunk size and no grid index, and only
 tabulates and writes. The json module encodes every JSON value; only the
 rows of an effchan magnitude grid are formatted here, by repr. A CSV table
-of at least 500 rows of numbers (the effchan and ambiguity maps) is
-formatted in numpy, into the same bytes as repr's and str's.
+all of whose columns are numbers (the effchan and ambiguity maps) is
+formatted in numpy by _floattext, into the same bytes as repr's and str's.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ def _result_file(path, newline: str | None = None):
 
 
 _CSV_BLOCK = 4096  # rows per write of _write_csv
-# From this many rows up, a table of numbers is formatted by _floattext.Rows. Its
-# fixed cost per block, about 0.8 ms for effchan's two integer and three float
-# columns, matched str's per-row cost at about 420 to 450 rows.
-_KERNEL_ROWS = 500
 
 
 def _write_csv(path: str, columns: dict) -> None:
@@ -85,16 +81,16 @@ def _write_csv(path: str, columns: dict) -> None:
     repr. Each column is a sequence of numbers or of names that need no
     quoting; a table with no rows is the header line alone. Rows are
     written _CSV_BLOCK at a time, so memory stays bounded, to a temporary
-    file that replaces path once whole (_result_file). A table of at least
-    _KERNEL_ROWS rows whose columns are all float or integer arrays is
-    formatted in numpy (_floattext.Rows: the same repr and str bytes, in one
-    workspace every block reuses); any other goes through `map(str, ...)`.
-    The rule reads only the row count and the column dtypes.
+    file that replaces path once whole (_result_file). A table whose columns
+    are all float or integer arrays of at most 8 bytes is formatted in numpy
+    (_floattext.Rows: the same repr and str bytes, in one workspace every
+    block reuses); any other, such as one with a column of names, goes
+    through `map(str, ...)`.
     """
     cols = [np.asarray(col) for col in columns.values()]
     rows = min(map(len, cols), default=0)
     table = None
-    if rows >= _KERNEL_ROWS and all(col.dtype.kind in "fiu" and col.itemsize <= 8 for col in cols):
+    if rows and all(col.dtype.kind in "fiu" and col.itemsize <= 8 for col in cols):
         table = _floattext.Rows(cols, min(rows, _CSV_BLOCK), "\r\n", ["", *[","] * (len(cols) - 1)])
     with _result_file(path, newline="") as fh:
         fh.write(",".join(columns))
@@ -345,9 +341,6 @@ def main(argv=None) -> int:
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     with _lapack.banded().one_thread() as pinned:  # BLAS's results then depend on no thread count
-        if not pinned:
-            log.warning("numpy bundles no OpenBLAS whose thread count can be set, so BLAS keeps the "
-                        "caller's threads and a condition number an exit-3 message names may depend on them")
         try:
             cfg = None if args.command == "demo-v2x" else _load(args)
             out = args.out or (cfg.outputs if cfg else "out")
@@ -362,6 +355,9 @@ def main(argv=None) -> int:
                     log.warning("--seed %d has no effect with --fig3: the Fig. 3 preset's paths are fixed", args.seed)
                 written = cmd_effchan(cfg, out, fig3=args.fig3, variant=args.variant)
             elif args.command == "ber":
+                if cfg.detector == "zf" and not pinned:  # a ZF refusal names the SVD's condition number
+                    log.warning("numpy bundles no OpenBLAS whose thread count can be set, so the condition "
+                                "number an exit-3 message names may depend on BLAS's thread count")
                 written = cmd_ber(cfg, out)
             elif args.command == "sense":
                 written = cmd_sense(cfg, out)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddwave.channel import ChannelRealization, PathParams, sample_paths
-from ddwave.cli import _CSV_BLOCK, _KERNEL_ROWS, _write_csv, _write_json, main
+from ddwave.cli import _CSV_BLOCK, _write_csv, _write_json, main
 from ddwave.config import ScenarioConfig
 from ddwave.link import Constellation, map_bits, run_ber_point
 from ddwave.modem import effective_channel, modulate
@@ -129,9 +129,9 @@ def assert_same_files(got, want):
 
 
 def test_csv_writer_matches_csv_module(tmp_path):
-    """Both sides of the size rule: a table of numbers from _KERNEL_ROWS rows
-    up is formatted by _floattext, one with a names column never is."""
-    for rows in (len(EDGE_FLOATS), _KERNEL_ROWS - 1, _KERNEL_ROWS, 2 * _CSV_BLOCK + 3):
+    """Both sides of the rule: a table of numbers is formatted by _floattext,
+    in one block or in several, and one with a names column never is."""
+    for rows in (1, len(EDGE_FLOATS), 2 * _CSV_BLOCK + 3):
         values = np.resize(EDGE_FLOATS, rows)
         bits = np.random.default_rng(rows).integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
         numbers = {

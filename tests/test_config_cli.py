@@ -458,9 +458,16 @@ SINGULAR_ZF = {"waveform": "all", "n": 128, "k": 8, "l": 16, "constellation": "q
                "doppler_mode": "integer", "snr_sweep": [10.0, 20.0], "frames": 50, "seed": 4}
 
 
+def blas_threads():
+    """numpy's OpenBLAS thread count as (get, set), or a skip where the CLI cannot set it."""
+    threads = getattr(ddwave._lapack.banded(), "_threads", None)
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set here")
+    return threads
+
+
 def test_the_exit_3_message_does_not_depend_on_the_blas_thread_count(tmp_path):
-    if ddwave._lapack.banded().path is None:
-        pytest.skip("numpy bundles no OpenBLAS here, so the CLI cannot pin its thread count")
+    blas_threads()
     cfg = write_config(tmp_path, SINGULAR_ZF)
     src = str(Path(ddwave.__file__).resolve().parents[1])
     code = "import sys; from ddwave.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -476,10 +483,7 @@ def test_the_exit_3_message_does_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_main_runs_blas_on_one_thread_and_restores_the_callers_count(tmp_path, monkeypatch):
-    blas = ddwave._lapack.banded()
-    if blas.path is None:
-        pytest.skip("numpy bundles no OpenBLAS here")
-    get, put = blas._threads
+    get, put = blas_threads()
     seen = []
     real = ddwave.cli.cmd_ber
     monkeypatch.setattr(ddwave.cli, "cmd_ber", lambda *a: seen.append(get()) or real(*a))
@@ -493,13 +497,19 @@ def test_main_runs_blas_on_one_thread_and_restores_the_callers_count(tmp_path, m
         put(before)
 
 
-def test_without_numpys_openblas_main_warns_once_and_runs(tmp_path, monkeypatch, caplog):
+def test_without_numpys_openblas_only_a_zf_ber_run_warns(tmp_path, monkeypatch, caplog):
+    # only a ZF refusal prints a number (the SVD's condition number) that BLAS's threads can move
     monkeypatch.setattr(ddwave._lapack, "banded", ddwave._lapack._NumpyBanded)
-    cfg = write_config(tmp_path, {**FLAT_SCENARIO, "frames": 2})
-    with caplog.at_level(logging.WARNING, logger="ddwave"):
-        assert main(["ber", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
-    assert [r.levelname for r in caplog.records] == ["WARNING"]
-    assert "thread count" in caplog.records[0].getMessage()
+    for detector in ("zf", "lmmse"):
+        cfg = write_config(tmp_path, {**FLAT_SCENARIO, "frames": 2, "detector": detector})
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ddwave"):
+            assert main(["ber", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        if detector == "zf":
+            assert len(messages) == 1 and "thread count" in messages[0]
+        else:
+            assert messages == []
 
 
 def test_seed_flag_overrides_config(tmp_path):

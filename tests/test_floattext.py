@@ -18,10 +18,10 @@ def kernel_text(values, block=4096):
 
 def assert_repr(values):
     values = np.asarray(values, dtype=np.float64)
-    got = kernel_text(values).split("\n")[1:]
-    want = list(map(repr, values.tolist()))
-    bad = [(w, g) for w, g in zip(want, got) if w != g]
-    assert len(got) == len(want) and not bad, bad[:5]
+    got, want = kernel_text(values), "\n" + "\n".join(map(repr, values.tolist()))
+    if got != want:  # name the first values that differ
+        bad = [(w, g) for w, g in zip(want.split("\n"), got.split("\n")) if w != g]
+        assert got == want, bad[:5]
 
 
 def families():

@@ -5,7 +5,9 @@ certificate call LAPACK's banded routines (ddwave._lapack), and test_link
 and test_properties exercise that path. The autouse fixture below hands
 them the numpy kernel instead, so the same tests, collected here once more
 under their own names, check the zgbsv and zpbtrf steps in numpy that run
-on any other numpy build.
+on any other numpy build. A CLI test that counts the warnings of a run is
+collected here too: on such a build the CLI cannot set BLAS's thread count,
+and only a ZF ber run says so.
 """
 
 import pytest
@@ -44,6 +46,7 @@ from test_link import (  # noqa: F401 (collected here)
     test_zf_rejects_singular_channel,
     test_zf_solves_channel_that_dense_elimination_got_wrong,
 )
+from test_config_cli import test_effchan_fig3_warns_that_seed_has_no_effect  # noqa: F401
 from test_properties import test_equalizers_match_dense_g_domain_solves  # noqa: F401
 
 
