@@ -18,7 +18,9 @@ of ASCII per value: fixed notation for -4 < decpt <= 16, where the value is
 otherwise; zeros, nan, inf and -inf are their own cases. int_words writes
 str(int(v)) into the same three words. Rows writes each cell of a block of
 table rows into one byte matrix, NUL after each cell's text, and drops the
-NULs in one pass.
+NULs in one pass. Grid does the same for a block of a 2-D float array's
+rows with one float_words call: the matrix holds, per row, each value's
+24 bytes after its separator, NUL-padded to one width, then the row's end.
 """
 
 from __future__ import annotations
@@ -320,4 +322,31 @@ class Rows:
         for col, write, words, place in self.cells:
             write(col[start:stop], words[:n])
             self.matrix[:n, place] = words[:n].view(np.uint8)[:, : place.stop - place.start]
+        return self.matrix[:n].tobytes().translate(None, b"\0")
+
+
+class Grid:
+    """The text of a 2-D float array of `width` columns, up to `block` rows at
+    a time: each row is `first`, the row's values as repr(float(v)) with
+    `sep` between them, then `end`. One float_words call formats a block's
+    values; the byte matrix, each value's cell after its NUL-padded prefix,
+    and the words are allocated once and reused by every block."""
+
+    def __init__(self, width, block, first, sep, end):
+        pad = max(len(first), len(sep))
+        cell = pad + FLOAT_WIDTH
+        self.matrix = np.zeros((block, width * cell + len(end)), dtype=np.uint8)
+        cells = self.matrix[:, : width * cell].reshape(block, width, cell)  # a view: the split axis is contiguous
+        cells[:, 0, : len(first)] = np.frombuffer(first.encode(), dtype=np.uint8)
+        cells[:, 1:, : len(sep)] = np.frombuffer(sep.encode(), dtype=np.uint8)
+        self.matrix[:, width * cell :] = np.frombuffer(end.encode(), dtype=np.uint8)
+        self.values = cells[:, :, pad:]
+        self.words = np.empty((block * width, 3), dtype=_U64)
+
+    def text(self, rows: np.ndarray) -> bytes:
+        """rows, at most `block` of them, as ASCII."""
+        n, width = rows.shape
+        words = self.words[: n * width]
+        float_words(rows.reshape(-1), words)
+        self.values[:n] = words.view(np.uint8).reshape(n, width, FLOAT_WIDTH)
         return self.matrix[:n].tobytes().translate(None, b"\0")

@@ -3,10 +3,11 @@
 Subcommands: effchan, ber, sense, ambiguity, demo-v2x. Every command is a
 pure function of (config, seed). Link and sensing draw and chunk the frames
 and score the maps; the CLI knows no chunk size and no grid index, and only
-tabulates and writes. The json module encodes every JSON value; only the
-rows of an effchan magnitude grid are formatted here, by repr. A CSV table
-all of whose columns are numbers (the effchan and ambiguity maps) is
-formatted in numpy by _floattext, into the same bytes as repr's and str's.
+tabulates and writes. The json module encodes every JSON value but a 2-D
+float array (an effchan magnitude grid). That grid, and a CSV table all of
+whose columns are numbers (the effchan and ambiguity maps), are formatted in
+numpy by _floattext, a block at a time, into the same bytes as repr's and
+str's.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def _result_file(path, newline: str | None = None):
             os.remove(tmp)
 
 
-_CSV_BLOCK = 4096  # rows per write of _write_csv
+_CSV_BLOCK = 4096  # rows per write of _write_csv, and values per block of a JSON grid's rows
 
 
 def _write_csv(path: str, columns: dict) -> None:
@@ -110,42 +111,46 @@ def _write_rows(path: str, header: tuple, rows: list) -> None:
     _write_csv(path, dict(zip(header, zip(*rows))))
 
 
-_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_row(row: np.ndarray) -> str:
-    """One row of a 2-D float array as _write_json's `json.dumps` gives it, nested two deep."""
-    if len(row) == 0:
-        return "[]"
-    items = list(map(repr, row.tolist()))
-    if not np.isfinite(row).all():
-        items = [_JSON_SPECIAL.get(v, v) for v in items]
-    return "[\n      " + ",\n      ".join(items) + "\n    ]"
-
-
 def _write_json(path: str, obj: dict) -> None:
     """Write `json.dump(obj, sort_keys=True, indent=2)` and a newline.
 
     obj's keys must be str. The stdlib encodes each top-level value as it is
-    written, an ndarray as its `tolist()`, except a nonempty 2-D array, such
-    as an effchan magnitude grid: its rows are formatted here (_json_row,
-    by repr, not _floattext: a grid row is too short a block for the numpy
-    kernel's fixed cost) and written one at a time, so the document is never
-    held whole. A value that fails to encode leaves no file (_result_file).
+    written, an ndarray as its `tolist()`, except a nonempty 2-D float array,
+    such as an effchan magnitude grid: its values are formatted in numpy
+    (_floattext.Grid: repr's bytes, with nan, inf and -inf then written as
+    JSON's NaN, Infinity and -Infinity) and written max(1, _CSV_BLOCK // its
+    width) rows at a time, so the document is never held whole. A value that
+    fails to encode leaves no file (_result_file).
     """
     with _result_file(path) as fh:
         fh.write("{")
         for i, key in enumerate(sorted(obj)):
             fh.write(("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": ")
             v = obj[key]
-            if isinstance(v, np.ndarray) and v.ndim == 2 and len(v) > 0:
-                for j, row in enumerate(v):
-                    fh.write(("," if j else "[") + "\n    " + _json_row(row))
-                fh.write("\n  ]")
+            if isinstance(v, np.ndarray) and v.ndim == 2 and v.size and v.dtype.kind == "f" and v.itemsize <= 8:
+                _write_grid(fh, v)
             else:
                 v = v.tolist() if isinstance(v, np.ndarray) else v
                 fh.write(json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  "))
         fh.write("\n}\n" if obj else "}\n")
+
+
+def _write_grid(fh, grid: np.ndarray) -> None:
+    """Write a nonempty 2-D float array as _write_json's `json.dumps` gives it, nested one deep."""
+    rows, width = grid.shape
+    block = max(1, _CSV_BLOCK // width)
+    # each row ends with the next one's separator, which the last row drops
+    after = ",\n    "
+    table = _floattext.Grid(width, min(rows, block), "[\n      ", ",\n      ", "\n    ]" + after)
+    fh.write("[\n    ")
+    fh.flush()  # the rows go to the file's buffer as ASCII, after the text before them
+    for start in range(0, rows, block):
+        part = grid[start : start + block]
+        text = table.text(part)
+        if not np.isfinite(part).all():
+            text = text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
+        fh.buffer.write(memoryview(text)[: -len(after)] if start + block >= rows else text)
+    fh.write("\n  ]")
 
 
 def _estimate_record(est: RadarTargetEstimate) -> dict:

@@ -25,6 +25,7 @@ from ddwave.link import Constellation, map_bits, run_ber_point
 from ddwave.modem import effective_channel, modulate
 from ddwave.sensing import ambiguity_map
 
+GRIDS = np.random.default_rng(11)
 EDGE_FLOATS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-05, 1e16, 0.1]
 
 FIG3_SCENARIO = {
@@ -187,8 +188,20 @@ def test_csv_writer_empty_table_is_header_only(tmp_path):
         np.array(EDGE_FLOATS).reshape(4, 2),
         np.zeros((1, 0)),
         np.zeros((0, 0)),
+        # blocks of max(1, 4096 // width) rows: a short last block, one row
+        # wider than the block, and nan, inf and -inf only in the last block
+        GRIDS.random((17, 256)),
+        GRIDS.random((1, 5000)),
+        np.vstack([GRIDS.random((2, 4096)), [[float("nan"), float("inf"), float("-inf")] * 1365 + [0.5]]]),
+        GRIDS.random((300, 20)).astype(np.float32),
+        GRIDS.random((20, 300)).T,
+        GRIDS.random((40, 300))[::2],
+        # any other array goes to the json module as its tolist()
+        np.array([[True, False], [False, True]]),
+        np.array([[1, -2], [3, 2**40]]),
     ],
-    ids=["1x1", "2x8", "4x2", "1x0", "0x0"],
+    ids=["1x1", "2x8", "4x2", "1x0", "0x0", "17x256", "1x5000", "3x4096-nonfinite", "float32",
+         "transposed", "strided", "bool", "int"],
 )
 def test_json_writer_matches_json_module(tmp_path, grid):
     obj = {"waveform": "afdm", "n": len(grid), "threshold": 1e-05, "magnitude": grid}
@@ -197,21 +210,27 @@ def test_json_writer_matches_json_module(tmp_path, grid):
     assert read_bytes(tmp_path / "got.json") == read_bytes(tmp_path / "want.json")
 
 
-def test_json_writer_writes_a_grid_a_row_at_a_time(tmp_path):
-    # a 256 x 256 grid is about 1.6 MB of JSON; formatted a row at a time,
-    # the writer holds a row's text at most, not the document's
-    grid = np.random.default_rng(5).random((256, 256))
-    obj = {"waveform": "otfs", "n": 256, "threshold": 1e-05, "magnitude": grid}
-    tracemalloc.start()
-    try:
-        _write_json(tmp_path / "got.json", obj)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = (tmp_path / "got.json").stat().st_size
-    assert size > 1_500_000 and peak < size / 10
-    reference_json(tmp_path / "want.json", {**obj, "magnitude": grid.tolist()})
-    assert read_bytes(tmp_path / "got.json") == read_bytes(tmp_path / "want.json")
+def test_json_writer_keeps_its_memory_bounded(tmp_path):
+    # a 1024 x 256 grid is about 6.9 MB of JSON; formatted a block of rows at
+    # a time, the writer holds one block's text and workspace whatever the
+    # grid's length, so its peak does not grow with the document
+    rng = np.random.default_rng(5)
+    _write_json(tmp_path / "warm.json", {"magnitude": rng.random((2, 2))})  # the kernel's tables, built once
+    peaks, sizes = [], []
+    for rows in (256, 1024):
+        grid = rng.random((rows, 256))
+        obj = {"waveform": "otfs", "n": 256, "threshold": 1e-05, "magnitude": grid}
+        tracemalloc.start()
+        try:
+            _write_json(tmp_path / "got.json", obj)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append((tmp_path / "got.json").stat().st_size)
+        reference_json(tmp_path / "want.json", {**obj, "magnitude": grid.tolist()})
+        assert read_bytes(tmp_path / "got.json") == read_bytes(tmp_path / "want.json")
+    assert sizes[1] > 6_000_000
+    assert peaks[1] < 1.1 * peaks[0] and peaks[1] < sizes[1] / 4
 
 
 @pytest.mark.parametrize(
@@ -245,12 +264,13 @@ def test_a_value_that_fails_to_encode_leaves_the_old_file_whole(tmp_path):
     path = tmp_path / "got.json"
     _write_json(path, {"a": 1})
     before = read_bytes(path)
-    with pytest.raises(TypeError):
-        _write_json(path, {"a": 2, "b": object()})  # "a" is written before "b" fails
-    assert os.listdir(tmp_path) == ["got.json"] and read_bytes(path) == before
-    with pytest.raises(TypeError):
-        _write_json(tmp_path / "new.json", {"a": 2, "b": object()})
-    assert os.listdir(tmp_path) == ["got.json"]
+    for bad in (object(), np.array([[1 + 2j]])):  # a complex grid has no JSON form
+        with pytest.raises(TypeError):
+            _write_json(path, {"a": 2, "b": bad})  # "a" is written before "b" fails
+        assert os.listdir(tmp_path) == ["got.json"] and read_bytes(path) == before
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "new.json", {"a": 2, "b": bad})
+        assert os.listdir(tmp_path) == ["got.json"]
 
 
 @pytest.mark.parametrize("blocked", ["ber.csv", "ber.csv.tmp"])
