@@ -16,16 +16,17 @@ The digits are then laid out as CPython's repr does, in three uint64 words
 of ASCII per value: fixed notation for -4 < decpt <= 16, where the value is
 0.DIGITS x 10^decpt, and d[.ddd]e+XX, with at least two exponent digits,
 otherwise; zeros, nan, inf and -inf are their own cases. int_words writes
-str(int(v)) into the same three words. Rows writes each cell of a block of
-table rows into one byte matrix, NUL after each cell's text, and drops the
-NULs in one pass. Grid does the same for a block of a 2-D float array's
-rows with one float_words call: the matrix holds, per row, each value's
-24 bytes after its separator, NUL-padded to one width, then the row's end.
+str(int(v)) into the same three words. Table formats a block of a numeric
+table's rows, a CSV map's or a JSON grid's, with one call per kind of cell
+into one byte matrix: each cell's text after its prefix, NUL-padded, each
+run of adjacent cells of one kind copied in at once, and the NULs dropped in
+one pass.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -215,9 +216,10 @@ def _quads(v, places):
     return words, v
 
 
-def float_words(x, out):
+def float_words(x, out, specials=None):
     """Write repr(float(v)) of each value v of x into the rows of out, a
-    (len(x), 3) uint64 array, as 24 bytes in memory order, NUL after the text.
+    (len(x), 3) uint64 array, as 24 bytes in memory order, NUL after the text;
+    nan, inf and -inf are written as the rows of specials, if given.
 
     The 17 digits, left-aligned, are cut to the places the text shows, a
     '.' is inserted after the integer places, and the text is shifted past
@@ -270,7 +272,8 @@ def float_words(x, out):
             text[at + k] = tail[:, k]
     rows = np.flatnonzero(~finite)
     if rows.size:
-        out[rows] = t["specials"][np.where(mag[rows] > _U64(0x7FF << 52), 0, 1 + sign[rows])]  # nan, inf, -inf
+        specials = t["specials"] if specials is None else specials
+        out[rows] = specials[np.where(mag[rows] > _U64(0x7FF << 52), 0, 1 + sign[rows])]  # nan, inf, -inf
 
 
 def int_words(x, out):
@@ -295,58 +298,51 @@ def int_words(x, out):
     out[:, 0] = (w0 << shift) | (sign * _U64(ord("-")))
 
 
-class Rows:
-    """The text of a numeric table, up to `block` rows at a time: each row is
-    `start`, then each column's cell after its prefix. A float cell is
-    repr(float(v)), an integer cell str(int(v)). The byte matrix and the
-    cells' words are allocated once and reused by every block."""
+class Table:
+    """The text of a numeric table, a block of rows at a time. A row's cells
+    are the columns of parts, 2-D arrays side by side, each of one kind
+    (float, signed or unsigned integer), each after its prefix; `end` ends
+    each row. A float cell is repr(float(v)), with nan, inf and -inf the names
+    in nonfinite if given, and an integer cell str(int(v)). A block holds at
+    most `budget` cells of each kind; its workspace is reused by every block."""
 
-    def __init__(self, columns, block, start, prefixes):
-        self.cells = []  # (column, its writer, its words, the cell's columns of the matrix)
-        texts = [np.frombuffer(start.encode(), dtype=np.uint8)]
-        for col, prefix in zip(columns, prefixes):
-            texts.append(np.frombuffer(prefix.encode(), dtype=np.uint8))
-            at = sum(map(len, texts))
-            if col.dtype.kind == "f":
-                write, width = float_words, FLOAT_WIDTH
-            else:
-                write, width = int_words, max(len(str(int(col.min()))), len(str(int(col.max()))))
-            self.cells.append((col, write, np.empty((block, 3), dtype=_U64), slice(at, at + width)))
-            texts.append(np.zeros(width, dtype=np.uint8))
-        self.matrix = np.empty((block, sum(map(len, texts))), dtype=np.uint8)
-        self.matrix[:] = np.concatenate(texts)
+    def __init__(self, parts, prefixes, end, budget, nonfinite=None):
+        self.parts = parts
+        cells = [p.dtype.kind for p in parts for _ in range(p.shape[1])]
+        count = {k: cells.count(k) for k in dict.fromkeys(cells)}
+        self.block = min(len(parts[0]), max(1, budget // max(count.values())))
+        # an integer cell is as wide as its kind's longest extreme
+        width = {k: FLOAT_WIDTH if k == "f" else
+                 max(len(str(int(v))) for p in parts if p.dtype.kind == k for v in (p.min(), p.max()))
+                 for k in count}
+        pad = max(map(len, prefixes))
+        row = b"".join(pre.encode().ljust(pad, b"\0") + bytes(width[k]) for pre, k in zip(prefixes, cells))
+        self.matrix = np.empty((self.block, len(row) + len(end)), dtype=np.uint8)
+        self.matrix[:] = np.frombuffer(row + end.encode(), dtype=np.uint8)
+        specials = None if nonfinite is None else _padded(name.encode() for name in nonfinite)
+        self.kinds, words = [], {}  # per kind: its parts, a block's values and words, and its writer
+        for k, n in count.items():
+            words[k] = np.empty((self.block * n, 3), dtype=_U64)
+            values = np.empty((self.block, n), dtype={"f": np.float64, "i": np.int64, "u": _U64}[k])
+            write = functools.partial(float_words, specials=specials) if k == "f" else int_words
+            self.kinds.append(([p for p in parts if p.dtype.kind == k], values, words[k], write))
+        # per run of adjacent cells of one kind: their bytes in the matrix (a
+        # view, as the split axis is contiguous) and their words' text
+        self.runs, at, done = [], 0, dict.fromkeys(count, 0)
+        for k, run in itertools.groupby(cells):
+            n, stride = len(list(run)), pad + width[k]
+            place = self.matrix[:, at : at + n * stride].reshape(self.block, n, stride)[:, :, pad:]
+            text = words[k].view(np.uint8).reshape(self.block, count[k], FLOAT_WIDTH)
+            self.runs.append((place, text[:, done[k] : done[k] + n, : width[k]]))
+            at, done[k] = at + n * stride, done[k] + n
 
-    def text(self, start: int, stop: int) -> bytes:
-        """Rows start to stop, at most `block` of them, as ASCII."""
+    def text(self, start: int) -> bytes:
+        """The block of rows from start, as ASCII."""
+        stop = min(start + self.block, len(self.parts[0]))
         n = stop - start
-        for col, write, words, place in self.cells:
-            write(col[start:stop], words[:n])
-            self.matrix[:n, place] = words[:n].view(np.uint8)[:, : place.stop - place.start]
-        return self.matrix[:n].tobytes().translate(None, b"\0")
-
-
-class Grid:
-    """The text of a 2-D float array of `width` columns, up to `block` rows at
-    a time: each row is `first`, the row's values as repr(float(v)) with
-    `sep` between them, then `end`. One float_words call formats a block's
-    values; the byte matrix, each value's cell after its NUL-padded prefix,
-    and the words are allocated once and reused by every block."""
-
-    def __init__(self, width, block, first, sep, end):
-        pad = max(len(first), len(sep))
-        cell = pad + FLOAT_WIDTH
-        self.matrix = np.zeros((block, width * cell + len(end)), dtype=np.uint8)
-        cells = self.matrix[:, : width * cell].reshape(block, width, cell)  # a view: the split axis is contiguous
-        cells[:, 0, : len(first)] = np.frombuffer(first.encode(), dtype=np.uint8)
-        cells[:, 1:, : len(sep)] = np.frombuffer(sep.encode(), dtype=np.uint8)
-        self.matrix[:, width * cell :] = np.frombuffer(end.encode(), dtype=np.uint8)
-        self.values = cells[:, :, pad:]
-        self.words = np.empty((block * width, 3), dtype=_U64)
-
-    def text(self, rows: np.ndarray) -> bytes:
-        """rows, at most `block` of them, as ASCII."""
-        n, width = rows.shape
-        words = self.words[: n * width]
-        float_words(rows.reshape(-1), words)
-        self.values[:n] = words.view(np.uint8).reshape(n, width, FLOAT_WIDTH)
+        for parts, values, words, write in self.kinds:
+            np.concatenate([p[start:stop] for p in parts], axis=1, out=values[:n])
+            write(values[:n].reshape(-1), words[: n * values.shape[1]])
+        for place, text in self.runs:
+            place[:n] = text[:n]
         return self.matrix[:n].tobytes().translate(None, b"\0")

@@ -3,11 +3,11 @@
 Subcommands: effchan, ber, sense, ambiguity, demo-v2x. Every command is a
 pure function of (config, seed). Link and sensing draw and chunk the frames
 and score the maps; the CLI knows no chunk size and no grid index, and only
-tabulates and writes. The json module encodes every JSON value but a 2-D
-float array (an effchan magnitude grid). That grid, and a CSV table all of
-whose columns are numbers (the effchan and ambiguity maps), are formatted in
-numpy by _floattext, a block at a time, into the same bytes as repr's and
-str's.
+tabulates and writes, as bytes. The json module encodes every JSON value
+but a 2-D float array (an effchan magnitude grid). That grid, and a CSV table
+all of whose columns are numbers (the effchan and ambiguity maps), go through
+one loop, _write_table, that formats them in numpy a block of rows at a time
+(_floattext.Table) into the same bytes as repr's and str's.
 """
 
 from __future__ import annotations
@@ -52,15 +52,15 @@ def _setup_logging():
 
 
 @contextlib.contextmanager
-def _result_file(path, newline: str | None = None):
-    """A text file for path's contents, written at path + ".tmp" beside it and
-    renamed onto path (os.replace) when the block ends, so path is never left
-    half-written: if the block raises, the temporary file is removed. An
+def _result_file(path):
+    """A binary file for path's contents, written at path + ".tmp" beside it
+    and renamed onto path (os.replace) when the block ends, so path is never
+    left half-written: if the block raises, the temporary file is removed. An
     OSError is raised as ConfigError "cannot write <path>: <strerror>"."""
     tmp = f"{path}.tmp"
     opened = False
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "wb") as fh:
             opened = True
             yield fh
         os.replace(tmp, path)
@@ -71,7 +71,21 @@ def _result_file(path, newline: str | None = None):
             os.remove(tmp)
 
 
-_CSV_BLOCK = 4096  # rows per write of _write_csv, and values per block of a JSON grid's rows
+_CSV_BLOCK = 4096  # cells of one kind formatted per block of a table's rows
+
+
+def _write_table(fh, parts: list, prefixes: list, end: str, sep: str = "", nonfinite=None) -> None:
+    """Write the rows of parts, 2-D number arrays side by side, as
+    _floattext.Table formats them: each cell after its prefix, each row
+    followed by end, the rows joined by sep, and nan, inf and -inf as repr
+    writes them or as the names in nonfinite. Each block of at most
+    _CSV_BLOCK cells of one kind is written as it is formatted, so memory
+    stays bounded."""
+    table = _floattext.Table(parts, prefixes, end + sep, _CSV_BLOCK, nonfinite)
+    rows = len(parts[0])
+    for start in range(0, rows, table.block):
+        text = table.text(start)
+        fh.write(text if start + table.block < rows else memoryview(text)[: len(text) - len(sep)])
 
 
 def _write_csv(path: str, columns: dict) -> None:
@@ -80,30 +94,27 @@ def _write_csv(path: str, columns: dict) -> None:
     The bytes are those of `csv.writer` with its default dialect on rows of
     these values: CRLF line ends and floats as their shortest round-trip
     repr. Each column is a sequence of numbers or of names that need no
-    quoting; a table with no rows is the header line alone. Rows are
-    written _CSV_BLOCK at a time, so memory stays bounded, to a temporary
-    file that replaces path once whole (_result_file). A table whose columns
-    are all float or integer arrays of at most 8 bytes is formatted in numpy
-    (_floattext.Rows: the same repr and str bytes, in one workspace every
-    block reuses); any other, such as one with a column of names, goes
+    quoting, and all have one length (ValueError otherwise); a table with no
+    rows is the header line alone. The rows are written a block at a time,
+    so memory stays bounded, to a temporary file that replaces path once
+    whole (_result_file). A table whose columns are all float or integer
+    arrays of at most 8 bytes is formatted in numpy (_write_table: the same
+    repr and str bytes); any other, such as one with a column of names, goes
     through `map(str, ...)`.
     """
     cols = [np.asarray(col) for col in columns.values()]
-    rows = min(map(len, cols), default=0)
-    table = None
-    if rows and all(col.dtype.kind in "fiu" and col.itemsize <= 8 for col in cols):
-        table = _floattext.Rows(cols, min(rows, _CSV_BLOCK), "\r\n", ["", *[","] * (len(cols) - 1)])
-    with _result_file(path, newline="") as fh:
-        fh.write(",".join(columns))
-        if table is not None:
-            fh.flush()  # the rows go to the file's buffer as ASCII, after the header
-            for start in range(0, rows, _CSV_BLOCK):
-                fh.buffer.write(table.text(start, min(start + _CSV_BLOCK, rows)))
-        else:
-            for start in range(0, rows, _CSV_BLOCK):
-                cells = [map(str, col[start : start + _CSV_BLOCK].tolist()) for col in cols]
-                fh.write("\r\n" + "\r\n".join(map(",".join, zip(*cells))))
-        fh.write("\r\n")
+    rows = len(cols[0]) if cols else 0
+    if any(len(col) != rows for col in cols):
+        raise ValueError(f"columns of unequal length: {dict(zip(columns, map(len, cols)))}")
+    with _result_file(path) as fh:
+        fh.write((",".join(columns) + "\r\n").encode())
+        if rows and all(col.dtype.kind in "fiu" and col.itemsize <= 8 for col in cols):
+            _write_table(fh, [col[:, None] for col in cols], ["", *[","] * (len(cols) - 1)], "\r\n")
+        elif rows:
+            block = max(1, _CSV_BLOCK // len(cols))  # every cell is one kind, text
+            for start in range(0, rows, block):
+                cells = [map(str, col[start : start + block].tolist()) for col in cols]
+                fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)).encode())
 
 
 def _write_rows(path: str, header: tuple, rows: list) -> None:
@@ -116,41 +127,26 @@ def _write_json(path: str, obj: dict) -> None:
 
     obj's keys must be str. The stdlib encodes each top-level value as it is
     written, an ndarray as its `tolist()`, except a nonempty 2-D float array,
-    such as an effchan magnitude grid: its values are formatted in numpy
-    (_floattext.Grid: repr's bytes, with nan, inf and -inf then written as
-    JSON's NaN, Infinity and -Infinity) and written max(1, _CSV_BLOCK // its
-    width) rows at a time, so the document is never held whole. A value that
-    fails to encode leaves no file (_result_file).
+    such as an effchan magnitude grid: its rows are formatted in numpy
+    (_write_table: repr's bytes, with nan, inf and -inf written as JSON's
+    NaN, Infinity and -Infinity) a block at a time, so the document is never
+    held whole. A value that fails to encode leaves no file (_result_file).
     """
     with _result_file(path) as fh:
-        fh.write("{")
+        fh.write(b"{")
         for i, key in enumerate(sorted(obj)):
-            fh.write(("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": ")
+            fh.write((("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": ").encode())
             v = obj[key]
             if isinstance(v, np.ndarray) and v.ndim == 2 and v.size and v.dtype.kind == "f" and v.itemsize <= 8:
-                _write_grid(fh, v)
+                # one list per row, nested one deep
+                fh.write(b"[\n    ")
+                _write_table(fh, [v], ["[\n      ", *[",\n      "] * (v.shape[1] - 1)], "\n    ]", ",\n    ",
+                             ("NaN", "Infinity", "-Infinity"))
+                fh.write(b"\n  ]")
             else:
                 v = v.tolist() if isinstance(v, np.ndarray) else v
-                fh.write(json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  "))
-        fh.write("\n}\n" if obj else "}\n")
-
-
-def _write_grid(fh, grid: np.ndarray) -> None:
-    """Write a nonempty 2-D float array as _write_json's `json.dumps` gives it, nested one deep."""
-    rows, width = grid.shape
-    block = max(1, _CSV_BLOCK // width)
-    # each row ends with the next one's separator, which the last row drops
-    after = ",\n    "
-    table = _floattext.Grid(width, min(rows, block), "[\n      ", ",\n      ", "\n    ]" + after)
-    fh.write("[\n    ")
-    fh.flush()  # the rows go to the file's buffer as ASCII, after the text before them
-    for start in range(0, rows, block):
-        part = grid[start : start + block]
-        text = table.text(part)
-        if not np.isfinite(part).all():
-            text = text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
-        fh.buffer.write(memoryview(text)[: -len(after)] if start + block >= rows else text)
-    fh.write("\n  ]")
+                fh.write(json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ").encode())
+        fh.write(b"\n}\n" if obj else b"}\n")
 
 
 def _estimate_record(est: RadarTargetEstimate) -> dict:
@@ -305,7 +301,8 @@ def _load(args) -> ScenarioConfig:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(prog="ddwave", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="ddwave", description="OFDM, OTFS and AFDM over doubly dispersive channels: maps, BER and sensing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, config=True):

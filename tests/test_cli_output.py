@@ -136,14 +136,15 @@ def test_csv_writer_matches_csv_module(tmp_path):
         values = np.resize(EDGE_FLOATS, rows)
         bits = np.random.default_rng(rows).integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
         numbers = {
-            "count": np.arange(-rows // 2, rows - rows // 2),
+            "count": np.arange(rows) - rows // 2,
             "value": values,
             "bits": bits,
             "listed": values[::-1].tolist(),
         }
+        apart = {"value": values, "count": numbers["count"], "bits": bits}  # float cells not adjacent
         names = np.resize(["ofdm", "otfs", "afdm", "matched_filter", "direct_csi"], rows).tolist()
-        for columns in (numbers, {"name": names, **numbers}):
-            got, want = tmp_path / f"got-{rows}-{len(columns)}.csv", tmp_path / f"want-{rows}-{len(columns)}.csv"
+        for case, columns in enumerate((numbers, apart, {"name": names, **numbers})):
+            got, want = tmp_path / f"got-{rows}-{case}.csv", tmp_path / f"want-{rows}-{case}.csv"
             _write_csv(got, columns)
             cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns.values()]
             reference_csv(want, list(columns), zip(*cells))
@@ -152,7 +153,7 @@ def test_csv_writer_matches_csv_module(tmp_path):
 
 def test_csv_writer_keeps_its_memory_bounded(tmp_path):
     # an ambiguity map's table at N = 256: 65,792 rows, about 4.6 MB of CSV; formatted
-    # _CSV_BLOCK rows at a time, the writer holds a block's text and workspace, not the file's
+    # a block of rows at a time, the writer holds a block's text and workspace, not the file's
     rng = np.random.default_rng(9)
     rows = 256 * 257
     columns = {
@@ -170,6 +171,13 @@ def test_csv_writer_keeps_its_memory_bounded(tmp_path):
         tracemalloc.stop()
     size = (tmp_path / "got.csv").stat().st_size
     assert size > 4_000_000 and peak < size / 2
+
+
+def test_csv_writer_refuses_columns_of_unequal_length(tmp_path):
+    for columns in ({"row": np.arange(3), "mag": np.zeros(2)}, {"waveform": ["ofdm", "otfs", "afdm"], "ber": [0.5, 0.25]}):
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "got.csv", columns)
+        assert os.listdir(tmp_path) == []
 
 
 def test_csv_writer_empty_table_is_header_only(tmp_path):

@@ -749,12 +749,15 @@ def test_choice_fields_name_their_choices(tmp_path, capsys, patch, message):
 
 
 @pytest.mark.parametrize("argv, choices", [(["demo-v2x"], "--geometry {monostatic,bistatic}"),
-                                           (["effchan"], "--variant {integer,fractional}")])
+                                           (["effchan"], "--variant {integer,fractional}"),
+                                           ([], "{effchan,ber,sense,ambiguity,demo-v2x}")])
 def test_help_lists_the_choices(capsys, argv, choices):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--help"])
     assert exc.value.code == 0
-    assert choices in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert choices in out
+    assert "_floattext" not in out  # the user's description, not the module's notes
 
 
 def test_exit_2_on_invalid_config(tmp_path, capsys):

@@ -1,24 +1,24 @@
 """The numpy float and integer text of ddwave._floattext against repr and str.
 
-Each case formats a column through Rows, one value per row, and compares the
+Each case formats a column through Table, one value per row, and compares the
 text with the built-in formatting of the same values as Python objects.
 """
 
 import numpy as np
 import pytest
 
-from ddwave._floattext import Rows
+from ddwave._floattext import Table
 
 
-def kernel_text(values, block=4096):
-    """The values as Rows writes them, one per line."""
-    rows = Rows([values], min(block, len(values)), "\n", [""])
-    return b"".join(rows.text(i, min(i + block, len(values))) for i in range(0, len(values), block)).decode()
+def kernel_text(values, budget=4096):
+    """The values as Table writes them, one per line, `budget` rows per block."""
+    table = Table([values[:, None]], [""], "\n", budget)
+    return b"".join(table.text(start) for start in range(0, len(values), table.block)).decode()
 
 
 def assert_repr(values):
     values = np.asarray(values, dtype=np.float64)
-    got, want = kernel_text(values), "\n" + "\n".join(map(repr, values.tolist()))
+    got, want = kernel_text(values), "".join(f"{v!r}\n" for v in values.tolist())
     if got != want:  # name the first values that differ
         bad = [(w, g) for w, g in zip(want.split("\n"), got.split("\n")) if w != g]
         assert got == want, bad[:5]
@@ -82,11 +82,20 @@ def test_integers_match_str(dtype):
     rng = np.random.default_rng(7)
     edges = np.array([0, 1, 9, 10, info.min, info.max, info.max - 1], dtype=dtype)
     values = np.concatenate([edges, rng.integers(info.min, info.max, 5000, dtype=dtype, endpoint=True)])
-    assert kernel_text(values, block=1000).split("\n")[1:] == list(map(str, values.tolist()))
+    assert kernel_text(values, budget=1000).split("\n")[:-1] == list(map(str, values.tolist()))
 
 
-def test_rows_lays_out_cells_after_their_prefixes():
-    columns = [np.array([-3, 12]), np.array([0.5, -1e-07]), np.array([7, 8], dtype=np.uint16)]
-    rows = Rows(columns, 2, "\r\n", ["", ",", ","])
-    assert rows.text(0, 2) == b"\r\n-3,0.5,7\r\n12,-1e-07,8"
-    assert rows.text(1, 2) == b"\r\n12,-1e-07,8"
+def test_table_lays_out_cells_after_their_prefixes():
+    # kinds interleaved (int, float, uint, float), a 2-D part of two float cells and prefixes
+    # of unequal length; a budget of 3 float cells a block is one row, so 3 rows are 3 blocks
+    parts = [np.array([[-3], [12], [0]]), np.array([[0.5], [-1e-07], [float("nan")]]),
+             np.array([[7], [8], [65535]], dtype=np.uint16), np.array([[1.0, float("-inf")], [2.5, 3.0], [-0.0, 1e16]])]
+    table = Table(parts, ["<", ",", "; ", "|", ""], ">\n", 3)
+    assert table.block == 1
+    assert b"".join(table.text(start) for start in range(3)) == (
+        b"<-3,0.5; 7|1.0-inf>\n<12,-1e-07; 8|2.53.0>\n<0,nan; 65535|-0.01e+16>\n")
+    # a budget of 6: two rows a block, and the last block short; nonfinite names replace nan and inf
+    table = Table(parts, ["[", ",", ",", ",", ","], "]", 6, nonfinite=("NaN", "Infinity", "-Infinity"))
+    assert table.block == 2
+    assert table.text(0) == b"[-3,0.5,7,1.0,-Infinity][12,-1e-07,8,2.5,3.0]"
+    assert table.text(2) == b"[0,NaN,65535,-0.0,1e+16]"
